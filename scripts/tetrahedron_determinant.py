@@ -37,7 +37,7 @@ def main():
     m = make_metric(1.0, [(z, -0.5) for z in pts])
 
     report = log_det_as(m, qcfg)
-    closed = det_tetrahedron(pts, qcfg)
+    closed = det_tetrahedron(pts, area_x=report.area)
     data = periods(pts)
     torus = det_torus(data, report.area)
 

@@ -32,7 +32,6 @@ from .detlap import (
 )
 from .elliptic import (
     EllipticData,
-    PeriodConfig,
     dedekind_eta,
     det_tetrahedron,
     det_torus,
@@ -60,7 +59,7 @@ from .metric import (
     tetrahedron_metric,
     variation_field,
 )
-from .quad import QuadratureConfig, QuadResult, area, integrate
+from .quad import QuadratureConfig, QuadResult, area, segment_integral
 from .regint import (
     ContourConfig,
     HadamardConfig,

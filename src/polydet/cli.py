@@ -22,7 +22,6 @@ import dataclasses
 import io
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -30,7 +29,7 @@ import numpy as np
 from . import detlap, elliptic, verify
 from .cone import ConePoint, heat_kernel_cone, heat_kernel_images, resolvent_cone, resolvent_images
 from .errors import PolydetError, ToleranceNotReached
-from .metric import Angle, Position, Scale, load_metric
+from .metric import Angle, Position, Scale, load_metric, make_metric
 from .quad import QuadratureConfig, area
 from .regint import HadamardConfig, hadamard_coth_coth_over_theta, hadamard_coth_over_sinh_sq, q_of_beta, q_of_beta_contour, q_tilde, q_tilde_prime
 
@@ -115,9 +114,7 @@ def _emit_human(obj, indent: str = "") -> None:
 # --------------------------------------------------------------------------
 
 def _quad_cfg(args) -> QuadratureConfig:
-    return QuadratureConfig(
-        rel_tol=args.rel_tol, abs_tol=args.abs_tol, max_depth=args.max_depth
-    )
+    return QuadratureConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
 
 
 def _cmd_det(args) -> int:
@@ -156,7 +153,7 @@ def _cmd_grad(args) -> int:
         analytic = detlap.grad_angle(m, channel.i)
     else:
         analytic = detlap.grad_scale(m)
-    report = verify._report(args.channel, analytic, fd)
+    report = detlap.GradientReport.compare(args.channel, analytic, fd)
     _emit(report, args)
     return 0
 
@@ -178,13 +175,11 @@ def _cmd_verify_tetra(args) -> int:
         obj = json.load(fh)
     pts = [complex(p[0], p[1]) for p in obj["points"]]
     data = elliptic.periods(pts)
-    qcfg = _quad_cfg(args)
-    det_x = elliptic.det_tetrahedron(pts, qcfg)
-    from .metric import make_metric
-
-    ar = area(make_metric(1.0, [(z, -0.5) for z in pts]), qcfg)
-    torus = elliptic.det_torus(data, ar.value)
-    report = detlap.log_det_as(make_metric(1.0, [(z, -0.5) for z in pts]), qcfg)
+    m = make_metric(1.0, [(z, -0.5) for z in pts])
+    ar = area(m, _quad_cfg(args)).value
+    det_x = elliptic.det_tetrahedron(pts, area_x=ar)
+    torus = elliptic.det_torus(data, ar)
+    log_det = math.log(ar) + detlap.log_det_over_area(m)
     out = {
         "tau": data.tau,
         "jacobi_residual": elliptic.jacobi_residual(data),
@@ -192,11 +187,10 @@ def _cmd_verify_tetra(args) -> int:
         "eta_distance_residual": elliptic.eta_distance_identity(pts, data),
         "det_tetrahedron": det_x,
         "det_torus_over_det_sq": torus / det_x**2,
-        "as_vs_tetr_rel": abs(math.exp(report.log_det) - det_x) / det_x,
+        "as_vs_tetr_rel": abs(math.exp(log_det) - det_x) / det_x,
         "area_consistency": abs(
-            abs((data.period_a * data.period_b.conjugate()).imag)
-            - 2.0 * ar.value
-        ) / (2.0 * ar.value),
+            abs((data.period_a * data.period_b.conjugate()).imag) - 2.0 * ar
+        ) / (2.0 * ar),
     }
     _emit_verify(out)
     return 0
@@ -280,7 +274,6 @@ def _cmd_verify_hadamard(args) -> int:
 def _add_quad_flags(p):
     p.add_argument("--rel-tol", type=float, default=1e-9)
     p.add_argument("--abs-tol", type=float, default=1e-12)
-    p.add_argument("--max-depth", type=int, default=24)
 
 
 def _add_output_flags(p):
@@ -353,10 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # POLYDET_THREADS caps the worker count; evaluation in this build is
-    # sequential (deterministic fixed-order reductions), so any cap >= 1
-    # is honored trivially.
-    os.environ.setdefault("POLYDET_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -22,8 +22,7 @@ Implementation notes
   part is the principal-value-odd piece and drops out exactly.
 * Poles falling exactly on the lines (|phi - phi' - m beta| = pi, or
   m beta = pi for the symmetric density) receive half weight: that is the
-  limit of shifting the lines by +-eps, carried out deterministically
-  instead of raising PoleOnContour.
+  limit of shifting the lines by +-eps, carried out deterministically.
 * The Laplace transforms of the line Gaussians are evaluated through the
   closed form int_0^inf exp(mu t - a/t) dt/t = 2 K_0(2 sqrt(a (-mu)));
   on the lines sin^2(th/2) = cosh^2(s/2) > 0, so the principal square
@@ -38,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 from scipy.integrate import quad
-from scipy.special import k0 as bessel_k0
+from scipy.special import k0 as bessel_k0, kv
 
 from .errors import CoincidentPoints, NonpositiveAngle
 from .metric import PolyhedralMetric
@@ -301,7 +300,7 @@ def heat_trace_correction(m: PolyhedralMetric) -> float:
 
 # --------------------------------------------------------------------------
 # complex-capable K_0 (scipy's k0 is real-only; complex arguments only
-# occur for complex spectral parameters, an exotic path, so mpmath there)
+# occur for complex spectral parameters, where kv(0, z) takes them)
 # --------------------------------------------------------------------------
 
 def _sqrt_minus(mu: complex):
@@ -314,8 +313,6 @@ def _sqrt_minus(mu: complex):
 
 def _k0(z):
     if isinstance(z, complex) and z.imag != 0.0:
-        import mpmath
-
-        return complex(mpmath.besselk(0, z))
+        return complex(kv(0, z))
     x = z.real if isinstance(z, complex) else z
     return float(bessel_k0(x))

@@ -48,6 +48,8 @@ from .regint import HadamardConfig, _fp_coth_coth, q_tilde_prime
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 
+REL_ERR_FLOOR = 1.0  # gradients are O(1); below this scale abs error rules
+
 # Euler-Mascheroni, 30 significant digits
 EULER_GAMMA = 0.577215664901532860606512090082
 
@@ -80,6 +82,16 @@ class GradientReport:
     finite_difference: Union[float, complex]
     abs_err: float
     rel_err: float
+
+    @classmethod
+    def compare(cls, channel: str, analytic, fd) -> "GradientReport":
+        """Pair an analytic gradient with its finite difference; the
+        relative error is taken against max(|analytic|, |fd|, 1), since
+        gradients are O(1) and below that scale the absolute error rules."""
+        abs_err = abs(analytic - fd)
+        return cls(channel=channel, analytic=analytic, finite_difference=fd,
+                   abs_err=abs_err,
+                   rel_err=abs_err / max(abs(analytic), abs(fd), REL_ERR_FLOOR))
 
 
 # --------------------------------------------------------------------------

@@ -6,9 +6,11 @@ the smooth flat metric |omega|^2,
 
     omega = dz / sqrt((z - z_1)(z - z_2)(z - z_3)(z - z_4)).
 
-This module computes the periods A, B of omega over an (a, b) cycle pair,
-the modulus tau = B/A, Dedekind eta and the theta constants by q-series,
-and checks the classical identity chain:
+This module computes the periods A, B of omega over an (a, b) cycle pair
+(twice the integrals of omega between two branch points, from
+``quad.segment_integral`` with all exponents -1/2: the same Gauss-Jacobi
+segment rule that gives the area), the modulus tau = B/A, Dedekind eta and
+the theta constants by q-series, and checks the classical identity chain:
 
     Jacobi:        2 pi eta^3 = pi theta_2 theta_3 theta_4
     Thomae:        theta_k^8 = (2 pi)^-4 A^4 (z_j1 - z_j2)^2 (z_j3 - z_j4)^2
@@ -34,18 +36,19 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
-
-import numpy as np
+from typing import Optional, Sequence, Tuple
 
 from .errors import DegenerateQuartic
 from .metric import make_metric
-from .quad import QuadratureConfig, area
+from .quad import QuadratureConfig, area, segment_integral
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 
 SERIES_TOL = 1e-18
+DEGENERATE_TOL = 1e-8       # relative branch-point gap and |Im tau| floor
+PERIOD_REL_TOL = 1e-12      # n vs 2n nodes agreement demanded of a period
+BRANCH_EXPONENTS = (-0.5, -0.5, -0.5, -0.5)
 
 
 @dataclass(frozen=True)
@@ -58,57 +61,25 @@ class EllipticData:
     sorted_points: Tuple[complex, ...]
 
 
-@dataclass(frozen=True)
-class PeriodConfig:
-    nodes: int = 4096            # dense monotone grid for branch tracking
-    refine_doublings: int = 3    # Richardson-style doubling checks
-    degenerate_tol: float = 1e-8
-
-
 # --------------------------------------------------------------------------
 # periods
 # --------------------------------------------------------------------------
 
-def _segment_integral(za: complex, zb: complex, others: Sequence[complex],
-                      nodes: int) -> complex:
-    """int dz / sqrt((z-za)(z-zb) R(z)) along the straight segment, with
-    z = c + h sin(tau) absorbing both endpoint singularities:
-
-        sqrt((z-za)(z-zb)) -> i h cos(tau),   integrand -> 1/(i sqrt(R)).
-
-    sqrt(R) is tracked by continuity along the monotone tau grid (sign
-    flips detected pointwise), then integrated with composite Simpson on
-    the uniform grid; the node count doubles until machine-level
-    stationarity in the caller.
-    """
-    c = 0.5 * (za + zb)
-    h = 0.5 * (zb - za)
-    taus = np.linspace(-0.5 * PI, 0.5 * PI, nodes)
-    z = c + h * np.sin(taus)
-    R = np.ones_like(z)
-    for zk in others:
-        R = R * (z - zk)
-    w = np.sqrt(R)
-    sign = 1.0
-    signs = np.empty(len(z))
-    prev = w[0]
-    signs[0] = sign
-    for i in range(1, len(z)):
-        cur = w[i] * sign
-        if abs(cur - prev) > abs(cur + prev):
-            sign = -sign
-            cur = -cur
-        signs[i] = sign
-        prev = cur
-    w = w * signs
-    integrand = 1.0 / (1j * w)
-    from scipy.integrate import simpson
-
-    return complex(simpson(integrand, x=taus))
+def _half_period(pts, u: int, v: int) -> complex:
+    """int omega from pts[u] to pts[v] along the straight segment, the
+    branch of the square root continued from its principal value at the
+    start; omega = prod (z - z_k)^(-1/2) dz is the metric's form with all
+    exponents -1/2 and C = 1."""
+    chord = segment_integral(pts, BRANCH_EXPONENTS, u, v)
+    if not abs(chord.value - chord.coarse) <= PERIOD_REL_TOL * abs(chord.value):
+        raise DegenerateQuartic(
+            f"period integral between branch points {u} and {v} did not "
+            f"converge (n vs 2n nodes differ by "
+            f"{abs(chord.value - chord.coarse):.3e})")
+    return complex(chord.value)
 
 
-def periods(points: Sequence[complex],
-            cfg: PeriodConfig = PeriodConfig()) -> EllipticData:
+def periods(points: Sequence[complex]) -> EllipticData:
     """Periods of omega over the (a, b) cycles, normalized to Im tau > 0."""
     pts = [complex(z) for z in points]
     if len(pts) != 4:
@@ -116,32 +87,20 @@ def periods(points: Sequence[complex],
     scale = max(abs(p - q) for p in pts for q in pts)
     for i in range(4):
         for j in range(i + 1, 4):
-            if abs(pts[i] - pts[j]) < cfg.degenerate_tol * scale:
+            if abs(pts[i] - pts[j]) < DEGENERATE_TOL * scale:
                 raise DegenerateQuartic(
                     f"branch points {i} and {j} closer than "
-                    f"{cfg.degenerate_tol} relative"
+                    f"{DEGENERATE_TOL} relative"
                 )
     cen = sum(pts) / 4.0
     pts.sort(key=lambda z: math.atan2((z - cen).imag, (z - cen).real))
-    z1, z2, z3, z4 = pts
 
-    def stable(za, zb, others):
-        prev = _segment_integral(za, zb, others, cfg.nodes)
-        n = cfg.nodes
-        for _ in range(cfg.refine_doublings):
-            n *= 2
-            cur = _segment_integral(za, zb, others, n)
-            if abs(cur - prev) <= 1e-13 * abs(cur):
-                return cur
-            prev = cur
-        return prev
-
-    A = 2.0 * stable(z1, z2, [z3, z4])
-    B = 2.0 * stable(z2, z3, [z1, z4])
+    A = 2.0 * _half_period(pts, 0, 1)
+    B = 2.0 * _half_period(pts, 1, 2)
     if abs(A) == 0.0:
         raise DegenerateQuartic("vanishing a-period")
     tau = B / A
-    if abs(tau.imag) < cfg.degenerate_tol:
+    if abs(tau.imag) < DEGENERATE_TOL:
         raise DegenerateQuartic(f"modulus degenerate: tau = {tau}")
     if tau.imag < 0.0:
         B = -B
@@ -271,22 +230,24 @@ def eta_distance_identity(points: Sequence[complex], data: EllipticData) -> floa
 # --------------------------------------------------------------------------
 
 def det_tetrahedron(points: Sequence[complex],
-                    qcfg: QuadratureConfig = QuadratureConfig()) -> float:
+                    qcfg: QuadratureConfig = QuadratureConfig(),
+                    area_x: Optional[float] = None) -> float:
     """det' of the Laplacian for the metric prod |z - z_k|^-1 |dz|^2:
 
         (2^(2/3) pi)^-1 * Area(X) * prod_{i<j} |z_i - z_j|^(1/6),
 
-    the area integral delegated to module ``quad``."""
+    with Area(X) = ``area_x`` when the caller has it, else from module
+    ``quad``."""
     pts = [complex(z) for z in points]
     if len(pts) != 4:
         raise DegenerateQuartic(f"need exactly 4 points, got {len(pts)}")
-    m = make_metric(1.0, [(z, -0.5) for z in pts])
-    ar = area(m, qcfg)
+    if area_x is None:
+        area_x = area(make_metric(1.0, [(z, -0.5) for z in pts]), qcfg).value
     prod = 1.0
     for i in range(4):
         for j in range(i + 1, 4):
             prod *= abs(pts[i] - pts[j])
-    return ar.value * prod ** (1.0 / 6.0) / (2.0 ** (2.0 / 3.0) * PI)
+    return area_x * prod ** (1.0 / 6.0) / (2.0 ** (2.0 / 3.0) * PI)
 
 
 def det_torus(data: EllipticData, area_x: float) -> float:

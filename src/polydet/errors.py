@@ -64,17 +64,7 @@ class NonpositiveAngle(PolydetError):
     """Cone angle beta must be positive."""
 
 
-class ContourPoleCollision(PolydetError):
-    """A cotangent pole sits on the contour lines and no deterministic
-    rewrite applies."""
-
-
 # ---- cone kernels ----
-
-class PoleOnContour(PolydetError):
-    """Heat-kernel pole coincides with the contour in a configuration the
-    deterministic half-residue rule cannot absorb."""
-
 
 class CoincidentPoints(PolydetError):
     """Resolvent kernel evaluated on the diagonal."""

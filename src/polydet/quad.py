@@ -1,369 +1,257 @@
-"""Adaptive quadrature over the plane for conical-metric densities.
+"""Metric area of the conical sphere through its developing map.
 
-Computes integrals of the form
+The metric m = C prod_k |z - z_k|^(2 b_k) |dz|^2 is |omega|^2 for the
+multivalued form
 
-    int_C  f(z) * C prod_k |z - z_k|^(2 b_k)  dA(z)
+    omega = sqrt(C) prod_k (z - z_k)^(b_k) dz,
 
-whose integrand has power singularities r^(2 b_k) at the vertices and
-decays like |z|^-4 at infinity (Gauss-Bonnet makes sum 2 b_k = -4).  The
-plane is split with a smooth partition of unity into three kinds of
-pieces, each integrated by a method adapted to its behavior:
+and its developing map f = int omega is an orientation-preserving local
+isometry from the sphere, cut open along a tree through the vertices,
+into the Euclidean plane (the Schwarz-Christoffel map; Driscoll and
+Trefethen, Schwarz-Christoffel Mapping, 2002).  The area is the signed
+area enclosed by the image of the cut's boundary, which is the Euler tour
+of the tree: every edge twice, once along each side.  The two images of
+an edge are congruent curves run in opposite directions (continuation
+around the vertices rotates one into the other), so the regions between
+each curve and its chord cancel in pairs, and the area is the shoelace
+area of the chord polygon whose sides are the integrals of omega along
+the tour.
 
-* vertex patches -- disks of radius rho = patch_radius_factor * (min
-  pairwise vertex distance) in local polar coordinates, with the radial
-  substitution s = r^(b_k + 1) that turns the singular radial density
-  r^(2 b_k + 1) dr into the analytic s ds / (b_k + 1); angular integrals
-  use a doubling trapezoid rule (spectral for smooth periodic data).
-* far field -- |z| above 0.6 * far_field_radius, integrated in polar
-  coordinates with u = 1/r, where the density becomes C u prod |1 -
-  z_k u e^(i theta)|^(2 b_k), smooth at u = 0.
-* middle region -- a worst-first adaptive quadtree over the bounding
-  square with tensor Gauss-Legendre order 8 per cell and an embedded
-  order-4 comparison as error estimate.
+* tree -- the Euclidean minimum spanning tree of the vertices; none of
+  its edges passes through another vertex.
+* tour -- every vertex kept on the right: at a vertex the walk turns
+  clockwise to the next edge, by a full -2 pi at a leaf, and every
+  arg(z - z_k) is carried along by continuity.
+* chords -- ``segment_integral``: the straight segment is split in
+  halves, each integrated from its own endpoint in dyadic panels, with
+  Gauss-Jacobi on the end panel (its weight s^b holds the vertex
+  singularity exactly) and Gauss-Legendre on the others; a panel is split
+  again while another vertex lies closer to it than its length.  Only
+  differences z - z_k enter, so a metric and its translate give the same
+  digits.
 
-Everything is evaluated in a fixed order (deterministic heap with
-sequence-number tie-breaks, batched numpy evaluation), so results are
-bit-identical between runs.
+The error estimate is the difference between n and 2n nodes per panel
+plus a rounding floor, and the contract error_estimate <= max(abs_tol,
+rel_tol * value) raises ToleranceNotReached with the partial result.
+Everything is evaluated in a fixed order, so results are bit-identical
+between runs.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from functools import lru_cache
+from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
-from scipy.integrate import quad as quad1d
+# not called in this module: bench/tracing.py wraps this binding to count
+# QUADPACK calls per layer, and needs it to exist
+from scipy.integrate import quad as quad1d  # noqa: F401
 
 from .errors import ToleranceNotReached
 from .metric import PolyhedralMetric
 
-GL8_X, GL8_W = np.polynomial.legendre.leggauss(8)
-GL4_X, GL4_W = np.polynomial.legendre.leggauss(4)
+TWO_PI = 2.0 * math.pi
+
+NODES = 32          # per panel; the error estimate compares with 2 * NODES
+# panel halvings after which a vertex on the segment is left to the estimate
+MAX_SPLITS = 60
+# rounding floor of the area estimate, per unit of sum |corner| |side| of
+# the chord polygon (true errors reach about 3 eps per unit for b -> -1)
+ROUNDING = 16.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     rel_tol: float = 1e-9
     abs_tol: float = 1e-12
-    max_depth: int = 24
-    patch_radius_factor: float = 0.4     # radius = factor * min vertex gap
-    far_field_radius: Optional[float] = None   # default 4 * max |z_k|
-    max_cells: int = 500_000
 
     def __post_init__(self):
-        if not (0.0 < self.patch_radius_factor < 0.5):
-            raise ValueError("patch_radius_factor must lie in (0, 1/2)")
-        if self.rel_tol <= 0 or self.abs_tol <= 0 or self.max_depth < 1:
-            raise ValueError("tolerances must be positive and max_depth >= 1")
+        if not (self.rel_tol > 0 and self.abs_tol > 0):
+            raise ValueError("tolerances must be positive")
 
 
 @dataclass(frozen=True)
 class QuadResult:
     value: float
     error_estimate: float
-    cell_count: int
+    cell_count: int             # Gauss panels of the 2n-node evaluation
+
+
+class Chord(NamedTuple):
+    value: complex              # 2n nodes per panel
+    coarse: complex             # n nodes per panel
+    panels: int
 
 
 # --------------------------------------------------------------------------
-# smooth partition of unity
+# one segment
 # --------------------------------------------------------------------------
 
-def _smoothstep(t):
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1."""
-    t = np.clip(np.asarray(t, dtype=float), 0.0, 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        a = np.where(t > 0.0, np.exp(-1.0 / np.maximum(t, 1e-300)), 0.0)
-        b = np.where(t < 1.0, np.exp(-1.0 / np.maximum(1.0 - t, 1e-300)), 0.0)
-    return a / (a + b)
+@lru_cache(maxsize=256)
+def _rule(n: int, b: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Jacobi nodes and weights for the weight (1 + x)^b on [-1, 1]
+    (b = 0 is Gauss-Legendre), by Golub-Welsch: the eigenvalues of the
+    Jacobi matrix of the three-term recurrence, and the squared first
+    eigenvector components times int (1 + x)^b dx."""
+    k = np.arange(1.0, n)
+    s = 2.0 * k + b
+    diag = np.empty(n)
+    diag[0] = b / (b + 2.0)
+    diag[1:] = b * b / (s * (s + 2.0))
+    off = np.sqrt(4.0 * k * k * (k + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    w = 2.0 ** (b + 1.0) / (b + 1.0) * vec[0] ** 2
+    x.flags.writeable = w.flags.writeable = False   # cached, shared by callers
+    return x, w
 
 
-def _chi_patch(r, rho):
-    """1 on r <= rho/2, smooth decay to 0 at r = rho."""
-    return 1.0 - _smoothstep((np.asarray(r) - 0.5 * rho) / (0.5 * rho))
+def _panels(d: complex, rel: np.ndarray) -> List[Tuple[float, float]]:
+    """Dyadic panels [a, a + l] of s in [0, 1/2] on z = z_p + s d, where
+    ``rel`` holds z_k - z_p for the other vertices: a panel is halved while
+    one of them lies closer to it than its length, in increasing a."""
+    length = abs(d)
+    proj = (rel / d).real
+    out = []
+    stack = [(0.0, 0.5, 0)]
+    while stack:
+        a, l, depth = stack.pop()
+        dist = np.abs(np.clip(proj, a, a + l) * d - rel)
+        if depth < MAX_SPLITS and np.any(dist < l * length):
+            stack.append((a + 0.5 * l, 0.5 * l, depth + 1))
+            stack.append((a, 0.5 * l, depth + 1))
+        else:
+            out.append((a, l))
+    return out
 
 
-# --------------------------------------------------------------------------
-# integrator
-# --------------------------------------------------------------------------
-
-class _PlaneIntegrator:
-    def __init__(self, m: PolyhedralMetric, f, cfg: QuadratureConfig):
-        self.m = m
-        self.f = f
-        self.cfg = cfg
-        self.zs = np.asarray(m.positions(), dtype=complex)
-        self.bs = np.asarray(m.exponents(), dtype=float)
-        self.C = m.scale
-        self.rho = cfg.patch_radius_factor * m.min_pairwise_distance()
-        rmax = max(abs(z) for z in self.zs)
-        self.R = cfg.far_field_radius if cfg.far_field_radius else 4.0 * rmax
-        self.R1 = 0.6 * self.R
-        if rmax + self.rho >= self.R1:
-            raise ValueError(
-                "far_field_radius too small: vertex patches must stay inside "
-                "0.6 * far_field_radius"
-            )
-
-    # ---- pointwise machinery (vectorized over complex arrays) ----
-
-    def density(self, Z):
-        logv = np.full(np.shape(Z), math.log(self.C), dtype=float)
-        for zk, bk in zip(self.zs, self.bs):
-            logv += 2.0 * bk * np.log(np.abs(Z - zk))
-        return np.exp(logv)
-
-    def f_at(self, Z):
-        if self.f is None:
-            return 1.0
-        return np.asarray(self.f(Z), dtype=float)
-
-    def chi_far(self, absz):
-        return _smoothstep((np.asarray(absz) - self.R1) / (self.R - self.R1))
-
-    # error budget: patches and far field take a quarter of the tolerance
-    # together, the quadtree half, leaving headroom for the contractual
-    # bound error_estimate <= max(abs_tol, rel_tol * |value|)
-
-    def _piece_tols(self) -> tuple[float, float]:
-        n_pieces = 4 * (len(self.zs) + 1)
-        return self.cfg.abs_tol / n_pieces, self.cfg.rel_tol / n_pieces
-
-    # ---- vertex patches ----
-
-    def _angular(self, k: int, r: float, tol: float) -> float:
-        """Angular integral at radius r around vertex k of the density with
-        the |z - z_k| factor removed, times f.  Doubling trapezoid."""
-        zk = self.zs[k]
-        n = 32
-        prev = None
-        while True:
-            th = np.arange(n) * (2.0 * math.pi / n)
-            Z = zk + r * np.exp(1j * th)
-            logv = np.full(n, math.log(self.C))
-            for j, (zj, bj) in enumerate(zip(self.zs, self.bs)):
-                if j != k:
-                    logv += 2.0 * bj * np.log(np.abs(Z - zj))
-            vals = np.exp(logv) * self.f_at(Z)
-            cur = float(np.mean(vals)) * 2.0 * math.pi
-            if prev is not None and abs(cur - prev) <= tol * (abs(cur) + 1e-300):
-                return cur
-            if n >= 8192:
-                return cur
-            prev = cur
-            n *= 2
-
-    def patch(self, k: int) -> tuple[float, float]:
-        bk = self.bs[k]
-        rho = self.rho
-        expo = bk + 1.0
-        smax = rho ** expo
-        abs_tol, rel_tol = self._piece_tols()
-        ang_tol = 0.1 * rel_tol
-
-        def radial(s: float) -> float:
-            if s <= 0.0:
-                return 0.0
-            r = s ** (1.0 / expo)
-            chi = float(_chi_patch(r, rho))
-            if chi == 0.0:
-                return 0.0
-            # r^(2bk) * r dr = s ds / (bk + 1) after the substitution
-            return self._angular(k, r, ang_tol) * chi * s / expo
-
-        val, err = quad1d(radial, 0.0, smax,
-                          epsabs=abs_tol, epsrel=rel_tol,
-                          limit=300, full_output=1)[:2]
-        return val, abs(err)
-
-    # ---- far field in inverted polar coordinates ----
-
-    def far(self) -> tuple[float, float]:
-        umax = 1.0 / self.R1
-        abs_tol, rel_tol = self._piece_tols()
-        ang_tol = 0.1 * rel_tol
-
-        def angular(u: float) -> float:
-            n = 32
-            prev = None
-            while True:
-                th = np.arange(n) * (2.0 * math.pi / n)
-                E = np.exp(1j * th)
-                logv = np.full(n, math.log(self.C))
-                for zk, bk in zip(self.zs, self.bs):
-                    logv += 2.0 * bk * np.log(np.abs(1.0 - zk * u * E))
-                vals = np.exp(logv)
-                if self.f is not None:
-                    vals = vals * self.f_at(E / u)
-                cur = float(np.mean(vals)) * 2.0 * math.pi
-                if prev is not None and abs(cur - prev) <= ang_tol * (abs(cur) + 1e-300):
-                    return cur
-                if n >= 8192:
-                    return cur
-                prev = cur
-                n *= 2
-
-        def radial(u: float) -> float:
-            if u <= 0.0:
-                return 0.0
-            chi = float(_smoothstep((1.0 / u - self.R1) / (self.R - self.R1)))
-            if chi == 0.0:
-                return 0.0
-            return u * angular(u) * chi
-
-        val, err = quad1d(radial, 0.0, umax,
-                          epsabs=abs_tol, epsrel=rel_tol,
-                          limit=300, full_output=1)[:2]
-        return val, abs(err)
-
-    # ---- middle region: batched worst-first quadtree ----
-
-    def _mid_values(self, CX, CY, H):
-        """Vectorized (gl8, gl4) cell integrals for arrays of cell centers
-        and half-widths."""
-        ncell = len(CX)
-        # stacked evaluation points: per cell 64 GL8 + 16 GL4 points
-        X8 = CX[:, None, None] + H[:, None, None] * GL8_X[None, :, None]
-        Y8 = CY[:, None, None] + H[:, None, None] * GL8_X[None, None, :]
-        X4 = CX[:, None, None] + H[:, None, None] * GL4_X[None, :, None]
-        Y4 = CY[:, None, None] + H[:, None, None] * GL4_X[None, None, :]
-        Z8 = X8 + 1j * Y8
-        Z4 = X4 + 1j * Y4
-        V8 = self._mid_integrand(Z8.reshape(ncell, -1)).reshape(ncell, 8, 8)
-        V4 = self._mid_integrand(Z4.reshape(ncell, -1)).reshape(ncell, 4, 4)
-        I8 = (H * H) * np.einsum("i,j,cij->c", GL8_W, GL8_W, V8)
-        I4 = (H * H) * np.einsum("i,j,cij->c", GL4_W, GL4_W, V4)
-        return I8, np.abs(I8 - I4)
-
-    def _mid_integrand(self, Z):
-        w = 1.0 - self.chi_far(np.abs(Z))
-        for zk in self.zs:
-            w = w - _chi_patch(np.abs(Z - zk), self.rho)
-        w = np.maximum(w, 0.0)
-        out = np.zeros_like(w)
-        mask = w > 0.0
-        if np.any(mask):
-            Zm = Z[mask]
-            vals = self.density(Zm) * w[mask]
-            if self.f is not None:
-                vals = vals * self.f_at(Zm)
-            out[mask] = vals
-        return out
-
-    def mid(self, fixed_value: float, fixed_err: float) -> tuple[float, float, int]:
-        """Worst-first quadtree over [-R, R]^2.  Cells that reach max_depth
-        are frozen: their value and error stay in the totals but they are
-        never refined again."""
-        cfg = self.cfg
-        R = self.R
-        n0 = 8
-        h0 = R / n0
-        CX, CY = [], []
-        for i in range(n0):
-            for j in range(n0):
-                CX.append(-R + (2 * i + 1) * h0)
-                CY.append(-R + (2 * j + 1) * h0)
-        H = np.full(n0 * n0, h0)
-        I, E = self._mid_values(np.array(CX), np.array(CY), H)
-
-        heap = []  # (-err, seq, cx, cy, h, val, err, depth)
-        seq = 0
-        total = 0.0
-        toterr = 0.0
-        for cx, cy, h, iv, ev in zip(CX, CY, H, I, E):
-            heapq.heappush(heap, (-ev, seq, cx, cy, h, iv, ev, 0))
-            seq += 1
-            total += iv
-            toterr += ev
-        ncells = n0 * n0
-        frozen_err = 0.0
-
-        batch = 64
-        while True:
-            target = 0.5 * max(cfg.abs_tol,
-                               cfg.rel_tol * abs(total + fixed_value))
-            if toterr <= target:
-                break
-            if not heap or ncells > cfg.max_cells:
-                raise ToleranceNotReached(
-                    f"quadtree stalled at {ncells} cells with error estimate "
-                    f"{toterr:.3e} (target {target:.3e})",
-                    partial=QuadResult(total + fixed_value,
-                                       toterr + fixed_err, ncells),
-                )
-            split = []
-            while heap and len(split) < batch:
-                item = heapq.heappop(heap)
-                if item[7] >= cfg.max_depth:
-                    frozen_err += item[6]  # stays in total/toterr, never refit
-                    continue
-                split.append(item)
-            if not split:
-                if frozen_err > target:
-                    raise ToleranceNotReached(
-                        f"max_depth={cfg.max_depth} reached with frozen error "
-                        f"{frozen_err:.3e} above target {target:.3e}",
-                        partial=QuadResult(total + fixed_value,
-                                           toterr + fixed_err, ncells),
-                    )
-                break
-            CXc, CYc, Hc, Dc = [], [], [], []
-            for _, _, cx, cy, h, iv, ev, d in split:
-                total -= iv
-                toterr -= ev
-                h2 = 0.5 * h
-                for dx in (-1.0, 1.0):
-                    for dy in (-1.0, 1.0):
-                        CXc.append(cx + dx * h2)
-                        CYc.append(cy + dy * h2)
-                        Hc.append(h2)
-                        Dc.append(d + 1)
-            I, E = self._mid_values(np.array(CXc), np.array(CYc), np.array(Hc))
-            for cx, cy, h, iv, ev, d in zip(CXc, CYc, Hc, I, E, Dc):
-                heapq.heappush(heap, (-ev, seq, cx, cy, h, iv, ev, d))
-                seq += 1
-                total += iv
-                toterr += ev
-            ncells += 3 * len(split)
-        return total, toterr, ncells
+def _half(zs, bs, p: int, q: int, theta) -> Tuple[complex, complex, int]:
+    """int prod_k (z - z_k)^(b_k) dz from z_p to the midpoint of [z_p, z_q]
+    with n and 2n nodes per panel.  theta[p] is the branch of
+    arg(z_q - z_p), theta[k] that of arg(z_p - z_k) for k != p."""
+    others = np.arange(len(zs)) != p
+    rel = zs[others] - zs[p]
+    b_o, th_o = bs[others], theta[others]
+    d = zs[q] - zs[p]
+    bp = bs[p]
+    panels = _panels(d, rel)
+    sums = []
+    for n in (NODES, 2 * NODES):
+        s_parts, w_parts = [], []
+        for a, l in panels:
+            h = 0.5 * l
+            x, w = _rule(n, bp if a == 0.0 else 0.0)
+            s = a + h * (1.0 + x)
+            # on the end panel the Jacobi weight carries (1 + x)^bp, so
+            # s^bp = h^bp (1 + x)^bp leaves h^bp; elsewhere s^bp is smooth
+            s_parts.append(s)
+            w_parts.append(h * w * (h ** bp if a == 0.0 else s ** bp))
+        s = np.concatenate(s_parts)
+        diff = s[:, None] * d - rel[None, :]           # z - z_k
+        log_g = (np.log(np.abs(diff))
+                 + 1j * (th_o + np.angle(diff / -rel))) @ b_o
+        sums.append(np.dot(np.concatenate(w_parts), np.exp(log_g)))
+    front = np.exp((1.0 + bp) * complex(math.log(abs(d)), theta[p]))
+    return front * sums[0], front * sums[1], len(panels)
 
 
-def integrate(
-    m: PolyhedralMetric,
-    f: Optional[Callable[[np.ndarray], np.ndarray]],
-    cfg: QuadratureConfig = QuadratureConfig(),
-) -> QuadResult:
-    """Integral of f against the metric area element over the whole plane.
+def _advance(zs, theta, u: int, v: int) -> np.ndarray:
+    """Branches of arg(z - z_k) carried along the segment from z_u to z_v:
+    only k other than u and v change, each by the angle the segment
+    subtends at z_k (below pi in size, as no vertex lies on it)."""
+    out = theta.copy()
+    mask = np.ones(len(zs), dtype=bool)
+    mask[[u, v]] = False
+    out[mask] += np.angle((zs[v] - zs[mask]) / (zs[u] - zs[mask]))
+    return out
 
-    ``f`` must accept numpy arrays of complex points and return real
-    values; it must be locally bounded away from the vertices and keep
-    f * density integrable (caller's responsibility).  ``f = None`` means
-    the constant 1 and computes the metric area, for which the bound
-    error_estimate <= max(abs_tol, rel_tol * value) is enforced.
+
+def _principal(zs, u: int, v: int) -> np.ndarray:
+    theta = np.angle(zs[u] - zs)
+    theta[u] = np.angle(zs[v] - zs[u])
+    return theta
+
+
+def segment_integral(zs, bs, u: int, v: int,
+                     theta: Optional[np.ndarray] = None) -> Chord:
+    """int prod_k (z - z_k)^(b_k) dz along the straight segment from z_u to
+    z_v (0-based indices into the arrays ``zs``, ``bs``).
+
+    ``theta[k]`` is the branch of arg(z_u - z_k) for k != u and
+    ``theta[u]`` that of arg(z_v - z_u), from which every factor is
+    continued along the segment; None takes principal values.
     """
-    itg = _PlaneIntegrator(m, f, cfg)
-    value = 0.0
-    errest = 0.0
-    for k in range(len(itg.zs)):
-        v, e = itg.patch(k)
-        value += v
-        errest += e
-    v, e = itg.far()
-    value += v
-    errest += e
-    vmid, emid, ncells = itg.mid(value, errest)
-    result = QuadResult(float(value + vmid), float(errest + emid), int(ncells))
-    if f is None and result.error_estimate > max(
-            cfg.abs_tol, cfg.rel_tol * abs(result.value)):
-        # the bound is contractual for the (positive) area integrand; for
-        # generic f whose pieces cancel, the estimate is best-effort
-        raise ToleranceNotReached(
-            f"aggregate error estimate {result.error_estimate:.3e} exceeds "
-            f"max(abs_tol, rel_tol * |value|)", partial=result)
-    return result
+    zs = np.asarray(zs, dtype=complex)
+    bs = np.asarray(bs, dtype=float)
+    if theta is None:
+        theta = _principal(zs, u, v)
+    fn, f2n, pu = _half(zs, bs, u, v, theta)
+    gn, g2n, pv = _half(zs, bs, v, u, _advance(zs, theta, u, v))
+    return Chord(f2n - g2n, fn - gn, pu + pv)
+
+
+# --------------------------------------------------------------------------
+# tree, tour, area
+# --------------------------------------------------------------------------
+
+def _spanning_tree(zs) -> List[List[int]]:
+    """Adjacency lists of the Euclidean minimum spanning tree (Prim)."""
+    m = len(zs)
+    dist = np.abs(zs[:, None] - zs[None, :])
+    adj: List[List[int]] = [[] for _ in range(m)]
+    in_tree = np.zeros(m, dtype=bool)
+    in_tree[0] = True
+    best = dist[0].copy()
+    parent = np.zeros(m, dtype=int)
+    for _ in range(m - 1):
+        k = int(np.argmin(np.where(in_tree, np.inf, best)))
+        adj[k].append(int(parent[k]))
+        adj[int(parent[k])].append(k)
+        in_tree[k] = True
+        closer = dist[k] < best
+        best = np.where(closer, dist[k], best)
+        parent = np.where(closer, k, parent)
+    return adj
+
+
+def _tour(zs, adj):
+    """Steps (u, v, theta at z_u) of the Euler tour with every vertex on
+    the right, starting along the first edge of vertex 0."""
+    u, v = 0, adj[0][0]
+    theta = _principal(zs, u, v)
+    for _ in range(2 * (len(zs) - 1)):
+        yield u, v, theta
+        theta = _advance(zs, theta, u, v)
+        incoming = np.angle(zs[u] - zs[v])
+        turns = [(incoming - np.angle(zs[w] - zs[v])) % TWO_PI or TWO_PI
+                 for w in adj[v]]
+        j = int(np.argmin(turns))
+        theta[v] -= turns[j]
+        u, v = v, adj[v][j]
+
+
+def _shoelace(chords) -> Tuple[float, float]:
+    """Signed area of the polygon with these sides from the origin, and
+    sum |corner| |side|, the scale of its rounding error."""
+    corners = np.concatenate(([0.0], np.cumsum(chords)[:-1]))
+    return (math.fsum(0.5 * (np.conj(corners) * chords).imag),
+            math.fsum(np.abs(corners) * np.abs(chords)))
 
 
 def area(m: PolyhedralMetric, cfg: QuadratureConfig = QuadratureConfig()) -> QuadResult:
     """Total area of the conical sphere, int_C C prod |z-z_k|^(2 b_k) dA."""
-    return integrate(m, None, cfg)
+    zs = np.asarray(m.positions(), dtype=complex)
+    bs = np.asarray(m.exponents(), dtype=float)
+    chords = [segment_integral(zs, bs, u, v, theta)
+              for u, v, theta in _tour(zs, _spanning_tree(zs))]
+    value, size = _shoelace(np.array([c.value for c in chords]))
+    coarse, _ = _shoelace(np.array([c.coarse for c in chords]))
+    result = QuadResult(m.scale * value,
+                        m.scale * float(abs(value - coarse) + ROUNDING * size),
+                        sum(c.panels for c in chords))
+    if not result.error_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(result.value)):
+        raise ToleranceNotReached(
+            f"area error estimate {result.error_estimate:.3e} exceeds "
+            f"max(abs_tol, rel_tol * |value|)", partial=result)
+    return result

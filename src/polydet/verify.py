@@ -35,8 +35,6 @@ from .regint import HadamardConfig
 
 TWO_PI = 2.0 * math.pi
 
-REL_ERR_FLOOR = 1.0  # gradients are O(1); below this scale abs error rules
-
 
 @dataclass(frozen=True)
 class FDConfig:
@@ -112,18 +110,6 @@ def fd_gradient(
     raise TypeError(f"unknown variation channel {channel!r}")
 
 
-def _report(channel: str, analytic, fd) -> GradientReport:
-    abs_err = abs(analytic - fd)
-    scale = max(abs(analytic), abs(fd), REL_ERR_FLOOR)
-    return GradientReport(
-        channel=channel,
-        analytic=analytic,
-        finite_difference=fd,
-        abs_err=abs_err,
-        rel_err=abs_err / scale,
-    )
-
-
 def run_suite(
     m: PolyhedralMetric,
     cfg: HadamardConfig = HadamardConfig(),
@@ -132,14 +118,14 @@ def run_suite(
     """One report per channel: Position(1..M), Angle(2..M), Scale."""
     reports = []
     for i in range(1, m.num_vertices + 1):
-        reports.append(_report(
+        reports.append(GradientReport.compare(
             f"z:{i}", grad_position(m, i), fd_gradient(m, Position(i), cfg, fdcfg)
         ))
     for i in range(2, m.num_vertices + 1):
-        reports.append(_report(
+        reports.append(GradientReport.compare(
             f"beta:{i}", grad_angle(m, i, cfg), fd_gradient(m, Angle(i), cfg, fdcfg)
         ))
-    reports.append(_report(
+    reports.append(GradientReport.compare(
         "C", grad_scale(m), fd_gradient(m, Scale(), cfg, fdcfg)
     ))
     return reports

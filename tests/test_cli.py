@@ -60,9 +60,9 @@ def test_missing_file_is_validation_error(capsys):
 
 
 def test_tolerance_not_reached_exit_code(tetra_path, capsys):
+    # below the rounding floor of the area's error estimate
     code = main(["det", "--metric", tetra_path,
-                 "--rel-tol", "1e-13", "--abs-tol", "1e-16",
-                 "--max-depth", "2"])
+                 "--rel-tol", "1e-17", "--abs-tol", "1e-300"])
     captured = capsys.readouterr()
     assert code == 3
     assert json.loads(captured.err)["error"] == "ToleranceNotReached"

@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 
 from polydet import (
@@ -12,7 +11,6 @@ from polydet import (
     area,
     fd_gradient,
     grad_position,
-    integrate,
     run_suite,
     tetrahedron_metric,
 )
@@ -84,29 +82,27 @@ def test_suite_near_degenerate(near_degenerate):
     assert all(r.rel_err <= 1e-7 for r in rich)
 
 
-def test_fd_log_area_matches_quadrature_derivative(tetra):
-    # independent check isolating quadrature error from formula error:
-    # d log Area / dz_1 via area finite differences vs the analytically
-    # differentiated integrand (a principal-value integral the vertex
-    # patches absorb)
+def test_fd_log_area_matches_triangle_derivative():
+    # independent check isolating quadrature error from formula error: for
+    # three vertices log Area = -sum_{pairs} 2 (1 + b_k) log|z_i - z_j| +
+    # const(b), k the third vertex, so d log A / dz_i (Wirtinger) is
+    # -sum_{j != i} (1 + b_k) / (z_i - z_j); area finite differences match it
     cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12)
-    a0 = area(tetra, cfg).value
-    b1 = tetra.exponents()[0]
-    z1 = tetra.positions()[0]
-
-    re_part = integrate(tetra, lambda z: np.real(1.0 / (z - z1)), cfg).value
-    im_part = integrate(tetra, lambda z: np.imag(1.0 / (z - z1)), cfg).value
-    analytic = -b1 * complex(re_part, im_part) / a0
-
+    m = make_metric(1.2, [(0.4 + 0.1j, -0.7), (-0.9 + 0.6j, -0.45),
+                          (0.2 - 1.1j, -0.85)])
+    zs, bs = m.positions(), m.exponents()
     h = 1e-4
+    for i in range(3):
+        j, k = [n for n in range(3) if n != i]
+        analytic = -((1 + bs[k]) / (zs[i] - zs[j]) + (1 + bs[j]) / (zs[i] - zs[k]))
 
-    def la(shift):
-        return math.log(area(tetra.with_position(1, z1 + shift), cfg).value)
+        def la(shift, i=i):
+            return math.log(area(m.with_position(i + 1, zs[i] + shift), cfg).value)
 
-    dx = (la(h) - la(-h)) / (2 * h)
-    dy = (la(1j * h) - la(-1j * h)) / (2 * h)
-    fd = 0.5 * complex(dx, -dy)
-    assert abs(fd - analytic) < 1e-5
+        dx = (la(h) - la(-h)) / (2 * h)
+        dy = (la(1j * h) - la(-1j * h)) / (2 * h)
+        fd = 0.5 * complex(dx, -dy)
+        assert abs(fd - analytic) < 1e-7
 
 
 def test_fd_log_area_scale_channel(tetra):
