@@ -8,7 +8,6 @@ every formula.
 """
 
 from .cone import (
-    ConeKernelConfig,
     ConePoint,
     a_mu,
     a_mu_disk_integral,
@@ -61,8 +60,6 @@ from .metric import (
 )
 from .quad import QuadratureConfig, QuadResult, area, segment_integral
 from .regint import (
-    ContourConfig,
-    HadamardConfig,
     HadamardResult,
     hadamard_coth_coth_over_theta,
     hadamard_coth_over_sinh_sq,

@@ -31,7 +31,7 @@ from .cone import ConePoint, heat_kernel_cone, heat_kernel_images, resolvent_con
 from .errors import PolydetError, ToleranceNotReached
 from .metric import Angle, Position, Scale, load_metric, make_metric
 from .quad import QuadratureConfig, area
-from .regint import HadamardConfig, hadamard_coth_coth_over_theta, hadamard_coth_over_sinh_sq, q_of_beta, q_of_beta_contour, q_tilde, q_tilde_prime
+from .regint import SERIES_RADIUS, hadamard_coth_coth_over_theta, hadamard_coth_over_sinh_sq, q_of_beta, q_of_beta_contour, q_tilde, q_tilde_prime
 
 FD_PASS_TOL = 1e-5
 
@@ -166,8 +166,12 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _emit_verify(obj) -> None:
-    print(json.dumps(_jsonable(obj)))
+def _emit_verify(obj, args) -> None:
+    """JSON unless --csv; ``verify`` has no human format."""
+    if getattr(args, "csv", False):
+        _emit_csv(obj)
+    else:
+        print(json.dumps(_jsonable(obj)))
 
 
 def _cmd_verify_tetra(args) -> int:
@@ -192,7 +196,7 @@ def _cmd_verify_tetra(args) -> int:
             abs((data.period_a * data.period_b.conjugate()).imag) - 2.0 * ar
         ) / (2.0 * ar),
     }
-    _emit_verify(out)
+    _emit_verify(out, args)
     return 0
 
 
@@ -229,7 +233,7 @@ def _cmd_verify_cone(args) -> int:
         "max_image_sum_deviation": worst_images,
         "max_resolvent_deviation": worst_resolvent,
     }
-    _emit_verify(out)
+    _emit_verify(out, args)
     return 0
 
 
@@ -237,18 +241,17 @@ def _cmd_verify_fd(args) -> int:
     m = load_metric(args.metric)
     fdcfg = verify.FDConfig(richardson=args.richardson)
     reports = verify.run_suite(m, fdcfg=fdcfg)
-    _emit_verify(reports)
+    _emit_verify(reports, args)
     return 0 if all(r.rel_err <= FD_PASS_TOL for r in reports) else 1
 
 
 def _cmd_verify_hadamard(args) -> int:
+    half = SERIES_RADIUS / 2.0
     out = []
     for beta in args.beta:
-        cfg = HadamardConfig()
-        half = HadamardConfig(series_radius=cfg.series_radius / 2.0)
-        r1 = hadamard_coth_over_sinh_sq(beta, cfg)
+        r1 = hadamard_coth_over_sinh_sq(beta)
         r1h = hadamard_coth_over_sinh_sq(beta, half)
-        r2 = hadamard_coth_coth_over_theta(beta, cfg)
+        r2 = hadamard_coth_coth_over_theta(beta)
         r2h = hadamard_coth_coth_over_theta(beta, half)
         out.append({
             "beta": beta,
@@ -263,7 +266,7 @@ def _cmd_verify_hadamard(args) -> int:
             "q_tilde": q_tilde(beta),
             "q_tilde_prime": q_tilde_prime(beta),
         })
-    print(json.dumps(_jsonable(out)))
+    _emit_verify(out, args)
     return 0
 
 

@@ -43,7 +43,7 @@ from typing import Tuple, Union
 from .errors import AngleMultisetMismatch, GaugeVertexVariation, ScaleMismatch
 from .metric import PolyhedralMetric
 from .quad import QuadratureConfig, QuadResult, area
-from .regint import HadamardConfig, _fp_coth_coth, q_tilde_prime
+from .regint import _fp_coth_coth, q_tilde_prime
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -117,8 +117,8 @@ def w_function(m: PolyhedralMetric) -> float:
     return (PI / 3.0) * math.fsum(terms)
 
 
-def _f_bracket(delta: float, scale: float, cfg: HadamardConfig) -> float:
-    fp = _fp_coth_coth(delta, cfg.series_radius)
+def _f_bracket(delta: float, scale: float) -> float:
+    fp = _fp_coth_coth(delta)
     return math.fsum([
         fp / 8.0,
         (delta / TWO_PI + TWO_PI / delta) * math.log(2.0 * PI * PI * scale / delta) / 12.0,
@@ -127,7 +127,7 @@ def _f_bracket(delta: float, scale: float, cfg: HadamardConfig) -> float:
     ])
 
 
-def f_function(beta: float, scale: float, cfg: HadamardConfig = HadamardConfig()) -> float:
+def f_function(beta: float, scale: float) -> float:
     """F(beta, C): the per-vertex angle contribution to log det.
 
     Vanishes identically at beta = 2 pi.  Its partial derivatives satisfy
@@ -140,7 +140,7 @@ def f_function(beta: float, scale: float, cfg: HadamardConfig = HadamardConfig()
     """
     if beta == TWO_PI:
         return 0.0
-    return _f_bracket(TWO_PI, scale, cfg) - _f_bracket(beta, scale, cfg)
+    return _f_bracket(TWO_PI, scale) - _f_bracket(beta, scale)
 
 
 def f_function_dC(beta: float, scale: float) -> float:
@@ -152,30 +152,26 @@ def f_function_dC(beta: float, scale: float) -> float:
 # determinant assembly
 # --------------------------------------------------------------------------
 
-def log_det_over_area(
-    m: PolyhedralMetric, cfg: HadamardConfig = HadamardConfig()
-) -> float:
+def log_det_over_area(m: PolyhedralMetric) -> float:
     """log(det/Area) without any 2D quadrature: prefactor + W + sum F - ref.
 
     This is the quantity whose gradients the variational formulas give; it
     is also what the finite-difference harness differentiates.
     """
     parts = [_prefactor(m.scale), w_function(m)]
-    parts.extend(f_function(beta, m.scale, cfg) for beta in m.angles())
-    parts.append(-_reference_term(cfg))
+    parts.extend(f_function(beta, m.scale) for beta in m.angles())
+    parts.append(-_reference_term())
     return math.fsum(parts)
 
 
 def log_det_as(
-    m: PolyhedralMetric,
-    qcfg: QuadratureConfig = QuadratureConfig(),
-    hcfg: HadamardConfig = HadamardConfig(),
+    m: PolyhedralMetric, qcfg: QuadratureConfig = QuadratureConfig()
 ) -> DetReport:
     """Full determinant report; the area comes from module ``quad``."""
     ar: QuadResult = area(m, qcfg)
     w = w_function(m)
-    f_terms = tuple(f_function(beta, m.scale, hcfg) for beta in m.angles())
-    ref = _reference_term(hcfg)
+    f_terms = tuple(f_function(beta, m.scale) for beta in m.angles())
+    ref = _reference_term()
     pre = _prefactor(m.scale)
     log_area = math.log(ar.value)
     log_det = math.fsum([log_area, pre, w, *f_terms, -ref])
@@ -195,8 +191,8 @@ def _prefactor(scale: float) -> float:
     return -math.log((4.0 * scale) ** (1.0 / 3.0) * PI)
 
 
-def _reference_term(cfg: HadamardConfig) -> float:
-    return 4.0 * f_function(PI, 1.0, cfg)
+def _reference_term() -> float:
+    return 4.0 * f_function(PI, 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -222,7 +218,7 @@ def grad_position(m: PolyhedralMetric, i: int) -> complex:
     return (PI / 6.0) * complex(math.fsum(acc_re), math.fsum(acc_im))
 
 
-def _b_term(m: PolyhedralMetric, q: int, cfg: HadamardConfig) -> float:
+def _b_term(m: PolyhedralMetric, q: int) -> float:
     """B_q, the per-vertex angle-gradient block (q is 1-based)."""
     zs = m.positions()
     bs = m.exponents()
@@ -236,19 +232,19 @@ def _b_term(m: PolyhedralMetric, q: int, cfg: HadamardConfig) -> float:
     ]
     return math.fsum([
         math.fsum(dist) / 6.0,
-        q_tilde_prime(tq, cfg),
+        q_tilde_prime(tq),
         PI * EULER_GAMMA / (3.0 * tq * tq),
         (TWO_PI / tq - tq / TWO_PI)
         * math.log(TWO_PI * math.sqrt(m.scale) / tq) / (6.0 * tq),
     ])
 
 
-def grad_angle(m: PolyhedralMetric, i: int, cfg: HadamardConfig = HadamardConfig()) -> float:
+def grad_angle(m: PolyhedralMetric, i: int) -> float:
     """d log(det/A) / dbeta_i under the gauge beta_1-dot = -beta_i-dot:
     B_i - B_1."""
     if i == 1:
         raise GaugeVertexVariation("vertex 1 is the compensating gauge vertex")
-    return _b_term(m, i, cfg) - _b_term(m, 1, cfg)
+    return _b_term(m, i) - _b_term(m, 1)
 
 
 def grad_scale(m: PolyhedralMetric) -> float:

@@ -4,11 +4,8 @@ Four quantities live here, all functions of a cone angle beta > 0:
 
 * ``q_of_beta``           -- the heat-trace constant
                              Q(beta) = -(1/12) (beta/2pi - 2pi/beta),
-                             together with its contour-integral form
-                             ``q_of_beta_contour`` used as a cross-check:
-                             (1/16 pi i) int_C cot(pi th/beta)/sin^2(th/2) dth
-                             over the two lines Re th = +-pi plus residue
-                             circles at the cotangent poles inside the strip.
+                             together with its contour form
+                             ``q_of_beta_contour`` used as a cross-check.
 * ``hadamard_coth_over_sinh_sq`` -- the Hadamard finite part
                              H int_0^inf coth(pi th)/sinh^2(beta th/2) dth,
                              divergent like theta^-3 + theta^-1 at zero.
@@ -18,6 +15,28 @@ Four quantities live here, all functions of a cone angle beta > 0:
                              - (log(beta/2)/12)(beta/2pi + 2pi/beta)
                              + (1/12)(3 beta/4pi - 2pi/beta),
                              with d Qt/d beta = Qt'(beta).
+
+The cotangent contour
+---------------------
+Q(beta) and the kernels of module ``cone`` are contour integrals
+
+    (1/(2 i beta)) int_C cot(pi (th + dphi)/beta) g(sin(th/2)) dth
+
+of a kernel g of the half-chord sigma = sin(th/2), even in sigma (for
+Q(beta), g = beta/(8 pi sigma^2)).  C is the pair of lines
+th = +-(pi - i s), s in R, plus anticlockwise circles around the cotangent
+poles th* = m beta - dphi with |Re th*| < pi; the symmetric densities
+(Q(beta), ``cone.a_mu``) leave out the circle at th* = 0.  ``_cot_contour``
+evaluates all of them as
+
+    sum_{th*} w g(|sin(th*/2)|) + (1/beta) int_0^T g(cosh(s/2)) L(s) ds:
+
+a circle counts fully (w = 1) inside the strip and half (w = 1/2) for a
+pole on a line, the limit of a deterministic contour shift with the line
+integral taken as a principal value.  On the lines sin(th/2) =
++-cosh(s/2), and th -> -conj(th) folds the two lines into one real
+integral over s >= 0 with the weight
+L(s) = Re[cot(pi(dphi - pi - is)/beta) - cot(pi(dphi + pi - is)/beta)].
 
 Hadamard prescription
 ---------------------
@@ -48,7 +67,6 @@ level, which is what the cutoff-stability tests pin down.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -80,36 +98,114 @@ def _csch2(x: float) -> float:
     return 1.0 / (s * s)
 
 
-def _cot_lower(w: complex) -> complex:
-    """cot(w) for Im w <= 0, stable however far down the half plane.
+# --------------------------------------------------------------------------
+# the cotangent contour (convention in the module docstring)
+# --------------------------------------------------------------------------
 
-    Uses cot w = i (1 + u)/(1 - u) with u = exp(-2 i w); |u| <= 1 in the
-    lower half plane, so nothing overflows and u -> 0 gives cot -> i.
-    """
-    u = cmath.exp(-2j * w)
-    return 1j * (1.0 + u) / (1.0 - u)
+CONTOUR_TRUNCATION = 40.0  # s cut on the lines; every kernel decays like e^-s
+CONTOUR_ABS_TOL = 1e-13
+CONTOUR_REL_TOL = 1e-12
+POLE_TOL = 1e-10           # a pole this close to a line counts as on it
 
 
-def _bump_breakpoints(distances, truncation: float, lower: float):
-    """Panel boundaries for line integrands with cotangent poles a distance
+def _strip_poles(beta: float, dphi: float, tip: bool):
+    """Cotangent poles th* = m beta - dphi of the strip as (th*, weight):
+    weight 1 strictly inside |Re th| < pi, 1/2 on a line.  ``tip`` drops
+    the m = 0 pole."""
+    mlo = int(math.ceil((dphi - PI) / beta)) - 1
+    mhi = int(math.floor((dphi + PI) / beta)) + 1
+    for m in range(mlo, mhi + 1):
+        if tip and m == 0:
+            continue
+        th = m * beta - dphi
+        if abs(abs(th) - PI) <= POLE_TOL:
+            yield th, 0.5
+        elif abs(th) < PI:
+            yield th, 1.0
+
+
+def _line_pole_gaps(beta: float, dphi: float):
+    """Distances from the cotangent poles within 1 of a line foot +-pi to
+    that foot: the widths of the near-line bumps of the folded integrand."""
+    mlo = int(math.ceil((dphi - PI - 1.0) / beta))
+    mhi = int(math.floor((dphi + PI + 1.0) / beta))
+    gaps = []
+    for m in range(mlo, mhi + 1):
+        th = m * beta - dphi
+        gaps.append(abs(th - PI))
+        gaps.append(abs(th + PI))
+    return gaps
+
+
+def _bump_breakpoints(gaps):
+    """Panel boundaries for a line integrand with cotangent poles a distance
     w off the contour: the pole leaves a Lorentzian bump of width w at the
     foot of the line, which blind adaptive panels skip entirely once
     w << interval.  Returns breakpoints clustered at those scales.
 
-    Poles with w <= lower are handled by the half-residue rule instead
+    Poles with w <= POLE_TOL are handled by the half-residue rule instead
     (their bump must then stay unresolved, which is what the exclusion
     guarantees: without hints the first panel never samples below ~0.2).
     """
-    cap = min(1.0, 0.9 * truncation)
     pts = set()
-    for w in distances:
-        if not lower < w < 0.5:
+    for w in gaps:
+        if not POLE_TOL < w < 0.5:
             continue
         x = 0.3 * w
-        while x < cap:
+        while x < 1.0:
             pts.add(x)
             x *= 3.0
     return sorted(pts) or None
+
+
+def _line_weight(beta: float, dphi: float):
+    """The folded line weight s -> L(s) of the module docstring.
+
+    Each term is Re cot(x - iy) = 2e sin 2x / ((1 - e)^2 + 4e sin^2 x) with
+    e = exp(-2y), y = pi s/beta: no overflow however large y, and no
+    cancellation next to a pole at the line foot.
+    """
+    k = PI / beta
+    coeffs = [(2.0 * c * math.sin(2.0 * x), 4.0 * math.sin(x) ** 2)
+              for c, x in ((1.0, k * (dphi - PI)), (-1.0, k * (dphi + PI)))]
+
+    def weight(s: float) -> float:
+        e = math.exp(-2.0 * k * s)
+        d = math.expm1(-2.0 * k * s) ** 2
+        acc = 0.0
+        for num, sin2 in coeffs:
+            acc += num / (d + e * sin2)
+        return e * acc
+
+    return weight
+
+
+def _cot_contour(beta: float, dphi: float, g, tip: bool = False):
+    """The contour integral of kernel ``g`` (module docstring); ``tip``
+    leaves out the circle at th* = 0.
+
+    ``g`` may return complex values; the real and imaginary parts of the
+    line integral are then integrated separately, and the result is
+    complex.  The caller validates beta.
+    """
+    total = sum(w * g(abs(math.sin(0.5 * th)))
+                for th, w in _strip_poles(beta, dphi, tip))
+    weight = _line_weight(beta, dphi)
+
+    def line(s: float):
+        v = g(math.cosh(0.5 * s))
+        return v * weight(s) if v else 0.0
+
+    if isinstance(g(1.0), complex):
+        parts = [lambda s: line(s).real, lambda s: line(s).imag]
+    else:
+        parts = [line]
+    points = _bump_breakpoints(_line_pole_gaps(beta, dphi))
+    vals = [quad(f, 0.0, CONTOUR_TRUNCATION, epsabs=CONTOUR_ABS_TOL,
+                 epsrel=CONTOUR_REL_TOL, limit=400, points=points,
+                 full_output=1)[0]
+            for f in parts]
+    return total + (vals[0] if len(vals) == 1 else complex(*vals)) / beta
 
 
 # --------------------------------------------------------------------------
@@ -122,52 +218,12 @@ def q_of_beta(beta: float) -> float:
     return -(beta / TWO_PI - TWO_PI / beta) / 12.0
 
 
-@dataclass(frozen=True)
-class ContourConfig:
-    """Knobs for the line-integral evaluations."""
-
-    truncation: float = 40.0      # |Im theta| cut; integrands decay like e^-s
-    abs_tol: float = 1e-13
-    rel_tol: float = 1e-12
-    pole_tol: float = 1e-10       # |m*beta - pi| below this counts as on-line
-
-
-def q_of_beta_contour(beta: float, cfg: ContourConfig = ContourConfig()) -> float:
-    """Contour evaluation of Q(beta); agrees with the closed form to ~1e-12.
-
-    The integrand cot(pi th/beta)/sin^2(th/2) is odd, so the two lines
-    th = +-(pi - i s) combine into a single real integral of the real part
-    (the imaginary part carries the on-line pole and integrates to zero as
-    a principal value).  Cotangent poles at th = m beta contribute full
-    residues strictly inside the strip |Re th| < pi and half residues when
-    they fall exactly on the lines, which is the limit of a deterministic
-    small contour shift.
-    """
+def q_of_beta_contour(beta: float) -> float:
+    """Contour evaluation of Q(beta) with the kernel g = beta/(8 pi sigma^2)
+    and no circle at the tip; agrees with the closed form to ~1e-15."""
     _check_angle(beta)
-
-    def integrand(s: float) -> float:
-        cot = _cot_lower(PI * complex(PI, -s) / beta)
-        return cot.real / math.cosh(0.5 * s) ** 2
-
-    pole_gaps = [abs(m * beta - PI)
-                 for m in range(1, int((PI + 1.0) / beta) + 2)]
-    val, _ = quad(integrand, 0.0, cfg.truncation,
-                  epsabs=cfg.abs_tol, epsrel=cfg.rel_tol, limit=400,
-                  points=_bump_breakpoints(pole_gaps, cfg.truncation,
-                                           cfg.pole_tol),
-                  full_output=1)[:2]
-    total = -val / (4.0 * PI)
-
-    m = 1
-    while m * beta < PI + cfg.pole_tol:
-        x = m * beta
-        contrib = beta / (8.0 * PI * math.sin(0.5 * x) ** 2)
-        if abs(x - PI) <= cfg.pole_tol:
-            total += contrib          # half residue from each of +-m
-        else:
-            total += 2.0 * contrib    # full residues at +-m
-        m += 1
-    return total
+    return _cot_contour(beta, 0.0, lambda sigma: beta / (8.0 * PI * sigma * sigma),
+                        tip=True)
 
 
 # --------------------------------------------------------------------------
@@ -189,11 +245,9 @@ class HadamardResult:
     error_estimate: float
 
 
-@dataclass(frozen=True)
-class HadamardConfig:
-    series_radius: float = 0.05   # switch to the frozen Taylor series below
-    abs_tol: float = 1e-14
-    rel_tol: float = 1e-13
+SERIES_RADIUS = 0.05  # switch to the frozen Taylor series below this theta
+FP_ABS_TOL = 1e-14
+FP_REL_TOL = 1e-13
 
 
 def _coeffs_coth_csch2(beta: float) -> Tuple[float, float, Tuple[float, ...]]:
@@ -248,15 +302,14 @@ def _finite_part(
     a3: float,
     a1: float,
     regular: Tuple[float, ...],
-    cfg: HadamardConfig,
+    th0: float,
 ) -> Tuple[float, float]:
     """Cutoff-free finite part of int_0^inf f with f ~ a3/th^3 + a1/th.
 
     ``tail`` must be the integrable continuation of f on [1, tail_upper]
-    (already including any subtraction needed at infinity).  Returns
-    (finite part, error estimate).
+    (already including any subtraction needed at infinity); ``th0`` is the
+    series switch radius.  Returns (finite part, error estimate).
     """
-    th0 = cfg.series_radius
 
     def series(t: float) -> float:
         t2 = t * t
@@ -268,17 +321,17 @@ def _finite_part(
     def regular_part(t: float) -> float:
         return f(t) - a3 / t**3 - a1 / t
 
-    i0, e0 = quad(series, 0.0, th0, epsabs=cfg.abs_tol,
-                  epsrel=cfg.rel_tol, limit=200, full_output=1)[:2]
-    i1, e1 = quad(regular_part, th0, 1.0, epsabs=cfg.abs_tol,
-                  epsrel=cfg.rel_tol, limit=200, full_output=1)[:2]
-    i2, e2 = quad(tail, 1.0, tail_upper, epsabs=cfg.abs_tol,
-                  epsrel=cfg.rel_tol, limit=200, full_output=1)[:2]
+    i0, e0 = quad(series, 0.0, th0, epsabs=FP_ABS_TOL,
+                  epsrel=FP_REL_TOL, limit=200, full_output=1)[:2]
+    i1, e1 = quad(regular_part, th0, 1.0, epsabs=FP_ABS_TOL,
+                  epsrel=FP_REL_TOL, limit=200, full_output=1)[:2]
+    i2, e2 = quad(tail, 1.0, tail_upper, epsabs=FP_ABS_TOL,
+                  epsrel=FP_REL_TOL, limit=200, full_output=1)[:2]
     return -a3 / 2.0 + i0 + i1 + i2, abs(e0) + abs(e1) + abs(e2)
 
 
 def hadamard_coth_over_sinh_sq(
-    beta: float, cfg: HadamardConfig = HadamardConfig()
+    beta: float, series_radius: float = SERIES_RADIUS
 ) -> HadamardResult:
     """Finite part of int_0^inf coth(pi th)/sinh^2(beta th/2) dth.
 
@@ -293,7 +346,7 @@ def hadamard_coth_over_sinh_sq(
         return _coth(PI * t) * _csch2(0.5 * beta * t)
 
     upper = max(3.0, 100.0 / beta)
-    fp, err = _finite_part(f, f, upper, a3, a1, regular, cfg)
+    fp, err = _finite_part(f, f, upper, a3, a1, regular, series_radius)
     return HadamardResult(
         finite_part=fp,
         subtracted_quadratic=a3 / 2.0,
@@ -303,7 +356,7 @@ def hadamard_coth_over_sinh_sq(
 
 
 def hadamard_coth_coth_over_theta(
-    beta: float, cfg: HadamardConfig = HadamardConfig()
+    beta: float, series_radius: float = SERIES_RADIUS
 ) -> HadamardResult:
     """Finite part of int_0^inf coth(pi th) coth(beta th/2) dth/th.
 
@@ -322,7 +375,7 @@ def hadamard_coth_coth_over_theta(
         return (_coth(PI * t) * _coth(0.5 * beta * t) - 1.0) / t
 
     upper = max(3.0, 90.0 / min(beta, TWO_PI))
-    fp, err = _finite_part(f, tail, upper, a3, a1, regular, cfg)
+    fp, err = _finite_part(f, tail, upper, a3, a1, regular, series_radius)
     return HadamardResult(
         finite_part=fp,
         subtracted_quadratic=a3 / 2.0,
@@ -334,33 +387,29 @@ def hadamard_coth_coth_over_theta(
 # cached scalar access for the hot paths (angle gradients hit these a lot)
 
 @lru_cache(maxsize=4096)
-def _fp_coth_csch2(beta: float, series_radius: float) -> float:
-    return hadamard_coth_over_sinh_sq(
-        beta, HadamardConfig(series_radius=series_radius)
-    ).finite_part
+def _fp_coth_csch2(beta: float) -> float:
+    return hadamard_coth_over_sinh_sq(beta).finite_part
 
 
 @lru_cache(maxsize=4096)
-def _fp_coth_coth(beta: float, series_radius: float) -> float:
-    return hadamard_coth_coth_over_theta(
-        beta, HadamardConfig(series_radius=series_radius)
-    ).finite_part
+def _fp_coth_coth(beta: float) -> float:
+    return hadamard_coth_coth_over_theta(beta).finite_part
 
 
 # --------------------------------------------------------------------------
 # Q-tilde and its beta derivative
 # --------------------------------------------------------------------------
 
-def q_tilde_prime(beta: float, cfg: HadamardConfig = HadamardConfig()) -> float:
+def q_tilde_prime(beta: float) -> float:
     """Qt'(beta) = (1/16) H[coth(pi th)/sinh^2(beta th/2)] + 1/(48 pi)
     - log(beta/2)/(12 beta) * (beta/2pi - 2pi/beta)."""
     _check_angle(beta)
-    fp = _fp_coth_csch2(beta, cfg.series_radius)
+    fp = _fp_coth_csch2(beta)
     return (fp / 16.0 + 1.0 / (48.0 * PI)
             - math.log(0.5 * beta) / (12.0 * beta) * (beta / TWO_PI - TWO_PI / beta))
 
 
-def q_tilde(beta: float, cfg: HadamardConfig = HadamardConfig()) -> float:
+def q_tilde(beta: float) -> float:
     """Qt(beta) = -(1/8) H[coth coth / th]
     - (log(beta/2)/12)(beta/2pi + 2pi/beta) + (1/12)(3 beta/4pi - 2pi/beta).
 
@@ -368,7 +417,7 @@ def q_tilde(beta: float, cfg: HadamardConfig = HadamardConfig()) -> float:
     consistency of the pair is one of the acceptance gates.
     """
     _check_angle(beta)
-    fp = _fp_coth_coth(beta, cfg.series_radius)
+    fp = _fp_coth_coth(beta)
     return (-fp / 8.0
             - math.log(0.5 * beta) / 12.0 * (beta / TWO_PI + TWO_PI / beta)
             + (3.0 * beta / (4.0 * PI) - TWO_PI / beta) / 12.0)

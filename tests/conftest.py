@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from polydet import HadamardConfig, QuadratureConfig, make_metric, tetrahedron_metric
+from polydet import QuadratureConfig, make_metric, tetrahedron_metric
 
 PI = math.pi
 
@@ -45,7 +45,3 @@ def quad_cfg():
 def quad_cfg_fast():
     return QuadratureConfig(rel_tol=1e-7, abs_tol=1e-10)
 
-
-@pytest.fixture(scope="session")
-def hadamard_cfg():
-    return HadamardConfig()

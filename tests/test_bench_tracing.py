@@ -1,0 +1,38 @@
+"""The per-layer tracer of the benchmark (bench/tracing.py) installs over
+the package: every binding it wraps must exist, and spans must be
+recorded for the determinant and the contour oracles."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+import polydet
+import polydet.cli  # noqa: F401  (the tracer wraps every loaded layer)
+from polydet import ConePoint
+
+TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("bench_tracing", TRACING)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_installs_and_records_spans():
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    originals = (polydet.log_det_as, polydet.heat_kernel_cone,
+                 polydet.q_of_beta_contour, polydet.regint.quad)
+    with tracing.installed(tracer, polydet):
+        polydet.log_det_as(polydet.tetrahedron_metric())
+        polydet.heat_kernel_cone(1.3 * math.pi, 0.5, ConePoint(0.8, 0.2),
+                                 ConePoint(1.1, 1.4))
+        polydet.q_of_beta_contour(1.3 * math.pi)
+    names = {span[0] for span in tracer.spans}
+    assert {"detlap.log_det_as", "quad.area", "cone.heat_kernel_cone",
+            "regint.q_of_beta_contour", "regint.quadpack"} <= names
+    assert all(end >= start for _, start, end, _, _ in tracer.spans)
+    assert (polydet.log_det_as, polydet.heat_kernel_cone,
+            polydet.q_of_beta_contour, polydet.regint.quad) == originals

@@ -112,6 +112,24 @@ def test_verify_fd_command(tetra_path, capsys):
     assert all(r["rel_err"] <= 1e-5 for r in reports)
 
 
+def test_verify_fd_csv_one_row_per_channel(tetra_path, capsys):
+    code = main(["verify", "fd", "--metric", tetra_path, "--csv"])
+    out = capsys.readouterr().out
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["channel"] for r in rows] == [
+        "z:1", "z:2", "z:3", "z:4", "beta:2", "beta:3", "beta:4", "C"]
+    assert all(float(r["rel_err"]) <= 1e-5 for r in rows)
+
+
+def test_verify_cone_csv(capsys):
+    assert main(["--seed", "7", "verify", "cone", "--pairs", "2", "--csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 1
+    assert int(rows[0]["pairs"]) == 2
+    assert float(rows[0]["max_plane_deviation"]) < 1e-10
+
+
 def test_verify_hadamard_command(capsys):
     code = main(["verify", "hadamard", "--beta", str(math.pi)])
     out = capsys.readouterr().out

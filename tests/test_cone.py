@@ -263,3 +263,47 @@ def test_semigroup_property_contour_kernel_generic_angle():
             val += (w1 * w2 * r * heat_kernel_cone(beta, t, p, mid)
                     * heat_kernel_cone(beta, s, mid, q))
     assert val == pytest.approx(heat_kernel_cone(beta, t + s, p, q), abs=1e-9)
+
+
+@pytest.mark.parametrize("a", [0.5, 5.0, 50.0])
+@pytest.mark.parametrize("eps", [0.3, 1.0])
+def test_radial_k0_closed_form(a, eps):
+    from scipy.special import k0
+
+    from polydet.cone import _radial_k0
+
+    direct = quad(lambda r: r * k0(a * r), 0.0, eps,
+                  epsabs=1e-15, epsrel=1e-13, limit=200)[0]
+    assert _radial_k0(a, eps) == pytest.approx(direct, rel=1e-12, abs=1e-15)
+
+
+@pytest.mark.parametrize("beta", [0.8 * PI, 1.013 * PI, 1.7 * PI])
+def test_a_mu_disk_integral_matches_nested_quadrature(beta):
+    # the radial integral under the contour against the outer quadrature
+    # of the public density: beta int_0^eps a_mu(r) r dr
+    mu, eps = -100.0, 1.0
+    nested = beta * quad(lambda r: a_mu(beta, mu, r) * r, 0.0, eps,
+                         epsabs=1e-15, epsrel=1e-13, limit=300)[0]
+    assert abs(a_mu_disk_integral(beta, mu, eps) - nested) <= 1e-12
+
+
+def test_a_mu_disk_integral_rejects_bad_input():
+    from polydet.errors import NonpositiveAngle
+
+    for mu in (0.0, 3.0):
+        with pytest.raises(ValueError):
+            a_mu_disk_integral(PI, mu)
+    for beta in (0.0, -1.0):
+        with pytest.raises(NonpositiveAngle):
+            a_mu_disk_integral(beta, -100.0)
+
+
+@pytest.mark.parametrize("beta", [0.7 * PI, PI, 2.3 * PI])
+def test_heat_kernel_same_ray_fold(beta):
+    # the kernel is continuous in the angle between the points across
+    # dphi = 0, where the two line terms are mirror images
+    p, q = ConePoint(0.9, 0.2), ConePoint(1.2, 0.2)
+    on_ray = heat_kernel_cone(beta, 0.5, p, q)
+    for d in (1e-9, -1e-9):
+        off = heat_kernel_cone(beta, 0.5, p, ConePoint(1.2, 0.2 + d))
+        assert abs(on_ray - off) <= 1e-9

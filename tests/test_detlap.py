@@ -4,7 +4,6 @@ import math
 import pytest
 
 from polydet import (
-    HadamardConfig,
     chs_compare_same_angles,
     f_function,
     grad_angle,

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from polydet import (
-    HadamardConfig,
     hadamard_coth_coth_over_theta,
     hadamard_coth_over_sinh_sq,
     q_of_beta,
@@ -12,7 +11,13 @@ from polydet import (
     q_tilde_prime,
 )
 from polydet.errors import NonpositiveAngle
-from polydet.regint import _coeffs_coth_coth, _coeffs_coth_csch2, _coth, _csch2
+from polydet.regint import (
+    SERIES_RADIUS,
+    _coeffs_coth_coth,
+    _coeffs_coth_csch2,
+    _coth,
+    _csch2,
+)
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -87,11 +92,10 @@ def test_coth_over_sinh_sq_exact_at_two_pi():
 
 @pytest.mark.parametrize("beta", [PI / 2, PI, TWO_PI, 3 * PI])
 def test_finite_parts_stable_under_cutoff_halving(beta):
-    base = HadamardConfig()
-    half = HadamardConfig(series_radius=base.series_radius / 2)
+    half = SERIES_RADIUS / 2
     for fp in (hadamard_coth_over_sinh_sq, hadamard_coth_coth_over_theta):
-        a = fp(beta, base).finite_part
-        b = fp(beta, half).finite_part
+        a = fp(beta).finite_part
+        b = fp(beta, series_radius=half).finite_part
         assert abs(a - b) < 1e-8
 
 
