@@ -28,7 +28,7 @@ import numpy as np
 
 from . import detlap, elliptic, verify
 from .cone import ConePoint, heat_kernel_cone, heat_kernel_images, resolvent_cone, resolvent_images
-from .errors import PolydetError, ToleranceNotReached
+from .errors import InvalidMetricJSON, PolydetError, ToleranceNotReached
 from .metric import Angle, Position, Scale, load_metric, make_metric
 from .quad import QuadratureConfig, area
 from .regint import SERIES_RADIUS, hadamard_coth_coth_over_theta, hadamard_coth_over_sinh_sq, q_of_beta, q_of_beta_contour, q_tilde, q_tilde_prime
@@ -174,10 +174,19 @@ def _emit_verify(obj, args) -> None:
         print(json.dumps(_jsonable(obj)))
 
 
+def _load_points(path: str):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return [complex(float(p[0]), float(p[1]))
+                    for p in json.load(fh)["points"]]
+        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            raise InvalidMetricJSON(
+                f'malformed points JSON, want {{"points": [[re, im], ...]}}: {exc}'
+            ) from exc
+
+
 def _cmd_verify_tetra(args) -> int:
-    with open(args.points, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
-    pts = [complex(p[0], p[1]) for p in obj["points"]]
+    pts = _load_points(args.points)
     data = elliptic.periods(pts)
     m = make_metric(1.0, [(z, -0.5) for z in pts])
     ar = area(m, _quad_cfg(args)).value

@@ -26,17 +26,17 @@ import cmath
 import math
 from dataclasses import dataclass
 
-# not called in this module: bench/tracing.py wraps this binding to count
-# QUADPACK calls per layer, and needs it to exist
-from scipy.integrate import quad  # noqa: F401
-from scipy.special import k0 as bessel_k0, k1 as bessel_k1, kv
+import numpy as np
 
 from .errors import CoincidentPoints
 from .metric import PolyhedralMetric
+from .quad import _quadpack_binding
 from .regint import _check_angle, _cot_contour, q_of_beta
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
+
+__getattr__ = _quadpack_binding("quad", __name__)
 
 
 @dataclass(frozen=True)
@@ -51,7 +51,7 @@ class ConePoint:
     phi: float
 
 
-def _rho2(r: float, rp: float, sigma: float) -> float:
+def _rho2(r: float, rp: float, sigma):
     """Squared chord between radii r and r' at half-chord sigma = sin(th/2)."""
     return (r - rp) ** 2 + 4.0 * r * rp * sigma * sigma
 
@@ -62,8 +62,8 @@ def heat_kernel_cone(beta: float, t: float, p: ConePoint, q: ConePoint) -> float
     if not t > 0.0:
         raise ValueError(f"time must be positive, got {t}")
 
-    def plane(sigma: float) -> float:
-        return math.exp(-_rho2(p.r, q.r, sigma) / (4.0 * t)) / (4.0 * PI * t)
+    def plane(sigma):
+        return np.exp(-_rho2(p.r, q.r, sigma) / (4.0 * t)) / (4.0 * PI * t)
 
     return _cot_contour(beta, p.phi - q.phi, plane)
 
@@ -102,21 +102,23 @@ def resolvent_cone(beta: float, mu: complex, p: ConePoint, q: ConePoint) -> floa
         )
     sq = cmath.sqrt(-mu) if mu.imag else math.sqrt(-mu.real)
 
-    def free(sigma: float):
-        return _k0(math.sqrt(_rho2(p.r, q.r, sigma)) * sq) / TWO_PI
+    def free(sigma):
+        return _k0(np.sqrt(_rho2(p.r, q.r, sigma)) * sq) / TWO_PI
 
     return _cot_contour(beta, dphi, free)
 
 
 def resolvent_images(n: int, mu: float, p: ConePoint, q: ConePoint) -> float:
     """Image-sum oracle for the resolvent on the cone of opening 2 pi / n."""
+    from scipy.special import k0
+
     beta = TWO_PI / n
     sq = math.sqrt(-mu)
     tot = 0.0
     for m in range(n):
         rho2 = (p.r * p.r + q.r * q.r
                 - 2.0 * p.r * q.r * math.cos(p.phi - q.phi - m * beta))
-        tot += bessel_k0(math.sqrt(rho2) * sq) / TWO_PI
+        tot += k0(math.sqrt(rho2) * sq) / TWO_PI
     return tot
 
 
@@ -136,9 +138,11 @@ def a_mu(beta: float, mu: float, r: float) -> float:
         raise ValueError(f"need mu < 0, got {mu}")
     if not r > 0.0:
         raise ValueError(f"need r > 0, got {r}")
+    from scipy.special import k0
+
     two_r_sq = 2.0 * r * math.sqrt(-mu)
     return _cot_contour(beta, 0.0,
-                        lambda sigma: -mu / TWO_PI * bessel_k0(two_r_sq * sigma),
+                        lambda sigma: -mu / TWO_PI * k0(two_r_sq * sigma),
                         tip=True)
 
 
@@ -163,10 +167,12 @@ def a_mu_disk_integral(beta: float, mu: float, eps: float = 1.0) -> float:
         tip=True)
 
 
-def _radial_k0(a: float, eps: float) -> float:
+def _radial_k0(a, eps: float):
     """int_0^eps r K_0(a r) dr = (1 - a eps K_1(a eps))/a^2 for a > 0."""
+    from scipy.special import k1
+
     x = a * eps
-    return (1.0 - x * bessel_k1(x)) / (a * a)
+    return (1.0 - x * k1(x)) / (a * a)
 
 
 def heat_trace_correction(m: PolyhedralMetric) -> float:
@@ -181,6 +187,9 @@ def heat_trace_correction(m: PolyhedralMetric) -> float:
 # --------------------------------------------------------------------------
 
 def _k0(z):
-    if isinstance(z, complex):
-        return complex(kv(0, z))
-    return float(bessel_k0(z))
+    from scipy.special import k0, kv
+
+    if not np.iscomplexobj(z):
+        return k0(z)
+    # kv gives nan past |z| ~ 1e9, where K_0 has long underflowed to 0
+    return np.where(z.real < 700.0, kv(0, z), 0.0)

@@ -268,14 +268,11 @@ def chs_compare_same_angles(
 ) -> float:
     """log(det' m1 / det' m2) for metrics with equal exponent multisets:
 
-        log(Area_1/Area_2)
-        + (1/6) sum_{k<l} a_k a_l (1/(1+a_k) + 1/(1+a_l))
-                 (log|P_k - P_l| - log|Q_k - Q_l|)
+        log(Area_1/Area_2) + W(m1) - W(m2)
 
-    with vertices paired in sorted-exponent order (ties broken by
-    position).  The per-vertex absolute constants cancel only when the
-    angle multisets agree, and the scale enters through the angle terms,
-    so equal scales are required as well.
+    with W of ``w_function``.  The per-vertex terms F(beta_j, C) cancel
+    only when the angle multisets agree, and the scale enters through
+    them, so equal scales are required as well.
     """
     e1 = sorted(m1.exponents())
     e2 = sorted(m2.exponents())
@@ -293,23 +290,5 @@ def chs_compare_same_angles(
     a2 = area(m2, qcfg)
     return math.fsum([
         math.log(a1.value) - math.log(a2.value),
-        _distance_term(m1) - _distance_term(m2),
+        w_function(m1) - w_function(m2),
     ])
-
-
-def _distance_term(m: PolyhedralMetric) -> float:
-    """(1/6) sum_{k<l} b_k b_l (1/(1+b_k) + 1/(1+b_l)) log|z_k - z_l|,
-    over vertices sorted by (exponent, position) for pairing stability."""
-    verts = sorted(
-        m.vertices,
-        key=lambda v: (v.exponent, v.position.real, v.position.imag),
-    )
-    terms = []
-    for k in range(len(verts)):
-        for l in range(k + 1, len(verts)):
-            bk, bl = verts[k].exponent, verts[l].exponent
-            terms.append(
-                bk * bl * (1.0 / (1.0 + bk) + 1.0 / (1.0 + bl))
-                * math.log(abs(verts[k].position - verts[l].position))
-            )
-    return math.fsum(terms) / 6.0

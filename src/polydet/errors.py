@@ -42,15 +42,19 @@ class GaugeVertexVariation(PolydetError):
 
 
 class InvalidMetricJSON(PolydetError):
-    """Metric JSON file does not match the documented schema."""
+    """Metric (or ``verify tetra`` points) JSON file does not match the
+    documented schema."""
 
 
 # ---- quadrature ----
 
 class ToleranceNotReached(PolydetError):
-    """Adaptive quadrature exhausted its subdivision budget.
+    """A quadrature's error estimate stayed above its tolerance: the area
+    (``quad.area``) against the caller's tolerances, or a Gauss-Legendre
+    panel integral of ``regint`` (finite parts, cotangent contour) after
+    its budget of panel bisections.  The CLI exits 3.
 
-    Carries the partial result so callers can inspect how far it got.
+    ``partial`` carries the result so far as a ``quad.QuadResult``.
     """
 
     def __init__(self, message: str, partial=None):

@@ -288,18 +288,23 @@ def metric_to_json_dict(m: PolyhedralMetric) -> dict:
 
 def metric_from_json_dict(obj: dict, repair_gauss_bonnet: bool = False) -> PolyhedralMetric:
     try:
-        scale = obj["C"]
+        scale = float(obj["C"])
         verts = [
-            (complex(v["z"][0], v["z"][1]), v["b"]) for v in obj["vertices"]
+            (complex(float(v["z"][0]), float(v["z"][1])), float(v["b"]))
+            for v in obj["vertices"]
         ]
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InvalidMetricJSON(f"malformed metric JSON: {exc}") from exc
     return make_metric(scale, verts, repair_gauss_bonnet=repair_gauss_bonnet)
 
 
 def load_metric(path: str, repair_gauss_bonnet: bool = False) -> PolyhedralMetric:
     with open(path, "r", encoding="utf-8") as fh:
-        return metric_from_json_dict(json.load(fh), repair_gauss_bonnet)
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:   # not JSON, or not UTF-8
+            raise InvalidMetricJSON(f"{path} is not JSON: {exc}") from exc
+    return metric_from_json_dict(obj, repair_gauss_bonnet)
 
 
 def dump_metric(m: PolyhedralMetric, path: str) -> None:

@@ -45,9 +45,6 @@ from functools import lru_cache
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
-# not called in this module: bench/tracing.py wraps this binding to count
-# QUADPACK calls per layer, and needs it to exist
-from scipy.integrate import quad as quad1d  # noqa: F401
 
 from .errors import ToleranceNotReached
 from .metric import PolyhedralMetric
@@ -77,6 +74,22 @@ class QuadResult:
     value: float
     error_estimate: float
     cell_count: int             # Gauss panels of the 2n-node evaluation
+
+
+def _quadpack_binding(attr: str, module: str):
+    """A module ``__getattr__`` that resolves ``attr`` to scipy's QUADPACK
+    routine on first access.  No polydet code calls it: the benchmark's
+    tracer (bench/tracing.py) wraps these names to count QUADPACK calls,
+    which are now always 0.  ROADMAP.md item 3 removes them."""
+    def __getattr__(name: str):
+        if name == attr:
+            from scipy.integrate import quad
+            return quad
+        raise AttributeError(f"module {module!r} has no attribute {name!r}")
+    return __getattr__
+
+
+__getattr__ = _quadpack_binding("quad1d", __name__)
 
 
 class Chord(NamedTuple):

@@ -37,6 +37,10 @@ integral taken as a principal value.  On the lines sin(th/2) =
 +-cosh(s/2), and th -> -conj(th) folds the two lines into one real
 integral over s >= 0 with the weight
 L(s) = Re[cot(pi(dphi - pi - is)/beta) - cot(pi(dphi + pi - is)/beta)].
+The line integral runs on Gauss-Legendre panels (below) over [0, T],
+T = 40, with dyadic edges from 1/2 up and, for a pole a distance w off a
+line, edges graded geometrically down to 0.3 w, where its Lorentzian
+bump sits.  A pole within POLE_TOL = 1e-12 of a line counts as on it.
 
 Hadamard prescription
 ---------------------
@@ -59,43 +63,124 @@ Numerically the finite part is computed cutoff-free,
 
     FP = -a3/2 + int_0^1 (f - a3/th^3 - a1/th) dth + int_1^inf tail,
 
-with the regular part evaluated from a frozen odd Taylor series below a
-switch radius ``series_radius`` (default 0.05) to avoid catastrophic
-cancellation.  Halving the switch radius moves the result at the 1e-14
-level, which is what the cutoff-stability tests pin down.
+with the regular part replaced by a frozen odd Taylor series below a
+switch radius ``series_radius`` (default 0.05), where the subtraction
+would cancel catastrophically; the series integrates in closed form,
+sum_j c_j th0^(2j+2)/(2j+2).  [th0, 1] takes two Gauss-Legendre panels
+and the tail dyadic panels of width 1/rate, 2/rate, 4/rate, ... from 1,
+where e^(-rate th) is its fastest exponential.  Halving the switch radius
+moves the result at the 1e-14 level, which is what the cutoff-stability
+tests pin down.
+
+Gauss-Legendre panels
+---------------------
+``_gauss_panels`` is the one quadrature of this module: each panel is
+summed with n = 16 and 2n nodes (Golub-Welsch nodes from ``quad._rule``),
+every node of every panel in one call of the vectorized integrand.  The
+error estimate is sum |I_2n - I_n| plus a rounding floor from the size of
+the terms summed and of those that cancel inside the integrand; a panel
+is bisected while the estimate exceeds max(abs_tol, rel_tol |I|, floor),
+and past MAX_PANEL_SPLITS bisections ToleranceNotReached carries the
+partial result, so no integral fails to converge silently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Tuple
 
-from scipy.integrate import quad
+import numpy as np
 
-from .errors import NonpositiveAngle
+from .errors import NonpositiveAngle, ToleranceNotReached
+from .quad import QuadResult, _quadpack_binding, _rule
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 
+__getattr__ = _quadpack_binding("quad", __name__)
+
 
 # --------------------------------------------------------------------------
-# overflow-safe hyperbolics
+# overflow-safe hyperbolics (numpy arrays)
 # --------------------------------------------------------------------------
 
-def _coth(x: float) -> float:
-    # relative error < e^-80 for the large-argument shortcut
-    if x > 20.0:
-        return 1.0
-    return math.cosh(x) / math.sinh(x)
+def _coth(x):
+    return 1.0 / np.tanh(x)
 
 
-def _csch2(x: float) -> float:
-    if x > 20.0:
-        return 4.0 * math.exp(-2.0 * x)
-    s = math.sinh(x)
-    return 1.0 / (s * s)
+def _csch2(x):
+    # 4 e^-2x has relative error below e^-40 past the switch
+    s = np.sinh(np.minimum(x, 20.0))
+    return np.where(x > 20.0, 4.0 * np.exp(-2.0 * x), 1.0 / (s * s))
+
+
+# --------------------------------------------------------------------------
+# Gauss-Legendre panels
+# --------------------------------------------------------------------------
+
+PANEL_NODES = 16        # per panel; the error estimate compares with 2 * PANEL_NODES
+MAX_PANEL_SPLITS = 64   # panel bisections per integral
+ROUNDING = 4.0 * float(np.finfo(float).eps)
+
+
+def _gauss_pair(f, lo: np.ndarray, hi: np.ndarray):
+    """Per panel [lo, hi]: the 2n-node value, |2n-node - n-node| and the
+    2n-node integral of |f|, from one call of ``f`` on every node."""
+    n = PANEL_NODES
+    x1, w1 = _rule(n, 0.0)
+    x2, w2 = _rule(2 * n, 0.0)
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * np.concatenate((x1, x2))
+    vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
+    fine = half * (vals[:, n:] @ w2)
+    coarse = half * (vals[:, :n] @ w1)
+    return fine, np.abs(fine - coarse), half * (np.abs(vals[:, n:]) @ w2)
+
+
+def _gauss_panels(f, edges, abs_tol: float, rel_tol: float,
+                  cancel: float = 0.0) -> QuadResult:
+    """int f from edges[0] to edges[-1] on Gauss-Legendre panels between
+    consecutive ``edges``; ``f`` maps an array of nodes to an array of
+    real or complex values.
+
+    The error estimate is the sum over panels of |I_2n - I_n| plus a
+    rounding floor, ROUNDING times the size of the terms summed: the
+    integral of |f| plus ``cancel``, the integral of terms that cancel
+    inside f.  While the n-vs-2n part exceeds max(abs_tol, rel_tol |I|,
+    floor) every panel holding more than its share of that bound is
+    bisected; past MAX_PANEL_SPLITS bisections ToleranceNotReached carries
+    the partial result.  Returns the 2n-node value.
+    """
+    edges = np.asarray(edges, dtype=float)
+    lo, hi = edges[:-1], edges[1:]
+    val, diff, size = _gauss_pair(f, lo, hi)
+    splits = 0
+    while True:
+        value = val.sum().item()
+        floor = ROUNDING * (size.sum().item() + cancel)
+        bound = max(abs_tol, rel_tol * abs(value), floor)
+        err = diff.sum().item()
+        result = QuadResult(value, err + floor, len(lo))
+        if err <= bound:
+            return result
+        split = ~(diff <= bound / len(lo))   # a nan panel is split too
+        splits += int(split.sum())
+        if splits > MAX_PANEL_SPLITS:
+            raise ToleranceNotReached(
+                f"panel error estimate {result.error_estimate:.3e} exceeds "
+                f"{bound:.3e} after {MAX_PANEL_SPLITS} bisections", partial=result)
+        mid = 0.5 * (lo[split] + hi[split])
+        new_lo = np.concatenate((lo[split], mid))
+        new_hi = np.concatenate((mid, hi[split]))
+        parts = _gauss_pair(f, new_lo, new_hi)
+        keep = ~split
+        lo = np.concatenate((lo[keep], new_lo))
+        hi = np.concatenate((hi[keep], new_hi))
+        val, diff, size = (np.concatenate((old[keep], new))
+                           for old, new in zip((val, diff, size), parts))
 
 
 # --------------------------------------------------------------------------
@@ -105,7 +190,11 @@ def _csch2(x: float) -> float:
 CONTOUR_TRUNCATION = 40.0  # s cut on the lines; every kernel decays like e^-s
 CONTOUR_ABS_TOL = 1e-13
 CONTOUR_REL_TOL = 1e-12
-POLE_TOL = 1e-10           # a pole this close to a line counts as on it
+POLE_TOL = 1e-12           # a pole this close to a line counts as on it
+
+
+def _on_line(th: float) -> bool:
+    return abs(abs(th) - PI) <= POLE_TOL
 
 
 def _strip_poles(beta: float, dphi: float, tip: bool):
@@ -118,7 +207,7 @@ def _strip_poles(beta: float, dphi: float, tip: bool):
         if tip and m == 0:
             continue
         th = m * beta - dphi
-        if abs(abs(th) - PI) <= POLE_TOL:
+        if _on_line(th):
             yield th, 0.5
         elif abs(th) < PI:
             yield th, 1.0
@@ -137,17 +226,21 @@ def _line_pole_gaps(beta: float, dphi: float):
     return gaps
 
 
-def _bump_breakpoints(gaps):
-    """Panel boundaries for a line integrand with cotangent poles a distance
-    w off the contour: the pole leaves a Lorentzian bump of width w at the
-    foot of the line, which blind adaptive panels skip entirely once
-    w << interval.  Returns breakpoints clustered at those scales.
+def _line_edges(gaps):
+    """Panel edges on [0, CONTOUR_TRUNCATION]: dyadic from 1/2 up, and,
+    for a cotangent pole a distance w off the contour, edges graded
+    geometrically down to 0.3 w.  The pole leaves a Lorentzian bump of
+    width w at the foot of the line, which panels of size 1/2 would step
+    over.
 
-    Poles with w <= POLE_TOL are handled by the half-residue rule instead
-    (their bump must then stay unresolved, which is what the exclusion
-    guarantees: without hints the first panel never samples below ~0.2).
+    Poles with w <= POLE_TOL are handled by the half-residue rule instead;
+    ``_line_weight`` leaves their bump out.
     """
-    pts = set()
+    pts = {0.0, CONTOUR_TRUNCATION}
+    x = 0.5
+    while x < CONTOUR_TRUNCATION:
+        pts.add(x)
+        x *= 2.0
     for w in gaps:
         if not POLE_TOL < w < 0.5:
             continue
@@ -155,7 +248,7 @@ def _bump_breakpoints(gaps):
         while x < 1.0:
             pts.add(x)
             x *= 3.0
-    return sorted(pts) or None
+    return sorted(pts)
 
 
 def _line_weight(beta: float, dphi: float):
@@ -163,18 +256,25 @@ def _line_weight(beta: float, dphi: float):
 
     Each term is Re cot(x - iy) = 2e sin 2x / ((1 - e)^2 + 4e sin^2 x) with
     e = exp(-2y), y = pi s/beta: no overflow however large y, and no
-    cancellation next to a pole at the line foot.
+    cancellation next to a pole at the line foot.  The term of a foot with
+    a pole on it (``_on_line``, as ``_strip_poles`` decides) is left out:
+    it is the limit of a bump whose mass the half residue already counts.
     """
     k = PI / beta
-    coeffs = [(2.0 * c * math.sin(2.0 * x), 4.0 * math.sin(x) ** 2)
-              for c, x in ((1.0, k * (dphi - PI)), (-1.0, k * (dphi + PI)))]
+    coeffs = []
+    for c, foot in ((1.0, -PI), (-1.0, PI)):
+        th = round((dphi + foot) / beta) * beta - dphi   # the pole nearest the foot
+        if _on_line(th) and (th > 0.0) == (foot > 0.0):
+            continue
+        x = k * (dphi + foot)
+        coeffs.append((2.0 * c * math.sin(2.0 * x), 4.0 * math.sin(x) ** 2))
 
-    def weight(s: float) -> float:
-        e = math.exp(-2.0 * k * s)
-        d = math.expm1(-2.0 * k * s) ** 2
+    def weight(s):
+        e = np.exp(-2.0 * k * s)
+        d = np.expm1(-2.0 * k * s) ** 2
         acc = 0.0
         for num, sin2 in coeffs:
-            acc += num / (d + e * sin2)
+            acc = acc + num / (d + e * sin2)
         return e * acc
 
     return weight
@@ -184,28 +284,20 @@ def _cot_contour(beta: float, dphi: float, g, tip: bool = False):
     """The contour integral of kernel ``g`` (module docstring); ``tip``
     leaves out the circle at th* = 0.
 
-    ``g`` may return complex values; the real and imaginary parts of the
-    line integral are then integrated separately, and the result is
-    complex.  The caller validates beta.
+    ``g`` maps an array of half-chords to an array of values, real or
+    complex; a complex g gives a complex result.  The caller validates
+    beta.
     """
-    total = sum(w * g(abs(math.sin(0.5 * th)))
-                for th, w in _strip_poles(beta, dphi, tip))
+    poles = list(_strip_poles(beta, dphi, tip))
+    total = np.float64(0.0)
+    if poles:
+        th, w = np.array(poles).T
+        total = np.dot(w, g(np.abs(np.sin(0.5 * th))))
     weight = _line_weight(beta, dphi)
-
-    def line(s: float):
-        v = g(math.cosh(0.5 * s))
-        return v * weight(s) if v else 0.0
-
-    if isinstance(g(1.0), complex):
-        parts = [lambda s: line(s).real, lambda s: line(s).imag]
-    else:
-        parts = [line]
-    points = _bump_breakpoints(_line_pole_gaps(beta, dphi))
-    vals = [quad(f, 0.0, CONTOUR_TRUNCATION, epsabs=CONTOUR_ABS_TOL,
-                 epsrel=CONTOUR_REL_TOL, limit=400, points=points,
-                 full_output=1)[0]
-            for f in parts]
-    return total + (vals[0] if len(vals) == 1 else complex(*vals)) / beta
+    line = _gauss_panels(lambda s: g(np.cosh(0.5 * s)) * weight(s),
+                         _line_edges(_line_pole_gaps(beta, dphi)),
+                         CONTOUR_ABS_TOL, CONTOUR_REL_TOL)
+    return (total + line.value / beta).item()
 
 
 # --------------------------------------------------------------------------
@@ -296,10 +388,11 @@ def _coeffs_coth_coth(beta: float) -> Tuple[float, float, Tuple[float, ...]]:
 
 
 def _finite_part(
-    f: Callable[[float], float],
-    tail: Callable[[float], float],
+    f: Callable,
+    tail: Callable,
     tail_upper: float,
-    a3: float,
+    rate: float,
+    a3_exact: Fraction,
     a1: float,
     regular: Tuple[float, ...],
     th0: float,
@@ -307,27 +400,39 @@ def _finite_part(
     """Cutoff-free finite part of int_0^inf f with f ~ a3/th^3 + a1/th.
 
     ``tail`` must be the integrable continuation of f on [1, tail_upper]
-    (already including any subtraction needed at infinity); ``th0`` is the
-    series switch radius.  Returns (finite part, error estimate).
+    (already including any subtraction needed at infinity), decaying on
+    the scale 1/``rate``; ``th0`` is the series switch radius.  Returns
+    (finite part, error estimate); the estimate includes the last series
+    term as the truncation error of the series.
+
+    ``a3_exact`` is a3 in terms of the double pi that f uses.  The result
+    depends on the a3 subtracted on [th0, 1] as -a3/(2 th0^2), so the
+    rounding of the float a3 would reach it 200-fold at th0 = 0.05; the
+    rounding is added back.
     """
+    a3 = float(a3_exact)
+    powers = [th0 ** (2 * j + 2) / (2 * j + 2) for j in range(len(regular))]
+    head = math.fsum(c * p for c, p in zip(regular, powers))
 
-    def series(t: float) -> float:
-        t2 = t * t
-        acc = 0.0
-        for c in reversed(regular):
-            acc = (acc + c) * t2
-        return acc / t
-
-    def regular_part(t: float) -> float:
+    def regular_part(t):
         return f(t) - a3 / t**3 - a1 / t
 
-    i0, e0 = quad(series, 0.0, th0, epsabs=FP_ABS_TOL,
-                  epsrel=FP_REL_TOL, limit=200, full_output=1)[:2]
-    i1, e1 = quad(regular_part, th0, 1.0, epsabs=FP_ABS_TOL,
-                  epsrel=FP_REL_TOL, limit=200, full_output=1)[:2]
-    i2, e2 = quad(tail, 1.0, tail_upper, epsabs=FP_ABS_TOL,
-                  epsrel=FP_REL_TOL, limit=200, full_output=1)[:2]
-    return -a3 / 2.0 + i0 + i1 + i2, abs(e0) + abs(e1) + abs(e2)
+    # the integral of the subtracted counterterms, whose rounding the
+    # difference inherits
+    cancel = 0.5 * a3 * (th0 ** -2 - 1.0) - abs(a1) * math.log(th0)
+    mid = math.sqrt(th0)
+    near = _gauss_panels(regular_part, [th0, mid, 1.0], FP_ABS_TOL, FP_REL_TOL,
+                         cancel)
+    edges = [1.0]
+    step = 1.0 / rate
+    while edges[-1] + step < tail_upper:
+        edges.append(edges[-1] + step)
+        step *= 2.0
+    edges.append(tail_upper)
+    far = _gauss_panels(tail, edges, FP_ABS_TOL, FP_REL_TOL)
+    a3_rounding = float(Fraction(a3) - a3_exact) / (2.0 * th0 * th0)
+    return (math.fsum([-a3 / 2.0, head, near.value, far.value, a3_rounding]),
+            abs(regular[-1] * powers[-1]) + near.error_estimate + far.error_estimate)
 
 
 def hadamard_coth_over_sinh_sq(
@@ -342,11 +447,13 @@ def hadamard_coth_over_sinh_sq(
     _check_angle(beta)
     a3, a1, regular = _coeffs_coth_csch2(beta)
 
-    def f(t: float) -> float:
+    def f(t):
         return _coth(PI * t) * _csch2(0.5 * beta * t)
 
     upper = max(3.0, 100.0 / beta)
-    fp, err = _finite_part(f, f, upper, a3, a1, regular, series_radius)
+    fp, err = _finite_part(f, f, upper, beta + TWO_PI,
+                           4 / (Fraction(PI) * Fraction(beta) ** 2), a1, regular,
+                           series_radius)
     return HadamardResult(
         finite_part=fp,
         subtracted_quadratic=a3 / 2.0,
@@ -368,14 +475,16 @@ def hadamard_coth_coth_over_theta(
     _check_angle(beta)
     a3, a1, regular = _coeffs_coth_coth(beta)
 
-    def f(t: float) -> float:
+    def f(t):
         return _coth(PI * t) * _coth(0.5 * beta * t) / t
 
-    def tail(t: float) -> float:
+    def tail(t):
         return (_coth(PI * t) * _coth(0.5 * beta * t) - 1.0) / t
 
     upper = max(3.0, 90.0 / min(beta, TWO_PI))
-    fp, err = _finite_part(f, tail, upper, a3, a1, regular, series_radius)
+    fp, err = _finite_part(f, tail, upper, max(beta, TWO_PI),
+                           2 / (Fraction(PI) * Fraction(beta)), a1, regular,
+                           series_radius)
     return HadamardResult(
         finite_part=fp,
         subtracted_quadratic=a3 / 2.0,

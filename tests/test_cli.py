@@ -2,10 +2,15 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from polydet import dump_metric, make_metric, tetrahedron_metric
+import polydet
+from polydet import dump_metric, make_metric, regint, tetrahedron_metric
 from polydet.cli import main
 
 
@@ -37,6 +42,18 @@ def test_det_happy_path(tetra_path, capsys):
                         "f_terms", "reference_term", "prefactor"}
 
 
+def test_det_loads_no_scipy(tetra_path):
+    # scipy is needed only by the Bessel kernels of the cone oracles
+    code = ("import sys, polydet, polydet.cli\n"
+            f"assert polydet.cli.main(['det', '--metric', {tetra_path!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=str(Path(polydet.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_det_report_json_round_trip(tetra_path, capsys):
     main(["det", "--metric", tetra_path, "--json",
           "--rel-tol", "1e-7", "--abs-tol", "1e-10"])
@@ -59,10 +76,41 @@ def test_missing_file_is_validation_error(capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "IOError"
 
 
+_TETRA_VERTS = [{"z": [1, 0], "b": -0.5}, {"z": [-1, 0], "b": -0.5},
+                {"z": [0, 1], "b": -0.5}, {"z": [0, -1], "b": -0.5}]
+
+
+@pytest.mark.parametrize("command, text", [
+    (["det", "--metric"], "not json {"),
+    (["det", "--metric"], json.dumps({"C": "x", "vertices": _TETRA_VERTS})),
+    (["det", "--metric"], json.dumps(
+        {"C": 1.0, "vertices": _TETRA_VERTS[:3] + [{"z": [0, -1], "b": "q"}]})),
+    (["verify", "tetra", "--points"], json.dumps({"pts": [[1, 0], [-1, 0]]})),
+    (["verify", "tetra", "--points"], "not json {"),
+])
+def test_malformed_input_file_is_validation_error(command, text, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    code = main([*command, str(path)])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "InvalidMetricJSON"
+
+
 def test_tolerance_not_reached_exit_code(tetra_path, capsys):
     # below the rounding floor of the area's error estimate
     code = main(["det", "--metric", tetra_path,
                  "--rel-tol", "1e-17", "--abs-tol", "1e-300"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert json.loads(captured.err)["error"] == "ToleranceNotReached"
+
+
+def test_finite_part_split_budget_exit_code(tetra_path, monkeypatch, capsys):
+    # a 2-node panel rule exhausts the finite parts' split budget; the
+    # cached finite parts are cleared so that det computes them afresh
+    monkeypatch.setattr(regint, "PANEL_NODES", 2)
+    regint._fp_coth_coth.cache_clear()
+    code = main(["det", "--metric", tetra_path])
     captured = capsys.readouterr()
     assert code == 3
     assert json.loads(captured.err)["error"] == "ToleranceNotReached"

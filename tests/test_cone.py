@@ -223,18 +223,32 @@ def test_heat_kernel_near_line_pole_continuity():
         assert abs(a - b) < 1e-7
 
 
+@pytest.mark.parametrize("gap", [3e-13, 3e-11, 1e-9])
+def test_heat_kernel_pole_near_line_matches_images(gap):
+    # at beta = pi (1 + gap) this pair puts a cotangent pole gap off a
+    # line: within POLE_TOL it takes half its residue and its bump leaves
+    # the line weight, beyond it the line panels resolve the bump; either
+    # way the kernel stays within O(gap) of the two-image sum at beta = pi
+    beta = PI * (1.0 + gap)
+    p, q = ConePoint(0.9, PI - beta + gap), ConePoint(1.1, 0.0)
+    assert abs(heat_kernel_cone(beta, 0.5, p, q)
+               - heat_kernel_images(2, 0.5, p, q)) < 1e-9
+
+
 def test_resolvent_complex_spectral_parameter():
     # flat cone with complex mu: equals the free resolvent with the
-    # principal square root of -mu
+    # principal square root of -mu.  At mu = -0.5 + 5i the Bessel argument
+    # on the lines passes 1e9 before the cut at s = 40, where a complex K_0
+    # evaluation can give nan; K_0 has underflowed to 0 long before.
     import cmath
 
     import mpmath
 
-    mu = complex(-3.0, 0.7)
     p, q = ConePoint(1.0, 0.4), ConePoint(1.3, 1.1)
     d = math.sqrt(p.r**2 + q.r**2 - 2 * p.r * q.r * math.cos(p.phi - q.phi))
-    free = complex(mpmath.besselk(0, d * cmath.sqrt(-mu))) / TWO_PI
-    assert abs(resolvent_cone(TWO_PI, mu, p, q) - free) < 1e-12
+    for mu in (complex(-3.0, 0.7), complex(-0.5, 5.0)):
+        free = complex(mpmath.besselk(0, d * cmath.sqrt(-mu))) / TWO_PI
+        assert abs(resolvent_cone(TWO_PI, mu, p, q) - free) < 1e-12
 
 
 def test_a_mu_disk_integral_generic_angles():

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import pytest
 
 from polydet import (
@@ -10,7 +11,8 @@ from polydet import (
     q_tilde,
     q_tilde_prime,
 )
-from polydet.errors import NonpositiveAngle
+from polydet import regint
+from polydet.errors import NonpositiveAngle, ToleranceNotReached
 from polydet.regint import (
     SERIES_RADIUS,
     _coeffs_coth_coth,
@@ -104,6 +106,61 @@ def test_finite_part_continuity_in_beta():
     a = hadamard_coth_over_sinh_sq(beta).finite_part
     b = hadamard_coth_over_sinh_sq(beta * (1 + 1e-6)).finite_part
     assert abs(a - b) < 1e-3
+
+
+def _mp_finite_part(kind, beta):
+    """The finite part from mpmath alone: -a3/2 + c1 d^2/2
+    + int_d^1 (f - a3/t^3 - a1/t) + int_1^inf tail, with d = 1e-4 and c1,
+    the first regular Taylor coefficient, read off the regular part at
+    t = 1e-10 with 50 digits (a3 and a1 from the expansions of coth and
+    csch^2)."""
+    with mpmath.workdps(50):
+        b, pi = mpmath.mpf(beta), mpmath.pi
+        if kind == "coth_over_sinh_sq":
+            a3, a1 = 4 / (pi * b * b), 4 * pi / (3 * b * b) - 1 / (3 * pi)
+
+            def f(t):
+                return mpmath.coth(pi * t) / mpmath.sinh(b * t / 2) ** 2
+
+            tail = f
+        else:
+            a3, a1 = 2 / (pi * b), b / (6 * pi) + 2 * pi / (3 * b)
+
+            def f(t):
+                return mpmath.coth(pi * t) * mpmath.coth(b * t / 2) / t
+
+            def tail(t):
+                return f(t) - 1 / t
+
+        def reg(t):
+            return f(t) - a3 / t**3 - a1 / t
+
+        tiny, d = mpmath.mpf("1e-10"), mpmath.mpf("1e-4")
+        c1 = reg(tiny) / tiny
+        with mpmath.workdps(20):
+            head = mpmath.quad(reg, [d, 0.01, 0.1, 1])
+            rest = mpmath.quad(tail, [1, 4, 16, mpmath.inf])
+        return float(-a3 / 2 + c1 * d * d / 2 + head + rest)
+
+
+@pytest.mark.parametrize("beta", [0.3 * PI, 0.7 * PI, PI, TWO_PI, 3.3 * PI, 4 * PI])
+def test_finite_parts_match_mpmath(beta):
+    for fp in (hadamard_coth_over_sinh_sq, hadamard_coth_coth_over_theta):
+        ref = _mp_finite_part(fp.__name__.removeprefix("hadamard_"), beta)
+        res = fp(beta)
+        err = abs(res.finite_part - ref)
+        assert err <= 1e-13 * max(abs(ref), 1.0), (fp.__name__, err)
+        assert res.error_estimate >= err, (fp.__name__, res.error_estimate, err)
+
+
+def test_split_budget_exhausted_raises(monkeypatch):
+    # a 2-node rule cannot reach the finite parts' tolerance within the
+    # budget of panel bisections
+    monkeypatch.setattr(regint, "PANEL_NODES", 2)
+    with pytest.raises(ToleranceNotReached) as info:
+        hadamard_coth_over_sinh_sq(PI)
+    assert info.value.partial.cell_count > 3
+    assert info.value.partial.error_estimate > 1e-13
 
 
 # ---- Q-tilde and its derivative ----
