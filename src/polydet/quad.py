@@ -78,9 +78,10 @@ class QuadResult:
 
 def _quadpack_binding(attr: str, module: str):
     """A module ``__getattr__`` that resolves ``attr`` to scipy's QUADPACK
-    routine on first access.  No polydet code calls it: the benchmark's
-    tracer (bench/tracing.py) wraps these names to count QUADPACK calls,
-    which are now always 0.  ROADMAP.md item 3 removes them."""
+    routine on first access, so importing polydet loads no scipy.  No
+    polydet code calls it: the benchmark's tracer (bench/tracing.py) wraps
+    these names to count QUADPACK calls and needs them to exist.  ROADMAP.md
+    item 3 removes them."""
     def __getattr__(name: str):
         if name == attr:
             from scipy.integrate import quad

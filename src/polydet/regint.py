@@ -126,18 +126,28 @@ MAX_PANEL_SPLITS = 64   # panel bisections per integral
 ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
+@lru_cache(maxsize=4)
+def _pair_rule(n: int):
+    """The n- and 2n-node Gauss-Legendre nodes side by side, and the
+    weights that turn values at them into (2n-node sum, its difference
+    from the n-node sum, 2n-node sum of |values|)."""
+    x1, w1 = _rule(n, 0.0)
+    x2, w2 = _rule(2 * n, 0.0)
+    weights = np.zeros((3 * n, 2))
+    weights[n:, 0] = weights[n:, 1] = w2
+    weights[:n, 1] = -w1
+    return np.concatenate((x1, x2)), weights, np.concatenate((np.zeros(n), w2))
+
+
 def _gauss_pair(f, lo: np.ndarray, hi: np.ndarray):
     """Per panel [lo, hi]: the 2n-node value, |2n-node - n-node| and the
     2n-node integral of |f|, from one call of ``f`` on every node."""
-    n = PANEL_NODES
-    x1, w1 = _rule(n, 0.0)
-    x2, w2 = _rule(2 * n, 0.0)
+    x, weights, fine_w = _pair_rule(PANEL_NODES)
     half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * np.concatenate((x1, x2))
+    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * x
     vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
-    fine = half * (vals[:, n:] @ w2)
-    coarse = half * (vals[:, :n] @ w1)
-    return fine, np.abs(fine - coarse), half * (np.abs(vals[:, n:]) @ w2)
+    sums = half[:, None] * (vals @ weights)
+    return sums[:, 0], np.abs(sums[:, 1]), half * (np.abs(vals) @ fine_w)
 
 
 def _gauss_panels(f, edges, abs_tol: float, rel_tol: float,
@@ -270,8 +280,8 @@ def _line_weight(beta: float, dphi: float):
         coeffs.append((2.0 * c * math.sin(2.0 * x), 4.0 * math.sin(x) ** 2))
 
     def weight(s):
-        e = np.exp(-2.0 * k * s)
-        d = np.expm1(-2.0 * k * s) ** 2
+        em = np.expm1(-2.0 * k * s)
+        e, d = em + 1.0, em * em
         acc = 0.0
         for num, sin2 in coeffs:
             acc = acc + num / (d + e * sin2)
