@@ -1,0 +1,63 @@
+#!/usr/bin/env python3
+"""One SHA-256 digest over the det_corpus results of a range of seeds.
+
+For every item of ``bench/corpus.det_corpus(seed)`` it runs
+``detlap.log_det_as`` and feeds ``float.hex()`` of ``area`` and
+``log_det`` (or the exception's type name) into the digest.  Two
+checkouts that print the same digest give bit-identical areas and
+determinants on every item.  The inputs come from ``bench/corpus.py``
+of the checkout named by ``--root``, loaded by path and only read; the
+program is imported from that checkout's ``src/``.
+
+Usage: python scripts/area_digest.py [--seeds 1-30] [--root DIR]
+"""
+
+import argparse
+import hashlib
+import importlib.util
+import os
+import sys
+from pathlib import Path
+
+# one BLAS thread, as in the benchmark's workers
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+
+def seed_range(text: str) -> range:
+    lo, _, hi = text.partition("-")
+    return range(int(lo), int(hi or lo) + 1)
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seeds", type=seed_range, default=seed_range("1-30"))
+    ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
+                    help="checkout whose src/ and bench/corpus.py are used")
+    args = ap.parse_args()
+
+    spec = importlib.util.spec_from_file_location(
+        "corpus", args.root / "bench" / "corpus.py")
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    sys.path.insert(0, str(args.root / "src"))
+    from polydet import detlap, make_metric
+
+    digest = hashlib.sha256()
+    count = 0
+    for seed in args.seeds:
+        for item in corpus.det_corpus(seed):
+            metric = item["metric"]
+            try:
+                rep = detlap.log_det_as(make_metric(metric["C"], metric["verts"]))
+                line = f"{rep.area.hex()} {rep.log_det.hex()}"
+            except Exception as exc:     # a raising item is part of the digest too
+                line = type(exc).__name__
+            digest.update(f"{seed} {item['id']} {line}\n".encode())
+            count += 1
+    print(f"{digest.hexdigest()}  {count} items, seeds "
+          f"{args.seeds.start}-{args.seeds.stop - 1}")
+
+
+if __name__ == "__main__":
+    main()

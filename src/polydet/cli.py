@@ -270,6 +270,11 @@ def _cmd_verify_hadamard(args) -> int:
                 "coth_over_sinh_sq": abs(r1.finite_part - r1h.finite_part),
                 "coth_coth_over_theta": abs(r2.finite_part - r2h.finite_part),
             },
+            # what the two runs' rounding and truncation alone may move
+            "cutoff_halving_estimate": {
+                "coth_over_sinh_sq": r1.error_estimate + r1h.error_estimate,
+                "coth_coth_over_theta": r2.error_estimate + r2h.error_estimate,
+            },
             "q_of_beta": q_of_beta(beta),
             "q_contour_deviation": abs(q_of_beta_contour(beta) - q_of_beta(beta)),
             "q_tilde": q_tilde(beta),

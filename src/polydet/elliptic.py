@@ -47,7 +47,7 @@ TWO_PI = 2.0 * math.pi
 
 SERIES_TOL = 1e-18
 DEGENERATE_TOL = 1e-8       # relative branch-point gap and |Im tau| floor
-PERIOD_REL_TOL = 1e-12      # n vs 2n nodes agreement demanded of a period
+PERIOD_REL_TOL = 1e-12      # relative error estimate demanded of a period
 BRANCH_EXPONENTS = (-0.5, -0.5, -0.5, -0.5)
 
 
@@ -71,11 +71,10 @@ def _half_period(pts, u: int, v: int) -> complex:
     start; omega = prod (z - z_k)^(-1/2) dz is the metric's form with all
     exponents -1/2 and C = 1."""
     chord = segment_integral(pts, BRANCH_EXPONENTS, u, v)
-    if not abs(chord.value - chord.coarse) <= PERIOD_REL_TOL * abs(chord.value):
+    if not chord.error <= PERIOD_REL_TOL * abs(chord.value):
         raise DegenerateQuartic(
             f"period integral between branch points {u} and {v} did not "
-            f"converge (n vs 2n nodes differ by "
-            f"{abs(chord.value - chord.coarse):.3e})")
+            f"converge (error estimate {chord.error:.3e})")
     return complex(chord.value)
 
 

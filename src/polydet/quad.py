@@ -30,11 +30,14 @@ the tour.
   differences z - z_k enter, so a metric and its translate give the same
   digits.
 
-The error estimate is the difference between n and 2n nodes per panel
-plus a rounding floor, and the contract error_estimate <= max(abs_tol,
-rel_tol * value) raises ToleranceNotReached with the partial result.
-Everything is evaluated in a fixed order, so results are bit-identical
-between runs.
+Every panel is evaluated once, with NODES nodes.  Its error estimate is
+the size of the last two coefficients of its integrand in the orthonormal
+polynomials of its rule, read off the same node values through rows of
+the Golub-Welsch eigenvectors (``_rule``).  The chords' estimates are
+carried through the chord polygon to first order, a rounding floor is
+added, and the contract error_estimate <= max(abs_tol, rel_tol * value)
+raises ToleranceNotReached with the partial result.  Everything is
+evaluated in a fixed order, so results are bit-identical between runs.
 """
 
 from __future__ import annotations
@@ -51,7 +54,9 @@ from .metric import PolyhedralMetric
 
 TWO_PI = 2.0 * math.pi
 
-NODES = 32          # per panel; the error estimate compares with 2 * NODES
+NODES = 64          # Gauss nodes per panel
+# values of log(z - z_k) evaluated at once (nodes times other vertices)
+BATCH = 2048
 # panel halvings after which a vertex on the segment is left to the estimate
 MAX_SPLITS = 60
 # rounding floor of the area estimate, per unit of sum |corner| |side| of
@@ -73,7 +78,7 @@ class QuadratureConfig:
 class QuadResult:
     value: float
     error_estimate: float
-    cell_count: int             # Gauss panels of the 2n-node evaluation
+    cell_count: int             # Gauss panels of all chords
 
 
 def _quadpack_binding(attr: str, module: str):
@@ -94,8 +99,8 @@ __getattr__ = _quadpack_binding("quad1d", __name__)
 
 
 class Chord(NamedTuple):
-    value: complex              # 2n nodes per panel
-    coarse: complex             # n nodes per panel
+    value: complex
+    error: float                # estimate of |value - exact| (``_chords``)
     panels: int
 
 
@@ -104,11 +109,17 @@ class Chord(NamedTuple):
 # --------------------------------------------------------------------------
 
 @lru_cache(maxsize=256)
-def _rule(n: int, b: float) -> Tuple[np.ndarray, np.ndarray]:
+def _rule(n: int, b: float) -> np.ndarray:
     """Gauss-Jacobi nodes and weights for the weight (1 + x)^b on [-1, 1]
     (b = 0 is Gauss-Legendre), by Golub-Welsch: the eigenvalues of the
     Jacobi matrix of the three-term recurrence, and the squared first
-    eigenvector components times int (1 + x)^b dx."""
+    eigenvector components times mu0 = int (1 + x)^b dx.
+
+    Returns the rows nodes, weights and mu0 v_0j v_kj = sqrt(mu0) w_j
+    p_k(x_j) for k = n - 2, n - 1, with p_k the orthonormal polynomials of
+    the weight: applied to values f(x_j) the last two give sqrt(mu0) times
+    the last two coefficients of f in that basis, the size of what the
+    rule leaves out."""
     k = np.arange(1.0, n)
     s = 2.0 * k + b
     diag = np.empty(n)
@@ -116,69 +127,135 @@ def _rule(n: int, b: float) -> Tuple[np.ndarray, np.ndarray]:
     diag[1:] = b * b / (s * (s + 2.0))
     off = np.sqrt(4.0 * k * k * (k + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
     x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    w = 2.0 ** (b + 1.0) / (b + 1.0) * vec[0] ** 2
-    x.flags.writeable = w.flags.writeable = False   # cached, shared by callers
-    return x, w
+    mu0 = 2.0 ** (b + 1.0) / (b + 1.0)
+    rule = np.vstack((x, mu0 * vec[0] ** 2, mu0 * vec[0] * vec[-2:]))
+    rule.flags.writeable = False        # cached, shared by callers
+    return rule
 
 
-def _panels(d: complex, rel: np.ndarray) -> List[Tuple[float, float]]:
-    """Dyadic panels [a, a + l] of s in [0, 1/2] on z = z_p + s d, where
-    ``rel`` holds z_k - z_p for the other vertices: a panel is halved while
-    one of them lies closer to it than its length, in increasing a."""
-    length = abs(d)
-    proj = (rel / d).real
-    out = []
-    stack = [(0.0, 0.5, 0)]
-    while stack:
-        a, l, depth = stack.pop()
-        dist = np.abs(np.clip(proj, a, a + l) * d - rel)
-        if depth < MAX_SPLITS and np.any(dist < l * length):
-            stack.append((a + 0.5 * l, 0.5 * l, depth + 1))
-            stack.append((a, 0.5 * l, depth + 1))
-        else:
-            out.append((a, l))
-    return out
+def _panels(d: np.ndarray, rel: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dyadic panels [a, a + l] of s in [0, 1/2] on z = z_p + s d for every
+    half, a row of ``d`` and ``rel`` (z_k - z_p for the other vertices): a
+    panel is halved while one of them lies closer to it than its length,
+    at most MAX_SPLITS times.  Each level of halving is one array test
+    over all halves.  Returns the half, a and l of every panel, in
+    increasing a within each half."""
+    length = np.hypot(d.real, d.imag)           # abs(d), as for a scalar
+    proj = (rel / d[:, None]).real
+    owner = np.arange(len(d))
+    a = np.zeros(len(d))
+    l = np.full(len(d), 0.5)
+    done = []
+    for _ in range(MAX_SPLITS):
+        nearest = np.minimum(np.maximum(proj[owner], a[:, None]), (a + l)[:, None])
+        dist = np.abs(nearest * d[owner, None] - rel[owner])
+        split = (dist < (l * length[owner])[:, None]).any(axis=1)
+        if not split.any():
+            break
+        done.append((owner[~split], a[~split], l[~split]))
+        owner, a, l = owner[split], a[split], 0.5 * l[split]
+        owner, a, l = (np.concatenate((owner, owner)), np.concatenate((a, a + l)),
+                       np.concatenate((l, l)))
+    if not done:
+        return owner, a, l
+    owner, a, l = (np.concatenate(c) for c in zip(*done, (owner, a, l)))
+    order = np.lexsort((a, owner))
+    return owner[order], a[order], l[order]
 
 
-def _half(zs, bs, p: int, q: int, theta) -> Tuple[complex, complex, int]:
-    """int prod_k (z - z_k)^(b_k) dz from z_p to the midpoint of [z_p, z_q]
-    with n and 2n nodes per panel.  theta[p] is the branch of
-    arg(z_q - z_p), theta[k] that of arg(z_p - z_k) for k != p."""
-    others = np.arange(len(zs)) != p
-    rel = zs[others] - zs[p]
-    b_o, th_o = bs[others], theta[others]
+def _chords(zs, bs, u, v, theta_u, theta_v) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Values, error estimates and panel counts of the chords int
+    prod_k (z - z_k)^(b_k) dz from z_u to z_v, for arrays of steps u, v
+    with the rows theta_u, theta_v of branches at either end.
+
+    A chord is two halves, each from its own end z_p to the midpoint, on
+    panels of NODES Gauss nodes.  theta[p] at z_p is the branch of
+    arg(z_q - z_p) and theta[k] that of arg(z_p - z_k) for k != p.  The
+    elementwise stages run over many halves at once, while each half's
+    sums keep the shapes of a half alone, so a chord has the same bits
+    whatever else is evaluated with it.  The error estimate of a panel is
+    the size of the last two coefficients of its integrand in the
+    orthonormal polynomials of its rule (``_rule``).
+    """
+    p, q = np.concatenate((u, v)), np.concatenate((v, u))
+    theta = np.concatenate((theta_u, theta_v))
+    halves, m = theta.shape
+    others = np.nonzero(np.arange(m) != p[:, None])[1].reshape(halves, m - 1)
+    rel = zs[others] - zs[p, None]                              # z_k - z_p
+    b_o = bs[others]
+    th_o = theta[np.arange(halves)[:, None], others]
     d = zs[q] - zs[p]
     bp = bs[p]
-    panels = _panels(d, rel)
-    sums = []
-    for n in (NODES, 2 * NODES):
-        s_parts, w_parts = [], []
-        for a, l in panels:
-            h = 0.5 * l
-            x, w = _rule(n, bp if a == 0.0 else 0.0)
-            s = a + h * (1.0 + x)
-            # on the end panel the Jacobi weight carries (1 + x)^bp, so
-            # s^bp = h^bp (1 + x)^bp leaves h^bp; elsewhere s^bp is smooth
-            s_parts.append(s)
-            w_parts.append(h * w * (h ** bp if a == 0.0 else s ** bp))
-        s = np.concatenate(s_parts)
-        diff = s[:, None] * d - rel[None, :]           # z - z_k
-        log_g = (np.log(np.abs(diff))
-                 + 1j * (th_o + np.angle(diff / -rel))) @ b_o
-        sums.append(np.dot(np.concatenate(w_parts), np.exp(log_g)))
-    front = np.exp((1.0 + bp) * complex(math.log(abs(d)), theta[p]))
-    return front * sums[0], front * sums[1], len(panels)
+
+    owner, a, l = _panels(d, rel)
+    h = 0.5 * l
+    end = a == 0.0                      # the first panel of every half
+    # Gauss-Legendre, then the Gauss-Jacobi rule of the end panel of each half
+    rules = np.array([_rule(NODES, 0.0)] + [_rule(NODES, b) for b in bp])
+    rule = rules[np.where(end, owner + 1, 0)]
+    s = a[:, None] + h[:, None] * (1.0 + rule[:, 0])
+    # on the end panel the Jacobi weight carries (1 + x)^bp, so
+    # s^bp = h^bp (1 + x)^bp leaves h^bp; elsewhere s^bp is smooth
+    f = s ** bp[owner, None]
+    # h^bp as scalar powers: the vectorized power may differ in the last bit
+    f[end] = np.array([hi ** b for hi, b in zip(h[end].tolist(), bp)])[:, None]
+    w = (h[:, None] * rule[:, 1] * f).astype(complex).ravel()   # the cast np.dot makes
+
+    count = np.bincount(owner, minlength=halves)
+    stop = NODES * np.cumsum(count)
+    start = stop - NODES * count
+    # the log factors of a group of halves at a time, BATCH values or up to
+    # a half more, which bounds the working memory
+    b_o = b_o.astype(complex)           # the cast the product makes
+    g = np.empty(stop[-1], dtype=complex)
+    group = (start * (m - 1) // BATCH).tolist()
+    first = [i for i in range(halves) if i == 0 or group[i] != group[i - 1]]
+    for h0, h1 in zip(first, first[1:] + [halves]):
+        n0 = start[h0]
+        panels = slice(n0 // NODES, stop[h1 - 1] // NODES)
+        terms = _log_factors(s[panels], d[owner[panels]], rel[owner[panels]],
+                             th_o[owner[panels]]).reshape(-1, m - 1)
+        for i in range(h0, h1):
+            g[start[i]:stop[i]] = terms[start[i] - n0:stop[i] - n0] @ b_o[i]
+    np.exp(g, out=g)
+    # (d^(1 + bp) on its branch; scalar logarithms, as the powers above)
+    front = np.empty(halves, dtype=complex)
+    front.real = [math.log(r) for r in np.hypot(d.real, d.imag).tolist()]
+    front.imag = theta[np.arange(halves), p]
+    front = np.exp((1.0 + bp) * front)
+    values = np.array([fr * np.dot(w[i:j], g[i:j]) for fr, i, j in zip(front, start, stop)])
+    coeffs = np.abs(rule[:, 2:] @ (f.ravel() * g).reshape(-1, NODES, 1))
+    errors = np.abs(front) * np.bincount(owner, h * coeffs.sum(axis=(1, 2)), halves)
+    k = len(u)
+    return values[:k] - values[k:], errors[:k] + errors[k:], count[:k] + count[k:]
 
 
-def _advance(zs, theta, u: int, v: int) -> np.ndarray:
-    """Branches of arg(z - z_k) carried along the segment from z_u to z_v:
-    only k other than u and v change, each by the angle the segment
-    subtends at z_k (below pi in size, as no vertex lies on it)."""
-    out = theta.copy()
-    mask = np.ones(len(zs), dtype=bool)
-    mask[[u, v]] = False
-    out[mask] += np.angle((zs[v] - zs[mask]) / (zs[u] - zs[mask]))
+def _log_factors(s, d, rel, theta) -> np.ndarray:
+    """log (z - z_k) = log|z - z_k| + i (theta_k + arg((z - z_k)/(z_p - z_k)))
+    at z = z_p + s d for the nodes s (panel, node), with d, rel (z_k - z_p)
+    and theta (branches at z_p) per panel; indexed (panel, node, k)."""
+    rel = rel[:, None, :]
+    diff = s[:, :, None] * d[:, None, None] - rel         # z - z_k
+    mod = np.abs(diff)
+    np.log(mod, out=mod)
+    arg = np.angle(np.divide(diff, -rel, out=diff))
+    del diff
+    arg += theta[:, None, :]
+    out = 1j * arg
+    out += mod
     return out
+
+
+def _subtended(zs, u, v) -> Tuple[np.ndarray, np.ndarray]:
+    """For steps from z_u to z_v (arrays u, v): which vertices k are other
+    than u and v, and the angle arg((z_v - z_k)/(z_u - z_k)) the step
+    subtends at them, by which the branch of arg(z - z_k) moves along it
+    (below pi in size, as no vertex lies on a step)."""
+    k = np.arange(len(zs))
+    moved = (k != u[:, None]) & (k != v[:, None])
+    angle = np.zeros(moved.shape)
+    angle[moved] = np.angle((zs[v, None] - zs)[moved] / (zs[u, None] - zs)[moved])
+    return moved, angle
 
 
 def _principal(zs, u: int, v: int) -> np.ndarray:
@@ -200,9 +277,11 @@ def segment_integral(zs, bs, u: int, v: int,
     bs = np.asarray(bs, dtype=float)
     if theta is None:
         theta = _principal(zs, u, v)
-    fn, f2n, pu = _half(zs, bs, u, v, theta)
-    gn, g2n, pv = _half(zs, bs, v, u, _advance(zs, theta, u, v))
-    return Chord(f2n - g2n, fn - gn, pu + pv)
+    u, v = np.array([u]), np.array([v])
+    moved, angle = _subtended(zs, u, v)
+    values, errors, panels = _chords(zs, bs, u, v, theta[None],
+                                     np.where(moved, theta + angle, theta))
+    return Chord(complex(values[0]), float(errors[0]), int(panels[0]))
 
 
 # --------------------------------------------------------------------------
@@ -230,40 +309,55 @@ def _spanning_tree(zs) -> List[List[int]]:
 
 
 def _tour(zs, adj):
-    """Steps (u, v, theta at z_u) of the Euler tour with every vertex on
-    the right, starting along the first edge of vertex 0."""
+    """The steps of the Euler tour with every vertex on the right, starting
+    along the first edge of vertex 0, as arrays u, v and the rows of theta
+    at z_u and at z_v: at a vertex the walk turns clockwise to the next
+    edge, by a full 2 pi at a leaf, and theta at z_v is carried along the
+    step, before that turn."""
+    edges = [(i, j) for i, nb in enumerate(adj) for j in nb]
+    tails, heads = np.array(edges).T
+    heading = dict(zip(edges, np.angle(zs[heads] - zs[tails]).tolist()))
+    walk = []
     u, v = 0, adj[0][0]
-    theta = _principal(zs, u, v)
-    for _ in range(2 * (len(zs) - 1)):
-        yield u, v, theta
-        theta = _advance(zs, theta, u, v)
-        incoming = np.angle(zs[u] - zs[v])
-        turns = [(incoming - np.angle(zs[w] - zs[v])) % TWO_PI or TWO_PI
-                 for w in adj[v]]
-        j = int(np.argmin(turns))
-        theta[v] -= turns[j]
+    for _ in edges:
+        turns = [(heading[v, u] - heading[v, w]) % TWO_PI or TWO_PI for w in adj[v]]
+        j = turns.index(min(turns))
+        walk.append((u, v, turns[j]))
         u, v = v, adj[v][j]
+    us, vs, turn = (np.array(c) for c in zip(*walk))
+    moved, angle = _subtended(zs, us, vs)
+    at_u = np.empty(moved.shape)
+    at_v = np.empty(moved.shape)
+    theta = _principal(zs, us[0], vs[0])
+    for t in range(len(walk)):
+        at_u[t] = theta
+        at_v[t] = np.where(moved[t], theta + angle[t], theta)
+        theta = at_v[t].copy()
+        theta[vs[t]] -= turn[t]
+    return us, vs, at_u, at_v
 
 
-def _shoelace(chords) -> Tuple[float, float]:
-    """Signed area of the polygon with these sides from the origin, and
-    sum |corner| |side|, the scale of its rounding error."""
-    corners = np.concatenate(([0.0], np.cumsum(chords)[:-1]))
+def _shoelace(chords, errors) -> Tuple[float, float]:
+    """Signed area of the polygon with these sides from the origin, and a
+    bound on its error: each side's error times the size of the area's
+    derivative in that side, half the distance from the side's start to
+    the first corner plus half that from its end to the last, and
+    ROUNDING times sum |corner| |side| for the rounding."""
+    ends = np.cumsum(chords)
+    corners = np.concatenate(([0.0], ends[:-1]))
+    lever = 0.5 * (np.abs(corners) + np.abs(ends[-1] - ends))
     return (math.fsum(0.5 * (np.conj(corners) * chords).imag),
-            math.fsum(np.abs(corners) * np.abs(chords)))
+            math.fsum(lever * errors)
+            + ROUNDING * math.fsum(np.abs(corners) * np.abs(chords)))
 
 
 def area(m: PolyhedralMetric, cfg: QuadratureConfig = QuadratureConfig()) -> QuadResult:
     """Total area of the conical sphere, int_C C prod |z-z_k|^(2 b_k) dA."""
     zs = np.asarray(m.positions(), dtype=complex)
     bs = np.asarray(m.exponents(), dtype=float)
-    chords = [segment_integral(zs, bs, u, v, theta)
-              for u, v, theta in _tour(zs, _spanning_tree(zs))]
-    value, size = _shoelace(np.array([c.value for c in chords]))
-    coarse, _ = _shoelace(np.array([c.coarse for c in chords]))
-    result = QuadResult(m.scale * value,
-                        m.scale * float(abs(value - coarse) + ROUNDING * size),
-                        sum(c.panels for c in chords))
+    values, errors, panels = _chords(zs, bs, *_tour(zs, _spanning_tree(zs)))
+    value, error = _shoelace(values, errors)
+    result = QuadResult(m.scale * value, m.scale * error, int(panels.sum()))
     if not result.error_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(result.value)):
         raise ToleranceNotReached(
             f"area error estimate {result.error_estimate:.3e} exceeds "

@@ -64,8 +64,10 @@ Numerically the finite part is computed cutoff-free,
     FP = -a3/2 + int_0^1 (f - a3/th^3 - a1/th) dth + int_1^inf tail,
 
 with the regular part replaced by a frozen odd Taylor series below a
-switch radius ``series_radius`` (default 0.05), where the subtraction
-would cancel catastrophically; the series integrates in closed form,
+switch radius th0, where the subtraction would cancel catastrophically:
+th0 = ``series_radius`` (default 0.05) up to beta = 4 pi and
+series_radius * 4 pi/beta above, where the series would otherwise
+truncate at (beta th0/2 pi)^12.  The series integrates in closed form,
 sum_j c_j th0^(2j+2)/(2j+2).  [th0, 1] takes two Gauss-Legendre panels
 and the tail dyadic panels of width 1/rate, 2/rate, 4/rate, ... from 1,
 where e^(-rate th) is its fastest exponential.  Halving the switch radius
@@ -131,8 +133,8 @@ def _pair_rule(n: int):
     """The n- and 2n-node Gauss-Legendre nodes side by side, and the
     weights that turn values at them into (2n-node sum, its difference
     from the n-node sum, 2n-node sum of |values|)."""
-    x1, w1 = _rule(n, 0.0)
-    x2, w2 = _rule(2 * n, 0.0)
+    x1, w1 = _rule(n, 0.0)[:2]
+    x2, w2 = _rule(2 * n, 0.0)[:2]
     weights = np.zeros((3 * n, 2))
     weights[n:, 0] = weights[n:, 1] = w2
     weights[:n, 1] = -w1
@@ -445,6 +447,11 @@ def _finite_part(
             abs(regular[-1] * powers[-1]) + near.error_estimate + far.error_estimate)
 
 
+def _switch_radius(beta: float, series_radius: float) -> float:
+    """The series switch radius th0 at the angle beta (module docstring)."""
+    return series_radius * min(1.0, 4.0 * PI / beta)
+
+
 def hadamard_coth_over_sinh_sq(
     beta: float, series_radius: float = SERIES_RADIUS
 ) -> HadamardResult:
@@ -463,7 +470,7 @@ def hadamard_coth_over_sinh_sq(
     upper = max(3.0, 100.0 / beta)
     fp, err = _finite_part(f, f, upper, beta + TWO_PI,
                            4 / (Fraction(PI) * Fraction(beta) ** 2), a1, regular,
-                           series_radius)
+                           _switch_radius(beta, series_radius))
     return HadamardResult(
         finite_part=fp,
         subtracted_quadratic=a3 / 2.0,
@@ -494,7 +501,7 @@ def hadamard_coth_coth_over_theta(
     upper = max(3.0, 90.0 / min(beta, TWO_PI))
     fp, err = _finite_part(f, tail, upper, max(beta, TWO_PI),
                            2 / (Fraction(PI) * Fraction(beta)), a1, regular,
-                           series_radius)
+                           _switch_radius(beta, series_radius))
     return HadamardResult(
         finite_part=fp,
         subtracted_quadratic=a3 / 2.0,

@@ -188,6 +188,18 @@ def test_verify_hadamard_command(capsys):
     assert rows[0]["cutoff_halving_shift"]["coth_over_sinh_sq"] < 1e-8
 
 
+def test_verify_hadamard_shift_within_estimate(capsys):
+    # halving the switch radius moves the finite parts by rounding and
+    # truncation only, which the two runs' error estimates cover
+    betas = [math.pi * (0.15 + k * (4.0 - 0.15) / 11) for k in range(12)]
+    assert main(["verify", "hadamard", "--beta", *map(str, betas)]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert len(rows) == 12
+    for row in rows:
+        for name, shift in row["cutoff_halving_shift"].items():
+            assert shift <= row["cutoff_halving_estimate"][name], (row["beta"], name)
+
+
 def test_verify_cone_seeded_reproducible(capsys):
     assert main(["--seed", "7", "verify", "cone", "--pairs", "3", "--json"]) == 0
     first = capsys.readouterr().out

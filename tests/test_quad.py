@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydet import QuadratureConfig, area, make_metric, segment_integral
+from polydet import QuadratureConfig, area, make_metric, quad, segment_integral
 from polydet.errors import ToleranceNotReached
 
 PI = math.pi
@@ -142,6 +143,28 @@ def test_error_estimate_honesty():
         assert abs(res.value - triangle_area(C, zs, bs)) <= res.error_estimate
 
 
+def test_error_estimate_covers_exponent_near_minus_one():
+    # the triangle of test_triangle_exponent_near_minus_one in every vertex
+    # order: the order changes the tour and the rounding of the area
+    zs = [0.3 + 0.1j, -1.1 + 0.5j, 0.6 - 0.9j]
+    for b1 in (-0.99, -0.999, -0.9999):
+        bs = [b1, -0.5, -1.5 - b1]
+        for order in itertools.permutations(range(3)):
+            z, b = [zs[i] for i in order], [bs[i] for i in order]
+            res = area(make_metric(1.0, list(zip(z, b))))
+            assert abs(res.value - triangle_area(1.0, z, b)) <= res.error_estimate
+
+
+def test_error_estimate_covers_truncation(monkeypatch):
+    # with 6 nodes per panel the truncation error (about 1e-10) is far
+    # above the rounding floor: the coefficient tail must cover it
+    monkeypatch.setattr(quad, "NODES", 6)
+    loose = QuadratureConfig(rel_tol=1.0)
+    for C, zs, bs in _random_triangles(40, seed=13):
+        res = area(make_metric(C, list(zip(zs, bs))), loose)
+        assert abs(res.value - triangle_area(C, zs, bs)) <= res.error_estimate
+
+
 @st.composite
 def generic_metrics(draw):
     n = draw(st.integers(min_value=3, max_value=8))
@@ -178,7 +201,24 @@ def test_segment_integral_endpoint_singularities():
     exact = cmath.exp(1j * PI * b2) * math.exp(
         math.lgamma(1 + b1) + math.lgamma(1 + b2) - math.lgamma(2 + b1 + b2))
     assert abs(chord.value - exact) < 1e-14
-    assert abs(chord.value - chord.coarse) < 1e-14
+    assert chord.error < 1e-14
+
+
+def test_chords_same_bits_alone_or_together(monkeypatch):
+    # the area evaluates all chords of the tour together, in groups of
+    # BATCH values; every chord keeps the bits of segment_integral alone
+    verts = [(0.3 + 0.2j, -0.6), (0.3 + 0.2j + 1e-3 * cmath.exp(0.7j), -0.8),
+             (-0.5 + 0.6j, -0.3), (1.1 - 0.4j, 0.2), (-0.9 - 0.8j, -0.5)]
+    zs = np.array([z for z, _ in verts])
+    bs = np.array([b for _, b in verts])
+    steps = quad._tour(zs, quad._spanning_tree(zs))
+    for batch in (1, 10**9):
+        monkeypatch.setattr(quad, "BATCH", batch)
+        values, _, panels = quad._chords(zs, bs, *steps)
+        for i, (u, v, theta) in enumerate(zip(*steps[:3])):
+            chord = segment_integral(zs, bs, u, v, theta)
+            assert chord.value == values[i]
+            assert chord.panels == panels[i]
 
 
 def test_determinism(tetra):

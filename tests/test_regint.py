@@ -143,7 +143,8 @@ def _mp_finite_part(kind, beta):
         return float(-a3 / 2 + c1 * d * d / 2 + head + rest)
 
 
-@pytest.mark.parametrize("beta", [0.3 * PI, 0.7 * PI, PI, TWO_PI, 3.3 * PI, 4 * PI])
+@pytest.mark.parametrize("beta", [0.3 * PI, 0.7 * PI, PI, TWO_PI, 3.3 * PI, 4 * PI,
+                                  6 * PI, 8 * PI])
 def test_finite_parts_match_mpmath(beta):
     for fp in (hadamard_coth_over_sinh_sq, hadamard_coth_coth_over_theta):
         ref = _mp_finite_part(fp.__name__.removeprefix("hadamard_"), beta)
