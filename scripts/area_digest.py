@@ -1,11 +1,14 @@
 #!/usr/bin/env python3
-"""One SHA-256 digest over the det_corpus results of a range of seeds.
+"""Two SHA-256 digests over the det_corpus results of a range of seeds.
 
 For every item of ``bench/corpus.det_corpus(seed)`` it runs
-``detlap.log_det_as`` and feeds ``float.hex()`` of ``area`` and
-``log_det`` (or the exception's type name) into the digest.  Two
-checkouts that print the same digest give bit-identical areas and
-determinants on every item.  The inputs come from ``bench/corpus.py``
+``detlap.log_det_as`` and feeds ``float.hex()`` of ``area`` into one
+digest and of ``log_det`` into the other (a raising item feeds the
+exception's type name into both).  Two checkouts that print the same
+area digest give bit-identical areas on every item, and the same
+log-det digest bit-identical determinants, so a change that moves only
+the angle terms can show that its areas did not move.  The inputs come
+from ``bench/corpus.py``
 of the checkout named by ``--root``, loaded by path and only read; the
 program is imported from that checkout's ``src/``.
 
@@ -43,20 +46,22 @@ def main():
     sys.path.insert(0, str(args.root / "src"))
     from polydet import detlap, make_metric
 
-    digest = hashlib.sha256()
+    digests = {"area": hashlib.sha256(), "log_det": hashlib.sha256()}
     count = 0
     for seed in args.seeds:
         for item in corpus.det_corpus(seed):
             metric = item["metric"]
             try:
                 rep = detlap.log_det_as(make_metric(metric["C"], metric["verts"]))
-                line = f"{rep.area.hex()} {rep.log_det.hex()}"
-            except Exception as exc:     # a raising item is part of the digest too
-                line = type(exc).__name__
-            digest.update(f"{seed} {item['id']} {line}\n".encode())
+                lines = {name: getattr(rep, name).hex() for name in digests}
+            except Exception as exc:     # a raising item is part of the digests too
+                lines = dict.fromkeys(digests, type(exc).__name__)
+            for name, digest in digests.items():
+                digest.update(f"{seed} {item['id']} {lines[name]}\n".encode())
             count += 1
-    print(f"{digest.hexdigest()}  {count} items, seeds "
-          f"{args.seeds.start}-{args.seeds.stop - 1}")
+    seeds = f"seeds {args.seeds.start}-{args.seeds.stop - 1}"
+    for name, digest in digests.items():
+        print(f"{digest.hexdigest()}  {name}, {count} items, {seeds}")
 
 
 if __name__ == "__main__":

@@ -31,7 +31,7 @@ from .cone import ConePoint, heat_kernel_cone, heat_kernel_images, resolvent_con
 from .errors import InvalidMetricJSON, PolydetError, ToleranceNotReached
 from .metric import Angle, Position, Scale, load_metric, make_metric
 from .quad import QuadratureConfig, area
-from .regint import SERIES_RADIUS, hadamard_coth_coth_over_theta, hadamard_coth_over_sinh_sq, q_of_beta, q_of_beta_contour, q_tilde, q_tilde_prime
+from .regint import SPLIT_RADIUS, hadamard_coth_coth_over_theta, hadamard_coth_over_sinh_sq, q_of_beta, q_of_beta_contour, q_tilde, q_tilde_prime
 
 FD_PASS_TOL = 1e-5
 
@@ -255,7 +255,7 @@ def _cmd_verify_fd(args) -> int:
 
 
 def _cmd_verify_hadamard(args) -> int:
-    half = SERIES_RADIUS / 2.0
+    half = SPLIT_RADIUS / 2.0
     out = []
     for beta in args.beta:
         r1 = hadamard_coth_over_sinh_sq(beta)

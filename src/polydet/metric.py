@@ -161,7 +161,6 @@ VariationChannel = Union[Position, Angle, Scale]
 def make_metric(
     scale: float,
     verts: Sequence[Tuple[complex, float]],
-    repair_gauss_bonnet: bool = False,
 ) -> PolyhedralMetric:
     """Validate and build a PolyhedralMetric.
 
@@ -171,9 +170,6 @@ def make_metric(
     verts : sequence of (position, exponent) pairs, at least 3 entries,
         each exponent > -1, positions pairwise distinct, exponent sum
         within 1e-12 of -2.
-    repair_gauss_bonnet : when True, a small residual in the exponent sum
-        is absorbed into b_1 so the sum closes exactly (useful for JSON
-        inputs that carry rounding). Off by default.
     """
     if not scale > 0.0 or not math.isfinite(scale):
         raise NonpositiveScale(f"scale must be a positive finite real, got {scale}")
@@ -187,17 +183,9 @@ def make_metric(
         )
     bsum = math.fsum(b for _, b in verts)
     if abs(bsum + 2.0) > GAUSS_BONNET_TOL:
-        if repair_gauss_bonnet and abs(bsum + 2.0) < 1e-6:
-            z1, b1 = verts[0]
-            verts[0] = (z1, b1 - (bsum + 2.0))
-            if not verts[0][1] > -1.0:
-                raise InvalidExponent(
-                    "Gauss-Bonnet repair pushed b_1 out of the admissible range"
-                )
-        else:
-            raise GaussBonnetViolation(
-                f"exponents must sum to -2 (Gauss-Bonnet), got {bsum!r}"
-            )
+        raise GaussBonnetViolation(
+            f"exponents must sum to -2 (Gauss-Bonnet), got {bsum!r}"
+        )
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
             if verts[i][0] == verts[j][0]:
@@ -286,7 +274,7 @@ def metric_to_json_dict(m: PolyhedralMetric) -> dict:
     }
 
 
-def metric_from_json_dict(obj: dict, repair_gauss_bonnet: bool = False) -> PolyhedralMetric:
+def metric_from_json_dict(obj: dict) -> PolyhedralMetric:
     try:
         scale = float(obj["C"])
         verts = [
@@ -295,16 +283,16 @@ def metric_from_json_dict(obj: dict, repair_gauss_bonnet: bool = False) -> Polyh
         ]
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise InvalidMetricJSON(f"malformed metric JSON: {exc}") from exc
-    return make_metric(scale, verts, repair_gauss_bonnet=repair_gauss_bonnet)
+    return make_metric(scale, verts)
 
 
-def load_metric(path: str, repair_gauss_bonnet: bool = False) -> PolyhedralMetric:
+def load_metric(path: str) -> PolyhedralMetric:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
         except ValueError as exc:   # not JSON, or not UTF-8
             raise InvalidMetricJSON(f"{path} is not JSON: {exc}") from exc
-    return metric_from_json_dict(obj, repair_gauss_bonnet)
+    return metric_from_json_dict(obj)
 
 
 def dump_metric(m: PolyhedralMetric, path: str) -> None:

@@ -61,36 +61,43 @@ derivative this library exposes.
 
 Numerically the finite part is computed cutoff-free,
 
-    FP = -a3/2 + int_0^1 (f - a3/th^3 - a1/th) dth + int_1^inf tail,
+    FP = -a3/2 + int_0^1 (f - a3/th^3 - a1/th) dth + int_1^inf tail.
 
-with the regular part replaced by a frozen odd Taylor series below a
-switch radius th0, where the subtraction would cancel catastrophically:
-th0 = ``series_radius`` (default 0.05) up to beta = 4 pi and
-series_radius * 4 pi/beta above, where the series would otherwise
-truncate at (beta th0/2 pi)^12.  The series integrates in closed form,
-sum_j c_j th0^(2j+2)/(2j+2).  [th0, 1] takes two Gauss-Legendre panels
-and the tail dyadic panels of width 1/rate, 2/rate, 4/rate, ... from 1,
-where e^(-rate th) is its fastest exponential.  Halving the switch radius
-moves the result at the 1e-14 level, which is what the cutoff-stability
-tests pin down.
+Both integrands are real on the real axis and analytic in 0 < |th| < R =
+min(1, 2pi/beta), inside the poles of coth(pi th) at i Z and of the
+beta th/2 factor at 2 pi i Z/beta.  On [0, rho], where the subtraction
+would cancel catastrophically, the regular part is Cauchy's integral
+
+    (1/(2 pi i)) oint_{|z| = r} f(z) (-log(1 - rho/z)) dz,   rho < r < R:
+
+the kernel has only negative powers of z, so the principal part
+a3/z^3 + a1/z adds no residue and f enters unsubtracted.  rho = ``split``
+R (default SPLIT_RADIUS = 1/4), r = sqrt(rho R), and the trapezoid sum on
+CIRCLE_NODES = 64 points converges like (rho/R)^32 = 2^-64 (Trefethen
+and Weideman, SIAM Rev. 56, 2014); the lower half circle holds the
+conjugates of the upper, so 32 points are evaluated.  Its error estimate
+is that truncation times the size of the terms summed, plus a rounding
+floor; up to the default split the truncation lies below the floor.
+[rho, 1] takes the pointwise difference and the tail dyadic panels of
+width 1/rate, 2/rate, ... from 1, e^(-rate th) being its fastest
+exponential.  Halving ``split`` moves the result within the two runs'
+error estimates, which ``verify hadamard`` reports.
 
 Gauss-Legendre panels
 ---------------------
-``_gauss_panels`` is the one quadrature of this module: each panel is
-summed with n = 16 and 2n nodes (Golub-Welsch nodes from ``quad._rule``),
-every node of every panel in one call of the vectorized integrand.  The
-error estimate is sum |I_2n - I_n| plus a rounding floor from the size of
-the terms summed and of those that cancel inside the integrand; a panel
-is bisected while the estimate exceeds max(abs_tol, rel_tol |I|, floor),
-and past MAX_PANEL_SPLITS bisections ToleranceNotReached carries the
-partial result, so no integral fails to converge silently.
+``_gauss_panels`` is the one quadrature of this module: PANEL_NODES = 32
+Golub-Welsch nodes (``quad._rule``) per panel, every node of every panel
+in one call of the vectorized integrand, with the error estimate of
+``quad`` (the last two orthonormal coefficients of each panel) plus a
+rounding floor.  A panel is bisected while the estimate exceeds the
+tolerance, and past MAX_PANEL_SPLITS bisections ToleranceNotReached
+carries the partial result, so no integral fails to converge silently.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Tuple
 
@@ -106,7 +113,7 @@ __getattr__ = _quadpack_binding("quad", __name__)
 
 
 # --------------------------------------------------------------------------
-# overflow-safe hyperbolics (numpy arrays)
+# overflow-safe hyperbolics (real or complex numpy arrays)
 # --------------------------------------------------------------------------
 
 def _coth(x):
@@ -114,42 +121,30 @@ def _coth(x):
 
 
 def _csch2(x):
-    # 4 e^-2x has relative error below e^-40 past the switch
-    s = np.sinh(np.minimum(x, 20.0))
-    return np.where(x > 20.0, 4.0 * np.exp(-2.0 * x), 1.0 / (s * s))
+    # 4 e^-2x/(1 - e^-2x)^2: no overflow for real x > 0, and complex x too
+    return 4.0 * np.exp(-2.0 * x) / np.expm1(-2.0 * x) ** 2
 
 
 # --------------------------------------------------------------------------
 # Gauss-Legendre panels
 # --------------------------------------------------------------------------
 
-PANEL_NODES = 16        # per panel; the error estimate compares with 2 * PANEL_NODES
+PANEL_NODES = 32        # Gauss-Legendre nodes per panel
 MAX_PANEL_SPLITS = 64   # panel bisections per integral
 ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
-@lru_cache(maxsize=4)
-def _pair_rule(n: int):
-    """The n- and 2n-node Gauss-Legendre nodes side by side, and the
-    weights that turn values at them into (2n-node sum, its difference
-    from the n-node sum, 2n-node sum of |values|)."""
-    x1, w1 = _rule(n, 0.0)[:2]
-    x2, w2 = _rule(2 * n, 0.0)[:2]
-    weights = np.zeros((3 * n, 2))
-    weights[n:, 0] = weights[n:, 1] = w2
-    weights[:n, 1] = -w1
-    return np.concatenate((x1, x2)), weights, np.concatenate((np.zeros(n), w2))
-
-
-def _gauss_pair(f, lo: np.ndarray, hi: np.ndarray):
-    """Per panel [lo, hi]: the 2n-node value, |2n-node - n-node| and the
-    2n-node integral of |f|, from one call of ``f`` on every node."""
-    x, weights, fine_w = _pair_rule(PANEL_NODES)
+def _gauss_rule(f, lo: np.ndarray, hi: np.ndarray):
+    """Per panel [lo, hi]: the Gauss-Legendre value, the size of the last
+    two coefficients of f in the panel's orthonormal Legendre polynomials
+    (rows of ``quad._rule``) and the integral of |f|, from one call of
+    ``f`` on every node."""
+    x, w, *last = _rule(PANEL_NODES, 0.0)
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * x
     vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
-    sums = half[:, None] * (vals @ weights)
-    return sums[:, 0], np.abs(sums[:, 1]), half * (np.abs(vals) @ fine_w)
+    return (half * (vals @ w), half * np.abs(vals @ np.transpose(last)).sum(axis=1),
+            half * (np.abs(vals) @ w))
 
 
 def _gauss_panels(f, edges, abs_tol: float, rel_tol: float,
@@ -158,27 +153,27 @@ def _gauss_panels(f, edges, abs_tol: float, rel_tol: float,
     consecutive ``edges``; ``f`` maps an array of nodes to an array of
     real or complex values.
 
-    The error estimate is the sum over panels of |I_2n - I_n| plus a
-    rounding floor, ROUNDING times the size of the terms summed: the
-    integral of |f| plus ``cancel``, the integral of terms that cancel
-    inside f.  While the n-vs-2n part exceeds max(abs_tol, rel_tol |I|,
-    floor) every panel holding more than its share of that bound is
-    bisected; past MAX_PANEL_SPLITS bisections ToleranceNotReached carries
-    the partial result.  Returns the 2n-node value.
+    The error estimate is the sum over panels of the size of the last two
+    coefficients (as in ``quad``) plus a rounding floor, ROUNDING times the
+    size of the terms summed: the integral of |f| plus ``cancel``, the
+    integral of terms that cancel inside f.  While the coefficient part
+    exceeds max(abs_tol, rel_tol |I|, floor) every panel holding more than
+    its share of that bound is bisected; past MAX_PANEL_SPLITS bisections
+    ToleranceNotReached carries the partial result.
     """
     edges = np.asarray(edges, dtype=float)
     lo, hi = edges[:-1], edges[1:]
-    val, diff, size = _gauss_pair(f, lo, hi)
+    val, coef, size = _gauss_rule(f, lo, hi)
     splits = 0
     while True:
         value = val.sum().item()
         floor = ROUNDING * (size.sum().item() + cancel)
         bound = max(abs_tol, rel_tol * abs(value), floor)
-        err = diff.sum().item()
+        err = coef.sum().item()
         result = QuadResult(value, err + floor, len(lo))
         if err <= bound:
             return result
-        split = ~(diff <= bound / len(lo))   # a nan panel is split too
+        split = ~(coef <= bound / len(lo))   # a nan panel is split too
         splits += int(split.sum())
         if splits > MAX_PANEL_SPLITS:
             raise ToleranceNotReached(
@@ -187,12 +182,12 @@ def _gauss_panels(f, edges, abs_tol: float, rel_tol: float,
         mid = 0.5 * (lo[split] + hi[split])
         new_lo = np.concatenate((lo[split], mid))
         new_hi = np.concatenate((mid, hi[split]))
-        parts = _gauss_pair(f, new_lo, new_hi)
+        parts = _gauss_rule(f, new_lo, new_hi)
         keep = ~split
         lo = np.concatenate((lo[keep], new_lo))
         hi = np.concatenate((hi[keep], new_hi))
-        val, diff, size = (np.concatenate((old[keep], new))
-                           for old, new in zip((val, diff, size), parts))
+        val, coef, size = (np.concatenate((old[keep], new))
+                           for old, new in zip((val, coef, size), parts))
 
 
 # --------------------------------------------------------------------------
@@ -349,92 +344,45 @@ class HadamardResult:
     error_estimate: float
 
 
-SERIES_RADIUS = 0.05  # switch to the frozen Taylor series below this theta
+SPLIT_RADIUS = 0.25   # the circle sum covers [0, SPLIT_RADIUS * R]
+CIRCLE_NODES = 64     # trapezoid nodes on the circle; half are evaluated
 FP_ABS_TOL = 1e-14
 FP_REL_TOL = 1e-13
 
 
-def _coeffs_coth_csch2(beta: float) -> Tuple[float, float, Tuple[float, ...]]:
-    """Laurent data of coth(pi th)/sinh^2(beta th/2) at th=0.
-
-    Returns (a3, a1, regular odd coefficients for th^1..th^9).  The
-    integrand is odd, so even powers vanish identically.
-    """
-    b = beta
-    a3 = 4.0 / (PI * b * b)
-    a1 = -1.0 / (3.0 * PI) + 4.0 * PI / (3.0 * b * b)
-    c1 = b * b / (60.0 * PI) - PI / 9.0 - 4.0 * PI**3 / (45.0 * b * b)
-    c3 = (-b**4 / (1512.0 * PI) + PI * b * b / 180.0 + PI**3 / 135.0
-          + 8.0 * PI**5 / (945.0 * b * b))
-    c5 = (b**6 / (43200.0 * PI) - PI * b**4 / 4536.0 - PI**3 * b * b / 2700.0
-          - 2.0 * PI**5 / 2835.0 - 4.0 * PI**7 / (4725.0 * b * b))
-    c7 = (-b**8 / (1330560.0 * PI) + PI * b**6 / 129600.0
-          + PI**3 * b**4 / 68040.0 + PI**5 * b * b / 28350.0
-          + PI**7 / 14175.0 + 8.0 * PI**9 / (93555.0 * b * b))
-    c9 = (691.0 * b**10 / (29719872000.0 * PI) - PI * b**8 / 3991680.0
-          - PI**3 * b**6 / 1944000.0 - PI**5 * b**4 / 714420.0
-          - PI**7 * b * b / 283500.0 - 2.0 * PI**9 / 280665.0
-          - 5528.0 * PI**11 / (638512875.0 * b * b))
-    return a3, a1, (c1, c3, c5, c7, c9)
+def _coeffs_coth_csch2(b: float) -> Tuple[float, float]:
+    """Laurent coefficients (a3, a1) of coth(pi th)/sinh^2(b th/2) at 0."""
+    return 4.0 / (PI * b * b), -1.0 / (3.0 * PI) + 4.0 * PI / (3.0 * b * b)
 
 
-def _coeffs_coth_coth(beta: float) -> Tuple[float, float, Tuple[float, ...]]:
-    """Laurent data of coth(pi th) coth(beta th/2)/th at th=0."""
-    b = beta
-    a3 = 2.0 / (PI * b)
-    a1 = b / (6.0 * PI) + 2.0 * PI / (3.0 * b)
-    c1 = -b**3 / (360.0 * PI) + PI * b / 18.0 - 2.0 * PI**3 / (45.0 * b)
-    c3 = (b**5 / (15120.0 * PI) - PI * b**3 / 1080.0 - PI**3 * b / 270.0
-          + 4.0 * PI**5 / (945.0 * b))
-    c5 = (-b**7 / (604800.0 * PI) + PI * b**5 / 45360.0
-          + PI**3 * b**3 / 16200.0 + PI**5 * b / 2835.0
-          - 2.0 * PI**7 / (4725.0 * b))
-    c7 = (b**9 / (23950080.0 * PI) - PI * b**7 / 1814400.0
-          - PI**3 * b**5 / 680400.0 - PI**5 * b**3 / 170100.0
-          - PI**7 * b / 28350.0 + 4.0 * PI**9 / (93555.0 * b))
-    c9 = (-691.0 * b**11 / (653837184000.0 * PI) + PI * b**9 / 71850240.0
-          + PI**3 * b**7 / 27216000.0 + PI**5 * b**5 / 7144200.0
-          + PI**7 * b**3 / 1701000.0 + PI**9 * b / 280665.0
-          - 2764.0 * PI**11 / (638512875.0 * b))
-    return a3, a1, (c1, c3, c5, c7, c9)
+def _coeffs_coth_coth(b: float) -> Tuple[float, float]:
+    """Laurent coefficients (a3, a1) of coth(pi th) coth(b th/2)/th at 0."""
+    return 2.0 / (PI * b), b / (6.0 * PI) + 2.0 * PI / (3.0 * b)
 
 
-def _finite_part(
-    f: Callable,
-    tail: Callable,
-    tail_upper: float,
-    rate: float,
-    a3_exact: Fraction,
-    a1: float,
-    regular: Tuple[float, ...],
-    th0: float,
-) -> Tuple[float, float]:
-    """Cutoff-free finite part of int_0^inf f with f ~ a3/th^3 + a1/th.
-
-    ``tail`` must be the integrable continuation of f on [1, tail_upper]
-    (already including any subtraction needed at infinity), decaying on
-    the scale 1/``rate``; ``th0`` is the series switch radius.  Returns
-    (finite part, error estimate); the estimate includes the last series
-    term as the truncation error of the series.
-
-    ``a3_exact`` is a3 in terms of the double pi that f uses.  The result
-    depends on the a3 subtracted on [th0, 1] as -a3/(2 th0^2), so the
-    rounding of the float a3 would reach it 200-fold at th0 = 0.05; the
-    rounding is added back.
-    """
-    a3 = float(a3_exact)
-    powers = [th0 ** (2 * j + 2) / (2 * j + 2) for j in range(len(regular))]
-    head = math.fsum(c * p for c, p in zip(regular, powers))
+def _finite_part(f: Callable, tail: Callable, tail_upper: float, rate: float,
+                 a3: float, a1: float, beta: float, split: float) -> HadamardResult:
+    """Cutoff-free finite part of int_0^inf f with f ~ a3/th^3 + a1/th
+    (module docstring); ``f`` must take complex arrays.  ``tail`` is the
+    integrable continuation of f on [1, tail_upper] (with any subtraction
+    needed at infinity), decaying on the scale 1/``rate``."""
+    radius = min(1.0, TWO_PI / beta)
+    rho = split * radius
+    half = CIRCLE_NODES // 2
+    # the upper half of the circle; the lower holds the conjugate terms
+    z = math.sqrt(rho * radius) * np.exp(1j * PI * (np.arange(half) + 0.5) / half)
+    terms = f(z) * z * -np.log1p(-rho / z)
+    circle = terms.real.sum().item() / half
+    size = np.abs(terms).sum().item() / half
 
     def regular_part(t):
         return f(t) - a3 / t**3 - a1 / t
 
     # the integral of the subtracted counterterms, whose rounding the
     # difference inherits
-    cancel = 0.5 * a3 * (th0 ** -2 - 1.0) - abs(a1) * math.log(th0)
-    mid = math.sqrt(th0)
-    near = _gauss_panels(regular_part, [th0, mid, 1.0], FP_ABS_TOL, FP_REL_TOL,
-                         cancel)
+    cancel = 0.5 * a3 * (rho ** -2 - 1.0) - abs(a1) * math.log(rho)
+    near = _gauss_panels(regular_part, [rho, math.sqrt(rho), 1.0],
+                         FP_ABS_TOL, FP_REL_TOL, cancel)
     edges = [1.0]
     step = 1.0 / rate
     while edges[-1] + step < tail_upper:
@@ -442,19 +390,16 @@ def _finite_part(
         step *= 2.0
     edges.append(tail_upper)
     far = _gauss_panels(tail, edges, FP_ABS_TOL, FP_REL_TOL)
-    a3_rounding = float(Fraction(a3) - a3_exact) / (2.0 * th0 * th0)
-    return (math.fsum([-a3 / 2.0, head, near.value, far.value, a3_rounding]),
-            abs(regular[-1] * powers[-1]) + near.error_estimate + far.error_estimate)
+    return HadamardResult(
+        finite_part=math.fsum([-a3 / 2.0, circle, near.value, far.value]),
+        subtracted_quadratic=a3 / 2.0,
+        subtracted_log=-a1,
+        error_estimate=((ROUNDING + split ** half) * size
+                        + near.error_estimate + far.error_estimate),
+    )
 
 
-def _switch_radius(beta: float, series_radius: float) -> float:
-    """The series switch radius th0 at the angle beta (module docstring)."""
-    return series_radius * min(1.0, 4.0 * PI / beta)
-
-
-def hadamard_coth_over_sinh_sq(
-    beta: float, series_radius: float = SERIES_RADIUS
-) -> HadamardResult:
+def hadamard_coth_over_sinh_sq(beta: float, split: float = SPLIT_RADIUS) -> HadamardResult:
     """Finite part of int_0^inf coth(pi th)/sinh^2(beta th/2) dth.
 
     At beta = 2pi the value is exactly -1/(6 pi) (the integrand has the
@@ -462,26 +407,16 @@ def hadamard_coth_over_sinh_sq(
     tests pin down.  The log counterterm coefficient vanishes at beta = 2pi.
     """
     _check_angle(beta)
-    a3, a1, regular = _coeffs_coth_csch2(beta)
+    a3, a1 = _coeffs_coth_csch2(beta)
 
     def f(t):
         return _coth(PI * t) * _csch2(0.5 * beta * t)
 
     upper = max(3.0, 100.0 / beta)
-    fp, err = _finite_part(f, f, upper, beta + TWO_PI,
-                           4 / (Fraction(PI) * Fraction(beta) ** 2), a1, regular,
-                           _switch_radius(beta, series_radius))
-    return HadamardResult(
-        finite_part=fp,
-        subtracted_quadratic=a3 / 2.0,
-        subtracted_log=-a1,
-        error_estimate=err,
-    )
+    return _finite_part(f, f, upper, beta + TWO_PI, a3, a1, beta, split)
 
 
-def hadamard_coth_coth_over_theta(
-    beta: float, series_radius: float = SERIES_RADIUS
-) -> HadamardResult:
+def hadamard_coth_coth_over_theta(beta: float, split: float = SPLIT_RADIUS) -> HadamardResult:
     """Finite part of int_0^inf coth(pi th) coth(beta th/2) dth/th.
 
     Divergent at both ends; besides the theta -> 0 counterterms the 1/th
@@ -490,7 +425,7 @@ def hadamard_coth_coth_over_theta(
     exponential corrections are below 1e-18).
     """
     _check_angle(beta)
-    a3, a1, regular = _coeffs_coth_coth(beta)
+    a3, a1 = _coeffs_coth_coth(beta)
 
     def f(t):
         return _coth(PI * t) * _coth(0.5 * beta * t) / t
@@ -499,15 +434,7 @@ def hadamard_coth_coth_over_theta(
         return (_coth(PI * t) * _coth(0.5 * beta * t) - 1.0) / t
 
     upper = max(3.0, 90.0 / min(beta, TWO_PI))
-    fp, err = _finite_part(f, tail, upper, max(beta, TWO_PI),
-                           2 / (Fraction(PI) * Fraction(beta)), a1, regular,
-                           _switch_radius(beta, series_radius))
-    return HadamardResult(
-        finite_part=fp,
-        subtracted_quadratic=a3 / 2.0,
-        subtracted_log=-a1,
-        error_estimate=err,
-    )
+    return _finite_part(f, tail, upper, max(beta, TWO_PI), a3, a1, beta, split)
 
 
 # cached scalar access for the hot paths (angle gradients hit these a lot)

@@ -33,7 +33,7 @@ from polydet import (
 )
 from polydet.cone import a_mu_disk_integral
 from polydet.regint import (
-    SERIES_RADIUS,
+    SPLIT_RADIUS,
     hadamard_coth_coth_over_theta,
     hadamard_coth_over_sinh_sq,
 )
@@ -133,12 +133,12 @@ def test_acceptance_5_gradient_suite(corpus5):
 
 def test_acceptance_6_hadamard_stability():
     t0 = time.monotonic()
-    half = SERIES_RADIUS / 2
+    half = SPLIT_RADIUS / 2
     worst_shift = 0.0
     for beta in (PI / 2, PI, 1.5 * PI, TWO_PI, 3 * PI):
         for fp in (hadamard_coth_over_sinh_sq, hadamard_coth_coth_over_theta):
             worst_shift = max(worst_shift, abs(
-                fp(beta).finite_part - fp(beta, series_radius=half).finite_part))
+                fp(beta).finite_part - fp(beta, split=half).finite_part))
     worst_fd = 0.0
     for beta in (PI / 2, PI, 1.5 * PI, TWO_PI, 3 * PI):
         h = 1e-4 * beta

@@ -189,7 +189,7 @@ def test_verify_hadamard_command(capsys):
 
 
 def test_verify_hadamard_shift_within_estimate(capsys):
-    # halving the switch radius moves the finite parts by rounding and
+    # halving the split radius moves the finite parts by rounding and
     # truncation only, which the two runs' error estimates cover
     betas = [math.pi * (0.15 + k * (4.0 - 0.15) / 11) for k in range(12)]
     assert main(["verify", "hadamard", "--beta", *map(str, betas)]) == 0

@@ -14,7 +14,7 @@ from polydet import (
 from polydet import regint
 from polydet.errors import NonpositiveAngle, ToleranceNotReached
 from polydet.regint import (
-    SERIES_RADIUS,
+    SPLIT_RADIUS,
     _coeffs_coth_coth,
     _coeffs_coth_csch2,
     _coth,
@@ -68,12 +68,12 @@ def _fit_laurent(f):
 
 @pytest.mark.parametrize("beta", [0.8 * PI, PI, 1.7 * PI, 2.4 * PI])
 def test_counterterms_match_series_fit(beta):
-    a3, a1, _ = _coeffs_coth_csch2(beta)
+    a3, a1 = _coeffs_coth_csch2(beta)
     fa3, fa1 = _fit_laurent(lambda t: _coth(PI * t) * _csch2(beta * t / 2))
     assert fa3 == pytest.approx(a3, rel=1e-7)
     assert fa1 == pytest.approx(a1, rel=1e-4)
 
-    a3, a1, _ = _coeffs_coth_coth(beta)
+    a3, a1 = _coeffs_coth_coth(beta)
     fa3, fa1 = _fit_laurent(lambda t: _coth(PI * t) * _coth(beta * t / 2) / t)
     assert fa3 == pytest.approx(a3, rel=1e-7)
     assert fa1 == pytest.approx(a1, rel=1e-4)
@@ -94,10 +94,10 @@ def test_coth_over_sinh_sq_exact_at_two_pi():
 
 @pytest.mark.parametrize("beta", [PI / 2, PI, TWO_PI, 3 * PI])
 def test_finite_parts_stable_under_cutoff_halving(beta):
-    half = SERIES_RADIUS / 2
+    half = SPLIT_RADIUS / 2
     for fp in (hadamard_coth_over_sinh_sq, hadamard_coth_coth_over_theta):
         a = fp(beta).finite_part
-        b = fp(beta, series_radius=half).finite_part
+        b = fp(beta, split=half).finite_part
         assert abs(a - b) < 1e-8
 
 
@@ -110,11 +110,11 @@ def test_finite_part_continuity_in_beta():
 
 def _mp_finite_part(kind, beta):
     """The finite part from mpmath alone: -a3/2 + c1 d^2/2
-    + int_d^1 (f - a3/t^3 - a1/t) + int_1^inf tail, with d = 1e-4 and c1,
+    + int_d^1 (f - a3/t^3 - a1/t) + int_1^inf tail, with d = 1e-6 and c1,
     the first regular Taylor coefficient, read off the regular part at
-    t = 1e-10 with 50 digits (a3 and a1 from the expansions of coth and
-    csch^2)."""
-    with mpmath.workdps(50):
+    t = 1e-15 with 90 digits (a3 and a1 from the expansions of coth and
+    csch^2).  The truncated c3 d^4/4 is below 1e-20 up to beta = 20 pi."""
+    with mpmath.workdps(90):
         b, pi = mpmath.mpf(beta), mpmath.pi
         if kind == "coth_over_sinh_sq":
             a3, a1 = 4 / (pi * b * b), 4 * pi / (3 * b * b) - 1 / (3 * pi)
@@ -135,16 +135,18 @@ def _mp_finite_part(kind, beta):
         def reg(t):
             return f(t) - a3 / t**3 - a1 / t
 
-        tiny, d = mpmath.mpf("1e-10"), mpmath.mpf("1e-4")
+        tiny, d = mpmath.mpf("1e-15"), mpmath.mpf("1e-6")
         c1 = reg(tiny) / tiny
+        # the regular part cancels 24 digits at t = d
+        with mpmath.workdps(40):
+            head = mpmath.quad(reg, [d, 1e-4, 0.01, 0.1, 1])
         with mpmath.workdps(20):
-            head = mpmath.quad(reg, [d, 0.01, 0.1, 1])
             rest = mpmath.quad(tail, [1, 4, 16, mpmath.inf])
         return float(-a3 / 2 + c1 * d * d / 2 + head + rest)
 
 
-@pytest.mark.parametrize("beta", [0.3 * PI, 0.7 * PI, PI, TWO_PI, 3.3 * PI, 4 * PI,
-                                  6 * PI, 8 * PI])
+@pytest.mark.parametrize("beta", [0.1 * PI, 0.3 * PI, 0.7 * PI, PI, TWO_PI, 3.3 * PI,
+                                  4 * PI, 6 * PI, 8 * PI, 12 * PI, 20 * PI])
 def test_finite_parts_match_mpmath(beta):
     for fp in (hadamard_coth_over_sinh_sq, hadamard_coth_coth_over_theta):
         ref = _mp_finite_part(fp.__name__.removeprefix("hadamard_"), beta)
