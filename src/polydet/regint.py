@@ -121,7 +121,7 @@ def _coth(x):
 
 
 def _csch2(x):
-    # 4 e^-2x/(1 - e^-2x)^2: no overflow for real x > 0, and complex x too
+    # 4 e^-2x/(1 - e^-2x)^2: no overflow for real x > 0; takes complex x too
     return 4.0 * np.exp(-2.0 * x) / np.expm1(-2.0 * x) ** 2
 
 
@@ -139,12 +139,12 @@ def _gauss_rule(f, lo: np.ndarray, hi: np.ndarray):
     two coefficients of f in the panel's orthonormal Legendre polynomials
     (rows of ``quad._rule``) and the integral of |f|, from one call of
     ``f`` on every node."""
-    x, w, *last = _rule(PANEL_NODES, 0.0)
+    rule = _rule(PANEL_NODES, 0.0)
     half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * x
+    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * rule[0]
     vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
-    return (half * (vals @ w), half * np.abs(vals @ np.transpose(last)).sum(axis=1),
-            half * (np.abs(vals) @ w))
+    sums = half[:, None] * (vals @ rule[1:].T)
+    return sums[:, 0], np.abs(sums[:, 1:]).sum(axis=1), half * (np.abs(vals) @ rule[1])
 
 
 def _gauss_panels(f, edges, abs_tol: float, rel_tol: float,
@@ -360,6 +360,16 @@ def _coeffs_coth_coth(b: float) -> Tuple[float, float]:
     return 2.0 / (PI * b), b / (6.0 * PI) + 2.0 * PI / (3.0 * b)
 
 
+@lru_cache(maxsize=4)
+def _circle_rule(split: float):
+    """Nodes u of the upper unit half circle and weights w with which the
+    circle sum of the module docstring is r Re sum_j f(r u_j) w_j: on
+    |z| = r = sqrt(rho R), rho/z = sqrt(split) conj(u)."""
+    half = CIRCLE_NODES // 2
+    u = np.exp(1j * PI * (np.arange(half) + 0.5) / half)
+    return u, u * -np.log1p(-math.sqrt(split) * u.conj()) / half
+
+
 def _finite_part(f: Callable, tail: Callable, tail_upper: float, rate: float,
                  a3: float, a1: float, beta: float, split: float) -> HadamardResult:
     """Cutoff-free finite part of int_0^inf f with f ~ a3/th^3 + a1/th
@@ -368,12 +378,12 @@ def _finite_part(f: Callable, tail: Callable, tail_upper: float, rate: float,
     needed at infinity), decaying on the scale 1/``rate``."""
     radius = min(1.0, TWO_PI / beta)
     rho = split * radius
-    half = CIRCLE_NODES // 2
-    # the upper half of the circle; the lower holds the conjugate terms
-    z = math.sqrt(rho * radius) * np.exp(1j * PI * (np.arange(half) + 0.5) / half)
-    terms = f(z) * z * -np.log1p(-rho / z)
-    circle = terms.real.sum().item() / half
-    size = np.abs(terms).sum().item() / half
+    r = math.sqrt(split) * radius
+    u, w = _circle_rule(split)
+    # the lower half circle holds the conjugate terms
+    terms = f(r * u) * w
+    circle = r * terms.real.sum().item()
+    size = r * np.abs(terms).sum().item()
 
     def regular_part(t):
         return f(t) - a3 / t**3 - a1 / t
@@ -394,7 +404,7 @@ def _finite_part(f: Callable, tail: Callable, tail_upper: float, rate: float,
         finite_part=math.fsum([-a3 / 2.0, circle, near.value, far.value]),
         subtracted_quadratic=a3 / 2.0,
         subtracted_log=-a1,
-        error_estimate=((ROUNDING + split ** half) * size
+        error_estimate=((ROUNDING + split ** (CIRCLE_NODES // 2)) * size
                         + near.error_estimate + far.error_estimate),
     )
 
