@@ -158,10 +158,7 @@ VariationChannel = Union[Position, Angle, Scale]
 # construction
 # --------------------------------------------------------------------------
 
-def make_metric(
-    scale: float,
-    verts: Sequence[Tuple[complex, float]],
-) -> PolyhedralMetric:
+def make_metric(scale: float, verts: Sequence[Tuple[complex, float]]) -> PolyhedralMetric:
     """Validate and build a PolyhedralMetric.
 
     Parameters
@@ -183,9 +180,7 @@ def make_metric(
         )
     bsum = math.fsum(b for _, b in verts)
     if abs(bsum + 2.0) > GAUSS_BONNET_TOL:
-        raise GaussBonnetViolation(
-            f"exponents must sum to -2 (Gauss-Bonnet), got {bsum!r}"
-        )
+        raise GaussBonnetViolation(f"exponents must sum to -2 (Gauss-Bonnet), got {bsum!r}")
     for i in range(len(verts)):
         for j in range(i + 1, len(verts)):
             if verts[i][0] == verts[j][0]:

@@ -86,12 +86,10 @@ error estimates, which ``verify hadamard`` reports.
 Gauss-Legendre panels
 ---------------------
 ``_gauss_panels`` is the one quadrature of this module: PANEL_NODES = 32
-Golub-Welsch nodes (``quad._rule``) per panel, every node of every panel
-in one call of the vectorized integrand, with the error estimate of
-``quad`` (the last two orthonormal coefficients of each panel) plus a
-rounding floor.  A panel is bisected while the estimate exceeds the
-tolerance, and past MAX_PANEL_SPLITS bisections ToleranceNotReached
-carries the partial result, so no integral fails to converge silently.
+Golub-Welsch nodes (``quad._rule``) per panel, evaluated once, with the
+error estimate of ``quad``; past MAX_PANEL_SPLITS bisections
+ToleranceNotReached carries the partial result, so no integral fails to
+converge silently.
 """
 
 from __future__ import annotations
