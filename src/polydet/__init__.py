@@ -58,7 +58,7 @@ from .metric import (
     tetrahedron_metric,
     variation_field,
 )
-from .quad import QuadratureConfig, QuadResult, area, segment_integral
+from .quad import QuadResult, area, segment_integral
 from .regint import (
     HadamardResult,
     hadamard_coth_coth_over_theta,

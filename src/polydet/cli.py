@@ -9,9 +9,10 @@ Subcommands
     verify   tetra --points p.json | cone | fd --metric m.json | hadamard
 
 Exit codes: 0 success, 2 validation error (machine-readable JSON on
-stderr), 3 quadrature tolerance not reached.  ``verify fd`` exits 0 only
-when every channel matches to 1e-5 relative.  Floats are serialized as
-shortest round-trip decimals (17 significant digits in human output).
+stderr), 3 an error estimate above its fixed accuracy contract.
+``verify fd`` exits 0 only when every channel matches to 1e-5 relative.
+Floats are serialized as shortest round-trip decimals (17 significant
+digits in human output).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from . import detlap, elliptic, verify
 from .cone import ConePoint, heat_kernel_cone, heat_kernel_images, resolvent_cone, resolvent_images
 from .errors import InvalidMetricJSON, PolydetError, ToleranceNotReached
 from .metric import Angle, Position, Scale, load_metric, make_metric
-from .quad import QuadratureConfig, area
+from .quad import area
 from .regint import SPLIT_RADIUS, hadamard_coth_coth_over_theta, hadamard_coth_over_sinh_sq, q_of_beta, q_of_beta_contour, q_tilde, q_tilde_prime
 
 FD_PASS_TOL = 1e-5
@@ -113,20 +114,16 @@ def _emit_human(obj, indent: str = "") -> None:
 # subcommands
 # --------------------------------------------------------------------------
 
-def _quad_cfg(args) -> QuadratureConfig:
-    return QuadratureConfig(rel_tol=args.rel_tol, abs_tol=args.abs_tol)
-
-
 def _cmd_det(args) -> int:
     m = load_metric(args.metric)
-    report = detlap.log_det_as(m, _quad_cfg(args))
+    report = detlap.log_det_as(m)
     _emit(report, args)
     return 0
 
 
 def _cmd_area(args) -> int:
     m = load_metric(args.metric)
-    res = area(m, _quad_cfg(args))
+    res = area(m)
     _emit(res, args)
     return 0
 
@@ -135,9 +132,9 @@ def _parse_channel(text: str):
     if text == "C":
         return Scale()
     kind, _, idx = text.partition(":")
-    if kind == "z" and idx.isdigit():
+    if kind == "z" and idx.isdecimal():
         return Position(int(idx))
-    if kind == "beta" and idx.isdigit():
+    if kind == "beta" and idx.isdecimal():
         return Angle(int(idx))
     raise PolydetError(f"bad channel {text!r}; use z:i, beta:i or C")
 
@@ -161,7 +158,7 @@ def _cmd_grad(args) -> int:
 def _cmd_compare(args) -> int:
     m1 = load_metric(args.m1)
     m2 = load_metric(args.m2)
-    val = detlap.chs_compare_same_angles(m1, m2, _quad_cfg(args))
+    val = detlap.chs_compare_same_angles(m1, m2)
     _emit({"log_det_ratio": val}, args)
     return 0
 
@@ -189,7 +186,7 @@ def _cmd_verify_tetra(args) -> int:
     pts = _load_points(args.points)
     data = elliptic.periods(pts)
     m = make_metric(1.0, [(z, -0.5) for z in pts])
-    ar = area(m, _quad_cfg(args)).value
+    ar = area(m).value
     det_x = elliptic.det_tetrahedron(pts, area_x=ar)
     torus = elliptic.det_torus(data, ar)
     log_det = math.log(ar) + detlap.log_det_over_area(m)
@@ -288,11 +285,6 @@ def _cmd_verify_hadamard(args) -> int:
 # argument parsing
 # --------------------------------------------------------------------------
 
-def _add_quad_flags(p):
-    p.add_argument("--rel-tol", type=float, default=1e-9)
-    p.add_argument("--abs-tol", type=float, default=1e-12)
-
-
 def _add_output_flags(p):
     p.add_argument("--json", action="store_true", help="emit JSON")
     p.add_argument("--csv", action="store_true", help="emit RFC-4180 CSV")
@@ -309,13 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("det", help="determinant report for a metric")
     p.add_argument("--metric", required=True)
-    _add_quad_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_det)
 
     p = sub.add_parser("area", help="metric area")
     p.add_argument("--metric", required=True)
-    _add_quad_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_area)
 
@@ -329,7 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="same-angle determinant ratio")
     p.add_argument("--m1", required=True)
     p.add_argument("--m2", required=True)
-    _add_quad_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_compare)
 
@@ -339,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = vsub.add_parser("tetra", help="elliptic-curve identity chain")
     p.add_argument("--points", required=True,
                    help='JSON file {"points": [[re, im], ...]} with 4 points')
-    _add_quad_flags(p)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_verify_tetra)
 

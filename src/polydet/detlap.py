@@ -42,7 +42,7 @@ from typing import Tuple, Union
 
 from .errors import AngleMultisetMismatch, GaugeVertexVariation, ScaleMismatch
 from .metric import PolyhedralMetric
-from .quad import QuadratureConfig, QuadResult, area
+from .quad import QuadResult, area
 from .regint import _fp_coth_coth, q_tilde_prime
 
 PI = math.pi
@@ -164,11 +164,9 @@ def log_det_over_area(m: PolyhedralMetric) -> float:
     return math.fsum(parts)
 
 
-def log_det_as(
-    m: PolyhedralMetric, qcfg: QuadratureConfig = QuadratureConfig()
-) -> DetReport:
+def log_det_as(m: PolyhedralMetric) -> DetReport:
     """Full determinant report; the area comes from module ``quad``."""
-    ar: QuadResult = area(m, qcfg)
+    ar: QuadResult = area(m)
     w = w_function(m)
     f_terms = tuple(f_function(beta, m.scale) for beta in m.angles())
     ref = _reference_term()
@@ -202,6 +200,7 @@ def _reference_term() -> float:
 def grad_position(m: PolyhedralMetric, i: int) -> complex:
     """d log(det/A) / dz_i as a Wirtinger derivative (d/dx - i d/dy)/2;
     vertex index 1-based."""
+    m.check_index(i)
     zs = m.positions()
     bs = m.exponents()
     angles = m.angles()
@@ -244,6 +243,7 @@ def grad_angle(m: PolyhedralMetric, i: int) -> float:
     B_i - B_1."""
     if i == 1:
         raise GaugeVertexVariation("vertex 1 is the compensating gauge vertex")
+    m.check_index(i)
     return _b_term(m, i) - _b_term(m, 1)
 
 
@@ -261,11 +261,7 @@ def grad_scale(m: PolyhedralMetric) -> float:
 ANGLE_MATCH_TOL = 1e-12
 
 
-def chs_compare_same_angles(
-    m1: PolyhedralMetric,
-    m2: PolyhedralMetric,
-    qcfg: QuadratureConfig = QuadratureConfig(),
-) -> float:
+def chs_compare_same_angles(m1: PolyhedralMetric, m2: PolyhedralMetric) -> float:
     """log(det' m1 / det' m2) for metrics with equal exponent multisets:
 
         log(Area_1/Area_2) + W(m1) - W(m2)
@@ -286,8 +282,8 @@ def chs_compare_same_angles(
         raise ScaleMismatch(
             "same-angle comparison requires equal overall scales"
         )
-    a1 = area(m1, qcfg)
-    a2 = area(m2, qcfg)
+    a1 = area(m1)
+    a2 = area(m2)
     return math.fsum([
         math.log(a1.value) - math.log(a2.value),
         w_function(m1) - w_function(m2),

@@ -40,7 +40,7 @@ from typing import Optional, Sequence, Tuple
 
 from .errors import DegenerateQuartic
 from .metric import make_metric
-from .quad import QuadratureConfig, area, segment_integral
+from .quad import area, segment_integral
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -229,7 +229,6 @@ def eta_distance_identity(points: Sequence[complex], data: EllipticData) -> floa
 # --------------------------------------------------------------------------
 
 def det_tetrahedron(points: Sequence[complex],
-                    qcfg: QuadratureConfig = QuadratureConfig(),
                     area_x: Optional[float] = None) -> float:
     """det' of the Laplacian for the metric prod |z - z_k|^-1 |dz|^2:
 
@@ -241,7 +240,7 @@ def det_tetrahedron(points: Sequence[complex],
     if len(pts) != 4:
         raise DegenerateQuartic(f"need exactly 4 points, got {len(pts)}")
     if area_x is None:
-        area_x = area(make_metric(1.0, [(z, -0.5) for z in pts]), qcfg).value
+        area_x = area(make_metric(1.0, [(z, -0.5) for z in pts])).value
     prod = 1.0
     for i in range(4):
         for j in range(i + 1, 4):

@@ -50,9 +50,9 @@ class InvalidMetricJSON(PolydetError):
 
 class ToleranceNotReached(PolydetError):
     """A quadrature's error estimate stayed above its tolerance: the area
-    (``quad.area``) against the caller's tolerances, or a Gauss-Legendre
-    panel integral of ``regint`` (finite parts, cotangent contour) after
-    its budget of panel bisections.  The CLI exits 3.
+    (``quad.area``) above max(quad.ABS_TOL, quad.REL_TOL * area), or a
+    Gauss-Legendre panel integral of ``regint`` (finite parts, cotangent
+    contour) after its budget of panel bisections.  The CLI exits 3.
 
     ``partial`` carries the result so far as a ``quad.QuadResult``.
     """

@@ -43,6 +43,7 @@ from .errors import (
     InvalidExponent,
     InvalidMetricJSON,
     NonpositiveScale,
+    PolydetError,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -92,6 +93,12 @@ class PolyhedralMetric:
 
     def angles(self) -> Tuple[float, ...]:
         return tuple(v.angle for v in self.vertices)
+
+    def check_index(self, i: int) -> None:
+        """Raise PolydetError unless ``i`` is a 1-based vertex index."""
+        if not 1 <= i <= len(self.vertices):
+            raise PolydetError(
+                f"vertex index {i} out of range 1..{len(self.vertices)}")
 
     def min_pairwise_distance(self) -> float:
         zs = self.positions()
@@ -237,6 +244,7 @@ def variation_field(
     if isinstance(channel, Scale):
         return -1.0 / m.scale
     if isinstance(channel, Position):
+        m.check_index(channel.i)
         z_i = m.vertices[channel.i - 1].position
         if z == z_i:
             raise EvaluationAtVertex(f"z coincides with vertex {channel.i}")
@@ -246,6 +254,7 @@ def variation_field(
             raise GaugeVertexVariation(
                 "vertex 1 is the gauge vertex; vary an i != 1 angle instead"
             )
+        m.check_index(channel.i)
         z_1 = m.vertices[0].position
         z_i = m.vertices[channel.i - 1].position
         if z == z_i or z == z_1:

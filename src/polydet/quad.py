@@ -34,10 +34,11 @@ Every panel is evaluated once, with NODES nodes.  Its error estimate is
 the size of the last two coefficients of its integrand in the orthonormal
 polynomials of its rule, read off the same node values through rows of
 the Golub-Welsch eigenvectors (``_rule``).  The chords' estimates are
-carried through the chord polygon to first order, a rounding floor is
-added, and the contract error_estimate <= max(abs_tol, rel_tol * value)
-raises ToleranceNotReached with the partial result.  Everything is
-evaluated in a fixed order, so results are bit-identical between runs.
+carried through the chord polygon to first order and a rounding floor is
+added.  The work is fixed, so the one accuracy contract, error_estimate <=
+max(ABS_TOL, REL_TOL * value), decides only whether ``area`` raises
+ToleranceNotReached (with the partial result).  Everything is evaluated
+in a fixed order, so results are bit-identical between runs.
 """
 
 from __future__ import annotations
@@ -62,16 +63,9 @@ MAX_SPLITS = 60
 # rounding floor of the area estimate, per unit of sum |corner| |side| of
 # the chord polygon (true errors reach about 3 eps per unit for b -> -1)
 ROUNDING = 16.0 * np.finfo(float).eps
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0 and self.abs_tol > 0):
-            raise ValueError("tolerances must be positive")
+# the area's accuracy contract: error_estimate <= max(ABS_TOL, REL_TOL * area)
+REL_TOL = 1e-9
+ABS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -351,15 +345,15 @@ def _shoelace(chords, errors) -> Tuple[float, float]:
             + ROUNDING * math.fsum(np.abs(corners) * np.abs(chords)))
 
 
-def area(m: PolyhedralMetric, cfg: QuadratureConfig = QuadratureConfig()) -> QuadResult:
+def area(m: PolyhedralMetric) -> QuadResult:
     """Total area of the conical sphere, int_C C prod |z-z_k|^(2 b_k) dA."""
     zs = np.asarray(m.positions(), dtype=complex)
     bs = np.asarray(m.exponents(), dtype=float)
     values, errors, panels = _chords(zs, bs, *_tour(zs, _spanning_tree(zs)))
     value, error = _shoelace(values, errors)
     result = QuadResult(m.scale * value, m.scale * error, int(panels.sum()))
-    if not result.error_estimate <= max(cfg.abs_tol, cfg.rel_tol * abs(result.value)):
+    if not result.error_estimate <= max(ABS_TOL, REL_TOL * abs(result.value)):
         raise ToleranceNotReached(
             f"area error estimate {result.error_estimate:.3e} exceeds "
-            f"max(abs_tol, rel_tol * |value|)", partial=result)
+            f"max(ABS_TOL, REL_TOL * |value|)", partial=result)
     return result

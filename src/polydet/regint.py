@@ -78,6 +78,8 @@ and Weideman, SIAM Rev. 56, 2014); the lower half circle holds the
 conjugates of the upper, so 32 points are evaluated.  Its error estimate
 is that truncation times the size of the terms summed, plus a rounding
 floor; up to the default split the truncation lies below the floor.
+Above it the truncation outgrows that estimate (105-fold at split =
+0.4), so a split outside (0, SPLIT_RADIUS] raises ValueError.
 [rho, 1] takes the pointwise difference and the tail dyadic panels of
 width 1/rate, 2/rate, ... from 1, e^(-rate th) being its fastest
 exponential.  Halving ``split`` moves the result within the two runs'
@@ -374,6 +376,8 @@ def _finite_part(f: Callable, tail: Callable, tail_upper: float, rate: float,
     (module docstring); ``f`` must take complex arrays.  ``tail`` is the
     integrable continuation of f on [1, tail_upper] (with any subtraction
     needed at infinity), decaying on the scale 1/``rate``."""
+    if not 0.0 < split <= SPLIT_RADIUS:
+        raise ValueError(f"need 0 < split <= {SPLIT_RADIUS}, got {split}")
     radius = min(1.0, TWO_PI / beta)
     rho = split * radius
     r = math.sqrt(split) * radius

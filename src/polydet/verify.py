@@ -9,11 +9,12 @@ closed-form counterpart:
     Angle(i!=1)  vs  grad_angle      (b_i and b_1 perturbed by -+h/2pi)
     Scale        vs  grad_scale
 
-Step sizes are scaled to the perturbed quantity: h = step * min-vertex-gap
-for positions (the cap keeps near-degenerate pairs inside the quadratic
-accuracy regime), h = step * beta_i for angles, h = step * C for the
-scale.  The optional Richardson switch combines D(h) and D(h/2) into the
-fourth-order extrapolation (4 D(h/2) - D(h))/3.
+The relative step is fixed, STEP = 1e-4, and scaled to the perturbed
+quantity: h = STEP * min-vertex-gap for positions (so near-degenerate
+pairs stay inside the quadratic accuracy regime), h = STEP * min(beta_i,
+beta_1) for angles, h = STEP * C for the scale (which therefore stays
+positive).  The optional Richardson switch combines D(h) and D(h/2) into
+the fourth-order extrapolation (4 D(h/2) - D(h))/3.
 """
 
 from __future__ import annotations
@@ -34,15 +35,12 @@ from .metric import Angle, PolyhedralMetric, Position, Scale, VariationChannel
 
 TWO_PI = 2.0 * math.pi
 
+STEP = 1e-4   # relative finite-difference step
+
 
 @dataclass(frozen=True)
 class FDConfig:
-    step: float = 1e-4
     richardson: bool = False
-
-    def __post_init__(self):
-        if not self.step > 0.0:
-            raise ValueError("step must be positive")
 
 
 def _central(f: Callable[[float], float], h: float) -> float:
@@ -66,18 +64,16 @@ def fd_gradient(
     L = log_det_over_area
 
     if isinstance(channel, Scale):
-        h = fdcfg.step * m.scale
-        if m.scale - h <= 0.0:
-            raise PerturbationLeavesDomain("scale step crosses zero")
+        h = STEP * m.scale
         return _derivative(
             lambda e: L(m.with_scale(m.scale + e)), h, fdcfg.richardson
         )
 
     if isinstance(channel, Position):
         i = channel.i
+        m.check_index(i)
         z0 = m.vertices[i - 1].position
-        dmin = m.min_pairwise_distance()
-        h = fdcfg.step * min(abs(z0) + dmin, dmin)
+        h = STEP * m.min_pairwise_distance()
         dx = _derivative(
             lambda e: L(m.with_position(i, z0 + e)), h, fdcfg.richardson
         )
@@ -90,9 +86,10 @@ def fd_gradient(
         i = channel.i
         if i == 1:
             raise GaugeVertexVariation("vertex 1 is the gauge vertex")
+        m.check_index(i)
         # the compensating vertex moves too, so the stiffer (smaller) of
         # the two angles sets the step scale
-        h = fdcfg.step * min(m.vertices[i - 1].angle, m.vertices[0].angle)
+        h = STEP * min(m.vertices[i - 1].angle, m.vertices[0].angle)
         db = h / TWO_PI
         margin = 1e-12
         b_i = m.vertices[i - 1].exponent

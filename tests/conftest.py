@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from polydet import QuadratureConfig, make_metric, tetrahedron_metric
+from polydet import make_metric, tetrahedron_metric
 
 PI = math.pi
 
@@ -34,14 +34,4 @@ def near_degenerate():
         (-1.0 + 0.4j, -0.6),
         (-0.3 - 1.2j, -0.4),
     ])
-
-
-@pytest.fixture(scope="session")
-def quad_cfg():
-    return QuadratureConfig()
-
-
-@pytest.fixture(scope="session")
-def quad_cfg_fast():
-    return QuadratureConfig(rel_tol=1e-7, abs_tol=1e-10)
 

@@ -11,7 +11,6 @@ import pytest
 from polydet import (
     ConePoint,
     FDConfig,
-    QuadratureConfig,
     area,
     chs_compare_same_angles,
     det_tetrahedron,
@@ -102,13 +101,12 @@ GENERIC_QUARTICS = [
 
 def test_acceptance_4_tetrahedron_end_to_end():
     t0 = time.monotonic()
-    qcfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12)
     worst_as = 0.0
     worst_sq = 0.0
     for pts in [[1, -1, 1j, -1j]] + GENERIC_QUARTICS:
         m = make_metric(1.0, [(z, -0.5) for z in pts])
-        rep = log_det_as(m, qcfg)
-        dt = det_tetrahedron(pts, qcfg)
+        rep = log_det_as(m)
+        dt = det_tetrahedron(pts)
         worst_as = max(worst_as, abs(math.exp(rep.log_det) - dt) / dt)
         torus = det_torus(periods(pts), rep.area)
         worst_sq = max(worst_sq, abs(torus - dt * dt) / (dt * dt))
@@ -152,7 +150,6 @@ def test_acceptance_6_hadamard_stability():
 
 def test_acceptance_7_chs_cross_check():
     t0 = time.monotonic()
-    qcfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12)
     pairs = []
     # scaled tetrahedron pair
     pairs.append((
@@ -168,8 +165,8 @@ def test_acceptance_7_chs_cross_check():
                   make_metric(1.0, list(zip(p2, bs)))))
     worst = 0.0
     for m1, m2 in pairs:
-        chs = chs_compare_same_angles(m1, m2, qcfg)
-        diff = log_det_as(m1, qcfg).log_det - log_det_as(m2, qcfg).log_det
+        chs = chs_compare_same_angles(m1, m2)
+        diff = log_det_as(m1).log_det - log_det_as(m2).log_det
         worst = max(worst, abs(chs - diff) / max(abs(chs), 1.0))
     _verdict(7, worst <= 1e-5, f"max rel deviation {worst:.2e}", t0, 120)
 

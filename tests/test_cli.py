@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import polydet
-from polydet import dump_metric, make_metric, regint, tetrahedron_metric
+from polydet import dump_metric, make_metric, quad, regint, tetrahedron_metric
 from polydet.cli import main
 
 
@@ -32,8 +32,7 @@ def bad_path(tmp_path_factory):
 
 
 def test_det_happy_path(tetra_path, capsys):
-    code = main(["det", "--metric", tetra_path, "--json",
-                 "--rel-tol", "1e-7", "--abs-tol", "1e-10"])
+    code = main(["det", "--metric", tetra_path, "--json"])
     out = capsys.readouterr().out
     assert code == 0
     rep = json.loads(out)
@@ -55,8 +54,7 @@ def test_det_loads_no_scipy(tetra_path):
 
 
 def test_det_report_json_round_trip(tetra_path, capsys):
-    main(["det", "--metric", tetra_path, "--json",
-          "--rel-tol", "1e-7", "--abs-tol", "1e-10"])
+    main(["det", "--metric", tetra_path, "--json"])
     out = capsys.readouterr().out
     rep = json.loads(out)
     assert json.loads(json.dumps(rep)) == rep  # floats survive bit-exactly
@@ -96,10 +94,11 @@ def test_malformed_input_file_is_validation_error(command, text, tmp_path, capsy
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidMetricJSON"
 
 
-def test_tolerance_not_reached_exit_code(tetra_path, capsys):
+def test_tolerance_not_reached_exit_code(tetra_path, monkeypatch, capsys):
     # below the rounding floor of the area's error estimate
-    code = main(["det", "--metric", tetra_path,
-                 "--rel-tol", "1e-17", "--abs-tol", "1e-300"])
+    monkeypatch.setattr(quad, "REL_TOL", 1e-17)
+    monkeypatch.setattr(quad, "ABS_TOL", 1e-300)
+    code = main(["det", "--metric", tetra_path])
     captured = capsys.readouterr()
     assert code == 3
     assert json.loads(captured.err)["error"] == "ToleranceNotReached"
@@ -117,8 +116,7 @@ def test_finite_part_split_budget_exit_code(tetra_path, monkeypatch, capsys):
 
 
 def test_area_csv_output(tetra_path, capsys):
-    code = main(["area", "--metric", tetra_path, "--csv",
-                 "--rel-tol", "1e-7", "--abs-tol", "1e-10"])
+    code = main(["area", "--metric", tetra_path, "--csv"])
     out = capsys.readouterr().out
     assert code == 0
     rows = list(csv.DictReader(io.StringIO(out)))
@@ -140,12 +138,28 @@ def test_grad_bad_channel(tetra_path, capsys):
     assert code == 2
 
 
+def test_grad_channel_superscript_digit(tetra_path, capsys):
+    # "²" is a digit to str.isdigit but not a decimal int() can read
+    code = main(["grad", "--metric", tetra_path, "--channel", "z:\u00b2"])
+    assert code == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "PolydetError"
+
+
+@pytest.mark.parametrize("channel", ["z:0", "beta:0", "z:5", "beta:5"])
+def test_grad_vertex_index_out_of_range(tetra_path, channel, capsys):
+    # the tetrahedron has vertices 1..4
+    code = main(["grad", "--metric", tetra_path, "--channel", channel])
+    assert code == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PolydetError"
+    assert "out of range" in err["message"]
+
+
 def test_compare_command(tetra_path, tmp_path, capsys):
     scaled = tmp_path / "scaled.json"
     dump_metric(make_metric(1.0, [(2, -0.5), (-2, -0.5), (2j, -0.5), (-2j, -0.5)]),
                 str(scaled))
-    code = main(["compare", "--m1", str(scaled), "--m2", tetra_path, "--json",
-                 "--rel-tol", "1e-8", "--abs-tol", "1e-11"])
+    code = main(["compare", "--m1", str(scaled), "--m2", tetra_path, "--json"])
     out = capsys.readouterr().out
     assert code == 0
     assert json.loads(out)["log_det_ratio"] == pytest.approx(-math.log(2), abs=1e-7)
@@ -215,8 +229,7 @@ def test_verify_tetra_command(tmp_path, capsys):
     pts = tmp_path / "points.json"
     with open(pts, "w") as fh:
         json.dump({"points": [[1, 0], [-1, 0], [0, 1], [0, -1]]}, fh)
-    code = main(["verify", "tetra", "--points", str(pts), "--json",
-                 "--rel-tol", "1e-8", "--abs-tol", "1e-11"])
+    code = main(["verify", "tetra", "--points", str(pts), "--json"])
     out = capsys.readouterr().out
     assert code == 0
     rep = json.loads(out)

@@ -76,8 +76,8 @@ def test_f_angle_derivative_identity(beta, scale):
 
 # ---- assembly ----
 
-def test_det_report_assembly_identity(tetra, quad_cfg_fast):
-    r = log_det_as(tetra, quad_cfg_fast)
+def test_det_report_assembly_identity(tetra):
+    r = log_det_as(tetra)
     resum = math.fsum([math.log(r.area), r.prefactor, r.w_term,
                        *r.f_terms, -r.reference_term])
     assert resum == r.log_det  # bit-exact by fixed summation order
@@ -94,11 +94,11 @@ def test_log_det_over_area_translation_invariance(corpus5):
         log_det_over_area(corpus5), abs=1e-12)
 
 
-def test_scale_doubling_matches_closed_form(tetra, quad_cfg_fast):
+def test_scale_doubling_matches_closed_form(tetra):
     # Delta log det = log 2 (area) - (1/3) log 2 (prefactor)
     #                 + sum_j int_C^2C dF/dC
-    r1 = log_det_as(tetra, quad_cfg_fast)
-    r2 = log_det_as(tetra.with_scale(2.0), quad_cfg_fast)
+    r1 = log_det_as(tetra)
+    r2 = log_det_as(tetra.with_scale(2.0))
     df = math.fsum((2 - b / TWO_PI - TWO_PI / b) / 12 * math.log(2.0)
                    for b in tetra.angles())
     expect = math.log(2.0) - math.log(2.0) / 3 + df
@@ -162,8 +162,8 @@ def test_grad_scale_algebraic_identity(corpus5):
 
 # ---- same-angle comparison ----
 
-def test_chs_identity_on_equal_metrics(tetra, quad_cfg_fast):
-    assert chs_compare_same_angles(tetra, tetra, quad_cfg_fast) == pytest.approx(
+def test_chs_identity_on_equal_metrics(tetra):
+    assert chs_compare_same_angles(tetra, tetra) == pytest.approx(
         0.0, abs=1e-12)
 
 
@@ -177,34 +177,33 @@ def test_chs_rejects_mismatched_scales(tetra):
         chs_compare_same_angles(tetra, tetra.with_scale(2.0))
 
 
-def test_chs_vertex_order_invariance(quad_cfg_fast):
+def test_chs_vertex_order_invariance():
     verts = [(1.1, -0.7), (-0.9 + 0.2j, -0.6), (0.3j, -0.5), (-0.5 - 0.8j, -0.2)]
     m1 = make_metric(1.0, verts)
     m2 = make_metric(1.0, list(reversed(verts)))
     ref = make_metric(1.0, [(2.0 * z, b) for z, b in verts])
-    a = chs_compare_same_angles(ref, m1, quad_cfg_fast)
-    b = chs_compare_same_angles(ref, m2, quad_cfg_fast)
+    a = chs_compare_same_angles(ref, m1)
+    b = chs_compare_same_angles(ref, m2)
     assert a == pytest.approx(b, abs=1e-10)
 
 
-def test_chs_cocycle(quad_cfg_fast):
+def test_chs_cocycle():
     verts = [(1.0, -0.7), (-1.0, -0.6), (1j, -0.5), (-1j, -0.2)]
     m1 = make_metric(1.0, verts)
     m2 = make_metric(1.0, [(1.4 * z, b) for z, b in verts])
     m3 = make_metric(1.0, [(z + 0.3 - 0.2j, b) for z, b in verts])
-    ab = chs_compare_same_angles(m1, m2, quad_cfg_fast)
-    bc = chs_compare_same_angles(m2, m3, quad_cfg_fast)
-    ac = chs_compare_same_angles(m1, m3, quad_cfg_fast)
+    ab = chs_compare_same_angles(m1, m2)
+    bc = chs_compare_same_angles(m2, m3)
+    ac = chs_compare_same_angles(m1, m3)
     assert ab + bc == pytest.approx(ac, abs=1e-9)
 
 
-def test_chs_equals_log_det_difference(quad_cfg_fast):
+def test_chs_equals_log_det_difference():
     verts = [(1.0, -0.7), (-1.0, -0.6), (1j, -0.5), (-1j, -0.2)]
     m1 = make_metric(1.0, [(1.5 * z - 0.2, b) for z, b in verts])
     m2 = make_metric(1.0, verts)
-    chs = chs_compare_same_angles(m1, m2, quad_cfg_fast)
-    diff = (log_det_as(m1, quad_cfg_fast).log_det
-            - log_det_as(m2, quad_cfg_fast).log_det)
+    chs = chs_compare_same_angles(m1, m2)
+    diff = log_det_as(m1).log_det - log_det_as(m2).log_det
     assert chs == pytest.approx(diff, rel=1e-7)
 
 

@@ -140,32 +140,31 @@ def test_eta_distance_scale_covariance():
 
 # ---- the determinant ----
 
-def test_det_tetrahedron_squared_relation(quad_cfg_fast):
+def test_det_tetrahedron_squared_relation():
     # Area(E) Im tau |eta|^4 = det'^2 with Area(E) = 2 Area(X)
     data = periods(LEMNISCATIC)
     m = make_metric(1.0, [(z, -0.5) for z in LEMNISCATIC])
-    ax = area(m, quad_cfg_fast).value
-    dt = det_tetrahedron(LEMNISCATIC, quad_cfg_fast)
+    ax = area(m).value
+    dt = det_tetrahedron(LEMNISCATIC)
     assert det_torus(data, ax) == pytest.approx(dt * dt, rel=1e-7)
 
 
-def test_area_triple_consistency(quad_cfg_fast):
+def test_area_triple_consistency():
     # |Im(A conj B)| = Area(E) = 2 Area(X): three routes to one number
     pts = [0.3 + 0.1j, -1.2 + 0.4j, 0.8 - 1.0j, -0.1 + 1.3j]
     data = periods(pts)
     m = make_metric(1.0, [(z, -0.5) for z in pts])
-    ax = area(m, quad_cfg_fast).value
+    ax = area(m).value
     lattice_area = abs((data.period_a * data.period_b.conjugate()).imag)
     assert lattice_area == pytest.approx(2 * ax, rel=1e-7)
 
 
-def test_det_ratio_matches_chs(quad_cfg_fast):
+def test_det_ratio_matches_chs():
     from polydet import chs_compare_same_angles
 
     pts1 = [2, -2, 2j, -2j]
     m1 = make_metric(1.0, [(z, -0.5) for z in pts1])
     m2 = make_metric(1.0, [(z, -0.5) for z in LEMNISCATIC])
-    ratio = det_tetrahedron(pts1, quad_cfg_fast) / det_tetrahedron(
-        LEMNISCATIC, quad_cfg_fast)
-    chs = chs_compare_same_angles(m1, m2, quad_cfg_fast)
+    ratio = det_tetrahedron(pts1) / det_tetrahedron(LEMNISCATIC)
+    chs = chs_compare_same_angles(m1, m2)
     assert math.log(ratio) == pytest.approx(chs, abs=1e-9)

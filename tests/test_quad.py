@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydet import QuadratureConfig, area, make_metric, quad, segment_integral
+from polydet import area, make_metric, quad, segment_integral
 from polydet.errors import ToleranceNotReached
 
 PI = math.pi
@@ -47,8 +47,8 @@ def _random_triangles(n, lo=-0.995, seed=11):
     return out
 
 
-def test_tetrahedron_area_closed_form(tetra, quad_cfg):
-    res = area(tetra, quad_cfg)
+def test_tetrahedron_area_closed_form(tetra):
+    res = area(tetra)
     assert res.value == pytest.approx(LEMNISCATIC_AREA, rel=1e-13)
     assert res.error_estimate >= 0
     assert res.cell_count > 0
@@ -158,10 +158,11 @@ def test_error_estimate_covers_exponent_near_minus_one():
 def test_error_estimate_covers_truncation(monkeypatch):
     # with 6 nodes per panel the truncation error (about 1e-10) is far
     # above the rounding floor: the coefficient tail must cover it
+    # (the loose REL_TOL keeps the contract from raising on them)
     monkeypatch.setattr(quad, "NODES", 6)
-    loose = QuadratureConfig(rel_tol=1.0)
+    monkeypatch.setattr(quad, "REL_TOL", 1.0)
     for C, zs, bs in _random_triangles(40, seed=13):
-        res = area(make_metric(C, list(zip(zs, bs))), loose)
+        res = area(make_metric(C, list(zip(zs, bs))))
         assert abs(res.value - triangle_area(C, zs, bs)) <= res.error_estimate
 
 
@@ -229,23 +230,17 @@ def test_determinism(tetra):
     assert a.cell_count == b.cell_count
 
 
-def test_tolerance_not_reached_carries_partial(tetra):
-    # rel_tol below the rounding floor of the estimate cannot be met
+def test_tolerance_not_reached_carries_partial(tetra, monkeypatch):
+    # REL_TOL below the rounding floor of the estimate cannot be met
+    monkeypatch.setattr(quad, "REL_TOL", 1e-17)
+    monkeypatch.setattr(quad, "ABS_TOL", 1e-300)
     with pytest.raises(ToleranceNotReached) as exc:
-        area(tetra, QuadratureConfig(rel_tol=1e-17, abs_tol=1e-300))
+        area(tetra)
     partial = exc.value.partial
     assert partial is not None
     assert partial.value == pytest.approx(LEMNISCATIC_AREA, rel=1e-13)
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        QuadratureConfig(rel_tol=-1.0)
-    with pytest.raises(ValueError):
-        QuadratureConfig(abs_tol=0.0)
-
-
-def test_area_estimate_respects_contract(tetra, quad_cfg):
-    res = area(tetra, quad_cfg)
-    assert res.error_estimate <= max(quad_cfg.abs_tol,
-                                     quad_cfg.rel_tol * res.value)
+def test_area_estimate_respects_contract(tetra):
+    res = area(tetra)
+    assert res.error_estimate <= max(quad.ABS_TOL, quad.REL_TOL * res.value)

@@ -101,6 +101,16 @@ def test_finite_parts_stable_under_cutoff_halving(beta):
         assert abs(a - b) < 1e-8
 
 
+@pytest.mark.parametrize("split", [0.0, -0.1, 0.3])
+def test_split_outside_its_range_raises(split):
+    # above SPLIT_RADIUS the circle sum's error estimate undercounts its
+    # truncation; at 0 and below there is no circle (SPLIT_RADIUS / 2, the
+    # value of ``verify hadamard``, is taken by the cutoff-halving test)
+    for fp in (hadamard_coth_over_sinh_sq, hadamard_coth_coth_over_theta):
+        with pytest.raises(ValueError, match="split"):
+            fp(PI, split=split)
+
+
 def test_finite_part_continuity_in_beta():
     beta = PI
     a = hadamard_coth_over_sinh_sq(beta).finite_part

@@ -1,0 +1,18 @@
+import re
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_area_digest_one_seed():
+    # the bit-identity checks between two checkouts rest on this script
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "area_digest.py"), "--seeds", "1"],
+        capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2
+    for line, name in zip(lines, ("area", "log_det")):
+        assert re.fullmatch(rf"[0-9a-f]{{64}}  {name}, 40 items, seeds 1-1", line), line

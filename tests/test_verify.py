@@ -6,15 +6,16 @@ from polydet import (
     Angle,
     FDConfig,
     Position,
-    QuadratureConfig,
     Scale,
     area,
     fd_gradient,
+    grad_angle,
     grad_position,
     run_suite,
     tetrahedron_metric,
+    variation_field,
 )
-from polydet.errors import GaugeVertexVariation, PerturbationLeavesDomain
+from polydet.errors import GaugeVertexVariation, PerturbationLeavesDomain, PolydetError
 from polydet.metric import make_metric
 
 PI = math.pi
@@ -47,13 +48,25 @@ def test_fd_angle_gauge_rejected(tetra):
 
 
 def test_fd_rejects_domain_exit():
-    # steps scale with the smaller of the two perturbed angles, so only a
-    # step of order one can cross the b = -1 boundary at all
-    m = make_metric(1.0, [(0, -0.999999), (1, -0.5), (-1, -0.500001)])
+    # the angle step scales with the smaller of the two perturbed angles,
+    # so only an exponent within the 1e-12 margin of b = -1 can leave the
+    # domain: 5e-13 above -1 it does
+    m = make_metric(1.0, [(0, -1.0 + 5e-13), (1, -0.5), (-1, -0.5 - 5e-13)])
     with pytest.raises(PerturbationLeavesDomain):
-        fd_gradient(m, Angle(3), fdcfg=FDConfig(step=2.0))
-    with pytest.raises(PerturbationLeavesDomain):
-        fd_gradient(m, Scale(), fdcfg=FDConfig(step=1.5))
+        fd_gradient(m, Angle(3))
+
+
+@pytest.mark.parametrize("channel", [Position(0), Position(5), Angle(0), Angle(5)],
+                         ids=["z:0", "z:5", "beta:0", "beta:5"])
+def test_vertex_index_out_of_range(tetra, channel):
+    # vertex indices are 1-based: 0 must not wrap round to the last vertex
+    with pytest.raises(PolydetError, match="out of range"):
+        fd_gradient(tetra, channel)
+    grad = grad_position if isinstance(channel, Position) else grad_angle
+    with pytest.raises(PolydetError, match="out of range"):
+        grad(tetra, channel.i)
+    with pytest.raises(PolydetError, match="out of range"):
+        variation_field(tetra, channel, 0.3 + 0.2j)
 
 
 def test_suite_tetrahedron(tetra):
@@ -87,7 +100,6 @@ def test_fd_log_area_matches_triangle_derivative():
     # three vertices log Area = -sum_{pairs} 2 (1 + b_k) log|z_i - z_j| +
     # const(b), k the third vertex, so d log A / dz_i (Wirtinger) is
     # -sum_{j != i} (1 + b_k) / (z_i - z_j); area finite differences match it
-    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12)
     m = make_metric(1.2, [(0.4 + 0.1j, -0.7), (-0.9 + 0.6j, -0.45),
                           (0.2 - 1.1j, -0.85)])
     zs, bs = m.positions(), m.exponents()
@@ -97,7 +109,7 @@ def test_fd_log_area_matches_triangle_derivative():
         analytic = -((1 + bs[k]) / (zs[i] - zs[j]) + (1 + bs[j]) / (zs[i] - zs[k]))
 
         def la(shift, i=i):
-            return math.log(area(m.with_position(i + 1, zs[i] + shift), cfg).value)
+            return math.log(area(m.with_position(i + 1, zs[i] + shift)).value)
 
         dx = (la(h) - la(-h)) / (2 * h)
         dy = (la(1j * h) - la(-1j * h)) / (2 * h)
@@ -106,11 +118,10 @@ def test_fd_log_area_matches_triangle_derivative():
 
 
 def test_fd_log_area_scale_channel(tetra):
-    cfg = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-12)
     h = 1e-5
 
     def la(ds):
-        return math.log(area(tetra.with_scale(1.0 + ds), cfg).value)
+        return math.log(area(tetra.with_scale(1.0 + ds)).value)
 
     fd = (la(h) - la(-h)) / (2 * h)
     assert fd == pytest.approx(1.0, abs=1e-7)  # d log A / dC = 1/C
