@@ -207,6 +207,8 @@ def _cmd_verify_tetra(args) -> int:
 
 
 def _cmd_verify_cone(args) -> int:
+    if args.pairs < 1:
+        raise PolydetError(f"--pairs must be at least 1, got {args.pairs}")
     rng = np.random.default_rng(args.seed)
     worst_plane = 0.0
     worst_images = 0.0

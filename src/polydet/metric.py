@@ -30,6 +30,7 @@ fixed gauge vertex for angle variations.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -172,8 +173,8 @@ def make_metric(scale: float, verts: Sequence[Tuple[complex, float]]) -> Polyhed
     ----------
     scale : positive float, the overall factor C.
     verts : sequence of (position, exponent) pairs, at least 3 entries,
-        each exponent > -1, positions pairwise distinct, exponent sum
-        within 1e-12 of -2.
+        each exponent > -1, positions finite and pairwise distinct,
+        exponent sum within 1e-12 of -2.
     """
     if not scale > 0.0 or not math.isfinite(scale):
         raise NonpositiveScale(f"scale must be a positive finite real, got {scale}")
@@ -181,6 +182,8 @@ def make_metric(scale: float, verts: Sequence[Tuple[complex, float]]) -> Polyhed
     for z, b in verts:
         if not b > -1.0 or not math.isfinite(b):
             raise InvalidExponent(f"exponent must satisfy b > -1, got {b}")
+        if not cmath.isfinite(z):
+            raise PolydetError(f"vertex position must be finite, got {z}")
     if len(verts) < 3:
         raise GaussBonnetViolation(
             f"need at least 3 vertices, got {len(verts)}"

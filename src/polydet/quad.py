@@ -50,7 +50,7 @@ from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .errors import ToleranceNotReached
+from .errors import PolydetError, ToleranceNotReached
 from .metric import PolyhedralMetric
 
 TWO_PI = 2.0 * math.pi
@@ -127,6 +127,14 @@ def _rule(n: int, b: float) -> np.ndarray:
     return rule
 
 
+def _panel_sums(rule, half, vals) -> np.ndarray:
+    """Per panel, half its length times the rows 1: of its ``_rule``
+    applied to its node values ``vals`` (panel, node): the panel's integral
+    and the last two orthonormal coefficients, whose size is the panel's
+    error estimate.  ``rule`` is one rule for all panels or one per panel."""
+    return half[:, None] * (rule[..., 1:, :] @ vals[..., None])[..., 0]
+
+
 def _panels(d: np.ndarray, rel: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dyadic panels [a, a + l] of s in [0, 1/2] on z = z_p + s d for every
     half, a row of ``d`` and ``rel`` (z_k - z_p for the other vertices): a
@@ -165,8 +173,9 @@ def _chords(zs, bs, u, v, theta_u, theta_v) -> Tuple[np.ndarray, np.ndarray, np.
     A chord is two halves, each from its own end z_p to the midpoint, on
     panels of NODES Gauss nodes.  theta[p] at z_p is the branch of
     arg(z_q - z_p) and theta[k] that of arg(z_p - z_k) for k != p.  The
-    elementwise stages run over many halves at once, while each half's
-    sums keep the shapes of a half alone, so a chord has the same bits
+    stages run over all panels at once, the log factors in groups of about
+    BATCH values, and every sum is a panel's own (``_panel_sums``) before
+    the sum over the panels of a half, so a chord has the same bits
     whatever else is evaluated with it.  The error estimate of a panel is
     the size of the last two coefficients of its integrand in the
     orthonormal polynomials of its rule (``_rule``).
@@ -184,42 +193,32 @@ def _chords(zs, bs, u, v, theta_u, theta_v) -> Tuple[np.ndarray, np.ndarray, np.
     owner, a, l = _panels(d, rel)
     h = 0.5 * l
     end = a == 0.0                      # the first panel of every half
-    # Gauss-Legendre, then the Gauss-Jacobi rule of the end panel of each half
-    rules = np.array([_rule(NODES, 0.0)] + [_rule(NODES, b) for b in bp])
-    rule = rules[np.where(end, owner + 1, 0)]
+    # Gauss-Legendre, then the Gauss-Jacobi rule of each vertex for the end
+    # panels
+    rules = np.array([_rule(NODES, 0.0)] + [_rule(NODES, b) for b in bs.tolist()])
+    rule = rules[np.where(end, p[owner] + 1, 0)]
     s = a[:, None] + h[:, None] * (1.0 + rule[:, 0])
     # on the end panel the Jacobi weight carries (1 + x)^bp, so
     # s^bp = h^bp (1 + x)^bp leaves h^bp; elsewhere s^bp is smooth
-    f = s ** bp[owner, None]
-    # h^bp as scalar powers: the vectorized power may differ in the last bit
-    f[end] = np.array([hi ** b for hi, b in zip(h[end].tolist(), bp)])[:, None]
-    w = (h[:, None] * rule[:, 1] * f).astype(complex).ravel()   # the cast np.dot makes
+    f = np.where(end[:, None], h[:, None], s) ** bp[owner, None]
 
-    count = np.bincount(owner, minlength=halves)
-    stop = NODES * np.cumsum(count)
-    start = stop - NODES * count
-    # the log factors of a group of halves at a time, BATCH values or up to
-    # a half more, which bounds the working memory
-    b_o = b_o.astype(complex)           # the cast the product makes
-    g = np.empty(stop[-1], dtype=complex)
-    group = (start * (m - 1) // BATCH).tolist()
-    first = [i for i in range(halves) if i == 0 or group[i] != group[i - 1]]
-    for h0, h1 in zip(first, first[1:] + [halves]):
-        n0 = start[h0]
-        panels = slice(n0 // NODES, stop[h1 - 1] // NODES)
-        terms = _log_factors(s[panels], d[owner[panels]], rel[owner[panels]],
-                             th_o[owner[panels]]).reshape(-1, m - 1)
-        for i in range(h0, h1):
-            g[start[i]:stop[i]] = terms[start[i] - n0:stop[i] - n0] @ b_o[i]
+    # the log factors of about BATCH values at a time, which bounds the
+    # working memory
+    g = np.empty(s.shape, dtype=complex)
+    step = max(1, BATCH // (NODES * (m - 1)))
+    for i in range(0, len(owner), step):
+        o = owner[i:i + step]
+        terms = _log_factors(s[i:i + step], d[o], rel[o], th_o[o])
+        g[i:i + step] = (terms @ b_o[o, :, None])[..., 0]
     np.exp(g, out=g)
-    # (d^(1 + bp) on its branch; scalar logarithms, as the powers above)
-    front = np.empty(halves, dtype=complex)
-    front.real = [math.log(r) for r in np.hypot(d.real, d.imag).tolist()]
-    front.imag = theta[np.arange(halves), p]
-    front = np.exp((1.0 + bp) * front)
-    values = np.array([fr * np.dot(w[i:j], g[i:j]) for fr, i, j in zip(front, start, stop)])
-    coeffs = np.abs(rule[:, 2:] @ (f.ravel() * g).reshape(-1, NODES, 1))
-    errors = np.abs(front) * np.bincount(owner, h * coeffs.sum(axis=(1, 2)), halves)
+    sums = _panel_sums(rule, h, f * g)
+    count = np.bincount(owner, minlength=halves)
+    start = np.cumsum(count) - count
+    # d^(1 + bp) on its branch
+    front = np.exp((1.0 + bp) * (np.log(np.hypot(d.real, d.imag))
+                                 + 1j * theta[np.arange(halves), p]))
+    values = front * np.add.reduceat(sums[:, 0], start)
+    errors = np.abs(front) * np.add.reduceat(np.abs(sums[:, 1:]).sum(axis=1), start)
     k = len(u)
     return values[:k] - values[k:], errors[:k] + errors[k:], count[:k] + count[k:]
 
@@ -346,12 +345,20 @@ def _shoelace(chords, errors) -> Tuple[float, float]:
 
 
 def area(m: PolyhedralMetric) -> QuadResult:
-    """Total area of the conical sphere, int_C C prod |z-z_k|^(2 b_k) dA."""
+    """Total area of the conical sphere, int_C C prod |z-z_k|^(2 b_k) dA.
+
+    Raises PolydetError unless the area is a positive finite float, then
+    ToleranceNotReached unless it meets the accuracy contract."""
     zs = np.asarray(m.positions(), dtype=complex)
     bs = np.asarray(m.exponents(), dtype=float)
-    values, errors, panels = _chords(zs, bs, *_tour(zs, _spanning_tree(zs)))
+    # an area outside the float range overflows or underflows here; the
+    # range check below reports it
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, errors, panels = _chords(zs, bs, *_tour(zs, _spanning_tree(zs)))
     value, error = _shoelace(values, errors)
     result = QuadResult(m.scale * value, m.scale * error, int(panels.sum()))
+    if not 0.0 < result.value < math.inf:
+        raise PolydetError(f"area {result.value!r} is not a positive finite float")
     if not result.error_estimate <= max(ABS_TOL, REL_TOL * abs(result.value)):
         raise ToleranceNotReached(
             f"area error estimate {result.error_estimate:.3e} exceeds "

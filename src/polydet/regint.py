@@ -104,7 +104,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import NonpositiveAngle, ToleranceNotReached
-from .quad import QuadResult, _quadpack_binding, _rule
+from .quad import QuadResult, _panel_sums, _quadpack_binding, _rule
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -137,13 +137,13 @@ ROUNDING = 4.0 * float(np.finfo(float).eps)
 def _gauss_rule(f, lo: np.ndarray, hi: np.ndarray):
     """Per panel [lo, hi]: the Gauss-Legendre value, the size of the last
     two coefficients of f in the panel's orthonormal Legendre polynomials
-    (rows of ``quad._rule``) and the integral of |f|, from one call of
-    ``f`` on every node."""
+    (``quad._panel_sums``) and the integral of |f|, from one call of ``f``
+    on every node."""
     rule = _rule(PANEL_NODES, 0.0)
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * rule[0]
     vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
-    sums = half[:, None] * (vals @ rule[1:].T)
+    sums = _panel_sums(rule, half, vals)
     return sums[:, 0], np.abs(sums[:, 1:]).sum(axis=1), half * (np.abs(vals) @ rule[1])
 
 
@@ -200,37 +200,13 @@ CONTOUR_REL_TOL = 1e-12
 POLE_TOL = 1e-12           # a pole this close to a line counts as on it
 
 
-def _on_line(th: float) -> bool:
-    return abs(abs(th) - PI) <= POLE_TOL
-
-
-def _strip_poles(beta: float, dphi: float, tip: bool):
-    """Cotangent poles th* = m beta - dphi of the strip as (th*, weight):
-    weight 1 strictly inside |Re th| < pi, 1/2 on a line.  ``tip`` drops
-    the m = 0 pole."""
-    mlo = int(math.ceil((dphi - PI) / beta)) - 1
-    mhi = int(math.floor((dphi + PI) / beta)) + 1
-    for m in range(mlo, mhi + 1):
-        if tip and m == 0:
-            continue
-        th = m * beta - dphi
-        if _on_line(th):
-            yield th, 0.5
-        elif abs(th) < PI:
-            yield th, 1.0
-
-
-def _line_pole_gaps(beta: float, dphi: float):
-    """Distances from the cotangent poles within 1 of a line foot +-pi to
-    that foot: the widths of the near-line bumps of the folded integrand."""
-    mlo = int(math.ceil((dphi - PI - 1.0) / beta))
-    mhi = int(math.floor((dphi + PI + 1.0) / beta))
-    gaps = []
-    for m in range(mlo, mhi + 1):
-        th = m * beta - dphi
-        gaps.append(abs(th - PI))
-        gaps.append(abs(th + PI))
-    return gaps
+def _poles(beta: float, dphi: float):
+    """The cotangent poles th* = m beta - dphi with |th*| <= pi + 1, as
+    (m, th*, on), with ``on`` for a pole on a line (within POLE_TOL of
+    +-pi)."""
+    ms = range(math.ceil((dphi - PI - 1.0) / beta), math.floor((dphi + PI + 1.0) / beta) + 1)
+    ths = [m * beta - dphi for m in ms]
+    return [(m, th, abs(abs(th) - PI) <= POLE_TOL) for m, th in zip(ms, ths)]
 
 
 def _line_edges(gaps):
@@ -258,20 +234,19 @@ def _line_edges(gaps):
     return sorted(pts)
 
 
-def _line_weight(beta: float, dphi: float):
+def _line_weight(beta: float, dphi: float, feet):
     """The folded line weight s -> L(s) of the module docstring.
 
     Each term is Re cot(x - iy) = 2e sin 2x / ((1 - e)^2 + 4e sin^2 x) with
     e = exp(-2y), y = pi s/beta: no overflow however large y, and no
-    cancellation next to a pole at the line foot.  The term of a foot with
-    a pole on it (``_on_line``, as ``_strip_poles`` decides) is left out:
-    it is the limit of a bump whose mass the half residue already counts.
+    cancellation next to a pole at the line foot.  The term of a foot in
+    ``feet``, those with a pole on them, is left out: it is the limit of a
+    bump whose mass the half residue already counts.
     """
     k = PI / beta
     coeffs = []
     for c, foot in ((1.0, -PI), (-1.0, PI)):
-        th = round((dphi + foot) / beta) * beta - dphi   # the pole nearest the foot
-        if _on_line(th) and (th > 0.0) == (foot > 0.0):
+        if foot in feet:
             continue
         x = k * (dphi + foot)
         coeffs.append((2.0 * c * math.sin(2.0 * x), 4.0 * math.sin(x) ** 2))
@@ -295,15 +270,18 @@ def _cot_contour(beta: float, dphi: float, g, tip: bool = False):
     complex; a complex g gives a complex result.  The caller validates
     beta.
     """
-    poles = list(_strip_poles(beta, dphi, tip))
+    poles = _poles(beta, dphi)
+    # circles fully inside the strip count once, those on a line half
+    circles = [(th, 0.5 if on else 1.0) for m, th, on in poles
+               if (on or abs(th) < PI) and not (tip and m == 0)]
     total = np.float64(0.0)
-    if poles:
-        th, w = np.array(poles).T
+    if circles:
+        th, w = np.array(circles).T
         total = np.dot(w, g(np.abs(np.sin(0.5 * th))))
-    weight = _line_weight(beta, dphi)
+    weight = _line_weight(beta, dphi, [math.copysign(PI, th) for _, th, on in poles if on])
+    gaps = [abs(th - foot) for _, th, _ in poles for foot in (PI, -PI)]
     line = _gauss_panels(lambda s: g(np.cosh(0.5 * s)) * weight(s),
-                         _line_edges(_line_pole_gaps(beta, dphi)),
-                         CONTOUR_ABS_TOL, CONTOUR_REL_TOL)
+                         _line_edges(gaps), CONTOUR_ABS_TOL, CONTOUR_REL_TOL)
     return (total + line.value / beta).item()
 
 

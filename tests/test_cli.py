@@ -94,6 +94,35 @@ def test_malformed_input_file_is_validation_error(command, text, tmp_path, capsy
     assert json.loads(capsys.readouterr().err)["error"] == "InvalidMetricJSON"
 
 
+@pytest.mark.parametrize("command", [["det"], ["area"], ["grad", "--channel", "beta:2"],
+                                     ["grad", "--channel", "z:2"]])
+def test_nonfinite_position_is_validation_error(command, tmp_path, capsys):
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(
+        {"C": 1.0, "vertices": _TETRA_VERTS[:1] + [{"z": [math.nan, 0], "b": -0.5}]
+         + _TETRA_VERTS[2:]}))
+    code = main([command[0], "--metric", str(path), *command[1:]])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "PolydetError"
+
+
+@pytest.mark.parametrize("command", ["det", "area"])
+@pytest.mark.parametrize("size", [1e300, 1e-300])
+def test_area_outside_float_range_is_validation_error(command, size, tmp_path, capsys):
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"C": 1.0, "vertices": [
+        {"z": [size, 0], "b": -0.5}, {"z": [-size, 0], "b": -0.5},
+        {"z": [0, size], "b": -0.5}, {"z": [0, -size], "b": -0.5}]}))
+    code = main([command, "--metric", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    err = json.loads(captured.err)
+    assert err["error"] == "PolydetError"
+    assert "not a positive finite float" in err["message"]
+
+
 def test_tolerance_not_reached_exit_code(tetra_path, monkeypatch, capsys):
     # below the rounding floor of the area's error estimate
     monkeypatch.setattr(quad, "REL_TOL", 1e-17)
@@ -212,6 +241,15 @@ def test_verify_hadamard_shift_within_estimate(capsys):
     for row in rows:
         for name, shift in row["cutoff_halving_shift"].items():
             assert shift <= row["cutoff_halving_estimate"][name], (row["beta"], name)
+
+
+@pytest.mark.parametrize("pairs", ["0", "-3"])
+def test_verify_cone_needs_a_pair(pairs, capsys):
+    code = main(["verify", "cone", "--pairs", pairs])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "PolydetError"
 
 
 def test_verify_cone_seeded_reproducible(capsys):

@@ -23,6 +23,7 @@ from polydet.errors import (
     GaugeVertexVariation,
     InvalidExponent,
     NonpositiveScale,
+    PolydetError,
 )
 
 PI = math.pi
@@ -57,6 +58,13 @@ def test_nonpositive_scale():
         make_metric(0.0, TETRA_VERTS)
     with pytest.raises(NonpositiveScale):
         make_metric(-2.0, TETRA_VERTS)
+
+
+@pytest.mark.parametrize("z", [complex(math.nan, 0.0), complex(0.0, math.nan),
+                               complex(math.inf, 0.0), complex(0.0, -math.inf)])
+def test_nonfinite_position(z):
+    with pytest.raises(PolydetError, match="finite"):
+        make_metric(1.0, TETRA_VERTS[:3] + [(z, -0.5)])
 
 
 def test_gauss_bonnet_repair():

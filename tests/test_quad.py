@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydet import area, make_metric, quad, segment_integral
-from polydet.errors import ToleranceNotReached
+from polydet.errors import PolydetError, ToleranceNotReached
 
 PI = math.pi
 
@@ -207,7 +207,8 @@ def test_segment_integral_endpoint_singularities():
 
 def test_chords_same_bits_alone_or_together(monkeypatch):
     # the area evaluates all chords of the tour together, in groups of
-    # BATCH values; every chord keeps the bits of segment_integral alone
+    # BATCH values; every chord keeps the bits of segment_integral alone,
+    # value and estimate
     verts = [(0.3 + 0.2j, -0.6), (0.3 + 0.2j + 1e-3 * cmath.exp(0.7j), -0.8),
              (-0.5 + 0.6j, -0.3), (1.1 - 0.4j, 0.2), (-0.9 - 0.8j, -0.5)]
     zs = np.array([z for z, _ in verts])
@@ -215,11 +216,22 @@ def test_chords_same_bits_alone_or_together(monkeypatch):
     steps = quad._tour(zs, quad._spanning_tree(zs))
     for batch in (1, 10**9):
         monkeypatch.setattr(quad, "BATCH", batch)
-        values, _, panels = quad._chords(zs, bs, *steps)
+        values, errors, panels = quad._chords(zs, bs, *steps)
         for i, (u, v, theta) in enumerate(zip(*steps[:3])):
             chord = segment_integral(zs, bs, u, v, theta)
             assert chord.value == values[i]
+            assert chord.error == errors[i]
             assert chord.panels == panels[i]
+
+
+@pytest.mark.parametrize("size", [1e300, 1e-300])
+def test_area_outside_float_range(size):
+    # the tetrahedron scaled to +-size has area about 6.9/size^2, which
+    # underflows at 1e300 and overflows at 1e-300
+    verts = [(size, -0.5), (-size, -0.5), (size * 1j, -0.5), (-size * 1j, -0.5)]
+    with pytest.raises(PolydetError, match="not a positive finite float") as exc:
+        area(make_metric(1.0, verts))
+    assert not isinstance(exc.value, ToleranceNotReached)
 
 
 def test_determinism(tetra):

@@ -156,7 +156,8 @@ def _mp_finite_part(kind, beta):
 
 
 @pytest.mark.parametrize("beta", [0.1 * PI, 0.3 * PI, 0.7 * PI, PI, TWO_PI, 3.3 * PI,
-                                  4 * PI, 6 * PI, 8 * PI, 12 * PI, 20 * PI])
+                                  4 * PI, 6 * PI, 8 * PI, 12 * PI, 20 * PI, 40 * PI,
+                                  100 * PI])
 def test_finite_parts_match_mpmath(beta):
     for fp in (hadamard_coth_over_sinh_sq, hadamard_coth_coth_over_theta):
         ref = _mp_finite_part(fp.__name__.removeprefix("hadamard_"), beta)
