@@ -98,7 +98,7 @@ def _fmt(x):
     return x
 
 
-def _emit_human(obj, indent: str = "") -> None:
+def _emit_human(obj) -> None:
     flat = {}
     if isinstance(obj, list):
         for i, row in enumerate(obj):
@@ -107,7 +107,7 @@ def _emit_human(obj, indent: str = "") -> None:
         _flatten("", obj, flat)
     width = max((len(k) for k in flat), default=0)
     for k, v in flat.items():
-        print(f"{indent}{k:<{width}}  {_fmt(v)}")
+        print(f"{k:<{width}}  {_fmt(v)}")
 
 
 # --------------------------------------------------------------------------
@@ -163,14 +163,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _emit_verify(obj, args) -> None:
-    """JSON unless --csv; ``verify`` has no human format."""
-    if getattr(args, "csv", False):
-        _emit_csv(obj)
-    else:
-        print(json.dumps(_jsonable(obj)))
-
-
 def _load_points(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -202,7 +194,7 @@ def _cmd_verify_tetra(args) -> int:
             abs((data.period_a * data.period_b.conjugate()).imag) - 2.0 * ar
         ) / (2.0 * ar),
     }
-    _emit_verify(out, args)
+    _emit(out, args)
     return 0
 
 
@@ -241,7 +233,7 @@ def _cmd_verify_cone(args) -> int:
         "max_image_sum_deviation": worst_images,
         "max_resolvent_deviation": worst_resolvent,
     }
-    _emit_verify(out, args)
+    _emit(out, args)
     return 0
 
 
@@ -249,7 +241,7 @@ def _cmd_verify_fd(args) -> int:
     m = load_metric(args.metric)
     fdcfg = verify.FDConfig(richardson=args.richardson)
     reports = verify.run_suite(m, fdcfg=fdcfg)
-    _emit_verify(reports, args)
+    _emit(reports, args)
     return 0 if all(r.rel_err <= FD_PASS_TOL for r in reports) else 1
 
 
@@ -279,7 +271,7 @@ def _cmd_verify_hadamard(args) -> int:
             "q_tilde": q_tilde(beta),
             "q_tilde_prime": q_tilde_prime(beta),
         })
-    _emit_verify(out, args)
+    _emit(out, args)
     return 0
 
 
@@ -331,23 +323,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", required=True,
                    help='JSON file {"points": [[re, im], ...]} with 4 points')
     _add_output_flags(p)
-    p.set_defaults(func=_cmd_verify_tetra)
+    p.set_defaults(func=_cmd_verify_tetra, json=True)
 
     p = vsub.add_parser("cone", help="heat-kernel and resolvent oracles")
     p.add_argument("--pairs", type=int, default=20)
     _add_output_flags(p)
-    p.set_defaults(func=_cmd_verify_cone)
+    p.set_defaults(func=_cmd_verify_cone, json=True)
 
     p = vsub.add_parser("fd", help="finite-difference gradient suite")
     p.add_argument("--metric", required=True)
     p.add_argument("--richardson", action="store_true")
     _add_output_flags(p)
-    p.set_defaults(func=_cmd_verify_fd)
+    p.set_defaults(func=_cmd_verify_fd, json=True)
 
     p = vsub.add_parser("hadamard", help="finite-part diagnostics")
     p.add_argument("--beta", type=float, nargs="*",
                    default=[math.pi / 2.0, math.pi, 2.0 * math.pi, 3.0 * math.pi])
-    p.set_defaults(func=_cmd_verify_hadamard)
+    p.set_defaults(func=_cmd_verify_hadamard, json=True)
 
     return ap
 
@@ -356,12 +348,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ToleranceNotReached as exc:
-        sys.stderr.write(json.dumps({"error": exc.code, "message": str(exc)}) + "\n")
-        return 3
     except PolydetError as exc:
         sys.stderr.write(json.dumps({"error": exc.code, "message": str(exc)}) + "\n")
-        return 2
+        return 3 if isinstance(exc, ToleranceNotReached) else 2
     except OSError as exc:
         sys.stderr.write(json.dumps({"error": "IOError", "message": str(exc)}) + "\n")
         return 2

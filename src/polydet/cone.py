@@ -68,16 +68,22 @@ def heat_kernel_cone(beta: float, t: float, p: ConePoint, q: ConePoint) -> float
     return _cot_contour(beta, p.phi - q.phi, plane)
 
 
-def heat_kernel_images(n: int, t: float, p: ConePoint, q: ConePoint) -> float:
-    """Method-of-images oracle for the cone of opening 2 pi / n: the sum of
-    plane kernels over the n rotational images of q."""
+def _image_sum(n: int, p: ConePoint, q: ConePoint, kernel) -> float:
+    """The sum of kernel(rho^2) over the n rotational images of q on the
+    cone of opening 2 pi / n, rho the plane distance from p."""
     beta = TWO_PI / n
     tot = 0.0
     for m in range(n):
         rho2 = (p.r * p.r + q.r * q.r
                 - 2.0 * p.r * q.r * math.cos(p.phi - q.phi - m * beta))
-        tot += math.exp(-rho2 / (4.0 * t)) / (4.0 * PI * t)
+        tot += kernel(rho2)
     return tot
+
+
+def heat_kernel_images(n: int, t: float, p: ConePoint, q: ConePoint) -> float:
+    """Method-of-images oracle for the cone of opening 2 pi / n: the sum of
+    plane kernels over the n rotational images of q."""
+    return _image_sum(n, p, q, lambda rho2: math.exp(-rho2 / (4.0 * t)) / (4.0 * PI * t))
 
 
 def resolvent_cone(beta: float, mu: complex, p: ConePoint, q: ConePoint) -> float:
@@ -112,14 +118,8 @@ def resolvent_images(n: int, mu: float, p: ConePoint, q: ConePoint) -> float:
     """Image-sum oracle for the resolvent on the cone of opening 2 pi / n."""
     from scipy.special import k0
 
-    beta = TWO_PI / n
     sq = math.sqrt(-mu)
-    tot = 0.0
-    for m in range(n):
-        rho2 = (p.r * p.r + q.r * q.r
-                - 2.0 * p.r * q.r * math.cos(p.phi - q.phi - m * beta))
-        tot += k0(math.sqrt(rho2) * sq) / TWO_PI
-    return tot
+    return _image_sum(n, p, q, lambda rho2: k0(math.sqrt(rho2) * sq) / TWO_PI)
 
 
 def a_mu(beta: float, mu: float, r: float) -> float:

@@ -138,8 +138,6 @@ def f_function(beta: float, scale: float) -> float:
 
     both of which are exercised against finite differences in the tests.
     """
-    if beta == TWO_PI:
-        return 0.0
     return _f_bracket(TWO_PI, scale) - _f_bracket(beta, scale)
 
 

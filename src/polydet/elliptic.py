@@ -36,9 +36,10 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence, Tuple
 
-from .errors import DegenerateQuartic
+from .errors import DegenerateQuartic, PolydetError, ToleranceNotReached
 from .metric import make_metric
 from .quad import area, segment_integral
 
@@ -69,12 +70,16 @@ def _half_period(pts, u: int, v: int) -> complex:
     """int omega from pts[u] to pts[v] along the straight segment, the
     branch of the square root continued from its principal value at the
     start; omega = prod (z - z_k)^(-1/2) dz is the metric's form with all
-    exponents -1/2 and C = 1."""
+    exponents -1/2 and C = 1; it must be finite and meet PERIOD_REL_TOL."""
     chord = segment_integral(pts, BRANCH_EXPONENTS, u, v)
+    if not cmath.isfinite(chord.value):
+        raise PolydetError(f"period integral between branch points {u} and {v}, "
+                           f"{chord.value!r}, is not a finite float")
     if not chord.error <= PERIOD_REL_TOL * abs(chord.value):
-        raise DegenerateQuartic(
-            f"period integral between branch points {u} and {v} did not "
-            f"converge (error estimate {chord.error:.3e})")
+        raise ToleranceNotReached(
+            f"period integral between branch points {u} and {v}: error "
+            f"estimate {chord.error:.3e} exceeds PERIOD_REL_TOL * |value|",
+            partial=chord)
     return complex(chord.value)
 
 
@@ -83,14 +88,13 @@ def periods(points: Sequence[complex]) -> EllipticData:
     pts = [complex(z) for z in points]
     if len(pts) != 4:
         raise DegenerateQuartic(f"need exactly 4 branch points, got {len(pts)}")
+    if not all(map(cmath.isfinite, pts)):
+        raise PolydetError(f"branch points must be finite, got {pts}")
     scale = max(abs(p - q) for p in pts for q in pts)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if abs(pts[i] - pts[j]) < DEGENERATE_TOL * scale:
-                raise DegenerateQuartic(
-                    f"branch points {i} and {j} closer than "
-                    f"{DEGENERATE_TOL} relative"
-                )
+    for i, j in combinations(range(4), 2):
+        if abs(pts[i] - pts[j]) < DEGENERATE_TOL * scale:
+            raise DegenerateQuartic(
+                f"branch points {i} and {j} closer than {DEGENERATE_TOL} relative")
     cen = sum(pts) / 4.0
     pts.sort(key=lambda z: math.atan2((z - cen).imag, (z - cen).real))
 
@@ -186,6 +190,11 @@ def jacobi_residual(data: EllipticData) -> float:
 # identity checks
 # --------------------------------------------------------------------------
 
+def _distance_product(pts) -> float:
+    """prod_{i<j} |z_i - z_j|."""
+    return math.prod(abs(p - q) for p, q in combinations(pts, 2))
+
+
 def thomae_check(points: Sequence[complex], data: EllipticData) -> float:
     """Max relative residual of the Thomae eighth-power identities.
 
@@ -214,13 +223,9 @@ def thomae_check(points: Sequence[complex], data: EllipticData) -> float:
 def eta_distance_identity(points: Sequence[complex], data: EllipticData) -> float:
     """Relative residual of
     |eta(B/A)|^2 = |A|/(2^(5/3) pi) * prod_{i<j} |z_i - z_j|^(1/6)."""
-    pts = data.sorted_points
-    prod = 1.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            prod *= abs(pts[i] - pts[j])
     lhs = abs(data.eta) ** 2
-    rhs = abs(data.period_a) / (2.0 ** (5.0 / 3.0) * PI) * prod ** (1.0 / 6.0)
+    rhs = (abs(data.period_a) / (2.0 ** (5.0 / 3.0) * PI)
+           * _distance_product(data.sorted_points) ** (1.0 / 6.0))
     return abs(lhs - rhs) / abs(lhs)
 
 
@@ -241,11 +246,10 @@ def det_tetrahedron(points: Sequence[complex],
         raise DegenerateQuartic(f"need exactly 4 points, got {len(pts)}")
     if area_x is None:
         area_x = area(make_metric(1.0, [(z, -0.5) for z in pts])).value
-    prod = 1.0
-    for i in range(4):
-        for j in range(i + 1, 4):
-            prod *= abs(pts[i] - pts[j])
-    return area_x * prod ** (1.0 / 6.0) / (2.0 ** (2.0 / 3.0) * PI)
+    det = area_x * _distance_product(pts) ** (1.0 / 6.0) / (2.0 ** (2.0 / 3.0) * PI)
+    if not 0.0 < det < math.inf:
+        raise PolydetError(f"det' {det!r} is not a positive finite float")
+    return det
 
 
 def det_torus(data: EllipticData, area_x: float) -> float:

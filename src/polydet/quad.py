@@ -158,8 +158,6 @@ def _panels(d: np.ndarray, rel: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.
         owner, a, l = owner[split], a[split], 0.5 * l[split]
         owner, a, l = (np.concatenate((owner, owner)), np.concatenate((a, a + l)),
                        np.concatenate((l, l)))
-    if not done:
-        return owner, a, l
     owner, a, l = (np.concatenate(c) for c in zip(*done, (owner, a, l)))
     order = np.lexsort((a, owner))
     return owner[order], a[order], l[order]
@@ -272,8 +270,10 @@ def segment_integral(zs, bs, u: int, v: int,
         theta = _principal(zs, u, v)
     u, v = np.array([u]), np.array([v])
     moved, angle = _subtended(zs, u, v)
-    values, errors, panels = _chords(zs, bs, u, v, theta[None],
-                                     np.where(moved, theta + angle, theta))
+    # a chord outside the float range comes out inf or nan; callers check
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, errors, panels = _chords(zs, bs, u, v, theta[None],
+                                         np.where(moved, theta + angle, theta))
     return Chord(complex(values[0]), float(errors[0]), int(panels[0]))
 
 
@@ -339,7 +339,9 @@ def _shoelace(chords, errors) -> Tuple[float, float]:
     ends = np.cumsum(chords)
     corners = np.concatenate(([0.0], ends[:-1]))
     lever = 0.5 * (np.abs(corners) + np.abs(ends[-1] - ends))
-    return (math.fsum(0.5 * (np.conj(corners) * chords).imag),
+    terms = 0.5 * (np.conj(corners) * chords).imag
+    # fsum refuses inf - inf: an area outside the float range is nan here
+    return (math.fsum(terms) if np.isfinite(terms).all() else math.nan,
             math.fsum(lever * errors)
             + ROUNDING * math.fsum(np.abs(corners) * np.abs(chords)))
 
@@ -355,7 +357,7 @@ def area(m: PolyhedralMetric) -> QuadResult:
     # range check below reports it
     with np.errstate(over="ignore", invalid="ignore"):
         values, errors, panels = _chords(zs, bs, *_tour(zs, _spanning_tree(zs)))
-    value, error = _shoelace(values, errors)
+        value, error = _shoelace(values, errors)
     result = QuadResult(m.scale * value, m.scale * error, int(panels.sum()))
     if not 0.0 < result.value < math.inf:
         raise PolydetError(f"area {result.value!r} is not a positive finite float")

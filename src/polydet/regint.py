@@ -80,16 +80,19 @@ is that truncation times the size of the terms summed, plus a rounding
 floor; up to the default split the truncation lies below the floor.
 Above it the truncation outgrows that estimate (105-fold at split =
 0.4), so a split outside (0, SPLIT_RADIUS] raises ValueError.
-[rho, 1] takes the pointwise difference and the tail dyadic panels of
-width 1/rate, 2/rate, ... from 1, e^(-rate th) being its fastest
-exponential.  Halving ``split`` moves the result within the two runs'
-error estimates, which ``verify hadamard`` reports.
+[rho, 1] takes the pointwise difference on max(2, ceil(log4(1/rho)))
+geometric panels ([rho, sqrt(rho), 1] up to beta = 8 pi), and the tail
+dyadic panels of width 1/rate, 2/rate, ... from 1, e^(-rate th) being
+its fastest exponential: no bisection from 0.05 pi to 300 pi.  Halving
+``split`` moves the result within the two runs' error estimates, which
+``verify hadamard`` reports.
 
 Gauss-Legendre panels
 ---------------------
-``_gauss_panels`` is the one quadrature of this module: PANEL_NODES = 32
-Golub-Welsch nodes (``quad._rule``) per panel, evaluated once, with the
-error estimate of ``quad``; past MAX_PANEL_SPLITS bisections
+``_gauss_panels`` is the one quadrature of this module: one pass over a
+list of edges, PANEL_NODES = 32 Golub-Welsch nodes (``quad._rule``) per
+panel, with the error estimate of ``quad``, run again with the worst
+panels bisected while it is too large; past MAX_PANEL_SPLITS bisections
 ToleranceNotReached carries the partial result, so no integral fails to
 converge silently.
 """
@@ -103,11 +106,14 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .errors import NonpositiveAngle, ToleranceNotReached
+from .errors import NonpositiveAngle, PolydetError, ToleranceNotReached
 from .quad import QuadResult, _panel_sums, _quadpack_binding, _rule
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
+# the cone angles this module takes: the finite parts hold beta^+-2 and,
+# near th = 0, th^3 with th ~ 1/beta, all inside the float range here
+ANGLE_RANGE = (1e-100, 1e100)
 
 __getattr__ = _quadpack_binding("quad", __name__)
 
@@ -134,60 +140,45 @@ MAX_PANEL_SPLITS = 64   # panel bisections per integral
 ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
-def _gauss_rule(f, lo: np.ndarray, hi: np.ndarray):
-    """Per panel [lo, hi]: the Gauss-Legendre value, the size of the last
-    two coefficients of f in the panel's orthonormal Legendre polynomials
-    (``quad._panel_sums``) and the integral of |f|, from one call of ``f``
-    on every node."""
-    rule = _rule(PANEL_NODES, 0.0)
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * rule[0]
-    vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
-    sums = _panel_sums(rule, half, vals)
-    return sums[:, 0], np.abs(sums[:, 1:]).sum(axis=1), half * (np.abs(vals) @ rule[1])
-
-
 def _gauss_panels(f, edges, abs_tol: float, rel_tol: float,
                   cancel: float = 0.0) -> QuadResult:
     """int f from edges[0] to edges[-1] on Gauss-Legendre panels between
     consecutive ``edges``; ``f`` maps an array of nodes to an array of
     real or complex values.
 
-    The error estimate is the sum over panels of the size of the last two
-    coefficients (as in ``quad``) plus a rounding floor, ROUNDING times the
-    size of the terms summed: the integral of |f| plus ``cancel``, the
-    integral of terms that cancel inside f.  While the coefficient part
-    exceeds max(abs_tol, rel_tol |I|, floor) every panel holding more than
-    its share of that bound is bisected; past MAX_PANEL_SPLITS bisections
+    A pass calls ``f`` once on every node.  The error estimate is the sum
+    over panels of the size of the last two coefficients (``quad._panel_sums``)
+    plus a rounding floor, ROUNDING times the size of the terms summed: the
+    integral of |f| plus ``cancel``, the integral of terms that cancel
+    inside f.  While the coefficient part exceeds max(abs_tol, rel_tol |I|,
+    floor) the pass is run again with every panel holding more than its
+    share of that bound bisected; past MAX_PANEL_SPLITS bisections
     ToleranceNotReached carries the partial result.
     """
     edges = np.asarray(edges, dtype=float)
-    lo, hi = edges[:-1], edges[1:]
-    val, coef, size = _gauss_rule(f, lo, hi)
+    rule = _rule(PANEL_NODES, 0.0)
     splits = 0
     while True:
-        value = val.sum().item()
-        floor = ROUNDING * (size.sum().item() + cancel)
+        lo, hi = edges[:-1], edges[1:]
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        nodes = mid[:, None] + half[:, None] * rule[0]
+        vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
+        sums = _panel_sums(rule, half, vals)
+        coef = np.abs(sums[:, 1:]).sum(axis=1)
+        value = sums[:, 0].sum().item()
+        floor = ROUNDING * ((half * (np.abs(vals) @ rule[1])).sum().item() + cancel)
         bound = max(abs_tol, rel_tol * abs(value), floor)
         err = coef.sum().item()
-        result = QuadResult(value, err + floor, len(lo))
+        result = QuadResult(value, err + floor, len(half))
         if err <= bound:
             return result
-        split = ~(coef <= bound / len(lo))   # a nan panel is split too
-        splits += int(split.sum())
+        split = np.flatnonzero(~(coef <= bound / len(half)))   # nan panels too
+        splits += len(split)
         if splits > MAX_PANEL_SPLITS:
             raise ToleranceNotReached(
                 f"panel error estimate {result.error_estimate:.3e} exceeds "
                 f"{bound:.3e} after {MAX_PANEL_SPLITS} bisections", partial=result)
-        mid = 0.5 * (lo[split] + hi[split])
-        new_lo = np.concatenate((lo[split], mid))
-        new_hi = np.concatenate((mid, hi[split]))
-        parts = _gauss_rule(f, new_lo, new_hi)
-        keep = ~split
-        lo = np.concatenate((lo[keep], new_lo))
-        hi = np.concatenate((hi[keep], new_hi))
-        val, coef, size = (np.concatenate((old[keep], new))
-                           for old, new in zip((val, coef, size), parts))
+        edges = np.insert(edges, split + 1, mid[split])
 
 
 # --------------------------------------------------------------------------
@@ -198,12 +189,19 @@ CONTOUR_TRUNCATION = 40.0  # s cut on the lines; every kernel decays like e^-s
 CONTOUR_ABS_TOL = 1e-13
 CONTOUR_REL_TOL = 1e-12
 POLE_TOL = 1e-12           # a pole this close to a line counts as on it
+# poles a contour may hold, about (2 pi + 2)/beta: a bound on its work
+# and memory, reached at beta ~ 2e-3
+MAX_POLES = 4096
 
 
 def _poles(beta: float, dphi: float):
     """The cotangent poles th* = m beta - dphi with |th*| <= pi + 1, as
     (m, th*, on), with ``on`` for a pole on a line (within POLE_TOL of
-    +-pi)."""
+    +-pi).  PolydetError refuses more than MAX_POLES of them before any
+    is listed."""
+    if 2.0 * (PI + 1.0) > (MAX_POLES - 1) * beta:
+        raise PolydetError(f"cone angle {beta!r} puts more than {MAX_POLES} "
+                           f"poles on the contour")
     ms = range(math.ceil((dphi - PI - 1.0) / beta), math.floor((dphi + PI + 1.0) / beta) + 1)
     ths = [m * beta - dphi for m in ms]
     return [(m, th, abs(abs(th) - PI) <= POLE_TOL) for m, th in zip(ms, ths)]
@@ -371,8 +369,11 @@ def _finite_part(f: Callable, tail: Callable, tail_upper: float, rate: float,
     # the integral of the subtracted counterterms, whose rounding the
     # difference inherits
     cancel = 0.5 * a3 * (rho ** -2 - 1.0) - abs(a1) * math.log(rho)
-    near = _gauss_panels(regular_part, [rho, math.sqrt(rho), 1.0],
-                         FP_ABS_TOL, FP_REL_TOL, cancel)
+    # geometric panels, each ending at most 4 times as far from 0 as it
+    # starts; rho^(k/n) as sqrt(rho^(2k/n)), so that n = 2 gives sqrt(rho)
+    n = max(2, math.ceil(-0.5 * math.log2(rho)))
+    edges = [rho] + [math.sqrt(rho ** (2.0 * k / n)) for k in range(n - 1, 0, -1)] + [1.0]
+    near = _gauss_panels(regular_part, edges, FP_ABS_TOL, FP_REL_TOL, cancel)
     edges = [1.0]
     step = 1.0 / rate
     while edges[-1] + step < tail_upper:
@@ -469,3 +470,5 @@ def q_tilde(beta: float) -> float:
 def _check_angle(beta: float) -> None:
     if not beta > 0.0 or not math.isfinite(beta):
         raise NonpositiveAngle(f"cone angle must be positive, got {beta}")
+    if not ANGLE_RANGE[0] <= beta <= ANGLE_RANGE[1]:
+        raise PolydetError(f"cone angle {beta!r} outside {ANGLE_RANGE}")

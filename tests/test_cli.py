@@ -5,12 +5,13 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
 import polydet
-from polydet import dump_metric, make_metric, quad, regint, tetrahedron_metric
+from polydet import dump_metric, elliptic, make_metric, quad, regint, tetrahedron_metric
 from polydet.cli import main
 
 
@@ -108,19 +109,88 @@ def test_nonfinite_position_is_validation_error(command, tmp_path, capsys):
     assert json.loads(captured.err)["error"] == "PolydetError"
 
 
-@pytest.mark.parametrize("command", ["det", "area"])
-@pytest.mark.parametrize("size", [1e300, 1e-300])
-def test_area_outside_float_range_is_validation_error(command, size, tmp_path, capsys):
-    path = tmp_path / "far.json"
-    path.write_text(json.dumps({"C": 1.0, "vertices": [
-        {"z": [size, 0], "b": -0.5}, {"z": [-size, 0], "b": -0.5},
-        {"z": [0, size], "b": -0.5}, {"z": [0, -size], "b": -0.5}]}))
-    code = main([command, "--metric", str(path)])
+def _one_error_line(argv, capsys):
+    """Exit code and error JSON of a CLI run that must write nothing but
+    one JSON line to stderr; a warning on the way fails the run."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
     captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, captured.err
+    return code, json.loads(lines[0])
+
+
+_FAR_ARGV = {"det": ["det", "--metric"], "area": ["area", "--metric"],
+             "tetra": ["verify", "tetra", "--points"]}
+
+
+# at 1e300 verify tetra stops earlier, at a vanishing period
+@pytest.mark.parametrize("command, size", [
+    pytest.param(command, size, id=f"{size}-{command}")
+    for command in _FAR_ARGV for size in (1e300, 1e-155, 1e-170, 1e-190, 1e-205, 1e-300)
+    if (command, size) != ("tetra", 1e300)])
+def test_area_outside_float_range_is_validation_error(command, size, tmp_path, capsys):
+    corners = [[size, 0], [-size, 0], [0, size], [0, -size]]
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"C": 1.0, "points": corners, "vertices": [
+        {"z": z, "b": -0.5} for z in corners]}))
+    code, err = _one_error_line([*_FAR_ARGV[command], str(path)], capsys)
     assert code == 2
-    err = json.loads(captured.err)
     assert err["error"] == "PolydetError"
-    assert "not a positive finite float" in err["message"]
+    # the area, or for verify tetra first a period or det', is out of range
+    assert "finite float" in err["message"]
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+def test_verify_tetra_nonfinite_point_is_validation_error(value, tmp_path, capsys):
+    path = tmp_path / "points.json"
+    path.write_text(f'{{"points": [[1, 0], [-1, {value}], [0, 1], [0, -1]]}}')
+    code, err = _one_error_line(["verify", "tetra", "--points", str(path)], capsys)
+    assert code == 2
+    assert err["error"] == "PolydetError"
+    assert "finite" in err["message"]
+
+
+def test_period_tolerance_not_reached_exit_code(tmp_path, monkeypatch, capsys):
+    # no period meets a relative error estimate of 1e-20
+    monkeypatch.setattr(elliptic, "PERIOD_REL_TOL", 1e-20)
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": [[1, 0], [-1, 0], [0, 1], [0, -1]]}))
+    code, err = _one_error_line(["verify", "tetra", "--points", str(path)], capsys)
+    assert code == 3
+    assert err["error"] == "ToleranceNotReached"
+    assert "period" in err["message"]
+
+
+@pytest.mark.parametrize("beta", ["1e-300", "1e300", "1e-101", "1e101"])
+def test_cone_angle_outside_range_is_validation_error(beta, capsys):
+    code, err = _one_error_line(["verify", "hadamard", "--beta", beta], capsys)
+    assert code == 2
+    assert err["error"] == "PolydetError"
+    assert "outside" in err["message"]
+
+
+def test_small_angle_contour_refused_under_memory_limit():
+    # beta = 1e-8 puts about 8e8 poles on the contour; without the pole
+    # bound the list alone takes hundreds of GB, so the run is only ever
+    # made in a child whose address space is capped at 1 GB
+    code = ("import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from polydet.cli import main\n"
+            "sys.exit(main(['verify', 'hadamard', '--beta', '1e-8']))")
+    env = dict(os.environ, PYTHONPATH=str(Path(polydet.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    err = json.loads(lines[0])
+    assert err["error"] == "PolydetError"
+    assert "poles" in err["message"]
 
 
 def test_tolerance_not_reached_exit_code(tetra_path, monkeypatch, capsys):

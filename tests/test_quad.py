@@ -224,10 +224,11 @@ def test_chords_same_bits_alone_or_together(monkeypatch):
             assert chord.panels == panels[i]
 
 
-@pytest.mark.parametrize("size", [1e300, 1e-300])
+@pytest.mark.parametrize("size", [1e300, 1e-155, 1e-170, 1e-190, 1e-205, 1e-300])
 def test_area_outside_float_range(size):
     # the tetrahedron scaled to +-size has area about 6.9/size^2, which
-    # underflows at 1e300 and overflows at 1e-300
+    # underflows at 1e300 and overflows below 1e-154; from 1e-155 to 1e-205
+    # the chords are finite and the shoelace products overflow
     verts = [(size, -0.5), (-size, -0.5), (size * 1j, -0.5), (-size * 1j, -0.5)]
     with pytest.raises(PolydetError, match="not a positive finite float") as exc:
         area(make_metric(1.0, verts))

@@ -12,7 +12,7 @@ from polydet import (
     q_tilde_prime,
 )
 from polydet import regint
-from polydet.errors import NonpositiveAngle, ToleranceNotReached
+from polydet.errors import NonpositiveAngle, PolydetError, ToleranceNotReached
 from polydet.regint import (
     SPLIT_RADIUS,
     _coeffs_coth_coth,
@@ -165,6 +165,32 @@ def test_finite_parts_match_mpmath(beta):
         err = abs(res.finite_part - ref)
         assert err <= 1e-13 * max(abs(ref), 1.0), (fp.__name__, err)
         assert res.error_estimate >= err, (fp.__name__, res.error_estimate, err)
+
+
+@pytest.mark.parametrize("beta", [12 * PI, 20 * PI, 40 * PI, 100 * PI])
+def test_finite_parts_need_no_bisection(beta, monkeypatch):
+    # the near panels, laid out geometrically from rho, meet the
+    # tolerance at once at large angles too
+    monkeypatch.setattr(regint, "MAX_PANEL_SPLITS", 0)
+    for fp in (hadamard_coth_over_sinh_sq, hadamard_coth_coth_over_theta):
+        assert math.isfinite(fp(beta).finite_part)
+
+
+@pytest.mark.parametrize("beta", [1e-300, 1e-101, 1e101, 1e300])
+def test_angle_outside_range_raises(beta):
+    for f in (hadamard_coth_over_sinh_sq, hadamard_coth_coth_over_theta,
+              q_tilde, q_tilde_prime, q_of_beta, q_of_beta_contour):
+        with pytest.raises(PolydetError, match="outside") as info:
+            f(beta)
+        assert type(info.value) is PolydetError
+
+
+def test_contour_pole_bound():
+    # MAX_POLES is reached near beta = (2 pi + 2)/MAX_POLES ~ 2.02e-3
+    with pytest.raises(PolydetError, match="poles"):
+        q_of_beta_contour(2.02e-3)
+    assert len(regint._poles(2.05e-3, 0.0)) <= regint.MAX_POLES
+    assert q_of_beta_contour(2.05e-3) == pytest.approx(q_of_beta(2.05e-3), rel=1e-13)
 
 
 def test_split_budget_exhausted_raises(monkeypatch):
