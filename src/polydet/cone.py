@@ -72,12 +72,8 @@ def _image_sum(n: int, p: ConePoint, q: ConePoint, kernel) -> float:
     """The sum of kernel(rho^2) over the n rotational images of q on the
     cone of opening 2 pi / n, rho the plane distance from p."""
     beta = TWO_PI / n
-    tot = 0.0
-    for m in range(n):
-        rho2 = (p.r * p.r + q.r * q.r
-                - 2.0 * p.r * q.r * math.cos(p.phi - q.phi - m * beta))
-        tot += kernel(rho2)
-    return tot
+    return sum(kernel(p.r * p.r + q.r * q.r - 2.0 * p.r * q.r * math.cos(p.phi - q.phi - m * beta))
+               for m in range(n))
 
 
 def heat_kernel_images(n: int, t: float, p: ConePoint, q: ConePoint) -> float:

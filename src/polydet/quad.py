@@ -340,10 +340,13 @@ def _shoelace(chords, errors) -> Tuple[float, float]:
     corners = np.concatenate(([0.0], ends[:-1]))
     lever = 0.5 * (np.abs(corners) + np.abs(ends[-1] - ends))
     terms = 0.5 * (np.conj(corners) * chords).imag
-    # fsum refuses inf - inf: an area outside the float range is nan here
-    return (math.fsum(terms) if np.isfinite(terms).all() else math.nan,
-            math.fsum(lever * errors)
-            + ROUNDING * math.fsum(np.abs(corners) * np.abs(chords)))
+    # ROUNDING is a power of two, so scaling the terms first is exact and keeps
+    # the sum in range; fsum refuses inf - inf and a sum past the float range
+    try:
+        return (math.fsum(terms), math.fsum(lever * errors)
+                + math.fsum(ROUNDING * np.abs(corners) * np.abs(chords)))
+    except (OverflowError, ValueError):     # an area outside the float range
+        return math.nan, math.nan
 
 
 def area(m: PolyhedralMetric) -> QuadResult:

@@ -159,8 +159,7 @@ def _gauss_panels(f, edges, abs_tol: float, rel_tol: float,
     rule = _rule(PANEL_NODES, 0.0)
     splits = 0
     while True:
-        lo, hi = edges[:-1], edges[1:]
-        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
         nodes = mid[:, None] + half[:, None] * rule[0]
         vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
         sums = _panel_sums(rule, half, vals)
@@ -189,9 +188,9 @@ CONTOUR_TRUNCATION = 40.0  # s cut on the lines; every kernel decays like e^-s
 CONTOUR_ABS_TOL = 1e-13
 CONTOUR_REL_TOL = 1e-12
 POLE_TOL = 1e-12           # a pole this close to a line counts as on it
-# poles a contour may hold, about (2 pi + 2)/beta: a bound on its work
-# and memory, reached at beta ~ 2e-3
-MAX_POLES = 4096
+# poles a contour may hold, about (2 pi + 2)/beta: reached at beta ~ 1.26e-4,
+# where a contour peaks near 110 MB (about 1.6 kB a pole)
+MAX_POLES = 65536
 
 
 def _poles(beta: float, dphi: float):

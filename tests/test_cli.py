@@ -126,21 +126,46 @@ _FAR_ARGV = {"det": ["det", "--metric"], "area": ["area", "--metric"],
              "tetra": ["verify", "tetra", "--points"]}
 
 
-# at 1e300 verify tetra stops earlier, at a vanishing period
-@pytest.mark.parametrize("command, size", [
-    pytest.param(command, size, id=f"{size}-{command}")
-    for command in _FAR_ARGV for size in (1e300, 1e-155, 1e-170, 1e-190, 1e-205, 1e-300)
-    if (command, size) != ("tetra", 1e300)])
-def test_area_outside_float_range_is_validation_error(command, size, tmp_path, capsys):
+def _far_file(size, tmp_path):
     corners = [[size, 0], [-size, 0], [0, size], [0, -size]]
     path = tmp_path / "far.json"
     path.write_text(json.dumps({"C": 1.0, "points": corners, "vertices": [
         {"z": z, "b": -0.5} for z in corners]}))
-    code, err = _one_error_line([*_FAR_ARGV[command], str(path)], capsys)
+    return str(path)
+
+
+_FAR_SIZES = (1e300, 1e-155, 1e-170, 1e-190, 1e-205, 1e-300)
+# verify tetra integrates its periods before the area: at 1e300 one
+# vanishes, and at 1e-300 one is nan
+_FAR_CASES = [(command, size, "not a positive finite float")
+              for command in ("det", "area") for size in _FAR_SIZES]
+_FAR_CASES += [("tetra", size, "area nan is not a positive finite float")
+               for size in _FAR_SIZES[1:-1]]
+_FAR_CASES += [("tetra", 1e-300, "period integral between branch points 0 and 1, "
+                "(nan+nanj), is not a finite float")]
+
+
+@pytest.mark.parametrize("command, size, message", [
+    pytest.param(*case, id=f"{case[1]}-{case[0]}") for case in _FAR_CASES])
+def test_area_outside_float_range_is_validation_error(command, size, message,
+                                                      tmp_path, capsys):
+    code, err = _one_error_line([*_FAR_ARGV[command], _far_file(size, tmp_path)], capsys)
     assert code == 2
     assert err["error"] == "PolydetError"
-    # the area, or for verify tetra first a period or det', is out of range
-    assert "finite float" in err["message"]
+    assert message in err["message"]
+
+
+@pytest.mark.parametrize("size", [2e-154, 2.5e-154, 3e-154])
+def test_area_near_top_of_float_range(size, tmp_path, capsys):
+    # the area, about 6.9/size^2, is near 1e308: det and area report it,
+    # and verify tetra stops at a det' that underflows
+    path = _far_file(size, tmp_path)
+    for command in ("det", "area"):
+        assert main([*_FAR_ARGV[command], path]) == 0
+        assert capsys.readouterr().err == ""
+    code, err = _one_error_line([*_FAR_ARGV["tetra"], path], capsys)
+    assert code == 2
+    assert err["message"] == "det' 0.0 is not a positive finite float"
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
@@ -303,12 +328,14 @@ def test_verify_hadamard_command(capsys):
 
 def test_verify_hadamard_shift_within_estimate(capsys):
     # halving the split radius moves the finite parts by rounding and
-    # truncation only, which the two runs' error estimates cover
-    betas = [math.pi * (0.15 + k * (4.0 - 0.15) / 11) for k in range(12)]
+    # truncation only, which the two runs' error estimates cover; 1e-3
+    # puts 8284 poles on the Q contour, below MAX_POLES
+    betas = [math.pi * (0.15 + k * (4.0 - 0.15) / 11) for k in range(12)] + [1e-3]
     assert main(["verify", "hadamard", "--beta", *map(str, betas)]) == 0
     rows = json.loads(capsys.readouterr().out)
-    assert len(rows) == 12
+    assert len(rows) == 13
     for row in rows:
+        assert row["q_contour_deviation"] < 1e-12 * abs(row["q_of_beta"])
         for name, shift in row["cutoff_halving_shift"].items():
             assert shift <= row["cutoff_halving_estimate"][name], (row["beta"], name)
 

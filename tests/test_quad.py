@@ -235,6 +235,16 @@ def test_area_outside_float_range(size):
     assert not isinstance(exc.value, ToleranceNotReached)
 
 
+@pytest.mark.parametrize("size", [2e-154, 2.5e-154, 3e-154])
+def test_area_near_top_of_float_range(size):
+    # an area near 1e308, whose rounding sum sum |corner| |side| is past it
+    verts = [(size, -0.5), (-size, -0.5), (size * 1j, -0.5), (-size * 1j, -0.5)]
+    result = area(make_metric(1.0, verts))
+    unit = area(make_metric(1.0, [(z / size, b) for z, b in verts]))
+    assert abs(result.value - unit.value / size**2) <= (
+        result.error_estimate + unit.error_estimate / size**2)
+
+
 def test_determinism(tetra):
     a = area(tetra)
     b = area(tetra)

@@ -186,11 +186,12 @@ def test_angle_outside_range_raises(beta):
 
 
 def test_contour_pole_bound():
-    # MAX_POLES is reached near beta = (2 pi + 2)/MAX_POLES ~ 2.02e-3
+    # MAX_POLES is reached near beta = (2 pi + 2)/MAX_POLES ~ 1.264e-4
     with pytest.raises(PolydetError, match="poles"):
-        q_of_beta_contour(2.02e-3)
-    assert len(regint._poles(2.05e-3, 0.0)) <= regint.MAX_POLES
-    assert q_of_beta_contour(2.05e-3) == pytest.approx(q_of_beta(2.05e-3), rel=1e-13)
+        q_of_beta_contour(1.26e-4)
+    assert len(regint._poles(1.27e-4, 0.0)) <= regint.MAX_POLES
+    for beta in (1.27e-4, 1e-3):
+        assert q_of_beta_contour(beta) == pytest.approx(q_of_beta(beta), rel=1e-13)
 
 
 def test_split_budget_exhausted_raises(monkeypatch):
