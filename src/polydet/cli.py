@@ -188,11 +188,11 @@ def _cmd_verify_tetra(args) -> int:
         "thomae_residual": elliptic.thomae_check(pts, data),
         "eta_distance_residual": elliptic.eta_distance_identity(pts, data),
         "det_tetrahedron": det_x,
-        "det_torus_over_det_sq": torus / det_x**2,
+        "det_torus_over_det_sq": torus / det_x / det_x,
         "as_vs_tetr_rel": abs(math.exp(log_det) - det_x) / det_x,
+        # Area(E)/2 = |Im(A conj B)|/2, halved before it can pass the float range
         "area_consistency": abs(
-            abs((data.period_a * data.period_b.conjugate()).imag) - 2.0 * ar
-        ) / (2.0 * ar),
+            abs((0.5 * data.period_a * data.period_b.conjugate()).imag) - ar) / ar,
     }
     _emit(out, args)
     return 0

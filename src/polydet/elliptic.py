@@ -8,9 +8,10 @@ the smooth flat metric |omega|^2,
 
 This module computes the periods A, B of omega over an (a, b) cycle pair
 (twice the integrals of omega between two branch points, from
-``quad.segment_integral`` with all exponents -1/2: the same Gauss-Jacobi
-segment rule that gives the area), the modulus tau = B/A, Dedekind eta and
-the theta constants by q-series, and checks the classical identity chain:
+``quad.segment_integral`` with all exponents -1/2: the same Chebyshev
+product-integration panels that give the area), the modulus tau = B/A,
+Dedekind eta and the theta constants by q-series, and checks the
+classical identity chain:
 
     Jacobi:        2 pi eta^3 = pi theta_2 theta_3 theta_4
     Thomae:        theta_k^8 = (2 pi)^-4 A^4 (z_j1 - z_j2)^2 (z_j3 - z_j4)^2
@@ -190,9 +191,11 @@ def jacobi_residual(data: EllipticData) -> float:
 # identity checks
 # --------------------------------------------------------------------------
 
-def _distance_product(pts) -> float:
-    """prod_{i<j} |z_i - z_j|."""
-    return math.prod(abs(p - q) for p, q in combinations(pts, 2))
+def _distance_root(pts) -> float:
+    """prod_{i<j} |z_i - z_j|^(1/6), a product of sixth roots: the product
+    of the distances themselves leaves the float range for points of size
+    below about 1e-52 or above 1e52."""
+    return math.prod(abs(p - q) ** (1.0 / 6.0) for p, q in combinations(pts, 2))
 
 
 def thomae_check(points: Sequence[complex], data: EllipticData) -> float:
@@ -203,15 +206,14 @@ def thomae_check(points: Sequence[complex], data: EllipticData) -> float:
     splittings of the sorted branch points into two pairs; the assignment
     is resolved by choosing, per theta, the splitting with the smallest
     residual (identical values can share a splitting at symmetric
-    configurations).
+    configurations).  A (z_j1 - z_j2) does not depend on the points'
+    size, so the right side is squared from it and stays in the float range.
     """
     z1, z2, z3, z4 = data.sorted_points
-    A4 = data.period_a**4 / (TWO_PI) ** 4
-    rhs = [
-        A4 * (z1 - z2) ** 2 * (z3 - z4) ** 2,
-        A4 * (z1 - z3) ** 2 * (z2 - z4) ** 2,
-        A4 * (z1 - z4) ** 2 * (z2 - z3) ** 2,
-    ]
+    a = data.period_a / TWO_PI
+    rhs = [(a * (z1 - z2) * a * (z3 - z4)) ** 2,
+           (a * (z1 - z3) * a * (z2 - z4)) ** 2,
+           (a * (z1 - z4) * a * (z2 - z3)) ** 2]
     worst = 0.0
     for th in data.theta_constants:
         lhs = th**8
@@ -225,7 +227,7 @@ def eta_distance_identity(points: Sequence[complex], data: EllipticData) -> floa
     |eta(B/A)|^2 = |A|/(2^(5/3) pi) * prod_{i<j} |z_i - z_j|^(1/6)."""
     lhs = abs(data.eta) ** 2
     rhs = (abs(data.period_a) / (2.0 ** (5.0 / 3.0) * PI)
-           * _distance_product(data.sorted_points) ** (1.0 / 6.0))
+           * _distance_root(data.sorted_points))
     return abs(lhs - rhs) / abs(lhs)
 
 
@@ -246,7 +248,7 @@ def det_tetrahedron(points: Sequence[complex],
         raise DegenerateQuartic(f"need exactly 4 points, got {len(pts)}")
     if area_x is None:
         area_x = area(make_metric(1.0, [(z, -0.5) for z in pts])).value
-    det = area_x * _distance_product(pts) ** (1.0 / 6.0) / (2.0 ** (2.0 / 3.0) * PI)
+    det = area_x * _distance_root(pts) / (2.0 ** (2.0 / 3.0) * PI)
     if not 0.0 < det < math.inf:
         raise PolydetError(f"det' {det!r} is not a positive finite float")
     return det
@@ -254,5 +256,7 @@ def det_tetrahedron(points: Sequence[complex],
 
 def det_torus(data: EllipticData, area_x: float) -> float:
     """det' on the covering torus: Area(E) Im(tau) |eta(tau)|^4 with
-    Area(E) = 2 Area(X).  Equals det_tetrahedron(...)^2."""
-    return 2.0 * area_x * data.tau.imag * abs(data.eta) ** 4
+    Area(E) = 2 Area(X).  Equals det_tetrahedron(...)^2.  Area(X) comes
+    last, so an area near the top of the float range is not doubled past
+    it."""
+    return area_x * (2.0 * data.tau.imag * abs(data.eta) ** 4)

@@ -23,22 +23,27 @@ the tour.
   clockwise to the next edge, by a full -2 pi at a leaf, and every
   arg(z - z_k) is carried along by continuity.
 * chords -- ``segment_integral``: the straight segment is split in
-  halves, each integrated from its own endpoint in dyadic panels, with
-  Gauss-Jacobi on the end panel (its weight s^b holds the vertex
-  singularity exactly) and Gauss-Legendre on the others; a panel is split
-  again while another vertex lies closer to it than its length.  Only
-  differences z - z_k enter, so a metric and its translate give the same
-  digits.
+  halves, each integrated from its own endpoint in dyadic panels; a panel
+  is split again while another vertex lies closer to it than its length.
+  Only differences z - z_k enter, so a metric and its translate give the
+  same digits.
+* panels -- every panel, end or interior, takes its integrand at the same
+  NODES Chebyshev points, both ends included (``_chebyshev``), and
+  integrates their interpolant against a weight (1 + x)^b by modified
+  moments (``_rule``): on the end panel b is the vertex's exponent, so
+  the weight s^b holds the vertex singularity exactly, and elsewhere
+  b = 0.  Only the weights depend on b, and building them solves no
+  eigenproblem.
 
-Every panel is evaluated once, with NODES nodes.  Its error estimate is
-the size of the last two coefficients of its integrand in the orthonormal
-polynomials of its rule, read off the same node values through rows of
-the Golub-Welsch eigenvectors (``_rule``).  The chords' estimates are
-carried through the chord polygon to first order and a rounding floor is
-added.  The work is fixed, so the one accuracy contract, error_estimate <=
-max(ABS_TOL, REL_TOL * value), decides only whether ``area`` raises
-ToleranceNotReached (with the partial result).  Everything is evaluated
-in a fixed order, so results are bit-identical between runs.
+Every panel is evaluated once.  Its error estimate is the size of the
+last two Chebyshev coefficients of its integrand, read off the same node
+values through two more rows of its rule and scaled by the size of the
+moments.  The chords' estimates are carried through the chord polygon
+to first order and a rounding floor is added.  The work is fixed, so the
+one accuracy contract, error_estimate <= max(ABS_TOL, REL_TOL * value),
+decides only whether ``area`` raises ToleranceNotReached (with the
+partial result).  Everything is evaluated in a fixed order, so results
+are bit-identical between runs.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ from .metric import PolyhedralMetric
 
 TWO_PI = 2.0 * math.pi
 
-NODES = 64          # Gauss nodes per panel
+NODES = 64          # Chebyshev points per panel, both ends included
 # values of log(z - z_k) evaluated at once (nodes times other vertices)
 BATCH = 2048
 # panel halvings after which a vertex on the segment is left to the estimate
@@ -102,37 +107,64 @@ class Chord(NamedTuple):
 # one segment
 # --------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
+def _chebyshev(n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The n Chebyshev points x_j = -cos(pi j/(n - 1)) in increasing order,
+    both ends included (computed as a sine, so x_0 = -1 and x_(n-1) = 1
+    exactly and the set is symmetric), and the matrix that takes values at
+    them to the coefficients of their interpolant in T_0 ... T_(n-1)."""
+    d = n - 1
+    j = np.arange(n)
+    x = np.sin(np.pi * (2 * j - d) / (2 * d))
+    # T_k(x_j) = cos(pi m/d) with m = k (d - j) mod 2d: -x_m for m <= d and
+    # -x_(2d - m) above, so the matrix has the points' own accuracy
+    m = j[:, None] * (d - j) % (2 * d)
+    coef = -x[np.minimum(m, 2 * d - m)]
+    # the discrete cosine sum halves its end points, the interpolant its
+    # first and last coefficients
+    coef[:, [0, d]] *= 0.5
+    coef[[0, d]] *= 0.5
+    coef *= 2.0 / d
+    coef.flags.writeable = False        # cached, shared by callers
+    return x, coef
+
+
 @lru_cache(maxsize=256)
-def _rule(n: int, b: float) -> np.ndarray:
-    """Gauss-Jacobi nodes and weights for the weight (1 + x)^b on [-1, 1]
-    (b = 0 is Gauss-Legendre), by Golub-Welsch: the eigenvalues of the
-    Jacobi matrix of the three-term recurrence, and the squared first
-    eigenvector components times mu0 = int (1 + x)^b dx.
+def _rule(n: int, b: float) -> Tuple[np.ndarray, float]:
+    """Product integration for the weight (1 + x)^b on [-1, 1] at the n
+    points of ``_chebyshev`` (Piessens and Branders, Math. Comp. 27, 1973;
+    QUADPACK's DQMOMO):
 
-    Returns the rows nodes, weights and mu0 v_0j v_kj = sqrt(mu0) w_j
-    p_k(x_j) for k = n - 2, n - 1, with p_k the orthonormal polynomials of
-    the weight: applied to values f(x_j) the last two give sqrt(mu0) times
-    the last two coefficients of f in that basis, the size of what the
-    rule leaves out."""
-    k = np.arange(1.0, n)
-    s = 2.0 * k + b
-    diag = np.empty(n)
-    diag[0] = b / (b + 2.0)
-    diag[1:] = b * b / (s * (s + 2.0))
-    off = np.sqrt(4.0 * k * k * (k + b) ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
-    x, vec = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-    mu0 = 2.0 ** (b + 1.0) / (b + 1.0)
-    rule = np.vstack((x, mu0 * vec[0] ** 2, mu0 * vec[0] * vec[-2:]))
-    rule.flags.writeable = False        # cached, shared by callers
-    return rule
+        int (1 + x)^b g = m0 g(-1) + sum_(k >= 1) c_k mu_k,
+
+    m0 = 2^(b+1)/(b + 1), c_k the Chebyshev coefficients of g at the
+    points and mu_k = int (1 + x)^b (T_k(x) - T_k(-1)) dx, which hold no
+    1/(b + 1) however close b is to -1.  They follow DQMOMO's forward
+    recurrence for the moments of T_k, shifted by T_k(-1) m0.
+
+    Returns the rows (the weights of g at the points, for the sum over
+    k >= 1; then the last two coefficients times max(|mu_1|, 2), the size
+    of what the interpolant leaves out and of the moments it meets) and
+    m0, which the caller adds after the sum so that it rounds alone."""
+    top = 2.0 ** (b + 1.0)
+    mu = [2.0 * top / (b + 2.0)]                # mu_1, mu_2, ...
+    sign = -top                                 # (-1)^k 2^(b+1)
+    for k in map(float, range(2, n)):
+        sign = -sign
+        mu.append(-(top + k * (k - b - 2.0) * mu[-1] + sign * (2.0 * k - 1.0))
+                  / ((k - 1.0) * (k + b + 1.0)))
+    coef = _chebyshev(n)[1]
+    rows = np.vstack((np.array(mu) @ coef[1:], max(abs(mu[0]), 2.0) * coef[-2:]))
+    rows.flags.writeable = False        # cached, shared by callers
+    return rows, top / (b + 1.0)
 
 
-def _panel_sums(rule, half, vals) -> np.ndarray:
-    """Per panel, half its length times the rows 1: of its ``_rule``
-    applied to its node values ``vals`` (panel, node): the panel's integral
-    and the last two orthonormal coefficients, whose size is the panel's
-    error estimate.  ``rule`` is one rule for all panels or one per panel."""
-    return half[:, None] * (rule[..., 1:, :] @ vals[..., None])[..., 0]
+def _panel_sums(rows, half, vals) -> np.ndarray:
+    """Per panel, half its length times ``rows`` applied to its node values
+    ``vals`` (panel, node): the weights give the panel's integral and the
+    next rows the coefficients whose size is its error estimate.  ``rows``
+    is one set for all panels or one per panel."""
+    return half[:, None] * (rows @ vals[..., None])[..., 0]
 
 
 def _panels(d: np.ndarray, rel: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,14 +201,14 @@ def _chords(zs, bs, u, v, theta_u, theta_v) -> Tuple[np.ndarray, np.ndarray, np.
     with the rows theta_u, theta_v of branches at either end.
 
     A chord is two halves, each from its own end z_p to the midpoint, on
-    panels of NODES Gauss nodes.  theta[p] at z_p is the branch of
+    panels of NODES Chebyshev points.  theta[p] at z_p is the branch of
     arg(z_q - z_p) and theta[k] that of arg(z_p - z_k) for k != p.  The
     stages run over all panels at once, the log factors in groups of about
     BATCH values, and every sum is a panel's own (``_panel_sums``) before
     the sum over the panels of a half, so a chord has the same bits
-    whatever else is evaluated with it.  The error estimate of a panel is
-    the size of the last two coefficients of its integrand in the
-    orthonormal polynomials of its rule (``_rule``).
+    whatever else is evaluated with it.  The end panel of a half takes the
+    rule of the weight (1 + x)^bp, every other panel that of weight 1
+    (``_rule``).
     """
     p, q = np.concatenate((u, v)), np.concatenate((v, u))
     theta = np.concatenate((theta_u, theta_v))
@@ -191,12 +223,12 @@ def _chords(zs, bs, u, v, theta_u, theta_v) -> Tuple[np.ndarray, np.ndarray, np.
     owner, a, l = _panels(d, rel)
     h = 0.5 * l
     end = a == 0.0                      # the first panel of every half
-    # Gauss-Legendre, then the Gauss-Jacobi rule of each vertex for the end
-    # panels
-    rules = np.array([_rule(NODES, 0.0)] + [_rule(NODES, b) for b in bs.tolist()])
-    rule = rules[np.where(end, p[owner] + 1, 0)]
-    s = a[:, None] + h[:, None] * (1.0 + rule[:, 0])
-    # on the end panel the Jacobi weight carries (1 + x)^bp, so
+    # the rule of weight 1, then that of each vertex's (1 + x)^b for the
+    # end panels
+    rows, m0 = (np.array(c) for c in zip(*[_rule(NODES, b) for b in [0.0] + bs.tolist()]))
+    rule = np.where(end, p[owner] + 1, 0)
+    s = a[:, None] + h[:, None] * (1.0 + _chebyshev(NODES)[0])
+    # on the end panel the weight carries (1 + x)^bp, so
     # s^bp = h^bp (1 + x)^bp leaves h^bp; elsewhere s^bp is smooth
     f = np.where(end[:, None], h[:, None], s) ** bp[owner, None]
 
@@ -209,7 +241,10 @@ def _chords(zs, bs, u, v, theta_u, theta_v) -> Tuple[np.ndarray, np.ndarray, np.
         terms = _log_factors(s[i:i + step], d[o], rel[o], th_o[o])
         g[i:i + step] = (terms @ b_o[o, :, None])[..., 0]
     np.exp(g, out=g)
-    sums = _panel_sums(rule, h, f * g)
+    vals = f * g
+    sums = _panel_sums(rows[rule], h, vals)
+    # the vertex term m0 g(-1), after the sum of the other weights
+    sums[:, 0] += h * m0[rule] * vals[:, 0]
     count = np.bincount(owner, minlength=halves)
     start = np.cumsum(count) - count
     # d^(1 + bp) on its branch
@@ -269,9 +304,9 @@ def segment_integral(zs, bs, u: int, v: int,
     if theta is None:
         theta = _principal(zs, u, v)
     u, v = np.array([u]), np.array([v])
-    moved, angle = _subtended(zs, u, v)
     # a chord outside the float range comes out inf or nan; callers check
     with np.errstate(over="ignore", invalid="ignore"):
+        moved, angle = _subtended(zs, u, v)
         values, errors, panels = _chords(zs, bs, u, v, theta[None],
                                          np.where(moved, theta + angle, theta))
     return Chord(complex(values[0]), float(errors[0]), int(panels[0]))

@@ -90,11 +90,12 @@ its fastest exponential: no bisection from 0.05 pi to 300 pi.  Halving
 Gauss-Legendre panels
 ---------------------
 ``_gauss_panels`` is the one quadrature of this module: one pass over a
-list of edges, PANEL_NODES = 32 Golub-Welsch nodes (``quad._rule``) per
-panel, with the error estimate of ``quad``, run again with the worst
-panels bisected while it is too large; past MAX_PANEL_SPLITS bisections
-ToleranceNotReached carries the partial result, so no integral fails to
-converge silently.
+list of edges, PANEL_NODES = 32 Gauss-Legendre nodes (by Golub-Welsch,
+``_gauss_legendre``) per panel, its error estimate the size of the last
+two orthonormal coefficients of each panel (``quad._panel_sums``), run
+again with the worst panels bisected while it is too large; past
+MAX_PANEL_SPLITS bisections ToleranceNotReached carries the partial
+result, so no integral fails to converge silently.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import NonpositiveAngle, PolydetError, ToleranceNotReached
-from .quad import QuadResult, _panel_sums, _quadpack_binding, _rule
+from .quad import QuadResult, _panel_sums, _quadpack_binding
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -140,6 +141,26 @@ MAX_PANEL_SPLITS = 64   # panel bisections per integral
 ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(n: int) -> np.ndarray:
+    """Gauss-Legendre nodes and weights on [-1, 1] by Golub-Welsch: the
+    eigenvalues of the Jacobi matrix of the three-term recurrence, and the
+    squared first eigenvector components times mu0 = 2.
+
+    Returns the rows nodes, weights and mu0 v_0j v_kj = sqrt(mu0) w_j
+    p_k(x_j) for k = n - 2, n - 1, with p_k the orthonormal Legendre
+    polynomials: applied to values f(x_j) the last two give sqrt(mu0) times
+    the last two coefficients of f in that basis, the size of what the
+    rule leaves out."""
+    k = np.arange(1.0, n)
+    s = 2.0 * k
+    off = np.sqrt(4.0 * k * k * k ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
+    x, vec = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
+    rule = np.vstack((x, 2.0 * vec[0] ** 2, 2.0 * vec[0] * vec[-2:]))
+    rule.flags.writeable = False        # cached, shared by callers
+    return rule
+
+
 def _gauss_panels(f, edges, abs_tol: float, rel_tol: float,
                   cancel: float = 0.0) -> QuadResult:
     """int f from edges[0] to edges[-1] on Gauss-Legendre panels between
@@ -156,13 +177,13 @@ def _gauss_panels(f, edges, abs_tol: float, rel_tol: float,
     ToleranceNotReached carries the partial result.
     """
     edges = np.asarray(edges, dtype=float)
-    rule = _rule(PANEL_NODES, 0.0)
+    rule = _gauss_legendre(PANEL_NODES)
     splits = 0
     while True:
         half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
         nodes = mid[:, None] + half[:, None] * rule[0]
         vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
-        sums = _panel_sums(rule, half, vals)
+        sums = _panel_sums(rule[1:], half, vals)
         coef = np.abs(sums[:, 1:]).sum(axis=1)
         value = sums[:, 0].sum().item()
         floor = ROUNDING * ((half * (np.abs(vals) @ rule[1])).sum().item() + cancel)

@@ -134,15 +134,15 @@ def _far_file(size, tmp_path):
     return str(path)
 
 
-_FAR_SIZES = (1e300, 1e-155, 1e-170, 1e-190, 1e-205, 1e-300)
+_FAR_SIZES = (1e300, 1e-155, 1e-170, 1e-190, 1e-205, 1e-300, 1e-315)
 # verify tetra integrates its periods before the area: at 1e300 one
-# vanishes, and at 1e-300 one is nan
+# vanishes, and from 1e-300 (1e-315 is subnormal) one is nan
 _FAR_CASES = [(command, size, "not a positive finite float")
               for command in ("det", "area") for size in _FAR_SIZES]
 _FAR_CASES += [("tetra", size, "area nan is not a positive finite float")
-               for size in _FAR_SIZES[1:-1]]
-_FAR_CASES += [("tetra", 1e-300, "period integral between branch points 0 and 1, "
-                "(nan+nanj), is not a finite float")]
+               for size in _FAR_SIZES[1:-2]]
+_FAR_CASES += [("tetra", size, "period integral between branch points 0 and 1, "
+                "(nan+nanj), is not a finite float") for size in _FAR_SIZES[-2:]]
 
 
 @pytest.mark.parametrize("command, size, message", [
@@ -155,17 +155,41 @@ def test_area_outside_float_range_is_validation_error(command, size, message,
     assert message in err["message"]
 
 
+def _verify_far_tetra(size, tmp_path, capsys):
+    """verify tetra on the tetrahedron at +-size passes every identity,
+    with det' = det'(size 1)/size to 1e-12."""
+    reports = []
+    for scale in (1.0, size):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*_FAR_ARGV["tetra"], _far_file(scale, tmp_path)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        reports.append(json.loads(captured.out))
+    unit, rep = reports
+    for key in ("jacobi_residual", "thomae_residual", "eta_distance_residual",
+                "as_vs_tetr_rel", "area_consistency"):
+        assert rep[key] < 1e-12, key
+    assert abs(rep["det_torus_over_det_sq"] - 1.0) < 1e-12
+    assert rep["det_tetrahedron"] * size == pytest.approx(unit["det_tetrahedron"], rel=1e-12)
+
+
 @pytest.mark.parametrize("size", [2e-154, 2.5e-154, 3e-154])
 def test_area_near_top_of_float_range(size, tmp_path, capsys):
     # the area, about 6.9/size^2, is near 1e308: det and area report it,
-    # and verify tetra stops at a det' that underflows
+    # and verify tetra with it a det' near 1e154
     path = _far_file(size, tmp_path)
     for command in ("det", "area"):
         assert main([*_FAR_ARGV[command], path]) == 0
         assert capsys.readouterr().err == ""
-    code, err = _one_error_line([*_FAR_ARGV["tetra"], path], capsys)
-    assert code == 2
-    assert err["message"] == "det' 0.0 is not a positive finite float"
+    _verify_far_tetra(size, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("size", [1e-60, 1e60])
+def test_verify_tetra_far_sizes(size, tmp_path, capsys):
+    # the product of the six distances, size^6, is outside the float range
+    # here; det' (about 2.2/size) is not
+    _verify_far_tetra(size, tmp_path, capsys)
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])

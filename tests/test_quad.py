@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -61,11 +62,14 @@ def test_triangle_closed_form():
 
 
 def test_triangle_exponent_near_minus_one():
+    # in every vertex order: the order changes the tour and the rounding
     zs = [0.3 + 0.1j, -1.1 + 0.5j, 0.6 - 0.9j]
     for b1 in (-0.99, -0.999, -0.9999):
         bs = [b1, -0.5, -1.5 - b1]
-        res = area(make_metric(1.0, list(zip(zs, bs))))
-        assert res.value == pytest.approx(triangle_area(1.0, zs, bs), rel=1e-12)
+        for order in itertools.permutations(range(3)):
+            z, b = [zs[i] for i in order], [bs[i] for i in order]
+            res = area(make_metric(1.0, list(zip(z, b))))
+            assert res.value == pytest.approx(triangle_area(1.0, z, b), rel=1e-12)
 
 
 def test_angle_above_two_pi_from_double_cover():
@@ -156,8 +160,8 @@ def test_error_estimate_covers_exponent_near_minus_one():
 
 
 def test_error_estimate_covers_truncation(monkeypatch):
-    # with 6 nodes per panel the truncation error (about 1e-10) is far
-    # above the rounding floor: the coefficient tail must cover it
+    # with 6 nodes per panel the truncation error (1e-8 to 5e-6 relative)
+    # is far above the rounding floor: the coefficient tail must cover it
     # (the loose REL_TOL keeps the contract from raising on them)
     monkeypatch.setattr(quad, "NODES", 6)
     monkeypatch.setattr(quad, "REL_TOL", 1.0)
@@ -191,6 +195,53 @@ def test_area_invariant_under_inversion_and_reordering(data, shift):
     reordered = area(make_metric(C, list(zip(zs[k:] + zs[:k], bs[k:] + bs[:k])))).value
     assert inverted == pytest.approx(a, rel=1e-12)
     assert reordered == pytest.approx(a, rel=1e-12)
+
+
+def _weighted_exponential(b, lam):
+    """int_-1^1 (1 + x)^b e^(lam x) dx
+    = e^-lam sum_n lam^n 2^(n+b+1)/(n! (n+b+1)), to 40 digits."""
+    with mpmath.workdps(40):
+        b, lam = mpmath.mpf(b), mpmath.mpf(lam)
+        total = mpmath.nsum(lambda n: lam ** n * 2 ** (n + b + 1)
+                            / (mpmath.factorial(n) * (n + b + 1)), [0, mpmath.inf])
+        return float(mpmath.exp(-lam) * total)
+
+
+@pytest.mark.parametrize("b, lam", [
+    *itertools.product((-0.999999, -0.9999, -0.99, -0.5, 0.0, 0.7), (1.0, 3.0, 10.0, -20.0)),
+    *itertools.product((2.0, 5.0), (1.0, 3.0, 10.0))])
+def test_rule_weighted_exponential(b, lam):
+    """The panel rule alone, with the vertex term added after the other
+    weights as in _chords.  e^(-20 x) is left out from b = 2 up, where
+    product integration is ill-conditioned: its Chebyshev coefficients
+    2 I_k(20) reach 8.5e7, 700 times the integral at b = 2 and 9e4 times
+    at b = 5, and their rounding meets the moments mu_k, so the rule errs
+    by 2e-12 and 2e-9 relative there."""
+    x, _ = quad._chebyshev(quad.NODES)
+    rows, m0 = quad._rule(quad.NODES, b)
+    g = np.exp(lam * x)
+    value = rows[0] @ g + m0 * g[0]
+    assert value == pytest.approx(_weighted_exponential(b, lam), rel=1e-13)
+
+
+def test_area_runs_no_eigensolver(monkeypatch):
+    # the panel rules come from moments: no LAPACK eigensolver on the area
+    # path, also for exponents no rule has been built for
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigensolver called")
+
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    quad._rule.cache_clear()
+    quad._chebyshev.cache_clear()
+    for C, zs, bs in _random_triangles(3, seed=14):
+        res = area(make_metric(C, list(zip(zs, bs))))
+        assert res.value == pytest.approx(triangle_area(C, zs, bs), rel=1e-12)
+    b1, b2 = -0.3137, -0.8521
+    chord = segment_integral([0.0, 1.0], [b1, b2], 0, 1)
+    exact = cmath.exp(1j * PI * b2) * math.exp(
+        math.lgamma(1 + b1) + math.lgamma(1 + b2) - math.lgamma(2 + b1 + b2))
+    assert abs(chord.value - exact) < 1e-14
 
 
 def test_segment_integral_endpoint_singularities():
