@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Two SHA-256 digests over the det_corpus results of a range of seeds.
+"""Three SHA-256 digests: det_corpus results of a range of seeds, and regint.
 
 For every item of ``bench/corpus.det_corpus(seed)`` it runs
 ``detlap.log_det_as`` and feeds ``float.hex()`` of ``area`` into one
 digest and of ``log_det`` into the other (a raising item feeds the
-exception's type name into both).  Two checkouts that print the same
-area digest give bit-identical areas on every item, and the same
-log-det digest bit-identical determinants, so a change that moves only
-the angle terms can show that its areas did not move.  The inputs come
-from ``bench/corpus.py``
-of the checkout named by ``--root``, loaded by path and only read; the
-program is imported from that checkout's ``src/``.
+exception's type name into both).  The third digest takes ``float.hex()``
+of both Hadamard finite parts and of ``q_of_beta_contour`` at the angles
+0.1 pi, 0.2 pi, ..., 20 pi, whatever the seeds.  Two checkouts that print
+the same area digest give bit-identical areas on every item, the same
+log-det digest bit-identical determinants and the same regint digest
+bit-identical finite parts and contours, so a change that moves only the
+angle terms can show that its areas did not move, and one that moves
+regint shows it on a line of its own.  The inputs come from
+``bench/corpus.py`` of the checkout named by ``--root``, loaded by path
+and only read; the program is imported from that checkout's ``src/``.
 
 Usage: python scripts/area_digest.py [--seeds 1-30] [--root DIR]
 """
@@ -18,6 +21,7 @@ Usage: python scripts/area_digest.py [--seeds 1-30] [--root DIR]
 import argparse
 import hashlib
 import importlib.util
+import math
 import os
 import sys
 from pathlib import Path
@@ -44,7 +48,7 @@ def main():
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
     sys.path.insert(0, str(args.root / "src"))
-    from polydet import detlap, make_metric
+    from polydet import detlap, make_metric, regint
 
     digests = {"area": hashlib.sha256(), "log_det": hashlib.sha256()}
     count = 0
@@ -62,6 +66,19 @@ def main():
     seeds = f"seeds {args.seeds.start}-{args.seeds.stop - 1}"
     for name, digest in digests.items():
         print(f"{digest.hexdigest()}  {name}, {count} items, {seeds}")
+
+    digest = hashlib.sha256()
+    angles = [k * math.pi / 10.0 for k in range(1, 201)]
+    for beta in angles:
+        try:
+            line = " ".join(x.hex() for x in (
+                regint.hadamard_coth_over_sinh_sq(beta).finite_part,
+                regint.hadamard_coth_coth_over_theta(beta).finite_part,
+                regint.q_of_beta_contour(beta)))
+        except Exception as exc:     # a raising angle is part of the digest too
+            line = type(exc).__name__
+        digest.update(f"{beta.hex()} {line}\n".encode())
+    print(f"{digest.hexdigest()}  regint, {len(angles)} angles, 0.1pi-20pi")
 
 
 if __name__ == "__main__":

@@ -71,11 +71,16 @@ def _half_period(pts, u: int, v: int) -> complex:
     """int omega from pts[u] to pts[v] along the straight segment, the
     branch of the square root continued from its principal value at the
     start; omega = prod (z - z_k)^(-1/2) dz is the metric's form with all
-    exponents -1/2 and C = 1; it must be finite and meet PERIOD_REL_TOL."""
+    exponents -1/2 and C = 1; it must be finite, nonzero (far from the
+    origin the product of the factors underflows) and meet PERIOD_REL_TOL."""
     chord = segment_integral(pts, BRANCH_EXPONENTS, u, v)
     if not cmath.isfinite(chord.value):
         raise PolydetError(f"period integral between branch points {u} and {v}, "
                            f"{chord.value!r}, is not a finite float")
+    if chord.value == 0.0:
+        raise PolydetError(f"period integral between branch points {u} and {v}, "
+                           f"{chord.value!r}, is not a nonzero float: its integrand "
+                           f"underflows")
     if not chord.error <= PERIOD_REL_TOL * abs(chord.value):
         raise ToleranceNotReached(
             f"period integral between branch points {u} and {v}: error "
@@ -101,8 +106,6 @@ def periods(points: Sequence[complex]) -> EllipticData:
 
     A = 2.0 * _half_period(pts, 0, 1)
     B = 2.0 * _half_period(pts, 1, 2)
-    if abs(A) == 0.0:
-        raise DegenerateQuartic("vanishing a-period")
     tau = B / A
     if abs(tau.imag) < DEGENERATE_TOL:
         raise DegenerateQuartic(f"modulus degenerate: tau = {tau}")

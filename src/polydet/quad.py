@@ -77,7 +77,7 @@ ABS_TOL = 1e-12
 class QuadResult:
     value: float
     error_estimate: float
-    cell_count: int             # Gauss panels of all chords
+    cell_count: int             # panels of all chords, or of a regint integral
 
 
 def _quadpack_binding(attr: str, module: str):
@@ -85,7 +85,7 @@ def _quadpack_binding(attr: str, module: str):
     routine on first access, so importing polydet loads no scipy.  No
     polydet code calls it: the benchmark's tracer (bench/tracing.py) wraps
     these names to count QUADPACK calls and needs them to exist.  ROADMAP.md
-    item 3 removes them."""
+    item 4 removes them."""
     def __getattr__(name: str):
         if name == attr:
             from scipy.integrate import quad
@@ -145,7 +145,7 @@ def _rule(n: int, b: float) -> Tuple[np.ndarray, float]:
     Returns the rows (the weights of g at the points, for the sum over
     k >= 1; then the last two coefficients times max(|mu_1|, 2), the size
     of what the interpolant leaves out and of the moments it meets) and
-    m0, which the caller adds after the sum so that it rounds alone."""
+    m0, which ``_panel_sums`` adds after the sum so that it rounds alone."""
     top = 2.0 ** (b + 1.0)
     mu = [2.0 * top / (b + 2.0)]                # mu_1, mu_2, ...
     sign = -top                                 # (-1)^k 2^(b+1)
@@ -159,12 +159,16 @@ def _rule(n: int, b: float) -> Tuple[np.ndarray, float]:
     return rows, top / (b + 1.0)
 
 
-def _panel_sums(rows, half, vals) -> np.ndarray:
-    """Per panel, half its length times ``rows`` applied to its node values
-    ``vals`` (panel, node): the weights give the panel's integral and the
-    next rows the coefficients whose size is its error estimate.  ``rows``
-    is one set for all panels or one per panel."""
-    return half[:, None] * (rows @ vals[..., None])[..., 0]
+def _panel_sums(rows, m0, half, vals) -> np.ndarray:
+    """Per panel, half its length times ``rows`` and ``m0`` of ``_rule``
+    applied to its node values ``vals`` (panel, node): the weights give the
+    panel's integral, with the vertex term m0 g(-1) added after the sum of
+    the others, and the next rows the coefficients whose size is its error
+    estimate.  ``rows`` and ``m0`` are one set for all panels or one per
+    panel."""
+    sums = half[:, None] * (rows @ vals[..., None])[..., 0]
+    sums[:, 0] += half * m0 * vals[:, 0]
+    return sums
 
 
 def _panels(d: np.ndarray, rel: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -242,9 +246,7 @@ def _chords(zs, bs, u, v, theta_u, theta_v) -> Tuple[np.ndarray, np.ndarray, np.
         g[i:i + step] = (terms @ b_o[o, :, None])[..., 0]
     np.exp(g, out=g)
     vals = f * g
-    sums = _panel_sums(rows[rule], h, vals)
-    # the vertex term m0 g(-1), after the sum of the other weights
-    sums[:, 0] += h * m0[rule] * vals[:, 0]
+    sums = _panel_sums(rows[rule], m0[rule], h, vals)
     count = np.bincount(owner, minlength=halves)
     start = np.cumsum(count) - count
     # d^(1 + bp) on its branch

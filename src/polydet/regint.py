@@ -37,7 +37,7 @@ integral taken as a principal value.  On the lines sin(th/2) =
 +-cosh(s/2), and th -> -conj(th) folds the two lines into one real
 integral over s >= 0 with the weight
 L(s) = Re[cot(pi(dphi - pi - is)/beta) - cot(pi(dphi + pi - is)/beta)].
-The line integral runs on Gauss-Legendre panels (below) over [0, T],
+The line integral runs on the panels below over [0, T],
 T = 40, with dyadic edges from 1/2 up and, for a pole a distance w off a
 line, edges graded geometrically down to 0.3 w, where its Lorentzian
 bump sits.  A pole within POLE_TOL = 1e-12 of a line counts as on it.
@@ -87,15 +87,18 @@ its fastest exponential: no bisection from 0.05 pi to 300 pi.  Halving
 ``split`` moves the result within the two runs' error estimates, which
 ``verify hadamard`` reports.
 
-Gauss-Legendre panels
----------------------
-``_gauss_panels`` is the one quadrature of this module: one pass over a
-list of edges, PANEL_NODES = 32 Gauss-Legendre nodes (by Golub-Welsch,
-``_gauss_legendre``) per panel, its error estimate the size of the last
-two orthonormal coefficients of each panel (``quad._panel_sums``), run
-again with the worst panels bisected while it is too large; past
-MAX_PANEL_SPLITS bisections ToleranceNotReached carries the partial
-result, so no integral fails to converge silently.
+Panels
+------
+``_panel_integral`` is the one quadrature of this module: one pass over a
+list of edges, each panel integrated by the Chebyshev rule of the area
+(``quad._rule`` with weight 1) on PANEL_NODES = 33 points, its error
+estimate the size of the last two Chebyshev coefficients of each panel
+(``quad._panel_sums``), run again with the worst panels bisected while
+it is too large; past MAX_PANEL_SPLITS bisections ToleranceNotReached
+carries the partial result, so no integral fails to converge silently.
+For integrands analytic on the panel, as all of these are, the rule is
+about as accurate per node as Gauss-Legendre (Trefethen, SIAM Rev. 50,
+2008).
 """
 
 from __future__ import annotations
@@ -108,7 +111,7 @@ from typing import Callable, Tuple
 import numpy as np
 
 from .errors import NonpositiveAngle, PolydetError, ToleranceNotReached
-from .quad import QuadResult, _panel_sums, _quadpack_binding
+from .quad import QuadResult, _chebyshev, _panel_sums, _quadpack_binding, _rule
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -133,60 +136,44 @@ def _csch2(x):
 
 
 # --------------------------------------------------------------------------
-# Gauss-Legendre panels
+# panels
 # --------------------------------------------------------------------------
 
-PANEL_NODES = 32        # Gauss-Legendre nodes per panel
+PANEL_NODES = 33        # Chebyshev points per panel, both ends included
 MAX_PANEL_SPLITS = 64   # panel bisections per integral
 ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
-@lru_cache(maxsize=None)
-def _gauss_legendre(n: int) -> np.ndarray:
-    """Gauss-Legendre nodes and weights on [-1, 1] by Golub-Welsch: the
-    eigenvalues of the Jacobi matrix of the three-term recurrence, and the
-    squared first eigenvector components times mu0 = 2.
-
-    Returns the rows nodes, weights and mu0 v_0j v_kj = sqrt(mu0) w_j
-    p_k(x_j) for k = n - 2, n - 1, with p_k the orthonormal Legendre
-    polynomials: applied to values f(x_j) the last two give sqrt(mu0) times
-    the last two coefficients of f in that basis, the size of what the
-    rule leaves out."""
-    k = np.arange(1.0, n)
-    s = 2.0 * k
-    off = np.sqrt(4.0 * k * k * k ** 2 / (s * s * (s + 1.0) * (s - 1.0)))
-    x, vec = np.linalg.eigh(np.diag(off, 1) + np.diag(off, -1))
-    rule = np.vstack((x, 2.0 * vec[0] ** 2, 2.0 * vec[0] * vec[-2:]))
-    rule.flags.writeable = False        # cached, shared by callers
-    return rule
-
-
-def _gauss_panels(f, edges, abs_tol: float, rel_tol: float,
-                  cancel: float = 0.0) -> QuadResult:
-    """int f from edges[0] to edges[-1] on Gauss-Legendre panels between
-    consecutive ``edges``; ``f`` maps an array of nodes to an array of
-    real or complex values.
+def _panel_integral(f, edges, abs_tol: float, rel_tol: float,
+                    cancel: float = 0.0) -> QuadResult:
+    """int f from edges[0] to edges[-1] on panels between consecutive
+    ``edges``; ``f`` maps an array of nodes to an array of real or complex
+    values.
 
     A pass calls ``f`` once on every node.  The error estimate is the sum
     over panels of the size of the last two coefficients (``quad._panel_sums``)
     plus a rounding floor, ROUNDING times the size of the terms summed: the
-    integral of |f| plus ``cancel``, the integral of terms that cancel
-    inside f.  While the coefficient part exceeds max(abs_tol, rel_tol |I|,
-    floor) the pass is run again with every panel holding more than its
-    share of that bound bisected; past MAX_PANEL_SPLITS bisections
-    ToleranceNotReached carries the partial result.
+    integral of |f| by the rule's weights, which are positive, plus
+    ``cancel``, the integral of terms that cancel inside f.  While the
+    coefficient part exceeds max(abs_tol, rel_tol |I|, floor) the pass is
+    run again with every panel holding more than its share of that bound
+    bisected; past MAX_PANEL_SPLITS bisections ToleranceNotReached carries
+    the partial result.
     """
     edges = np.asarray(edges, dtype=float)
-    rule = _gauss_legendre(PANEL_NODES)
+    x = _chebyshev(PANEL_NODES)[0]
+    rows, m0 = _rule(PANEL_NODES, 0.0)
+    weights = rows[0].copy()            # with the vertex term: all positive
+    weights[0] += m0
     splits = 0
     while True:
-        half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
-        nodes = mid[:, None] + half[:, None] * rule[0]
+        half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
+        nodes = mid[:, None] + half[:, None] * x
         vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
-        sums = _panel_sums(rule[1:], half, vals)
+        sums = _panel_sums(rows, m0, half, vals)
         coef = np.abs(sums[:, 1:]).sum(axis=1)
         value = sums[:, 0].sum().item()
-        floor = ROUNDING * ((half * (np.abs(vals) @ rule[1])).sum().item() + cancel)
+        floor = ROUNDING * ((half * (np.abs(vals) @ weights)).sum().item() + cancel)
         bound = max(abs_tol, rel_tol * abs(value), floor)
         err = coef.sum().item()
         result = QuadResult(value, err + floor, len(half))
@@ -298,8 +285,8 @@ def _cot_contour(beta: float, dphi: float, g, tip: bool = False):
         total = np.dot(w, g(np.abs(np.sin(0.5 * th))))
     weight = _line_weight(beta, dphi, [math.copysign(PI, th) for _, th, on in poles if on])
     gaps = [abs(th - foot) for _, th, _ in poles for foot in (PI, -PI)]
-    line = _gauss_panels(lambda s: g(np.cosh(0.5 * s)) * weight(s),
-                         _line_edges(gaps), CONTOUR_ABS_TOL, CONTOUR_REL_TOL)
+    line = _panel_integral(lambda s: g(np.cosh(0.5 * s)) * weight(s),
+                           _line_edges(gaps), CONTOUR_ABS_TOL, CONTOUR_REL_TOL)
     return (total + line.value / beta).item()
 
 
@@ -393,14 +380,14 @@ def _finite_part(f: Callable, tail: Callable, tail_upper: float, rate: float,
     # starts; rho^(k/n) as sqrt(rho^(2k/n)), so that n = 2 gives sqrt(rho)
     n = max(2, math.ceil(-0.5 * math.log2(rho)))
     edges = [rho] + [math.sqrt(rho ** (2.0 * k / n)) for k in range(n - 1, 0, -1)] + [1.0]
-    near = _gauss_panels(regular_part, edges, FP_ABS_TOL, FP_REL_TOL, cancel)
+    near = _panel_integral(regular_part, edges, FP_ABS_TOL, FP_REL_TOL, cancel)
     edges = [1.0]
     step = 1.0 / rate
     while edges[-1] + step < tail_upper:
         edges.append(edges[-1] + step)
         step *= 2.0
     edges.append(tail_upper)
-    far = _gauss_panels(tail, edges, FP_ABS_TOL, FP_REL_TOL)
+    far = _panel_integral(tail, edges, FP_ABS_TOL, FP_REL_TOL)
     return HadamardResult(
         finite_part=math.fsum([-a3 / 2.0, circle, near.value, far.value]),
         subtracted_quadratic=a3 / 2.0,

@@ -135,14 +135,17 @@ def _far_file(size, tmp_path):
 
 
 _FAR_SIZES = (1e300, 1e-155, 1e-170, 1e-190, 1e-205, 1e-300, 1e-315)
-# verify tetra integrates its periods before the area: at 1e300 one
-# vanishes, and from 1e-300 (1e-315 is subnormal) one is nan
+# verify tetra integrates its periods before the area: at 1e300 the
+# product in the integrand underflows to 0, and from 1e-300 (1e-315 is
+# subnormal) a period is nan
 _FAR_CASES = [(command, size, "not a positive finite float")
               for command in ("det", "area") for size in _FAR_SIZES]
 _FAR_CASES += [("tetra", size, "area nan is not a positive finite float")
                for size in _FAR_SIZES[1:-2]]
 _FAR_CASES += [("tetra", size, "period integral between branch points 0 and 1, "
                 "(nan+nanj), is not a finite float") for size in _FAR_SIZES[-2:]]
+_FAR_CASES += [("tetra", 1e300, "period integral between branch points 0 and 1, 0j, "
+                "is not a nonzero float")]
 
 
 @pytest.mark.parametrize("command, size, message", [

@@ -8,7 +8,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydet import area, make_metric, quad, segment_integral
+from polydet import (
+    ConePoint,
+    area,
+    hadamard_coth_coth_over_theta,
+    hadamard_coth_over_sinh_sq,
+    heat_kernel_cone,
+    heat_kernel_images,
+    log_det_as,
+    make_metric,
+    q_of_beta,
+    q_of_beta_contour,
+    quad,
+    regint,
+    segment_integral,
+    tetrahedron_metric,
+)
 from polydet.errors import PolydetError, ToleranceNotReached
 
 PI = math.pi
@@ -211,29 +226,34 @@ def _weighted_exponential(b, lam):
     *itertools.product((-0.999999, -0.9999, -0.99, -0.5, 0.0, 0.7), (1.0, 3.0, 10.0, -20.0)),
     *itertools.product((2.0, 5.0), (1.0, 3.0, 10.0))])
 def test_rule_weighted_exponential(b, lam):
-    """The panel rule alone, with the vertex term added after the other
-    weights as in _chords.  e^(-20 x) is left out from b = 2 up, where
-    product integration is ill-conditioned: its Chebyshev coefficients
-    2 I_k(20) reach 8.5e7, 700 times the integral at b = 2 and 9e4 times
-    at b = 5, and their rounding meets the moments mu_k, so the rule errs
-    by 2e-12 and 2e-9 relative there."""
+    """The panel rule alone on one panel of half length 1, with the vertex
+    term added after the other weights (``_panel_sums``).  e^(-20 x) is
+    left out from b = 2 up, where product integration is ill-conditioned:
+    its Chebyshev coefficients 2 I_k(20) reach 8.5e7, 700 times the
+    integral at b = 2 and 9e4 times at b = 5, and their rounding meets the
+    moments mu_k, so the rule errs by 2e-12 and 2e-9 relative there."""
     x, _ = quad._chebyshev(quad.NODES)
     rows, m0 = quad._rule(quad.NODES, b)
     g = np.exp(lam * x)
-    value = rows[0] @ g + m0 * g[0]
+    value = quad._panel_sums(rows[:1], m0, np.ones(1), g[None])[0, 0]
     assert value == pytest.approx(_weighted_exponential(b, lam), rel=1e-13)
 
 
-def test_area_runs_no_eigensolver(monkeypatch):
-    # the panel rules come from moments: no LAPACK eigensolver on the area
-    # path, also for exponents no rule has been built for
+def test_package_runs_no_eigensolver(monkeypatch):
+    # every panel rule of polydet comes from moments: no LAPACK eigensolver
+    # on the area, the determinant, the finite parts or the contour, also
+    # with every cached rule and finite part cleared
+    from test_regint import _mp_finite_part
+
     def refuse(*args, **kwargs):
         raise AssertionError("eigensolver called")
 
-    monkeypatch.setattr(np.linalg, "eigh", refuse)
-    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
-    quad._rule.cache_clear()
-    quad._chebyshev.cache_clear()
+    for name in ("eigh", "eigvalsh", "eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for module in (quad, regint):
+        for cached in vars(module).values():
+            if hasattr(cached, "cache_clear"):
+                cached.cache_clear()
     for C, zs, bs in _random_triangles(3, seed=14):
         res = area(make_metric(C, list(zip(zs, bs))))
         assert res.value == pytest.approx(triangle_area(C, zs, bs), rel=1e-12)
@@ -242,6 +262,20 @@ def test_area_runs_no_eigensolver(monkeypatch):
     exact = cmath.exp(1j * PI * b2) * math.exp(
         math.lgamma(1 + b1) + math.lgamma(1 + b2) - math.lgamma(2 + b1 + b2))
     assert abs(chord.value - exact) < 1e-14
+
+    # det' of the lemniscatic tetrahedron in closed form (elliptic module)
+    pts = [1, -1, 1j, -1j]
+    det = LEMNISCATIC_AREA * math.prod(
+        abs(p - q) ** (1 / 6) for p, q in itertools.combinations(pts, 2)) / (2 ** (2 / 3) * PI)
+    assert log_det_as(tetrahedron_metric()).log_det == pytest.approx(math.log(det), abs=1e-14)
+    for beta in (PI, 3 * PI):
+        for fp in (hadamard_coth_over_sinh_sq, hadamard_coth_coth_over_theta):
+            ref = _mp_finite_part(fp.__name__.removeprefix("hadamard_"), beta)
+            assert fp(beta).finite_part == pytest.approx(ref, rel=1e-13, abs=1e-13)
+        assert q_of_beta_contour(beta) == pytest.approx(q_of_beta(beta), rel=1e-14)
+    p, q = ConePoint(0.9, 0.4), ConePoint(1.3, 1.7)
+    assert heat_kernel_cone(2 * PI / 3, 0.5, p, q) == pytest.approx(
+        heat_kernel_images(3, 0.5, p, q), rel=1e-12)
 
 
 def test_segment_integral_endpoint_singularities():
