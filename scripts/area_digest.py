@@ -1,19 +1,25 @@
 #!/usr/bin/env python3
-"""Three SHA-256 digests: det_corpus results of a range of seeds, and regint.
+"""Four SHA-256 digests: det_corpus results of a range of seeds, regint, and
+the finite-difference suite.
 
 For every item of ``bench/corpus.det_corpus(seed)`` it runs
 ``detlap.log_det_as`` and feeds ``float.hex()`` of ``area`` into one
 digest and of ``log_det`` into the other (a raising item feeds the
 exception's type name into both).  The third digest takes ``float.hex()``
 of both Hadamard finite parts and of ``q_of_beta_contour`` at the angles
-0.1 pi, 0.2 pi, ..., 20 pi, whatever the seeds.  Two checkouts that print
-the same area digest give bit-identical areas on every item, the same
-log-det digest bit-identical determinants and the same regint digest
-bit-identical finite parts and contours, so a change that moves only the
-angle terms can show that its areas did not move, and one that moves
-regint shows it on a line of its own.  The inputs come from
-``bench/corpus.py`` of the checkout named by ``--root``, loaded by path
-and only read; the program is imported from that checkout's ``src/``.
+0.1 pi, 0.2 pi, ..., 20 pi, whatever the seeds.  The fourth, ``fd_suite``,
+takes ``float.hex()`` of every analytic and finite-difference value (real
+and imaginary part of a complex one) of ``verify.run_suite`` on the
+metric of every det_corpus item, plain and with Richardson extrapolation.
+Two checkouts that print the same area digest give bit-identical areas
+on every item, the same log-det digest bit-identical determinants, the
+same regint digest bit-identical finite parts and contours and the same
+fd_suite digest bit-identical gradients and finite differences, so a
+change that moves only the angle terms can show that its areas did not
+move, and one that moves regint shows it on a line of its own.  The
+inputs come from ``bench/corpus.py`` of the checkout named by ``--root``,
+loaded by path and only read; the program is imported from that
+checkout's ``src/``.
 
 Usage: python scripts/area_digest.py [--seeds 1-30] [--root DIR]
 """
@@ -48,7 +54,7 @@ def main():
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
     sys.path.insert(0, str(args.root / "src"))
-    from polydet import detlap, make_metric, regint
+    from polydet import detlap, make_metric, regint, verify
 
     digests = {"area": hashlib.sha256(), "log_det": hashlib.sha256()}
     count = 0
@@ -79,6 +85,28 @@ def main():
             line = type(exc).__name__
         digest.update(f"{beta.hex()} {line}\n".encode())
     print(f"{digest.hexdigest()}  regint, {len(angles)} angles, 0.1pi-20pi")
+
+    digest = hashlib.sha256()
+    for seed in args.seeds:
+        for item in corpus.det_corpus(seed):
+            metric = item["metric"]
+            for richardson in (False, True):
+                try:
+                    reports = verify.run_suite(make_metric(metric["C"], metric["verts"]),
+                                               verify.FDConfig(richardson=richardson))
+                    line = " ".join(f"{r.channel} {_hex(r.analytic)} {_hex(r.finite_difference)}"
+                                    for r in reports)
+                except Exception as exc:     # a raising suite is part of the digest too
+                    line = type(exc).__name__
+                digest.update(f"{seed} {item['id']} {richardson} {line}\n".encode())
+    print(f"{digest.hexdigest()}  fd_suite, {count} items, plain and richardson, {seeds}")
+
+
+def _hex(x) -> str:
+    """float.hex of a real value, of both parts of a complex one."""
+    if isinstance(x, complex):
+        return f"{x.real.hex()},{x.imag.hex()}"
+    return float(x).hex()
 
 
 if __name__ == "__main__":

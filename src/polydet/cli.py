@@ -32,7 +32,7 @@ from .cone import ConePoint, heat_kernel_cone, heat_kernel_images, resolvent_con
 from .errors import InvalidMetricJSON, PolydetError, ToleranceNotReached
 from .metric import Angle, Position, Scale, load_metric, make_metric
 from .quad import area
-from .regint import SPLIT_RADIUS, hadamard_coth_coth_over_theta, hadamard_coth_over_sinh_sq, q_of_beta, q_of_beta_contour, q_tilde, q_tilde_prime
+from .regint import SPLIT_RADIUS, hadamard_finite_parts, q_of_beta, q_of_beta_contour, q_tilde, q_tilde_prime
 
 FD_PASS_TOL = 1e-5
 
@@ -247,24 +247,24 @@ def _cmd_verify_fd(args) -> int:
 
 def _cmd_verify_hadamard(args) -> int:
     half = SPLIT_RADIUS / 2.0
+    # both finite parts at every angle and both splits, a batch each
+    r1, r1h, r2, r2h = (hadamard_finite_parts(kind, args.beta, split)
+                        for kind in ("coth_over_sinh_sq", "coth_coth_over_theta")
+                        for split in (SPLIT_RADIUS, half))
     out = []
-    for beta in args.beta:
-        r1 = hadamard_coth_over_sinh_sq(beta)
-        r1h = hadamard_coth_over_sinh_sq(beta, half)
-        r2 = hadamard_coth_coth_over_theta(beta)
-        r2h = hadamard_coth_coth_over_theta(beta, half)
+    for beta, a, ah, b, bh in zip(args.beta, r1, r1h, r2, r2h):
         out.append({
             "beta": beta,
-            "coth_over_sinh_sq": _jsonable(r1),
-            "coth_coth_over_theta": _jsonable(r2),
+            "coth_over_sinh_sq": _jsonable(a),
+            "coth_coth_over_theta": _jsonable(b),
             "cutoff_halving_shift": {
-                "coth_over_sinh_sq": abs(r1.finite_part - r1h.finite_part),
-                "coth_coth_over_theta": abs(r2.finite_part - r2h.finite_part),
+                "coth_over_sinh_sq": abs(a.finite_part - ah.finite_part),
+                "coth_coth_over_theta": abs(b.finite_part - bh.finite_part),
             },
             # what the two runs' rounding and truncation alone may move
             "cutoff_halving_estimate": {
-                "coth_over_sinh_sq": r1.error_estimate + r1h.error_estimate,
-                "coth_coth_over_theta": r2.error_estimate + r2h.error_estimate,
+                "coth_over_sinh_sq": a.error_estimate + ah.error_estimate,
+                "coth_coth_over_theta": b.error_estimate + bh.error_estimate,
             },
             "q_of_beta": q_of_beta(beta),
             "q_contour_deviation": abs(q_of_beta_contour(beta) - q_of_beta(beta)),

@@ -38,12 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Tuple, Union
 
 from .errors import AngleMultisetMismatch, GaugeVertexVariation, ScaleMismatch
 from .metric import PolyhedralMetric
 from .quad import QuadResult, area
-from .regint import _fp_coth_coth, q_tilde_prime
+from .regint import _fp_coth_coth, _fp_coth_csch2, q_tilde_prime
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -117,14 +118,29 @@ def w_function(m: PolyhedralMetric) -> float:
     return (PI / 3.0) * math.fsum(terms)
 
 
-def _f_bracket(delta: float, scale: float) -> float:
-    fp = _fp_coth_coth(delta)
+def _f_bracket(delta: float, scale: float, fp: float) -> float:
+    """bracket(delta) at scale C, with fp = H[coth coth / th] at delta."""
     return math.fsum([
         fp / 8.0,
         (delta / TWO_PI + TWO_PI / delta) * math.log(2.0 * PI * PI * scale / delta) / 12.0,
         (delta / (4.0 * PI) - TWO_PI / delta) / 12.0,
         PI * EULER_GAMMA / (3.0 * delta),
     ])
+
+
+def _f_terms(angles, scale: float) -> Tuple[float, ...]:
+    """F(beta, C) of ``f_function`` at every angle of ``angles``: their
+    finite parts looked up in one call, which computes the missing ones
+    in one batch, and bracket(2 pi) taken once."""
+    (flat, _), *fps = _fp_coth_coth.lookup((TWO_PI, *angles))
+    flat = _f_bracket(TWO_PI, scale, flat)
+    return tuple(flat - _f_bracket(beta, scale, fp) for beta, (fp, _) in zip(angles, fps))
+
+
+def _fill_finite_parts(metrics) -> None:
+    """Compute in one batch every finite part that ``log_det_over_area``
+    of the metrics ``metrics`` will look up and that is not cached."""
+    _fp_coth_coth.lookup(list({TWO_PI, *(beta for m in metrics for beta in m.angles())}))
 
 
 def f_function(beta: float, scale: float) -> float:
@@ -138,7 +154,7 @@ def f_function(beta: float, scale: float) -> float:
 
     both of which are exercised against finite differences in the tests.
     """
-    return _f_bracket(TWO_PI, scale) - _f_bracket(beta, scale)
+    return _f_terms((beta,), scale)[0]
 
 
 def f_function_dC(beta: float, scale: float) -> float:
@@ -156,17 +172,15 @@ def log_det_over_area(m: PolyhedralMetric) -> float:
     This is the quantity whose gradients the variational formulas give; it
     is also what the finite-difference harness differentiates.
     """
-    parts = [_prefactor(m.scale), w_function(m)]
-    parts.extend(f_function(beta, m.scale) for beta in m.angles())
-    parts.append(-_reference_term())
-    return math.fsum(parts)
+    return math.fsum([_prefactor(m.scale), w_function(m), *_f_terms(m.angles(), m.scale),
+                      -_reference_term()])
 
 
 def log_det_as(m: PolyhedralMetric) -> DetReport:
     """Full determinant report; the area comes from module ``quad``."""
     ar: QuadResult = area(m)
     w = w_function(m)
-    f_terms = tuple(f_function(beta, m.scale) for beta in m.angles())
+    f_terms = _f_terms(m.angles(), m.scale)
     ref = _reference_term()
     pre = _prefactor(m.scale)
     log_area = math.log(ar.value)
@@ -187,7 +201,9 @@ def _prefactor(scale: float) -> float:
     return -math.log((4.0 * scale) ** (1.0 / 3.0) * PI)
 
 
+@lru_cache(maxsize=None)
 def _reference_term() -> float:
+    """4 F(pi, 1), the tetrahedron's angle terms: computed once."""
     return 4.0 * f_function(PI, 1.0)
 
 
@@ -242,6 +258,7 @@ def grad_angle(m: PolyhedralMetric, i: int) -> float:
     if i == 1:
         raise GaugeVertexVariation("vertex 1 is the compensating gauge vertex")
     m.check_index(i)
+    _fp_coth_csch2.lookup(m.angles())       # every angle's finite part in one batch
     return _b_term(m, i) - _b_term(m, 1)
 
 

@@ -87,6 +87,14 @@ its fastest exponential: no bisection from 0.05 pi to 300 pi.  Halving
 ``split`` moves the result within the two runs' error estimates, which
 ``verify hadamard`` reports.
 
+``hadamard_finite_parts`` takes a list of angles at once: the near and
+far panels of every angle in one node array and one integrand call, and
+the circles in another (module section "Panels").  The hot paths look the
+finite parts up in ``_fp_coth_csch2`` and ``_fp_coth_coth``, one
+least-recently-used cache of (finite_part, error_estimate) pairs per
+integrand, 4096 angles each, at the default split; a lookup computes the
+angles it misses in one batch and stores nothing if that raises.
+
 Panels
 ------
 ``_panel_integral`` is the one quadrature of this module: one pass over a
@@ -99,14 +107,28 @@ carries the partial result, so no integral fails to converge silently.
 For integrands analytic on the panel, as all of these are, the rule is
 about as accurate per node as Gauss-Legendre (Trefethen, SIAM Rev. 50,
 2008).
+
+A batch of finite parts runs that pass once for the near and far pieces
+of all its angles, with beta, a3 and a1 given per node, and one
+``_panel_sums`` call.  It then settles each piece by ``_panel_integral``'s
+bound from the sums over the piece's own panels, taken as that pass
+takes them, so every value and error estimate keeps its bits: the pieces
+are laid out by panel count, and a block of equal counts is summed row
+by row, which rounds as a piece alone, and takes its integrals of |f| as
+one stacked matrix-vector product, as a product over the whole array
+would round a row by its place among the rows.  A piece that misses its
+bound is redone alone by ``_panel_integral``, with bisection, so
+ToleranceNotReached still ends every failure.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Tuple
+from itertools import groupby
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -144,6 +166,27 @@ MAX_PANEL_SPLITS = 64   # panel bisections per integral
 ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
+def _panel_rule():
+    """The PANEL_NODES points, the rows and m0 of their rule, and its full
+    weights (rows[0] with the vertex term m0 at the first point), which
+    are positive."""
+    rows, m0 = _rule(PANEL_NODES, 0.0)
+    weights = rows[0].copy()
+    weights[0] += m0
+    return _chebyshev(PANEL_NODES)[0], rows, m0, weights
+
+
+def _settle(value: float, size: float, err: float, count: int, cancel: float,
+            abs_tol: float, rel_tol: float):
+    """One integral on ``count`` panels from the sums over them of their
+    integrals (``value``), of their integrals of |f| (``size``) and of
+    their coefficient estimates (``err``): its QuadResult, and ``err`` with
+    the bound it must meet (``_panel_integral``)."""
+    floor = ROUNDING * (size + cancel)
+    bound = max(abs_tol, rel_tol * abs(value), floor)
+    return QuadResult(value, err + floor, count), err, bound
+
+
 def _panel_integral(f, edges, abs_tol: float, rel_tol: float,
                     cancel: float = 0.0) -> QuadResult:
     """int f from edges[0] to edges[-1] on panels between consecutive
@@ -161,10 +204,7 @@ def _panel_integral(f, edges, abs_tol: float, rel_tol: float,
     the partial result.
     """
     edges = np.asarray(edges, dtype=float)
-    x = _chebyshev(PANEL_NODES)[0]
-    rows, m0 = _rule(PANEL_NODES, 0.0)
-    weights = rows[0].copy()            # with the vertex term: all positive
-    weights[0] += m0
+    x, rows, m0, weights = _panel_rule()
     splits = 0
     while True:
         half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
@@ -172,11 +212,9 @@ def _panel_integral(f, edges, abs_tol: float, rel_tol: float,
         vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
         sums = _panel_sums(rows, m0, half, vals)
         coef = np.abs(sums[:, 1:]).sum(axis=1)
-        value = sums[:, 0].sum().item()
-        floor = ROUNDING * ((half * (np.abs(vals) @ weights)).sum().item() + cancel)
-        bound = max(abs_tol, rel_tol * abs(value), floor)
-        err = coef.sum().item()
-        result = QuadResult(value, err + floor, len(half))
+        result, err, bound = _settle(
+            sums[:, 0].sum().item(), (half * (np.abs(vals) @ weights)).sum().item(),
+            coef.sum().item(), len(half), cancel, abs_tol, rel_tol)
         if err <= bound:
             return result
         split = np.flatnonzero(~(coef <= bound / len(half)))   # nan panels too
@@ -353,48 +391,186 @@ def _circle_rule(split: float):
     return u, u * -np.log1p(-math.sqrt(split) * u.conj()) / half
 
 
-def _finite_part(f: Callable, tail: Callable, tail_upper: float, rate: float,
-                 a3: float, a1: float, beta: float, split: float) -> HadamardResult:
-    """Cutoff-free finite part of int_0^inf f with f ~ a3/th^3 + a1/th
-    (module docstring); ``f`` must take complex arrays.  ``tail`` is the
-    integrable continuation of f on [1, tail_upper] (with any subtraction
-    needed at infinity), decaying on the scale 1/``rate``."""
-    if not 0.0 < split <= SPLIT_RADIUS:
-        raise ValueError(f"need 0 < split <= {SPLIT_RADIUS}, got {split}")
-    radius = min(1.0, TWO_PI / beta)
-    rho = split * radius
-    r = math.sqrt(split) * radius
-    u, w = _circle_rule(split)
-    # the lower half circle holds the conjugate terms
-    terms = f(r * u) * w
-    circle = r * terms.real.sum().item()
-    size = r * np.abs(terms).sum().item()
+class _Integrand(NamedTuple):
+    """One finite part of the module docstring: the Laurent coefficients
+    (a3, a1) of its integrand f at 0; g(th, beta) for real or complex th
+    and beta a float or an array broadcast against th, with f = g/th and
+    the tail (g - 1)/th if ``over_theta``, and f = g on all of [0, inf)
+    if not; and the (upper, rate) of the tail panels, rate the tail's
+    fastest decay."""
 
-    def regular_part(t):
-        return f(t) - a3 / t**3 - a1 / t
+    coeffs: Callable
+    g: Callable
+    over_theta: bool
+    tail_panels: Callable
 
-    # the integral of the subtracted counterterms, whose rounding the
-    # difference inherits
-    cancel = 0.5 * a3 * (rho ** -2 - 1.0) - abs(a1) * math.log(rho)
-    # geometric panels, each ending at most 4 times as far from 0 as it
-    # starts; rho^(k/n) as sqrt(rho^(2k/n)), so that n = 2 gives sqrt(rho)
+
+def _coth_csch2(t, beta):
+    return _coth(PI * t) * _csch2(0.5 * beta * t)
+
+
+def _coth_coth(t, beta):
+    return _coth(PI * t) * _coth(0.5 * beta * t)
+
+
+_INTEGRANDS = {
+    "coth_over_sinh_sq": _Integrand(
+        _coeffs_coth_csch2, _coth_csch2, False,
+        lambda beta: (max(3.0, 100.0 / beta), beta + TWO_PI)),
+    "coth_coth_over_theta": _Integrand(
+        _coeffs_coth_coth, _coth_coth, True,
+        lambda beta: (max(3.0, 90.0 / min(beta, TWO_PI)), max(beta, TWO_PI))),
+}
+
+
+def _integrand_values(integrand: _Integrand, t, near: int, beta, a3, a1):
+    """The integrands of the pieces at the nodes ``t``, (panel, node) or
+    (node,): the regular part f - a3/t^3 - a1/t on the first ``near``
+    rows, the tail on the others.  beta (of every row), a3 and a1 (of the
+    first ``near``) are numbers or arrays of the shape of those rows."""
+    vals = integrand.g(t, beta)
+    if integrand.over_theta:
+        vals[near:] -= 1.0
+        vals /= t
+    t = t[:near]
+    vals[:near] -= a3 / t**3
+    vals[:near] -= a1 / t
+    return vals
+
+
+# angles evaluated in one pass, which bounds its working memory: about
+# 26 kB an angle from 0.1 pi to 20 pi, 46 kB at 1e-3, 0.75 MB at 1e-100
+FP_BATCH = 64
+
+
+def _near_edges(rho: float):
+    """Geometric panels on [rho, 1], each ending at most 4 times as far
+    from 0 as it starts; rho^(k/n) as sqrt(rho^(2k/n)), so that n = 2
+    gives sqrt(rho)."""
     n = max(2, math.ceil(-0.5 * math.log2(rho)))
-    edges = [rho] + [math.sqrt(rho ** (2.0 * k / n)) for k in range(n - 1, 0, -1)] + [1.0]
-    near = _panel_integral(regular_part, edges, FP_ABS_TOL, FP_REL_TOL, cancel)
+    return [rho] + [math.sqrt(rho ** (2.0 * k / n)) for k in range(n - 1, 0, -1)] + [1.0]
+
+
+def _far_edges(upper: float, rate: float):
+    """Dyadic panels of width 1/rate, 2/rate, ... from 1 to ``upper``."""
     edges = [1.0]
     step = 1.0 / rate
-    while edges[-1] + step < tail_upper:
+    while edges[-1] + step < upper:
         edges.append(edges[-1] + step)
         step *= 2.0
-    edges.append(tail_upper)
-    far = _panel_integral(tail, edges, FP_ABS_TOL, FP_REL_TOL)
-    return HadamardResult(
+    edges.append(upper)
+    return edges
+
+
+def hadamard_finite_parts(kind: str, betas: Sequence[float],
+                          split: float = SPLIT_RADIUS) -> List[HadamardResult]:
+    """Finite parts at every angle of ``betas`` of the integrand ``kind``,
+    "coth_over_sinh_sq" (``hadamard_coth_over_sinh_sq``) or
+    "coth_coth_over_theta" (``hadamard_coth_coth_over_theta``), in one pass
+    (module docstring, "Panels"); each result has the bits it has alone.
+
+    Every angle is checked before any is computed, so an invalid one
+    raises NonpositiveAngle or PolydetError, and a split outside
+    (0, SPLIT_RADIUS] ValueError, with nothing computed.  More than
+    FP_BATCH angles take one pass per FP_BATCH.
+    """
+    integrand = _INTEGRANDS[kind]
+    for beta in betas:
+        _check_angle(beta)
+    if not 0.0 < split <= SPLIT_RADIUS:
+        raise ValueError(f"need 0 < split <= {SPLIT_RADIUS}, got {split}")
+    if len(betas) > FP_BATCH:
+        return [res for k in range(0, len(betas), FP_BATCH)
+                for res in hadamard_finite_parts(kind, betas[k:k + FP_BATCH], split)]
+    if not betas:
+        return []
+    n = len(betas)
+    coeffs = [integrand.coeffs(beta) for beta in betas]
+    radii = [min(1.0, TWO_PI / beta) for beta in betas]
+    # the near pieces of every angle, then the far ones, as (edges, cancel):
+    # cancel is the integral of the subtracted counterterms, whose rounding
+    # the difference inherits
+    pieces = []
+    for radius, (a3, a1) in zip(radii, coeffs):
+        rho = split * radius
+        pieces.append((_near_edges(rho), 0.5 * a3 * (rho ** -2 - 1.0) - abs(a1) * math.log(rho)))
+    pieces.extend((_far_edges(*integrand.tail_panels(beta)), 0.0) for beta in betas)
+    counts = [len(edges) - 1 for edges, _ in pieces]
+
+    # the panels of all pieces in one array: the near pieces in the order of
+    # their panel counts, then the far ones, so that the pieces of one side
+    # and count take one block of rows
+    order = (sorted(range(n), key=counts.__getitem__)
+             + sorted(range(n, 2 * n), key=counts.__getitem__))
+    lo, hi = np.array([[a for k in order for a in pieces[k][0][:-1]],
+                       [a for k in order for a in pieces[k][0][1:]]])
+    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+    x, rows, m0, weights = _panel_rule()
+    nodes = mid[:, None] + half[:, None] * x
+    near = sum(counts[:n])
+    # beta, a3 and a1 of every node's piece: numbers for one angle, which
+    # numpy applies quicker, else full arrays, quicker than broadcast columns
+    if n == 1:
+        beta, (a3, a1) = betas[0], coeffs[0]
+    else:
+        beta, a3, a1 = np.repeat(
+            np.array([(betas[k % n], *coeffs[k % n]) for k in order]).T,
+            [counts[k] * len(x) for k in order], axis=1).reshape(3, -1, len(x))
+        a3, a1 = a3[:near], a1[:near]
+    vals = _integrand_values(integrand, nodes, near, beta, a3, a1)
+    sums = _panel_sums(rows, m0, half, vals)
+    size = np.abs(vals)
+
+    # per piece, the sums over its panels that _panel_integral takes: of
+    # the panels' integrals, integrals of |f| and coefficient estimates.
+    # A block of g pieces of c panels is summed as g rows of c, which
+    # rounds as c alone, and the integrals of |f| are taken per block too,
+    # as a matrix-vector product rounds a row by its place among the rows
+    terms = np.empty((3, len(half)))
+    terms[0] = sums[:, 0]
+    terms[2] = np.abs(sums[:, 1:]).sum(axis=1)
+    by_piece = np.empty((3, 2 * n))
+    row = pos = 0
+    for (_, c), block in groupby(order, key=lambda k: (k < n, counts[k])):
+        g = len(list(block))
+        panels = slice(row, row + g * c)
+        terms[1, panels] = half[panels] * (size[panels].reshape(g, c, -1) @ weights).ravel()
+        by_piece[:, pos:pos + g] = terms[:, panels].reshape(3, g, c).sum(axis=2)
+        row, pos = row + g * c, pos + g
+
+    # each piece settled as _panel_integral settles it, and redone there,
+    # with bisection, if it misses its bound
+    settled = [None] * (2 * n)
+    for k, value, size_k, err in zip(order, *by_piece.tolist()):
+        edges, cancel = pieces[k]
+        result, err, bound = _settle(value, size_k, err, counts[k], cancel,
+                                     FP_ABS_TOL, FP_REL_TOL)
+        if not err <= bound:
+            beta_k, (a3_k, a1_k) = betas[k % n], coeffs[k % n]
+            result = _panel_integral(
+                lambda t: _integrand_values(integrand, t, len(t) if k < n else 0,
+                                            beta_k, a3_k, a1_k),
+                edges, FP_ABS_TOL, FP_REL_TOL, cancel)
+        settled[k] = result
+
+    # the circle sums, the lower half circle holding the conjugate terms
+    u, w = _circle_rule(split)
+    r = math.sqrt(split) * np.array(radii)
+    z = r[:, None] * u
+    terms = integrand.g(z, betas[0] if n == 1 else np.array(betas, dtype=float)[:, None])
+    if integrand.over_theta:
+        terms /= z
+    terms *= w
+    circles = (r * terms.real.sum(axis=1)).tolist()
+    sizes = (r * np.abs(terms).sum(axis=1)).tolist()
+    truncation = ROUNDING + split ** (CIRCLE_NODES // 2)
+    return [HadamardResult(
         finite_part=math.fsum([-a3 / 2.0, circle, near.value, far.value]),
         subtracted_quadratic=a3 / 2.0,
         subtracted_log=-a1,
-        error_estimate=((ROUNDING + split ** (CIRCLE_NODES // 2)) * size
-                        + near.error_estimate + far.error_estimate),
-    )
+        error_estimate=truncation * size + near.error_estimate + far.error_estimate,
+    ) for (a3, a1), circle, size, near, far
+        in zip(coeffs, circles, sizes, settled[:n], settled[n:])]
 
 
 def hadamard_coth_over_sinh_sq(beta: float, split: float = SPLIT_RADIUS) -> HadamardResult:
@@ -404,14 +580,7 @@ def hadamard_coth_over_sinh_sq(beta: float, split: float = SPLIT_RADIUS) -> Hada
     elementary antiderivative -coth^2(pi th)/(2 pi) there), which the unit
     tests pin down.  The log counterterm coefficient vanishes at beta = 2pi.
     """
-    _check_angle(beta)
-    a3, a1 = _coeffs_coth_csch2(beta)
-
-    def f(t):
-        return _coth(PI * t) * _csch2(0.5 * beta * t)
-
-    upper = max(3.0, 100.0 / beta)
-    return _finite_part(f, f, upper, beta + TWO_PI, a3, a1, beta, split)
+    return hadamard_finite_parts("coth_over_sinh_sq", [beta], split)[0]
 
 
 def hadamard_coth_coth_over_theta(beta: float, split: float = SPLIT_RADIUS) -> HadamardResult:
@@ -422,29 +591,70 @@ def hadamard_coth_coth_over_theta(beta: float, split: float = SPLIT_RADIUS) -> H
     integral of f - 1/th on [1, inf) with the bound placed where the
     exponential corrections are below 1e-18).
     """
-    _check_angle(beta)
-    a3, a1 = _coeffs_coth_coth(beta)
-
-    def f(t):
-        return _coth(PI * t) * _coth(0.5 * beta * t) / t
-
-    def tail(t):
-        return (_coth(PI * t) * _coth(0.5 * beta * t) - 1.0) / t
-
-    upper = max(3.0, 90.0 / min(beta, TWO_PI))
-    return _finite_part(f, tail, upper, max(beta, TWO_PI), a3, a1, beta, split)
+    return hadamard_finite_parts("coth_coth_over_theta", [beta], split)[0]
 
 
-# cached scalar access for the hot paths (angle gradients hit these a lot)
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
 
-@lru_cache(maxsize=4096)
-def _fp_coth_csch2(beta: float) -> float:
-    return hadamard_coth_over_sinh_sq(beta).finite_part
+
+FP_CACHE_SIZE = 4096   # angles whose finite parts a cache keeps, per integrand
 
 
-@lru_cache(maxsize=4096)
-def _fp_coth_coth(beta: float) -> float:
-    return hadamard_coth_coth_over_theta(beta).finite_part
+def _finite_part_cache(kind: str):
+    """The finite parts of ``kind`` at the default split, kept as
+    (finite_part, error_estimate) pairs for the last FP_CACHE_SIZE angles
+    used.  Calling it with an angle gives the finite part; ``lookup``
+    gives the pairs of a list of angles, computing those it misses in one
+    ``hadamard_finite_parts`` batch and storing nothing if that raises.
+    ``cache_info`` and ``cache_clear`` are those of functools.lru_cache,
+    a lookup of n angles counting its distinct misses and n less them as
+    hits."""
+    pairs: "OrderedDict[float, Tuple[float, float]]" = OrderedDict()
+    stats = [0, 0]      # hits, misses
+
+    def lookup(betas: Sequence[float]) -> List[Tuple[float, float]]:
+        try:
+            out = list(map(pairs.__getitem__, betas))
+            missing = ()
+        except KeyError:
+            missing = [beta for beta in dict.fromkeys(betas) if beta not in pairs]
+            pairs.update(zip(missing, ((res.finite_part, res.error_estimate)
+                                       for res in hadamard_finite_parts(kind, missing))))
+            out = list(map(pairs.__getitem__, betas))
+        for beta in betas:
+            pairs.move_to_end(beta)
+        while len(pairs) > FP_CACHE_SIZE:
+            pairs.popitem(last=False)
+        stats[0] += len(betas) - len(missing)
+        stats[1] += len(missing)
+        return out
+
+    def finite_part(beta: float) -> float:
+        try:
+            pair = pairs[beta]
+        except KeyError:
+            return lookup((beta,))[0][0]
+        pairs.move_to_end(beta)
+        stats[0] += 1
+        return pair[0]
+
+    def cache_clear() -> None:
+        pairs.clear()
+        stats[:] = [0, 0]
+
+    finite_part.lookup = lookup
+    finite_part.cache_info = lambda: _CacheInfo(*stats, FP_CACHE_SIZE, len(pairs))
+    finite_part.cache_clear = cache_clear
+    return finite_part
+
+
+# the hot paths: angle gradients and finite differences hit these a lot
+_fp_coth_csch2 = _finite_part_cache("coth_over_sinh_sq")
+_fp_coth_coth = _finite_part_cache("coth_coth_over_theta")
 
 
 # --------------------------------------------------------------------------

@@ -21,10 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Union
+from typing import List, Union
 
 from .detlap import (
     GradientReport,
+    _fill_finite_parts,
     grad_angle,
     grad_position,
     grad_scale,
@@ -43,44 +44,36 @@ class FDConfig:
     richardson: bool = False
 
 
-def _central(f: Callable[[float], float], h: float) -> float:
-    return (f(h) - f(-h)) / (2.0 * h)
+def _steps(h: float, richardson: bool):
+    """The offsets at which a family is evaluated: +-h, and +-h/2 for
+    Richardson."""
+    return (h, -h, 0.5 * h, -(0.5 * h)) if richardson else (h, -h)
 
 
-def _derivative(f: Callable[[float], float], h: float, richardson: bool) -> float:
-    d1 = _central(f, h)
+def _derivative(values, h: float, richardson: bool) -> float:
+    """The central difference (f(h) - f(-h))/2h of the values at ``_steps``,
+    or its Richardson extrapolation (4 D(h/2) - D(h))/3."""
+    d1 = (values[0] - values[1]) / (2.0 * h)
     if not richardson:
         return d1
-    d2 = _central(f, 0.5 * h)
+    d2 = (values[2] - values[3]) / (2.0 * (0.5 * h))
     return (4.0 * d2 - d1) / 3.0
 
 
-def fd_gradient(
-    m: PolyhedralMetric,
-    channel: VariationChannel,
-    fdcfg: FDConfig = FDConfig(),
-) -> Union[float, complex]:
-    """Central finite difference of log(det/Area) along ``channel``."""
-    L = log_det_over_area
-
+def _families(m: PolyhedralMetric, channel: VariationChannel):
+    """The step h along ``channel`` and the one-parameter families
+    e -> metric whose derivatives at 0 make up its gradient: one for the
+    scale and an angle, x and y for a position."""
     if isinstance(channel, Scale):
-        h = STEP * m.scale
-        return _derivative(
-            lambda e: L(m.with_scale(m.scale + e)), h, fdcfg.richardson
-        )
+        return STEP * m.scale, [lambda e: m.with_scale(m.scale + e)]
 
     if isinstance(channel, Position):
         i = channel.i
         m.check_index(i)
         z0 = m.vertices[i - 1].position
         h = STEP * m.min_pairwise_distance()
-        dx = _derivative(
-            lambda e: L(m.with_position(i, z0 + e)), h, fdcfg.richardson
-        )
-        dy = _derivative(
-            lambda e: L(m.with_position(i, z0 + 1j * e)), h, fdcfg.richardson
-        )
-        return 0.5 * complex(dx, -dy)
+        return h, [lambda e: m.with_position(i, z0 + e),
+                   lambda e: m.with_position(i, z0 + 1j * e)]
 
     if isinstance(channel, Angle):
         i = channel.i
@@ -98,27 +91,50 @@ def fd_gradient(
             raise PerturbationLeavesDomain(
                 "angle step pushes an exponent to the b = -1 boundary"
             )
-        return _derivative(
-            lambda e: L(m.with_exponent_shift(i, e / TWO_PI)), h, fdcfg.richardson
-        )
+        return h, [lambda e: m.with_exponent_shift(i, e / TWO_PI)]
 
     raise TypeError(f"unknown variation channel {channel!r}")
+
+
+def _fd_gradients(m: PolyhedralMetric, channels, fdcfg: FDConfig) -> list:
+    """Central finite differences of log(det/Area) along every channel.
+    The metrics of all the differences are built first, and the finite
+    parts at all their angles computed in one batch."""
+    plans = []
+    for channel in channels:
+        h, families = _families(m, channel)
+        plans.append((channel, h, [[family(e) for e in _steps(h, fdcfg.richardson)]
+                                   for family in families]))
+    # position and scale steps keep the angles of m
+    _fill_finite_parts([m] + [mm for channel, _, grid in plans if isinstance(channel, Angle)
+                              for row in grid for mm in row])
+    out = []
+    for channel, h, grid in plans:
+        d = [_derivative([log_det_over_area(mm) for mm in row], h, fdcfg.richardson)
+             for row in grid]
+        out.append(0.5 * complex(d[0], -d[1]) if isinstance(channel, Position) else d[0])
+    return out
+
+
+def fd_gradient(
+    m: PolyhedralMetric,
+    channel: VariationChannel,
+    fdcfg: FDConfig = FDConfig(),
+) -> Union[float, complex]:
+    """Central finite difference of log(det/Area) along ``channel``."""
+    return _fd_gradients(m, [channel], fdcfg)[0]
 
 
 def run_suite(
     m: PolyhedralMetric, fdcfg: FDConfig = FDConfig()
 ) -> List[GradientReport]:
     """One report per channel: Position(1..M), Angle(2..M), Scale."""
-    reports = []
-    for i in range(1, m.num_vertices + 1):
-        reports.append(GradientReport.compare(
-            f"z:{i}", grad_position(m, i), fd_gradient(m, Position(i), fdcfg)
-        ))
-    for i in range(2, m.num_vertices + 1):
-        reports.append(GradientReport.compare(
-            f"beta:{i}", grad_angle(m, i), fd_gradient(m, Angle(i), fdcfg)
-        ))
-    reports.append(GradientReport.compare(
-        "C", grad_scale(m), fd_gradient(m, Scale(), fdcfg)
-    ))
-    return reports
+    n = m.num_vertices
+    channels = ([Position(i) for i in range(1, n + 1)]
+                + [Angle(i) for i in range(2, n + 1)] + [Scale()])
+    fds = _fd_gradients(m, channels, fdcfg)
+    analytic = ([grad_position(m, i) for i in range(1, n + 1)]
+                + [grad_angle(m, i) for i in range(2, n + 1)] + [grad_scale(m)])
+    names = ([f"z:{i}" for i in range(1, n + 1)]
+             + [f"beta:{i}" for i in range(2, n + 1)] + ["C"])
+    return [GradientReport.compare(*r) for r in zip(names, analytic, fds)]

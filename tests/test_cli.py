@@ -266,6 +266,18 @@ def test_finite_part_split_budget_exit_code(tetra_path, monkeypatch, capsys):
     assert json.loads(captured.err)["error"] == "ToleranceNotReached"
 
 
+def test_verify_fd_split_budget_exit_code(tetra_path, monkeypatch, capsys):
+    # the finite differences' batch of finite parts under a 2-node rule
+    monkeypatch.setattr(regint, "PANEL_NODES", 2)
+    regint._fp_coth_coth.cache_clear()
+    regint._fp_coth_csch2.cache_clear()
+    code = main(["verify", "fd", "--metric", tetra_path])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "ToleranceNotReached"
+
+
 def test_area_csv_output(tetra_path, capsys):
     code = main(["area", "--metric", tetra_path, "--csv"])
     out = capsys.readouterr().out

@@ -252,3 +252,77 @@ def test_q_contour_near_line_poles():
             beta = PI * (1.0 + sgn * eps)
             dev = abs(q_of_beta_contour(beta) - q_of_beta(beta))
             assert dev < 1e-9, (eps, sgn, dev)
+
+
+# ---- batches and the finite-part cache ----
+
+def _bits(res):
+    return tuple(x.hex() for x in (res.finite_part, res.error_estimate,
+                                   res.subtracted_quadratic, res.subtracted_log))
+
+
+def test_batch_equals_single_calls_bit_for_bit(monkeypatch):
+    # 1e-3 ... 1e3, angles above 8 pi (more than two near panels), tiny
+    # ones (tails of about 20 panels), repeated and unsorted
+    angles = [37.0, 1e-3, 3.3 * PI, 2e-3, 1e3, TWO_PI, 0.7, 40 * PI, 37.0,
+              1e-3, 12 * PI, 0.05, 250.0, PI]
+    for kind in ("coth_over_sinh_sq", "coth_coth_over_theta"):
+        single = getattr(regint, "hadamard_" + kind)
+        for split in (SPLIT_RADIUS, SPLIT_RADIUS / 2):
+            batch = regint.hadamard_finite_parts(kind, angles, split)
+            assert [_bits(r) for r in batch] == [_bits(single(b, split)) for b in angles]
+            # and whatever else the batch holds
+            assert _bits(regint.hadamard_finite_parts(kind, angles[3:5], split)[1]) \
+                == _bits(batch[4])
+            # and in passes of at most FP_BATCH angles
+            with monkeypatch.context() as patch:
+                patch.setattr(regint, "FP_BATCH", 4)
+                assert [_bits(r) for r in regint.hadamard_finite_parts(kind, angles, split)] \
+                    == [_bits(r) for r in batch]
+
+
+@pytest.mark.parametrize("bad, error", [(0.0, NonpositiveAngle), (-1.0, NonpositiveAngle),
+                                        (float("nan"), NonpositiveAngle),
+                                        (1e101, PolydetError)])
+def test_invalid_angle_in_batch_raises_and_caches_nothing(bad, error):
+    for cache in (regint._fp_coth_csch2, regint._fp_coth_coth):
+        cache.cache_clear()
+        with pytest.raises(error) as info:
+            cache.lookup([PI, 2.5, bad, 3 * PI])
+        assert type(info.value) is error
+        assert cache.cache_info().currsize == 0
+    for kind in ("coth_over_sinh_sq", "coth_coth_over_theta"):
+        with pytest.raises(error):
+            regint.hadamard_finite_parts(kind, [PI, bad])
+
+
+def test_cache_pairs_and_accounting():
+    # the cache keeps the error estimate with the value; a lookup counts
+    # its distinct misses, and the rest of its angles as hits
+    cache = regint._fp_coth_csch2
+    cache.cache_clear()
+    pairs = cache.lookup([PI, 3 * PI, PI])
+    res = hadamard_coth_over_sinh_sq(PI)
+    assert pairs[0] == pairs[2] == (res.finite_part, res.error_estimate)
+    assert cache(3 * PI) == pairs[1][0]
+    info = cache.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+
+
+def test_cache_bound_holds_past_maxsize():
+    cache = regint._fp_coth_coth
+    cache.cache_clear()
+    angles = [1.0 + k / 1024.0 for k in range(4200)]
+    for k in range(0, len(angles), 600):
+        cache.lookup(angles[k:k + 600])
+        cache(angles[0])            # the first angle stays recently used
+    info = cache.cache_info()
+    assert info.maxsize == 4096 and info.currsize == 4096
+    assert info.misses == 4200
+    # the least recently used angles went, the first and the newest stayed
+    cache.lookup([angles[0], angles[-1]])
+    assert cache.cache_info().misses == 4200
+    cache.lookup([angles[1]])
+    assert cache.cache_info().misses == 4201
+    assert cache.cache_info().currsize == 4096
+    cache.cache_clear()
