@@ -41,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Tuple, Union
 
-from .errors import AngleMultisetMismatch, GaugeVertexVariation, ScaleMismatch
+from .errors import AngleMultisetMismatch, GaugeVertexVariation, PolydetError, ScaleMismatch
 from .metric import PolyhedralMetric
 from .quad import QuadResult, area
 from .regint import _fp_coth_coth, _fp_coth_csch2, q_tilde_prime
@@ -102,19 +102,34 @@ class GradientReport:
 def w_function(m: PolyhedralMetric) -> float:
     """W = (pi/3) sum_{k<l} b_k b_l (1/beta_k + 1/beta_l) log|z_k - z_l|.
 
-    Lexicographic (k, l) order with compensated summation, so the value is
-    reproducible bit-for-bit.
+    The terms are summed with ``math.fsum``, exactly rounded, so the value
+    is reproducible bit-for-bit in any order of the pairs.
     """
     zs = m.positions()
-    bs = m.exponents()
-    angles = m.angles()
-    terms = []
-    for k in range(len(zs)):
-        for l in range(k + 1, len(zs)):
-            terms.append(
-                bs[k] * bs[l] * (1.0 / angles[k] + 1.0 / angles[l])
-                * math.log(abs(zs[k] - zs[l]))
-            )
+    pairs = _pairs(len(zs))
+    return _w_sum(_w_terms(m.exponents(), m.angles(), pairs, _log_distances(zs, pairs)))
+
+
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple:
+    """Every vertex pair (k, l), 0-based, k < l."""
+    return tuple((k, l) for k in range(n) for l in range(k + 1, n))
+
+
+def _log_distances(zs, pairs) -> list:
+    """log|z_k - z_l| of each pair (k, l) of ``pairs``."""
+    return [math.log(abs(zs[k] - zs[l])) for k, l in pairs]
+
+
+def _w_terms(bs, angles, pairs, logs) -> list:
+    """The terms b_k b_l (1/beta_k + 1/beta_l) log|z_k - z_l| of W's sum of
+    the pairs ``pairs``, given their logs ``logs``."""
+    return [bs[k] * bs[l] * (1.0 / angles[k] + 1.0 / angles[l]) * d
+            for (k, l), d in zip(pairs, logs)]
+
+
+def _w_sum(terms) -> float:
+    """W from all its pair terms."""
     return (PI / 3.0) * math.fsum(terms)
 
 
@@ -135,12 +150,6 @@ def _f_terms(angles, scale: float) -> Tuple[float, ...]:
     (flat, _), *fps = _fp_coth_coth.lookup((TWO_PI, *angles))
     flat = _f_bracket(TWO_PI, scale, flat)
     return tuple(flat - _f_bracket(beta, scale, fp) for beta, (fp, _) in zip(angles, fps))
-
-
-def _fill_finite_parts(metrics) -> None:
-    """Compute in one batch every finite part that ``log_det_over_area``
-    of the metrics ``metrics`` will look up and that is not cached."""
-    _fp_coth_coth.lookup(list({TWO_PI, *(beta for m in metrics for beta in m.angles())}))
 
 
 def f_function(beta: float, scale: float) -> float:
@@ -169,11 +178,10 @@ def f_function_dC(beta: float, scale: float) -> float:
 def log_det_over_area(m: PolyhedralMetric) -> float:
     """log(det/Area) without any 2D quadrature: prefactor + W + sum F - ref.
 
-    This is the quantity whose gradients the variational formulas give; it
-    is also what the finite-difference harness differentiates.
+    This is the quantity whose gradients the variational formulas give;
+    ``verify`` differentiates it, from the parts of this same assembly.
     """
-    return math.fsum([_prefactor(m.scale), w_function(m), *_f_terms(m.angles(), m.scale),
-                      -_reference_term()])
+    return _assemble(_prefactor(m.scale), w_function(m), _f_terms(m.angles(), m.scale))
 
 
 def log_det_as(m: PolyhedralMetric) -> DetReport:
@@ -181,20 +189,29 @@ def log_det_as(m: PolyhedralMetric) -> DetReport:
     ar: QuadResult = area(m)
     w = w_function(m)
     f_terms = _f_terms(m.angles(), m.scale)
-    ref = _reference_term()
     pre = _prefactor(m.scale)
-    log_area = math.log(ar.value)
-    log_det = math.fsum([log_area, pre, w, *f_terms, -ref])
-    ldoa = math.fsum([pre, w, *f_terms, -ref])
     return DetReport(
-        log_det=log_det,
-        log_det_over_area=ldoa,
+        log_det=_assemble(pre, w, f_terms, math.log(ar.value)),
+        log_det_over_area=_assemble(pre, w, f_terms),
         area=ar.value,
         w_term=w,
         f_terms=f_terms,
-        reference_term=ref,
+        reference_term=_reference_term(),
         prefactor=pre,
     )
+
+
+def _assemble(pre: float, w: float, f_terms, log_area: float = 0.0) -> float:
+    """log(det/Area) = fsum([pre, W, *F, -ref]) from its parts, or log det
+    given log Area; PolydetError unless the sum is a finite float (an angle
+    term's log(2 pi^2 C / beta) overflows for C near the float limit)."""
+    try:
+        value = math.fsum([log_area, pre, w, *f_terms, -_reference_term()])
+    except (OverflowError, ValueError):     # inf - inf, or past the float range
+        value = math.nan
+    if not math.isfinite(value):
+        raise PolydetError(f"the terms of log det' sum to {value!r}, not a finite float")
+    return value
 
 
 def _prefactor(scale: float) -> float:

@@ -112,15 +112,6 @@ class PolyhedralMetric:
     def with_scale(self, scale: float) -> "PolyhedralMetric":
         return make_metric(scale, [(v.position, v.exponent) for v in self.vertices])
 
-    def with_exponent_shift(self, i: int, db_i: float) -> "PolyhedralMetric":
-        """Metric with b_i shifted by db_i and b_1 by -db_i (gauge-preserving)."""
-        verts = [(v.position, v.exponent) for v in self.vertices]
-        z_i, b_i = verts[i - 1]
-        z_1, b_1 = verts[0]
-        verts[i - 1] = (z_i, b_i + db_i)
-        verts[0] = (z_1, b_1 - db_i)
-        return make_metric(self.scale, verts)
-
     def with_position(self, i: int, z: complex) -> "PolyhedralMetric":
         verts = [(v.position, v.exponent) for v in self.vertices]
         verts[i - 1] = (z, verts[i - 1][1])
@@ -176,31 +167,52 @@ def make_metric(scale: float, verts: Sequence[Tuple[complex, float]]) -> Polyhed
         each exponent > -1, positions finite and pairwise distinct,
         exponent sum within 1e-12 of -2.
     """
-    if not scale > 0.0 or not math.isfinite(scale):
-        raise NonpositiveScale(f"scale must be a positive finite real, got {scale}")
+    _check_scale(scale)
     verts = [(complex(z), float(b)) for z, b in verts]
     for z, b in verts:
         if not b > -1.0 or not math.isfinite(b):
             raise InvalidExponent(f"exponent must satisfy b > -1, got {b}")
-        if not cmath.isfinite(z):
-            raise PolydetError(f"vertex position must be finite, got {z}")
+        _check_position(z)
     if len(verts) < 3:
         raise GaussBonnetViolation(
             f"need at least 3 vertices, got {len(verts)}"
         )
-    bsum = math.fsum(b for _, b in verts)
-    if abs(bsum + 2.0) > GAUSS_BONNET_TOL:
-        raise GaussBonnetViolation(f"exponents must sum to -2 (Gauss-Bonnet), got {bsum!r}")
-    for i in range(len(verts)):
-        for j in range(i + 1, len(verts)):
-            if verts[i][0] == verts[j][0]:
-                raise DuplicateVertex(
-                    f"vertices {i + 1} and {j + 1} share position {verts[i][0]}"
-                )
+    _check_gauss_bonnet([b for _, b in verts])
+    _check_distinct([z for z, _ in verts])
     return PolyhedralMetric(
         scale=float(scale),
         vertices=tuple(ConicalVertex(z, b) for z, b in verts),
     )
+
+
+# The checks of ``make_metric`` that a finite-difference step of ``verify``
+# runs on the one quantity it changes.
+
+def _check_scale(scale: float) -> None:
+    if not scale > 0.0 or not math.isfinite(scale):
+        raise NonpositiveScale(f"scale must be a positive finite real, got {scale}")
+
+
+def _check_position(z: complex) -> None:
+    if not cmath.isfinite(z):
+        raise PolydetError(f"vertex position must be finite, got {z}")
+
+
+def _check_gauss_bonnet(bs: Sequence[float]) -> None:
+    bsum = math.fsum(bs)
+    if abs(bsum + 2.0) > GAUSS_BONNET_TOL:
+        raise GaussBonnetViolation(f"exponents must sum to -2 (Gauss-Bonnet), got {bsum!r}")
+
+
+def _check_distinct(zs: Sequence[complex]) -> None:
+    """Raise DuplicateVertex naming the first pair (i, j), i < j, of equal
+    positions."""
+    if len(set(zs)) == len(zs):     # equal complex numbers hash alike
+        return
+    for i in range(len(zs)):
+        for j in range(i + 1, len(zs)):
+            if zs[i] == zs[j]:
+                raise DuplicateVertex(f"vertices {i + 1} and {j + 1} share position {zs[i]}")
 
 
 def tetrahedron_metric(scale: float = 1.0) -> PolyhedralMetric:

@@ -15,24 +15,60 @@ pairs stay inside the quadratic accuracy regime), h = STEP * min(beta_i,
 beta_1) for angles, h = STEP * C for the scale (which therefore stays
 positive).  The optional Richardson switch combines D(h) and D(h/2) into
 the fourth-order extrapolation (4 D(h/2) - D(h))/3.
+
+No metric is built per step.  The base metric's parts are kept: its
+log|z_k - z_l| of every pair, W's pair terms, its F terms and its
+prefactor; each step redoes only what it changes and sums the parts with
+the assembly of ``detlap.log_det_over_area``, whose value it equals bit
+for bit (``math.fsum`` is exactly rounded, so the order of the terms does
+not matter):
+
+    position step  the moved vertex's M - 1 logs and W terms
+    angle step     the W terms of vertices i and 1, and F at their two new
+                   angles (F at every angle the angle steps visit is
+                   taken in one call, its finite parts in one batch)
+    scale step     the prefactor and every F term
+
+Each step first runs the checks ``make_metric`` would run on what it
+changes, from the same helpers: a finite positive scale; a finite moved
+position distinct from the others; the exponent sum (exponents above -1
+are checked against the margin below).  A position step lost to
+rounding (z + e == z) raises PerturbationLeavesDomain, and a log(det/Area)
+that is not finite, at the base metric or at a step, PolydetError.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Union
 
 from .detlap import (
     GradientReport,
-    _fill_finite_parts,
+    _assemble,
+    _f_terms,
+    _log_distances,
+    _pairs,
+    _prefactor,
+    _w_sum,
+    _w_terms,
     grad_angle,
     grad_position,
     grad_scale,
-    log_det_over_area,
 )
 from .errors import GaugeVertexVariation, PerturbationLeavesDomain
-from .metric import Angle, PolyhedralMetric, Position, Scale, VariationChannel
+from .metric import (
+    Angle,
+    PolyhedralMetric,
+    Position,
+    Scale,
+    VariationChannel,
+    _check_distinct,
+    _check_gauss_bonnet,
+    _check_position,
+    _check_scale,
+)
 
 TWO_PI = 2.0 * math.pi
 
@@ -60,20 +96,122 @@ def _derivative(values, h: float, richardson: bool) -> float:
     return (4.0 * d2 - d1) / 3.0
 
 
-def _families(m: PolyhedralMetric, channel: VariationChannel):
-    """The step h along ``channel`` and the one-parameter families
-    e -> metric whose derivatives at 0 make up its gradient: one for the
-    scale and an angle, x and y for a position."""
+class _Steps:
+    """log(det/Area) at the finite-difference steps from a metric ``m``,
+    each assembled from m's parts with only what the step changes redone.
+
+    Planning steps (``position_steps``, ``angle_steps``, ``scale_steps``)
+    runs the checks of ``make_metric`` on what each changes, redoes its W
+    terms and returns a callable per step that assembles its value once F
+    is known.  ``finish`` takes F at m's
+    angles and at every angle an angle step visits in one ``_f_terms``
+    call, whose finite parts come in one batch, and checks that
+    log(det/Area) at m is finite.
+    """
+
+    def __init__(self, m: PolyhedralMetric):
+        self.zs, self.bs, self.angles = m.positions(), m.exponents(), m.angles()
+        self.scale = m.scale
+        self.min_gap = m.min_pairwise_distance()
+        self.pairs = _pairs(len(self.zs))
+        self.logs = _log_distances(self.zs, self.pairs)
+        self.w_terms = _w_terms(self.bs, self.angles, self.pairs, self.logs)
+        self.w = _w_sum(self.w_terms)
+        self.pre = _prefactor(self.scale)
+        self.step_angles = []   # the new angles of the angle steps
+
+    def _split(self, moved):
+        """W's pair terms at m that touch no vertex of ``moved``; the pairs
+        that do, and their logs."""
+        kept, pairs, logs = [], [], []
+        for pair, d, t in zip(self.pairs, self.logs, self.w_terms):
+            if pair[0] in moved or pair[1] in moved:
+                pairs.append(pair)
+                logs.append(d)
+            else:
+                kept.append(t)
+        return kept, pairs, logs
+
+    def position_steps(self, p: int, offsets) -> list:
+        """Vertex p (0-based) moved by each offset: its M - 1 distances and
+        W terms are redone."""
+        z0 = self.zs[p]
+        kept, pairs, _ = self._split((p,))
+        out = []
+        for e in offsets:
+            z = z0 + e
+            if z == z0:
+                raise PerturbationLeavesDomain(
+                    f"position step {e!r} is lost to rounding at vertex {p + 1}, {z0}")
+            _check_position(z)
+            zs = list(self.zs)
+            zs[p] = z
+            _check_distinct(zs)
+            w = _w_sum(kept + _w_terms(self.bs, self.angles, pairs, _log_distances(zs, pairs)))
+            out.append(partial(self._at_position, w))
+        return out
+
+    def _at_position(self, w) -> float:
+        return _assemble(self.pre, w, self.f_terms)
+
+    def angle_steps(self, q: int, shifts) -> list:
+        """b_q (0-based q != 0) shifted by each shift and b_1 by minus it:
+        the W terms of the two vertices and their two F terms are redone."""
+        kept, pairs, logs = self._split((0, q))
+        out = []
+        for db in shifts:
+            bs = list(self.bs)
+            bs[q] += db
+            bs[0] -= db
+            _check_gauss_bonnet(bs)
+            angles = list(self.angles)
+            angles[q] = TWO_PI * (bs[q] + 1.0)
+            angles[0] = TWO_PI * (bs[0] + 1.0)
+            self.step_angles += (angles[0], angles[q])
+            w = _w_sum(kept + _w_terms(bs, angles, pairs, logs))
+            out.append(partial(self._at_angle, w, q, angles))
+        return out
+
+    def _at_angle(self, w, q, angles) -> float:
+        f_terms = list(self.f_terms)
+        f_terms[0] = self.f_at[angles[0]]
+        f_terms[q] = self.f_at[angles[q]]
+        return _assemble(self.pre, w, f_terms)
+
+    def scale_steps(self, offsets) -> list:
+        """C moved by each offset: the prefactor and every F term are redone."""
+        out = []
+        for e in offsets:
+            scale = self.scale + e
+            _check_scale(scale)
+            out.append(partial(self._at_scale, scale))
+        return out
+
+    def _at_scale(self, scale) -> float:
+        return _assemble(_prefactor(scale), self.w, _f_terms(self.angles, scale))
+
+    def finish(self) -> None:
+        visited = (*self.angles, *self.step_angles)
+        self.f_at = dict(zip(visited, _f_terms(visited, self.scale)))
+        self.f_terms = [self.f_at[beta] for beta in self.angles]
+        _assemble(self.pre, self.w, self.f_terms)
+
+
+def _plan(m: PolyhedralMetric, steps: _Steps, channel: VariationChannel, richardson: bool):
+    """The step h along ``channel`` and the rows of steps whose derivatives
+    at 0 make up its gradient: one for the scale and an angle, x and y for
+    a position."""
     if isinstance(channel, Scale):
-        return STEP * m.scale, [lambda e: m.with_scale(m.scale + e)]
+        h = STEP * m.scale
+        return h, [steps.scale_steps(_steps(h, richardson))]
 
     if isinstance(channel, Position):
         i = channel.i
         m.check_index(i)
-        z0 = m.vertices[i - 1].position
-        h = STEP * m.min_pairwise_distance()
-        return h, [lambda e: m.with_position(i, z0 + e),
-                   lambda e: m.with_position(i, z0 + 1j * e)]
+        h = STEP * steps.min_gap
+        offsets = _steps(h, richardson)
+        return h, [steps.position_steps(i - 1, offsets),
+                   steps.position_steps(i - 1, [1j * e for e in offsets])]
 
     if isinstance(channel, Angle):
         i = channel.i
@@ -91,27 +229,21 @@ def _families(m: PolyhedralMetric, channel: VariationChannel):
             raise PerturbationLeavesDomain(
                 "angle step pushes an exponent to the b = -1 boundary"
             )
-        return h, [lambda e: m.with_exponent_shift(i, e / TWO_PI)]
+        return h, [steps.angle_steps(i - 1, [e / TWO_PI for e in _steps(h, richardson)])]
 
     raise TypeError(f"unknown variation channel {channel!r}")
 
 
 def _fd_gradients(m: PolyhedralMetric, channels, fdcfg: FDConfig) -> list:
     """Central finite differences of log(det/Area) along every channel.
-    The metrics of all the differences are built first, and the finite
-    parts at all their angles computed in one batch."""
-    plans = []
-    for channel in channels:
-        h, families = _families(m, channel)
-        plans.append((channel, h, [[family(e) for e in _steps(h, fdcfg.richardson)]
-                                   for family in families]))
-    # position and scale steps keep the angles of m
-    _fill_finite_parts([m] + [mm for channel, _, grid in plans if isinstance(channel, Angle)
-                              for row in grid for mm in row])
+    Every step is planned and checked first, then F taken at all their
+    angles in one call, then the steps evaluated."""
+    steps = _Steps(m)
+    plans = [(channel, *_plan(m, steps, channel, fdcfg.richardson)) for channel in channels]
+    steps.finish()
     out = []
-    for channel, h, grid in plans:
-        d = [_derivative([log_det_over_area(mm) for mm in row], h, fdcfg.richardson)
-             for row in grid]
+    for channel, h, rows in plans:
+        d = [_derivative([step() for step in row], h, fdcfg.richardson) for row in rows]
         out.append(0.5 * complex(d[0], -d[1]) if isinstance(channel, Position) else d[0])
     return out
 

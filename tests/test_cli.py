@@ -412,3 +412,35 @@ def test_verify_tetra_command(tmp_path, capsys):
     assert rep["eta_distance_residual"] < 1e-7
     assert abs(rep["det_torus_over_det_sq"] - 1.0) < 1e-6
     assert rep["as_vs_tetr_rel"] < 1e-5
+
+
+def _metric_file(tmp_path, scale, verts):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps({"C": scale, "vertices": [
+        {"z": [z.real, z.imag], "b": b} for z, b in verts]}))
+    return str(path)
+
+
+@pytest.mark.parametrize("command", [["grad", "--channel", "C", "--json"],
+                                     ["grad", "--channel", "beta:2", "--json"],
+                                     ["verify", "fd"]])
+def test_nonfinite_log_det_is_validation_error(command, tmp_path, capsys):
+    # log(2 pi^2 C / beta) overflows at C = 1e307 and beta = 0.2 pi: no NaN
+    # on stdout (it is not JSON), a typed error instead
+    path = _metric_file(tmp_path, 1e307, [(0, -0.9), (1, -0.5), (1j, -0.3), (-1, -0.3)])
+    argv = [*command[:-1], "--metric", path, command[-1]] if command[0] == "grad" else [
+        *command, "--metric", path]
+    code, err = _one_error_line(argv, capsys)
+    assert code == 2
+    assert err["error"] == "PolydetError"
+    assert "not a finite float" in err["message"]
+
+
+@pytest.mark.parametrize("command", [["grad", "--channel", "z:1"], ["verify", "fd"]])
+def test_position_step_lost_to_rounding_is_validation_error(command, tmp_path, capsys):
+    # near 2e12 a step of 1e-4 (STEP times the unit gap) rounds away
+    path = _metric_file(tmp_path, 1.0, [(2e12, -0.5), (2e12 + 1j, -0.5), (2e12 + 1, -0.5),
+                                        (2e12 + 1 + 1j, -0.5)])
+    code, err = _one_error_line([*command, "--metric", path], capsys)
+    assert code == 2
+    assert err["error"] == "PerturbationLeavesDomain"

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 
@@ -11,9 +12,12 @@ from polydet import (
     fd_gradient,
     grad_angle,
     grad_position,
+    grad_scale,
+    log_det_over_area,
     run_suite,
     tetrahedron_metric,
     variation_field,
+    verify,
 )
 from polydet.errors import GaugeVertexVariation, PerturbationLeavesDomain, PolydetError
 from polydet.metric import make_metric
@@ -168,3 +172,113 @@ def test_run_suite_split_budget_raises(corpus5, monkeypatch):
     with pytest.raises(ToleranceNotReached):
         run_suite(corpus5)
     assert regint._fp_coth_coth.cache_info().currsize == 0
+
+
+# ---- each step from the base metric's parts ----
+
+def _parent_rows(m, channel, richardson):
+    """The step h along ``channel`` and the perturbed metrics, built whole,
+    whose log(det/Area) the finite differences take."""
+    if isinstance(channel, Scale):
+        h = verify.STEP * m.scale
+        return h, [[m.with_scale(m.scale + e) for e in verify._steps(h, richardson)]]
+    if isinstance(channel, Position):
+        h = verify.STEP * m.min_pairwise_distance()
+        z0 = m.vertices[channel.i - 1].position
+        offsets = verify._steps(h, richardson)
+        return h, [[m.with_position(channel.i, z0 + e) for e in offsets],
+                   [m.with_position(channel.i, z0 + 1j * e) for e in offsets]]
+    i = channel.i
+    h = verify.STEP * min(m.vertices[i - 1].angle, m.vertices[0].angle)
+    row = []
+    for e in verify._steps(h, richardson):
+        db = e / (2.0 * PI)
+        verts = [(v.position, v.exponent) for v in m.vertices]
+        verts[i - 1] = (verts[i - 1][0], verts[i - 1][1] + db)
+        verts[0] = (verts[0][0], verts[0][1] - db)
+        row.append(make_metric(m.scale, verts))
+    return h, [row]
+
+
+_ABOVE_TWO_PI = make_metric(0.7, [(0.0, -0.95), (1.3, 1.1), (-0.9 + 0.8j, -0.85),
+                                  (0.2 - 1.4j, -0.7), (-0.4 + 0.1j, -0.6)])
+_NEAR_MINUS_ONE = make_metric(1.0, [(0.3j, -0.999), (1.0, -0.5), (-1.0 + 0.2j, -0.2),
+                                    (0.4 - 0.9j, -0.301)])
+
+
+@pytest.mark.parametrize("richardson", [False, True])
+@pytest.mark.parametrize("name", ["tetra", "corpus5", "near_degenerate", "above_two_pi",
+                                  "near_minus_one"])
+def test_steps_match_whole_metrics(name, richardson, request):
+    # every step, evaluated from the base metric's parts, has the bits of
+    # log_det_over_area of the perturbed metric built whole
+    m = {"above_two_pi": _ABOVE_TWO_PI,
+         "near_minus_one": _NEAR_MINUS_ONE}.get(name) or request.getfixturevalue(name)
+    n = m.num_vertices
+    channels = ([Position(i) for i in range(1, n + 1)]
+                + [Angle(i) for i in range(2, n + 1)] + [Scale()])
+    steps = verify._Steps(m)
+    plans = [verify._plan(m, steps, channel, richardson) for channel in channels]
+    steps.finish()
+    for channel, (h, rows) in zip(channels, plans):
+        h_ref, ref_rows = _parent_rows(m, channel, richardson)
+        assert h == h_ref
+        assert len(rows) == len(ref_rows)
+        for row, ref_row in zip(rows, ref_rows):
+            assert [step().hex() for step in row] == [
+                log_det_over_area(mm).hex() for mm in ref_row], channel
+
+
+def test_run_suite_builds_no_metric(corpus5, monkeypatch):
+    # the steps reuse the base metric's parts: no metric is built and W is
+    # not recomputed from all pairs
+    import sys
+
+    from polydet import detlap, metric
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("whole metric rebuilt")
+
+    for original in (metric.make_metric, detlap.w_function, detlap.log_det_over_area):
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "polydet" and getattr(
+                    module, original.__name__, None) is original:
+                monkeypatch.setattr(module, original.__name__, refuse)
+    for richardson in (False, True):
+        assert len(run_suite(corpus5, FDConfig(richardson=richardson))) == 10
+    with pytest.raises(AssertionError, match="whole metric rebuilt"):
+        corpus5.with_scale(2.0)
+
+
+def test_nonfinite_step_is_refused():
+    # log(2 pi^2 C / beta) of the smallest angle, 0.2 pi, overflows at the
+    # scale step C + h but not at C: the base value is finite, the
+    # difference is refused instead of coming out -inf or nan; a position
+    # step leaves F alone
+    top = sys.float_info.max * 0.2 * PI / (2.0 * PI * PI)
+    m = make_metric(top * (1.0 - 5e-5), [(0, -0.9), (1, -0.5), (1j, -0.3), (-1, -0.3)])
+    assert math.isfinite(log_det_over_area(m))
+    with pytest.raises(PolydetError, match="not a finite float"):
+        fd_gradient(m, Scale())
+    assert abs(fd_gradient(m, Position(2)) - grad_position(m, 2)) < 1e-6
+
+
+def test_nonfinite_base_is_refused():
+    m = make_metric(1e307, [(0, -0.9), (1, -0.5), (1j, -0.3), (-1, -0.3)])
+    for channel in (Scale(), Angle(2), Position(1)):
+        with pytest.raises(PolydetError, match="not a finite float"):
+            fd_gradient(m, channel)
+    with pytest.raises(PolydetError, match="not a finite float"):
+        log_det_over_area(m)
+
+
+def test_position_step_lost_to_rounding():
+    # at 2e12 the spacing of doubles is 2.4e-4: a step of 1e-4 leaves the
+    # real part unchanged, which would read as a zero derivative
+    m = make_metric(1.0, [(2e12, -0.5), (2e12 + 1j, -0.5), (2e12 + 1, -0.5),
+                          (2e12 + 1 + 1j, -0.5)])
+    with pytest.raises(PerturbationLeavesDomain, match="lost to rounding"):
+        fd_gradient(m, Position(1))
+    with pytest.raises(PerturbationLeavesDomain, match="lost to rounding"):
+        run_suite(m)
+    assert abs(fd_gradient(m, Scale()) - grad_scale(m)) < 1e-6
