@@ -66,8 +66,6 @@ from .regint import (
     hadamard_coth_over_sinh_sq,
     q_of_beta,
     q_of_beta_contour,
-    q_tilde,
-    q_tilde_prime,
 )
 from .verify import FDConfig, fd_gradient, run_suite
 

@@ -32,7 +32,7 @@ from .cone import ConePoint, heat_kernel_cone, heat_kernel_images, resolvent_con
 from .errors import InvalidMetricJSON, PolydetError, ToleranceNotReached
 from .metric import Angle, Position, Scale, load_metric, make_metric
 from .quad import area
-from .regint import SPLIT_RADIUS, hadamard_finite_parts, q_of_beta, q_of_beta_contour, q_tilde, q_tilde_prime
+from .regint import SPLIT_RADIUS, hadamard_finite_parts, q_of_beta, q_of_beta_contour
 
 FD_PASS_TOL = 1e-5
 
@@ -268,8 +268,6 @@ def _cmd_verify_hadamard(args) -> int:
             },
             "q_of_beta": q_of_beta(beta),
             "q_contour_deviation": abs(q_of_beta_contour(beta) - q_of_beta(beta)),
-            "q_tilde": q_tilde(beta),
-            "q_tilde_prime": q_tilde_prime(beta),
         })
     _emit(out, args)
     return 0

@@ -4,24 +4,45 @@ analytic gradients.
 The zeta-regularized determinant (zero mode excluded) of the metric
 m = C prod |z - z_k|^(2 b_k) |dz|^2 is assembled as
 
-    log det = log Area - log((4C)^(1/3) pi) + W + sum_j F(beta_j, C)
-              - 4 F(pi, 1),
+    log det = log Area - (log 4 + log C)/3 - log pi + W
+              + sum_j F(beta_j, C) - 4 F(pi, 1),
 
 with the two ingredients
 
     W = (pi/3) sum_{k<l} b_k b_l (1/beta_k + 1/beta_l) log|z_k - z_l|,
 
     F(beta, C) = bracket(2 pi) - bracket(beta),
-    bracket(d) = (1/8) H[coth(pi th) coth(d th/2)/th]
-               + (1/12)(d/2pi + 2pi/d) log(2 pi^2 C / d)
-               + (1/12)(d/4pi - 2pi/d) + pi gamma/(3 d),
+    bracket(d) = (1/2) H_cc(d) + (1/12)(d/2pi + 2pi/d) log C
+                 + pi (gamma + log pi)/(3 d),
 
-where H is the Hadamard finite part from ``regint`` and gamma is the
-Euler-Mascheroni constant.  The non-logarithmic bracket term is
-implemented as d/4pi - 2pi/d; the variant with 4pi/d that sometimes
-appears in print is inconsistent with the angle-gradient formula (the two
-differ by pi/(6 d), whose d-derivative -pi/(6 d^2) survives in dF/dbeta),
-and the finite-difference acceptance gate pins the version used here.
+where H_cc(d) is the Hadamard finite part of coth(pi th) coth(d th/2)/th
+from ``regint`` and gamma is the Euler-Mascheroni constant.  This module
+is the only one that knows the terms of F and of dF/dbeta.
+
+Where F comes from
+------------------
+F is the constant a cone point of angle beta adds to the Polyakov
+formula.  The unit z-disk with the metric |z|^(2b) |dz|^2 is the flat
+cone of angle beta = 2 pi (b + 1) and radius q = 2 pi/beta.  Cdisk(beta)
+is its Dirichlet log-determinant less that of the flat unit disk, plus
+b/2, which removes Alvarez's boundary term -(1/4pi) oint d_n phi = -b/2
+of phi = b log|z| (Alvarez, Nucl. Phys. B 216 (1983); Osgood-Phillips-
+Sarnak, J. Funct. Anal. 80 (1988)).  In Bessel modes of order nu = q k
+(Bordag-Kirsten-Dowker, Commun. Math. Phys. 182 (1996)), with
+zeta_beta(0) = q/12 + 1/(12 q):
+
+    Cdisk(beta) = D(beta) - D(2 pi) + (beta/2pi - 1)/2,
+    D(beta) = -zeta'_beta(0) - 2 log q zeta_beta(0),
+    zeta'_beta(0) = 2 sum_{k>=1} Z'(q k) + (q/6)(1 - log 2q) - 2 q zeta_R'(-1)
+                    - (1/2) log q - (1/q)(log 2q - gamma - 5/2)/6,
+    Z'(nu) = log Gamma(nu + 1) + nu - (1/2) log(2 pi nu) - nu log nu - 1/(12 nu).
+
+By Binet's integral 2 sum_k Z'(q k) is H_cc(beta)/2 plus elementary
+terms, and F(beta, 1) = Cdisk(beta) + kappa (beta/2pi - 1) with
+kappa = (2 log pi + 2 gamma - 1)/12.  A term linear in beta drops out of
+log det (sum_j beta_j = 4 pi, matched by 4 F(pi, 1)) and of the gauged
+angle gradients.  The tests check F against this mode sum and log det
+against the flat orbifolds S^2(3,3,3), S^2(2,4,4) and S^2(2,3,6).
 
 Gradients of log(det/Area) in closed form:
 
@@ -29,9 +50,13 @@ Gradients of log(det/Area) in closed form:
                (Wirtinger derivative, equal to dW/dz_i),
     d/dbeta_i = B_i - B_1  with
     B_q = (1/6) sum_{j != q} (1/beta_j + 2pi/beta_q^2) b_j log|z_j - z_q|
-          + Qt'(beta_q) + pi gamma/(3 beta_q^2)
-          + (1/(6 beta_q)) (2pi/beta_q - beta_q/2pi) log(2 pi sqrt(C)/beta_q),
-    d/dC     = sum_j (1/12C)(2 - beta_j/2pi - 2pi/beta_j) - 1/(3C).
+          + dF/dbeta(beta_q, C),
+    dF/dbeta = (1/4) H_cs(beta) + pi (gamma + log pi)/(3 beta^2)
+               + (1/(12 beta))(2pi/beta - beta/2pi) log C,
+    d/dC     = sum_j (1/12C)(2 - beta_j/2pi - 2pi/beta_j) - 1/(3C),
+
+where H_cs is the finite part of coth(pi th)/sinh^2(beta th/2), which is
+-2 dH_cc/dbeta.
 """
 
 from __future__ import annotations
@@ -44,7 +69,7 @@ from typing import Tuple, Union
 from .errors import AngleMultisetMismatch, GaugeVertexVariation, PolydetError, ScaleMismatch
 from .metric import PolyhedralMetric
 from .quad import QuadResult, area
-from .regint import _fp_coth_coth, _fp_coth_csch2, q_tilde_prime
+from .regint import _fp_coth_coth, _fp_coth_csch2
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -53,6 +78,8 @@ REL_ERR_FLOOR = 1.0  # gradients are O(1); below this scale abs error rules
 
 # Euler-Mascheroni, 30 significant digits
 EULER_GAMMA = 0.577215664901532860606512090082
+# pi (gamma + log pi)/3, the numerator of F's 1/beta term
+_GAMMA_TERM = PI * (EULER_GAMMA + math.log(PI)) / 3.0
 
 
 @dataclass(frozen=True)
@@ -134,12 +161,11 @@ def _w_sum(terms) -> float:
 
 
 def _f_bracket(delta: float, scale: float, fp: float) -> float:
-    """bracket(delta) at scale C, with fp = H[coth coth / th] at delta."""
+    """bracket(delta) at scale C, with fp = H_cc(delta)."""
     return math.fsum([
-        fp / 8.0,
-        (delta / TWO_PI + TWO_PI / delta) * math.log(2.0 * PI * PI * scale / delta) / 12.0,
-        (delta / (4.0 * PI) - TWO_PI / delta) / 12.0,
-        PI * EULER_GAMMA / (3.0 * delta),
+        fp / 2.0,
+        (delta / TWO_PI + TWO_PI / delta) * math.log(scale) / 12.0,
+        _GAMMA_TERM / delta,
     ])
 
 
@@ -152,18 +178,25 @@ def _f_terms(angles, scale: float) -> Tuple[float, ...]:
     return tuple(flat - _f_bracket(beta, scale, fp) for beta, (fp, _) in zip(angles, fps))
 
 
+def _f_dbeta(beta: float, scale: float, fp: float) -> float:
+    """dF/dbeta at scale C, with fp = H_cs(beta)."""
+    return math.fsum([
+        fp / 4.0,
+        _GAMMA_TERM / (beta * beta),
+        (TWO_PI / beta - beta / TWO_PI) * math.log(scale) / (12.0 * beta),
+    ])
+
+
 def f_function(beta: float, scale: float) -> float:
-    """F(beta, C): the per-vertex angle contribution to log det.
-
-    Vanishes identically at beta = 2 pi.  Its partial derivatives satisfy
-
-        dF/dC    = (1/12C)(2 - beta/2pi - 2pi/beta)
-        dF/dbeta = Qt'(beta) + pi gamma/(3 beta^2)
-                   + (1/(6 beta))(2pi/beta - beta/2pi) log(2 pi sqrt(C)/beta)
-
-    both of which are exercised against finite differences in the tests.
-    """
+    """F(beta, C): the per-vertex angle contribution to log det (module
+    docstring).  Vanishes identically at beta = 2 pi."""
     return _f_terms((beta,), scale)[0]
+
+
+def f_function_dbeta(beta: float, scale: float) -> float:
+    """Closed-form dF/dbeta."""
+    ((fp, _),) = _fp_coth_csch2.lookup((beta,))
+    return _f_dbeta(beta, scale, fp)
 
 
 def f_function_dC(beta: float, scale: float) -> float:
@@ -203,8 +236,7 @@ def log_det_as(m: PolyhedralMetric) -> DetReport:
 
 def _assemble(pre: float, w: float, f_terms, log_area: float = 0.0) -> float:
     """log(det/Area) = fsum([pre, W, *F, -ref]) from its parts, or log det
-    given log Area; PolydetError unless the sum is a finite float (an angle
-    term's log(2 pi^2 C / beta) overflows for C near the float limit)."""
+    given log Area; PolydetError unless the sum is a finite float."""
     try:
         value = math.fsum([log_area, pre, w, *f_terms, -_reference_term()])
     except (OverflowError, ValueError):     # inf - inf, or past the float range
@@ -215,7 +247,8 @@ def _assemble(pre: float, w: float, f_terms, log_area: float = 0.0) -> float:
 
 
 def _prefactor(scale: float) -> float:
-    return -math.log((4.0 * scale) ** (1.0 / 3.0) * PI)
+    """-log((4C)^(1/3) pi), from log C: finite for every finite C > 0."""
+    return -(math.log(4.0) + math.log(scale)) / 3.0 - math.log(PI)
 
 
 @lru_cache(maxsize=None)
@@ -248,8 +281,9 @@ def grad_position(m: PolyhedralMetric, i: int) -> complex:
     return (PI / 6.0) * complex(math.fsum(acc_re), math.fsum(acc_im))
 
 
-def _b_term(m: PolyhedralMetric, q: int) -> float:
-    """B_q, the per-vertex angle-gradient block (q is 1-based)."""
+def _b_term(m: PolyhedralMetric, q: int, fp: float) -> float:
+    """B_q, the per-vertex angle-gradient block (q is 1-based), with
+    fp = H_cs at vertex q's angle."""
     zs = m.positions()
     bs = m.exponents()
     angles = m.angles()
@@ -260,13 +294,7 @@ def _b_term(m: PolyhedralMetric, q: int) -> float:
         for j in range(len(zs))
         if j != q - 1
     ]
-    return math.fsum([
-        math.fsum(dist) / 6.0,
-        q_tilde_prime(tq),
-        PI * EULER_GAMMA / (3.0 * tq * tq),
-        (TWO_PI / tq - tq / TWO_PI)
-        * math.log(TWO_PI * math.sqrt(m.scale) / tq) / (6.0 * tq),
-    ])
+    return math.fsum(dist) / 6.0 + _f_dbeta(tq, m.scale, fp)
 
 
 def grad_angle(m: PolyhedralMetric, i: int) -> float:
@@ -275,8 +303,8 @@ def grad_angle(m: PolyhedralMetric, i: int) -> float:
     if i == 1:
         raise GaugeVertexVariation("vertex 1 is the compensating gauge vertex")
     m.check_index(i)
-    _fp_coth_csch2.lookup(m.angles())       # every angle's finite part in one batch
-    return _b_term(m, i) - _b_term(m, 1)
+    fps = _fp_coth_csch2.lookup(m.angles())     # every angle's finite part in one batch
+    return _b_term(m, i, fps[i - 1][0]) - _b_term(m, 1, fps[0][0])
 
 
 def grad_scale(m: PolyhedralMetric) -> float:

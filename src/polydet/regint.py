@@ -1,6 +1,6 @@
 """Regularized one-dimensional integrals of the cone-angle calculus.
 
-Four quantities live here, all functions of a cone angle beta > 0:
+Three quantities live here, all functions of a cone angle beta > 0:
 
 * ``q_of_beta``           -- the heat-trace constant
                              Q(beta) = -(1/12) (beta/2pi - 2pi/beta),
@@ -9,12 +9,11 @@ Four quantities live here, all functions of a cone angle beta > 0:
 * ``hadamard_coth_over_sinh_sq`` -- the Hadamard finite part
                              H int_0^inf coth(pi th)/sinh^2(beta th/2) dth,
                              divergent like theta^-3 + theta^-1 at zero.
-* ``q_tilde_prime``       -- Qt'(beta) = (1/16) H[coth/sinh^2] + 1/(48 pi)
-                             - log(beta/2)/(12 beta) (beta/2pi - 2pi/beta).
-* ``q_tilde``             -- Qt(beta) = -(1/8) H[coth coth / th]
-                             - (log(beta/2)/12)(beta/2pi + 2pi/beta)
-                             + (1/12)(3 beta/4pi - 2pi/beta),
-                             with d Qt/d beta = Qt'(beta).
+* ``hadamard_coth_coth_over_theta`` -- that of coth(pi th) coth(beta th/2)/th,
+                             divergent at infinity too.
+
+Module ``detlap`` assembles the angle term and its beta derivative from
+the two finite parts.
 
 The cotangent contour
 ---------------------
@@ -128,6 +127,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
+from types import SimpleNamespace
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -604,15 +604,14 @@ class _CacheInfo(NamedTuple):
 FP_CACHE_SIZE = 4096   # angles whose finite parts a cache keeps, per integrand
 
 
-def _finite_part_cache(kind: str):
+def _finite_part_cache(kind: str) -> SimpleNamespace:
     """The finite parts of ``kind`` at the default split, kept as
     (finite_part, error_estimate) pairs for the last FP_CACHE_SIZE angles
-    used.  Calling it with an angle gives the finite part; ``lookup``
-    gives the pairs of a list of angles, computing those it misses in one
-    ``hadamard_finite_parts`` batch and storing nothing if that raises.
-    ``cache_info`` and ``cache_clear`` are those of functools.lru_cache,
-    a lookup of n angles counting its distinct misses and n less them as
-    hits."""
+    used.  ``lookup`` gives the pairs of a list of angles, computing those
+    it misses in one ``hadamard_finite_parts`` batch and storing nothing
+    if that raises.  ``cache_info`` and ``cache_clear`` are those of
+    functools.lru_cache, a lookup of n angles counting its distinct misses
+    and n less them as hits."""
     pairs: "OrderedDict[float, Tuple[float, float]]" = OrderedDict()
     stats = [0, 0]      # hits, misses
 
@@ -633,55 +632,18 @@ def _finite_part_cache(kind: str):
         stats[1] += len(missing)
         return out
 
-    def finite_part(beta: float) -> float:
-        try:
-            pair = pairs[beta]
-        except KeyError:
-            return lookup((beta,))[0][0]
-        pairs.move_to_end(beta)
-        stats[0] += 1
-        return pair[0]
-
     def cache_clear() -> None:
         pairs.clear()
         stats[:] = [0, 0]
 
-    finite_part.lookup = lookup
-    finite_part.cache_info = lambda: _CacheInfo(*stats, FP_CACHE_SIZE, len(pairs))
-    finite_part.cache_clear = cache_clear
-    return finite_part
+    return SimpleNamespace(
+        lookup=lookup, cache_clear=cache_clear,
+        cache_info=lambda: _CacheInfo(*stats, FP_CACHE_SIZE, len(pairs)))
 
 
-# the hot paths: angle gradients and finite differences hit these a lot
+# the hot paths: the angle terms, angle gradients and finite differences
 _fp_coth_csch2 = _finite_part_cache("coth_over_sinh_sq")
 _fp_coth_coth = _finite_part_cache("coth_coth_over_theta")
-
-
-# --------------------------------------------------------------------------
-# Q-tilde and its beta derivative
-# --------------------------------------------------------------------------
-
-def q_tilde_prime(beta: float) -> float:
-    """Qt'(beta) = (1/16) H[coth(pi th)/sinh^2(beta th/2)] + 1/(48 pi)
-    - log(beta/2)/(12 beta) * (beta/2pi - 2pi/beta)."""
-    _check_angle(beta)
-    fp = _fp_coth_csch2(beta)
-    return (fp / 16.0 + 1.0 / (48.0 * PI)
-            - math.log(0.5 * beta) / (12.0 * beta) * (beta / TWO_PI - TWO_PI / beta))
-
-
-def q_tilde(beta: float) -> float:
-    """Qt(beta) = -(1/8) H[coth coth / th]
-    - (log(beta/2)/12)(beta/2pi + 2pi/beta) + (1/12)(3 beta/4pi - 2pi/beta).
-
-    Satisfies d Qt/d beta = q_tilde_prime(beta); the finite-difference
-    consistency of the pair is one of the acceptance gates.
-    """
-    _check_angle(beta)
-    fp = _fp_coth_coth(beta)
-    return (-fp / 8.0
-            - math.log(0.5 * beta) / 12.0 * (beta / TWO_PI + TWO_PI / beta)
-            + (3.0 * beta / (4.0 * PI) - TWO_PI / beta) / 12.0)
 
 
 def _check_angle(beta: float) -> None:

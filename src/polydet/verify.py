@@ -13,8 +13,10 @@ The relative step is fixed, STEP = 1e-4, and scaled to the perturbed
 quantity: h = STEP * min-vertex-gap for positions (so near-degenerate
 pairs stay inside the quadratic accuracy regime), h = STEP * min(beta_i,
 beta_1) for angles, h = STEP * C for the scale (which therefore stays
-positive).  The optional Richardson switch combines D(h) and D(h/2) into
-the fourth-order extrapolation (4 D(h/2) - D(h))/3.
+positive).  A difference is divided by the steps actually taken, the
+perturbed quantity less its base value, which rounding may make other
+than +-h far from the origin.  The optional Richardson switch combines
+D(h) and D(h/2) into the fourth-order extrapolation (4 D(h/2) - D(h))/3.
 
 No metric is built per step.  The base metric's parts are kept: its
 log|z_k - z_l| of every pair, W's pair terms, its F terms and its
@@ -86,13 +88,16 @@ def _steps(h: float, richardson: bool):
     return (h, -h, 0.5 * h, -(0.5 * h)) if richardson else (h, -h)
 
 
-def _derivative(values, h: float, richardson: bool) -> float:
-    """The central difference (f(h) - f(-h))/2h of the values at ``_steps``,
-    or its Richardson extrapolation (4 D(h/2) - D(h))/3."""
-    d1 = (values[0] - values[1]) / (2.0 * h)
+def _derivative(row, richardson: bool) -> float:
+    """The central difference (f(t+) - f(t-))/(t+ - t-) of a row of
+    (step, t) pairs at ``_steps``, t the offset actually taken, or its
+    Richardson extrapolation (4 D(h/2) - D(h))/3."""
+    values = [step() for step, _ in row]
+    taken = [t for _, t in row]
+    d1 = (values[0] - values[1]) / (taken[0] - taken[1])
     if not richardson:
         return d1
-    d2 = (values[2] - values[3]) / (2.0 * (0.5 * h))
+    d2 = (values[2] - values[3]) / (taken[2] - taken[3])
     return (4.0 * d2 - d1) / 3.0
 
 
@@ -102,11 +107,11 @@ class _Steps:
 
     Planning steps (``position_steps``, ``angle_steps``, ``scale_steps``)
     runs the checks of ``make_metric`` on what each changes, redoes its W
-    terms and returns a callable per step that assembles its value once F
-    is known.  ``finish`` takes F at m's
-    angles and at every angle an angle step visits in one ``_f_terms``
-    call, whose finite parts come in one batch, and checks that
-    log(det/Area) at m is finite.
+    terms and returns per step a callable that assembles its value once F
+    is known, and the offset the step actually takes.  ``finish`` takes F
+    at m's angles and at every angle an angle step visits in one
+    ``_f_terms`` call, whose finite parts come in one batch, and checks
+    that log(det/Area) at m is finite.
     """
 
     def __init__(self, m: PolyhedralMetric):
@@ -132,14 +137,14 @@ class _Steps:
                 kept.append(t)
         return kept, pairs, logs
 
-    def position_steps(self, p: int, offsets) -> list:
-        """Vertex p (0-based) moved by each offset: its M - 1 distances and
-        W terms are redone."""
+    def position_steps(self, p: int, axis: complex, offsets) -> list:
+        """Vertex p (0-based) moved by each offset along ``axis``, 1 or 1j:
+        its M - 1 distances and W terms are redone."""
         z0 = self.zs[p]
         kept, pairs, _ = self._split((p,))
         out = []
         for e in offsets:
-            z = z0 + e
+            z = z0 + axis * e
             if z == z0:
                 raise PerturbationLeavesDomain(
                     f"position step {e!r} is lost to rounding at vertex {p + 1}, {z0}")
@@ -148,7 +153,9 @@ class _Steps:
             zs[p] = z
             _check_distinct(zs)
             w = _w_sum(kept + _w_terms(self.bs, self.angles, pairs, _log_distances(zs, pairs)))
-            out.append(partial(self._at_position, w))
+            taken = z - z0
+            out.append((partial(self._at_position, w),
+                        taken.real if axis == 1 else taken.imag))
         return out
 
     def _at_position(self, w) -> float:
@@ -169,7 +176,7 @@ class _Steps:
             angles[0] = TWO_PI * (bs[0] + 1.0)
             self.step_angles += (angles[0], angles[q])
             w = _w_sum(kept + _w_terms(bs, angles, pairs, logs))
-            out.append(partial(self._at_angle, w, q, angles))
+            out.append((partial(self._at_angle, w, q, angles), angles[q] - self.angles[q]))
         return out
 
     def _at_angle(self, w, q, angles) -> float:
@@ -184,7 +191,7 @@ class _Steps:
         for e in offsets:
             scale = self.scale + e
             _check_scale(scale)
-            out.append(partial(self._at_scale, scale))
+            out.append((partial(self._at_scale, scale), scale - self.scale))
         return out
 
     def _at_scale(self, scale) -> float:
@@ -198,20 +205,17 @@ class _Steps:
 
 
 def _plan(m: PolyhedralMetric, steps: _Steps, channel: VariationChannel, richardson: bool):
-    """The step h along ``channel`` and the rows of steps whose derivatives
-    at 0 make up its gradient: one for the scale and an angle, x and y for
-    a position."""
+    """The rows of steps along ``channel`` whose derivatives at 0 make up
+    its gradient: one for the scale and an angle, x and y for a position."""
     if isinstance(channel, Scale):
-        h = STEP * m.scale
-        return h, [steps.scale_steps(_steps(h, richardson))]
+        return [steps.scale_steps(_steps(STEP * m.scale, richardson))]
 
     if isinstance(channel, Position):
         i = channel.i
         m.check_index(i)
-        h = STEP * steps.min_gap
-        offsets = _steps(h, richardson)
-        return h, [steps.position_steps(i - 1, offsets),
-                   steps.position_steps(i - 1, [1j * e for e in offsets])]
+        offsets = _steps(STEP * steps.min_gap, richardson)
+        return [steps.position_steps(i - 1, 1, offsets),
+                steps.position_steps(i - 1, 1j, offsets)]
 
     if isinstance(channel, Angle):
         i = channel.i
@@ -229,7 +233,7 @@ def _plan(m: PolyhedralMetric, steps: _Steps, channel: VariationChannel, richard
             raise PerturbationLeavesDomain(
                 "angle step pushes an exponent to the b = -1 boundary"
             )
-        return h, [steps.angle_steps(i - 1, [e / TWO_PI for e in _steps(h, richardson)])]
+        return [steps.angle_steps(i - 1, [e / TWO_PI for e in _steps(h, richardson)])]
 
     raise TypeError(f"unknown variation channel {channel!r}")
 
@@ -239,11 +243,11 @@ def _fd_gradients(m: PolyhedralMetric, channels, fdcfg: FDConfig) -> list:
     Every step is planned and checked first, then F taken at all their
     angles in one call, then the steps evaluated."""
     steps = _Steps(m)
-    plans = [(channel, *_plan(m, steps, channel, fdcfg.richardson)) for channel in channels]
+    plans = [(channel, _plan(m, steps, channel, fdcfg.richardson)) for channel in channels]
     steps.finish()
     out = []
-    for channel, h, rows in plans:
-        d = [_derivative([step() for step in row], h, fdcfg.richardson) for row in rows]
+    for channel, rows in plans:
+        d = [_derivative(row, fdcfg.richardson) for row in rows]
         out.append(0.5 * complex(d[0], -d[1]) if isinstance(channel, Position) else d[0])
     return out
 

@@ -425,9 +425,9 @@ def _metric_file(tmp_path, scale, verts):
                                      ["grad", "--channel", "beta:2", "--json"],
                                      ["verify", "fd"]])
 def test_nonfinite_log_det_is_validation_error(command, tmp_path, capsys):
-    # log(2 pi^2 C / beta) overflows at C = 1e307 and beta = 0.2 pi: no NaN
-    # on stdout (it is not JSON), a typed error instead
-    path = _metric_file(tmp_path, 1e307, [(0, -0.9), (1, -0.5), (1j, -0.3), (-1, -0.3)])
+    # the distance of the outer vertices overflows, so W is not a finite
+    # float: no NaN on stdout (it is not JSON), a typed error instead
+    path = _metric_file(tmp_path, 1.0, [(-1e308, -0.6), (0, -0.7), (1e308, -0.7)])
     argv = [*command[:-1], "--metric", path, command[-1]] if command[0] == "grad" else [
         *command, "--metric", path]
     code, err = _one_error_line(argv, capsys)
@@ -444,3 +444,15 @@ def test_position_step_lost_to_rounding_is_validation_error(command, tmp_path, c
     code, err = _one_error_line([*command, "--metric", path], capsys)
     assert code == 2
     assert err["error"] == "PerturbationLeavesDomain"
+
+
+def test_grad_position_far_from_origin(tmp_path, capsys):
+    # near 1e12 the position step h = 1e-4 rounds to 1.2207e-4, one spacing
+    # of doubles; divided by the step taken, the difference stays on the
+    # analytic value
+    path = _metric_file(tmp_path, 1.0, [(1e12, -0.5), (1e12 + 1j, -0.5), (1e12 + 1, -0.5),
+                                        (1e12 + 1 + 1j, -0.5)])
+    code = main(["grad", "--channel", "z:1", "--metric", path, "--json"])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert rep["rel_err"] <= 1e-6

@@ -5,10 +5,12 @@ import pytest
 
 from polydet import (
     chs_compare_same_angles,
+    det_tetrahedron,
     f_function,
     grad_angle,
     grad_position,
     grad_scale,
+    hadamard_coth_over_sinh_sq,
     log_det_as,
     log_det_over_area,
     make_metric,
@@ -16,9 +18,8 @@ from polydet import (
     tetrahedron_metric,
     w_function,
 )
-from polydet.detlap import f_function_dC
+from polydet.detlap import f_function_dbeta, f_function_dC
 from polydet.errors import AngleMultisetMismatch, GaugeVertexVariation, ScaleMismatch
-from polydet.regint import q_tilde_prime
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -66,12 +67,101 @@ def test_f_scale_derivative_identity(beta, scale):
 
 @pytest.mark.parametrize("beta,scale", [(PI, 1.0), (2.4 * PI, 1.0), (0.8 * PI, 2.0)])
 def test_f_angle_derivative_identity(beta, scale):
+    # dF/dbeta = H_cs/4 + pi (gamma + log pi)/(3 beta^2)
+    #            + (2pi/beta - beta/2pi) log C/(12 beta)
     h = 1e-5 * beta
     fd = (f_function(beta + h, scale) - f_function(beta - h, scale)) / (2 * h)
-    expect = (q_tilde_prime(beta) + PI * EULER_GAMMA / (3 * beta * beta)
-              + (TWO_PI / beta - beta / TWO_PI)
-              * math.log(TWO_PI * math.sqrt(scale) / beta) / (6 * beta))
+    expect = (hadamard_coth_over_sinh_sq(beta).finite_part / 4
+              + PI * (EULER_GAMMA + math.log(PI)) / (3 * beta * beta)
+              + (TWO_PI / beta - beta / TWO_PI) * math.log(scale) / (12 * beta))
     assert fd == pytest.approx(expect, rel=1e-5)
+    assert f_function_dbeta(beta, scale) == pytest.approx(expect, rel=1e-14, abs=1e-15)
+
+
+# F against the cone-disk determinant, a Bessel-mode sum computed from
+# log Gamma alone (Bordag-Kirsten-Dowker; derivation in detlap's docstring):
+# F(beta, 1) = Cdisk(beta) + kappa (beta/2pi - 1)
+
+ZETA_PRIME_MINUS_ONE = -0.16542114370045092921   # zeta_R'(-1)
+# Stirling's series of log Gamma(nu + 1) past 1/(12 nu): (power, coefficient)
+STIRLING = ((3, -1 / 360), (5, 1 / 1260), (7, -1 / 1680), (9, 1 / 1188))
+
+
+def _z_prime(nu):
+    return (math.lgamma(nu + 1) + nu - 0.5 * math.log(TWO_PI * nu)
+            - nu * math.log(nu) - 1 / (12 * nu))
+
+
+def _power_tail(n, k):
+    """sum_{j >= k} j^-n by Euler-Maclaurin."""
+    return (k ** (1 - n) / (n - 1) + k ** -n / 2 + n * k ** (-n - 1) / 12
+            - n * (n + 1) * (n + 2) * k ** (-n - 3) / 720
+            + n * (n + 1) * (n + 2) * (n + 3) * (n + 4) * k ** (-n - 5) / 30240)
+
+
+def _z_prime_sum(q):
+    """sum_{k >= 1} Z'(q k): log Gamma below nu = 10, Stirling's remainder
+    above, its tail from k1 on in closed form."""
+    k0 = max(1, math.ceil(10 / q))
+    k1 = k0 + 30
+    terms = [_z_prime(q * k) for k in range(1, k0)]
+    terms += [c / (q * k) ** n for k in range(k0, k1) for n, c in STIRLING]
+    terms += [c * q ** -n * _power_tail(n, k1) for n, c in STIRLING]
+    return math.fsum(terms)
+
+
+def _cone_disk_log_det(beta):
+    """D(beta): log det of the Dirichlet cone of angle beta, radius 2pi/beta."""
+    q = TWO_PI / beta
+    lq, l2, l2pi = math.log(q), math.log(2), math.log(TWO_PI)
+    zeta_prime = math.fsum([
+        -l2pi / 2, 2 * _z_prime_sum(q),
+        q / 6 * (1 - l2 - lq), -2 * q * ZETA_PRIME_MINUS_ONE,
+        -lq / 2, l2pi / 2,
+        -(-EULER_GAMMA / 6 + l2 / 6 - 5 / 12 + lq / 6) / q])
+    return -zeta_prime - 2 * lq * (q / 12 + 1 / (12 * q))
+
+
+def _f_mode_sum(beta):
+    x = beta / TWO_PI
+    kappa = (2 * math.log(PI) + 2 * EULER_GAMMA - 1) / 12
+    cdisk = _cone_disk_log_det(beta) - _cone_disk_log_det(TWO_PI) + (x - 1) / 2
+    return cdisk + kappa * (x - 1)
+
+
+@pytest.mark.parametrize("ratio", [0.02, 0.05, 0.1, 0.25, 0.5, 0.9, 1.0, 1.5, 2.0, 2.5,
+                                   4.0, 10.0, 33.0, 100.0, 200.0])
+def test_f_matches_cone_disk_mode_sum(ratio):
+    beta = ratio * PI
+    f = f_function(beta, 1.0)
+    assert abs(f - _f_mode_sum(beta)) <= 1e-12 * max(1.0, abs(f))
+
+
+# ---- absolute values: the flat orbifolds and the tetrahedron ----
+
+# |eta(i)| and |eta(e^{i pi/3})| from Gamma values, Im tau of each
+ETA_ABS = {"i": math.gamma(0.25) / (2 * PI ** 0.75),
+           "rho": 3 ** 0.125 * math.gamma(1 / 3) ** 1.5 / TWO_PI}
+TAU_IM = {"i": 1.0, "rho": math.sqrt(3) / 2}
+
+
+@pytest.mark.parametrize("exponents, n, tau", [
+    ((-2 / 3, -2 / 3, -2 / 3), 3, "rho"),       # S^2(3,3,3)
+    ((-1 / 2, -3 / 4, -3 / 4), 4, "i"),         # S^2(2,4,4)
+    ((-1 / 2, -2 / 3, -5 / 6), 6, "rho"),       # S^2(2,3,6)
+])
+def test_orbifold_log_det(exponents, n, tau):
+    # S^2 = T/Z_n: log det' = (1/n) log(n Area Im tau |eta(tau)|^4)
+    m = make_metric(1.0, list(zip((0, 1, 0.35 + 0.9j), exponents)))
+    r = log_det_as(m)
+    expect = math.log(n * r.area * TAU_IM[tau] * ETA_ABS[tau] ** 4) / n
+    assert abs(r.log_det - expect) <= 1e-12
+
+
+def test_tetrahedron_log_det():
+    pts = [1, -1, 1j, -1j]
+    r = log_det_as(make_metric(1.0, [(z, -0.5) for z in pts]))
+    assert abs(r.log_det - math.log(det_tetrahedron(pts))) <= 1e-12
 
 
 # ---- assembly ----
@@ -92,6 +182,12 @@ def test_log_det_over_area_translation_invariance(corpus5):
                                      for v in corpus5.vertices])
     assert log_det_over_area(m2) == pytest.approx(
         log_det_over_area(corpus5), abs=1e-12)
+
+
+def test_log_det_over_area_finite_at_largest_scales(corpus5):
+    # the prefactor is taken from log C, so (4C)^(1/3) cannot overflow
+    for scale in (4e307, 5e307, 1e308, 1.7e308):
+        assert math.isfinite(log_det_over_area(corpus5.with_scale(scale)))
 
 
 def test_scale_doubling_matches_closed_form(tetra):
@@ -209,7 +305,7 @@ def test_chs_equals_log_det_difference():
 
 # ---- property tests ----
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 
@@ -234,3 +330,23 @@ def test_grad_position_is_w_gradient(i):
     dy = (w_function(m.with_position(i, z0 + 1j * h))
           - w_function(m.with_position(i, z0 - 1j * h))) / (2 * h)
     assert abs(0.5 * complex(dx, -dy) - grad_position(m, i)) < 1e-8
+
+
+@given(zs=st.lists(st.complex_numbers(max_magnitude=3.0), min_size=3, max_size=3),
+       log_scale=st.floats(-5.0, 5.0))
+@settings(max_examples=20, deadline=None)
+def test_triangle_log_det_scale_free_property(zs, log_scale):
+    # three cone points at fixed angles make the double of one triangle up
+    # to similarity, so log det' + zeta(0) log Area is the same for every
+    # position and scale
+    assume(min(abs(zs[0] - zs[1]), abs(zs[1] - zs[2]), abs(zs[0] - zs[2])) > 0.2)
+    exponents = (-0.3, -0.8, -0.9)
+    zeta0 = math.fsum((1 / (b + 1) - (b + 1)) / 12 for b in exponents) - 1
+
+    def invariant(m):
+        r = log_det_as(m)
+        return r.log_det + zeta0 * math.log(r.area)
+
+    ref = invariant(make_metric(1.0, list(zip((0, 1, 1j), exponents))))
+    m = make_metric(math.exp(log_scale), list(zip(zs, exponents)))
+    assert abs(invariant(m) - ref) <= 1e-13

@@ -8,8 +8,6 @@ from polydet import (
     hadamard_coth_over_sinh_sq,
     q_of_beta,
     q_of_beta_contour,
-    q_tilde,
-    q_tilde_prime,
 )
 from polydet import regint
 from polydet.errors import NonpositiveAngle, PolydetError, ToleranceNotReached
@@ -179,7 +177,7 @@ def test_finite_parts_need_no_bisection(beta, monkeypatch):
 @pytest.mark.parametrize("beta", [1e-300, 1e-101, 1e101, 1e300])
 def test_angle_outside_range_raises(beta):
     for f in (hadamard_coth_over_sinh_sq, hadamard_coth_coth_over_theta,
-              q_tilde, q_tilde_prime, q_of_beta, q_of_beta_contour):
+              q_of_beta, q_of_beta_contour):
         with pytest.raises(PolydetError, match="outside") as info:
             f(beta)
         assert type(info.value) is PolydetError
@@ -202,45 +200,6 @@ def test_split_budget_exhausted_raises(monkeypatch):
         hadamard_coth_over_sinh_sq(PI)
     assert info.value.partial.cell_count > 3
     assert info.value.partial.error_estimate > 1e-13
-
-
-# ---- Q-tilde and its derivative ----
-
-def test_q_tilde_prime_at_two_pi():
-    # log bracket vanishes: Qt'(2pi) = (1/16) FP + 1/(48 pi) = 1/(96 pi)
-    fp = hadamard_coth_over_sinh_sq(TWO_PI).finite_part
-    qtp = q_tilde_prime(TWO_PI)
-    assert qtp == pytest.approx(fp / 16 + 1 / (48 * PI), abs=1e-14)
-    assert qtp == pytest.approx(1 / (96 * PI), abs=1e-12)
-
-
-def test_q_tilde_prime_is_derivative_of_q_tilde():
-    for beta in (PI / 2, PI, 1.5 * PI, TWO_PI, 3 * PI):
-        h = 1e-4 * beta
-        fd = (q_tilde(beta + h) - q_tilde(beta - h)) / (2 * h)
-        an = q_tilde_prime(beta)
-        assert abs(fd - an) / max(abs(an), 1e-3) < 1e-5, beta
-
-
-def test_q_tilde_prime_fd_link_at_two_pi():
-    h = 1e-5 * TWO_PI
-    fd = (q_tilde(TWO_PI + h) - q_tilde(TWO_PI - h)) / (2 * h)
-    assert abs(fd - q_tilde_prime(TWO_PI)) < 1e-6
-
-
-# regression goldens, frozen after the finite-difference validation above
-GOLDEN_QTP_PI = 0.012299680451284468
-GOLDEN_QTP_4PI = -0.006785757907813564
-GOLDEN_QT_2PI = -0.16703993959596117
-
-
-def test_q_tilde_prime_regression_goldens():
-    assert q_tilde_prime(PI) == pytest.approx(GOLDEN_QTP_PI, abs=1e-11)
-    assert q_tilde_prime(4 * PI) == pytest.approx(GOLDEN_QTP_4PI, abs=1e-11)
-
-
-def test_q_tilde_regression_golden():
-    assert q_tilde(TWO_PI) == pytest.approx(GOLDEN_QT_2PI, abs=1e-11)
 
 
 def test_q_contour_near_line_poles():
@@ -304,7 +263,7 @@ def test_cache_pairs_and_accounting():
     pairs = cache.lookup([PI, 3 * PI, PI])
     res = hadamard_coth_over_sinh_sq(PI)
     assert pairs[0] == pairs[2] == (res.finite_part, res.error_estimate)
-    assert cache(3 * PI) == pairs[1][0]
+    assert cache.lookup([3 * PI]) == [pairs[1]]
     info = cache.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
 
@@ -315,7 +274,7 @@ def test_cache_bound_holds_past_maxsize():
     angles = [1.0 + k / 1024.0 for k in range(4200)]
     for k in range(0, len(angles), 600):
         cache.lookup(angles[k:k + 600])
-        cache(angles[0])            # the first angle stays recently used
+        cache.lookup([angles[0]])   # the first angle stays recently used
     info = cache.cache_info()
     assert info.maxsize == 4096 and info.currsize == 4096
     assert info.misses == 4200

@@ -177,17 +177,21 @@ def test_run_suite_split_budget_raises(corpus5, monkeypatch):
 # ---- each step from the base metric's parts ----
 
 def _parent_rows(m, channel, richardson):
-    """The step h along ``channel`` and the perturbed metrics, built whole,
-    whose log(det/Area) the finite differences take."""
+    """The perturbed metrics, built whole, whose log(det/Area) the finite
+    differences take, each row with the coordinate it steps."""
     if isinstance(channel, Scale):
         h = verify.STEP * m.scale
-        return h, [[m.with_scale(m.scale + e) for e in verify._steps(h, richardson)]]
+        return [(lambda mm: mm.scale,
+                 [m.with_scale(m.scale + e) for e in verify._steps(h, richardson)])]
     if isinstance(channel, Position):
         h = verify.STEP * m.min_pairwise_distance()
-        z0 = m.vertices[channel.i - 1].position
+        i = channel.i
+        z0 = m.vertices[i - 1].position
         offsets = verify._steps(h, richardson)
-        return h, [[m.with_position(channel.i, z0 + e) for e in offsets],
-                   [m.with_position(channel.i, z0 + 1j * e) for e in offsets]]
+        return [(lambda mm: mm.vertices[i - 1].position.real,
+                 [m.with_position(i, z0 + e) for e in offsets]),
+                (lambda mm: mm.vertices[i - 1].position.imag,
+                 [m.with_position(i, z0 + 1j * e) for e in offsets])]
     i = channel.i
     h = verify.STEP * min(m.vertices[i - 1].angle, m.vertices[0].angle)
     row = []
@@ -197,7 +201,7 @@ def _parent_rows(m, channel, richardson):
         verts[i - 1] = (verts[i - 1][0], verts[i - 1][1] + db)
         verts[0] = (verts[0][0], verts[0][1] - db)
         row.append(make_metric(m.scale, verts))
-    return h, [row]
+    return [(lambda mm: mm.vertices[i - 1].angle, row)]
 
 
 _ABOVE_TWO_PI = make_metric(0.7, [(0.0, -0.95), (1.3, 1.1), (-0.9 + 0.8j, -0.85),
@@ -211,7 +215,8 @@ _NEAR_MINUS_ONE = make_metric(1.0, [(0.3j, -0.999), (1.0, -0.5), (-1.0 + 0.2j, -
                                   "near_minus_one"])
 def test_steps_match_whole_metrics(name, richardson, request):
     # every step, evaluated from the base metric's parts, has the bits of
-    # log_det_over_area of the perturbed metric built whole
+    # log_det_over_area of the perturbed metric built whole, and its offset
+    # is the one it takes in that metric
     m = {"above_two_pi": _ABOVE_TWO_PI,
          "near_minus_one": _NEAR_MINUS_ONE}.get(name) or request.getfixturevalue(name)
     n = m.num_vertices
@@ -220,13 +225,14 @@ def test_steps_match_whole_metrics(name, richardson, request):
     steps = verify._Steps(m)
     plans = [verify._plan(m, steps, channel, richardson) for channel in channels]
     steps.finish()
-    for channel, (h, rows) in zip(channels, plans):
-        h_ref, ref_rows = _parent_rows(m, channel, richardson)
-        assert h == h_ref
+    for channel, rows in zip(channels, plans):
+        ref_rows = _parent_rows(m, channel, richardson)
         assert len(rows) == len(ref_rows)
-        for row, ref_row in zip(rows, ref_rows):
-            assert [step().hex() for step in row] == [
+        for row, (coordinate, ref_row) in zip(rows, ref_rows):
+            assert [step().hex() for step, _ in row] == [
                 log_det_over_area(mm).hex() for mm in ref_row], channel
+            assert [taken for _, taken in row] == [
+                coordinate(mm) - coordinate(m) for mm in ref_row], channel
 
 
 def test_run_suite_builds_no_metric(corpus5, monkeypatch):
@@ -251,20 +257,23 @@ def test_run_suite_builds_no_metric(corpus5, monkeypatch):
 
 
 def test_nonfinite_step_is_refused():
-    # log(2 pi^2 C / beta) of the smallest angle, 0.2 pi, overflows at the
-    # scale step C + h but not at C: the base value is finite, the
-    # difference is refused instead of coming out -inf or nan; a position
-    # step leaves F alone
-    top = sys.float_info.max * 0.2 * PI / (2.0 * PI * PI)
-    m = make_metric(top * (1.0 - 5e-5), [(0, -0.9), (1, -0.5), (1j, -0.3), (-1, -0.3)])
+    # the outer vertices' distance is just below the float limit, and the
+    # step of vertex 3 away from vertex 1 takes it past: log|z_3 - z_1|
+    # overflows, so W does at that step but not at the base metric, and the
+    # difference is refused instead of coming out inf or nan; steps that
+    # leave that distance alone are taken
+    a = sys.float_info.max / 2 * (1 - 2e-5)
+    m = make_metric(1.0, [(-a, -0.6), (0, -0.7), (a, -0.7)])
     assert math.isfinite(log_det_over_area(m))
     with pytest.raises(PolydetError, match="not a finite float"):
-        fd_gradient(m, Scale())
-    assert abs(fd_gradient(m, Position(2)) - grad_position(m, 2)) < 1e-6
+        fd_gradient(m, Position(3))
+    assert abs(fd_gradient(m, Scale()) - grad_scale(m)) < 1e-6
+    assert fd_gradient(m, Angle(2)) == pytest.approx(grad_angle(m, 2), rel=1e-6)
 
 
 def test_nonfinite_base_is_refused():
-    m = make_metric(1e307, [(0, -0.9), (1, -0.5), (1j, -0.3), (-1, -0.3)])
+    # the outer vertices' distance overflows at the base metric itself
+    m = make_metric(1.0, [(-1e308, -0.6), (0, -0.7), (1e308, -0.7)])
     for channel in (Scale(), Angle(2), Position(1)):
         with pytest.raises(PolydetError, match="not a finite float"):
             fd_gradient(m, channel)
