@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Four SHA-256 digests: det_corpus results of a range of seeds, regint, and
-the finite-difference suite.
+"""Five SHA-256 digests: det_corpus results of a range of seeds, regint, the
+finite-difference suite and the finite-part and cone kernels.
 
 For every item of ``bench/corpus.det_corpus(seed)`` it runs
 ``detlap.log_det_as`` and feeds ``float.hex()`` of ``area`` into one
@@ -11,10 +11,17 @@ of both Hadamard finite parts and of ``q_of_beta_contour`` at the angles
 takes ``float.hex()`` of every analytic and finite-difference value (real
 and imaginary part of a complex one) of ``verify.run_suite`` on the
 metric of every det_corpus item, plain and with Richardson extrapolation.
+The fifth, ``kernels``, takes ``float.hex()`` of the value and error
+estimate of both finite parts at 1e-50, 1e50 and 61 angles geometric from
+1e-3 to 1e3, in one batch and one angle at a time, at the default split
+and half of it, and of the cone heat kernel, resolvent (real and complex
+mu), ``a_mu`` and ``a_mu_disk_integral`` at fixed inputs, some of whose
+contour panels are bisected.
 Two checkouts that print the same area digest give bit-identical areas
 on every item, the same log-det digest bit-identical determinants, the
-same regint digest bit-identical finite parts and contours and the same
-fd_suite digest bit-identical gradients and finite differences, so a
+same regint digest bit-identical finite parts and contours, the same
+fd_suite digest bit-identical gradients and finite differences and the
+same kernels digest bit-identical finite-part batches and cone kernels, so a
 change that moves only the angle terms can show that its areas did not
 move, and one that moves regint shows it on a line of its own.  The
 inputs come from ``bench/corpus.py`` of the checkout named by ``--root``,
@@ -54,7 +61,8 @@ def main():
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
     sys.path.insert(0, str(args.root / "src"))
-    from polydet import detlap, make_metric, regint, verify
+    import numpy as np
+    from polydet import cone, detlap, make_metric, regint, verify
 
     digests = {"area": hashlib.sha256(), "log_det": hashlib.sha256()}
     count = 0
@@ -100,6 +108,63 @@ def main():
                     line = type(exc).__name__
                 digest.update(f"{seed} {item['id']} {richardson} {line}\n".encode())
     print(f"{digest.hexdigest()}  fd_suite, {count} items, plain and richardson, {seeds}")
+
+    digest = hashlib.sha256()
+    angles = [1e-50, *np.geomspace(1e-3, 1e3, 61).tolist(), 1e50]
+    for kind in ("coth_over_sinh_sq", "coth_coth_over_theta"):
+        for split in (regint.SPLIT_RADIUS, regint.SPLIT_RADIUS / 2):
+            batch = _results(lambda: regint.hadamard_finite_parts(kind, angles, split))
+            digest.update(f"{kind} {split.hex()} batch {batch}\n".encode())
+            for beta in angles:
+                alone = _results(lambda: regint.hadamard_finite_parts(kind, [beta], split))
+                digest.update(f"{kind} {split.hex()} {beta.hex()} {alone}\n".encode())
+    for name, call, args in _KERNEL_CASES:
+        args = [cone.ConePoint(*a) if isinstance(a, tuple) else a for a in args]
+        try:
+            line = _hex(call(cone, *args))
+        except Exception as exc:     # a raising kernel is part of the digest too
+            line = type(exc).__name__
+        digest.update(f"{name} {args} {line}\n".encode())
+    print(f"{digest.hexdigest()}  kernels, {len(angles)} angles, {len(_KERNEL_CASES)} cone kernels")
+
+
+# (name, kernel, arguments), a point as (r, phi); those marked take a
+# bisection of their contour panels
+_KERNEL_CASES = [
+    ("heat", lambda c, *a: c.heat_kernel_cone(*a), args) for args in (
+        (14.061194372178415, 0.033661455089965334,          # bisected
+         (2.6827180134376e-05, 0.009149252600683992), (0.001479276294591934, 0.4123257305909409)),
+        (36.773406516415825, 3.522578165932559,             # bisected
+         (0.038792662180524955, 0.24970241341169364), (7.633059512063092e-06, 0.04367992477443694)),
+        (math.pi, 0.5, (1.0, 0.2), (0.7, 1.9)),
+        (0.3, 0.01, (0.2, 0.1), (0.25, 0.05)),
+        (5.0, 2.0, (1.5, 3.0), (0.5, 0.0)))
+] + [
+    ("resolvent", lambda c, *a: c.resolvent_cone(*a), args) for args in (
+        (50.75676030003232, -0.03294522786338942,           # bisected
+         (0.0020914841952025644, 1.2843054872489934), (0.0005025332427924964, 1.4214282978155532)),
+        (26.125336810696027, -0.04348565772529155 + 1.6375780484398073j,   # bisected
+         (0.0008861550336210243, 0.4910948914499226), (0.6437555950612172, 0.3616175580956693)),
+        (math.pi, -1.0, (1.0, 0.2), (0.7, 1.9)),
+        (math.pi / 2, -4.0 + 3.0j, (0.5, 0.3), (0.4, 1.0)),
+        (9.0, -0.25, (2.0, 1.0), (1.0, 0.1)))
+] + [
+    ("a_mu", lambda c, *a: c.a_mu(*a), args) for args in (
+        (15.423886116183072, -0.02925893677301646, 0.005384461879282966),   # bisected
+        (math.pi, -10.0, 0.3), (0.5, -100.0, 0.05), (20.0, -1.0, 1.0))
+] + [
+    ("a_mu_disk", lambda c, *a: c.a_mu_disk_integral(*a), args) for args in (
+        (math.pi, -100.0), (0.5, -400.0, 0.5), (15.0, -10.0, 2.0))
+]
+
+
+def _results(call) -> str:
+    """float.hex of the finite part and error estimate of each result of
+    ``call``, or the type name of what it raises."""
+    try:
+        return " ".join(f"{r.finite_part.hex()},{r.error_estimate.hex()}" for r in call())
+    except Exception as exc:     # a raising batch is part of the digest too
+        return type(exc).__name__
 
 
 def _hex(x) -> str:

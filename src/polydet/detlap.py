@@ -67,7 +67,7 @@ from functools import lru_cache
 from typing import Tuple, Union
 
 from .errors import AngleMultisetMismatch, GaugeVertexVariation, PolydetError, ScaleMismatch
-from .metric import PolyhedralMetric
+from .metric import PolyhedralMetric, _distances, _pairs
 from .quad import QuadResult, area
 from .regint import _fp_coth_coth, _fp_coth_csch2
 
@@ -137,15 +137,16 @@ def w_function(m: PolyhedralMetric) -> float:
     return _w_sum(_w_terms(m.exponents(), m.angles(), pairs, _log_distances(zs, pairs)))
 
 
-@lru_cache(maxsize=None)
-def _pairs(n: int) -> tuple:
-    """Every vertex pair (k, l), 0-based, k < l."""
-    return tuple((k, l) for k in range(n) for l in range(k + 1, n))
-
-
 def _log_distances(zs, pairs) -> list:
-    """log|z_k - z_l| of each pair (k, l) of ``pairs``."""
-    return [math.log(abs(zs[k] - zs[l])) for k, l in pairs]
+    """log|z_k - z_l| of each pair (k, l) of ``pairs``, each distance checked
+    as ``make_metric`` checks it (``metric._distances``)."""
+    try:
+        logs = [math.log(abs(zs[k] - zs[l])) for k, l in pairs]
+    except (OverflowError, ValueError):     # abs past the float range, log(0)
+        logs = [math.inf]
+    if math.inf in logs:
+        _distances(zs, pairs)               # raises, naming the fault
+    return logs
 
 
 def _w_terms(bs, angles, pairs, logs) -> list:
@@ -287,13 +288,10 @@ def _b_term(m: PolyhedralMetric, q: int, fp: float) -> float:
     zs = m.positions()
     bs = m.exponents()
     angles = m.angles()
-    zq = zs[q - 1]
     tq = angles[q - 1]
-    dist = [
-        (1.0 / angles[j] + TWO_PI / (tq * tq)) * bs[j] * math.log(abs(zs[j] - zq))
-        for j in range(len(zs))
-        if j != q - 1
-    ]
+    pairs = [(j, q - 1) for j in range(len(zs)) if j != q - 1]
+    dist = [(1.0 / angles[j] + TWO_PI / (tq * tq)) * bs[j] * d
+            for (j, _), d in zip(pairs, _log_distances(zs, pairs))]
     return math.fsum(dist) / 6.0 + _f_dbeta(tq, m.scale, fp)
 
 

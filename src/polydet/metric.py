@@ -34,6 +34,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence, Tuple, Union
 
 from .errors import (
@@ -102,12 +103,7 @@ class PolyhedralMetric:
                 f"vertex index {i} out of range 1..{len(self.vertices)}")
 
     def min_pairwise_distance(self) -> float:
-        zs = self.positions()
-        return min(
-            abs(zs[i] - zs[j])
-            for i in range(len(zs))
-            for j in range(i + 1, len(zs))
-        )
+        return min(_distances(self.positions(), _pairs(len(self.vertices))))
 
     def with_scale(self, scale: float) -> "PolyhedralMetric":
         return make_metric(scale, [(v.position, v.exponent) for v in self.vertices])
@@ -164,8 +160,9 @@ def make_metric(scale: float, verts: Sequence[Tuple[complex, float]]) -> Polyhed
     ----------
     scale : positive float, the overall factor C.
     verts : sequence of (position, exponent) pairs, at least 3 entries,
-        each exponent > -1, positions finite and pairwise distinct,
-        exponent sum within 1e-12 of -2.
+        each exponent > -1, positions finite and pairwise distinct, each
+        distance |z_k - z_l| a finite float, exponent sum within 1e-12
+        of -2.
     """
     _check_scale(scale)
     verts = [(complex(z), float(b)) for z, b in verts]
@@ -178,7 +175,8 @@ def make_metric(scale: float, verts: Sequence[Tuple[complex, float]]) -> Polyhed
             f"need at least 3 vertices, got {len(verts)}"
         )
     _check_gauss_bonnet([b for _, b in verts])
-    _check_distinct([z for z, _ in verts])
+    zs = [z for z, _ in verts]
+    _distances(zs, _pairs(len(zs)))
     return PolyhedralMetric(
         scale=float(scale),
         vertices=tuple(ConicalVertex(z, b) for z, b in verts),
@@ -204,15 +202,26 @@ def _check_gauss_bonnet(bs: Sequence[float]) -> None:
         raise GaussBonnetViolation(f"exponents must sum to -2 (Gauss-Bonnet), got {bsum!r}")
 
 
-def _check_distinct(zs: Sequence[complex]) -> None:
-    """Raise DuplicateVertex naming the first pair (i, j), i < j, of equal
-    positions."""
-    if len(set(zs)) == len(zs):     # equal complex numbers hash alike
-        return
-    for i in range(len(zs)):
-        for j in range(i + 1, len(zs)):
-            if zs[i] == zs[j]:
-                raise DuplicateVertex(f"vertices {i + 1} and {j + 1} share position {zs[i]}")
+@lru_cache(maxsize=None)
+def _pairs(n: int) -> tuple:
+    """Every vertex pair (k, l), 0-based, k < l."""
+    return tuple((k, l) for k in range(n) for l in range(k + 1, n))
+
+
+def _distances(zs: Sequence[complex], pairs) -> list:
+    """|z_k - z_l| of each pair (k, l) of ``pairs``: DuplicateVertex naming
+    the first pair at distance 0, which only equal positions have, and
+    PolydetError if a distance is not a finite float."""
+    try:
+        out = [abs(zs[k] - zs[l]) for k, l in pairs]
+    except OverflowError:       # a modulus past the float range, its parts finite
+        out = [math.inf]
+    if 0.0 in out:
+        k, l = pairs[out.index(0.0)]
+        raise DuplicateVertex(f"vertices {k + 1} and {l + 1} share position {zs[k]}")
+    if math.inf in out:
+        raise PolydetError("a vertex distance |z_k - z_l| is not a finite float")
+    return out
 
 
 def tetrahedron_metric(scale: float = 1.0) -> PolyhedralMetric:

@@ -87,37 +87,37 @@ its fastest exponential: no bisection from 0.05 pi to 300 pi.  Halving
 ``verify hadamard`` reports.
 
 ``hadamard_finite_parts`` takes a list of angles at once: the near and
-far panels of every angle in one node array and one integrand call, and
-the circles in another (module section "Panels").  The hot paths look the
-finite parts up in ``_fp_coth_csch2`` and ``_fp_coth_coth``, one
-least-recently-used cache of (finite_part, error_estimate) pairs per
-integrand, 4096 angles each, at the default split; a lookup computes the
-angles it misses in one batch and stores nothing if that raises.
+far panels of every angle in one ``_panel_integrals`` call, and the
+circles in one more integrand call (module section "Panels").  The hot
+paths look the finite parts up in ``_fp_coth_csch2`` and
+``_fp_coth_coth``, one least-recently-used cache of (finite_part,
+error_estimate) pairs per integrand, 4096 angles each, at the default
+split; a lookup computes the angles it misses in one batch and stores
+nothing if that raises.
 
 Panels
 ------
-``_panel_integral`` is the one quadrature of this module: one pass over a
-list of edges, each panel integrated by the Chebyshev rule of the area
-(``quad._rule`` with weight 1) on PANEL_NODES = 33 points, its error
-estimate the size of the last two Chebyshev coefficients of each panel
-(``quad._panel_sums``), run again with the worst panels bisected while
-it is too large; past MAX_PANEL_SPLITS bisections ToleranceNotReached
-carries the partial result, so no integral fails to converge silently.
-For integrands analytic on the panel, as all of these are, the rule is
-about as accurate per node as Gauss-Legendre (Trefethen, SIAM Rev. 50,
-2008).
+``_panel_integrals`` is the one quadrature of this module.  It takes a
+list of pieces, each a list of panel edges, and integrates every panel by
+the Chebyshev rule of the area (``quad._rule`` with weight 1) on
+PANEL_NODES = 33 points, its error estimate the size of the last two
+Chebyshev coefficients of each panel (``quad._panel_sums``).  A pass
+evaluates the panels of all open pieces in one integrand call; a piece
+whose estimate is too large takes the next pass with its worst panels
+bisected, and one past MAX_PANEL_SPLITS bisections raises
+ToleranceNotReached with its partial result, so no integral fails to
+converge silently.  For integrands analytic on the panel, as all of
+these are, the rule is about as accurate per node as Gauss-Legendre
+(Trefethen, SIAM Rev. 50, 2008).  The contour's line is one piece; a
+batch of finite parts is the near and far pieces of all its angles.
 
-A batch of finite parts runs that pass once for the near and far pieces
-of all its angles, with beta, a3 and a1 given per node, and one
-``_panel_sums`` call.  It then settles each piece by ``_panel_integral``'s
-bound from the sums over the piece's own panels, taken as that pass
-takes them, so every value and error estimate keeps its bits: the pieces
-are laid out by panel count, and a block of equal counts is summed row
-by row, which rounds as a piece alone, and takes its integrals of |f| as
-one stacked matrix-vector product, as a product over the whole array
-would round a row by its place among the rows.  A piece that misses its
-bound is redone alone by ``_panel_integral``, with bisection, so
-ToleranceNotReached still ends every failure.
+Every piece keeps the bits it has alone: consecutive pieces of equal
+panel counts are summed as the rows of one block, which rounds each as a
+piece alone, and a block takes its integrals of |f| as one stacked
+matrix-vector product, as a product over the whole array would round a
+row by its place among the rows.  A batch lays out its near pieces, then
+its far ones, each in the order of their panel counts, so that pieces of
+equal counts form one block.
 """
 
 from __future__ import annotations
@@ -127,6 +127,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
+from operator import itemgetter
 from types import SimpleNamespace
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
@@ -162,68 +163,83 @@ def _csch2(x):
 # --------------------------------------------------------------------------
 
 PANEL_NODES = 33        # Chebyshev points per panel, both ends included
-MAX_PANEL_SPLITS = 64   # panel bisections per integral
+MAX_PANEL_SPLITS = 64   # panel bisections per piece
 ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
-def _panel_rule():
-    """The PANEL_NODES points, the rows and m0 of their rule, and its full
-    weights (rows[0] with the vertex term m0 at the first point), which
-    are positive."""
-    rows, m0 = _rule(PANEL_NODES, 0.0)
+@lru_cache(maxsize=4)
+def _panel_rule(n: int):
+    """The n points, the rows and m0 of their rule, and its full weights
+    (rows[0] with the vertex term m0 at the first point), which are
+    positive."""
+    rows, m0 = _rule(n, 0.0)
     weights = rows[0].copy()
     weights[0] += m0
-    return _chebyshev(PANEL_NODES)[0], rows, m0, weights
+    weights.flags.writeable = False     # cached, shared by callers
+    return _chebyshev(n)[0], rows, m0, weights
 
 
-def _settle(value: float, size: float, err: float, count: int, cancel: float,
-            abs_tol: float, rel_tol: float):
-    """One integral on ``count`` panels from the sums over them of their
-    integrals (``value``), of their integrals of |f| (``size``) and of
-    their coefficient estimates (``err``): its QuadResult, and ``err`` with
-    the bound it must meet (``_panel_integral``)."""
-    floor = ROUNDING * (size + cancel)
-    bound = max(abs_tol, rel_tol * abs(value), floor)
-    return QuadResult(value, err + floor, count), err, bound
+def _panel_integrals(f, pieces, abs_tol: float, rel_tol: float) -> List[QuadResult]:
+    """int f over each piece of ``pieces``, a list of (edges, cancel): on
+    the panels between consecutive ``edges``, ``cancel`` the integral of
+    terms that cancel inside f there.  ``f(nodes, piece)`` maps the nodes
+    of some panels (panel, node) and the index of each panel's piece to
+    the values, real or complex, there.
 
-
-def _panel_integral(f, edges, abs_tol: float, rel_tol: float,
-                    cancel: float = 0.0) -> QuadResult:
-    """int f from edges[0] to edges[-1] on panels between consecutive
-    ``edges``; ``f`` maps an array of nodes to an array of real or complex
-    values.
-
-    A pass calls ``f`` once on every node.  The error estimate is the sum
-    over panels of the size of the last two coefficients (``quad._panel_sums``)
-    plus a rounding floor, ROUNDING times the size of the terms summed: the
-    integral of |f| by the rule's weights, which are positive, plus
-    ``cancel``, the integral of terms that cancel inside f.  While the
-    coefficient part exceeds max(abs_tol, rel_tol |I|, floor) the pass is
-    run again with every panel holding more than its share of that bound
-    bisected; past MAX_PANEL_SPLITS bisections ToleranceNotReached carries
-    the partial result.
+    A pass calls ``f`` once on the panels of every piece still open.  A
+    piece's error estimate is the sum over its panels of the size of the
+    last two coefficients (``quad._panel_sums``) plus a rounding floor,
+    ROUNDING times the size of the terms summed: the integral of |f| by
+    the rule's weights, which are positive, plus ``cancel``.  A piece
+    whose coefficient part exceeds max(abs_tol, rel_tol |I|, floor) takes
+    the next pass with every panel holding more than its share of that
+    bound bisected; past MAX_PANEL_SPLITS bisections of one piece
+    ToleranceNotReached carries its partial result.  Consecutive pieces of
+    equal panel counts are summed as the rows of one block, which rounds
+    each as it rounds alone (module docstring, "Panels").
     """
-    edges = np.asarray(edges, dtype=float)
-    x, rows, m0, weights = _panel_rule()
-    splits = 0
-    while True:
-        half, mid = 0.5 * (edges[1:] - edges[:-1]), 0.5 * (edges[1:] + edges[:-1])
-        nodes = mid[:, None] + half[:, None] * x
-        vals = np.asarray(f(nodes.ravel())).reshape(nodes.shape)
+    x, rows, m0, weights = _panel_rule(PANEL_NODES)
+    edges = [e for e, _ in pieces]
+    splits = [0] * len(pieces)
+    results = [None] * len(pieces)
+    todo = list(range(len(pieces)))
+    while todo:
+        counts = [len(edges[k]) - 1 for k in todo]
+        lo, hi = np.array([[a for k in todo for a in edges[k][:-1]],
+                           [a for k in todo for a in edges[k][1:]]])
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        vals = f(mid[:, None] + half[:, None] * x, np.repeat(todo, counts))
         sums = _panel_sums(rows, m0, half, vals)
-        coef = np.abs(sums[:, 1:]).sum(axis=1)
-        result, err, bound = _settle(
-            sums[:, 0].sum().item(), (half * (np.abs(vals) @ weights)).sum().item(),
-            coef.sum().item(), len(half), cancel, abs_tol, rel_tol)
-        if err <= bound:
-            return result
-        split = np.flatnonzero(~(coef <= bound / len(half)))   # nan panels too
-        splits += len(split)
-        if splits > MAX_PANEL_SPLITS:
-            raise ToleranceNotReached(
-                f"panel error estimate {result.error_estimate:.3e} exceeds "
-                f"{bound:.3e} after {MAX_PANEL_SPLITS} bisections", partial=result)
-        edges = np.insert(edges, split + 1, mid[split])
+        # per panel its integral of |f| and its coefficient estimate
+        terms = np.empty((2, len(half)))
+        terms[1] = np.abs(sums[:, 1:]).sum(axis=1)
+        size = np.abs(vals)
+        retry, row = [], 0
+        for c, block in groupby(zip(todo, counts), key=itemgetter(1)):
+            block = [k for k, _ in block]
+            g = len(block)
+            panels = slice(row, row + g * c)
+            terms[0, panels] = half[panels] * (size[panels].reshape(g, c, -1) @ weights).ravel()
+            by_piece = zip(block, sums[panels, 0].reshape(g, c).sum(axis=1).tolist(),
+                           *terms[:, panels].reshape(2, g, c).sum(axis=2).tolist())
+            for k, value, size_k, err in by_piece:
+                floor = ROUNDING * (size_k + pieces[k][1])
+                bound = max(abs_tol, rel_tol * abs(value), floor)
+                results[k] = QuadResult(value, err + floor, c)
+                if not err <= bound:
+                    own = slice(row, row + c)
+                    split = np.flatnonzero(~(terms[1, own] <= bound / c))   # nan panels too
+                    splits[k] += len(split)
+                    if splits[k] > MAX_PANEL_SPLITS:
+                        raise ToleranceNotReached(
+                            f"panel error estimate {results[k].error_estimate:.3e} exceeds "
+                            f"{bound:.3e} after {MAX_PANEL_SPLITS} bisections",
+                            partial=results[k])
+                    edges[k] = sorted([*edges[k], *mid[own][split].tolist()])
+                    retry.append(k)
+                row += c
+        todo = retry
+    return results
 
 
 # --------------------------------------------------------------------------
@@ -323,8 +339,8 @@ def _cot_contour(beta: float, dphi: float, g, tip: bool = False):
         total = np.dot(w, g(np.abs(np.sin(0.5 * th))))
     weight = _line_weight(beta, dphi, [math.copysign(PI, th) for _, th, on in poles if on])
     gaps = [abs(th - foot) for _, th, _ in poles for foot in (PI, -PI)]
-    line = _panel_integral(lambda s: g(np.cosh(0.5 * s)) * weight(s),
-                           _line_edges(gaps), CONTOUR_ABS_TOL, CONTOUR_REL_TOL)
+    (line,) = _panel_integrals(lambda s, _: g(np.cosh(0.5 * s)) * weight(s),
+                               [(_line_edges(gaps), 0.0)], CONTOUR_ABS_TOL, CONTOUR_REL_TOL)
     return (total + line.value / beta).item()
 
 
@@ -423,21 +439,6 @@ _INTEGRANDS = {
 }
 
 
-def _integrand_values(integrand: _Integrand, t, near: int, beta, a3, a1):
-    """The integrands of the pieces at the nodes ``t``, (panel, node) or
-    (node,): the regular part f - a3/t^3 - a1/t on the first ``near``
-    rows, the tail on the others.  beta (of every row), a3 and a1 (of the
-    first ``near``) are numbers or arrays of the shape of those rows."""
-    vals = integrand.g(t, beta)
-    if integrand.over_theta:
-        vals[near:] -= 1.0
-        vals /= t
-    t = t[:near]
-    vals[:near] -= a3 / t**3
-    vals[:near] -= a1 / t
-    return vals
-
-
 # angles evaluated in one pass, which bounds its working memory: about
 # 26 kB an angle from 0.1 pi to 20 pi, 46 kB at 1e-3, 0.75 MB at 1e-100
 FP_BATCH = 64
@@ -495,69 +496,38 @@ def hadamard_finite_parts(kind: str, betas: Sequence[float],
         rho = split * radius
         pieces.append((_near_edges(rho), 0.5 * a3 * (rho ** -2 - 1.0) - abs(a1) * math.log(rho)))
     pieces.extend((_far_edges(*integrand.tail_panels(beta)), 0.0) for beta in betas)
-    counts = [len(edges) - 1 for edges, _ in pieces]
 
-    # the panels of all pieces in one array: the near pieces in the order of
-    # their panel counts, then the far ones, so that the pieces of one side
-    # and count take one block of rows
-    order = (sorted(range(n), key=counts.__getitem__)
-             + sorted(range(n, 2 * n), key=counts.__getitem__))
-    lo, hi = np.array([[a for k in order for a in pieces[k][0][:-1]],
-                       [a for k in order for a in pieces[k][0][1:]]])
-    half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-    x, rows, m0, weights = _panel_rule()
-    nodes = mid[:, None] + half[:, None] * x
-    near = sum(counts[:n])
-    # beta, a3 and a1 of every node's piece: numbers for one angle, which
-    # numpy applies quicker, else full arrays, quicker than broadcast columns
-    if n == 1:
-        beta, (a3, a1) = betas[0], coeffs[0]
-    else:
-        beta, a3, a1 = np.repeat(
-            np.array([(betas[k % n], *coeffs[k % n]) for k in order]).T,
-            [counts[k] * len(x) for k in order], axis=1).reshape(3, -1, len(x))
-        a3, a1 = a3[:near], a1[:near]
-    vals = _integrand_values(integrand, nodes, near, beta, a3, a1)
-    sums = _panel_sums(rows, m0, half, vals)
-    size = np.abs(vals)
+    # integrated in the order of their panel counts, the near pieces first,
+    # so that the pieces of one side and count are one block
+    order = (sorted(range(n), key=lambda k: len(pieces[k][0]))
+             + sorted(range(n, 2 * n), key=lambda k: len(pieces[k][0])))
+    params = np.array([(betas[k % n], *coeffs[k % n]) for k in order])
 
-    # per piece, the sums over its panels that _panel_integral takes: of
-    # the panels' integrals, integrals of |f| and coefficient estimates.
-    # A block of g pieces of c panels is summed as g rows of c, which
-    # rounds as c alone, and the integrals of |f| are taken per block too,
-    # as a matrix-vector product rounds a row by its place among the rows
-    terms = np.empty((3, len(half)))
-    terms[0] = sums[:, 0]
-    terms[2] = np.abs(sums[:, 1:]).sum(axis=1)
-    by_piece = np.empty((3, 2 * n))
-    row = pos = 0
-    for (_, c), block in groupby(order, key=lambda k: (k < n, counts[k])):
-        g = len(list(block))
-        panels = slice(row, row + g * c)
-        terms[1, panels] = half[panels] * (size[panels].reshape(g, c, -1) @ weights).ravel()
-        by_piece[:, pos:pos + g] = terms[:, panels].reshape(3, g, c).sum(axis=2)
-        row, pos = row + g * c, pos + g
+    def f(t, piece):
+        # the regular part f - a3/t^3 - a1/t on the rows of near pieces,
+        # which come first, the tail on the others; beta, a3 and a1 of each
+        # row's piece as columns
+        near = np.searchsorted(piece, n)
+        beta, a3, a1 = params[piece].T[:, :, None]
+        vals = integrand.g(t, beta)
+        if integrand.over_theta:
+            vals[near:] -= 1.0
+            vals /= t
+        t = t[:near]
+        vals[:near] -= a3[:near] / t**3
+        vals[:near] -= a1[:near] / t
+        return vals
 
-    # each piece settled as _panel_integral settles it, and redone there,
-    # with bisection, if it misses its bound
     settled = [None] * (2 * n)
-    for k, value, size_k, err in zip(order, *by_piece.tolist()):
-        edges, cancel = pieces[k]
-        result, err, bound = _settle(value, size_k, err, counts[k], cancel,
-                                     FP_ABS_TOL, FP_REL_TOL)
-        if not err <= bound:
-            beta_k, (a3_k, a1_k) = betas[k % n], coeffs[k % n]
-            result = _panel_integral(
-                lambda t: _integrand_values(integrand, t, len(t) if k < n else 0,
-                                            beta_k, a3_k, a1_k),
-                edges, FP_ABS_TOL, FP_REL_TOL, cancel)
+    for k, result in zip(order, _panel_integrals(f, [pieces[k] for k in order],
+                                                 FP_ABS_TOL, FP_REL_TOL)):
         settled[k] = result
 
     # the circle sums, the lower half circle holding the conjugate terms
     u, w = _circle_rule(split)
     r = math.sqrt(split) * np.array(radii)
     z = r[:, None] * u
-    terms = integrand.g(z, betas[0] if n == 1 else np.array(betas, dtype=float)[:, None])
+    terms = integrand.g(z, np.array(betas, dtype=float)[:, None])
     if integrand.over_theta:
         terms /= z
     terms *= w

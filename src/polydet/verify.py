@@ -51,7 +51,6 @@ from .detlap import (
     _assemble,
     _f_terms,
     _log_distances,
-    _pairs,
     _prefactor,
     _w_sum,
     _w_terms,
@@ -66,10 +65,10 @@ from .metric import (
     Position,
     Scale,
     VariationChannel,
-    _check_distinct,
     _check_gauss_bonnet,
     _check_position,
     _check_scale,
+    _pairs,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -139,7 +138,8 @@ class _Steps:
 
     def position_steps(self, p: int, axis: complex, offsets) -> list:
         """Vertex p (0-based) moved by each offset along ``axis``, 1 or 1j:
-        its M - 1 distances and W terms are redone."""
+        its M - 1 distances, checked as ``make_metric`` checks them, and W
+        terms are redone."""
         z0 = self.zs[p]
         kept, pairs, _ = self._split((p,))
         out = []
@@ -151,7 +151,6 @@ class _Steps:
             _check_position(z)
             zs = list(self.zs)
             zs[p] = z
-            _check_distinct(zs)
             w = _w_sum(kept + _w_terms(self.bs, self.angles, pairs, _log_distances(zs, pairs)))
             taken = z - z0
             out.append((partial(self._at_position, w),

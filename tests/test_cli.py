@@ -423,17 +423,21 @@ def _metric_file(tmp_path, scale, verts):
 
 @pytest.mark.parametrize("command", [["grad", "--channel", "C", "--json"],
                                      ["grad", "--channel", "beta:2", "--json"],
-                                     ["verify", "fd"]])
+                                     ["verify", "fd"], ["det"], ["area"],
+                                     ["grad", "--channel", "z:1", "--json"]])
 def test_nonfinite_log_det_is_validation_error(command, tmp_path, capsys):
-    # the distance of the outer vertices overflows, so W is not a finite
-    # float: no NaN on stdout (it is not JSON), a typed error instead
-    path = _metric_file(tmp_path, 1.0, [(-1e308, -0.6), (0, -0.7), (1e308, -0.7)])
-    argv = [*command[:-1], "--metric", path, command[-1]] if command[0] == "grad" else [
-        *command, "--metric", path]
-    code, err = _one_error_line(argv, capsys)
-    assert code == 2
-    assert err["error"] == "PolydetError"
-    assert "not a finite float" in err["message"]
+    # the distance of the outer vertices is inf on the real axis and past
+    # the float range of abs on the diagonal, so the metric is refused: no
+    # NaN on stdout (it is not JSON) and no OverflowError traceback, a
+    # typed error instead
+    for a in (1e308, 1.5e308 * (1 + 1j)):
+        path = _metric_file(tmp_path, 1.0, [(-a, -0.6), (0, -0.7), (a, -0.7)])
+        argv = [*command[:-1], "--metric", path, command[-1]] if command[0] == "grad" else [
+            *command, "--metric", path]
+        code, err = _one_error_line(argv, capsys)
+        assert code == 2
+        assert err["error"] == "PolydetError"
+        assert "not a finite float" in err["message"]
 
 
 @pytest.mark.parametrize("command", [["grad", "--channel", "z:1"], ["verify", "fd"]])

@@ -51,6 +51,11 @@ def test_invalid_exponent_boundary():
 def test_duplicate_vertex():
     with pytest.raises(DuplicateVertex):
         make_metric(1.0, [(0, -0.5), (0, -0.5), (1, -0.5), (2, -0.5)])
+    # the first equal pair is named; -0.0 and 0.0 are one position
+    with pytest.raises(DuplicateVertex, match=r"vertices 2 and 4 share position \(1\+0j\)"):
+        make_metric(1.0, [(0, -0.4), (1, -0.4), (2, -0.4), (1, -0.4), (2, -0.4)])
+    with pytest.raises(DuplicateVertex, match="vertices 1 and 3"):
+        make_metric(1.0, [(complex(-0.0, 0.0), -0.5), (1, -0.5), (0, -0.5), (2, -0.5)])
 
 
 def test_nonpositive_scale():

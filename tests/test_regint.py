@@ -1,6 +1,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from polydet import (
@@ -9,7 +10,7 @@ from polydet import (
     q_of_beta,
     q_of_beta_contour,
 )
-from polydet import regint
+from polydet import cone, regint
 from polydet.errors import NonpositiveAngle, PolydetError, ToleranceNotReached
 from polydet.regint import (
     SPLIT_RADIUS,
@@ -200,6 +201,93 @@ def test_split_budget_exhausted_raises(monkeypatch):
         hadamard_coth_over_sinh_sq(PI)
     assert info.value.partial.cell_count > 3
     assert info.value.partial.error_estimate > 1e-13
+
+
+# ---- panels: bisection, one piece and several ----
+
+# a piece that meets the tolerance on its two panels, and one whose peak
+# at 0 needs bisections
+_SMOOTH = ([0.0, 0.5, 1.0], 0.0)
+_PEAKED = ([-1.0, 0.0, 1.0], 0.0)
+
+
+def _smooth(t):
+    return np.exp(t)
+
+
+def _peaked(t):
+    return 1.0 / (t * t + 1e-4)
+
+
+def _qbits(res):
+    return res.value.hex(), res.error_estimate.hex(), res.cell_count
+
+
+def _integrals(fns, pieces, passes=None):
+    """``regint._panel_integrals`` of the pieces, piece k integrating fns[k];
+    the pieces each pass evaluates appended to ``passes``."""
+    def f(t, piece):
+        if passes is not None:
+            passes.append(sorted(set(piece.tolist())))
+        return np.choose(piece[:, None], [fn(t) for fn in fns])
+
+    return regint._panel_integrals(f, pieces, 1e-13, 1e-12)
+
+
+def test_pieces_bisect_apart_and_keep_their_bits():
+    # three pieces of two panels, one block in the first pass; only the
+    # peaked one takes the next passes
+    fns, pieces = [_smooth, _peaked, _smooth], [_SMOOTH, _PEAKED, _SMOOTH]
+    passes = []
+    together = _integrals(fns, pieces, passes)
+    alone = [_integrals([fn], [piece])[0] for fn, piece in zip(fns, pieces)]
+    assert [_qbits(r) for r in together] == [_qbits(r) for r in alone]
+    assert passes[0] == [0, 1, 2] and len(passes) > 1
+    assert all(p == [1] for p in passes[1:])
+    assert together[0].cell_count == together[2].cell_count == 2
+    assert together[1].cell_count > 2
+    assert together[0].value == pytest.approx(math.e - 1.0, rel=1e-14)
+    assert together[1].value == pytest.approx(200.0 * math.atan(100.0), rel=1e-12)
+
+
+def test_budget_overrun_raises_with_that_piece(monkeypatch):
+    # the peaked piece runs out of bisections while the others converged;
+    # the error carries its partial result, as the piece alone does
+    monkeypatch.setattr(regint, "MAX_PANEL_SPLITS", 3)
+    with pytest.raises(ToleranceNotReached) as alone:
+        _integrals([_peaked], [_PEAKED])
+    with pytest.raises(ToleranceNotReached) as together:
+        _integrals([_smooth, _peaked, _smooth], [_SMOOTH, _PEAKED, _SMOOTH])
+    assert _qbits(together.value.partial) == _qbits(alone.value.partial)
+    assert together.value.partial.cell_count > 2
+
+
+def test_budget_is_per_piece(monkeypatch):
+    # two peaked pieces, each within a budget of the bisections one takes
+    # alone, though not within it together
+    needed = _integrals([_peaked], [_PEAKED])[0].cell_count - 2
+    monkeypatch.setattr(regint, "MAX_PANEL_SPLITS", needed)
+    both = _integrals([_peaked, _peaked], [_PEAKED, _PEAKED])
+    assert [r.cell_count for r in both] == [needed + 2] * 2
+
+
+def test_contour_bisection_pinned(monkeypatch):
+    # a heat kernel whose line integral goes from 8 panels to 10
+    counts = []
+
+    def counted(f, pieces, *tols):
+        results = real(f, pieces, *tols)
+        counts.extend((len(edges) - 1, r.cell_count) for (edges, _), r in zip(pieces, results))
+        return results
+
+    real = regint._panel_integrals
+    monkeypatch.setattr(regint, "_panel_integrals", counted)
+    value = cone.heat_kernel_cone(
+        14.061194372178415, 0.033661455089965334,
+        cone.ConePoint(2.6827180134376e-05, 0.009149252600683992),
+        cone.ConePoint(0.001479276294591934, 0.4123257305909409))
+    assert counts == [(8, 10)]
+    assert value.hex() == "0x1.0f26d7acc5421p+0"
 
 
 def test_q_contour_near_line_poles():

@@ -9,6 +9,7 @@ from polydet import (
     Position,
     Scale,
     area,
+    detlap,
     fd_gradient,
     grad_angle,
     grad_position,
@@ -258,27 +259,44 @@ def test_run_suite_builds_no_metric(corpus5, monkeypatch):
 
 def test_nonfinite_step_is_refused():
     # the outer vertices' distance is just below the float limit, and the
-    # step of vertex 3 away from vertex 1 takes it past: log|z_3 - z_1|
-    # overflows, so W does at that step but not at the base metric, and the
-    # difference is refused instead of coming out inf or nan; steps that
-    # leave that distance alone are taken
-    a = sys.float_info.max / 2 * (1 - 2e-5)
-    m = make_metric(1.0, [(-a, -0.6), (0, -0.7), (a, -0.7)])
-    assert math.isfinite(log_det_over_area(m))
-    with pytest.raises(PolydetError, match="not a finite float"):
-        fd_gradient(m, Position(3))
-    assert abs(fd_gradient(m, Scale()) - grad_scale(m)) < 1e-6
-    assert fd_gradient(m, Angle(2)) == pytest.approx(grad_angle(m, 2), rel=1e-6)
+    # step of vertex 3 away from vertex 1 takes it past: |z_3 - z_1| is
+    # inf on the real axis and past the float range of abs on the
+    # diagonal, so the step is refused instead of coming out inf, nan or
+    # an OverflowError; steps that leave that distance alone are taken
+    for axis in (1, 1 + 1j):
+        a = sys.float_info.max / 2 / abs(axis) * (1 - 2e-5) * axis
+        m = make_metric(1.0, [(-a, -0.6), (0, -0.7), (a, -0.7)])
+        assert math.isfinite(log_det_over_area(m))
+        with pytest.raises(PolydetError, match="not a finite float") as info:
+            fd_gradient(m, Position(3))
+        assert type(info.value) is PolydetError
+        assert abs(fd_gradient(m, Scale()) - grad_scale(m)) < 1e-6
+        assert fd_gradient(m, Angle(2)) == pytest.approx(grad_angle(m, 2), rel=1e-6)
 
 
 def test_nonfinite_base_is_refused():
-    # the outer vertices' distance overflows at the base metric itself
-    m = make_metric(1.0, [(-1e308, -0.6), (0, -0.7), (1e308, -0.7)])
-    for channel in (Scale(), Angle(2), Position(1)):
-        with pytest.raises(PolydetError, match="not a finite float"):
-            fd_gradient(m, channel)
+    # a vertex distance past the float range: inf on the real axis, past
+    # the range of abs on the diagonal; make_metric refuses either metric
+    for a in (1e308, 1.5e308 * (1 + 1j)):
+        with pytest.raises(PolydetError, match="not a finite float") as info:
+            make_metric(1.0, [(-a, -0.6), (0, -0.7), (a, -0.7)])
+        assert type(info.value) is PolydetError
+
+
+@pytest.mark.parametrize("pre, ref", [(math.inf, 0.0), (math.nan, 0.0),
+                                      (math.inf, math.inf), (1e308, -1e308)])
+def test_assemble_refuses_nonfinite_sum(pre, ref, monkeypatch):
+    # no validated metric reaches this guard: an inf or nan term, inf - inf
+    # and a sum past the float range are injected through the prefactor
+    # and the reference term
+    m = tetrahedron_metric()
+    for module in (detlap, verify):
+        monkeypatch.setattr(module, "_prefactor", lambda scale: pre)
+    monkeypatch.setattr(detlap, "_reference_term", lambda: ref)
     with pytest.raises(PolydetError, match="not a finite float"):
         log_det_over_area(m)
+    with pytest.raises(PolydetError, match="not a finite float"):
+        fd_gradient(m, Position(1))
 
 
 def test_position_step_lost_to_rounding():
