@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Five SHA-256 digests: det_corpus results of a range of seeds, regint, the
-finite-difference suite and the finite-part and cone kernels.
+"""Six SHA-256 digests: det_corpus results of a range of seeds, regint, the
+finite-difference suite, the finite-part and cone kernels and the angle
+terms.
 
 For every item of ``bench/corpus.det_corpus(seed)`` it runs
 ``detlap.log_det_as`` and feeds ``float.hex()`` of ``area`` into one
@@ -16,14 +17,18 @@ estimate of both finite parts at 1e-50, 1e50 and 61 angles geometric from
 1e-3 to 1e3, in one batch and one angle at a time, at the default split
 and half of it, and of the cone heat kernel, resolvent (real and complex
 mu), ``a_mu`` and ``a_mu_disk_integral`` at fixed inputs, some of whose
-contour panels are bisected.
+contour panels are bisected.  The sixth, ``angle_terms``, takes
+``float.hex()`` of F(beta, C) and dF/dbeta (``detlap.f_function`` and
+``f_function_dbeta``) at 1e-100, 1e-50, 1e50, 1e100 and 61 angles
+geometric from 1e-3 to 1e3, at C = 1 and C = 3.
 Two checkouts that print the same area digest give bit-identical areas
 on every item, the same log-det digest bit-identical determinants, the
 same regint digest bit-identical finite parts and contours, the same
 fd_suite digest bit-identical gradients and finite differences and the
-same kernels digest bit-identical finite-part batches and cone kernels, so a
-change that moves only the angle terms can show that its areas did not
-move, and one that moves regint shows it on a line of its own.  The
+same kernels digest bit-identical finite-part batches and cone kernels and
+the same angle_terms digest bit-identical F and dF/dbeta, so a change that
+moves only the angle terms can show that its areas did not move, and one
+that moves regint shows it on a line of its own.  The
 inputs come from ``bench/corpus.py`` of the checkout named by ``--root``,
 loaded by path and only read; the program is imported from that
 checkout's ``src/``.
@@ -126,6 +131,18 @@ def main():
             line = type(exc).__name__
         digest.update(f"{name} {args} {line}\n".encode())
     print(f"{digest.hexdigest()}  kernels, {len(angles)} angles, {len(_KERNEL_CASES)} cone kernels")
+
+    digest = hashlib.sha256()
+    angles = [1e-100, 1e-50, 1e50, 1e100, *np.geomspace(1e-3, 1e3, 61).tolist()]
+    for scale in (1.0, 3.0):
+        for beta in angles:
+            try:
+                line = " ".join(x.hex() for x in (detlap.f_function(beta, scale),
+                                                  detlap.f_function_dbeta(beta, scale)))
+            except Exception as exc:     # a raising angle is part of the digest too
+                line = type(exc).__name__
+            digest.update(f"{scale.hex()} {beta.hex()} {line}\n".encode())
+    print(f"{digest.hexdigest()}  angle_terms, {len(angles)} angles, C = 1 and 3")
 
 
 # (name, kernel, arguments), a point as (r, phi); those marked take a

@@ -29,9 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CoincidentPoints
-from .metric import PolyhedralMetric
+from .metric import PolyhedralMetric, _check_angle
 from .quad import _quadpack_binding
-from .regint import _check_angle, _cot_contour, q_of_beta
+from .regint import _cot_contour, q_of_beta
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi

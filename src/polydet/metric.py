@@ -44,11 +44,16 @@ from .errors import (
     GaugeVertexVariation,
     InvalidExponent,
     InvalidMetricJSON,
+    NonpositiveAngle,
     NonpositiveScale,
     PolydetError,
 )
 
 TWO_PI = 2.0 * math.pi
+# the cone angles that F, dF/dbeta, the finite parts and the cone kernels
+# take: they hold beta^+-2 and, in the finite parts near th = 0, th^3 with
+# th ~ 1/beta, all inside the float range here
+ANGLE_RANGE = (1e-100, 1e100)
 
 GAUSS_BONNET_TOL = 1e-12
 
@@ -194,6 +199,13 @@ def _check_scale(scale: float) -> None:
 def _check_position(z: complex) -> None:
     if not cmath.isfinite(z):
         raise PolydetError(f"vertex position must be finite, got {z}")
+
+
+def _check_angle(beta: float) -> None:
+    if not beta > 0.0 or not math.isfinite(beta):
+        raise NonpositiveAngle(f"cone angle must be positive, got {beta}")
+    if not ANGLE_RANGE[0] <= beta <= ANGLE_RANGE[1]:
+        raise PolydetError(f"cone angle {beta!r} outside {ANGLE_RANGE}")
 
 
 def _check_gauss_bonnet(bs: Sequence[float]) -> None:

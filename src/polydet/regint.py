@@ -12,8 +12,13 @@ Three quantities live here, all functions of a cone angle beta > 0:
 * ``hadamard_coth_coth_over_theta`` -- that of coth(pi th) coth(beta th/2)/th,
                              divergent at infinity too.
 
-Module ``detlap`` assembles the angle term and its beta derivative from
-the two finite parts.
+The two finite parts are the oracle of the angle term F(beta, 1) and of
+dF/dbeta, which module ``detlap`` computes from the Bessel-mode series of
+the cone disk.  By Binet's integral that series is H_cc/2 plus elementary
+terms, and dF/dbeta = H_cs/4 + pi (gamma + log pi)/(3 beta^2) at C = 1
+(gamma the Euler-Mascheroni constant; derivation in ``detlap``).  No hot
+path calls them: ``verify hadamard``, the tests and the benchmark's
+oracle items do, uncached.
 
 The cotangent contour
 ---------------------
@@ -88,12 +93,7 @@ its fastest exponential: no bisection from 0.05 pi to 300 pi.  Halving
 
 ``hadamard_finite_parts`` takes a list of angles at once: the near and
 far panels of every angle in one ``_panel_integrals`` call, and the
-circles in one more integrand call (module section "Panels").  The hot
-paths look the finite parts up in ``_fp_coth_csch2`` and
-``_fp_coth_coth``, one least-recently-used cache of (finite_part,
-error_estimate) pairs per integrand, 4096 angles each, at the default
-split; a lookup computes the angles it misses in one batch and stores
-nothing if that raises.
+circles in one more integrand call (module section "Panels").
 
 Panels
 ------
@@ -123,24 +123,20 @@ equal counts form one block.
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import groupby
 from operator import itemgetter
-from types import SimpleNamespace
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .errors import NonpositiveAngle, PolydetError, ToleranceNotReached
+from .errors import PolydetError, ToleranceNotReached
+from .metric import _check_angle
 from .quad import QuadResult, _chebyshev, _panel_sums, _quadpack_binding, _rule
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
-# the cone angles this module takes: the finite parts hold beta^+-2 and,
-# near th = 0, th^3 with th ~ 1/beta, all inside the float range here
-ANGLE_RANGE = (1e-100, 1e100)
 
 __getattr__ = _quadpack_binding("quad", __name__)
 
@@ -562,62 +558,3 @@ def hadamard_coth_coth_over_theta(beta: float, split: float = SPLIT_RADIUS) -> H
     exponential corrections are below 1e-18).
     """
     return hadamard_finite_parts("coth_coth_over_theta", [beta], split)[0]
-
-
-class _CacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-
-FP_CACHE_SIZE = 4096   # angles whose finite parts a cache keeps, per integrand
-
-
-def _finite_part_cache(kind: str) -> SimpleNamespace:
-    """The finite parts of ``kind`` at the default split, kept as
-    (finite_part, error_estimate) pairs for the last FP_CACHE_SIZE angles
-    used.  ``lookup`` gives the pairs of a list of angles, computing those
-    it misses in one ``hadamard_finite_parts`` batch and storing nothing
-    if that raises.  ``cache_info`` and ``cache_clear`` are those of
-    functools.lru_cache, a lookup of n angles counting its distinct misses
-    and n less them as hits."""
-    pairs: "OrderedDict[float, Tuple[float, float]]" = OrderedDict()
-    stats = [0, 0]      # hits, misses
-
-    def lookup(betas: Sequence[float]) -> List[Tuple[float, float]]:
-        try:
-            out = list(map(pairs.__getitem__, betas))
-            missing = ()
-        except KeyError:
-            missing = [beta for beta in dict.fromkeys(betas) if beta not in pairs]
-            pairs.update(zip(missing, ((res.finite_part, res.error_estimate)
-                                       for res in hadamard_finite_parts(kind, missing))))
-            out = list(map(pairs.__getitem__, betas))
-        for beta in betas:
-            pairs.move_to_end(beta)
-        while len(pairs) > FP_CACHE_SIZE:
-            pairs.popitem(last=False)
-        stats[0] += len(betas) - len(missing)
-        stats[1] += len(missing)
-        return out
-
-    def cache_clear() -> None:
-        pairs.clear()
-        stats[:] = [0, 0]
-
-    return SimpleNamespace(
-        lookup=lookup, cache_clear=cache_clear,
-        cache_info=lambda: _CacheInfo(*stats, FP_CACHE_SIZE, len(pairs)))
-
-
-# the hot paths: the angle terms, angle gradients and finite differences
-_fp_coth_csch2 = _finite_part_cache("coth_over_sinh_sq")
-_fp_coth_coth = _finite_part_cache("coth_coth_over_theta")
-
-
-def _check_angle(beta: float) -> None:
-    if not beta > 0.0 or not math.isfinite(beta):
-        raise NonpositiveAngle(f"cone angle must be positive, got {beta}")
-    if not ANGLE_RANGE[0] <= beta <= ANGLE_RANGE[1]:
-        raise PolydetError(f"cone angle {beta!r} outside {ANGLE_RANGE}")

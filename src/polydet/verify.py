@@ -28,7 +28,7 @@ not matter):
     position step  the moved vertex's M - 1 logs and W terms
     angle step     the W terms of vertices i and 1, and F at their two new
                    angles (F at every angle the angle steps visit is
-                   taken in one call, its finite parts in one batch)
+                   taken in one call, its mode series in one pass)
     scale step     the prefactor and every F term
 
 Each step first runs the checks ``make_metric`` would run on what it
@@ -109,7 +109,7 @@ class _Steps:
     terms and returns per step a callable that assembles its value once F
     is known, and the offset the step actually takes.  ``finish`` takes F
     at m's angles and at every angle an angle step visits in one
-    ``_f_terms`` call, whose finite parts come in one batch, and checks
+    ``_f_terms`` call, whose mode series runs in one pass, and checks
     that log(det/Area) at m is finite.
     """
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import polydet
-from polydet import dump_metric, elliptic, make_metric, quad, regint, tetrahedron_metric
+from polydet import detlap, dump_metric, elliptic, make_metric, quad, regint, tetrahedron_metric
 from polydet.cli import main
 
 
@@ -255,27 +255,27 @@ def test_tolerance_not_reached_exit_code(tetra_path, monkeypatch, capsys):
     assert json.loads(captured.err)["error"] == "ToleranceNotReached"
 
 
-def test_finite_part_split_budget_exit_code(tetra_path, monkeypatch, capsys):
-    # a 2-node panel rule exhausts the finite parts' split budget; the
-    # cached finite parts are cleared so that det computes them afresh
+def test_finite_part_split_budget_exit_code(monkeypatch, capsys):
+    # a 2-node panel rule exhausts the finite parts' split budget
     monkeypatch.setattr(regint, "PANEL_NODES", 2)
-    regint._fp_coth_coth.cache_clear()
-    code = main(["det", "--metric", tetra_path])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert json.loads(captured.err)["error"] == "ToleranceNotReached"
-
-
-def test_verify_fd_split_budget_exit_code(tetra_path, monkeypatch, capsys):
-    # the finite differences' batch of finite parts under a 2-node rule
-    monkeypatch.setattr(regint, "PANEL_NODES", 2)
-    regint._fp_coth_coth.cache_clear()
-    regint._fp_coth_csch2.cache_clear()
-    code = main(["verify", "fd", "--metric", tetra_path])
+    code = main(["verify", "hadamard", "--beta", "3.0"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "ToleranceNotReached"
+
+
+def test_commands_need_no_finite_part(tetra_path, monkeypatch, capsys):
+    # det, grad and verify fd take F and dF/dbeta from the mode series, so
+    # a finite part that cannot be computed leaves them working
+    def refuse(*args, **kwargs):
+        raise AssertionError("a finite part was computed")
+
+    monkeypatch.setattr(regint, "hadamard_finite_parts", refuse)
+    detlap._angle_terms.cache_clear()
+    for argv in (["det"], ["grad", "--channel", "beta:2"], ["verify", "fd"]):
+        assert main([*argv, "--metric", tetra_path]) == 0, argv
+        assert capsys.readouterr().err == ""
 
 
 def test_area_csv_output(tetra_path, capsys):

@@ -1,6 +1,8 @@
 import cmath
 import math
 
+import mpmath
+import numpy as np
 import pytest
 
 from polydet import (
@@ -18,8 +20,12 @@ from polydet import (
     tetrahedron_metric,
     w_function,
 )
+from polydet import detlap, regint
 from polydet.detlap import f_function_dbeta, f_function_dC
 from polydet.errors import AngleMultisetMismatch, GaugeVertexVariation, ScaleMismatch
+from polydet.metric import Angle
+from polydet.regint import hadamard_finite_parts
+from polydet.verify import fd_gradient, run_suite
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -135,6 +141,156 @@ def test_f_matches_cone_disk_mode_sum(ratio):
     beta = ratio * PI
     f = f_function(beta, 1.0)
     assert abs(f - _f_mode_sum(beta)) <= 1e-12 * max(1.0, abs(f))
+
+
+# ---- F(beta, 1) and dF/dbeta(beta, 1): the mode series and its oracles ----
+
+def _finite_part_terms(betas):
+    """(F, its error bound, dF/dbeta, its error bound) at C = 1 from the two
+    finite parts, computed afresh, and their error estimates:
+    F = bracket(2 pi) - bracket(beta), bracket(d) = H_cc(d)/2
+    + pi (gamma + log pi)/(3 d), dF/dbeta = H_cs/4 + pi (gamma + log pi)/(3 beta^2)."""
+    cc = hadamard_finite_parts("coth_coth_over_theta", [TWO_PI, *betas])
+    cs = hadamard_finite_parts("coth_over_sinh_sq", betas)
+    g = PI * (EULER_GAMMA + math.log(PI)) / 3
+
+    def bracket(d, res):
+        return math.fsum([res.finite_part / 2, g / d])
+
+    return [(bracket(TWO_PI, cc[0]) - bracket(beta, c),
+             (cc[0].error_estimate + c.error_estimate) / 2,
+             math.fsum([h.finite_part / 4, g / (beta * beta)]), h.error_estimate / 4)
+            for beta, c, h in zip(betas, cc[1:], cs)]
+
+
+ORACLE_ANGLES = [1e-100, 1e-50, *np.geomspace(0.01 * PI, 100 * PI, 41).tolist(), 1e50, 1e100]
+
+
+def test_series_matches_finite_parts():
+    series = detlap._angle_series(ORACLE_ANGLES)
+    for beta, (f, d), (hf, hf_err, hd, hd_err) in zip(ORACLE_ANGLES, series,
+                                                       _finite_part_terms(ORACLE_ANGLES)):
+        assert abs(f - hf) <= max(1e-15 * max(1.0, abs(f)), hf_err), beta
+        assert abs(d - hd) <= max(1e-15 * max(1.0, abs(d)), hd_err), beta
+
+
+def _mp_f(beta):
+    """F(beta, 1) = D(beta) - D(2 pi) + (1/2 + kappa)(beta/2pi - 1) with 40
+    digits: the mode sum of D (detlap's docstring) from log Gamma for the
+    modes below 30, Stirling's series to nu^-39 and Hurwitz zeta above."""
+    stirling = [(2 * j - 1, mpmath.bernoulli(2 * j) / (2 * j * (2 * j - 1)))
+                for j in range(2, 21)]
+
+    def z_prime_sum(q):
+        k0 = max(1, int(mpmath.ceil(30 / q)))
+        terms = [mpmath.loggamma(q * k + 1) + q * k - mpmath.log(2 * mpmath.pi * q * k) / 2
+                 - q * k * mpmath.log(q * k) - 1 / (12 * q * k) for k in range(1, k0)]
+        terms += [c * q ** -n * mpmath.zeta(n, k0) for n, c in stirling]
+        return mpmath.fsum(terms)
+
+    def cone_disk(b):
+        q = 2 * mpmath.pi / b
+        lq, l2q = mpmath.log(q), mpmath.log(2 * q)
+        zeta_prime = (2 * z_prime_sum(q) + q / 6 * (1 - l2q) - 2 * q * mpmath.zeta(-1, derivative=1)
+                      - lq / 2 - (l2q - mpmath.euler - mpmath.mpf(5) / 2) / (6 * q))
+        return -zeta_prime - 2 * lq * (q / 12 + 1 / (12 * q))
+
+    x = beta / (2 * mpmath.pi)
+    kappa = (2 * mpmath.log(mpmath.pi) + 2 * mpmath.euler - 1) / 12
+    return cone_disk(beta) - cone_disk(2 * mpmath.pi) + (mpmath.mpf(1) / 2 + kappa) * (x - 1)
+
+
+def test_series_matches_mpmath_mode_sum():
+    # the series is no less accurate than the finite parts, but for a few
+    # units in the last place where those happen to round closer
+    angles = [0.05 * PI, 0.3 * PI, PI, 1.7 * PI, 5 * PI, 20 * PI]
+    errors = []
+    with mpmath.workdps(40):
+        for beta, (f, d), (hf, _, hd, _) in zip(angles, detlap._angle_series(angles),
+                                               _finite_part_terms(angles)):
+            b = mpmath.mpf(beta)
+            ref_f, ref_d = float(_mp_f(b)), float(mpmath.diff(_mp_f, b))
+            for value, oracle, ref in ((f, hf, ref_f), (d, hd, ref_d)):
+                err, oracle_err = abs(value - ref), abs(oracle - ref)
+                assert err <= max(oracle_err, 4 * math.ulp(ref)), (beta, err, oracle_err)
+                errors.append((err / max(1.0, abs(ref)), oracle_err / max(1.0, abs(ref))))
+    assert max(e for e, _ in errors) <= max(e for _, e in errors)
+
+
+@pytest.mark.parametrize("x", [1.0 + 1e-9, 1.3, 2.0, 3.7, 10.0, 1e3, 1e50])
+def test_f_mirror_identity(x):
+    # F(beta) - F(4 pi^2/beta) = (1/12 + kappa)(x - 1/x) + (x + 1/x - 3)(log x)/6,
+    # x = beta/2pi, and its beta derivative
+    kappa = (2 * math.log(PI) + 2 * EULER_GAMMA - 1) / 12
+    (f, d), (fm, dm) = detlap._angle_series([TWO_PI * x, TWO_PI / x])
+    expect = (1 / 12 + kappa) * (x - 1 / x) + (x + 1 / x - 3) * math.log(x) / 6
+    slope = ((1 / 12 + kappa) * (1 + 1 / x**2)
+             + ((1 - 1 / x**2) * math.log(x) + (x + 1 / x - 3) / x) / 6) / TWO_PI
+    assert abs(f - fm - expect) <= 1e-15 * max(1.0, abs(f))
+    assert abs(d + dm / x**2 - slope) <= 1e-15 * max(1.0, abs(d))
+
+
+def _pair_bits(pair):
+    return tuple(v.hex() for v in pair)
+
+
+def test_angle_terms_bit_identical_alone_and_in_any_batch_position():
+    angles = [1e-100, 1e-50, PI, TWO_PI, 1e50, 1e100, *np.geomspace(1e-3, 1e3, 58).tolist()]
+    alone = [_pair_bits(detlap._angle_series([beta])[0]) for beta in angles]
+    for shift in range(len(angles)):
+        rolled = angles[shift:] + angles[:shift]
+        batch = [_pair_bits(p) for p in detlap._angle_series(rolled)]
+        assert batch == alone[shift:] + alone[:shift]
+    detlap._angle_terms.cache_clear()
+    looked_up = [(f_function(beta, 1.0), f_function_dbeta(beta, 1.0)) for beta in angles]
+    assert [_pair_bits(p) for p in looked_up] == alone
+    for scale in (1.0, 3.0, 1e-300, 1e300):
+        assert f_function(TWO_PI, scale) == 0.0
+
+
+def test_hot_paths_call_no_finite_part(corpus5, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a finite part was computed")
+
+    monkeypatch.setattr(regint, "hadamard_finite_parts", refuse)
+    monkeypatch.setattr(regint, "_panel_integrals", refuse)
+    detlap._angle_terms.cache_clear()
+    log_det_as(corpus5)
+    log_det_over_area(corpus5.with_scale(2.0))
+    grad_angle(corpus5, 2)
+    f_function_dbeta(2.5, 3.0)
+    run_suite(corpus5)
+    fd_gradient(corpus5, Angle(3))
+
+
+def test_cache_pairs_and_accounting():
+    # a lookup counts its distinct misses, and the rest of its angles as hits
+    cache = detlap._angle_terms
+    cache.cache_clear()
+    pairs = cache.lookup([PI, 3 * PI, PI])
+    assert pairs[0] == pairs[2] == detlap._angle_series([PI])[0]
+    assert cache.lookup([3 * PI]) == [pairs[1]]
+    info = cache.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
+
+
+def test_cache_bound_holds_past_maxsize():
+    cache = detlap._angle_terms
+    cache.cache_clear()
+    angles = [1.0 + k / 1024.0 for k in range(4200)]
+    for k in range(0, len(angles), 600):
+        cache.lookup(angles[k:k + 600])
+        cache.lookup([angles[0]])   # the first angle stays recently used
+    info = cache.cache_info()
+    assert info.maxsize == 4096 and info.currsize == 4096
+    assert info.misses == 4200
+    # the least recently used angles went, the first and the newest stayed
+    cache.lookup([angles[0], angles[-1]])
+    assert cache.cache_info().misses == 4200
+    cache.lookup([angles[1]])
+    assert cache.cache_info().misses == 4201
+    assert cache.cache_info().currsize == 4096
+    cache.cache_clear()
 
 
 # ---- absolute values: the flat orbifolds and the tetrahedron ----

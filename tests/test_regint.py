@@ -10,7 +10,7 @@ from polydet import (
     q_of_beta,
     q_of_beta_contour,
 )
-from polydet import cone, regint
+from polydet import cone, detlap, regint
 from polydet.errors import NonpositiveAngle, PolydetError, ToleranceNotReached
 from polydet.regint import (
     SPLIT_RADIUS,
@@ -301,7 +301,7 @@ def test_q_contour_near_line_poles():
             assert dev < 1e-9, (eps, sgn, dev)
 
 
-# ---- batches and the finite-part cache ----
+# ---- batches ----
 
 def _bits(res):
     return tuple(x.hex() for x in (res.finite_part, res.error_estimate,
@@ -332,44 +332,15 @@ def test_batch_equals_single_calls_bit_for_bit(monkeypatch):
                                         (float("nan"), NonpositiveAngle),
                                         (1e101, PolydetError)])
 def test_invalid_angle_in_batch_raises_and_caches_nothing(bad, error):
-    for cache in (regint._fp_coth_csch2, regint._fp_coth_coth):
-        cache.cache_clear()
-        with pytest.raises(error) as info:
-            cache.lookup([PI, 2.5, bad, 3 * PI])
-        assert type(info.value) is error
-        assert cache.cache_info().currsize == 0
+    # the oracle's batch and the angle-term cache of ``detlap`` check every
+    # angle first
     for kind in ("coth_over_sinh_sq", "coth_coth_over_theta"):
-        with pytest.raises(error):
+        with pytest.raises(error) as info:
             regint.hadamard_finite_parts(kind, [PI, bad])
-
-
-def test_cache_pairs_and_accounting():
-    # the cache keeps the error estimate with the value; a lookup counts
-    # its distinct misses, and the rest of its angles as hits
-    cache = regint._fp_coth_csch2
+        assert type(info.value) is error
+    cache = detlap._angle_terms
     cache.cache_clear()
-    pairs = cache.lookup([PI, 3 * PI, PI])
-    res = hadamard_coth_over_sinh_sq(PI)
-    assert pairs[0] == pairs[2] == (res.finite_part, res.error_estimate)
-    assert cache.lookup([3 * PI]) == [pairs[1]]
-    info = cache.cache_info()
-    assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
-
-
-def test_cache_bound_holds_past_maxsize():
-    cache = regint._fp_coth_coth
-    cache.cache_clear()
-    angles = [1.0 + k / 1024.0 for k in range(4200)]
-    for k in range(0, len(angles), 600):
-        cache.lookup(angles[k:k + 600])
-        cache.lookup([angles[0]])   # the first angle stays recently used
-    info = cache.cache_info()
-    assert info.maxsize == 4096 and info.currsize == 4096
-    assert info.misses == 4200
-    # the least recently used angles went, the first and the newest stayed
-    cache.lookup([angles[0], angles[-1]])
-    assert cache.cache_info().misses == 4200
-    cache.lookup([angles[1]])
-    assert cache.cache_info().misses == 4201
-    assert cache.cache_info().currsize == 4096
-    cache.cache_clear()
+    with pytest.raises(error) as info:
+        cache.lookup([PI, 2.5, bad, 3 * PI])
+    assert type(info.value) is error
+    assert cache.cache_info().currsize == 0

@@ -13,10 +13,11 @@ def test_area_digest_one_seed():
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 5
+    assert len(lines) == 6
     for line, name in zip(lines, ("area", "log_det")):
         assert re.fullmatch(rf"[0-9a-f]{{64}}  {name}, 40 items, seeds 1-1", line), line
     assert re.fullmatch(r"[0-9a-f]{64}  regint, 200 angles, 0.1pi-20pi", lines[2]), lines[2]
     assert re.fullmatch(r"[0-9a-f]{64}  fd_suite, 40 items, plain and richardson, seeds 1-1",
                         lines[3]), lines[3]
     assert re.fullmatch(r"[0-9a-f]{64}  kernels, 63 angles, 17 cone kernels", lines[4]), lines[4]
+    assert re.fullmatch(r"[0-9a-f]{64}  angle_terms, 65 angles, C = 1 and 3", lines[5]), lines[5]

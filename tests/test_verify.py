@@ -149,30 +149,15 @@ def _suite_bits(reports):
 
 @pytest.mark.parametrize("richardson", [False, True])
 def test_run_suite_cold_and_warm_caches_agree(corpus5, richardson):
-    # the batch that fills the finite-part cache gives every difference
-    # the bits a warm cache gives it
-    from polydet import regint
+    # the pass that fills the angle-term cache gives every difference the
+    # bits a warm cache gives it
+    from polydet import detlap
 
     cfg = FDConfig(richardson=richardson)
-    for cache in (regint._fp_coth_csch2, regint._fp_coth_coth):
-        cache.cache_clear()
+    detlap._angle_terms.cache_clear()
     cold = run_suite(corpus5, cfg)
-    assert regint._fp_coth_coth.cache_info().misses > corpus5.num_vertices
+    assert detlap._angle_terms.cache_info().misses > corpus5.num_vertices
     assert _suite_bits(run_suite(corpus5, cfg)) == _suite_bits(cold)
-
-
-def test_run_suite_split_budget_raises(corpus5, monkeypatch):
-    # a 2-node panel rule cannot reach the finite parts' tolerance: the
-    # batch redoes the pieces that miss it, which run out of bisections
-    from polydet import regint
-    from polydet.errors import ToleranceNotReached
-
-    monkeypatch.setattr(regint, "PANEL_NODES", 2)
-    for cache in (regint._fp_coth_csch2, regint._fp_coth_coth):
-        cache.cache_clear()
-    with pytest.raises(ToleranceNotReached):
-        run_suite(corpus5)
-    assert regint._fp_coth_coth.cache_info().currsize == 0
 
 
 # ---- each step from the base metric's parts ----
