@@ -106,6 +106,13 @@ Gradients of log(det/Area) in closed form:
           + dF/dbeta(beta_q, C),
     dF/dbeta(beta, C) = dF/dbeta(beta, 1) + (1/(12 beta))(2pi/beta - beta/2pi) log C,
     d/dC     = sum_j (1/12C)(2 - beta_j/2pi - 2pi/beta_j) - 1/(3C).
+
+The parts of these sums that depend on the metric alone are its record
+(``metric.PolyhedralMetric``), computed once per metric: the pair
+coefficients b_k b_l (1/beta_k + 1/beta_l), W's pair terms and the
+distance sum of every block B_q.  ``w_function``, ``grad_position`` and
+``grad_angle`` read them, so a gradient call adds only its own sum, and
+``grad_angle`` only dF/dbeta of its two angles.
 """
 
 from __future__ import annotations
@@ -119,7 +126,7 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import AngleMultisetMismatch, GaugeVertexVariation, PolydetError, ScaleMismatch
-from .metric import PolyhedralMetric, _check_angle, _distances, _pairs
+from .metric import PolyhedralMetric, _check_angle, _incident
 from .quad import QuadResult, area
 
 PI = math.pi
@@ -175,31 +182,11 @@ class GradientReport:
 def w_function(m: PolyhedralMetric) -> float:
     """W = (pi/3) sum_{k<l} b_k b_l (1/beta_k + 1/beta_l) log|z_k - z_l|.
 
-    The terms are summed with ``math.fsum``, exactly rounded, so the value
-    is reproducible bit-for-bit in any order of the pairs.
+    The terms, the metric's own (``metric._Parts``), are summed
+    with ``math.fsum``, exactly rounded, so the value is reproducible
+    bit-for-bit in any order of the pairs.
     """
-    zs = m.positions()
-    pairs = _pairs(len(zs))
-    return _w_sum(_w_terms(m.exponents(), m.angles(), pairs, _log_distances(zs, pairs)))
-
-
-def _log_distances(zs, pairs) -> list:
-    """log|z_k - z_l| of each pair (k, l) of ``pairs``, each distance checked
-    as ``make_metric`` checks it (``metric._distances``)."""
-    try:
-        logs = [math.log(abs(zs[k] - zs[l])) for k, l in pairs]
-    except (OverflowError, ValueError):     # abs past the float range, log(0)
-        logs = [math.inf]
-    if math.inf in logs:
-        _distances(zs, pairs)               # raises, naming the fault
-    return logs
-
-
-def _w_terms(bs, angles, pairs, logs) -> list:
-    """The terms b_k b_l (1/beta_k + 1/beta_l) log|z_k - z_l| of W's sum of
-    the pairs ``pairs``, given their logs ``logs``."""
-    return [bs[k] * bs[l] * (1.0 / angles[k] + 1.0 / angles[l]) * d
-            for (k, l), d in zip(pairs, logs)]
+    return _w_sum(m._parts.w_terms)
 
 
 def _w_sum(terms) -> float:
@@ -207,12 +194,15 @@ def _w_sum(terms) -> float:
     return (PI / 3.0) * math.fsum(terms)
 
 
-def _f_terms(angles, scale: float) -> Tuple[float, ...]:
-    """F(beta, C) of ``f_function`` at every angle of ``angles``, F(beta, 1)
-    looked up in one call, which computes the missing ones in one pass."""
+def _f_terms(angles, scale: float, pairs=None) -> Tuple[float, ...]:
+    """F(beta, C) of ``f_function`` at every angle of ``angles``, from the
+    angles' (F(beta, 1), dF/dbeta(beta, 1)) ``pairs``, by default looked up
+    in one call, which computes the missing ones in one pass."""
+    if pairs is None:
+        pairs = _angle_terms.lookup(angles)
     log_c = math.log(scale) / 12.0
-    return tuple(f + (1.0 - beta / TWO_PI) * (1.0 - TWO_PI / beta) * log_c
-                 for beta, (f, _) in zip(angles, _angle_terms.lookup(angles)))
+    return tuple([f + (1.0 - beta / TWO_PI) * (1.0 - TWO_PI / beta) * log_c
+                  for beta, (f, _) in zip(angles, pairs)])
 
 
 def _f_dbeta(beta: float, scale: float, dfdb: float) -> float:
@@ -253,22 +243,23 @@ _DELTA = np.array([1.0 / (2.0 * _I + 1.0) - 1.0 / 3.0,
                   ).reshape(2, 5, 4).transpose(1, 0, 2)[..., None].copy()
 # Stirling's remainder at nu = 1/w in powers of x = w^2: Z' = w sum_n c_n x^(n-1)
 # and Z'' = -sum_n (2n - 1) c_n x^n, c_n = B_2n/(2n (2n - 1)), n = 2..8 (rows
-# value and slope, columns x..x^8); the tail from k0 on, per k0 = 1..NU0,
-# is that at w = 1/s with each term times zeta(2n - 1, k0)
+# value and slope, columns x..x^8); row 0 at a chain end, and row k0 = 1..NU0
+# the tail from k0 on, which is that at w = 1/s with each term times
+# zeta(2n - 1, k0)
 _STIRLING = np.array([-1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
                       -3617 / 122400])
-_END = np.zeros((2, 8))
-_END[0, :7] = _STIRLING
-_END[1, 1:] = -np.arange(3.0, 16.0, 2.0) * _STIRLING
 _ZETA_ODD = (1.2020569031595942, 1.03692775514337, 1.008349277381923, 1.0020083928260821,
              1.0004941886041194, 1.0001227133475785, 1.000030588236307)
 _HURWITZ = np.array([[math.fsum([z, *(-(k ** -n) for k in range(1, k0))])
                       for z, n in zip(_ZETA_ODD, range(3, 16, 2))]
                      for k0 in range(1, int(NU0) + 1)])
-_TAIL = np.zeros((int(NU0), 2, 8))
-_TAIL[:, 0, :7] = _HURWITZ
-_TAIL[:, 1, 1:] = _HURWITZ
-_TAIL *= _END
+_ENDS = np.zeros((int(NU0) + 1, 2, 8))
+_ENDS[0, 0, :7] = _STIRLING
+_ENDS[0, 1, 1:] = -np.arange(3.0, 16.0, 2.0) * _STIRLING
+_ENDS[1:, 0, :7] = _HURWITZ
+_ENDS[1:, 1, 1:] = _HURWITZ
+_ENDS[1:] *= _ENDS[0]
+_TAILS = _ENDS[1:]
 # F and dF/dbeta from S(s) and S'(s) (module docstring), to 17 digits
 _A = -0.3819844239742443           # 2 zeta_R'(-1) - (1 - log 2)/6
 _L = 0.3063128444015576            # log(2 pi)/6
@@ -288,13 +279,15 @@ def _mode_sums(s):
     the array ``s`` (module docstring, "The mode series"), each summed in
     one order: the shifts of each chain, the chain ends, the tail."""
     n = len(s)
-    nu = s[:, None] * _NEAR_K
-    near = nu < NU0
-    rows, cols = np.nonzero(near)
-    nu = nu[near]
+    # the near modes nu = s k < NU0, in the order (angle, k), and their
+    # chains nu + j < NU0, in the order (mode, j)
+    rows, cols = (s[:, None] * _NEAR_K < NU0).nonzero()
+    k = cols + 1.0
+    nu = s[rows] * k
+    m = len(nu)
     mu = nu[:, None] + _CHAIN
     chain = mu < NU0
-    counts = chain.sum(axis=1)
+    mode = chain.nonzero()[0]
     # delta and delta' on every chain nu, nu + 1, ..., nu + J - 1
     y = 0.5 / (mu[chain] + 0.5)
     t = y * y
@@ -309,16 +302,17 @@ def _mode_sums(s):
     shifts *= t * t
     shifts[1] *= y
     # Stirling's Z' and Z'' at the chain ends nu + J >= NU0, and the tails
-    w = 1.0 / np.concatenate([nu + counts, s])
-    coeffs = np.concatenate([np.broadcast_to(_END, (len(nu), 2, 8)), _TAIL[near.sum(axis=1)]])
-    powers = np.cumprod(np.broadcast_to((w * w)[:, None], (len(w), 8)), axis=1)
-    stirling = (powers[:, None, :] * coeffs).sum(axis=2)
+    # from k0 = 1 + the number of an angle's near modes
+    w = 1.0 / np.concatenate([nu + np.bincount(mode, minlength=m), s])
+    powers = (w * w)[:, None].repeat(8, axis=1).cumprod(axis=1)[:, None, :]
+    stirling = np.add.reduce(np.concatenate([powers[:m] * _ENDS[0],
+                                             powers[m:] * _TAILS[np.bincount(rows, minlength=n)]]),
+                             axis=2)
     stirling[:, 0] *= w
-    terms = np.concatenate([shifts.T, stirling])
-    k = cols + 1.0
-    terms[:, 1] *= np.concatenate([np.repeat(k, counts), k, np.ones(n)])
-    owner = np.concatenate([np.repeat(rows, counts), rows, np.arange(n)])
-    return np.bincount(owner, terms[:, 0], n), np.bincount(owner, terms[:, 1], n)
+    owner = np.concatenate([rows[mode], rows, np.arange(n)])
+    return (np.bincount(owner, np.concatenate([shifts[0], stirling[:, 0]]), n),
+            np.bincount(owner, np.concatenate([shifts[1] * k[mode], stirling[:m, 1] * k,
+                                               stirling[m:, 1]]), n))
 
 
 @lru_cache(maxsize=None)
@@ -471,44 +465,29 @@ def grad_position(m: PolyhedralMetric, i: int) -> complex:
     """d log(det/A) / dz_i as a Wirtinger derivative (d/dx - i d/dy)/2;
     vertex index 1-based."""
     m.check_index(i)
-    zs = m.positions()
-    bs = m.exponents()
-    angles = m.angles()
+    zs, coefficients = m.positions(), m._parts.coefficients
     zi = zs[i - 1]
-    bi = bs[i - 1]
-    ti = angles[i - 1]
     acc_re, acc_im = [], []
-    for j in range(len(zs)):
-        if j == i - 1:
-            continue
-        w = bi * bs[j] * (1.0 / ti + 1.0 / angles[j]) / (zi - zs[j])
+    for j, p in _incident(len(zs))[i - 1]:
+        w = coefficients[p] / (zi - zs[j])
         acc_re.append(w.real)
         acc_im.append(w.imag)
     return (PI / 6.0) * complex(math.fsum(acc_re), math.fsum(acc_im))
 
 
-def _b_term(zs, bs, angles, scale: float, q: int, dfdb: float) -> float:
-    """B_q, the per-vertex angle-gradient block (q is 0-based), with
-    dfdb = dF/dbeta(beta_q, 1)."""
-    tq = angles[q]
-    pairs = [(j, q) for j in range(len(zs)) if j != q]
-    dist = [(1.0 / angles[j] + TWO_PI / (tq * tq)) * bs[j] * d
-            for (j, _), d in zip(pairs, _log_distances(zs, pairs))]
-    return math.fsum(dist) / 6.0 + _f_dbeta(tq, scale, dfdb)
-
-
 def grad_angle(m: PolyhedralMetric, i: int) -> float:
     """d log(det/A) / dbeta_i under the gauge beta_1-dot = -beta_i-dot:
-    B_i - B_1."""
+    B_i - B_1, B_q the metric's distance sum of block q
+    (``PolyhedralMetric._b_sums``) plus dF/dbeta(beta_q, C)."""
     if i == 1:
         raise GaugeVertexVariation("vertex 1 is the compensating gauge vertex")
     m.check_index(i)
-    zs, bs, angles = m.positions(), m.exponents(), m.angles()
+    angles, sums = m.angles(), m._b_sums
     # a miss computes the metric's other angles too, which its other
     # vertices' gradients look up next
     (_, d_i), (_, d_1) = _angle_terms.lookup((angles[i - 1], angles[0]), fill=angles)
-    return (_b_term(zs, bs, angles, m.scale, i - 1, d_i)
-            - _b_term(zs, bs, angles, m.scale, 0, d_1))
+    return ((sums[i - 1] + _f_dbeta(angles[i - 1], m.scale, d_i))
+            - (sums[0] + _f_dbeta(angles[0], m.scale, d_1)))
 
 
 def grad_scale(m: PolyhedralMetric) -> float:

@@ -8,7 +8,9 @@ with cone angle beta_k = 2*pi*(b_k + 1) at the vertex z_k and the
 Gauss-Bonnet constraint sum_k b_k = -2 (no cone point at infinity).
 This module owns the data model, pointwise density evaluation, and the
 three infinitesimal variation fields (vertex position, cone angle with
-vertex 1 compensating, overall scale).
+vertex 1 compensating, overall scale).  A metric also keeps the record of
+its parts that the determinant, its gradients and their finite
+differences read, each computed once, on first use.
 
 Conventions
 -----------
@@ -34,8 +36,8 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Sequence, Tuple, Union
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Sequence, Tuple, Union
 
 from .errors import (
     DuplicateVertex,
@@ -78,11 +80,32 @@ class ConicalVertex:
         return TWO_PI * (self.exponent + 1.0)
 
 
+class _Parts(NamedTuple):
+    """The parts of a metric that the determinant and its gradients read
+    (module ``detlap``), each pair's at its index in ``_pairs``."""
+
+    positions: Tuple[complex, ...]
+    exponents: Tuple[float, ...]
+    angles: Tuple[float, ...]
+    logs: Tuple[float, ...]           # log|z_k - z_l|
+    coefficients: Tuple[float, ...]   # b_k b_l (1/beta_k + 1/beta_l)
+    w_terms: Tuple[float, ...]        # W's pair terms, coefficient * log
+
+
 @dataclass(frozen=True)
 class PolyhedralMetric:
     """Validated flat conical metric: scale C plus ordered vertex list.
 
-    Immutable after construction; safe to share across threads.
+    Immutable after construction; safe to share across threads.  Besides
+    its two fields a metric keeps a record of its parts: the distance of
+    every vertex pair, which ``make_metric`` computes; the parts of
+    ``_Parts``, its position, exponent and angle tuples, the log distance
+    and W coefficient of every pair and W's pair terms; and the distance
+    sum of every angle gradient block, which only ``grad_angle`` reads.
+    Each is computed on first use and kept by ``functools.cached_property``
+    in the instance's ``__dict__``.  None is a field, so ``==``, ``hash``,
+    ``repr`` and the JSON see only C and the vertices, and a part computed
+    twice, as two threads may, has the same value.
     """
 
     scale: float
@@ -93,13 +116,13 @@ class PolyhedralMetric:
         return len(self.vertices)
 
     def positions(self) -> Tuple[complex, ...]:
-        return tuple(v.position for v in self.vertices)
+        return self._parts.positions
 
     def exponents(self) -> Tuple[float, ...]:
-        return tuple(v.exponent for v in self.vertices)
+        return self._parts.exponents
 
     def angles(self) -> Tuple[float, ...]:
-        return tuple(v.angle for v in self.vertices)
+        return self._parts.angles
 
     def check_index(self, i: int) -> None:
         """Raise PolydetError unless ``i`` is a 1-based vertex index."""
@@ -108,7 +131,7 @@ class PolyhedralMetric:
                 f"vertex index {i} out of range 1..{len(self.vertices)}")
 
     def min_pairwise_distance(self) -> float:
-        return min(_distances(self.positions(), _pairs(len(self.vertices))))
+        return min(self._pair_distances)
 
     def with_scale(self, scale: float) -> "PolyhedralMetric":
         return make_metric(scale, [(v.position, v.exponent) for v in self.vertices])
@@ -117,6 +140,33 @@ class PolyhedralMetric:
         verts = [(v.position, v.exponent) for v in self.vertices]
         verts[i - 1] = (z, verts[i - 1][1])
         return make_metric(self.scale, verts)
+
+    @cached_property
+    def _pair_distances(self) -> Tuple[float, ...]:
+        """|z_k - z_l| of every pair of ``_pairs``; ``make_metric`` sets it."""
+        return _distances([v.position for v in self.vertices], _pairs(len(self.vertices)))
+
+    @cached_property
+    def _parts(self) -> _Parts:
+        zs = tuple([v.position for v in self.vertices])
+        bs = tuple([v.exponent for v in self.vertices])
+        angles = tuple([v.angle for v in self.vertices])
+        logs = tuple([math.log(d) for d in self._pair_distances])
+        coefficients = _coefficients(bs, angles, _pairs(len(zs)))
+        return _Parts(zs, bs, angles, logs, coefficients,
+                      tuple([c * d for c, d in zip(coefficients, logs)]))
+
+    @cached_property
+    def _b_sums(self) -> Tuple[float, ...]:
+        """The distance sum (1/6) sum_{j != q} (1/beta_j + 2pi/beta_q^2) b_j
+        log|z_j - z_q| of the angle gradient block B_q of every vertex q."""
+        _, bs, angles, logs, _, _ = self._parts
+        # the M - 1 terms of each block in turn
+        terms = [(1.0 / angles[j] + TWO_PI / (tq * tq)) * bs[j] * logs[p]
+                 for tq, incident in zip(angles, _incident(len(angles))) for j, p in incident]
+        width = len(angles) - 1
+        return tuple([math.fsum(terms[q:q + width]) / 6.0
+                      for q in range(0, len(terms), width)])
 
 
 @dataclass(frozen=True)
@@ -181,11 +231,13 @@ def make_metric(scale: float, verts: Sequence[Tuple[complex, float]]) -> Polyhed
         )
     _check_gauss_bonnet([b for _, b in verts])
     zs = [z for z, _ in verts]
-    _distances(zs, _pairs(len(zs)))
-    return PolyhedralMetric(
+    distances = _distances(zs, _pairs(len(zs)))
+    m = PolyhedralMetric(
         scale=float(scale),
         vertices=tuple(ConicalVertex(z, b) for z, b in verts),
     )
+    vars(m)["_pair_distances"] = distances      # cached_property's slot
+    return m
 
 
 # The checks of ``make_metric`` that a finite-difference step of ``verify``
@@ -220,20 +272,35 @@ def _pairs(n: int) -> tuple:
     return tuple((k, l) for k in range(n) for l in range(k + 1, n))
 
 
-def _distances(zs: Sequence[complex], pairs) -> list:
+@lru_cache(maxsize=None)
+def _incident(n: int) -> tuple:
+    """For every vertex q, 0-based, the pairs that hold it: (j, p) for every
+    j != q in order, p the index in ``_pairs(n)`` of the pair of j and q."""
+    index = {pair: p for p, pair in enumerate(_pairs(n))}
+    return tuple(tuple((j, index[min(j, q), max(j, q)]) for j in range(n) if j != q)
+                 for q in range(n))
+
+
+def _distances(zs: Sequence[complex], pairs) -> tuple:
     """|z_k - z_l| of each pair (k, l) of ``pairs``: DuplicateVertex naming
     the first pair at distance 0, which only equal positions have, and
     PolydetError if a distance is not a finite float."""
     try:
-        out = [abs(zs[k] - zs[l]) for k, l in pairs]
+        out = tuple([abs(zs[k] - zs[l]) for k, l in pairs])
     except OverflowError:       # a modulus past the float range, its parts finite
-        out = [math.inf]
+        out = (math.inf,)
     if 0.0 in out:
         k, l = pairs[out.index(0.0)]
         raise DuplicateVertex(f"vertices {k + 1} and {l + 1} share position {zs[k]}")
     if math.inf in out:
         raise PolydetError("a vertex distance |z_k - z_l| is not a finite float")
     return out
+
+
+def _coefficients(bs: Sequence[float], angles: Sequence[float], pairs) -> tuple:
+    """b_k b_l (1/beta_k + 1/beta_l) of each pair (k, l) of ``pairs``: the
+    coefficient of log|z_k - z_l| in W (module ``detlap``)."""
+    return tuple([bs[k] * bs[l] * (1.0 / angles[k] + 1.0 / angles[l]) for k, l in pairs])
 
 
 def tetrahedron_metric(scale: float = 1.0) -> PolyhedralMetric:

@@ -35,3 +35,17 @@ def near_degenerate():
         (-0.3 - 1.2j, -0.4),
     ])
 
+
+
+@pytest.fixture(scope="session")
+def above_two_pi():
+    """Cone angles from 0.1 pi to 4.2 pi (b = 1.1)."""
+    return make_metric(0.7, [(0.0, -0.95), (1.3, 1.1), (-0.9 + 0.8j, -0.85),
+                             (0.2 - 1.4j, -0.7), (-0.4 + 0.1j, -0.6)])
+
+
+@pytest.fixture(scope="session")
+def near_minus_one():
+    """One exponent at b = -0.999, a cone angle of 0.002 pi."""
+    return make_metric(1.0, [(0.3j, -0.999), (1.0, -0.5), (-1.0 + 0.2j, -0.2),
+                             (0.4 - 0.9j, -0.301)])

@@ -396,6 +396,59 @@ def test_grad_angle_swap_symmetric_pair():
     assert grad_angle(m, 2) == pytest.approx(0.0, abs=1e-12)
 
 
+def _b_block(m, q):
+    """B_q of the module docstring written out, q 0-based: each log taken
+    from the positions, dF/dbeta from ``f_function_dbeta``."""
+    zs = [v.position for v in m.vertices]
+    bs = [v.exponent for v in m.vertices]
+    angles = [v.angle for v in m.vertices]
+    tq = angles[q]
+    terms = [(1.0 / angles[j] + TWO_PI / (tq * tq)) * bs[j] * math.log(abs(zs[j] - zs[q]))
+             for j in range(len(zs)) if j != q]
+    return math.fsum(terms) / 6.0 + f_function_dbeta(tq, m.scale)
+
+
+def _written_out_grad_position(m, i):
+    zs = [v.position for v in m.vertices]
+    bs = [v.exponent for v in m.vertices]
+    angles = [v.angle for v in m.vertices]
+    ws = [bs[i] * bs[j] * (1.0 / angles[i] + 1.0 / angles[j]) / (zs[i] - zs[j])
+          for j in range(len(zs)) if j != i]
+    return (PI / 6.0) * complex(math.fsum([w.real for w in ws]), math.fsum([w.imag for w in ws]))
+
+
+def _written_out_w(m):
+    zs = [v.position for v in m.vertices]
+    bs = [v.exponent for v in m.vertices]
+    angles = [v.angle for v in m.vertices]
+    n = len(zs)
+    return (PI / 3.0) * math.fsum(
+        [bs[k] * bs[l] * (1.0 / angles[k] + 1.0 / angles[l]) * math.log(abs(zs[k] - zs[l]))
+         for k in range(n) for l in range(k + 1, n)])
+
+
+@pytest.mark.parametrize("filled", [False, True])
+@pytest.mark.parametrize("name", ["tetra", "corpus5", "above_two_pi", "near_minus_one"])
+def test_gradients_and_w_keep_their_bits(name, filled, request):
+    # the gradients and W read the metric's record of parts; each has the
+    # bits of its formula written out from the positions, whether the
+    # record is computed by the call itself or was filled before
+    base = request.getfixturevalue(name)
+    m = make_metric(base.scale, [(v.position, v.exponent) for v in base.vertices])
+    assert "_parts" not in vars(m) and "_b_sums" not in vars(m)
+    if filled:
+        grad_angle(m, 2)
+        assert "_parts" in vars(m) and "_b_sums" in vars(m)
+    n = m.num_vertices
+    for i in range(2, n + 1):
+        assert grad_angle(m, i).hex() == (_b_block(m, i - 1) - _b_block(m, 0)).hex(), i
+    for i in range(1, n + 1):
+        expect = _written_out_grad_position(m, i - 1)
+        got = grad_position(m, i)
+        assert (got.real.hex(), got.imag.hex()) == (expect.real.hex(), expect.imag.hex()), i
+    assert w_function(m).hex() == _written_out_w(m).hex()
+
+
 def test_grad_scale_tetrahedron(tetra):
     assert grad_scale(tetra) == pytest.approx(-0.5, abs=1e-14)
 

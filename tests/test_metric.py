@@ -1,4 +1,6 @@
 import cmath
+import dataclasses
+import json
 import math
 
 import pytest
@@ -205,3 +207,58 @@ def test_density_positive_and_finite(m, x, y):
 @settings(max_examples=50, deadline=None)
 def test_gauss_bonnet_always_holds(m):
     assert abs(math.fsum(m.exponents()) + 2.0) < 1e-11
+
+
+def test_record_stays_private(corpus5, tmp_path, capsys):
+    # the record of parts a metric keeps is not a field: equality, hash,
+    # repr and the JSON see only C and the vertices
+    from polydet import detlap, dump_metric
+    from polydet.cli import main
+    from polydet.metric import PolyhedralMetric
+
+    assert [f.name for f in dataclasses.fields(PolyhedralMetric)] == ["scale", "vertices"]
+    verts = [(v.position, v.exponent) for v in corpus5.vertices]
+    fresh = make_metric(corpus5.scale, verts)
+    filled = make_metric(corpus5.scale, verts)
+    detlap.grad_angle(filled, 2)
+    assert {"_parts", "_b_sums"} <= set(vars(filled))
+    assert not {"_parts", "_b_sums"} & set(vars(fresh))
+    assert filled == fresh and hash(filled) == hash(fresh)
+    assert repr(filled) == repr(fresh)
+    assert dataclasses.asdict(filled) == dataclasses.asdict(fresh)
+    assert json.dumps(metric_to_json_dict(filled)) == json.dumps(metric_to_json_dict(fresh))
+    outs = []
+    for name, m in (("fresh", fresh), ("filled", filled)):
+        path = tmp_path / f"{name}.json"
+        dump_metric(m, str(path))
+        assert main(["det", "--metric", str(path), "--json"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    # computing the record again gives an equal record
+    parts, sums = vars(filled).pop("_parts"), vars(filled).pop("_b_sums")
+    assert filled._parts == parts and filled._b_sums == sums
+
+
+def test_derived_metrics_carry_no_record(corpus5):
+    # with_position and with_scale build their metric anew: its gradients
+    # have the bits of a metric made from scratch, not the parent's
+    from polydet import detlap
+
+    detlap.grad_angle(corpus5, 2)    # fills the parent's record
+    verts = [(v.position, v.exponent) for v in corpus5.vertices]
+    moved = list(verts)
+    moved[2] = (verts[2][0] + 0.25 - 0.125j, verts[2][1])
+    for child, scratch in ((corpus5.with_position(3, moved[2][0]),
+                            make_metric(corpus5.scale, moved)),
+                           (corpus5.with_scale(2.5), make_metric(2.5, verts))):
+        assert not {"_parts", "_b_sums"} & set(vars(child))
+        n = child.num_vertices
+        got = ([detlap.grad_position(child, i) for i in range(1, n + 1)]
+               + [detlap.grad_angle(child, i) for i in range(2, n + 1)]
+               + [detlap.grad_scale(child), detlap.w_function(child),
+                  detlap.log_det_over_area(child)])
+        expect = ([detlap.grad_position(scratch, i) for i in range(1, n + 1)]
+                  + [detlap.grad_angle(scratch, i) for i in range(2, n + 1)]
+                  + [detlap.grad_scale(scratch), detlap.w_function(scratch),
+                     detlap.log_det_over_area(scratch)])
+        assert [repr(x) for x in got] == [repr(x) for x in expect]
