@@ -69,9 +69,23 @@ S^2(3,3,3), S^2(2,4,4) and S^2(2,3,6) and the tetrahedron.
 
 The mode series
 ---------------
-``_mode_sums`` takes S(s) and S'(s) for a list of angles in one numpy
-pass, and ``_angle_term`` assembles F and dF/dbeta of each angle from
-them; S(1) comes from the same pass, so F(2 pi, 1) is 0.0.  A mode
+S(s) and S'(s) are smooth in u = 1/s on [0, 1].  The mode table holds
+each as a Chebyshev series in u on the panels [0, 1/8], [1/8, 1/4],
+[1/4, 1/2] and [1/2, 1] (``TABLE_EDGES``), interpolated at 16 first-kind
+points on each (``TABLE_NODES``).  Its 64 nodes take one pass of
+``_mode_sums``, about 1 ms, which the first angle-term miss makes, not
+the import (``_mode_table``).  ``_table_sums`` evaluates both series at
+an angle's u by Clenshaw's recurrence in plain floats, about 3 us an
+angle, and ``_angle_term`` assembles F and dF/dbeta from them; S(1)
+comes from the same evaluation, so F(2 pi, 1) is 0.0.  Each angle is
+computed alone, so its value has the same bits in any batch.  Against
+``_mode_sums`` at the nodes, on 4001 s geometric from 1 to 1e6, on both
+sides of the inner panel edges and at s = 1 and 1e100, the table errs by
+at most 4.8e-18 on S and 7.9e-18 on S'; its coefficients of degree 15
+are below 1e-18 on every panel.
+
+``_mode_sums``, the table's source and its test oracle, takes S(s) and
+S'(s) at an array of s >= 1 in one numpy pass.  A mode
 nu = s k >= NU0 = 12 takes Stirling's remainder
 
     Z'(nu) = sum_{n=2..8} B_2n/(2n (2n - 1)) nu^(1 - 2n),
@@ -90,12 +104,11 @@ summed to i = 21, past which the terms are below 1e-18 of the sum.  Z''
 follows from the derivatives of the same series: delta'(mu) = sum_i
 4i (1/3 - 1/(2i + 1)) y^(2i+1).  Every term of S and of S' has one sign,
 so no digits are lost.  Against a 40-digit mpmath mode sum, on 81 angles
-geometric from 0.01 pi to 100 pi, F and dF/dbeta err by at most
-3.4e-16 max(1, |value|), and by at most 4 units in the last place where
-|value| > 0.05; F and dF/dbeta from the finite parts err by up to
-7.4e-16 max(1, |value|) there.  Each angle's value has the same bits
-alone and in any batch: the pass is elementwise but for sums in a fixed
-order per angle.
+geometric from 0.01 pi to 100 pi, F and dF/dbeta from the table err by
+at most 3.4e-16 max(1, |value|), and by at most 4 units in the last
+place where |value| > 0.05, as they did from a pass per angle; F and
+dF/dbeta from the finite parts err by up to 7.4e-16 max(1, |value|)
+there.
 
 Gradients of log(det/Area) in closed form:
 
@@ -126,7 +139,7 @@ from typing import List, NamedTuple, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import AngleMultisetMismatch, GaugeVertexVariation, PolydetError, ScaleMismatch
-from .metric import PolyhedralMetric, _check_angle, _incident
+from .metric import PolyhedralMetric, _check_angle, _check_scale, _incident
 from .quad import QuadResult, area
 
 PI = math.pi
@@ -197,7 +210,7 @@ def _w_sum(terms) -> float:
 def _f_terms(angles, scale: float, pairs=None) -> Tuple[float, ...]:
     """F(beta, C) of ``f_function`` at every angle of ``angles``, from the
     angles' (F(beta, 1), dF/dbeta(beta, 1)) ``pairs``, by default looked up
-    in one call, which computes the missing ones in one pass."""
+    in one call, which computes the missing ones."""
     if pairs is None:
         pairs = _angle_terms.lookup(angles)
     log_c = math.log(scale) / 12.0
@@ -213,17 +226,28 @@ def _f_dbeta(beta: float, scale: float, dfdb: float) -> float:
 def f_function(beta: float, scale: float) -> float:
     """F(beta, C): the per-vertex angle contribution to log det (module
     docstring).  Vanishes identically at beta = 2 pi."""
+    _check_angle(beta)
+    _check_scale(scale)
     return _f_terms((beta,), scale)[0]
 
 
 def f_function_dbeta(beta: float, scale: float) -> float:
     """dF/dbeta(beta, C) (module docstring)."""
+    _check_angle(beta)
+    _check_scale(scale)
     ((_, dfdb),) = _angle_terms.lookup((beta,))
     return _f_dbeta(beta, scale, dfdb)
 
 
 def f_function_dC(beta: float, scale: float) -> float:
     """Closed-form dF/dC."""
+    _check_angle(beta)
+    _check_scale(scale)
+    return _f_dc(beta, scale)
+
+
+def _f_dc(beta: float, scale: float) -> float:
+    """dF/dC of ``f_function_dC``; the caller checks beta and C."""
     return (2.0 - beta / TWO_PI - TWO_PI / beta) / (12.0 * scale)
 
 
@@ -269,9 +293,11 @@ _A_MIRROR = -0.0949934988490888    # 2 zeta_R'(-1) + (log 2 pi + gamma - 1)/6
 _B_MIRROR = 0.019321919276402075   # (log 2 - gamma)/6
 _DA_MIRROR = 0.07167316781757786   # a+ + 1/6
 _DB_MIRROR = 0.1473447473902646    # 1/6 - b+
-# angles taken in one pass, which bounds its working memory to about
-# 15 kB an angle
-SERIES_BATCH = 64
+# S(s) and S'(s) as Chebyshev series in u = 1/s on the panels between
+# these edges, each through TABLE_NODES first-kind points: one pass of
+# 64 nodes builds the table
+TABLE_EDGES = (0.0, 0.125, 0.25, 0.5, 1.0)
+TABLE_NODES = 16
 
 
 def _mode_sums(s):
@@ -315,23 +341,64 @@ def _mode_sums(s):
                                                stirling[m:, 1]]), n))
 
 
+def _table_nodes() -> np.ndarray:
+    """The u of the table's nodes, (panel, node): the first-kind points
+    x_j = cos(pi (j + 1/2)/TABLE_NODES) mapped onto each panel."""
+    x = np.cos(np.pi * (np.arange(TABLE_NODES) + 0.5) / TABLE_NODES)
+    lo, hi = np.array(TABLE_EDGES[:-1]), np.array(TABLE_EDGES[1:])
+    return ((hi + lo) / 2.0)[:, None] + ((hi - lo) / 2.0)[:, None] * x
+
+
 @lru_cache(maxsize=None)
-def _s1() -> float:
-    """S(1), from a pass like any other, so that F(2 pi, 1) is 0.0."""
-    return _mode_sums(np.ones(1))[0][0]
+def _mode_table() -> Tuple[tuple, float]:
+    """The panels of the mode table, each (top edge, a, b, coefficients)
+    with x = a u - b on it and the (S, S') coefficient pairs from the
+    highest degree down, and S(1) from the table, so that F(2 pi, 1) is
+    0.0.  Built by one ``_mode_sums`` pass on the first call."""
+    u = _table_nodes()
+    n_panels, n = u.shape
+    values = np.stack(_mode_sums(1.0 / u.ravel())).reshape(2, n_panels, n)
+    # c_k = (2/n) sum_j f(x_j) cos(pi k (j + 1/2)/n), c_0 halved
+    basis = np.cos(np.pi * np.outer(np.arange(n), np.arange(n) + 0.5) / n) * (2.0 / n)
+    basis[0] /= 2.0
+    coefficients = (values[..., None, :] * basis).sum(axis=-1)
+    panels = tuple((hi, 2.0 / (hi - lo), (hi + lo) / (hi - lo),
+                    tuple(map(tuple, coefficients[:, p, ::-1].T.tolist())))
+                   for p, (lo, hi) in enumerate(zip(TABLE_EDGES, TABLE_EDGES[1:])))
+    return panels, _table_sums(panels, 1.0)[0]
+
+
+def _table_sums(panels, u: float) -> Tuple[float, float]:
+    """S(s) and S'(s) at u = 1/s in [0, 1], by Clenshaw's recurrence on the
+    panel of the mode table that holds u."""
+    for top, a, b, coefficients in panels:
+        if u <= top:
+            break
+    x = a * u - b
+    x2 = x + x
+    v1 = v2 = d1 = d2 = 0.0
+    for cv, cd in coefficients[:-1]:
+        v1, v2 = x2 * v1 - v2 + cv, v1
+        d1, d2 = x2 * d1 - d2 + cd, d1
+    cv, cd = coefficients[-1]
+    return x * v1 - v2 + cv, x * d1 - d2 + cd
 
 
 def _angle_series(betas) -> List[Tuple[float, float]]:
-    """(F(beta, 1), dF/dbeta(beta, 1)) at every angle of ``betas``, from one
-    pass of the mode series; the caller checks the angles."""
-    s = [beta / TWO_PI if beta > TWO_PI else TWO_PI / beta for beta in betas]
-    sums, slopes = _mode_sums(np.array(s))
-    return [_angle_term(beta > TWO_PI, *args)
-            for beta, *args in zip(betas, s, sums.tolist(), slopes.tolist())]
+    """(F(beta, 1), dF/dbeta(beta, 1)) at every angle of ``betas``, from the
+    mode table; the caller checks the angles."""
+    panels, s_one = _mode_table()
+    out = []
+    for beta in betas:
+        mirror = beta > TWO_PI
+        s = beta / TWO_PI if mirror else TWO_PI / beta
+        sums, slopes = _table_sums(panels, 1.0 / s)
+        out.append(_angle_term(mirror, s, sums - s_one, slopes))
+    return out
 
 
 def _angle_term(mirror: bool, s: float, sums: float, slopes: float) -> Tuple[float, float]:
-    """F(beta, 1) and dF/dbeta(beta, 1) from s and S(s), S'(s) (module
+    """F(beta, 1) and dF/dbeta(beta, 1) from s, S(s) - S(1) and S'(s) (module
     docstring): s = beta/2pi for the ``mirror`` of beta > 2 pi, else 2pi/beta."""
     log_s, r = math.log(s), 1.0 / s
     if mirror:
@@ -341,7 +408,7 @@ def _angle_term(mirror: bool, s: float, sums: float, slopes: float) -> Tuple[flo
     else:
         f = _A * (s - 1.0) + _L * (r - 1.0) + 0.5 * log_s
         dfdb = (2.0 * slopes + _C + _L * (r - _R0) ** 2) * (s * s) / TWO_PI
-    return f - 2.0 * (sums - _s1()), dfdb
+    return f - 2.0 * sums, dfdb
 
 
 class _CacheInfo(NamedTuple):
@@ -357,37 +424,31 @@ ANGLE_CACHE_SIZE = 4096   # angles whose (F, dF/dbeta) the cache keeps
 class _AngleTerms:
     """(F(beta, 1), dF/dbeta(beta, 1)) of the last ``maxsize`` angles used.
     ``lookup`` gives the pairs of a list of angles.  If it misses one, it
-    checks and then computes every angle it misses, and those of ``fill``
-    missing too, in passes of at most SERIES_BATCH angles, and stores
-    nothing if that raises: a pass costs about as much for one angle as for
-    a few dozen.  ``cache_info`` and ``cache_clear`` are those of
-    functools.lru_cache, a lookup of n angles counting the angles it
-    computes as misses, and n less its own distinct misses as hits."""
+    checks every angle it misses before it computes any, and stores
+    nothing if a check raises.  ``cache_info`` and ``cache_clear`` are
+    those of functools.lru_cache, a lookup of n angles counting its
+    distinct misses as misses and the rest as hits."""
 
     def __init__(self, maxsize: int):
         self.maxsize = maxsize
         self.cache_clear()
 
-    def lookup(self, betas: Sequence[float],
-               fill: Sequence[float] = ()) -> List[Tuple[float, float]]:
+    def lookup(self, betas: Sequence[float]) -> List[Tuple[float, float]]:
         pairs = self._pairs
         try:
             out = list(map(pairs.__getitem__, betas))
-            missing, missed = (), 0
+            missing = ()
         except KeyError:
-            missing = [beta for beta in dict.fromkeys((*betas, *fill)) if beta not in pairs]
-            missed = len(set(betas).intersection(missing))
+            missing = [beta for beta in dict.fromkeys(betas) if beta not in pairs]
             for beta in missing:
                 _check_angle(beta)
-            for k in range(0, len(missing), SERIES_BATCH):
-                batch = missing[k:k + SERIES_BATCH]
-                pairs.update(zip(batch, _angle_series(batch)))
+            pairs.update(zip(missing, _angle_series(missing)))
             out = list(map(pairs.__getitem__, betas))
         for beta in betas:
             pairs.move_to_end(beta)
         while len(pairs) > self.maxsize:
             pairs.popitem(last=False)
-        self._hits += len(betas) - missed
+        self._hits += len(betas) - len(missing)
         self._misses += len(missing)
         return out
 
@@ -483,16 +544,14 @@ def grad_angle(m: PolyhedralMetric, i: int) -> float:
         raise GaugeVertexVariation("vertex 1 is the compensating gauge vertex")
     m.check_index(i)
     angles, sums = m.angles(), m._b_sums
-    # a miss computes the metric's other angles too, which its other
-    # vertices' gradients look up next
-    (_, d_i), (_, d_1) = _angle_terms.lookup((angles[i - 1], angles[0]), fill=angles)
+    (_, d_i), (_, d_1) = _angle_terms.lookup((angles[i - 1], angles[0]))
     return ((sums[i - 1] + _f_dbeta(angles[i - 1], m.scale, d_i))
             - (sums[0] + _f_dbeta(angles[0], m.scale, d_1)))
 
 
 def grad_scale(m: PolyhedralMetric) -> float:
     """d log(det/A) / dC = sum_j dF/dC(beta_j) - 1/(3C), in closed form."""
-    terms = [f_function_dC(beta, m.scale) for beta in m.angles()]
+    terms = [_f_dc(beta, m.scale) for beta in m.angles()]
     terms.append(-1.0 / (3.0 * m.scale))
     return math.fsum(terms)
 

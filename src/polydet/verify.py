@@ -32,7 +32,7 @@ not matter):
                    both axes)
     angle step     the W terms of vertices i and 1, and F at their two new
                    angles (F at every angle the angle steps visit is
-                   taken in one call, its mode series in one pass)
+                   taken in one call)
     scale step     the prefactor and every F term
 
 Each step first runs the checks ``make_metric`` would run on what it
@@ -116,9 +116,8 @@ class _Steps:
     of ``make_metric`` on what each changes, redoes its W terms and returns
     per step a callable that assembles its value once F is known, and the
     offset the step actually takes.  ``finish`` looks up F at m's angles
-    and at every angle an angle step visits in one call, whose mode series
-    runs in one pass, keeps m's pairs for the scale steps and checks that
-    log(det/Area) at m is finite.
+    and at every angle an angle step visits in one call, keeps m's pairs
+    for the scale steps and checks that log(det/Area) at m is finite.
     """
 
     def __init__(self, m: PolyhedralMetric):

@@ -1,5 +1,9 @@
 import cmath
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -22,7 +26,8 @@ from polydet import (
 )
 from polydet import detlap, regint
 from polydet.detlap import f_function_dbeta, f_function_dC
-from polydet.errors import AngleMultisetMismatch, GaugeVertexVariation, ScaleMismatch
+from polydet.errors import (AngleMultisetMismatch, GaugeVertexVariation, NonpositiveAngle,
+                            NonpositiveScale, ScaleMismatch)
 from polydet.metric import Angle
 from polydet.regint import hadamard_finite_parts
 from polydet.verify import fd_gradient, run_suite
@@ -249,18 +254,64 @@ def test_angle_terms_bit_identical_alone_and_in_any_batch_position():
 
 
 def test_hot_paths_call_no_finite_part(corpus5, monkeypatch):
+    # once the mode table exists, no hot path integrates a finite part or
+    # runs a pass of the mode series, however cold the angle-term cache
     def refuse(*args, **kwargs):
-        raise AssertionError("a finite part was computed")
+        raise AssertionError("a finite part or a mode-series pass was computed")
 
+    detlap._mode_table()
     monkeypatch.setattr(regint, "hadamard_finite_parts", refuse)
     monkeypatch.setattr(regint, "_panel_integrals", refuse)
+    monkeypatch.setattr(detlap, "_mode_sums", refuse)
     detlap._angle_terms.cache_clear()
-    log_det_as(corpus5)
-    log_det_over_area(corpus5.with_scale(2.0))
-    grad_angle(corpus5, 2)
+    fresh = make_metric(1.7, [(0, -0.4321), (1, -0.1234), (0.3 + 0.8j, -0.8765),
+                              (-0.6 - 0.2j, -0.568)])
+    for m in (corpus5, fresh):
+        log_det_as(m)
+        log_det_over_area(m.with_scale(2.0))
+        grad_angle(m, 2)
+        run_suite(m)
+        fd_gradient(m, Angle(3))
     f_function_dbeta(2.5, 3.0)
-    run_suite(corpus5)
-    fd_gradient(corpus5, Angle(3))
+    assert detlap._angle_terms.cache_info().misses >= 2 * corpus5.num_vertices
+
+
+def test_mode_table_matches_mode_sums():
+    # the table against its source at its nodes, on a dense geometric grid,
+    # on both sides of each inner panel edge, at s = 1 and at s = 1e100
+    panels, s_one = detlap._mode_table()
+    edges = [math.nextafter(e, side) for e in detlap.TABLE_EDGES[1:-1] for side in (0.0, 1.0)]
+    u = np.array([*detlap._table_nodes().ravel(), *(1.0 / np.geomspace(1.0, 1e6, 4001)),
+                  *edges, 1.0, 1e-100])
+    sums, slopes = detlap._mode_sums(1.0 / u)
+    table = np.array([detlap._table_sums(panels, x) for x in u.tolist()])
+    assert np.abs(table[:, 0] - sums).max() <= 3e-17
+    assert np.abs(table[:, 1] - slopes).max() <= 3e-17
+    assert s_one == detlap._table_sums(panels, 1.0)[0]
+
+
+def test_mode_table_built_on_first_miss_not_at_import():
+    code = ("import polydet\n"
+            "from polydet import detlap\n"
+            "print(detlap._mode_table.cache_info().currsize)\n"
+            "polydet.f_function(1.0, 2.0)\n"
+            "print(detlap._mode_table.cache_info().currsize)")
+    env = dict(os.environ, PYTHONPATH=str(Path(detlap.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "1"]
+
+
+@pytest.mark.parametrize("fn", [f_function, f_function_dbeta, f_function_dC])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_f_functions_check_their_input(fn, bad):
+    with pytest.raises(NonpositiveAngle) as info:
+        fn(bad, 1.0)
+    assert type(info.value) is NonpositiveAngle
+    with pytest.raises(NonpositiveScale) as info:
+        fn(PI, bad)
+    assert type(info.value) is NonpositiveScale
 
 
 def test_cache_pairs_and_accounting():
