@@ -247,7 +247,7 @@ def _cmd_verify_fd(args) -> int:
 
 def _cmd_verify_hadamard(args) -> int:
     half = SPLIT_RADIUS / 2.0
-    # both finite parts at every angle and both splits, a batch each
+    # both finite parts at every angle, at both splits
     r1, r1h, r2, r2h = (hadamard_finite_parts(kind, args.beta, split)
                         for kind in ("coth_over_sinh_sq", "coth_coth_over_theta")
                         for split in (SPLIT_RADIUS, half))

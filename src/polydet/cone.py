@@ -173,8 +173,8 @@ def _radial_k0(a, eps: float):
 
 def heat_trace_correction(m: PolyhedralMetric) -> float:
     """The t^0 coefficient of the short-time heat trace on the polyhedral
-    sphere: -sum_k Q(beta_k) (the trace is A/(4 pi t) + this + exp. small)."""
-    return -math.fsum(q_of_beta(beta) for beta in m.angles())
+    sphere: sum_k Q(beta_k) (the trace is A/(4 pi t) + this + exp. small)."""
+    return math.fsum(q_of_beta(beta) for beta in m.angles())
 
 
 # --------------------------------------------------------------------------

@@ -76,13 +76,13 @@ points on each (``TABLE_NODES``).  Its 64 nodes take one pass of
 ``_mode_sums``, about 1 ms, which the first angle-term miss makes, not
 the import (``_mode_table``).  ``_table_sums`` evaluates both series at
 an angle's u by Clenshaw's recurrence in plain floats, about 3 us an
-angle, and ``_angle_term`` assembles F and dF/dbeta from them; S(1)
-comes from the same evaluation, so F(2 pi, 1) is 0.0.  Each angle is
-computed alone, so its value has the same bits in any batch.  Against
-``_mode_sums`` at the nodes, on 4001 s geometric from 1 to 1e6, on both
-sides of the inner panel edges and at s = 1 and 1e100, the table errs by
-at most 4.8e-18 on S and 7.9e-18 on S'; its coefficients of degree 15
-are below 1e-18 on every panel.
+angle, and ``_angle_terms`` assembles F and dF/dbeta from them, one
+angle a call, keeping the last ANGLE_CACHE_SIZE angles in a
+``functools.lru_cache``; S(1) comes from the same evaluation, so
+F(2 pi, 1) is 0.0.  Against ``_mode_sums`` at the nodes, on 4001 s
+geometric from 1 to 1e6, on both sides of the inner panel edges and at
+s = 1 and 1e100, the table errs by at most 4.8e-18 on S and 7.9e-18 on
+S'; its coefficients of degree 15 are below 1e-18 on every panel.
 
 ``_mode_sums``, the table's source and its test oracle, takes S(s) and
 S'(s) at an array of s >= 1 in one numpy pass.  A mode
@@ -131,10 +131,9 @@ distance sum of every block B_q.  ``w_function``, ``grad_position`` and
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, NamedTuple, Sequence, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -207,15 +206,11 @@ def _w_sum(terms) -> float:
     return (PI / 3.0) * math.fsum(terms)
 
 
-def _f_terms(angles, scale: float, pairs=None) -> Tuple[float, ...]:
-    """F(beta, C) of ``f_function`` at every angle of ``angles``, from the
-    angles' (F(beta, 1), dF/dbeta(beta, 1)) ``pairs``, by default looked up
-    in one call, which computes the missing ones."""
-    if pairs is None:
-        pairs = _angle_terms.lookup(angles)
+def _f_terms(angles, scale: float) -> Tuple[float, ...]:
+    """F(beta, C) of ``f_function`` at every angle of ``angles``."""
     log_c = math.log(scale) / 12.0
-    return tuple([f + (1.0 - beta / TWO_PI) * (1.0 - TWO_PI / beta) * log_c
-                  for beta, (f, _) in zip(angles, pairs)])
+    return tuple([_angle_terms(beta)[0] + (1.0 - beta / TWO_PI) * (1.0 - TWO_PI / beta) * log_c
+                  for beta in angles])
 
 
 def _f_dbeta(beta: float, scale: float, dfdb: float) -> float:
@@ -235,8 +230,7 @@ def f_function_dbeta(beta: float, scale: float) -> float:
     """dF/dbeta(beta, C) (module docstring)."""
     _check_angle(beta)
     _check_scale(scale)
-    ((_, dfdb),) = _angle_terms.lookup((beta,))
-    return _f_dbeta(beta, scale, dfdb)
+    return _f_dbeta(beta, scale, _angle_terms(beta)[1])
 
 
 def f_function_dC(beta: float, scale: float) -> float:
@@ -384,22 +378,20 @@ def _table_sums(panels, u: float) -> Tuple[float, float]:
     return x * v1 - v2 + cv, x * d1 - d2 + cd
 
 
-def _angle_series(betas) -> List[Tuple[float, float]]:
-    """(F(beta, 1), dF/dbeta(beta, 1)) at every angle of ``betas``, from the
-    mode table; the caller checks the angles."""
+ANGLE_CACHE_SIZE = 4096   # angles whose (F, dF/dbeta) the cache keeps
+
+
+@lru_cache(maxsize=ANGLE_CACHE_SIZE)
+def _angle_terms(beta: float) -> Tuple[float, float]:
+    """(F(beta, 1), dF/dbeta(beta, 1)) from the mode table (module
+    docstring): the one source of F and dF/dbeta, for the angle terms,
+    angle gradients and finite differences.  An angle that fails
+    ``metric._check_angle`` raises and is not cached."""
+    _check_angle(beta)
     panels, s_one = _mode_table()
-    out = []
-    for beta in betas:
-        mirror = beta > TWO_PI
-        s = beta / TWO_PI if mirror else TWO_PI / beta
-        sums, slopes = _table_sums(panels, 1.0 / s)
-        out.append(_angle_term(mirror, s, sums - s_one, slopes))
-    return out
-
-
-def _angle_term(mirror: bool, s: float, sums: float, slopes: float) -> Tuple[float, float]:
-    """F(beta, 1) and dF/dbeta(beta, 1) from s, S(s) - S(1) and S'(s) (module
-    docstring): s = beta/2pi for the ``mirror`` of beta > 2 pi, else 2pi/beta."""
+    mirror = beta > TWO_PI
+    s = beta / TWO_PI if mirror else TWO_PI / beta
+    sums, slopes = _table_sums(panels, 1.0 / s)
     log_s, r = math.log(s), 1.0 / s
     if mirror:
         f = _A_MIRROR * (s - 1.0) + _B_MIRROR * (r - 1.0) + (s + r) * log_s / 6.0
@@ -408,61 +400,7 @@ def _angle_term(mirror: bool, s: float, sums: float, slopes: float) -> Tuple[flo
     else:
         f = _A * (s - 1.0) + _L * (r - 1.0) + 0.5 * log_s
         dfdb = (2.0 * slopes + _C + _L * (r - _R0) ** 2) * (s * s) / TWO_PI
-    return f - 2.0 * sums, dfdb
-
-
-class _CacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-
-ANGLE_CACHE_SIZE = 4096   # angles whose (F, dF/dbeta) the cache keeps
-
-
-class _AngleTerms:
-    """(F(beta, 1), dF/dbeta(beta, 1)) of the last ``maxsize`` angles used.
-    ``lookup`` gives the pairs of a list of angles.  If it misses one, it
-    checks every angle it misses before it computes any, and stores
-    nothing if a check raises.  ``cache_info`` and ``cache_clear`` are
-    those of functools.lru_cache, a lookup of n angles counting its
-    distinct misses as misses and the rest as hits."""
-
-    def __init__(self, maxsize: int):
-        self.maxsize = maxsize
-        self.cache_clear()
-
-    def lookup(self, betas: Sequence[float]) -> List[Tuple[float, float]]:
-        pairs = self._pairs
-        try:
-            out = list(map(pairs.__getitem__, betas))
-            missing = ()
-        except KeyError:
-            missing = [beta for beta in dict.fromkeys(betas) if beta not in pairs]
-            for beta in missing:
-                _check_angle(beta)
-            pairs.update(zip(missing, _angle_series(missing)))
-            out = list(map(pairs.__getitem__, betas))
-        for beta in betas:
-            pairs.move_to_end(beta)
-        while len(pairs) > self.maxsize:
-            pairs.popitem(last=False)
-        self._hits += len(betas) - len(missing)
-        self._misses += len(missing)
-        return out
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self._hits, self._misses, self.maxsize, len(self._pairs))
-
-    def cache_clear(self) -> None:
-        self._pairs: "OrderedDict[float, Tuple[float, float]]" = OrderedDict()
-        self._hits = self._misses = 0
-
-
-# the one source of F and dF/dbeta: the angle terms, angle gradients and
-# finite differences
-_angle_terms = _AngleTerms(ANGLE_CACHE_SIZE)
+    return f - 2.0 * (sums - s_one), dfdb
 
 
 # --------------------------------------------------------------------------
@@ -544,9 +482,8 @@ def grad_angle(m: PolyhedralMetric, i: int) -> float:
         raise GaugeVertexVariation("vertex 1 is the compensating gauge vertex")
     m.check_index(i)
     angles, sums = m.angles(), m._b_sums
-    (_, d_i), (_, d_1) = _angle_terms.lookup((angles[i - 1], angles[0]))
-    return ((sums[i - 1] + _f_dbeta(angles[i - 1], m.scale, d_i))
-            - (sums[0] + _f_dbeta(angles[0], m.scale, d_1)))
+    return ((sums[i - 1] + _f_dbeta(angles[i - 1], m.scale, _angle_terms(angles[i - 1])[1]))
+            - (sums[0] + _f_dbeta(angles[0], m.scale, _angle_terms(angles[0])[1])))
 
 
 def grad_scale(m: PolyhedralMetric) -> float:

@@ -137,6 +137,7 @@ class PolyhedralMetric:
         return make_metric(scale, [(v.position, v.exponent) for v in self.vertices])
 
     def with_position(self, i: int, z: complex) -> "PolyhedralMetric":
+        self.check_index(i)
         verts = [(v.position, v.exponent) for v in self.vertices]
         verts[i - 1] = (z, verts[i - 1][1])
         return make_metric(self.scale, verts)

@@ -91,9 +91,9 @@ its fastest exponential: no bisection from 0.05 pi to 300 pi.  Halving
 ``split`` moves the result within the two runs' error estimates, which
 ``verify hadamard`` reports.
 
-``hadamard_finite_parts`` takes a list of angles at once: the near and
-far panels of every angle in one ``_panel_integrals`` call, and the
-circles in one more integrand call (module section "Panels").
+``hadamard_finite_parts`` takes a list of angles and computes one at a
+time: the near and far panels of an angle in one ``_panel_integrals``
+call, and its circle in one more integrand call.
 
 Panels
 ------
@@ -109,15 +109,8 @@ ToleranceNotReached with its partial result, so no integral fails to
 converge silently.  For integrands analytic on the panel, as all of
 these are, the rule is about as accurate per node as Gauss-Legendre
 (Trefethen, SIAM Rev. 50, 2008).  The contour's line is one piece; a
-batch of finite parts is the near and far pieces of all its angles.
-
-Every piece keeps the bits it has alone: consecutive pieces of equal
-panel counts are summed as the rows of one block, which rounds each as a
-piece alone, and a block takes its integrals of |f| as one stacked
-matrix-vector product, as a product over the whole array would round a
-row by its place among the rows.  A batch lays out its near pieces, then
-its far ones, each in the order of their panel counts, so that pieces of
-equal counts form one block.
+finite part is the near and far pieces of its angle.  Each piece is
+summed on its own slice of the pass, so it has the bits it has alone.
 """
 
 from __future__ import annotations
@@ -125,8 +118,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import groupby
-from operator import itemgetter
 from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -190,9 +181,7 @@ def _panel_integrals(f, pieces, abs_tol: float, rel_tol: float) -> List[QuadResu
     whose coefficient part exceeds max(abs_tol, rel_tol |I|, floor) takes
     the next pass with every panel holding more than its share of that
     bound bisected; past MAX_PANEL_SPLITS bisections of one piece
-    ToleranceNotReached carries its partial result.  Consecutive pieces of
-    equal panel counts are summed as the rows of one block, which rounds
-    each as it rounds alone (module docstring, "Panels").
+    ToleranceNotReached carries its partial result.
     """
     x, rows, m0, weights = _panel_rule(PANEL_NODES)
     edges = [e for e, _ in pieces]
@@ -206,34 +195,27 @@ def _panel_integrals(f, pieces, abs_tol: float, rel_tol: float) -> List[QuadResu
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
         vals = f(mid[:, None] + half[:, None] * x, np.repeat(todo, counts))
         sums = _panel_sums(rows, m0, half, vals)
-        # per panel its integral of |f| and its coefficient estimate
-        terms = np.empty((2, len(half)))
-        terms[1] = np.abs(sums[:, 1:]).sum(axis=1)
-        size = np.abs(vals)
         retry, row = [], 0
-        for c, block in groupby(zip(todo, counts), key=itemgetter(1)):
-            block = [k for k, _ in block]
-            g = len(block)
-            panels = slice(row, row + g * c)
-            terms[0, panels] = half[panels] * (size[panels].reshape(g, c, -1) @ weights).ravel()
-            by_piece = zip(block, sums[panels, 0].reshape(g, c).sum(axis=1).tolist(),
-                           *terms[:, panels].reshape(2, g, c).sum(axis=2).tolist())
-            for k, value, size_k, err in by_piece:
-                floor = ROUNDING * (size_k + pieces[k][1])
-                bound = max(abs_tol, rel_tol * abs(value), floor)
-                results[k] = QuadResult(value, err + floor, c)
-                if not err <= bound:
-                    own = slice(row, row + c)
-                    split = np.flatnonzero(~(terms[1, own] <= bound / c))   # nan panels too
-                    splits[k] += len(split)
-                    if splits[k] > MAX_PANEL_SPLITS:
-                        raise ToleranceNotReached(
-                            f"panel error estimate {results[k].error_estimate:.3e} exceeds "
-                            f"{bound:.3e} after {MAX_PANEL_SPLITS} bisections",
-                            partial=results[k])
-                    edges[k] = sorted([*edges[k], *mid[own][split].tolist()])
-                    retry.append(k)
-                row += c
+        for k, c in zip(todo, counts):
+            own = slice(row, row + c)
+            row += c
+            # per panel the coefficient estimate; the piece's integral of |f|
+            coef = np.abs(sums[own, 1:]).sum(axis=1)
+            size = (half[own] * (np.abs(vals[own]) @ weights)).sum().item()
+            value, err = sums[own, 0].sum().item(), coef.sum().item()
+            floor = ROUNDING * (size + pieces[k][1])
+            bound = max(abs_tol, rel_tol * abs(value), floor)
+            results[k] = QuadResult(value, err + floor, c)
+            if not err <= bound:
+                split = np.flatnonzero(~(coef <= bound / c))   # nan panels too
+                splits[k] += len(split)
+                if splits[k] > MAX_PANEL_SPLITS:
+                    raise ToleranceNotReached(
+                        f"panel error estimate {results[k].error_estimate:.3e} exceeds "
+                        f"{bound:.3e} after {MAX_PANEL_SPLITS} bisections",
+                        partial=results[k])
+                edges[k] = sorted([*edges[k], *mid[own][split].tolist()])
+                retry.append(k)
         todo = retry
     return results
 
@@ -405,11 +387,10 @@ def _circle_rule(split: float):
 
 class _Integrand(NamedTuple):
     """One finite part of the module docstring: the Laurent coefficients
-    (a3, a1) of its integrand f at 0; g(th, beta) for real or complex th
-    and beta a float or an array broadcast against th, with f = g/th and
-    the tail (g - 1)/th if ``over_theta``, and f = g on all of [0, inf)
-    if not; and the (upper, rate) of the tail panels, rate the tail's
-    fastest decay."""
+    (a3, a1) of its integrand f at 0; g(th, beta) for real or complex th,
+    with f = g/th and the tail (g - 1)/th if ``over_theta``, and f = g on
+    all of [0, inf) if not; and the (upper, rate) of the tail panels, rate
+    the tail's fastest decay."""
 
     coeffs: Callable
     g: Callable
@@ -435,11 +416,6 @@ _INTEGRANDS = {
 }
 
 
-# angles evaluated in one pass, which bounds its working memory: about
-# 26 kB an angle from 0.1 pi to 20 pi, 46 kB at 1e-3, 0.75 MB at 1e-100
-FP_BATCH = 64
-
-
 def _near_edges(rho: float):
     """Geometric panels on [rho, 1], each ending at most 4 times as far
     from 0 as it starts; rho^(k/n) as sqrt(rho^(2k/n)), so that n = 2
@@ -463,80 +439,64 @@ def hadamard_finite_parts(kind: str, betas: Sequence[float],
                           split: float = SPLIT_RADIUS) -> List[HadamardResult]:
     """Finite parts at every angle of ``betas`` of the integrand ``kind``,
     "coth_over_sinh_sq" (``hadamard_coth_over_sinh_sq``) or
-    "coth_coth_over_theta" (``hadamard_coth_coth_over_theta``), in one pass
-    (module docstring, "Panels"); each result has the bits it has alone.
+    "coth_coth_over_theta" (``hadamard_coth_coth_over_theta``).
 
     Every angle is checked before any is computed, so an invalid one
     raises NonpositiveAngle or PolydetError, and a split outside
-    (0, SPLIT_RADIUS] ValueError, with nothing computed.  More than
-    FP_BATCH angles take one pass per FP_BATCH.
+    (0, SPLIT_RADIUS] ValueError, with nothing computed.
     """
     integrand = _INTEGRANDS[kind]
     for beta in betas:
         _check_angle(beta)
     if not 0.0 < split <= SPLIT_RADIUS:
         raise ValueError(f"need 0 < split <= {SPLIT_RADIUS}, got {split}")
-    if len(betas) > FP_BATCH:
-        return [res for k in range(0, len(betas), FP_BATCH)
-                for res in hadamard_finite_parts(kind, betas[k:k + FP_BATCH], split)]
-    if not betas:
-        return []
-    n = len(betas)
-    coeffs = [integrand.coeffs(beta) for beta in betas]
-    radii = [min(1.0, TWO_PI / beta) for beta in betas]
-    # the near pieces of every angle, then the far ones, as (edges, cancel):
-    # cancel is the integral of the subtracted counterterms, whose rounding
-    # the difference inherits
-    pieces = []
-    for radius, (a3, a1) in zip(radii, coeffs):
-        rho = split * radius
-        pieces.append((_near_edges(rho), 0.5 * a3 * (rho ** -2 - 1.0) - abs(a1) * math.log(rho)))
-    pieces.extend((_far_edges(*integrand.tail_panels(beta)), 0.0) for beta in betas)
+    return [_finite_part(integrand, beta, split) for beta in betas]
 
-    # integrated in the order of their panel counts, the near pieces first,
-    # so that the pieces of one side and count are one block
-    order = (sorted(range(n), key=lambda k: len(pieces[k][0]))
-             + sorted(range(n, 2 * n), key=lambda k: len(pieces[k][0])))
-    params = np.array([(betas[k % n], *coeffs[k % n]) for k in order])
+
+def _finite_part(integrand: _Integrand, beta: float, split: float) -> HadamardResult:
+    """The finite part of ``integrand`` at one checked angle (module
+    docstring): its near and far pieces in one ``_panel_integrals`` call,
+    then the circle sum."""
+    a3, a1 = integrand.coeffs(beta)
+    radius = min(1.0, TWO_PI / beta)
+    rho = split * radius
+    # (edges, cancel) of the near piece, then the far one: cancel is the
+    # integral of the subtracted counterterms, whose rounding the
+    # difference inherits
+    pieces = [(_near_edges(rho), 0.5 * a3 * (rho ** -2 - 1.0) - abs(a1) * math.log(rho)),
+              (_far_edges(*integrand.tail_panels(beta)), 0.0)]
 
     def f(t, piece):
-        # the regular part f - a3/t^3 - a1/t on the rows of near pieces,
-        # which come first, the tail on the others; beta, a3 and a1 of each
-        # row's piece as columns
-        near = np.searchsorted(piece, n)
-        beta, a3, a1 = params[piece].T[:, :, None]
+        # the regular part f - a3/t^3 - a1/t on the rows of the near
+        # piece, which come first, the tail on the others
+        near = np.searchsorted(piece, 1)
         vals = integrand.g(t, beta)
         if integrand.over_theta:
             vals[near:] -= 1.0
             vals /= t
         t = t[:near]
-        vals[:near] -= a3[:near] / t**3
-        vals[:near] -= a1[:near] / t
+        vals[:near] -= a3 / t**3
+        vals[:near] -= a1 / t
         return vals
 
-    settled = [None] * (2 * n)
-    for k, result in zip(order, _panel_integrals(f, [pieces[k] for k in order],
-                                                 FP_ABS_TOL, FP_REL_TOL)):
-        settled[k] = result
+    near, far = _panel_integrals(f, pieces, FP_ABS_TOL, FP_REL_TOL)
 
-    # the circle sums, the lower half circle holding the conjugate terms
+    # the circle sum, the lower half circle holding the conjugate terms
     u, w = _circle_rule(split)
-    r = math.sqrt(split) * np.array(radii)
-    z = r[:, None] * u
-    terms = integrand.g(z, np.array(betas, dtype=float)[:, None])
+    r = math.sqrt(split) * radius
+    z = r * u
+    terms = integrand.g(z, beta)
     if integrand.over_theta:
         terms /= z
     terms *= w
-    circles = (r * terms.real.sum(axis=1)).tolist()
-    sizes = (r * np.abs(terms).sum(axis=1)).tolist()
     truncation = ROUNDING + split ** (CIRCLE_NODES // 2)
-    return [HadamardResult(
-        finite_part=math.fsum([-a3 / 2.0, circle, near.value, far.value]),
+    return HadamardResult(
+        finite_part=math.fsum([-a3 / 2.0, r * terms.real.sum().item(), near.value, far.value]),
         subtracted_quadratic=a3 / 2.0,
         subtracted_log=-a1,
-        error_estimate=truncation * size + near.error_estimate + far.error_estimate,
-    ) for (a3, a1), circle, size, near, far
-        in zip(coeffs, circles, sizes, settled[:n], settled[n:])]
+        error_estimate=(truncation * (r * np.abs(terms).sum().item())
+                        + near.error_estimate + far.error_estimate),
+    )
 
 
 def hadamard_coth_over_sinh_sq(beta: float, split: float = SPLIT_RADIUS) -> HadamardResult:

