@@ -14,10 +14,10 @@ and imaginary part of a complex one) of ``verify.run_suite`` on the
 metric of every det_corpus item, plain and with Richardson extrapolation.
 The fifth, ``kernels``, takes ``float.hex()`` of the value and error
 estimate of both finite parts at 1e-50, 1e50 and 61 angles geometric from
-1e-3 to 1e3, in one batch and one angle at a time, at the default split
-and half of it, and of the cone heat kernel, resolvent (real and complex
-mu), ``a_mu`` and ``a_mu_disk_integral`` at fixed inputs, some of whose
-contour panels are bisected.  The sixth, ``angle_terms``, takes
+1e-3 to 1e3, at the default split and half of it, and of the cone heat
+kernel, resolvent (real and complex mu), ``a_mu`` and
+``a_mu_disk_integral`` at fixed inputs, some of whose contour panels are
+bisected.  The sixth, ``angle_terms``, takes
 ``float.hex()`` of F(beta, C) and dF/dbeta (``detlap.f_function`` and
 ``f_function_dbeta``) at 1e-100, 1e-50, 1e50, 1e100 and 61 angles
 geometric from 1e-3 to 1e3, at C = 1 and C = 3.
@@ -25,7 +25,7 @@ Two checkouts that print the same area digest give bit-identical areas
 on every item, the same log-det digest bit-identical determinants, the
 same regint digest bit-identical finite parts and contours, the same
 fd_suite digest bit-identical gradients and finite differences and the
-same kernels digest bit-identical finite-part batches and cone kernels and
+same kernels digest bit-identical finite parts and cone kernels and
 the same angle_terms digest bit-identical F and dF/dbeta, so a change that
 moves only the angle terms can show that its areas did not move, and one
 that moves regint shows it on a line of its own.  The
@@ -116,13 +116,15 @@ def main():
 
     digest = hashlib.sha256()
     angles = [1e-50, *np.geomspace(1e-3, 1e3, 61).tolist(), 1e50]
-    for kind in ("coth_over_sinh_sq", "coth_coth_over_theta"):
+    for fp in (regint.hadamard_coth_over_sinh_sq, regint.hadamard_coth_coth_over_theta):
         for split in (regint.SPLIT_RADIUS, regint.SPLIT_RADIUS / 2):
-            batch = _results(lambda: regint.hadamard_finite_parts(kind, angles, split))
-            digest.update(f"{kind} {split.hex()} batch {batch}\n".encode())
             for beta in angles:
-                alone = _results(lambda: regint.hadamard_finite_parts(kind, [beta], split))
-                digest.update(f"{kind} {split.hex()} {beta.hex()} {alone}\n".encode())
+                try:
+                    res = fp(beta, split)
+                    line = f"{res.finite_part.hex()},{res.error_estimate.hex()}"
+                except Exception as exc:     # a raising angle is part of the digest too
+                    line = type(exc).__name__
+                digest.update(f"{fp.__name__} {split.hex()} {beta.hex()} {line}\n".encode())
     for name, call, args in _KERNEL_CASES:
         args = [cone.ConePoint(*a) if isinstance(a, tuple) else a for a in args]
         try:
@@ -173,15 +175,6 @@ _KERNEL_CASES = [
     ("a_mu_disk", lambda c, *a: c.a_mu_disk_integral(*a), args) for args in (
         (math.pi, -100.0), (0.5, -400.0, 0.5), (15.0, -10.0, 2.0))
 ]
-
-
-def _results(call) -> str:
-    """float.hex of the finite part and error estimate of each result of
-    ``call``, or the type name of what it raises."""
-    try:
-        return " ".join(f"{r.finite_part.hex()},{r.error_estimate.hex()}" for r in call())
-    except Exception as exc:     # a raising batch is part of the digest too
-        return type(exc).__name__
 
 
 def _hex(x) -> str:

@@ -62,7 +62,6 @@ from .quad import QuadResult, area, segment_integral
 from .regint import (
     HadamardResult,
     hadamard_coth_coth_over_theta,
-    hadamard_finite_parts,
     hadamard_coth_over_sinh_sq,
     q_of_beta,
     q_of_beta_contour,

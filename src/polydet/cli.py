@@ -32,7 +32,8 @@ from .cone import ConePoint, heat_kernel_cone, heat_kernel_images, resolvent_con
 from .errors import InvalidMetricJSON, PolydetError, ToleranceNotReached
 from .metric import Angle, Position, Scale, load_metric, make_metric
 from .quad import area
-from .regint import SPLIT_RADIUS, hadamard_finite_parts, q_of_beta, q_of_beta_contour
+from .regint import (SPLIT_RADIUS, hadamard_coth_coth_over_theta, hadamard_coth_over_sinh_sq,
+                     q_of_beta, q_of_beta_contour)
 
 FD_PASS_TOL = 1e-5
 
@@ -201,6 +202,8 @@ def _cmd_verify_tetra(args) -> int:
 def _cmd_verify_cone(args) -> int:
     if args.pairs < 1:
         raise PolydetError(f"--pairs must be at least 1, got {args.pairs}")
+    if args.seed < 0:
+        raise PolydetError(f"--seed must be at least 0, got {args.seed}")
     rng = np.random.default_rng(args.seed)
     worst_plane = 0.0
     worst_images = 0.0
@@ -247,12 +250,12 @@ def _cmd_verify_fd(args) -> int:
 
 def _cmd_verify_hadamard(args) -> int:
     half = SPLIT_RADIUS / 2.0
-    # both finite parts at every angle, at both splits
-    r1, r1h, r2, r2h = (hadamard_finite_parts(kind, args.beta, split)
-                        for kind in ("coth_over_sinh_sq", "coth_coth_over_theta")
-                        for split in (SPLIT_RADIUS, half))
     out = []
-    for beta, a, ah, b, bh in zip(args.beta, r1, r1h, r2, r2h):
+    for beta in args.beta:
+        # both finite parts, at both splits
+        a, ah, b, bh = (fp(beta, split)
+                        for fp in (hadamard_coth_over_sinh_sq, hadamard_coth_coth_over_theta)
+                        for split in (SPLIT_RADIUS, half))
         out.append({
             "beta": beta,
             "coth_over_sinh_sq": _jsonable(a),

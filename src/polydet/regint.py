@@ -91,26 +91,24 @@ its fastest exponential: no bisection from 0.05 pi to 300 pi.  Halving
 ``split`` moves the result within the two runs' error estimates, which
 ``verify hadamard`` reports.
 
-``hadamard_finite_parts`` takes a list of angles and computes one at a
-time: the near and far panels of an angle in one ``_panel_integrals``
-call, and its circle in one more integrand call.
+``hadamard_coth_over_sinh_sq`` and ``hadamard_coth_coth_over_theta``
+each take one angle, and check it and the split before anything is
+computed.
 
 Panels
 ------
-``_panel_integrals`` is the one quadrature of this module.  It takes a
-list of pieces, each a list of panel edges, and integrates every panel by
-the Chebyshev rule of the area (``quad._rule`` with weight 1) on
-PANEL_NODES = 33 points, its error estimate the size of the last two
-Chebyshev coefficients of each panel (``quad._panel_sums``).  A pass
-evaluates the panels of all open pieces in one integrand call; a piece
-whose estimate is too large takes the next pass with its worst panels
-bisected, and one past MAX_PANEL_SPLITS bisections raises
+``_panel_integral`` is the one quadrature of this module.  It takes a
+list of panel edges and integrates every panel by the Chebyshev rule of
+the area (``quad._rule`` with weight 1) on PANEL_NODES = 33 points, its
+error estimate the size of the last two Chebyshev coefficients of each
+panel (``quad._panel_sums``).  A pass evaluates all panels in one
+integrand call; while the estimate is too large the next pass has the
+worst panels bisected, and one past MAX_PANEL_SPLITS bisections raises
 ToleranceNotReached with its partial result, so no integral fails to
 converge silently.  For integrands analytic on the panel, as all of
 these are, the rule is about as accurate per node as Gauss-Legendre
-(Trefethen, SIAM Rev. 50, 2008).  The contour's line is one piece; a
-finite part is the near and far pieces of its angle.  Each piece is
-summed on its own slice of the pass, so it has the bits it has alone.
+(Trefethen, SIAM Rev. 50, 2008).  The contour's line is one call; a
+finite part is two, its near and its far panels.
 """
 
 from __future__ import annotations
@@ -118,7 +116,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, NamedTuple, Sequence, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -150,7 +148,7 @@ def _csch2(x):
 # --------------------------------------------------------------------------
 
 PANEL_NODES = 33        # Chebyshev points per panel, both ends included
-MAX_PANEL_SPLITS = 64   # panel bisections per piece
+MAX_PANEL_SPLITS = 64   # panel bisections per integral
 ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
@@ -166,58 +164,45 @@ def _panel_rule(n: int):
     return _chebyshev(n)[0], rows, m0, weights
 
 
-def _panel_integrals(f, pieces, abs_tol: float, rel_tol: float) -> List[QuadResult]:
-    """int f over each piece of ``pieces``, a list of (edges, cancel): on
-    the panels between consecutive ``edges``, ``cancel`` the integral of
-    terms that cancel inside f there.  ``f(nodes, piece)`` maps the nodes
-    of some panels (panel, node) and the index of each panel's piece to
-    the values, real or complex, there.
+def _panel_integral(f, edges, cancel: float, abs_tol: float, rel_tol: float) -> QuadResult:
+    """int f on the panels between consecutive ``edges``, ``cancel`` the
+    integral of terms that cancel inside f there.  ``f`` maps the nodes of
+    some panels (panel, node) to the values, real or complex, there.
 
-    A pass calls ``f`` once on the panels of every piece still open.  A
-    piece's error estimate is the sum over its panels of the size of the
-    last two coefficients (``quad._panel_sums``) plus a rounding floor,
-    ROUNDING times the size of the terms summed: the integral of |f| by
-    the rule's weights, which are positive, plus ``cancel``.  A piece
-    whose coefficient part exceeds max(abs_tol, rel_tol |I|, floor) takes
-    the next pass with every panel holding more than its share of that
-    bound bisected; past MAX_PANEL_SPLITS bisections of one piece
-    ToleranceNotReached carries its partial result.
+    A pass calls ``f`` once on every panel.  The error estimate is the sum
+    over the panels of the size of the last two coefficients
+    (``quad._panel_sums``) plus a rounding floor, ROUNDING times the size
+    of the terms summed: the integral of |f| by the rule's weights, which
+    are positive, plus ``cancel``.  While the coefficient part exceeds
+    max(abs_tol, rel_tol |I|, floor), the next pass has every panel
+    holding more than its share of that bound bisected; past
+    MAX_PANEL_SPLITS bisections ToleranceNotReached carries the partial
+    result.
     """
     x, rows, m0, weights = _panel_rule(PANEL_NODES)
-    edges = [e for e, _ in pieces]
-    splits = [0] * len(pieces)
-    results = [None] * len(pieces)
-    todo = list(range(len(pieces)))
-    while todo:
-        counts = [len(edges[k]) - 1 for k in todo]
-        lo, hi = np.array([[a for k in todo for a in edges[k][:-1]],
-                           [a for k in todo for a in edges[k][1:]]])
+    splits = 0
+    while True:
+        lo, hi = np.array([edges[:-1], edges[1:]])
         half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        vals = f(mid[:, None] + half[:, None] * x, np.repeat(todo, counts))
+        vals = f(mid[:, None] + half[:, None] * x)
         sums = _panel_sums(rows, m0, half, vals)
-        retry, row = [], 0
-        for k, c in zip(todo, counts):
-            own = slice(row, row + c)
-            row += c
-            # per panel the coefficient estimate; the piece's integral of |f|
-            coef = np.abs(sums[own, 1:]).sum(axis=1)
-            size = (half[own] * (np.abs(vals[own]) @ weights)).sum().item()
-            value, err = sums[own, 0].sum().item(), coef.sum().item()
-            floor = ROUNDING * (size + pieces[k][1])
-            bound = max(abs_tol, rel_tol * abs(value), floor)
-            results[k] = QuadResult(value, err + floor, c)
-            if not err <= bound:
-                split = np.flatnonzero(~(coef <= bound / c))   # nan panels too
-                splits[k] += len(split)
-                if splits[k] > MAX_PANEL_SPLITS:
-                    raise ToleranceNotReached(
-                        f"panel error estimate {results[k].error_estimate:.3e} exceeds "
-                        f"{bound:.3e} after {MAX_PANEL_SPLITS} bisections",
-                        partial=results[k])
-                edges[k] = sorted([*edges[k], *mid[own][split].tolist()])
-                retry.append(k)
-        todo = retry
-    return results
+        # per panel the coefficient estimate; the integral of |f|
+        coef = np.abs(sums[:, 1:]).sum(axis=1)
+        size = (half * (np.abs(vals) @ weights)).sum().item()
+        value, err = sums[:, 0].sum().item(), coef.sum().item()
+        floor = ROUNDING * (size + cancel)
+        bound = max(abs_tol, rel_tol * abs(value), floor)
+        result = QuadResult(value, err + floor, len(half))
+        if err <= bound:
+            return result
+        split = np.flatnonzero(~(coef <= bound / len(half)))   # nan panels too
+        splits += len(split)
+        if splits > MAX_PANEL_SPLITS:
+            raise ToleranceNotReached(
+                f"panel error estimate {result.error_estimate:.3e} exceeds "
+                f"{bound:.3e} after {MAX_PANEL_SPLITS} bisections",
+                partial=result)
+        edges = sorted([*edges, *mid[split].tolist()])
 
 
 # --------------------------------------------------------------------------
@@ -317,8 +302,8 @@ def _cot_contour(beta: float, dphi: float, g, tip: bool = False):
         total = np.dot(w, g(np.abs(np.sin(0.5 * th))))
     weight = _line_weight(beta, dphi, [math.copysign(PI, th) for _, th, on in poles if on])
     gaps = [abs(th - foot) for _, th, _ in poles for foot in (PI, -PI)]
-    (line,) = _panel_integrals(lambda s, _: g(np.cosh(0.5 * s)) * weight(s),
-                               [(_line_edges(gaps), 0.0)], CONTOUR_ABS_TOL, CONTOUR_REL_TOL)
+    line = _panel_integral(lambda s: g(np.cosh(0.5 * s)) * weight(s), _line_edges(gaps), 0.0,
+                           CONTOUR_ABS_TOL, CONTOUR_REL_TOL)
     return (total + line.value / beta).item()
 
 
@@ -406,14 +391,10 @@ def _coth_coth(t, beta):
     return _coth(PI * t) * _coth(0.5 * beta * t)
 
 
-_INTEGRANDS = {
-    "coth_over_sinh_sq": _Integrand(
-        _coeffs_coth_csch2, _coth_csch2, False,
-        lambda beta: (max(3.0, 100.0 / beta), beta + TWO_PI)),
-    "coth_coth_over_theta": _Integrand(
-        _coeffs_coth_coth, _coth_coth, True,
-        lambda beta: (max(3.0, 90.0 / min(beta, TWO_PI)), max(beta, TWO_PI))),
-}
+_COTH_CSCH2 = _Integrand(_coeffs_coth_csch2, _coth_csch2, False,
+                         lambda beta: (max(3.0, 100.0 / beta), beta + TWO_PI))
+_COTH_COTH = _Integrand(_coeffs_coth_coth, _coth_coth, True,
+                        lambda beta: (max(3.0, 90.0 / min(beta, TWO_PI)), max(beta, TWO_PI)))
 
 
 def _near_edges(rho: float):
@@ -435,51 +416,41 @@ def _far_edges(upper: float, rate: float):
     return edges
 
 
-def hadamard_finite_parts(kind: str, betas: Sequence[float],
-                          split: float = SPLIT_RADIUS) -> List[HadamardResult]:
-    """Finite parts at every angle of ``betas`` of the integrand ``kind``,
-    "coth_over_sinh_sq" (``hadamard_coth_over_sinh_sq``) or
-    "coth_coth_over_theta" (``hadamard_coth_coth_over_theta``).
-
-    Every angle is checked before any is computed, so an invalid one
-    raises NonpositiveAngle or PolydetError, and a split outside
-    (0, SPLIT_RADIUS] ValueError, with nothing computed.
-    """
-    integrand = _INTEGRANDS[kind]
-    for beta in betas:
-        _check_angle(beta)
+def _finite_part(integrand: _Integrand, beta: float, split: float) -> HadamardResult:
+    """The finite part of ``integrand`` at one angle (module docstring):
+    the regular part on the near panels, the tail on the far ones, then
+    the circle sum.  An invalid angle raises NonpositiveAngle or
+    PolydetError, and a split outside (0, SPLIT_RADIUS] ValueError, before
+    anything is computed."""
+    _check_angle(beta)
     if not 0.0 < split <= SPLIT_RADIUS:
         raise ValueError(f"need 0 < split <= {SPLIT_RADIUS}, got {split}")
-    return [_finite_part(integrand, beta, split) for beta in betas]
-
-
-def _finite_part(integrand: _Integrand, beta: float, split: float) -> HadamardResult:
-    """The finite part of ``integrand`` at one checked angle (module
-    docstring): its near and far pieces in one ``_panel_integrals`` call,
-    then the circle sum."""
     a3, a1 = integrand.coeffs(beta)
     radius = min(1.0, TWO_PI / beta)
     rho = split * radius
-    # (edges, cancel) of the near piece, then the far one: cancel is the
-    # integral of the subtracted counterterms, whose rounding the
-    # difference inherits
-    pieces = [(_near_edges(rho), 0.5 * a3 * (rho ** -2 - 1.0) - abs(a1) * math.log(rho)),
-              (_far_edges(*integrand.tail_panels(beta)), 0.0)]
 
-    def f(t, piece):
-        # the regular part f - a3/t^3 - a1/t on the rows of the near
-        # piece, which come first, the tail on the others
-        near = np.searchsorted(piece, 1)
+    def regular(t):
         vals = integrand.g(t, beta)
         if integrand.over_theta:
-            vals[near:] -= 1.0
             vals /= t
-        t = t[:near]
-        vals[:near] -= a3 / t**3
-        vals[:near] -= a1 / t
+        vals -= a3 / t**3
+        vals -= a1 / t
         return vals
 
-    near, far = _panel_integrals(f, pieces, FP_ABS_TOL, FP_REL_TOL)
+    def tail(t):
+        vals = integrand.g(t, beta)
+        if integrand.over_theta:
+            vals -= 1.0
+            vals /= t
+        return vals
+
+    # the regular part inherits the rounding of the subtracted
+    # counterterms, whose integral is its ``cancel``
+    near = _panel_integral(regular, _near_edges(rho),
+                           0.5 * a3 * (rho ** -2 - 1.0) - abs(a1) * math.log(rho),
+                           FP_ABS_TOL, FP_REL_TOL)
+    far = _panel_integral(tail, _far_edges(*integrand.tail_panels(beta)), 0.0,
+                          FP_ABS_TOL, FP_REL_TOL)
 
     # the circle sum, the lower half circle holding the conjugate terms
     u, w = _circle_rule(split)
@@ -506,7 +477,7 @@ def hadamard_coth_over_sinh_sq(beta: float, split: float = SPLIT_RADIUS) -> Hada
     elementary antiderivative -coth^2(pi th)/(2 pi) there), which the unit
     tests pin down.  The log counterterm coefficient vanishes at beta = 2pi.
     """
-    return hadamard_finite_parts("coth_over_sinh_sq", [beta], split)[0]
+    return _finite_part(_COTH_CSCH2, beta, split)
 
 
 def hadamard_coth_coth_over_theta(beta: float, split: float = SPLIT_RADIUS) -> HadamardResult:
@@ -517,4 +488,4 @@ def hadamard_coth_coth_over_theta(beta: float, split: float = SPLIT_RADIUS) -> H
     integral of f - 1/th on [1, inf) with the bound placed where the
     exponential corrections are below 1e-18).
     """
-    return hadamard_finite_parts("coth_coth_over_theta", [beta], split)[0]
+    return _finite_part(_COTH_COTH, beta, split)

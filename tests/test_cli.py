@@ -224,6 +224,16 @@ def test_cone_angle_outside_range_is_validation_error(beta, capsys):
     assert "outside" in err["message"]
 
 
+@pytest.mark.parametrize("betas, error", [(["1.0", "0"], "NonpositiveAngle"),
+                                          (["1.0", "1e101"], "PolydetError")])
+def test_invalid_angle_after_a_valid_one_is_validation_error(betas, error, capsys):
+    # the first angle is computed before the second is refused, and
+    # nothing of it is written
+    code, err = _one_error_line(["verify", "hadamard", "--beta", *betas], capsys)
+    assert code == 2
+    assert err["error"] == error
+
+
 def test_small_angle_contour_refused_under_memory_limit():
     # beta = 1e-8 puts about 8e8 poles on the contour; without the pole
     # bound the list alone takes hundreds of GB, so the run is only ever
@@ -271,7 +281,8 @@ def test_commands_need_no_finite_part(tetra_path, monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("a finite part was computed")
 
-    monkeypatch.setattr(regint, "hadamard_finite_parts", refuse)
+    monkeypatch.setattr(regint, "_finite_part", refuse)
+    monkeypatch.setattr(regint, "_panel_integral", refuse)
     detlap._angle_terms.cache_clear()
     for argv in (["det"], ["grad", "--channel", "beta:2"], ["verify", "fd"]):
         assert main([*argv, "--metric", tetra_path]) == 0, argv
@@ -386,6 +397,13 @@ def test_verify_cone_needs_a_pair(pairs, capsys):
     assert code == 2
     assert captured.out == ""
     assert json.loads(captured.err)["error"] == "PolydetError"
+
+
+def test_verify_cone_refuses_a_negative_seed(capsys):
+    code, err = _one_error_line(["--seed", "-1", "verify", "cone", "--pairs", "1"], capsys)
+    assert code == 2
+    assert err["error"] == "PolydetError"
+    assert "--seed" in err["message"]
 
 
 def test_verify_cone_seeded_reproducible(capsys):

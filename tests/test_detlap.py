@@ -29,7 +29,7 @@ from polydet.detlap import f_function_dbeta, f_function_dC
 from polydet.errors import (AngleMultisetMismatch, GaugeVertexVariation, NonpositiveAngle,
                             NonpositiveScale, ScaleMismatch)
 from polydet.metric import Angle
-from polydet.regint import hadamard_finite_parts
+from polydet.regint import hadamard_coth_coth_over_theta, hadamard_coth_over_sinh_sq
 from polydet.verify import fd_gradient, run_suite
 
 PI = math.pi
@@ -155,8 +155,8 @@ def _finite_part_terms(betas):
     finite parts, computed afresh, and their error estimates:
     F = bracket(2 pi) - bracket(beta), bracket(d) = H_cc(d)/2
     + pi (gamma + log pi)/(3 d), dF/dbeta = H_cs/4 + pi (gamma + log pi)/(3 beta^2)."""
-    cc = hadamard_finite_parts("coth_coth_over_theta", [TWO_PI, *betas])
-    cs = hadamard_finite_parts("coth_over_sinh_sq", betas)
+    cc = [hadamard_coth_coth_over_theta(beta) for beta in [TWO_PI, *betas]]
+    cs = [hadamard_coth_over_sinh_sq(beta) for beta in betas]
     g = PI * (EULER_GAMMA + math.log(PI)) / 3
 
     def bracket(d, res):
@@ -263,8 +263,8 @@ def test_hot_paths_call_no_finite_part(corpus5, monkeypatch):
         raise AssertionError("a finite part or a mode-series pass was computed")
 
     detlap._mode_table()
-    monkeypatch.setattr(regint, "hadamard_finite_parts", refuse)
-    monkeypatch.setattr(regint, "_panel_integrals", refuse)
+    monkeypatch.setattr(regint, "_finite_part", refuse)
+    monkeypatch.setattr(regint, "_panel_integral", refuse)
     monkeypatch.setattr(detlap, "_mode_sums", refuse)
     detlap._angle_terms.cache_clear()
     fresh = make_metric(1.7, [(0, -0.4321), (1, -0.1234), (0.3 + 0.8j, -0.8765),

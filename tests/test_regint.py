@@ -203,12 +203,12 @@ def test_split_budget_exhausted_raises(monkeypatch):
     assert info.value.partial.error_estimate > 1e-13
 
 
-# ---- panels: bisection, one piece and several ----
+# ---- panels: bisection ----
 
-# a piece that meets the tolerance on its two panels, and one whose peak
-# at 0 needs bisections
-_SMOOTH = ([0.0, 0.5, 1.0], 0.0)
-_PEAKED = ([-1.0, 0.0, 1.0], 0.0)
+# edges on which the smooth integrand meets the tolerance at once, and
+# those on which the peak at 0 needs bisections
+_SMOOTH = [0.0, 0.5, 1.0]
+_PEAKED = [-1.0, 0.0, 1.0]
 
 
 def _smooth(t):
@@ -223,65 +223,64 @@ def _qbits(res):
     return res.value.hex(), res.error_estimate.hex(), res.cell_count
 
 
-def _integrals(fns, pieces, passes=None):
-    """``regint._panel_integrals`` of the pieces, piece k integrating fns[k];
-    the pieces each pass evaluates appended to ``passes``."""
-    def f(t, piece):
+def _integral(f, edges, passes=None):
+    """``regint._panel_integral`` of f on the edges; the panel count of
+    each pass appended to ``passes``."""
+    def counted(t):
         if passes is not None:
-            passes.append(sorted(set(piece.tolist())))
-        return np.choose(piece[:, None], [fn(t) for fn in fns])
+            passes.append(len(t))
+        return f(t)
 
-    return regint._panel_integrals(f, pieces, 1e-13, 1e-12)
+    return regint._panel_integral(counted, edges, 0.0, 1e-13, 1e-12)
 
 
-def test_pieces_bisect_apart_and_keep_their_bits():
-    # three pieces of two panels, all in the first pass; only the peaked
-    # one takes the next passes
-    fns, pieces = [_smooth, _peaked, _smooth], [_SMOOTH, _PEAKED, _SMOOTH]
+def test_only_the_peaked_integrand_bisects():
+    # the smooth integral keeps its 2 panels in one pass; the peaked one
+    # takes more passes, each on more panels, to 14 panels
     passes = []
-    together = _integrals(fns, pieces, passes)
-    alone = [_integrals([fn], [piece])[0] for fn, piece in zip(fns, pieces)]
-    assert [_qbits(r) for r in together] == [_qbits(r) for r in alone]
-    assert passes[0] == [0, 1, 2] and len(passes) > 1
-    assert all(p == [1] for p in passes[1:])
-    assert together[0].cell_count == together[2].cell_count == 2
-    assert together[1].cell_count > 2
-    assert together[0].value == pytest.approx(math.e - 1.0, rel=1e-14)
-    assert together[1].value == pytest.approx(200.0 * math.atan(100.0), rel=1e-12)
+    smooth = _integral(_smooth, _SMOOTH, passes)
+    assert passes == [2]
+    assert _qbits(smooth) == ("0x1.b7e151628aed4p+0", "0x1.ece151628aed4p-50", 2)
+    assert smooth.value == pytest.approx(math.e - 1.0, rel=1e-14)
+    passes = []
+    peaked = _integral(_peaked, _PEAKED, passes)
+    assert passes[0] == 2 and len(passes) > 1 and passes == sorted(set(passes))
+    assert _qbits(peaked) == ("0x1.3828c9fbbe2d3p+8", "0x1.5f44c9fbbe2d2p-42", 14)
+    assert peaked.value == pytest.approx(200.0 * math.atan(100.0), rel=1e-12)
 
 
 def test_budget_overrun_raises_with_that_piece(monkeypatch):
-    # the peaked piece runs out of bisections while the others converged;
-    # the error carries its partial result, as the piece alone does
+    # the peaked integral runs out of bisections; the error carries its
+    # partial result
     monkeypatch.setattr(regint, "MAX_PANEL_SPLITS", 3)
-    with pytest.raises(ToleranceNotReached) as alone:
-        _integrals([_peaked], [_PEAKED])
-    with pytest.raises(ToleranceNotReached) as together:
-        _integrals([_smooth, _peaked, _smooth], [_SMOOTH, _PEAKED, _SMOOTH])
-    assert _qbits(together.value.partial) == _qbits(alone.value.partial)
-    assert together.value.partial.cell_count > 2
+    with pytest.raises(ToleranceNotReached) as info:
+        _integral(_peaked, _PEAKED)
+    assert _qbits(info.value.partial) == ("0x1.38292ee3d5996p+8", "0x1.500092d0b5496p+3", 4)
+    assert _integral(_smooth, _SMOOTH).cell_count == 2
 
 
 def test_budget_is_per_piece(monkeypatch):
-    # two peaked pieces, each within a budget of the bisections one takes
-    # alone, though not within it together
-    needed = _integrals([_peaked], [_PEAKED])[0].cell_count - 2
+    # the budget counts the bisections of one integral: the peaked one
+    # converges within exactly the bisections it takes, and fails one short
+    needed = _integral(_peaked, _PEAKED).cell_count - 2
     monkeypatch.setattr(regint, "MAX_PANEL_SPLITS", needed)
-    both = _integrals([_peaked, _peaked], [_PEAKED, _PEAKED])
-    assert [r.cell_count for r in both] == [needed + 2] * 2
+    assert _integral(_peaked, _PEAKED).cell_count == needed + 2
+    monkeypatch.setattr(regint, "MAX_PANEL_SPLITS", needed - 1)
+    with pytest.raises(ToleranceNotReached):
+        _integral(_peaked, _PEAKED)
 
 
 def test_contour_bisection_pinned(monkeypatch):
     # a heat kernel whose line integral goes from 8 panels to 10
     counts = []
 
-    def counted(f, pieces, *tols):
-        results = real(f, pieces, *tols)
-        counts.extend((len(edges) - 1, r.cell_count) for (edges, _), r in zip(pieces, results))
-        return results
+    def counted(f, edges, *args):
+        result = real(f, edges, *args)
+        counts.append((len(edges) - 1, result.cell_count))
+        return result
 
-    real = regint._panel_integrals
-    monkeypatch.setattr(regint, "_panel_integrals", counted)
+    real = regint._panel_integral
+    monkeypatch.setattr(regint, "_panel_integral", counted)
     value = cone.heat_kernel_cone(
         14.061194372178415, 0.033661455089965334,
         cone.ConePoint(2.6827180134376e-05, 0.009149252600683992),
@@ -301,37 +300,17 @@ def test_q_contour_near_line_poles():
             assert dev < 1e-9, (eps, sgn, dev)
 
 
-# ---- batches ----
-
-def _bits(res):
-    return tuple(x.hex() for x in (res.finite_part, res.error_estimate,
-                                   res.subtracted_quadratic, res.subtracted_log))
-
-
-def test_batch_equals_single_calls_bit_for_bit():
-    # 1e-3 ... 1e3, angles above 8 pi (more than two near panels), tiny
-    # ones (tails of about 20 panels), repeated and unsorted
-    angles = [37.0, 1e-3, 3.3 * PI, 2e-3, 1e3, TWO_PI, 0.7, 40 * PI, 37.0,
-              1e-3, 12 * PI, 0.05, 250.0, PI]
-    for kind in ("coth_over_sinh_sq", "coth_coth_over_theta"):
-        single = getattr(regint, "hadamard_" + kind)
-        for split in (SPLIT_RADIUS, SPLIT_RADIUS / 2):
-            batch = regint.hadamard_finite_parts(kind, angles, split)
-            assert [_bits(r) for r in batch] == [_bits(single(b, split)) for b in angles]
-            # and whatever else the batch holds
-            assert _bits(regint.hadamard_finite_parts(kind, angles[3:5], split)[1]) \
-                == _bits(batch[4])
-
+# ---- invalid angles ----
 
 @pytest.mark.parametrize("bad, error", [(0.0, NonpositiveAngle), (-1.0, NonpositiveAngle),
                                         (float("nan"), NonpositiveAngle),
                                         (1e101, PolydetError)])
 def test_invalid_angle_in_batch_raises_and_caches_nothing(bad, error):
-    # the oracle's batch checks every angle first; the angle-term cache of
-    # ``detlap`` keeps the angles before the bad one and not the bad one
-    for kind in ("coth_over_sinh_sq", "coth_coth_over_theta"):
+    # each finite part checks its angle; the angle-term cache of ``detlap``
+    # keeps the angles before the bad one and not the bad one
+    for fp in (hadamard_coth_over_sinh_sq, hadamard_coth_coth_over_theta):
         with pytest.raises(error) as info:
-            regint.hadamard_finite_parts(kind, [PI, bad])
+            fp(bad)
         assert type(info.value) is error
     cache = detlap._angle_terms
     cache.cache_clear()
