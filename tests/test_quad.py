@@ -293,14 +293,16 @@ def test_segment_integral_endpoint_singularities():
 
 
 def test_chords_same_bits_alone_or_together(monkeypatch):
-    # the area evaluates all chords of the tour together, in groups of
-    # BATCH values; every chord keeps the bits of segment_integral alone,
-    # value and estimate
+    # the area evaluates the first runs of all edges of the tour together,
+    # in groups of BATCH values; every chord keeps the bits of
+    # segment_integral alone, value and estimate
     verts = [(0.3 + 0.2j, -0.6), (0.3 + 0.2j + 1e-3 * cmath.exp(0.7j), -0.8),
              (-0.5 + 0.6j, -0.3), (1.1 - 0.4j, 0.2), (-0.9 - 0.8j, -0.5)]
     zs = np.array([z for z, _ in verts])
     bs = np.array([b for _, b in verts])
-    steps = quad._tour(zs, quad._spanning_tree(zs))
+    tour = quad._tour(zs, bs, quad._spanning_tree(zs))
+    once = tour.first
+    steps = tour.u[once], tour.v[once], tour.at_u[once], tour.at_v[once]
     for batch in (1, 10**9):
         monkeypatch.setattr(quad, "BATCH", batch)
         values, errors, panels = quad._chords(zs, bs, *steps)
@@ -309,6 +311,60 @@ def test_chords_same_bits_alone_or_together(monkeypatch):
             assert chord.value == values[i]
             assert chord.error == errors[i]
             assert chord.panels == panels[i]
+
+
+def _seeded_metrics(seed):
+    """One metric of each size M = 3 ... 10: exponents of sum -2, vertices
+    in [-1.5, 1.5]^2 at least 0.2 apart."""
+    rng = np.random.default_rng(seed)
+    for m in range(3, 11):
+        weights = rng.uniform(0.3, 1.0, m)
+        bs = [-2.0 * w / weights.sum() for w in weights[:-1]]
+        bs.append(-2.0 - math.fsum(bs))
+        zs = []
+        while len(zs) < m:
+            z = complex(*rng.uniform(-1.5, 1.5, 2))
+            if all(abs(z - w) > 0.2 for w in zs):
+                zs.append(z)
+        yield zs, bs
+
+
+def _near_minus_one_triangles():
+    zs = [0.3 + 0.1j, -1.1 + 0.5j, 0.6 - 0.9j]
+    for b1 in (-0.99, -0.999, -0.9999):
+        bs = [b1, -0.5, -1.5 - b1]
+        for order in itertools.permutations(range(3)):
+            yield [zs[i] for i in order], [bs[i] for i in order]
+
+
+@pytest.mark.parametrize("zs, bs", [
+    *(metric for seed in (1, 2, 3) for metric in _seeded_metrics(seed)),
+    *_near_minus_one_triangles()])
+def test_derived_chords_match_their_own_branches(zs, bs):
+    # the second run of an edge is not integrated: its chord is the first
+    # run's times the holonomy factor of the subtree beyond it, and must be
+    # what segment_integral gives along the second run's own branches
+    chords, errors, _ = quad._tour_chords(zs, bs)
+    tour = quad._tour(zs, bs, quad._spanning_tree(zs))
+    assert (~tour.first).sum() == len(zs) - 1
+    for t in np.flatnonzero(~tour.first):
+        own = segment_integral(zs, bs, tour.u[t], tour.v[t], tour.at_u[t])
+        assert abs(chords[t] - own.value) <= 1e-14 * abs(own.value)
+        assert errors[t] == errors[np.flatnonzero(tour.first)[tour.edge[t]]]
+
+
+@pytest.mark.parametrize("points, adjacency", [
+    # 1 and 3 tie from 0, then 2 and 3; 3 keeps 0, as 2 is not nearer
+    ([0, 1, 1 + 1j, 1j], [[1, 3], [0, 2], [1], [0]]),
+    # 0 and 2 tie from 1
+    ([1, 0, 2, 3], [[1, 2], [0], [0, 3], [2]]),
+    *(([s, -s, s * 1j, -s * 1j], [[2, 3], [2], [0, 1], [0]])
+      for s in (1e300, 1e-155, 1e-170, 1e-190, 1e-205, 1e-300)),
+])
+def test_spanning_tree_breaks_ties_by_lowest_index(points, adjacency):
+    # Prim takes the nearest outside point, the lowest index among equals,
+    # and moves a point's nearest tree point only to a strictly nearer one
+    assert quad._spanning_tree([complex(z) for z in points]) == adjacency
 
 
 @pytest.mark.parametrize("size", [1e300, 1e-155, 1e-170, 1e-190, 1e-205, 1e-300])
@@ -320,6 +376,18 @@ def test_area_outside_float_range(size):
     with pytest.raises(PolydetError, match="not a positive finite float") as exc:
         area(make_metric(1.0, verts))
     assert not isinstance(exc.value, ToleranceNotReached)
+    assert "the area is outside the float range" in str(exc.value)
+
+
+@pytest.mark.parametrize("size", [1e-300, 1e-155, 1e155, 1e300])
+def test_chord_scale_free(size):
+    # a chord of the tetrahedron at +-size is the unit one over size: the
+    # scale enters as one power of |d|, so no factor leaves the float range
+    zs = [1, -1, 1j, -1j]
+    unit = segment_integral(zs, [-0.5] * 4, 0, 2)
+    chord = segment_integral([size * z for z in zs], [-0.5] * 4, 0, 2)
+    assert abs(chord.value * size - unit.value) <= 4e-16 * abs(unit.value)
+    assert chord.error * size == pytest.approx(unit.error, rel=1e-14)
 
 
 @pytest.mark.parametrize("size", [2e-154, 2.5e-154, 3e-154])
