@@ -212,8 +212,6 @@ def _panels(rho: np.ndarray) -> Tuple[List[int], List[float], List[float]]:
     for half, xk, yk in zip(np.nonzero(near)[0].tolist(), x[near].tolist(),
                             y[near].tolist()):
         points.setdefault(half, []).append((xk, yk))
-    if not points:                      # no half splits
-        return list(range(len(rho))), [0.0] * len(rho), [0.5] * len(rho)
     owner, starts, lengths = [], [], []
     for half in range(len(rho)):
         todo = [(0.0, 0.5, 0, points.get(half, []))]   # a, l, halvings, vertices
@@ -272,7 +270,13 @@ def _chords(zs, bs, u, v, theta_u, theta_v) -> Tuple[np.ndarray, np.ndarray, np.
     bp = weights[:, -1]
     rel = zs[order[:, :-1]] - zs[p, None]       # z_k - z_p
     d = zs[q] - zs[p]
+    length = np.abs(d)
     rho = rel / d[:, None]
+    # log |rho_k|; where the quotient leaves the normal float range (a vertex
+    # 1e308 times nearer or farther than the segment is long) from its parts
+    size = np.abs(rho)
+    log_rho = np.log(np.abs(rel)) - np.log(length)[:, None]
+    np.log(size, out=log_rho, where=(size >= np.finfo(float).tiny) & (size < math.inf))
     owner, a, l = _panels(rho)
     # the end panel opens every half: there s^b_p = h^b_p (1 + x)^b_p, and
     # its rule's weight holds (1 + x)^b_p, so its s^b_p column takes h
@@ -290,10 +294,9 @@ def _chords(zs, bs, u, v, theta_u, theta_v) -> Tuple[np.ndarray, np.ndarray, np.
     # |d|^(1 + sum_j b_j) is |d|^n |d|^f, n the integer nearest to the
     # exponent and f the rest, each to within an ulp
     branch = theta[np.arange(halves)[:, None], order]
-    log_c = ((np.log(np.abs(rho)) + 1j * branch[:, :-1]) * weights[:, :-1]).sum(axis=1)
+    log_c = ((log_rho + 1j * branch[:, :-1]) * weights[:, :-1]).sum(axis=1)
     n = round(math.fsum([1.0, *bs.tolist()]))
     f = math.fsum([1.0 - n, *bs.tolist()])
-    length = np.abs(d)
     lead = length ** n * length ** f * np.exp(1j * (1.0 + bp) * branch[:, -1])
     # per node, about BATCH logs at a time, which bounds the working
     # memory: b_p log s + sum_k b_k log w_k, then that of the half
@@ -471,8 +474,8 @@ def _shoelace(chords, errors) -> Tuple[float, float]:
     try:
         return (math.fsum(terms), math.fsum(lever * errors)
                 + math.fsum(ROUNDING * np.abs(corners) * np.abs(chords)))
-    except (OverflowError, ValueError):     # an area outside the float range
-        return math.nan, math.nan
+    except (OverflowError, ValueError):     # the polygon is past the float range
+        return math.inf, math.inf
 
 
 def area(m: PolyhedralMetric) -> QuadResult:
@@ -487,8 +490,7 @@ def area(m: PolyhedralMetric) -> QuadResult:
         value, error = _shoelace(chords, errors)
     result = QuadResult(m.scale * value, m.scale * error, panels)
     if not 0.0 < result.value < math.inf:
-        why = (": the area is outside the float range"
-               if result.value == 0.0 or not math.isfinite(result.value) else "")
+        why = ": the area is outside the float range" if result.value in (0.0, math.inf) else ""
         raise PolydetError(f"area {result.value!r} is not a positive finite float{why}")
     if not result.error_estimate <= max(ABS_TOL, REL_TOL * abs(result.value)):
         raise ToleranceNotReached(

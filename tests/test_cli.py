@@ -137,14 +137,17 @@ def _far_file(size, tmp_path):
 _FAR_SIZES = (1e300, 1e-155, 1e-170, 1e-190, 1e-205, 1e-300, 1e-315)
 # verify tetra integrates its periods before the area: they keep their
 # digits from 1e-300 to 1e300 (the chord's scale is one power of |d|), so
-# the area refuses there, and at 1e-315 (subnormal) a period is nan
+# the area refuses there, its chord polygon past the float range, and at
+# 1e-315 (subnormal) a period is nan
 _FAR_CASES = [(command, size, "not a positive finite float")
               for command in ("det", "area") for size in _FAR_SIZES]
-_FAR_CASES += [("tetra", size, "area nan is not a positive finite float")
+_FAR_CASES += [("tetra", size, "area inf is not a positive finite float: "
+                "the area is outside the float range")
                for size in _FAR_SIZES[1:-1]]
 _FAR_CASES += [("tetra", 1e-315, "period integral between branch points 0 and 1, "
                 "(nan+nanj), is not a finite float")]
-_FAR_CASES += [("tetra", 1e300, "area 0.0 is not a positive finite float")]
+_FAR_CASES += [("tetra", 1e300, "area 0.0 is not a positive finite float: "
+                "the area is outside the float range")]
 
 
 @pytest.mark.parametrize("command, size, message", [

@@ -370,13 +370,43 @@ def test_spanning_tree_breaks_ties_by_lowest_index(points, adjacency):
 @pytest.mark.parametrize("size", [1e300, 1e-155, 1e-170, 1e-190, 1e-205, 1e-300])
 def test_area_outside_float_range(size):
     # the tetrahedron scaled to +-size has area about 6.9/size^2, which
-    # underflows at 1e300 and overflows below 1e-154; from 1e-155 to 1e-205
+    # underflows at 1e300 and overflows below 1e-154; from 1e-155 to 1e-300
     # the chords are finite and the shoelace products overflow
     verts = [(size, -0.5), (-size, -0.5), (size * 1j, -0.5), (-size * 1j, -0.5)]
     with pytest.raises(PolydetError, match="not a positive finite float") as exc:
         area(make_metric(1.0, verts))
     assert not isinstance(exc.value, ToleranceNotReached)
     assert "the area is outside the float range" in str(exc.value)
+
+
+def test_nan_area_not_named_outside_float_range():
+    # at 1e-315 the positions are subnormal and a chord is nan: the area
+    # is refused without a claim about its range
+    size = 1e-315
+    verts = [(size, -0.5), (-size, -0.5), (size * 1j, -0.5), (-size * 1j, -0.5)]
+    with pytest.raises(PolydetError, match="area nan is not a positive finite float") as exc:
+        area(make_metric(1.0, verts))
+    assert "outside the float range" not in str(exc.value)
+
+
+def _cluster(gap):
+    # a vertex pair gap apart, a third vertex 1e-150 away, and four 1e10
+    # away; the third comes first, so the tree joins the far ones to it
+    far = [1e10 * cmath.exp(1j * t) for t in (0.0, 2.1, -2.3, 1.0)]
+    return ([(1e-150 * cmath.exp(1.9j), 0.05), (0.0, 0.1), (gap * cmath.exp(0.4j), 0.1)]
+            + list(zip(far, (0.3, -0.85, -0.85, -0.85))))
+
+
+@pytest.mark.parametrize("gap", [1e-299, 1e-300])
+def test_close_pair_in_wide_spread(gap):
+    # on the pair's edge the far vertices are 1e309 edge lengths away, past
+    # the float range, and one of them has a positive exponent; the pair's
+    # own region adds about gap^2.4, so the area is that at gap 1e-200,
+    # where no quotient leaves the range.  2.237027704174493e-19 is what
+    # the area gives from log |z - z_k| taken directly.
+    result = area(make_metric(1.0, _cluster(gap)))
+    assert result.value == area(make_metric(1.0, _cluster(1e-200))).value
+    assert result.value == pytest.approx(2.237027704174493e-19, rel=1e-14)
 
 
 @pytest.mark.parametrize("size", [1e-300, 1e-155, 1e155, 1e300])
