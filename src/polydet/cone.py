@@ -17,7 +17,11 @@ distance.  The resolvent and a_mu take its Laplace transform in t through
 int_0^inf exp(mu t - a/t) dt/t = 2 K_0(2 sqrt(a (-mu))); on the lines
 sigma^2 = cosh^2(s/2) > 0, so the principal square root keeps every
 Bessel argument real and positive (the unit tests check this branch
-against direct Laplace quadrature).
+against direct Laplace quadrature).  A complex mu with Re mu < 0 gives
+arguments with |arg| < pi/4.
+
+K_0 and K_1 are evaluated here (``_bessel_k``), on real or complex arrays,
+so no kernel needs scipy.
 """
 
 from __future__ import annotations
@@ -68,18 +72,18 @@ def heat_kernel_cone(beta: float, t: float, p: ConePoint, q: ConePoint) -> float
     return _cot_contour(beta, p.phi - q.phi, plane)
 
 
-def _image_sum(n: int, p: ConePoint, q: ConePoint, kernel) -> float:
-    """The sum of kernel(rho^2) over the n rotational images of q on the
-    cone of opening 2 pi / n, rho the plane distance from p."""
+def _image_rho2(n: int, p: ConePoint, q: ConePoint) -> list:
+    """The squared plane distances from p to the n rotational images of q
+    on the cone of opening 2 pi / n."""
     beta = TWO_PI / n
-    return sum(kernel(p.r * p.r + q.r * q.r - 2.0 * p.r * q.r * math.cos(p.phi - q.phi - m * beta))
-               for m in range(n))
+    return [p.r * p.r + q.r * q.r - 2.0 * p.r * q.r * math.cos(p.phi - q.phi - m * beta)
+            for m in range(n)]
 
 
 def heat_kernel_images(n: int, t: float, p: ConePoint, q: ConePoint) -> float:
     """Method-of-images oracle for the cone of opening 2 pi / n: the sum of
     plane kernels over the n rotational images of q."""
-    return _image_sum(n, p, q, lambda rho2: math.exp(-rho2 / (4.0 * t)) / (4.0 * PI * t))
+    return sum(math.exp(-rho2 / (4.0 * t)) / (4.0 * PI * t) for rho2 in _image_rho2(n, p, q))
 
 
 def resolvent_cone(beta: float, mu: complex, p: ConePoint, q: ConePoint) -> float:
@@ -105,17 +109,15 @@ def resolvent_cone(beta: float, mu: complex, p: ConePoint, q: ConePoint) -> floa
     sq = cmath.sqrt(-mu) if mu.imag else math.sqrt(-mu.real)
 
     def free(sigma):
-        return _k0(np.sqrt(_rho2(p.r, q.r, sigma)) * sq) / TWO_PI
+        return _bessel_k(0, np.sqrt(_rho2(p.r, q.r, sigma)) * sq) / TWO_PI
 
     return _cot_contour(beta, dphi, free)
 
 
 def resolvent_images(n: int, mu: float, p: ConePoint, q: ConePoint) -> float:
     """Image-sum oracle for the resolvent on the cone of opening 2 pi / n."""
-    from scipy.special import k0
-
-    sq = math.sqrt(-mu)
-    return _image_sum(n, p, q, lambda rho2: k0(math.sqrt(rho2) * sq) / TWO_PI)
+    k0 = _bessel_k(0, np.sqrt(_image_rho2(n, p, q)) * math.sqrt(-mu))
+    return (k0.sum() / TWO_PI).item()
 
 
 def a_mu(beta: float, mu: float, r: float) -> float:
@@ -134,11 +136,9 @@ def a_mu(beta: float, mu: float, r: float) -> float:
         raise ValueError(f"need mu < 0, got {mu}")
     if not r > 0.0:
         raise ValueError(f"need r > 0, got {r}")
-    from scipy.special import k0
-
     two_r_sq = 2.0 * r * math.sqrt(-mu)
     return _cot_contour(beta, 0.0,
-                        lambda sigma: -mu / TWO_PI * k0(two_r_sq * sigma),
+                        lambda sigma: -mu / TWO_PI * _bessel_k(0, two_r_sq * sigma),
                         tip=True)
 
 
@@ -165,10 +165,8 @@ def a_mu_disk_integral(beta: float, mu: float, eps: float = 1.0) -> float:
 
 def _radial_k0(a, eps: float):
     """int_0^eps r K_0(a r) dr = (1 - a eps K_1(a eps))/a^2 for a > 0."""
-    from scipy.special import k1
-
     x = a * eps
-    return (1.0 - x * k1(x)) / (a * a)
+    return (1.0 - x * _bessel_k(1, x)) / (a * a)
 
 
 def heat_trace_correction(m: PolyhedralMetric) -> float:
@@ -178,14 +176,75 @@ def heat_trace_correction(m: PolyhedralMetric) -> float:
 
 
 # --------------------------------------------------------------------------
-# complex-capable K_0 (scipy's k0 is real-only; complex arguments only
-# occur for complex spectral parameters, where kv(0, z) takes them)
+# K_0 and K_1, real or complex, for Re z > 0.  For |z| <= 2 the power series
+# in q = z^2/4 (A&S 9.6.13 and 9.6.11)
+#   K_0 = sum q^k/(k!)^2 (psi(k+1) - L),
+#   K_1 = 1/z + (z/2) sum q^k/(k! (k+1)!) (L - (psi(k+1) + psi(k+2))/2),
+# L = log(z/2), whose terms fall below 1e-19 of the sums by k = 13.  Past
+# |z| = 2 the integral DLMF 10.32.8 with t = v^2,
+#   K_0 = sqrt(2/z) e^-z int_0^inf e^(-v^2) (1 + v^2/2z)^(-1/2) dv,
+#   K_1 = 2 sqrt(2/z) e^-z int_0^inf v^2 e^(-v^2) (1 + v^2/2z)^(1/2) dv,
+# by the trapezoid rule (Trefethen and Weideman, SIAM Rev. 56, 2014): for
+# |arg z| < pi/4 the branch points v = +-i sqrt(2z) lie more than 1.8 off the
+# real axis, so the step h = 0.25 errs by about exp(-2 pi 1.8/h) ~ 1e-20, and
+# 26 nodes reach v = 6.25, past which e^(-v^2) < 1e-17.  Square roots are
+# principal.  Against 30-digit mpmath (test_cone) the relative error stays
+# below 2e-15, largest next to |z| = 2, where the series cancels; past
+# Re z ~ 745 e^-z underflows and the value is 0.
 # --------------------------------------------------------------------------
 
-def _k0(z):
-    from scipy.special import k0, kv
+SERIES_TERMS = 14
+BESSEL_SPLIT = 2.0
+TRAPEZOID_STEP = 0.25
+TRAPEZOID_NODES = 26
 
-    if not np.iscomplexobj(z):
-        return k0(z)
-    # kv gives nan past |z| ~ 1e9, where K_0 has long underflowed to 0
-    return np.where(z.real < 700.0, kv(0, z), 0.0)
+
+def _series_table(terms: int):
+    """Per nu, the rows (coefficient of L, constant) of the two series."""
+    psi = [-0.57721566490153286]            # psi(1) = -gamma
+    fact = [1.0]
+    for k in range(1, terms + 1):
+        psi.append(psi[-1] + 1.0 / k)
+        fact.append(fact[-1] * k)
+    k0 = [(-1.0 / fact[k] ** 2, psi[k] / fact[k] ** 2) for k in range(terms)]
+    k1 = [(1.0 / (fact[k] * fact[k + 1]), -0.5 * (psi[k] + psi[k + 1]) / (fact[k] * fact[k + 1]))
+          for k in range(terms)]
+    # highest power first, for Horner's rule
+    return k0[::-1], k1[::-1]
+
+
+_SERIES = _series_table(SERIES_TERMS)
+_T = (TRAPEZOID_STEP * np.arange(TRAPEZOID_NODES)) ** 2     # t = v^2 at the nodes
+_W = TRAPEZOID_STEP * np.exp(-_T)
+_W[0] *= 0.5                                                # the end node of int_0^inf
+_TRAPEZOID_WEIGHTS = (_W, 2.0 * _T * _W)
+
+
+def _bessel_k_series(nu: int, z):
+    q = 0.25 * z * z
+    a = b = 0.0
+    for ca, cb in _SERIES[nu]:
+        a = a * q + ca
+        b = b * q + cb
+    v = b + np.log(0.5 * z) * a
+    return v if nu == 0 else 1.0 / z + 0.5 * z * v
+
+
+def _bessel_k_trapezoid(nu: int, z):
+    root = np.sqrt(1.0 + _T * (0.5 / z)[..., None])
+    return np.sqrt(2.0 / z) * np.exp(-z) * ((root if nu else 1.0 / root) @ _TRAPEZOID_WEIGHTS[nu])
+
+
+def _bessel_k(nu: int, z):
+    """K_nu(z) for nu = 0 or 1, elementwise on a real or complex array
+    with Re z > 0 and |arg z| <= pi/4; real input gives real output."""
+    z = np.asarray(z)
+    near = np.abs(z) <= BESSEL_SPLIT
+    if near.all():
+        return _bessel_k_series(nu, z)
+    if not near.any():
+        return _bessel_k_trapezoid(nu, z)
+    out = np.empty(z.shape, np.result_type(z, float))
+    out[near] = _bessel_k_series(nu, z[near])
+    out[~near] = _bessel_k_trapezoid(nu, z[~near])
+    return out

@@ -50,7 +50,7 @@ class InvalidMetricJSON(PolydetError):
 
 class ToleranceNotReached(PolydetError):
     """A quadrature's error estimate stayed above its tolerance: the area
-    (``quad.area``) above max(quad.ABS_TOL, quad.REL_TOL * area), a period
+    (``quad.area``) above quad.REL_TOL times the area, a period
     above elliptic.PERIOD_REL_TOL times its size, or a panel integral of
     ``regint`` (finite parts, cotangent contour) after its
     budget of panel bisections.  The CLI exits 3.

@@ -47,11 +47,10 @@ integrand, read off the same node values through two more rows of its
 rule and scaled by the size of the moments; a second run has the
 estimate of the first.  The chords' estimates are carried through the
 chord polygon to first order and a rounding floor is added.  The work is
-fixed, so the one accuracy contract, error_estimate <= max(ABS_TOL,
-REL_TOL * value),
-decides only whether ``area`` raises ToleranceNotReached (with the
-partial result).  Everything is evaluated in a fixed order, so results
-are bit-identical between runs.
+fixed, so the one accuracy contract, error_estimate <= REL_TOL * value,
+relative at every scale, decides only whether ``area`` raises
+ToleranceNotReached (with the partial result).  Everything is evaluated
+in a fixed order, so results are bit-identical between runs.
 """
 
 from __future__ import annotations
@@ -77,9 +76,8 @@ MAX_SPLITS = 60
 # rounding floor of the area estimate, per unit of sum |corner| |side| of
 # the chord polygon (true errors reach about 3 eps per unit for b -> -1)
 ROUNDING = 16.0 * np.finfo(float).eps
-# the area's accuracy contract: error_estimate <= max(ABS_TOL, REL_TOL * area)
+# the area's accuracy contract: error_estimate <= REL_TOL * area
 REL_TOL = 1e-9
-ABS_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -94,9 +92,10 @@ class QuadResult:
 def _quadpack_binding(attr: str, module: str):
     """A module ``__getattr__`` that resolves ``attr`` to scipy's QUADPACK
     routine on first access, so importing polydet loads no scipy.  No
-    polydet code calls it: the benchmark's tracer (bench/tracing.py) wraps
-    these names to count QUADPACK calls and needs them to exist.  ROADMAP.md
-    item 4 removes them."""
+    polydet code calls it, and scipy is not a runtime dependency: the
+    benchmark's tracer (bench/tracing.py) wraps these names to count
+    QUADPACK calls and needs them to exist, so they go only together with
+    that tracer's QUADPACK counters (ROADMAP.md item 4)."""
     def __getattr__(name: str):
         if name == attr:
             from scipy.integrate import quad
@@ -492,8 +491,8 @@ def area(m: PolyhedralMetric) -> QuadResult:
     if not 0.0 < result.value < math.inf:
         why = ": the area is outside the float range" if result.value in (0.0, math.inf) else ""
         raise PolydetError(f"area {result.value!r} is not a positive finite float{why}")
-    if not result.error_estimate <= max(ABS_TOL, REL_TOL * abs(result.value)):
+    if not result.error_estimate <= REL_TOL * result.value:
         raise ToleranceNotReached(
             f"area error estimate {result.error_estimate:.3e} exceeds "
-            f"max(ABS_TOL, REL_TOL * |value|)", partial=result)
+            f"REL_TOL * area = {REL_TOL * result.value:.3e}", partial=result)
     return result

@@ -324,6 +324,39 @@ def test_radial_k0_closed_form(a, eps):
     assert _radial_k0(a, eps) == pytest.approx(direct, rel=1e-12, abs=1e-15)
 
 
+# log-spaced over the range the kernels reach before K underflows, and
+# around |z| = 2, where the series hands over to the trapezoid rule; the
+# complex ones up to |arg z| = pi/4
+_BESSEL_REAL = np.concatenate([np.geomspace(1e-6, 700.0, 40), np.linspace(1.9, 2.1, 11)])
+_BESSEL_COMPLEX = np.concatenate([
+    np.outer(np.geomspace(1e-6, 700.0, 14), np.exp(1j * np.array([-PI / 4, -0.4, 0.1, 0.7]))),
+    np.outer(np.linspace(1.9, 2.1, 5), np.exp(1j * np.array([-0.78, -0.3, 0.5, 0.78]))),
+]).ravel()
+
+
+@pytest.mark.parametrize("nu", [0, 1])
+@pytest.mark.parametrize("z", [_BESSEL_REAL, _BESSEL_COMPLEX], ids=["real", "complex"])
+def test_bessel_k_against_mpmath(nu, z):
+    # series below |z| = 2 and trapezoid rule above, against 30 digits
+    import mpmath
+
+    from polydet.cone import _bessel_k
+
+    got = _bessel_k(nu, z)
+    assert got.dtype == z.dtype
+    with mpmath.workdps(30):
+        want = np.array([complex(mpmath.besselk(nu, mpmath.mpmathify(x))) for x in z.tolist()])
+    assert (np.abs(got - want) <= 4e-15 * np.abs(want)).all()
+
+
+@pytest.mark.parametrize("nu", [0, 1])
+def test_bessel_k_underflows_to_zero(nu):
+    from polydet.cone import _bessel_k
+
+    assert _bessel_k(nu, np.array(800.0)) == 0.0
+    assert _bessel_k(nu, np.array([1e9 * np.exp(0.3j)]))[0] == 0.0
+
+
 @pytest.mark.parametrize("beta", [0.8 * PI, 1.013 * PI, 1.7 * PI])
 def test_a_mu_disk_integral_matches_nested_quadrature(beta):
     # the radial integral under the contour against the outer quadrature

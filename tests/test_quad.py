@@ -409,6 +409,18 @@ def test_close_pair_in_wide_spread(gap):
     assert result.value == pytest.approx(2.237027704174493e-19, rel=1e-14)
 
 
+def test_area_contract_is_relative():
+    # a pair 1e-200 apart beside a vertex 1e-150 away and three 1e10 away:
+    # the area, about 9e-20, has an estimate nearly as large, which no
+    # absolute tolerance may excuse
+    near = [(1e-150 * cmath.exp(1.9j), -0.2), (0.0, 0.5), (1e-200 * cmath.exp(0.4j), -0.6)]
+    far = [(1e10 * cmath.exp(1j * t), -17 / 30) for t in (0.0, 2.1, -2.3)]
+    with pytest.raises(ToleranceNotReached) as exc:
+        area(make_metric(1.0, near + far))
+    partial = exc.value.partial
+    assert 0.0 < quad.REL_TOL * partial.value < partial.error_estimate
+
+
 @pytest.mark.parametrize("size", [1e-300, 1e-155, 1e155, 1e300])
 def test_chord_scale_free(size):
     # a chord of the tetrahedron at +-size is the unit one over size: the
@@ -441,7 +453,6 @@ def test_determinism(tetra):
 def test_tolerance_not_reached_carries_partial(tetra, monkeypatch):
     # REL_TOL below the rounding floor of the estimate cannot be met
     monkeypatch.setattr(quad, "REL_TOL", 1e-17)
-    monkeypatch.setattr(quad, "ABS_TOL", 1e-300)
     with pytest.raises(ToleranceNotReached) as exc:
         area(tetra)
     partial = exc.value.partial
@@ -451,4 +462,4 @@ def test_tolerance_not_reached_carries_partial(tetra, monkeypatch):
 
 def test_area_estimate_respects_contract(tetra):
     res = area(tetra)
-    assert res.error_estimate <= max(quad.ABS_TOL, quad.REL_TOL * res.value)
+    assert res.error_estimate <= quad.REL_TOL * res.value
