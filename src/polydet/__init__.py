@@ -44,11 +44,9 @@ from .errors import PolydetError
 from .metric import (
     Angle,
     ConicalVertex,
-    MetricDensity,
     PolyhedralMetric,
     Position,
     Scale,
-    density,
     dump_metric,
     load_metric,
     log_density,
@@ -66,6 +64,6 @@ from .regint import (
     q_of_beta,
     q_of_beta_contour,
 )
-from .verify import FDConfig, fd_gradient, run_suite
+from .verify import FDConfig, fd_gradient, gradient_reports, run_suite
 
 __version__ = "0.1.0"

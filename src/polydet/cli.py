@@ -8,6 +8,11 @@ Subcommands
     compare  --m1 a.json --m2 b.json             same-angle log det ratio
     verify   tetra --points p.json | cone | fd --metric m.json | hadamard
 
+``grad`` reports one channel and ``verify fd`` every one, each as the
+same report of ``verify.gradient_reports``, under the channel's own name
+(``z:01`` is reported as ``z:1``).  ``verify tetra`` compares the
+tetrahedron's closed form with ``detlap.log_det_as``.
+
 Exit codes: 0 success, 2 validation error (machine-readable JSON on
 stderr), 3 an error estimate above its fixed accuracy contract.
 ``verify fd`` exits 0 only when every channel matches to 1e-5 relative.
@@ -30,7 +35,7 @@ import numpy as np
 from . import detlap, elliptic, verify
 from .cone import ConePoint, heat_kernel_cone, heat_kernel_images, resolvent_cone, resolvent_images
 from .errors import InvalidMetricJSON, PolydetError, ToleranceNotReached
-from .metric import Angle, Position, Scale, load_metric, make_metric
+from .metric import load_metric, make_metric
 from .quad import area
 from .regint import (SPLIT_RADIUS, hadamard_coth_coth_over_theta, hadamard_coth_over_sinh_sq,
                      q_of_beta, q_of_beta_contour)
@@ -45,8 +50,6 @@ FD_PASS_TOL = 1e-5
 def _jsonable(x):
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
-    if isinstance(x, (np.floating, np.integer)):
-        return x.item()
     if dataclasses.is_dataclass(x):
         return {k: _jsonable(v) for k, v in dataclasses.asdict(x).items()}
     if isinstance(x, (list, tuple)):
@@ -101,11 +104,7 @@ def _fmt(x):
 
 def _emit_human(obj) -> None:
     flat = {}
-    if isinstance(obj, list):
-        for i, row in enumerate(obj):
-            _flatten(f"[{i}]", row, flat)
-    else:
-        _flatten("", obj, flat)
+    _flatten("", obj, flat)
     width = max((len(k) for k in flat), default=0)
     for k, v in flat.items():
         print(f"{k:<{width}}  {_fmt(v)}")
@@ -129,30 +128,10 @@ def _cmd_area(args) -> int:
     return 0
 
 
-def _parse_channel(text: str):
-    if text == "C":
-        return Scale()
-    kind, _, idx = text.partition(":")
-    if kind == "z" and idx.isdecimal():
-        return Position(int(idx))
-    if kind == "beta" and idx.isdecimal():
-        return Angle(int(idx))
-    raise PolydetError(f"bad channel {text!r}; use z:i, beta:i or C")
-
-
 def _cmd_grad(args) -> int:
     m = load_metric(args.metric)
-    channel = _parse_channel(args.channel)
     fdcfg = verify.FDConfig(richardson=args.richardson)
-    fd = verify.fd_gradient(m, channel, fdcfg=fdcfg)
-    if isinstance(channel, Position):
-        analytic = detlap.grad_position(m, channel.i)
-    elif isinstance(channel, Angle):
-        analytic = detlap.grad_angle(m, channel.i)
-    else:
-        analytic = detlap.grad_scale(m)
-    report = detlap.GradientReport.compare(args.channel, analytic, fd)
-    _emit(report, args)
+    _emit(verify.gradient_reports(m, [verify.parse_channel(args.channel)], fdcfg)[0], args)
     return 0
 
 
@@ -178,11 +157,10 @@ def _load_points(path: str):
 def _cmd_verify_tetra(args) -> int:
     pts = _load_points(args.points)
     data = elliptic.periods(pts)
-    m = make_metric(1.0, [(z, -0.5) for z in pts])
-    ar = area(m).value
+    report = detlap.log_det_as(make_metric(1.0, [(z, -0.5) for z in pts]))
+    ar = report.area
     det_x = elliptic.det_tetrahedron(pts, area_x=ar)
     torus = elliptic.det_torus(data, ar)
-    log_det = math.log(ar) + detlap.log_det_over_area(m)
     out = {
         "tau": data.tau,
         "jacobi_residual": elliptic.jacobi_residual(data),
@@ -190,7 +168,7 @@ def _cmd_verify_tetra(args) -> int:
         "eta_distance_residual": elliptic.eta_distance_identity(pts, data),
         "det_tetrahedron": det_x,
         "det_torus_over_det_sq": torus / det_x / det_x,
-        "as_vs_tetr_rel": abs(math.exp(log_det) - det_x) / det_x,
+        "as_vs_tetr_rel": abs(math.exp(report.log_det) - det_x) / det_x,
         # Area(E)/2 = |Im(A conj B)|/2, halved before it can pass the float range
         "area_consistency": abs(
             abs((0.5 * data.period_a * data.period_b.conjugate()).imag) - ar) / ar,

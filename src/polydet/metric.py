@@ -170,14 +170,6 @@ class PolyhedralMetric:
                       for q in range(0, len(terms), width)])
 
 
-@dataclass(frozen=True)
-class MetricDensity:
-    """Pointwise density e^{-phi(z)} together with its (finite) logarithm."""
-
-    value: float
-    log_value: float
-
-
 # --------------------------------------------------------------------------
 # variation channels
 # --------------------------------------------------------------------------
@@ -328,11 +320,6 @@ def log_density(m: PolyhedralMetric, z: complex) -> float:
             raise EvaluationAtVertex(f"z coincides with vertex at {v.position}")
         terms.append(2.0 * v.exponent * math.log(d))
     return math.fsum(terms)
-
-
-def density(m: PolyhedralMetric, z: complex) -> MetricDensity:
-    lv = log_density(m, z)
-    return MetricDensity(value=math.exp(lv), log_value=lv)
 
 
 def variation_field(

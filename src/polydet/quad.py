@@ -78,6 +78,9 @@ MAX_SPLITS = 60
 ROUNDING = 16.0 * np.finfo(float).eps
 # the area's accuracy contract: error_estimate <= REL_TOL * area
 REL_TOL = 1e-9
+# distances within this factor of each other may be in either order once
+# rounded: abs and the difference it takes round each by about 2 eps
+NEAR_TIE = 1.0 + 8.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -369,21 +372,41 @@ def _spanning_tree(z) -> List[List[int]]:
     """Adjacency lists of the Euclidean minimum spanning tree of the points
     z (Prim): the nearest point outside the tree joins it next, the lowest
     index among equally near ones, and a point's nearest tree point
-    changes only to a strictly nearer one."""
+    changes only to a strictly nearer one.  Distances that round to within
+    a factor NEAR_TIE of each other are equally near unless one edge runs
+    through the far end of the other (``_in_line``), which is then nearer."""
     adj: List[List[int]] = [[] for _ in z]
     best = [abs(zk - z[0]) for zk in z]
     parent = [0] * len(z)
     outside = list(range(1, len(z)))
     while outside:
-        k = min(outside, key=best.__getitem__)      # the first of equals
+        near = best[min(outside, key=best.__getitem__)] * NEAR_TIE
+        k, *ties = [j for j in outside if best[j] <= near]
+        for j in ties:
+            if _in_line(z, j, parent[j], k, parent[k]):
+                k = j
         outside.remove(k)
         adj[k].append(parent[k])
         adj[parent[k]].append(k)
         for j in outside:
             dist = abs(z[j] - z[k])
-            if dist < best[j]:
+            if dist <= best[j] * NEAR_TIE and (dist * NEAR_TIE < best[j]
+                                               or _in_line(z, j, k, j, parent[j])):
                 best[j], parent[j] = dist, k
     return adj
+
+
+def _in_line(z, j: int, p: int, x: int, q: int) -> bool:
+    """Whether |z_j - z_p| < |z_x - z_q| with the difference of the two
+    edges along them: P = ((z_j - z_x) - (z_p - z_q)) conj((z_j - z_p) +
+    (z_x - z_q)) has Re P = |z_j - z_p|^2 - |z_x - z_q|^2, and Im P is 0
+    to within rounding.  For edges with an end in common the first factor
+    is one rounded difference, and the second edge runs through the free
+    end of the first."""
+    lhs = (z[j] - z[x]) - (z[p] - z[q])
+    rhs = (z[j] - z[p]) + (z[x] - z[q])
+    product = lhs * rhs.conjugate()
+    return product.real < 0.0 and abs(product.imag) <= (NEAR_TIE - 1.0) * abs(lhs) * abs(rhs)
 
 
 class Tour(NamedTuple):

@@ -2,12 +2,16 @@
 
 Differentiates log(det/Area) -- assembled without any 2D quadrature --
 along the three variation channels and pairs each result with its
-closed-form counterpart:
+closed-form counterpart in a report named as ``parse_channel`` reads it:
 
-    Position(i)  vs  grad_position   (Wirtinger derivative from two real
-                                      central differences)
-    Angle(i!=1)  vs  grad_angle      (b_i and b_1 perturbed by -+h/2pi)
-    Scale        vs  grad_scale
+    z:i     Position(i)   grad_position   (Wirtinger derivative from two
+                                           real central differences)
+    beta:i  Angle(i!=1)   grad_angle      (b_i and b_1 perturbed by -+h/2pi)
+    C       Scale         grad_scale
+
+``gradient_reports`` is the one path from channels to reports, which
+``fd_gradient``, ``run_suite`` and the CLI's ``grad`` and ``verify fd``
+take.
 
 The relative step is fixed, STEP = 1e-4, and scaled to the perturbed
 quantity: h = STEP * min-vertex-gap for positions (so near-degenerate
@@ -58,7 +62,7 @@ from .detlap import (
     grad_position,
     grad_scale,
 )
-from .errors import GaugeVertexVariation, PerturbationLeavesDomain
+from .errors import PerturbationLeavesDomain, PolydetError
 from .metric import (
     Angle,
     PolyhedralMetric,
@@ -201,68 +205,70 @@ class _Steps:
         return out
 
 
-def _plan(steps: _Steps, channel: VariationChannel, richardson: bool):
-    """The rows of steps along ``channel`` whose derivatives at 0 make up
-    its gradient: one for the scale and an angle, x and y for a position."""
-    m = steps.m
-    if isinstance(channel, Scale):
-        return [steps.scale_steps(_steps(STEP * m.scale, richardson))]
+def parse_channel(text: str) -> VariationChannel:
+    """The channel named ``z:i``, ``beta:i`` or ``C``, as ``_channel`` names it."""
+    if text == "C":
+        return Scale()
+    kind, _, idx = text.partition(":")
+    if kind == "z" and idx.isdecimal():
+        return Position(int(idx))
+    if kind == "beta" and idx.isdecimal():
+        return Angle(int(idx))
+    raise PolydetError(f"bad channel {text!r}; use z:i, beta:i or C")
 
+
+def _channel(steps: _Steps, channel: VariationChannel, richardson: bool):
+    """The channel's name, its analytic gradient, which checks the vertex
+    index and the gauge vertex of an angle, and the rows of steps whose
+    derivatives at 0 make up its finite difference: one for the scale and
+    an angle, x and y for a position."""
+    m = steps.m
     if isinstance(channel, Position):
         i = channel.i
-        m.check_index(i)
-        return steps.position_steps(i - 1, _steps(STEP * m.min_pairwise_distance(), richardson))
+        return (f"z:{i}", grad_position(m, i), steps.position_steps(
+            i - 1, _steps(STEP * m.min_pairwise_distance(), richardson)))
 
     if isinstance(channel, Angle):
         i = channel.i
-        if i == 1:
-            raise GaugeVertexVariation("vertex 1 is the gauge vertex")
-        m.check_index(i)
+        analytic = grad_angle(m, i)
         # the compensating vertex moves too, so the stiffer (smaller) of
         # the two angles sets the step scale
         h = STEP * min(m.vertices[i - 1].angle, m.vertices[0].angle)
-        db = h / TWO_PI
-        margin = 1e-12
-        b_i = m.vertices[i - 1].exponent
-        b_1 = m.vertices[0].exponent
-        if b_i - db <= -1.0 + margin or b_1 - db <= -1.0 + margin:
-            raise PerturbationLeavesDomain(
-                "angle step pushes an exponent to the b = -1 boundary"
-            )
-        return [steps.angle_steps(i - 1, [e / TWO_PI for e in _steps(h, richardson)])]
+        if min(m.vertices[i - 1].exponent, m.vertices[0].exponent) - h / TWO_PI <= -1.0 + 1e-12:
+            raise PerturbationLeavesDomain("angle step pushes an exponent to the b = -1 boundary")
+        return (f"beta:{i}", analytic,
+                [steps.angle_steps(i - 1, [e / TWO_PI for e in _steps(h, richardson)])])
+
+    if isinstance(channel, Scale):
+        return "C", grad_scale(m), [steps.scale_steps(_steps(STEP * m.scale, richardson))]
 
     raise TypeError(f"unknown variation channel {channel!r}")
 
 
-def _fd_gradients(m: PolyhedralMetric, channels, fdcfg: FDConfig) -> list:
-    """Central finite differences of log(det/Area) along every channel."""
+def gradient_reports(m: PolyhedralMetric, channels,
+                     fdcfg: FDConfig = FDConfig()) -> List[GradientReport]:
+    """The analytic gradient of log(det/Area) along every channel of
+    ``channels``, each paired with its central finite difference: for a
+    position, from its x and y rows, the Wirtinger derivative
+    (d/dx - i d/dy)/2."""
     steps = _Steps(m)
-    out = []
+    reports = []
     for channel in channels:
-        d = [_derivative(row) for row in _plan(steps, channel, fdcfg.richardson)]
-        out.append(0.5 * complex(d[0], -d[1]) if isinstance(channel, Position) else d[0])
-    return out
+        name, analytic, rows = _channel(steps, channel, fdcfg.richardson)
+        d = [_derivative(row) for row in rows]
+        fd = 0.5 * complex(d[0], -d[1]) if len(d) == 2 else d[0]
+        reports.append(GradientReport.compare(name, analytic, fd))
+    return reports
 
 
-def fd_gradient(
-    m: PolyhedralMetric,
-    channel: VariationChannel,
-    fdcfg: FDConfig = FDConfig(),
-) -> Union[float, complex]:
+def fd_gradient(m: PolyhedralMetric, channel: VariationChannel,
+                fdcfg: FDConfig = FDConfig()) -> Union[float, complex]:
     """Central finite difference of log(det/Area) along ``channel``."""
-    return _fd_gradients(m, [channel], fdcfg)[0]
+    return gradient_reports(m, [channel], fdcfg)[0].finite_difference
 
 
-def run_suite(
-    m: PolyhedralMetric, fdcfg: FDConfig = FDConfig()
-) -> List[GradientReport]:
+def run_suite(m: PolyhedralMetric, fdcfg: FDConfig = FDConfig()) -> List[GradientReport]:
     """One report per channel: Position(1..M), Angle(2..M), Scale."""
     n = m.num_vertices
-    channels = ([Position(i) for i in range(1, n + 1)]
-                + [Angle(i) for i in range(2, n + 1)] + [Scale()])
-    fds = _fd_gradients(m, channels, fdcfg)
-    analytic = ([grad_position(m, i) for i in range(1, n + 1)]
-                + [grad_angle(m, i) for i in range(2, n + 1)] + [grad_scale(m)])
-    names = ([f"z:{i}" for i in range(1, n + 1)]
-             + [f"beta:{i}" for i in range(2, n + 1)] + ["C"])
-    return [GradientReport.compare(*r) for r in zip(names, analytic, fds)]
+    return gradient_reports(m, [Position(i) for i in range(1, n + 1)]
+                            + [Angle(i) for i in range(2, n + 1)] + [Scale()], fdcfg)

@@ -380,6 +380,27 @@ def test_verify_fd_csv_one_row_per_channel(tetra_path, capsys):
     assert all(float(r["rel_err"]) <= 1e-5 for r in rows)
 
 
+GENERIC_VERTS = [(0.1 + 0.2j, -0.6), (1.1 - 0.3j, -0.45), (-0.7 + 0.9j, -0.55), (0.4 - 1.2j, -0.4)]
+
+
+@pytest.mark.parametrize("flags", [[], ["--richardson"]], ids=["plain", "richardson"])
+@pytest.mark.parametrize("channel, row", [("z:1", 0), ("beta:2", 4), ("C", 7)])
+def test_grad_is_its_row_of_verify_fd(channel, row, flags, tmp_path, capsys):
+    # both commands print the same report of a channel, to the last bit
+    path = _metric_file(tmp_path, 1.3, GENERIC_VERTS)
+    assert main(["verify", "fd", "--metric", path, "--json", *flags]) == 0
+    reports = json.loads(capsys.readouterr().out)
+    assert main(["grad", "--metric", path, "--channel", channel, "--json", *flags]) == 0
+    out = capsys.readouterr().out
+    assert reports[row]["channel"] == channel
+    assert out == json.dumps(reports[row]) + "\n"
+
+
+def test_grad_names_the_channel_as_verify_fd_does(tetra_path, capsys):
+    assert main(["grad", "--metric", tetra_path, "--channel", "z:01", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["channel"] == "z:1"
+
+
 def test_verify_cone_csv(capsys):
     assert main(["--seed", "7", "verify", "cone", "--pairs", "2", "--csv"]) == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))

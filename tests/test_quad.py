@@ -5,7 +5,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polydet import (
@@ -212,6 +212,74 @@ def test_area_invariant_under_inversion_and_reordering(data, shift):
     assert inverted.area == pytest.approx(original.area, rel=1e-12)
     assert reordered == pytest.approx(original.area, rel=1e-12)
     assert inverted.log_det == pytest.approx(original.log_det, abs=1e-12)
+
+
+def _complex_in_square(draw, half):
+    return complex(draw(st.floats(-half, half)), draw(st.floats(-half, half)))
+
+
+@given(metric=generic_metrics(), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_log_det_invariant_under_moebius_maps(metric, data):
+    C, zs, bs = metric
+    # z = (a w + b)/(c w + d) with ad - bc = 1 pulls m back to the same
+    # surface with vertices w_k = (d z_k - b)/(a - c z_k) and scale
+    # C' = C prod |c w_k + d|^(-2 b_k); |a - c z_k| >= 0.2 bounds the w_k
+    a, b, c = (_complex_in_square(data.draw, 2.0) for _ in range(3))
+    assume(abs(a) >= 0.2 and min(abs(a - c * z) for z in zs) >= 0.2)
+    d = (1.0 + b * c) / a
+    ws = [(d * z - b) / (a - c * z) for z in zs]
+    C_map = C * math.prod(abs(c * w + d) ** (-2.0 * bk) for w, bk in zip(ws, bs))
+    original = log_det_as(make_metric(C, list(zip(zs, bs)))).log_det
+    mapped = log_det_as(make_metric(C_map, list(zip(ws, bs)))).log_det
+    # the w_k are rounded by about eps max|w|, which moves a log|w_k - w_l|
+    # of W by up to that over the smallest gap
+    gap = min(abs(w - v) for k, w in enumerate(ws) for v in ws[k + 1:])
+    eps = np.finfo(float).eps
+    assert abs(mapped - original) <= 1e-12 + 10.0 * eps * max(map(abs, ws)) / gap
+
+
+def _near_pair_metric(gap, turn=0.0, last=False, direction=1.0, third=1.0):
+    """C = 1 with vertices 0 (b = 0.5) and gap*exp(i turn) (b = -0.6), a
+    third at ``third`` (b = -0.3) and two at exp(2.1i) and exp(-2.3i)
+    (b = -0.8 each), all turned by ``direction``; the pair first or
+    last.  As the gap closes its area tends to that of the pair merged
+    into one vertex at 0 of b = -0.1."""
+    pair = [(0.0, 0.5), (gap * cmath.exp(1j * turn) * direction, -0.6)]
+    rest = [(third * direction, -0.3), (cmath.exp(2.1j) * direction, -0.8),
+            (cmath.exp(-2.3j) * direction, -0.8)]
+    return make_metric(1.0, rest + pair if last else pair + rest)
+
+
+@pytest.mark.parametrize("last", [False, True])
+def test_no_tree_edge_runs_through_a_near_vertex(last):
+    # below a gap of about 1e-16 the distances from the third vertex to
+    # both members of the pair round to 1, and the tree must still join
+    # the third vertex to the nearer member: an edge from the other runs
+    # exactly through it, and its chord takes one side of that vertex's
+    # branch cut (an area 3.3% or 4.0% high, with an estimate of 1e-14)
+    turned = area(_near_pair_metric(1e-20, turn=1.0)).value
+    assert area(_near_pair_metric(1e-20, last=last)).value == pytest.approx(turned, rel=1e-12)
+
+
+@given(exponent=st.floats(10.0, 30.0), turn=st.floats(0.0, 2.0 * PI),
+       third=st.floats(0.5, 2.0), last=st.booleans())
+@settings(max_examples=25, deadline=None)
+def test_collinear_near_pair_matches_merged_vertex(exponent, turn, third, last):
+    # the pair and the third vertex on one ray, up to the rounding of
+    # their positions: the area is that of the merged vertex, or refused.
+    # Splitting the vertex moves the area by about gap |d Area/dz|, and
+    # |d log Area/dz| stays below 10 here
+    direction, gap = cmath.exp(1j * turn), 10.0 ** -exponent
+    try:
+        res = area(_near_pair_metric(gap, last=last, direction=direction, third=third))
+    except PolydetError:
+        return
+    merged = area(make_metric(1.0, [
+        (0.0, -0.1), (third * direction, -0.3), (cmath.exp(2.1j) * direction, -0.8),
+        (cmath.exp(-2.3j) * direction, -0.8)]))
+    assert abs(res.value - merged.value) <= (res.error_estimate + merged.error_estimate
+                                             + 10.0 * gap * merged.value)
 
 
 def _weighted_exponential(b, lam):

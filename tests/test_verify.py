@@ -203,7 +203,7 @@ def test_steps_match_whole_metrics(name, richardson, request):
                 + [Angle(i) for i in range(2, n + 1)] + [Scale()])
     steps = verify._Steps(m)
     for channel in channels:
-        rows = verify._plan(steps, channel, richardson)
+        _, _, rows = verify._channel(steps, channel, richardson)
         ref_rows = _parent_rows(m, channel, richardson)
         assert len(rows) == len(ref_rows)
         for row, (coordinate, ref_row) in zip(rows, ref_rows):
