@@ -20,7 +20,6 @@ from .cone import (
 from .detlap import (
     DetReport,
     GradientReport,
-    chs_compare_same_angles,
     f_function,
     grad_angle,
     grad_position,

@@ -5,13 +5,15 @@ Subcommands
     det      --metric m.json [--json|--csv]      determinant report
     area     --metric m.json [--json|--csv]      metric area
     grad     --metric m.json --channel z:i|beta:i|C [--richardson]
-    compare  --m1 a.json --m2 b.json             same-angle log det ratio
+    compare  --m1 a.json --m2 b.json             log(det' m1/det' m2)
     verify   tetra --points p.json | cone | fd --metric m.json | hadamard
 
 ``grad`` reports one channel and ``verify fd`` every one, each as the
 same report of ``verify.gradient_reports``, under the channel's own name
-(``z:01`` is reported as ``z:1``).  ``verify tetra`` compares the
-tetrahedron's closed form with ``detlap.log_det_as``.
+(``z:01`` is reported as ``z:1``).  ``compare`` is the difference of
+the two metrics' ``detlap.log_det_as`` values, at any angles and scales.
+``verify tetra`` compares the tetrahedron's closed form with
+``detlap.log_det_as``.
 
 Exit codes: 0 success, 2 validation error (machine-readable JSON on
 stderr), 3 an error estimate above its fixed accuracy contract.
@@ -136,10 +138,8 @@ def _cmd_grad(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    m1 = load_metric(args.m1)
-    m2 = load_metric(args.m2)
-    val = detlap.chs_compare_same_angles(m1, m2)
-    _emit({"log_det_ratio": val}, args)
+    m1, m2 = load_metric(args.m1), load_metric(args.m2)
+    _emit({"log_det_ratio": detlap.log_det_as(m1).log_det - detlap.log_det_as(m2).log_det}, args)
     return 0
 
 
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output_flags(p)
     p.set_defaults(func=_cmd_grad)
 
-    p = sub.add_parser("compare", help="same-angle determinant ratio")
+    p = sub.add_parser("compare", help="log ratio of two determinants")
     p.add_argument("--m1", required=True)
     p.add_argument("--m2", required=True)
     _add_output_flags(p)

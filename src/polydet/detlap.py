@@ -15,7 +15,9 @@ with the two ingredients
 
 where F(beta, 1) is the cone-disk determinant below, computed from its
 Bessel-mode series.  This module is the only one that knows the terms of
-F and of dF/dbeta.
+F and of dF/dbeta.  The log of a ratio of two determinants is the
+difference of two such sums, whatever the angles and scales (``polydet
+compare``).
 
 Where F comes from
 ------------------
@@ -137,7 +139,7 @@ from typing import Tuple, Union
 
 import numpy as np
 
-from .errors import AngleMultisetMismatch, GaugeVertexVariation, PolydetError, ScaleMismatch
+from .errors import GaugeVertexVariation, PolydetError
 from .metric import PolyhedralMetric, _check_angle, _check_scale, _incident
 from .quad import QuadResult, area
 
@@ -492,38 +494,3 @@ def grad_scale(m: PolyhedralMetric) -> float:
     terms.append(-1.0 / (3.0 * m.scale))
     return math.fsum(terms)
 
-
-# --------------------------------------------------------------------------
-# same-angle comparison (CHS restricted case)
-# --------------------------------------------------------------------------
-
-ANGLE_MATCH_TOL = 1e-12
-
-
-def chs_compare_same_angles(m1: PolyhedralMetric, m2: PolyhedralMetric) -> float:
-    """log(det' m1 / det' m2) for metrics with equal exponent multisets:
-
-        log(Area_1/Area_2) + W(m1) - W(m2)
-
-    with W of ``w_function``.  The per-vertex terms F(beta_j, C) cancel
-    only when the angle multisets agree, and the scale enters through
-    them, so equal scales are required as well.
-    """
-    e1 = sorted(m1.exponents())
-    e2 = sorted(m2.exponents())
-    if len(e1) != len(e2) or any(
-        abs(a - b) > ANGLE_MATCH_TOL for a, b in zip(e1, e2)
-    ):
-        raise AngleMultisetMismatch(
-            "exponent multisets must agree for the same-angle comparison"
-        )
-    if m1.scale != m2.scale:
-        raise ScaleMismatch(
-            "same-angle comparison requires equal overall scales"
-        )
-    a1 = area(m1)
-    a2 = area(m2)
-    return math.fsum([
-        math.log(a1.value) - math.log(a2.value),
-        w_function(m1) - w_function(m2),
-    ])

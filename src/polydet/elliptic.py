@@ -81,12 +81,12 @@ def _half_period(pts, u: int, v: int) -> complex:
         raise PolydetError(f"period integral between branch points {u} and {v}, "
                            f"{chord.value!r}, is not a nonzero float: its integrand "
                            f"underflows")
-    if not chord.error <= PERIOD_REL_TOL * abs(chord.value):
+    if not chord.error_estimate <= PERIOD_REL_TOL * abs(chord.value):
         raise ToleranceNotReached(
             f"period integral between branch points {u} and {v}: error "
-            f"estimate {chord.error:.3e} exceeds PERIOD_REL_TOL * |value|",
+            f"estimate {chord.error_estimate:.3e} exceeds PERIOD_REL_TOL * |value|",
             partial=chord)
-    return complex(chord.value)
+    return chord.value
 
 
 def periods(points: Sequence[complex]) -> EllipticData:

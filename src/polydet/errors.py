@@ -55,8 +55,7 @@ class ToleranceNotReached(PolydetError):
     ``regint`` (finite parts, cotangent contour) after its
     budget of panel bisections.  The CLI exits 3.
 
-    ``partial`` carries the result so far, a ``quad.QuadResult`` (a
-    ``quad.Chord`` for a period).
+    ``partial`` carries the result so far, a ``quad.QuadResult``.
     """
 
     def __init__(self, message: str, partial=None):
@@ -74,17 +73,6 @@ class NonpositiveAngle(PolydetError):
 
 class CoincidentPoints(PolydetError):
     """Resolvent kernel evaluated on the diagonal."""
-
-
-# ---- determinant comparisons ----
-
-class AngleMultisetMismatch(PolydetError):
-    """Same-angle comparison called on metrics with different exponent
-    multisets."""
-
-
-class ScaleMismatch(PolydetError):
-    """Same-angle comparison requires equal overall scales."""
 
 
 # ---- elliptic oracle ----

@@ -59,7 +59,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -85,10 +85,10 @@ NEAR_TIE = 1.0 + 8.0 * float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: float
+    value: Union[float, complex]    # complex for a chord (``segment_integral``)
     error_estimate: float
     # panels evaluated: on the first runs of the tour's edges (about half the
-    # panels of the whole tour), or of a regint integral
+    # panels of the whole tour), or of a chord or a regint integral
     cell_count: int
 
 
@@ -108,12 +108,6 @@ def _quadpack_binding(attr: str, module: str):
 
 
 __getattr__ = _quadpack_binding("quad1d", __name__)
-
-
-class Chord(NamedTuple):
-    value: complex
-    error: float                # estimate of |value - exact| (``_chords``)
-    panels: int
 
 
 # --------------------------------------------------------------------------
@@ -274,6 +268,17 @@ def _chords(zs, bs, u, v, theta_u, theta_v) -> Tuple[np.ndarray, np.ndarray, np.
     d = zs[q] - zs[p]
     length = np.abs(d)
     rho = rel / d[:, None]
+    # the nodes take 1/rho_k, whose size leaves the float range for a vertex
+    # 1e308 times nearer to z_p than the segment is long (0 inf = nan at s = 0)
+    dist = np.abs(rel)
+    near = np.isinf(length[:, None] / dist)
+    if near.any():
+        half, col = np.argwhere(near)[0]
+        pair = sorted((int(p[half]) + 1, int(order[half, col]) + 1))
+        raise PolydetError(
+            f"vertices {pair[0]} and {pair[1]} are {dist[half, col]:.3g} apart, closer than "
+            f"the float range allows beside the chord from vertex {p[half] + 1} to vertex "
+            f"{q[half] + 1}, {length[half]:.3g} long")
     # log |rho_k|; where the quotient leaves the normal float range (a vertex
     # 1e308 times nearer or farther than the segment is long) from its parts
     size = np.abs(rho)
@@ -344,7 +349,7 @@ def _principal(z, u: int, v: int) -> List[float]:
 
 
 def segment_integral(zs, bs, u: int, v: int,
-                     theta: Optional[np.ndarray] = None) -> Chord:
+                     theta: Optional[np.ndarray] = None) -> QuadResult:
     """int prod_k (z - z_k)^(b_k) dz along the straight segment from z_u to
     z_v (0-based indices into the arrays ``zs``, ``bs``).
 
@@ -361,7 +366,7 @@ def segment_integral(zs, bs, u: int, v: int,
         values, errors, panels = _chords(
             np.array(z), np.asarray(bs, dtype=float), np.array([u]), np.array([v]),
             theta[None], (theta + np.array(_subtended(z, u, v)))[None])
-    return Chord(complex(values[0]), float(errors[0]), int(panels[0]))
+    return QuadResult(complex(values[0]), float(errors[0]), int(panels[0]))
 
 
 # --------------------------------------------------------------------------

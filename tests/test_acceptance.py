@@ -2,6 +2,7 @@
 pass/fail line each (run with ``pytest -s tests/test_acceptance.py`` to
 see the lines as they complete)."""
 
+import json
 import math
 import time
 
@@ -12,9 +13,9 @@ from polydet import (
     ConePoint,
     FDConfig,
     area,
-    chs_compare_same_angles,
     det_tetrahedron,
     det_torus,
+    dump_metric,
     eta_distance_identity,
     heat_kernel_cone,
     heat_kernel_images,
@@ -28,6 +29,7 @@ from polydet import (
     tetrahedron_metric,
     thomae_check,
 )
+from polydet.cli import main
 from polydet.cone import a_mu_disk_integral
 from polydet.detlap import f_function, f_function_dbeta
 from polydet.regint import (
@@ -147,27 +149,45 @@ def test_acceptance_6_hadamard_stability():
              t0, 30)
 
 
-def test_acceptance_7_chs_cross_check():
+def test_acceptance_7_chs_cross_check(tmp_path, capsys):
+    # `polydet compare` against values that share no code with W: the
+    # elliptic closed form at four angles pi, and the scale law
+    # log det'(lambda C) - log det'(C) = -(sum_k Q(beta_k) - 1) log lambda
     t0 = time.monotonic()
-    pairs = []
-    # scaled tetrahedron pair
-    pairs.append((
-        make_metric(1.0, [(2, -0.5), (-2, -0.5), (2j, -0.5), (-2j, -0.5)]),
-        tetrahedron_metric(),
-    ))
-    # seeded generic same-angle pair
+
+    def compare(m1, m2):
+        paths = [str(tmp_path / name) for name in ("m1.json", "m2.json")]
+        dump_metric(m1, paths[0])
+        dump_metric(m2, paths[1])
+        assert main(["compare", "--m1", paths[0], "--m2", paths[1], "--json"]) == 0
+        return json.loads(capsys.readouterr().out)["log_det_ratio"]
+
     rng = np.random.default_rng(2024)
-    bs = [-0.7, -0.6, -0.5, -0.2]
-    p1 = [complex(a, b) for a, b in rng.uniform(-1.6, 1.6, (4, 2))]
-    p2 = [complex(a, b) for a, b in rng.uniform(-1.6, 1.6, (4, 2))]
-    pairs.append((make_metric(1.0, list(zip(p1, bs))),
-                  make_metric(1.0, list(zip(p2, bs)))))
-    worst = 0.0
-    for m1, m2 in pairs:
-        chs = chs_compare_same_angles(m1, m2)
-        diff = log_det_as(m1).log_det - log_det_as(m2).log_det
-        worst = max(worst, abs(chs - diff) / max(abs(chs), 1.0))
-    _verdict(7, worst <= 1e-5, f"max rel deviation {worst:.2e}", t0, 120)
+    quartics = [[2, -2, 2j, -2j], [1, -1, 1j, -1j],
+                [complex(a, b) for a, b in rng.uniform(-1.6, 1.6, (4, 2))],
+                [complex(a, b) for a, b in rng.uniform(-1.6, 1.6, (4, 2))]]
+    worst_tetra = 0.0
+    for p1, p2 in (quartics[:2], quartics[2:]):
+        got = compare(make_metric(1.0, [(z, -0.5) for z in p1]),
+                      make_metric(1.0, [(z, -0.5) for z in p2]))
+        worst_tetra = max(worst_tetra,
+                          abs(got - math.log(det_tetrahedron(p1) / det_tetrahedron(p2))))
+    worst_scale = 0.0
+    for _ in range(50):
+        n = int(rng.integers(3, 8))
+        weights = rng.uniform(0.55, 1.0, n)
+        bs = (-2.0 * weights / weights.sum()).tolist()
+        bs[-1] = -2.0 - math.fsum(bs[:-1])
+        # one vertex per sector of angle 2 pi/n, off the origin
+        zs = [rng.uniform(0.3, 2.0) * np.exp(2j * PI * (k + rng.uniform(0.0, 0.5)) / n)
+              for k in range(n)]
+        m = make_metric(rng.uniform(0.5, 2.0), list(zip(zs, bs)))
+        log_lambda = rng.uniform(-3.0, 3.0)
+        zeta0 = math.fsum([q_of_beta(beta) for beta in m.angles()]) - 1.0
+        got = compare(m.with_scale(m.scale * math.exp(log_lambda)), m)
+        worst_scale = max(worst_scale, abs(got + zeta0 * log_lambda))
+    _verdict(7, worst_tetra <= 1e-12 and worst_scale <= 1e-12,
+             f"elliptic {worst_tetra:.1e}, scale law {worst_scale:.1e}", t0, 120)
 
 
 def test_acceptance_8_elliptic_identity_suite():

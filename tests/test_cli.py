@@ -358,7 +358,24 @@ def test_compare_command(tetra_path, tmp_path, capsys):
     code = main(["compare", "--m1", str(scaled), "--m2", tetra_path, "--json"])
     out = capsys.readouterr().out
     assert code == 0
-    assert json.loads(out)["log_det_ratio"] == pytest.approx(-math.log(2), abs=1e-7)
+    assert json.loads(out)["log_det_ratio"] == pytest.approx(-math.log(2), abs=1e-12)
+
+
+@pytest.mark.parametrize("other", ["angles", "scale"])
+def test_compare_is_the_difference_of_two_det_values(other, tetra_path, tmp_path, capsys):
+    # any two metrics compare, whatever their angles and scales: the ratio
+    # is the difference of the two `det` values, bit for bit
+    m2 = (make_metric(1.3, GENERIC_VERTS) if other == "angles"
+          else tetrahedron_metric().with_scale(2.0))
+    path = str(tmp_path / "m2.json")
+    dump_metric(m2, path)
+    log_dets = []
+    for metric in (tetra_path, path):
+        assert main(["det", "--metric", metric, "--json"]) == 0
+        log_dets.append(json.loads(capsys.readouterr().out)["log_det"])
+    assert main(["compare", "--m1", tetra_path, "--m2", path, "--json"]) == 0
+    ratio = json.loads(capsys.readouterr().out)["log_det_ratio"]
+    assert ratio.hex() == (log_dets[0] - log_dets[1]).hex()
 
 
 def test_verify_fd_command(tetra_path, capsys):

@@ -1,5 +1,6 @@
 import cmath
 import itertools
+import json
 import math
 
 import mpmath
@@ -11,6 +12,9 @@ from hypothesis import strategies as st
 from polydet import (
     ConePoint,
     area,
+    dump_metric,
+    grad_position,
+    grad_scale,
     hadamard_coth_coth_over_theta,
     hadamard_coth_over_sinh_sq,
     heat_kernel_cone,
@@ -24,6 +28,7 @@ from polydet import (
     segment_integral,
     tetrahedron_metric,
 )
+from polydet.cli import main
 from polydet.errors import PolydetError, ToleranceNotReached
 
 PI = math.pi
@@ -218,25 +223,57 @@ def _complex_in_square(draw, half):
     return complex(draw(st.floats(-half, half)), draw(st.floats(-half, half)))
 
 
-@given(metric=generic_metrics(), data=st.data())
-@settings(max_examples=25, deadline=None)
-def test_log_det_invariant_under_moebius_maps(metric, data):
-    C, zs, bs = metric
-    # z = (a w + b)/(c w + d) with ad - bc = 1 pulls m back to the same
-    # surface with vertices w_k = (d z_k - b)/(a - c z_k) and scale
-    # C' = C prod |c w_k + d|^(-2 b_k); |a - c z_k| >= 0.2 bounds the w_k
-    a, b, c = (_complex_in_square(data.draw, 2.0) for _ in range(3))
+def _moebius_pullback(draw, C, zs, bs):
+    """z = (a w + b)/(c w + d) with ad - bc = 1 pulls m back to the same
+    surface with vertices w_k = (d z_k - b)/(a - c z_k) and scale
+    C' = C prod |c w_k + d|^(-2 b_k); |a - c z_k| >= 0.2 bounds the w_k.
+    Returns c, d, the w_k, C' and 10 eps max|w|/min gap: the w_k are
+    rounded by about eps max|w|, which moves a log|w_k - w_l| by up to
+    that over the smallest gap and a pair term 1/(w_k - w_l) by as much
+    of its size."""
+    a, b, c = (_complex_in_square(draw, 2.0) for _ in range(3))
     assume(abs(a) >= 0.2 and min(abs(a - c * z) for z in zs) >= 0.2)
     d = (1.0 + b * c) / a
     ws = [(d * z - b) / (a - c * z) for z in zs]
     C_map = C * math.prod(abs(c * w + d) ** (-2.0 * bk) for w, bk in zip(ws, bs))
+    gap = min(abs(w - v) for k, w in enumerate(ws) for v in ws[k + 1:])
+    return c, d, ws, C_map, 10.0 * np.finfo(float).eps * max(map(abs, ws)) / gap
+
+
+@given(metric=generic_metrics(), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_log_det_invariant_under_moebius_maps(metric, data):
+    C, zs, bs = metric
+    _, _, ws, C_map, rounding = _moebius_pullback(data.draw, C, zs, bs)
     original = log_det_as(make_metric(C, list(zip(zs, bs)))).log_det
     mapped = log_det_as(make_metric(C_map, list(zip(ws, bs)))).log_det
-    # the w_k are rounded by about eps max|w|, which moves a log|w_k - w_l|
-    # of W by up to that over the smallest gap
-    gap = min(abs(w - v) for k, w in enumerate(ws) for v in ws[k + 1:])
-    eps = np.finfo(float).eps
-    assert abs(mapped - original) <= 1e-12 + 10.0 * eps * max(map(abs, ws)) / gap
+    # W's coefficients are below 1 here, so the rounding of the w_k moves it
+    # by up to `rounding`; 1e-12 covers the areas and the assembly
+    assert abs(mapped - original) <= 1e-12 + rounding
+
+
+@given(metric=generic_metrics(), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_grad_position_covariant_under_moebius_maps(metric, data):
+    C, zs, bs = metric
+    # log(det'/Area) is the same function of the w_k and C'(w), and
+    # dz_i/dw_i = (c w_i + d)^-2 and dC'/dw_i = -b_i c C'/(c w_i + d), so
+    #   grad_position(m', i) = grad_position(m, i)/(c w_i + d)^2
+    #                          + b_i c C' grad_scale(m')/(c w_i + d)
+    c, d, ws, C_map, rounding = _moebius_pullback(data.draw, C, zs, bs)
+    m = make_metric(C, list(zip(zs, bs)))
+    mapped = make_metric(C_map, list(zip(ws, bs)))
+    scale_term = c * C_map * grad_scale(mapped)
+    betas = [2.0 * PI * (1.0 + bk) for bk in bs]
+    for i, (w, bi) in enumerate(zip(ws, bs), start=1):
+        lhs = grad_position(mapped, i)
+        rhs = grad_position(m, i) / (c * w + d) ** 2 + bi * scale_term / (c * w + d)
+        # the sizes of the terms of both sides, which may cancel; 1e-12 of
+        # them covers the sums' own rounding
+        size = abs(bi * scale_term / (c * w + d)) + (PI / 6.0) * sum(
+            abs(bi * bk * (1 / betas[i - 1] + 1 / beta) / (w - v))
+            for v, bk, beta in zip(ws, bs, betas) if v != w)
+        assert abs(lhs - rhs) <= (1e-12 + rounding) * size, i
 
 
 def _near_pair_metric(gap, turn=0.0, last=False, direction=1.0, third=1.0):
@@ -357,7 +394,7 @@ def test_segment_integral_endpoint_singularities():
     exact = cmath.exp(1j * PI * b2) * math.exp(
         math.lgamma(1 + b1) + math.lgamma(1 + b2) - math.lgamma(2 + b1 + b2))
     assert abs(chord.value - exact) < 1e-14
-    assert chord.error < 1e-14
+    assert chord.error_estimate < 1e-14
 
 
 def test_chords_same_bits_alone_or_together(monkeypatch):
@@ -377,8 +414,8 @@ def test_chords_same_bits_alone_or_together(monkeypatch):
         for i, (u, v, theta) in enumerate(zip(*steps[:3])):
             chord = segment_integral(zs, bs, u, v, theta)
             assert chord.value == values[i]
-            assert chord.error == errors[i]
-            assert chord.panels == panels[i]
+            assert chord.error_estimate == errors[i]
+            assert chord.cell_count == panels[i]
 
 
 def _seeded_metrics(seed):
@@ -477,6 +514,32 @@ def test_close_pair_in_wide_spread(gap):
     assert result.value == pytest.approx(2.237027704174493e-19, rel=1e-14)
 
 
+def _far_spread_pair(gap, last):
+    # the near pair of _near_pair_metric with the other three vertices 1e10
+    # away: the chord from a far vertex to the pair puts the other member
+    # of the pair 1e10/gap edge lengths nearer than its end
+    pair = [(0.0, 0.5), (gap, -0.6)]
+    rest = [(1e10, -0.3), (1e10 * cmath.exp(2.1j), -0.8), (1e10 * cmath.exp(-2.3j), -0.8)]
+    return make_metric(1.0, rest + pair if last else pair + rest)
+
+
+@pytest.mark.parametrize("last", [False, True])
+@pytest.mark.parametrize("gap", [1e-299, 1e-300, 1e-310])
+def test_close_pair_among_far_vertices_refused_by_name(gap, last, tmp_path, capsys):
+    # 1/rho_k of that chord leaves the float range, where the nodes would
+    # give nan (0 inf at s = 0): the area and the CLI name the pair
+    names = "vertices 4 and 5" if last else "vertices 1 and 2"
+    why = f"{names} are {gap:.3g} apart, closer than the float range allows"
+    with pytest.raises(PolydetError, match=why) as exc:
+        area(_far_spread_pair(gap, last))
+    assert type(exc.value) is PolydetError
+    path = tmp_path / "m.json"
+    dump_metric(_far_spread_pair(gap, last), str(path))
+    assert main(["det", "--metric", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "PolydetError" and err["message"].startswith(why)
+
+
 def test_area_contract_is_relative():
     # a pair 1e-200 apart beside a vertex 1e-150 away and three 1e10 away:
     # the area, about 9e-20, has an estimate nearly as large, which no
@@ -497,7 +560,7 @@ def test_chord_scale_free(size):
     unit = segment_integral(zs, [-0.5] * 4, 0, 2)
     chord = segment_integral([size * z for z in zs], [-0.5] * 4, 0, 2)
     assert abs(chord.value * size - unit.value) <= 4e-16 * abs(unit.value)
-    assert chord.error * size == pytest.approx(unit.error, rel=1e-14)
+    assert chord.error_estimate * size == pytest.approx(unit.error_estimate, rel=1e-14)
 
 
 @pytest.mark.parametrize("size", [2e-154, 2.5e-154, 3e-154])
