@@ -19,7 +19,6 @@ from .cone import (
 )
 from .detlap import (
     DetReport,
-    GradientReport,
     f_function,
     grad_angle,
     grad_position,
@@ -48,12 +47,10 @@ from .metric import (
     Scale,
     dump_metric,
     load_metric,
-    log_density,
     make_metric,
     metric_from_json_dict,
     metric_to_json_dict,
     tetrahedron_metric,
-    variation_field,
 )
 from .quad import QuadResult, area, segment_integral
 from .regint import (
@@ -63,6 +60,6 @@ from .regint import (
     q_of_beta,
     q_of_beta_contour,
 )
-from .verify import FDConfig, fd_gradient, gradient_reports, run_suite
+from .verify import FDConfig, GradientReport, fd_gradient, gradient_reports, run_suite
 
 __version__ = "0.1.0"

@@ -17,7 +17,8 @@ the two metrics' ``detlap.log_det_as`` values, at any angles and scales.
 
 Exit codes: 0 success, 2 validation error (machine-readable JSON on
 stderr), 3 an error estimate above its fixed accuracy contract.
-``verify fd`` exits 0 only when every channel matches to 1e-5 relative.
+``verify fd`` exits 0 only when every channel passes ``verify.FD_PASS_TOL``
+and exits 1 otherwise.
 Floats are serialized as shortest round-trip decimals (17 significant
 digits in human output).
 """
@@ -41,8 +42,6 @@ from .metric import load_metric, make_metric
 from .quad import area
 from .regint import (SPLIT_RADIUS, hadamard_coth_coth_over_theta, hadamard_coth_over_sinh_sq,
                      q_of_beta, q_of_beta_contour)
-
-FD_PASS_TOL = 1e-5
 
 
 # --------------------------------------------------------------------------
@@ -223,7 +222,7 @@ def _cmd_verify_fd(args) -> int:
     fdcfg = verify.FDConfig(richardson=args.richardson)
     reports = verify.run_suite(m, fdcfg=fdcfg)
     _emit(reports, args)
-    return 0 if all(r.rel_err <= FD_PASS_TOL for r in reports) else 1
+    return 0 if all(r.rel_err <= verify.FD_PASS_TOL for r in reports) else 1
 
 
 def _cmd_verify_hadamard(args) -> int:

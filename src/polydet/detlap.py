@@ -135,7 +135,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple, Union
+from typing import Tuple
 
 import numpy as np
 
@@ -145,8 +145,6 @@ from .quad import QuadResult, area
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
-
-REL_ERR_FLOOR = 1.0  # gradients are O(1); below this scale abs error rules
 
 
 @dataclass(frozen=True)
@@ -168,25 +166,6 @@ class DetReport:
     f_terms: Tuple[float, ...]
     reference_term: float
     prefactor: float
-
-
-@dataclass(frozen=True)
-class GradientReport:
-    channel: str
-    analytic: Union[float, complex]
-    finite_difference: Union[float, complex]
-    abs_err: float
-    rel_err: float
-
-    @classmethod
-    def compare(cls, channel: str, analytic, fd) -> "GradientReport":
-        """Pair an analytic gradient with its finite difference; the
-        relative error is taken against max(|analytic|, |fd|, 1), since
-        gradients are O(1) and below that scale the absolute error rules."""
-        abs_err = abs(analytic - fd)
-        return cls(channel=channel, analytic=analytic, finite_difference=fd,
-                   abs_err=abs_err,
-                   rel_err=abs_err / max(abs(analytic), abs(fd), REL_ERR_FLOOR))
 
 
 # --------------------------------------------------------------------------
@@ -235,15 +214,8 @@ def f_function_dbeta(beta: float, scale: float) -> float:
     return _f_dbeta(beta, scale, _angle_terms(beta)[1])
 
 
-def f_function_dC(beta: float, scale: float) -> float:
-    """Closed-form dF/dC."""
-    _check_angle(beta)
-    _check_scale(scale)
-    return _f_dc(beta, scale)
-
-
 def _f_dc(beta: float, scale: float) -> float:
-    """dF/dC of ``f_function_dC``; the caller checks beta and C."""
+    """dF/dC(beta, C) in closed form; the caller checks beta and C."""
     return (2.0 - beta / TWO_PI - TWO_PI / beta) / (12.0 * scale)
 
 

@@ -15,7 +15,7 @@ class PolydetError(Exception):
         return type(self).__name__
 
 
-# ---- metric construction / evaluation ----
+# ---- metric construction and variation channels ----
 
 class GaussBonnetViolation(PolydetError):
     """Vertex exponents do not sum to -2 within tolerance."""
@@ -31,10 +31,6 @@ class InvalidExponent(PolydetError):
 
 class NonpositiveScale(PolydetError):
     """Overall metric scale C must be positive."""
-
-
-class EvaluationAtVertex(PolydetError):
-    """Pointwise evaluation requested exactly at a conical point."""
 
 
 class GaugeVertexVariation(PolydetError):

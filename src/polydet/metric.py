@@ -6,25 +6,20 @@ A genus-zero polyhedral surface is the plane carrying the metric
 
 with cone angle beta_k = 2*pi*(b_k + 1) at the vertex z_k and the
 Gauss-Bonnet constraint sum_k b_k = -2 (no cone point at infinity).
-This module owns the data model, pointwise density evaluation, and the
-three infinitesimal variation fields (vertex position, cone angle with
-vertex 1 compensating, overall scale).  A metric also keeps the record of
-its parts that the determinant, its gradients and their finite
-differences read, each computed once, on first use.
+This module owns the data model and the three variation channels along
+which the gradients are taken.  A metric also keeps the record of its
+parts that the determinant, its gradients and their finite differences
+read, each computed once, on first use.
 
 Conventions
 -----------
-Writing the conformal factor as m = exp(-phi) |dz|^2,
+The variation channels are:
 
-    -phi(z) = log C + sum_k 2 b_k log|z - z_k|,
-
-the variation fields phi-dot are:
-
-    position of vertex i :  b_i / (z - z_i)                 (complex)
-    angle of vertex i>1  :  (1/pi) log|(z - z_1)/(z - z_i)| (real; beta_i
-                            grows at unit rate while beta_1 compensates,
-                            so the constraint sum_k b_k = -2 is preserved)
-    overall scale        :  -1/C                            (real)
+    Position(i)      the position z_i of vertex i (complex)
+    Angle(i), i > 1  the cone angle beta_i, growing at unit rate while
+                     beta_1 compensates, so the constraint sum_k b_k = -2
+                     is preserved
+    Scale()          the overall scale C
 
 Vertex indices are 1-based throughout the public API; vertex 1 is the
 fixed gauge vertex for angle variations.
@@ -41,9 +36,7 @@ from typing import NamedTuple, Sequence, Tuple, Union
 
 from .errors import (
     DuplicateVertex,
-    EvaluationAtVertex,
     GaussBonnetViolation,
-    GaugeVertexVariation,
     InvalidExponent,
     InvalidMetricJSON,
     NonpositiveAngle,
@@ -300,58 +293,6 @@ def tetrahedron_metric(scale: float = 1.0) -> PolyhedralMetric:
     """The equilateral-square tetrahedron: vertices {1, -1, i, -i}, all
     cone angles pi (b_k = -1/2)."""
     return make_metric(scale, [(1, -0.5), (-1, -0.5), (1j, -0.5), (-1j, -0.5)])
-
-
-# --------------------------------------------------------------------------
-# pointwise evaluation
-# --------------------------------------------------------------------------
-
-def log_density(m: PolyhedralMetric, z: complex) -> float:
-    """log of the metric density: log C + sum_k 2 b_k log|z - z_k| = -phi(z).
-
-    Raises EvaluationAtVertex exactly at a vertex position (where the log
-    diverges for b_k < 0 and the derivative for any b_k != 0).
-    """
-    z = complex(z)
-    terms = [math.log(m.scale)]
-    for v in m.vertices:
-        d = abs(z - v.position)
-        if d == 0.0:
-            raise EvaluationAtVertex(f"z coincides with vertex at {v.position}")
-        terms.append(2.0 * v.exponent * math.log(d))
-    return math.fsum(terms)
-
-
-def variation_field(
-    m: PolyhedralMetric, channel: VariationChannel, z: complex
-) -> Union[complex, float]:
-    """The variation phi-dot(z) of the conformal factor along ``channel``.
-
-    Position(i) returns the complex field b_i/(z - z_i); Angle(i) returns
-    the real field (1/pi) log|(z - z_1)/(z - z_i)| (unit growth of beta_i,
-    compensated by beta_1); Scale returns the constant -1/C.
-    """
-    z = complex(z)
-    if isinstance(channel, Scale):
-        return -1.0 / m.scale
-    if isinstance(channel, Position):
-        m.check_index(channel.i)
-        z_i = m.vertices[channel.i - 1].position
-        if z == z_i:
-            raise EvaluationAtVertex(f"z coincides with vertex {channel.i}")
-        return m.vertices[channel.i - 1].exponent / (z - z_i)
-    if isinstance(channel, Angle):
-        if channel.i == 1:
-            raise GaugeVertexVariation(
-                "vertex 1 is the gauge vertex; vary an i != 1 angle instead"
-            )
-        m.check_index(channel.i)
-        z_1 = m.vertices[0].position
-        z_i = m.vertices[channel.i - 1].position
-        if z == z_i or z == z_1:
-            raise EvaluationAtVertex("z coincides with a varied vertex")
-        return math.log(abs(z - z_1) / abs(z - z_i)) / math.pi
-    raise TypeError(f"unknown variation channel {channel!r}")
 
 
 # --------------------------------------------------------------------------

@@ -97,8 +97,8 @@ def _quadpack_binding(attr: str, module: str):
     routine on first access, so importing polydet loads no scipy.  No
     polydet code calls it, and scipy is not a runtime dependency: the
     benchmark's tracer (bench/tracing.py) wraps these names to count
-    QUADPACK calls and needs them to exist, so they go only together with
-    that tracer's QUADPACK counters (ROADMAP.md item 4)."""
+    QUADPACK calls and needs them to exist, so they go in the benchmark
+    change that drops that tracer's ``*.quadpack_*`` counters."""
     def __getattr__(name: str):
         if name == attr:
             from scipy.integrate import quad
@@ -282,7 +282,7 @@ def _chords(zs, bs, u, v, theta_u, theta_v) -> Tuple[np.ndarray, np.ndarray, np.
     # log |rho_k|; where the quotient leaves the normal float range (a vertex
     # 1e308 times nearer or farther than the segment is long) from its parts
     size = np.abs(rho)
-    log_rho = np.log(np.abs(rel)) - np.log(length)[:, None]
+    log_rho = np.log(dist) - np.log(length)[:, None]
     np.log(size, out=log_rho, where=(size >= np.finfo(float).tiny) & (size < math.inf))
     owner, a, l = _panels(rho)
     # the end panel opens every half: there s^b_p = h^b_p (1 + x)^b_p, and

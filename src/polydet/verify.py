@@ -11,7 +11,11 @@ closed-form counterpart in a report named as ``parse_channel`` reads it:
 
 ``gradient_reports`` is the one path from channels to reports, which
 ``fd_gradient``, ``run_suite`` and the CLI's ``grad`` and ``verify fd``
-take.
+take.  This module also decides what counts as agreement: a report's
+relative error is its absolute error over max(|analytic|, |fd|,
+REL_ERR_FLOOR), since gradients are O(1) and below that scale the
+absolute error rules, and a channel passes at a relative error of at
+most FD_PASS_TOL (``verify fd`` exits 1 otherwise).
 
 The relative step is fixed, STEP = 1e-4, and scaled to the perturbed
 quantity: h = STEP * min-vertex-gap for positions (so near-degenerate
@@ -53,7 +57,6 @@ from dataclasses import dataclass
 from typing import List, Union
 
 from .detlap import (
-    GradientReport,
     _assemble,
     _f_terms,
     _prefactor,
@@ -81,6 +84,20 @@ from .metric import (
 TWO_PI = 2.0 * math.pi
 
 STEP = 1e-4   # relative finite-difference step
+REL_ERR_FLOOR = 1.0   # the scale below which the absolute error rules
+FD_PASS_TOL = 1e-5    # the largest relative error of a passing channel
+
+
+@dataclass(frozen=True)
+class GradientReport:
+    """One channel's analytic gradient, its finite difference and their
+    errors (module docstring)."""
+
+    channel: str
+    analytic: Union[float, complex]
+    finite_difference: Union[float, complex]
+    abs_err: float
+    rel_err: float
 
 
 @dataclass(frozen=True)
@@ -248,16 +265,19 @@ def _channel(steps: _Steps, channel: VariationChannel, richardson: bool):
 def gradient_reports(m: PolyhedralMetric, channels,
                      fdcfg: FDConfig = FDConfig()) -> List[GradientReport]:
     """The analytic gradient of log(det/Area) along every channel of
-    ``channels``, each paired with its central finite difference: for a
+    ``channels``, each paired with its central finite difference (for a
     position, from its x and y rows, the Wirtinger derivative
-    (d/dx - i d/dy)/2."""
+    (d/dx - i d/dy)/2) and their errors (module docstring)."""
     steps = _Steps(m)
     reports = []
     for channel in channels:
         name, analytic, rows = _channel(steps, channel, fdcfg.richardson)
         d = [_derivative(row) for row in rows]
         fd = 0.5 * complex(d[0], -d[1]) if len(d) == 2 else d[0]
-        reports.append(GradientReport.compare(name, analytic, fd))
+        abs_err = abs(analytic - fd)
+        reports.append(GradientReport(
+            name, analytic, fd, abs_err,
+            abs_err / max(abs(analytic), abs(fd), REL_ERR_FLOOR)))
     return reports
 
 

@@ -11,7 +11,8 @@ from pathlib import Path
 import pytest
 
 import polydet
-from polydet import detlap, dump_metric, elliptic, make_metric, quad, regint, tetrahedron_metric
+from polydet import (detlap, dump_metric, elliptic, make_metric, quad, regint,
+                     tetrahedron_metric, verify)
 from polydet.cli import main
 
 
@@ -395,6 +396,19 @@ def test_verify_fd_csv_one_row_per_channel(tetra_path, capsys):
     assert [r["channel"] for r in rows] == [
         "z:1", "z:2", "z:3", "z:4", "beta:2", "beta:3", "beta:4", "C"]
     assert all(float(r["rel_err"]) <= 1e-5 for r in rows)
+
+
+@pytest.mark.parametrize("offset, code", [(2e-5, 1), (7e-6, 0)])
+def test_verify_fd_exits_1_when_a_channel_misses(tetra_path, monkeypatch, capsys, offset, code):
+    # dF/dC of the tetrahedron is -0.5: an offset of 2e-5 misses FD_PASS_TOL
+    # = 1e-5, while 7e-6 passes only through the floor REL_ERR_FLOOR = 1 of
+    # the relative error (7e-6/0.5 would miss)
+    monkeypatch.setattr(verify, "grad_scale", lambda m: detlap.grad_scale(m) + offset)
+    assert main(["verify", "fd", "--metric", tetra_path, "--json"]) == code
+    row = json.loads(capsys.readouterr().out)[-1]
+    assert row["channel"] == "C"
+    assert row["analytic"] == -0.5 + offset
+    assert row["rel_err"] == pytest.approx(offset, rel=1e-2)
 
 
 GENERIC_VERTS = [(0.1 + 0.2j, -0.6), (1.1 - 0.3j, -0.45), (-0.7 + 0.9j, -0.55), (0.4 - 1.2j, -0.4)]

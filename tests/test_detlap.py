@@ -25,7 +25,7 @@ from polydet import (
     w_function,
 )
 from polydet import detlap, regint
-from polydet.detlap import f_function_dbeta, f_function_dC
+from polydet.detlap import _f_dc, f_function_dbeta
 from polydet.errors import GaugeVertexVariation, NonpositiveAngle, NonpositiveScale
 from polydet.metric import Angle
 from polydet.regint import hadamard_coth_coth_over_theta, hadamard_coth_over_sinh_sq
@@ -70,7 +70,7 @@ def test_f_scale_derivative_identity(beta, scale):
     # dF/dC + b/(6C) = -Q(beta)/C with b = beta/2pi - 1
     h = 1e-6 * scale
     fd = (f_function(beta, scale + h) - f_function(beta, scale - h)) / (2 * h)
-    assert fd == pytest.approx(f_function_dC(beta, scale), abs=1e-8)
+    assert fd == pytest.approx(_f_dc(beta, scale), abs=1e-8)
     b = beta / TWO_PI - 1
     assert fd + b / (6 * scale) == pytest.approx(-q_of_beta(beta) / scale, abs=1e-8)
 
@@ -305,7 +305,7 @@ def test_mode_table_built_on_first_miss_not_at_import():
     assert proc.stdout.split() == ["0", "1"]
 
 
-@pytest.mark.parametrize("fn", [f_function, f_function_dbeta, f_function_dC])
+@pytest.mark.parametrize("fn", [f_function, f_function_dbeta])
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_f_functions_check_their_input(fn, bad):
     with pytest.raises(NonpositiveAngle) as info:

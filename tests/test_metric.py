@@ -8,21 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydet import (
-    Angle,
-    Position,
-    Scale,
-    log_density,
     make_metric,
     metric_from_json_dict,
     metric_to_json_dict,
     tetrahedron_metric,
-    variation_field,
 )
 from polydet.errors import (
     DuplicateVertex,
-    EvaluationAtVertex,
     GaussBonnetViolation,
-    GaugeVertexVariation,
     InvalidExponent,
     NonpositiveScale,
     PolydetError,
@@ -89,87 +82,6 @@ def test_angle_sum_constraint():
             -4 * PI, abs=1e-12)
 
 
-# ---- log density ----
-
-def test_log_density_tetra_origin():
-    m = tetrahedron_metric()
-    assert log_density(m, 0.0) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_log_density_scale_additivity():
-    verts = [(0.3, -0.7), (1.5j, -0.8), (-1.2, -0.5)]
-    m1 = make_metric(1.0, verts)
-    me = make_metric(math.e, verts)
-    z = 4.2 + 0.7j
-    assert log_density(me, z) == pytest.approx(1.0 + log_density(m1, z), abs=1e-12)
-
-
-def test_log_density_at_vertex_raises():
-    m = tetrahedron_metric()
-    with pytest.raises(EvaluationAtVertex):
-        log_density(m, 1.0 + 0.0j)
-
-
-def test_log_density_divergence_near_vertex():
-    # the density blows up at a vertex with b < 0 and vanishes for b > 0;
-    # either way the log diverges with the sign of -b
-    m = tetrahedron_metric()
-    assert log_density(m, 1.0 + 1e-12j) > 20.0
-    m5 = make_metric(1.0, [(0, 0.5), (1, -0.9), (-1, -0.8), (2j, -0.8)])
-    assert log_density(m5, 1e-12j) < -20.0
-
-
-def test_far_field_decay():
-    # log density + 4 log|z| -> log C with O(1/|z|) rate
-    m = make_metric(2.5, [(0.3, -0.7), (1.5j, -0.8), (-1.2, -0.5)])
-    target = math.log(2.5)
-    d3 = log_density(m, 1e3 + 0.5j) + 4 * math.log(abs(1e3 + 0.5j)) - target
-    d4 = log_density(m, 1e4 + 5j) + 4 * math.log(abs(1e4 + 5j)) - target
-    assert abs(d4) < 0.2 * abs(d3)
-    # first-order extrapolation in 1/|z| kills the residual
-    assert abs((10 * d4 - d3) / 9) < 1e-5
-
-
-# ---- variation fields ----
-
-def test_variation_position_tetra():
-    m = tetrahedron_metric()
-    assert variation_field(m, Position(1), 0.0) == pytest.approx(0.5 + 0j)
-
-
-def test_variation_scale_constant():
-    m = make_metric(2.0, TETRA_VERTS)
-    for z in (0.2, 3 + 1j, -0.7j):
-        assert variation_field(m, Scale(), z) == pytest.approx(-0.5)
-
-
-def test_variation_angle_bisector():
-    # z_1 = 1, z_2 = -1: the imaginary axis is the perpendicular bisector
-    m = tetrahedron_metric()
-    assert variation_field(m, Angle(2), 0.35j) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_variation_angle_gauge_vertex_rejected():
-    with pytest.raises(GaugeVertexVariation):
-        variation_field(tetrahedron_metric(), Angle(1), 0.5)
-
-
-def test_variation_position_matches_log_density_derivative():
-    # Wirtinger FD of log density in z_i equals minus the variation field
-    m = make_metric(1.0, [(0.4 + 0.2j, -0.7), (-1.1j, -0.8), (-0.9, -0.5)])
-    z = 0.8 - 0.6j
-    h = 1e-6
-
-    def ld(shift):
-        mm = m.with_position(1, m.vertices[0].position + shift)
-        return log_density(mm, z)
-
-    dx = (ld(h) - ld(-h)) / (2 * h)
-    dy = (ld(1j * h) - ld(-1j * h)) / (2 * h)
-    fd = 0.5 * complex(dx, -dy)
-    assert abs(fd + variation_field(m, Position(1), z)) < 1e-8
-
-
 # ---- JSON round trip ----
 
 def test_json_round_trip():
@@ -193,14 +105,6 @@ def valid_metrics(draw):
         pts.append(cmath.exp(2j * PI * k / n) * (1.0 + 0.1 * k))
     scale = draw(st.floats(min_value=0.1, max_value=10.0))
     return make_metric(scale, list(zip(pts, bs + [b_last])))
-
-
-@given(m=valid_metrics(), x=st.floats(-3, 3), y=st.floats(0.05, 3))
-@settings(max_examples=50, deadline=None)
-def test_density_positive_and_finite(m, x, y):
-    z = complex(x, y) + 4j  # stay clear of all vertices
-    v = log_density(m, z)
-    assert math.isfinite(v)
 
 
 @given(m=valid_metrics())

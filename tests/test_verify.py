@@ -17,7 +17,6 @@ from polydet import (
     log_det_over_area,
     run_suite,
     tetrahedron_metric,
-    variation_field,
     verify,
 )
 from polydet.errors import GaugeVertexVariation, PerturbationLeavesDomain, PolydetError
@@ -70,8 +69,6 @@ def test_vertex_index_out_of_range(tetra, channel):
     grad = grad_position if isinstance(channel, Position) else grad_angle
     with pytest.raises(PolydetError, match="out of range"):
         grad(tetra, channel.i)
-    with pytest.raises(PolydetError, match="out of range"):
-        variation_field(tetra, channel, 0.3 + 0.2j)
 
 
 def test_suite_tetrahedron(tetra):
