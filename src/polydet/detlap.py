@@ -125,9 +125,13 @@ Gradients of log(det/Area) in closed form:
 The parts of these sums that depend on the metric alone are its record
 (``metric.PolyhedralMetric``), computed once per metric: the pair
 coefficients b_k b_l (1/beta_k + 1/beta_l), W's pair terms and the
-distance sum of every block B_q.  ``w_function``, ``grad_position`` and
-``grad_angle`` read them, so a gradient call adds only its own sum, and
-``grad_angle`` only dF/dbeta of its two angles.
+distance sum of every block B_q.  The gradients are kept there too:
+``grad_position`` forms vertex i's sum, and ``grad_angle`` the blocks
+B_i and B_1, on the first call that needs them, after its index and
+gauge checks, and every later call on the metric, ``verify``'s
+included, reads the kept value.  A vertex is formed only when asked for,
+so a call raises only where forming its own vertices raises.  The scale
+gradient, M + 1 closed-form terms, is summed anew by each call.
 """
 
 from __future__ import annotations
@@ -190,8 +194,11 @@ def _w_sum(terms) -> float:
 def _f_terms(angles, scale: float) -> Tuple[float, ...]:
     """F(beta, C) of ``f_function`` at every angle of ``angles``."""
     log_c = math.log(scale) / 12.0
-    return tuple([_angle_terms(beta)[0] + (1.0 - beta / TWO_PI) * (1.0 - TWO_PI / beta) * log_c
-                  for beta in angles])
+    terms = []
+    for beta in angles:     # a loop, not a comprehension: cheaper for two angles
+        terms.append(_angle_terms(beta)[0]
+                     + (1.0 - beta / TWO_PI) * (1.0 - TWO_PI / beta) * log_c)
+    return tuple(terms)
 
 
 def _f_dbeta(beta: float, scale: float, dfdb: float) -> float:
@@ -410,8 +417,19 @@ def log_det_as(m: PolyhedralMetric) -> DetReport:
 def _assemble(pre: float, w: float, f_terms, log_area: float = 0.0) -> float:
     """log(det/Area) = fsum([pre, W, *F, -ref]) from its parts, or log det
     given log Area; PolydetError unless the sum is a finite float."""
+    return _total([log_area, w, *_assembly_terms(pre, f_terms)])
+
+
+def _assembly_terms(pre: float, f_terms) -> list:
+    """The terms of log(det/Area) other than W: [pre, *F, -ref]."""
+    return [pre, *f_terms, -_reference_term()]
+
+
+def _total(terms) -> float:
+    """The sum of the terms of log det' (``math.fsum``, exactly rounded, so
+    in any order); PolydetError unless it is a finite float."""
     try:
-        value = math.fsum([log_area, pre, w, *f_terms, -_reference_term()])
+        value = math.fsum(terms)
     except (OverflowError, ValueError):     # inf - inf, or past the float range
         value = math.nan
     if not math.isfinite(value):
@@ -436,33 +454,59 @@ def _reference_term() -> float:
 
 def grad_position(m: PolyhedralMetric, i: int) -> complex:
     """d log(det/A) / dz_i as a Wirtinger derivative (d/dx - i d/dy)/2;
-    vertex index 1-based."""
+    vertex index 1-based.  Formed on the first call for the vertex and
+    kept in the metric's record (``PolyhedralMetric._gradients``)."""
     m.check_index(i)
+    slots = m._gradients[0]
+    if slots[i - 1] is None:
+        slots[i - 1] = _position_gradient(m, i - 1)
+    return slots[i - 1]
+
+
+def grad_angle(m: PolyhedralMetric, i: int) -> float:
+    """d log(det/A) / dbeta_i under the gauge beta_1-dot = -beta_i-dot:
+    B_i - B_1, the angle blocks of ``_angle_block``, each formed on the
+    first call that needs it and kept in the metric's record."""
+    if i == 1:
+        raise GaugeVertexVariation("vertex 1 is the compensating gauge vertex")
+    m.check_index(i)
+    blocks = m._gradients[1]
+    for q in (i - 1, 0):
+        if blocks[q] is None:
+            blocks[q] = _angle_block(m, q)
+    return blocks[i - 1] - blocks[0]
+
+
+def grad_scale(m: PolyhedralMetric) -> float:
+    """d log(det/A) / dC = sum_j dF/dC(beta_j) - 1/(3C), in closed form;
+    PolydetError unless it is a finite float (C far below 1e-308 takes it
+    past the float range)."""
+    terms = [_f_dc(beta, m.scale) for beta in m.angles()]
+    terms.append(-1.0 / (3.0 * m.scale))
+    try:
+        value = math.fsum(terms)
+    except (OverflowError, ValueError):     # inf - inf, or past the float range
+        value = math.nan
+    if not math.isfinite(value):
+        raise PolydetError(f"d log(det/A)/dC at C = {m.scale!r} is past the float range")
+    return value
+
+
+def _position_gradient(m: PolyhedralMetric, q: int) -> complex:
+    """(pi/6) sum_{j != q} b_q b_j (1/beta_q + 1/beta_j)/(z_q - z_j), its
+    real and imaginary parts each summed with ``math.fsum``."""
     zs, coefficients = m.positions(), m._parts.coefficients
-    zi = zs[i - 1]
+    zq = zs[q]
     acc_re, acc_im = [], []
-    for j, p in _incident(len(zs))[i - 1]:
-        w = coefficients[p] / (zi - zs[j])
+    for j, p in _incident(len(zs))[q]:
+        w = coefficients[p] / (zq - zs[j])
         acc_re.append(w.real)
         acc_im.append(w.imag)
     return (PI / 6.0) * complex(math.fsum(acc_re), math.fsum(acc_im))
 
 
-def grad_angle(m: PolyhedralMetric, i: int) -> float:
-    """d log(det/A) / dbeta_i under the gauge beta_1-dot = -beta_i-dot:
-    B_i - B_1, B_q the metric's distance sum of block q
-    (``PolyhedralMetric._b_sums``) plus dF/dbeta(beta_q, C)."""
-    if i == 1:
-        raise GaugeVertexVariation("vertex 1 is the compensating gauge vertex")
-    m.check_index(i)
-    angles, sums = m.angles(), m._b_sums
-    return ((sums[i - 1] + _f_dbeta(angles[i - 1], m.scale, _angle_terms(angles[i - 1])[1]))
-            - (sums[0] + _f_dbeta(angles[0], m.scale, _angle_terms(angles[0])[1])))
-
-
-def grad_scale(m: PolyhedralMetric) -> float:
-    """d log(det/A) / dC = sum_j dF/dC(beta_j) - 1/(3C), in closed form."""
-    terms = [_f_dc(beta, m.scale) for beta in m.angles()]
-    terms.append(-1.0 / (3.0 * m.scale))
-    return math.fsum(terms)
-
+def _angle_block(m: PolyhedralMetric, q: int) -> float:
+    """B_q: the metric's distance sum of block q (``PolyhedralMetric._b_sums``)
+    plus dF/dbeta(beta_q, C)."""
+    beta = m.angles()[q]
+    return m._b_sums[q] + _f_dbeta(beta, m.scale, _angle_terms(beta)[1])

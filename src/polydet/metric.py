@@ -93,12 +93,15 @@ class PolyhedralMetric:
     its two fields a metric keeps a record of its parts: the distance of
     every vertex pair, which ``make_metric`` computes; the parts of
     ``_Parts``, its position, exponent and angle tuples, the log distance
-    and W coefficient of every pair and W's pair terms; and the distance
-    sum of every angle gradient block, which only ``grad_angle`` reads.
-    Each is computed on first use and kept by ``functools.cached_property``
-    in the instance's ``__dict__``.  None is a field, so ``==``, ``hash``,
-    ``repr`` and the JSON see only C and the vertices, and a part computed
-    twice, as two threads may, has the same value.
+    and W coefficient of every pair and W's pair terms; the distance sum
+    of every angle gradient block; and its analytic gradients, every
+    vertex's Wirtinger position gradient and angle block B_q +
+    dF/dbeta(beta_q, C), which module ``detlap`` forms per vertex when a
+    gradient call first asks for it.  Each is computed on first use and
+    kept by ``functools.cached_property`` in the instance's ``__dict__``.
+    None is a field, so ``==``, ``hash``, ``repr`` and the JSON see only C
+    and the vertices, and a part computed twice, as two threads may, has
+    the same value.
     """
 
     scale: float
@@ -161,6 +164,14 @@ class PolyhedralMetric:
         width = len(angles) - 1
         return tuple([math.fsum(terms[q:q + width]) / 6.0
                       for q in range(0, len(terms), width)])
+
+    @cached_property
+    def _gradients(self) -> Tuple[list, list]:
+        """Every vertex's Wirtinger position gradient and angle block B_q +
+        dF/dbeta(beta_q, C), in vertex order: None until ``detlap`` forms
+        the vertex's value, once, on the first call that reads it."""
+        n = len(self.vertices)
+        return [None] * n, [None] * n
 
 
 # --------------------------------------------------------------------------

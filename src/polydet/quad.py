@@ -57,6 +57,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, NamedTuple, Optional, Tuple, Union
@@ -361,8 +362,9 @@ def segment_integral(zs, bs, u: int, v: int,
     if theta is None:
         theta = _principal(z, u, v)
     theta = np.asarray(theta, dtype=float)
-    # a chord outside the float range comes out inf or nan; callers check
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a chord outside the float range, or through another vertex (a log of
+    # 0 at a node), comes out inf or nan; callers check
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         values, errors, panels = _chords(
             np.array(z), np.asarray(bs, dtype=float), np.array([u]), np.array([v]),
             theta[None], (theta + np.array(_subtended(z, u, v)))[None])
@@ -510,12 +512,18 @@ def area(m: PolyhedralMetric) -> QuadResult:
 
     Raises PolydetError unless the area is a positive finite float, then
     ToleranceNotReached unless it meets the accuracy contract."""
-    # an area outside the float range overflows or underflows here; the
-    # range check below reports it
-    with np.errstate(over="ignore", invalid="ignore"):
+    # an area outside the float range overflows or underflows here, and a
+    # chord through a vertex takes a log of 0; the range check below
+    # reports either
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         chords, errors, panels = _tour_chords(m.positions(), m.exponents())
         value, error = _shoelace(chords, errors)
-    result = QuadResult(m.scale * value, m.scale * error, panels)
+    value, error = m.scale * value, m.scale * error
+    if value < sys.float_info.min:
+        # a subnormal product keeps fewer digits: its rounding, and that of
+        # the estimate's product, are each at most half an ulp
+        error += math.ulp(value)
+    result = QuadResult(value, error, panels)
     if not 0.0 < result.value < math.inf:
         why = ": the area is outside the float range" if result.value in (0.0, math.inf) else ""
         raise PolydetError(f"area {result.value!r} is not a positive finite float{why}")

@@ -26,18 +26,25 @@ perturbed quantity less its base value, which rounding may make other
 than +-h far from the origin.  The optional Richardson switch combines
 D(h) and D(h/2) into the fourth-order extrapolation (4 D(h/2) - D(h))/3.
 
-No metric is built per step.  The base metric's parts are read from its
-own record (``metric._Parts``, computed once per metric): its
-log|z_k - z_l| and coefficient b_k b_l (1/beta_k + 1/beta_l) of every
-pair and W's pair terms; the steps keep only W's sum, the F terms and the
-prefactor.  Each step redoes only what it changes and sums the parts with
-the assembly of ``detlap.log_det_over_area``, whose value it equals bit
-for bit (``math.fsum`` is exactly rounded, so the order of the terms does
-not matter):
+The analytic side of a report is the metric's recorded gradient
+(``detlap``): formed once per metric by whichever call asks first, a
+suite after direct gradient calls forms none anew.
+
+No metric is built per step.  ``_Steps`` makes, once per suite, the
+parts of log(det/Area) at the base metric: from the metric's own record
+(``metric._Parts``) W's sum and, for every vertex, its incident pairs
+(the pair coefficient and the other position for a position step; the
+other vertex's exponent, 1/angle and the pair's log for an angle step)
+and W's terms on the pairs that do not hold it; and the terms of the
+assembly other than W (the prefactor, the F terms and -ref).  A step
+forms only the terms it changes and sums them with the kept ones in one
+``math.fsum`` for W and one for log(det/Area), the sums of
+``detlap.log_det_over_area``, whose value it equals bit for bit
+(``math.fsum`` is exactly rounded, so the order of the terms does not
+matter):
 
     position step  the moved vertex's M - 1 logs, each times the pair's
-                   coefficient (the pairs are split once per vertex, for
-                   both axes)
+                   coefficient
     angle step     the W terms of vertices i and 1, and F at their two new
                    angles
     scale step     the prefactor and every F term
@@ -45,21 +52,27 @@ not matter):
 Each step first runs the checks ``make_metric`` would run on what it
 changes, from the same helpers: a finite positive scale; a finite moved
 position distinct from the others; the exponent sum (exponents above -1
-are checked against the margin below).  A position step lost to
-rounding (z + e == z) raises PerturbationLeavesDomain, and a log(det/Area)
-that is not finite, at the base metric or at a step, PolydetError.
+are checked against the margin below, and angles against
+``metric.ANGLE_RANGE`` as F takes them).  A step lost to rounding (z + e
+== z, C + e == C, or an angle that does not move) raises
+PerturbationLeavesDomain.  A log(det/Area) that is not finite, at the
+base metric or at a step, and a finite difference past the float range
+raise PolydetError.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import List, Union
 
 from .detlap import (
-    _assemble,
+    _assembly_terms,
     _f_terms,
     _prefactor,
+    _total,
     _w_sum,
     grad_angle,
     grad_position,
@@ -75,7 +88,6 @@ from .metric import (
     _check_gauss_bonnet,
     _check_position,
     _check_scale,
-    _coefficients,
     _distances,
     _incident,
     _pairs,
@@ -125,45 +137,43 @@ def _derivative(row) -> float:
 
 class _Steps:
     """log(det/Area) at the finite-difference steps from a metric ``m``,
-    each assembled from m's parts with only what the step changes redone.
+    each assembled from parts made once per suite with only what the
+    step changes formed anew (module docstring).
 
-    The parts at m are m's own record (``metric._Parts``): its pair
-    logs, coefficients and W terms, to which ``__init__`` adds W's sum,
-    the F terms and the prefactor, and checks that log(det/Area) at m is
-    finite.  Building steps (``position_steps``, ``angle_steps``,
-    ``scale_steps``) runs the checks of ``make_metric`` on what each
-    changes and returns per step its value and the offset it actually
-    takes.
+    ``__init__`` makes the parts from m's record (``metric._Parts``), once
+    for every channel of a suite, and checks that log(det/Area) at m is
+    finite.  Building steps
+    (``position_steps``, ``angle_steps``, ``scale_steps``) runs the checks
+    of ``make_metric`` on what each changes and returns per step its value
+    and the offset it actually takes.
     """
 
     def __init__(self, m: PolyhedralMetric):
         self.m = m
-        self.parts = m._parts
-        self.w = _w_sum(self.parts.w_terms)
-        self.pre = _prefactor(m.scale)
-        self.f_terms = list(_f_terms(self.parts.angles, m.scale))
-        _assemble(self.pre, self.w, self.f_terms)
-
-    def _split(self, moved):
-        """W's pair terms at m that touch no vertex of ``moved``, and the
-        indices in ``_pairs`` of the pairs that do."""
-        incident = _incident(self.m.num_vertices)
-        touched = sorted({p for q in moved for _, p in incident[q]})
-        kept = list(self.parts.w_terms)
-        for p in reversed(touched):
-            del kept[p]
-        return kept, touched
+        parts = self.parts = m._parts
+        zs, n = parts.positions, len(parts.positions)
+        self.w = _w_sum(parts.w_terms)
+        # [pre, *F, -ref]: the F term of vertex q is at 1 + q
+        self.terms = _assembly_terms(_prefactor(m.scale), _f_terms(parts.angles, m.scale))
+        _total([self.w, *self.terms])
+        self.h_position = STEP * m.min_pairwise_distance()
+        # per vertex q: W's terms on the pairs that do not hold it, and its
+        # pairs (q, j) as (coefficient, z_j) for a position step and as
+        # (j, b_j, 1/beta_j, log) for an angle step
+        self.away = [[parts.w_terms[k] for k in apart] for apart, _ in _split(n)]
+        self.around = [[(parts.coefficients[k], zs[j]) for j, k in pairs]
+                       for pairs in _incident(n)]
+        inverses = [1.0 / beta for beta in parts.angles]
+        self.sides = [[(j, parts.exponents[j], inverses[j], parts.logs[k]) for j, k in pairs]
+                      for pairs in _incident(n)]
 
     def position_steps(self, p: int, offsets) -> list:
         """Vertex p (0-based) moved by each offset along x, then along y:
         one row per axis.  Its M - 1 distances, checked as ``make_metric``
-        checks them, and W terms are redone."""
+        checks them, and W terms are formed anew."""
         zs = self.parts.positions
         z0 = zs[p]
-        incident = _incident(len(zs))[p]
-        kept, _ = self._split((p,))
-        others = [zs[j] for j, _ in incident]
-        coefficients = [self.parts.coefficients[k] for _, k in incident]
+        away, around, terms = self.away[p], self.around[p], self.terms
         rows = []
         for axis in (1, 1j):
             row = []
@@ -173,9 +183,11 @@ class _Steps:
                     raise PerturbationLeavesDomain(
                         f"position step {e!r} is lost to rounding at vertex {p + 1}, {z0}")
                 _check_position(z)
+                w_terms = away[:]
                 try:
-                    w = _w_sum(kept + [c * math.log(abs(z - zj))
-                                       for c, zj in zip(coefficients, others)])
+                    for c, zj in around:
+                        w_terms.append(c * math.log(abs(z - zj)))
+                    w = _w_sum(w_terms)
                 except (OverflowError, ValueError):     # abs past the float range, log(0)
                     w = math.nan
                 if not math.isfinite(w):    # only a distance 0 or past the float range
@@ -183,43 +195,74 @@ class _Steps:
                     stepped[p] = z
                     _distances(stepped, _pairs(len(zs)))    # raises, naming the fault
                 taken = z - z0
-                row.append((_assemble(self.pre, w, self.f_terms),
-                            taken.real if axis == 1 else taken.imag))
+                row.append((_total([w, *terms]), taken.real if axis == 1 else taken.imag))
             rows.append(row)
         return rows
 
     def angle_steps(self, q: int, shifts) -> list:
         """b_q (0-based q != 0) shifted by each shift and b_1 by minus it:
-        the W terms of the two vertices and their two F terms are redone."""
-        bs0, angles0 = self.parts.exponents, self.parts.angles
-        kept, touched = self._split((0, q))
-        pairs = [_pairs(len(bs0))[k] for k in touched]
-        logs = [self.parts.logs[k] for k in touched]
+        the W terms of the two vertices and their two F terms are formed
+        anew.  A pair's coefficient b_k b_l (1/beta_k + 1/beta_l) is that
+        of ``metric._coefficients`` to the bit, as * and + commute."""
+        parts = self.parts
+        bs0, angles0 = parts.exponents, parts.angles
+        kept = [parts.w_terms[k] for k in _split(len(bs0))[q][1]]
+        side_0, side_q = self.sides[0], self.sides[q]
+        log_0q = side_0[q - 1][3]       # vertex 0's pairs run over j = 1, 2, ...
         out = []
         for db in shifts:
             bs = list(bs0)
             bs[q] += db
             bs[0] -= db
             _check_gauss_bonnet(bs)
-            angles = list(angles0)
-            angles[q] = TWO_PI * (bs[q] + 1.0)
-            angles[0] = TWO_PI * (bs[0] + 1.0)
-            w = _w_sum(kept + [c * d for c, d in zip(_coefficients(bs, angles, pairs), logs)])
-            f_terms = list(self.f_terms)
-            f_terms[0], f_terms[q] = _f_terms((angles[0], angles[q]), self.m.scale)
-            out.append((_assemble(self.pre, w, f_terms), angles[q] - angles0[q]))
+            b_0, b_q = bs[0], bs[q]
+            beta_0, beta_q = TWO_PI * (b_0 + 1.0), TWO_PI * (b_q + 1.0)
+            if beta_q == angles0[q]:
+                raise PerturbationLeavesDomain(
+                    f"angle step {db * TWO_PI!r} is lost to rounding at vertex {q + 1}, "
+                    f"beta = {angles0[q]!r}")
+            inv_0, inv_q = 1.0 / beta_0, 1.0 / beta_q
+            w_terms = kept[:]
+            for j, b_j, inv_j, log in side_0:
+                if j != q:
+                    w_terms.append(b_0 * b_j * (inv_0 + inv_j) * log)
+            for j, b_j, inv_j, log in side_q:
+                if j:
+                    w_terms.append(b_q * b_j * (inv_q + inv_j) * log)
+            w_terms.append(b_0 * b_q * (inv_0 + inv_q) * log_0q)
+            w = _w_sum(w_terms)
+            terms = list(self.terms)
+            terms[1], terms[1 + q] = _f_terms((beta_0, beta_q), self.m.scale)
+            terms.append(w)
+            out.append((_total(terms), beta_q - angles0[q]))
         return out
 
     def scale_steps(self, offsets) -> list:
-        """C moved by each offset: the prefactor and every F term are redone."""
+        """C moved by each offset: the prefactor and every F term are formed
+        anew."""
         scale0 = self.m.scale
         out = []
         for e in offsets:
             scale = scale0 + e
+            if scale == scale0:
+                raise PerturbationLeavesDomain(
+                    f"scale step {e!r} is lost to rounding at C = {scale0!r}")
             _check_scale(scale)
-            out.append((_assemble(_prefactor(scale), self.w, _f_terms(self.parts.angles, scale)),
+            out.append((_total([self.w, *_assembly_terms(_prefactor(scale),
+                                                         _f_terms(self.parts.angles, scale))]),
                         scale - scale0))
         return out
+
+
+@lru_cache(maxsize=None)
+def _split(n: int) -> tuple:
+    """For every vertex q, 0-based, the indices in ``_pairs(n)`` of the
+    pairs that do not hold q and of those that hold neither q nor vertex
+    0: the W terms that a position step and an angle step of q keep."""
+    pairs = _pairs(n)
+    return tuple((tuple(k for k, pair in enumerate(pairs) if q not in pair),
+                  tuple(k for k, pair in enumerate(pairs) if q not in pair and 0 not in pair))
+                 for q in range(n))
 
 
 def parse_channel(text: str) -> VariationChannel:
@@ -242,22 +285,26 @@ def _channel(steps: _Steps, channel: VariationChannel, richardson: bool):
     m = steps.m
     if isinstance(channel, Position):
         i = channel.i
-        return (f"z:{i}", grad_position(m, i), steps.position_steps(
-            i - 1, _steps(STEP * m.min_pairwise_distance(), richardson)))
+        return (f"z:{i}", grad_position(m, i),
+                steps.position_steps(i - 1, _steps(steps.h_position, richardson)))
 
     if isinstance(channel, Angle):
         i = channel.i
         analytic = grad_angle(m, i)
+        angles, bs = steps.parts.angles, steps.parts.exponents
         # the compensating vertex moves too, so the stiffer (smaller) of
         # the two angles sets the step scale
-        h = STEP * min(m.vertices[i - 1].angle, m.vertices[0].angle)
-        if min(m.vertices[i - 1].exponent, m.vertices[0].exponent) - h / TWO_PI <= -1.0 + 1e-12:
+        h = STEP * min(angles[i - 1], angles[0])
+        if min(bs[i - 1], bs[0]) - h / TWO_PI <= -1.0 + 1e-12:
             raise PerturbationLeavesDomain("angle step pushes an exponent to the b = -1 boundary")
         return (f"beta:{i}", analytic,
                 [steps.angle_steps(i - 1, [e / TWO_PI for e in _steps(h, richardson)])])
 
     if isinstance(channel, Scale):
-        return "C", grad_scale(m), [steps.scale_steps(_steps(STEP * m.scale, richardson))]
+        # the steps first, so a step lost to rounding is named as such: at
+        # that C the analytic gradient is past the float range too
+        rows = [steps.scale_steps(_steps(STEP * m.scale, richardson))]
+        return "C", grad_scale(m), rows
 
     raise TypeError(f"unknown variation channel {channel!r}")
 
@@ -267,13 +314,17 @@ def gradient_reports(m: PolyhedralMetric, channels,
     """The analytic gradient of log(det/Area) along every channel of
     ``channels``, each paired with its central finite difference (for a
     position, from its x and y rows, the Wirtinger derivative
-    (d/dx - i d/dy)/2) and their errors (module docstring)."""
+    (d/dx - i d/dy)/2) and their errors (module docstring).  PolydetError
+    if a gradient or its difference is not a finite float."""
     steps = _Steps(m)
     reports = []
     for channel in channels:
         name, analytic, rows = _channel(steps, channel, fdcfg.richardson)
-        d = [_derivative(row) for row in rows]
+        d = list(map(_derivative, rows))
         fd = 0.5 * complex(d[0], -d[1]) if len(d) == 2 else d[0]
+        if not (cmath.isfinite(analytic) and cmath.isfinite(fd)):
+            raise PolydetError(f"along {name} the analytic gradient {analytic!r} and its finite "
+                               f"difference {fd!r} are not both finite floats")
         abs_err = abs(analytic - fd)
         reports.append(GradientReport(
             name, analytic, fd, abs_err,
@@ -289,6 +340,11 @@ def fd_gradient(m: PolyhedralMetric, channel: VariationChannel,
 
 def run_suite(m: PolyhedralMetric, fdcfg: FDConfig = FDConfig()) -> List[GradientReport]:
     """One report per channel: Position(1..M), Angle(2..M), Scale."""
-    n = m.num_vertices
-    return gradient_reports(m, [Position(i) for i in range(1, n + 1)]
-                            + [Angle(i) for i in range(2, n + 1)] + [Scale()], fdcfg)
+    return gradient_reports(m, _suite_channels(m.num_vertices), fdcfg)
+
+
+@lru_cache(maxsize=None)
+def _suite_channels(n: int) -> tuple:
+    """Position(1..n), Angle(2..n), Scale()."""
+    return tuple([Position(i) for i in range(1, n + 1)]
+                 + [Angle(i) for i in range(2, n + 1)] + [Scale()])

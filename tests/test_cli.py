@@ -552,3 +552,51 @@ def test_grad_position_far_from_origin(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert code == 0
     assert rep["rel_err"] <= 1e-6
+
+
+_SUBNORMAL_VERTS = [(0, -0.5), (1, -0.3), (1j, -0.7), (1 + 1j, -0.5)]
+
+
+@pytest.mark.parametrize("scale, error", [(1e-309, "PolydetError"), (1e-312, "PolydetError"),
+                                          (1e-320, "PerturbationLeavesDomain")])
+@pytest.mark.parametrize("command", [["grad", "--channel", "C", "--json"], ["verify", "fd"]])
+def test_scale_channel_at_subnormal_scale_is_validation_error(command, scale, error,
+                                                              tmp_path, capsys):
+    # dF/dC past the float range, or a scale step rounded to 0: one JSON
+    # error line and exit 2, not a traceback, -Infinity/NaN on stdout or
+    # exit 1
+    path = _metric_file(tmp_path, scale, _SUBNORMAL_VERTS)
+    code, err = _one_error_line([*command, "--metric", path], capsys)
+    assert code == 2
+    assert err["error"] == error
+
+
+@pytest.mark.parametrize("command", [["det"], ["compare", "--m2"]])
+def test_subnormal_area_is_tolerance_not_reached(command, tmp_path, capsys):
+    # at C = 1e-320 the area is subnormal and 8.9e-6 off, relative: its
+    # estimate holds that rounding, so log det' is refused with exit 3
+    path = _metric_file(tmp_path, 1e-320, [(0, -0.5), (1, -0.5), (1 + 1j, -0.5), (1j, -0.5)])
+    argv = ["det", "--metric", path] if command == ["det"] else [
+        "compare", "--m1", path, "--m2", path]
+    code, err = _one_error_line(argv, capsys)
+    assert code == 3
+    assert err["error"] == "ToleranceNotReached"
+
+
+def test_verify_tetra_collinear_points_is_validation_error(tmp_path, capsys):
+    # a period chord runs through another of the points: a log of 0 at a
+    # node, reported by the period's finiteness check with no numpy
+    # warning on the way, also under -W error
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": [[0, 0], [1, 0], [2, 0], [3, 0]]}))
+    argv = ["verify", "tetra", "--points", str(path)]
+    code, err = _one_error_line(argv, capsys)
+    assert code == 2
+    assert err["error"] == "PolydetError"
+    assert "is not a finite float" in err["message"]
+    env = dict(os.environ, PYTHONPATH=str(Path(polydet.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "polydet.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert json.loads(proc.stderr) == err

@@ -594,3 +594,38 @@ def test_tolerance_not_reached_carries_partial(tetra, monkeypatch):
 def test_area_estimate_respects_contract(tetra):
     res = area(tetra)
     assert res.error_estimate <= quad.REL_TOL * res.value
+
+
+def test_segment_through_a_vertex_is_not_finite():
+    # the segment from vertex 0 to vertex 2 runs through vertex 1: a log of
+    # 0 at a node, which comes out as a value that is not finite, for the
+    # caller's finiteness check, and no numpy warning (an error here)
+    chord = segment_integral([0, 1, 2, 3], [-0.5] * 4, 0, 2)
+    assert not cmath.isfinite(chord.value)
+
+
+_SQUARE = [(0, -0.5), (1, -0.5), (1 + 1j, -0.5), (1j, -0.5)]
+
+
+@pytest.mark.parametrize("scale", [1e-300, 1e-310, 1e-315, 1e-320])
+def test_area_at_subnormal_scale_keeps_its_contract(scale):
+    # C times the area at C = 1 lands in the subnormals below 2.2e-308,
+    # where the product rounds to a fixed spacing of 4.9e-324: the estimate
+    # holds that rounding, so at 1e-320, 8.9e-6 off relative, the contract
+    # refuses the area, and above it the value is within its estimate
+    from fractions import Fraction
+
+    unit = area(make_metric(1.0, _SQUARE))
+    exact = Fraction(scale) * Fraction(unit.value)
+    m = make_metric(scale, _SQUARE)
+    if scale == 1e-320:
+        with pytest.raises(ToleranceNotReached) as exc:
+            area(m)
+        result = exc.value.partial
+        assert abs(Fraction(result.value) - exact) > quad.REL_TOL * exact
+    else:
+        result = area(m)
+    assert abs(Fraction(result.value) - exact) <= Fraction(result.error_estimate)
+    if scale == 1e-300:     # a normal product: the estimate is C times that at C = 1
+        assert (result.value, result.error_estimate) == (scale * unit.value,
+                                                        scale * unit.error_estimate)

@@ -283,3 +283,154 @@ def test_position_step_lost_to_rounding():
     with pytest.raises(PerturbationLeavesDomain, match="lost to rounding"):
         run_suite(m)
     assert abs(fd_gradient(m, Scale()) - grad_scale(m)) < 1e-6
+
+
+def test_angle_step_lost_to_rounding():
+    # b_2 = 3 and b_1 = -1 + 2e-12: the step scale is the gauge vertex's
+    # angle, and the shift db = 2e-16 of b_2 is below half the spacing of
+    # doubles at 3, so beta_2 does not move (a zero step, not a derivative)
+    rest = (-4.0 - 2e-12) / 5.0
+    m = make_metric(1.0, [(0, -1.0 + 2e-12), (1, 3.0)]
+                    + [(complex(2 + k, 1), rest) for k in range(5)])
+    with pytest.raises(PerturbationLeavesDomain, match="lost to rounding at vertex 2"):
+        fd_gradient(m, Angle(2))
+    assert fd_gradient(m, Position(2)) == pytest.approx(grad_position(m, 2), rel=1e-6)
+
+
+# ---- the scale channel past the float range ----
+
+SUBNORMAL_VERTS = [(0, -0.5), (1, -0.3), (1j, -0.7), (1 + 1j, -0.5)]
+
+
+@pytest.mark.parametrize("scale", [1e-309, 1e-312, 1e-320])
+def test_scale_channel_at_subnormal_scale(scale):
+    # dF/dC ~ -0.56/C is past the float range below about 3e-309; at
+    # 1e-320 the step STEP * C also rounds to 0.  Each is a typed error,
+    # not an OverflowError, an inf or nan report or a ZeroDivisionError
+    m = make_metric(scale, SUBNORMAL_VERTS)
+    with pytest.raises(PolydetError, match="past the float range") as info:
+        grad_scale(m)
+    assert type(info.value) is PolydetError
+    if scale == 1e-320:
+        with pytest.raises(PerturbationLeavesDomain, match="scale step 0.0 is lost to rounding"):
+            fd_gradient(m, Scale())
+    else:
+        with pytest.raises(PolydetError, match="past the float range") as info:
+            fd_gradient(m, Scale())
+        assert type(info.value) is PolydetError
+    # the other channels leave C alone
+    assert all(r.rel_err <= 1e-5 for r in verify.gradient_reports(m, [Position(2), Angle(3)]))
+
+
+def test_scale_channel_at_smallest_normal_scales():
+    for scale in (1e-300, 1e-308):
+        m = make_metric(scale, SUBNORMAL_VERTS)
+        assert fd_gradient(m, Scale()) == pytest.approx(grad_scale(m), rel=1e-7)
+
+
+def test_nonfinite_gradient_is_refused(tetra, monkeypatch):
+    # a report holds finite floats only: inf or nan is not JSON
+    for bad in (math.inf, math.nan):
+        monkeypatch.setattr(verify, "grad_scale", lambda m: bad)
+        with pytest.raises(PolydetError, match="not both finite floats") as info:
+            fd_gradient(tetra, Scale())
+        assert type(info.value) is PolydetError
+
+
+# ---- the gradient record ----
+
+METRICS = ["tetra", "corpus5", "near_degenerate", "above_two_pi", "near_minus_one"]
+
+
+def _fresh(m):
+    return make_metric(m.scale, [(v.position, v.exponent) for v in m.vertices])
+
+
+def _gradient_bits(m, reverse=False):
+    """repr of every position and angle gradient of m, keyed by channel,
+    asked for in vertex order or its reverse."""
+    n = m.num_vertices
+    calls = [("z", i) for i in range(1, n + 1)] + [("beta", i) for i in range(2, n + 1)]
+    return {f"{kind}:{i}": repr(grad_position(m, i) if kind == "z" else grad_angle(m, i))
+            for kind, i in (reversed(calls) if reverse else calls)}
+
+
+@pytest.mark.parametrize("name", METRICS)
+def test_gradient_record_keeps_the_bits(name, request):
+    # the gradients a metric keeps have the same bits whoever forms them
+    # and in whatever order, before and after a suite, and the suite's
+    # analytic column is the direct calls
+    base = request.getfixturevalue(name)
+    first = _fresh(base)
+    expect = _gradient_bits(first)
+    for richardson in (False, True):
+        reports = run_suite(first, FDConfig(richardson=richardson))
+        assert {r.channel: repr(r.analytic) for r in reports if r.channel != "C"} == expect
+    assert _gradient_bits(first, reverse=True) == expect
+    suite_first = _fresh(base)
+    run_suite(suite_first)
+    assert _gradient_bits(suite_first) == expect
+    reversed_first = _fresh(base)
+    assert _gradient_bits(reversed_first, reverse=True) == expect
+    assert _gradient_bits(_fresh(base)) == expect
+
+
+def test_each_gradient_formed_once_per_metric(corpus5, monkeypatch):
+    # every position gradient and angle block of a metric is formed by
+    # its first reader and read by every later call: the direct calls,
+    # run_suite with and without Richardson, fd_gradient
+    formed = []
+    for name in ("_position_gradient", "_angle_block"):
+        original = getattr(detlap, name)
+
+        def counted(m, q, original=original, name=name):
+            formed.append((id(m), name, q))
+            return original(m, q)
+
+        monkeypatch.setattr(detlap, name, counted)
+    metrics = [_fresh(corpus5), _fresh(corpus5)]
+    for m in metrics:
+        n = m.num_vertices
+        for _ in range(2):
+            _gradient_bits(m)
+            run_suite(m)
+            run_suite(m, FDConfig(richardson=True))
+            fd_gradient(m, Position(3))
+            fd_gradient(m, Angle(4))
+    assert sorted(formed) == sorted((id(m), name, q) for m in metrics
+                                    for name in ("_position_gradient", "_angle_block")
+                                    for q in range(n))
+
+
+def test_gradient_index_and_gauge_errors(corpus5):
+    # the checks come before the record: their errors and messages are
+    # those of the formulas, and a refused call forms nothing
+    m = _fresh(corpus5)
+    for i in (0, 6):
+        message = f"^vertex index {i} out of range 1..5$"
+        for grad in (grad_position, grad_angle):
+            with pytest.raises(PolydetError, match=message) as info:
+                grad(m, i)
+            assert type(info.value) is PolydetError
+    with pytest.raises(GaugeVertexVariation, match="^vertex 1 is the compensating gauge vertex$"):
+        grad_angle(m, 1)
+    assert m._gradients == ([None] * 5, [None] * 5)
+    assert _gradient_bits(m) == _gradient_bits(_fresh(corpus5))
+
+
+def test_gradient_call_forms_only_its_own_vertices():
+    # vertices 2 and 3 sit 1e-310 on either side of vertex 1: its
+    # position sum meets +inf and -inf and raises, as it did when every
+    # call formed its own sum, while the others still return theirs,
+    # whether or not vertex 1 was asked for first
+    verts = [(0, -0.5), (1e-310, -0.5), (-1e-310, -0.5), (1j, -0.5)]
+    expect = {}
+    for first in (1, 2, 4):
+        m = make_metric(1.0, verts)
+        try:
+            grad_position(m, first)
+        except ValueError:
+            assert first == 1
+        bits = {i: repr(grad_position(m, i)) for i in (2, 3, 4)}
+        assert bits == expect.setdefault("bits", bits)
+    assert complex(expect["bits"][4]) == pytest.approx(-0.25j, abs=1e-15)
