@@ -38,7 +38,7 @@ import numpy as np
 from . import detlap, elliptic, verify
 from .cone import ConePoint, heat_kernel_cone, heat_kernel_images, resolvent_cone, resolvent_images
 from .errors import InvalidMetricJSON, PolydetError, ToleranceNotReached
-from .metric import load_metric, make_metric
+from .metric import _json_point, load_metric, make_metric
 from .quad import area
 from .regint import (SPLIT_RADIUS, hadamard_coth_coth_over_theta, hadamard_coth_over_sinh_sq,
                      q_of_beta, q_of_beta_contour)
@@ -145,9 +145,8 @@ def _cmd_compare(args) -> int:
 def _load_points(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return [complex(float(p[0]), float(p[1]))
-                    for p in json.load(fh)["points"]]
-        except (ValueError, KeyError, TypeError, IndexError) as exc:
+            return [_json_point(p) for p in json.load(fh)["points"]]
+        except (ValueError, KeyError, TypeError, OverflowError) as exc:
             raise InvalidMetricJSON(
                 f'malformed points JSON, want {{"points": [[re, im], ...]}}: {exc}'
             ) from exc

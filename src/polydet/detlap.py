@@ -122,16 +122,17 @@ Gradients of log(det/Area) in closed form:
     dF/dbeta(beta, C) = dF/dbeta(beta, 1) + (1/(12 beta))(2pi/beta - beta/2pi) log C,
     d/dC     = sum_j (1/12C)(2 - beta_j/2pi - 2pi/beta_j) - 1/(3C).
 
-The parts of these sums that depend on the metric alone are its record
-(``metric.PolyhedralMetric``), computed once per metric: the pair
-coefficients b_k b_l (1/beta_k + 1/beta_l), W's pair terms and the
-distance sum of every block B_q.  The gradients are kept there too:
+These sums read the metric's record (``metric.PolyhedralMetric``),
+computed once per metric: the log distance and coefficient b_k b_l
+(1/beta_k + 1/beta_l) of every pair.  The gradients are kept there too:
 ``grad_position`` forms vertex i's sum, and ``grad_angle`` the blocks
-B_i and B_1, on the first call that needs them, after its index and
-gauge checks, and every later call on the metric, ``verify``'s
-included, reads the kept value.  A vertex is formed only when asked for,
-so a call raises only where forming its own vertices raises.  The scale
-gradient, M + 1 closed-form terms, is summed anew by each call.
+B_i and B_1, each summing its M - 1 pair terms, on the first call that
+needs them, after its index and gauge checks, and every later call on
+the metric, ``verify``'s included, reads the kept value.  A vertex is
+formed only when asked for, so a call raises only where forming its own
+vertices raises, and a sum that is not a finite float raises
+PolydetError.  The scale gradient, M + 1 closed-form terms, is summed
+anew by each call.
 """
 
 from __future__ import annotations
@@ -428,12 +429,18 @@ def _assembly_terms(pre: float, f_terms) -> list:
 def _total(terms) -> float:
     """The sum of the terms of log det' (``math.fsum``, exactly rounded, so
     in any order); PolydetError unless it is a finite float."""
+    return _finite_sum(terms, "the terms of log det' sum to {!r}, not a finite float")
+
+
+def _finite_sum(terms, message: str, *args) -> float:
+    """``math.fsum`` of ``terms``; PolydetError with ``message``, formatted
+    with the sum and ``args``, unless it is a finite float."""
     try:
         value = math.fsum(terms)
     except (OverflowError, ValueError):     # inf - inf, or past the float range
         value = math.nan
     if not math.isfinite(value):
-        raise PolydetError(f"the terms of log det' sum to {value!r}, not a finite float")
+        raise PolydetError(message.format(value, *args))
     return value
 
 
@@ -483,18 +490,14 @@ def grad_scale(m: PolyhedralMetric) -> float:
     past the float range)."""
     terms = [_f_dc(beta, m.scale) for beta in m.angles()]
     terms.append(-1.0 / (3.0 * m.scale))
-    try:
-        value = math.fsum(terms)
-    except (OverflowError, ValueError):     # inf - inf, or past the float range
-        value = math.nan
-    if not math.isfinite(value):
-        raise PolydetError(f"d log(det/A)/dC at C = {m.scale!r} is past the float range")
-    return value
+    return _finite_sum(terms, "d log(det/A)/dC at C = {1!r} is past the float range", m.scale)
 
 
 def _position_gradient(m: PolyhedralMetric, q: int) -> complex:
     """(pi/6) sum_{j != q} b_q b_j (1/beta_q + 1/beta_j)/(z_q - z_j), its
-    real and imaginary parts each summed with ``math.fsum``."""
+    real and imaginary parts each summed with ``math.fsum``; PolydetError
+    unless both sums are finite floats (neighbours at subnormal distances
+    take a term past the float range)."""
     zs, coefficients = m.positions(), m._parts.coefficients
     zq = zs[q]
     acc_re, acc_im = [], []
@@ -502,11 +505,16 @@ def _position_gradient(m: PolyhedralMetric, q: int) -> complex:
         w = coefficients[p] / (zq - zs[j])
         acc_re.append(w.real)
         acc_im.append(w.imag)
-    return (PI / 6.0) * complex(math.fsum(acc_re), math.fsum(acc_im))
+    message = "d log(det/A)/dz_{1} has a part {0!r}, not a finite float"
+    return (PI / 6.0) * complex(_finite_sum(acc_re, message, q + 1),
+                                _finite_sum(acc_im, message, q + 1))
 
 
 def _angle_block(m: PolyhedralMetric, q: int) -> float:
-    """B_q: the metric's distance sum of block q (``PolyhedralMetric._b_sums``)
-    plus dF/dbeta(beta_q, C)."""
-    beta = m.angles()[q]
-    return m._b_sums[q] + _f_dbeta(beta, m.scale, _angle_terms(beta)[1])
+    """B_q: (1/6) sum_{j != q} (1/beta_j + 2pi/beta_q^2) b_j log|z_j - z_q|,
+    its M - 1 terms summed with ``math.fsum``, plus dF/dbeta(beta_q, C)."""
+    _, bs, angles, logs, _, _ = m._parts
+    tq = angles[q]
+    terms = [(1.0 / angles[j] + TWO_PI / (tq * tq)) * bs[j] * logs[p]
+             for j, p in _incident(len(angles))[q]]
+    return math.fsum(terms) / 6.0 + _f_dbeta(tq, m.scale, _angle_terms(tq)[1])

@@ -93,15 +93,16 @@ class PolyhedralMetric:
     its two fields a metric keeps a record of its parts: the distance of
     every vertex pair, which ``make_metric`` computes; the parts of
     ``_Parts``, its position, exponent and angle tuples, the log distance
-    and W coefficient of every pair and W's pair terms; the distance sum
-    of every angle gradient block; and its analytic gradients, every
-    vertex's Wirtinger position gradient and angle block B_q +
-    dF/dbeta(beta_q, C), which module ``detlap`` forms per vertex when a
-    gradient call first asks for it.  Each is computed on first use and
-    kept by ``functools.cached_property`` in the instance's ``__dict__``.
-    None is a field, so ``==``, ``hash``, ``repr`` and the JSON see only C
-    and the vertices, and a part computed twice, as two threads may, has
-    the same value.
+    and W coefficient of every pair and W's pair terms, which the
+    determinant, its gradients and the finite-difference steps of module
+    ``verify`` read in place; and its analytic gradients, every vertex's
+    Wirtinger position gradient and angle block B_q + dF/dbeta(beta_q, C),
+    which module ``detlap`` forms per vertex when a gradient call first
+    asks for it.  Each is computed on first use and kept by
+    ``functools.cached_property`` in the instance's ``__dict__``.  None is
+    a field, so ``==``, ``hash``, ``repr`` and the JSON see only C and the
+    vertices, and a part computed twice, as two threads may, has the same
+    value.
     """
 
     scale: float
@@ -152,18 +153,6 @@ class PolyhedralMetric:
         coefficients = _coefficients(bs, angles, _pairs(len(zs)))
         return _Parts(zs, bs, angles, logs, coefficients,
                       tuple([c * d for c, d in zip(coefficients, logs)]))
-
-    @cached_property
-    def _b_sums(self) -> Tuple[float, ...]:
-        """The distance sum (1/6) sum_{j != q} (1/beta_j + 2pi/beta_q^2) b_j
-        log|z_j - z_q| of the angle gradient block B_q of every vertex q."""
-        _, bs, angles, logs, _, _ = self._parts
-        # the M - 1 terms of each block in turn
-        terms = [(1.0 / angles[j] + TWO_PI / (tq * tq)) * bs[j] * logs[p]
-                 for tq, incident in zip(angles, _incident(len(angles))) for j, p in incident]
-        width = len(angles) - 1
-        return tuple([math.fsum(terms[q:q + width]) / 6.0
-                      for q in range(0, len(terms), width)])
 
     @cached_property
     def _gradients(self) -> Tuple[list, list]:
@@ -323,14 +312,28 @@ def metric_to_json_dict(m: PolyhedralMetric) -> dict:
 
 def metric_from_json_dict(obj: dict) -> PolyhedralMetric:
     try:
-        scale = float(obj["C"])
-        verts = [
-            (complex(float(v["z"][0]), float(v["z"][1])), float(v["b"]))
-            for v in obj["vertices"]
-        ]
-    except (KeyError, TypeError, IndexError, ValueError) as exc:
+        scale = _json_number(obj["C"])
+        verts = [(_json_point(v["z"]), _json_number(v["b"])) for v in obj["vertices"]]
+    except (KeyError, TypeError, OverflowError) as exc:
         raise InvalidMetricJSON(f"malformed metric JSON: {exc}") from exc
     return make_metric(scale, verts)
+
+
+def _json_number(value) -> float:
+    """A JSON number (int or float, not bool) as a float: TypeError for
+    anything else, a string that spells a number included, and
+    OverflowError for an int past the float range."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise TypeError(f"want a JSON number, got {value!r}")
+    return float(value)
+
+
+def _json_point(value) -> complex:
+    """A JSON pair [re, im] of numbers as a complex: TypeError for anything
+    else, a list of another length included."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise TypeError(f"want a point [re, im], got {value!r}")
+    return complex(_json_number(value[0]), _json_number(value[1]))
 
 
 def load_metric(path: str) -> PolyhedralMetric:

@@ -30,23 +30,21 @@ The analytic side of a report is the metric's recorded gradient
 (``detlap``): formed once per metric by whichever call asks first, a
 suite after direct gradient calls forms none anew.
 
-No metric is built per step.  ``_Steps`` makes, once per suite, the
-parts of log(det/Area) at the base metric: from the metric's own record
-(``metric._Parts``) W's sum and, for every vertex, its incident pairs
-(the pair coefficient and the other position for a position step; the
-other vertex's exponent, 1/angle and the pair's log for an angle step)
-and W's terms on the pairs that do not hold it; and the terms of the
-assembly other than W (the prefactor, the F terms and -ref).  A step
-forms only the terms it changes and sums them with the kept ones in one
+No metric is built per step.  ``_Steps`` makes, once per suite, W's sum
+and the terms of the assembly other than W (the prefactor, the F terms
+and -ref).  A position or angle step copies W's pair terms from the
+metric's record (``metric._Parts``) and overwrites those of the pairs it
+moves (``metric._incident``); every step then sums its terms in one
 ``math.fsum`` for W and one for log(det/Area), the sums of
 ``detlap.log_det_over_area``, whose value it equals bit for bit
 (``math.fsum`` is exactly rounded, so the order of the terms does not
 matter):
 
-    position step  the moved vertex's M - 1 logs, each times the pair's
-                   coefficient
-    angle step     the W terms of vertices i and 1, and F at their two new
-                   angles
+    position step  the M - 1 pairs of the moved vertex: the pair's
+                   coefficient times its new log distance
+    angle step     the 2M - 3 pairs that hold vertex i or 1: the pair's
+                   coefficient from the step's exponents and angles times
+                   its log, and F at the two new angles
     scale step     the prefactor and every F term
 
 Each step first runs the checks ``make_metric`` would run on what it
@@ -137,43 +135,33 @@ def _derivative(row) -> float:
 
 class _Steps:
     """log(det/Area) at the finite-difference steps from a metric ``m``,
-    each assembled from parts made once per suite with only what the
-    step changes formed anew (module docstring).
+    each assembled from m's own parts with only what the step changes
+    formed anew (module docstring).
 
-    ``__init__`` makes the parts from m's record (``metric._Parts``), once
+    ``__init__`` makes W's sum and the assembly terms other than W, once
     for every channel of a suite, and checks that log(det/Area) at m is
-    finite.  Building steps
-    (``position_steps``, ``angle_steps``, ``scale_steps``) runs the checks
-    of ``make_metric`` on what each changes and returns per step its value
-    and the offset it actually takes.
+    finite.  Building steps (``position_steps``, ``angle_steps``,
+    ``scale_steps``) runs the checks of ``make_metric`` on what each
+    changes and returns per step its value and the offset it actually
+    takes.
     """
 
     def __init__(self, m: PolyhedralMetric):
         self.m = m
         parts = self.parts = m._parts
-        zs, n = parts.positions, len(parts.positions)
         self.w = _w_sum(parts.w_terms)
         # [pre, *F, -ref]: the F term of vertex q is at 1 + q
         self.terms = _assembly_terms(_prefactor(m.scale), _f_terms(parts.angles, m.scale))
         _total([self.w, *self.terms])
         self.h_position = STEP * m.min_pairwise_distance()
-        # per vertex q: W's terms on the pairs that do not hold it, and its
-        # pairs (q, j) as (coefficient, z_j) for a position step and as
-        # (j, b_j, 1/beta_j, log) for an angle step
-        self.away = [[parts.w_terms[k] for k in apart] for apart, _ in _split(n)]
-        self.around = [[(parts.coefficients[k], zs[j]) for j, k in pairs]
-                       for pairs in _incident(n)]
-        inverses = [1.0 / beta for beta in parts.angles]
-        self.sides = [[(j, parts.exponents[j], inverses[j], parts.logs[k]) for j, k in pairs]
-                      for pairs in _incident(n)]
 
     def position_steps(self, p: int, offsets) -> list:
         """Vertex p (0-based) moved by each offset along x, then along y:
-        one row per axis.  Its M - 1 distances, checked as ``make_metric``
-        checks them, and W terms are formed anew."""
-        zs = self.parts.positions
-        z0 = zs[p]
-        away, around, terms = self.away[p], self.around[p], self.terms
+        one row per axis.  The W terms of its M - 1 pairs are formed anew
+        from its distances, checked as ``make_metric`` checks them."""
+        parts, terms = self.parts, self.terms
+        zs, coefficients = parts.positions, parts.coefficients
+        z0, incident = zs[p], _incident(len(zs))[p]
         rows = []
         for axis in (1, 1j):
             row = []
@@ -183,10 +171,10 @@ class _Steps:
                     raise PerturbationLeavesDomain(
                         f"position step {e!r} is lost to rounding at vertex {p + 1}, {z0}")
                 _check_position(z)
-                w_terms = away[:]
+                w_terms = list(parts.w_terms)
                 try:
-                    for c, zj in around:
-                        w_terms.append(c * math.log(abs(z - zj)))
+                    for j, k in incident:
+                        w_terms[k] = coefficients[k] * math.log(abs(z - zs[j]))
                     w = _w_sum(w_terms)
                 except (OverflowError, ValueError):     # abs past the float range, log(0)
                     w = math.nan
@@ -201,39 +189,34 @@ class _Steps:
 
     def angle_steps(self, q: int, shifts) -> list:
         """b_q (0-based q != 0) shifted by each shift and b_1 by minus it:
-        the W terms of the two vertices and their two F terms are formed
-        anew.  A pair's coefficient b_k b_l (1/beta_k + 1/beta_l) is that
-        of ``metric._coefficients`` to the bit, as * and + commute."""
+        the W terms of the 2M - 3 pairs that hold vertex 1 or q and the two
+        F terms are formed anew.  A pair's coefficient b_k b_l (1/beta_k +
+        1/beta_l) is that of ``metric._coefficients`` to the bit, as * and
+        + commute."""
         parts = self.parts
-        bs0, angles0 = parts.exponents, parts.angles
-        kept = [parts.w_terms[k] for k in _split(len(bs0))[q][1]]
-        side_0, side_q = self.sides[0], self.sides[q]
-        log_0q = side_0[q - 1][3]       # vertex 0's pairs run over j = 1, 2, ...
+        angles0, logs = parts.angles, parts.logs
+        incident = _incident(len(angles0))
+        inverses = [1.0 / beta for beta in angles0]     # entries 0 and q set per step
         out = []
         for db in shifts:
-            bs = list(bs0)
+            bs = list(parts.exponents)
             bs[q] += db
             bs[0] -= db
             _check_gauss_bonnet(bs)
-            b_0, b_q = bs[0], bs[q]
-            beta_0, beta_q = TWO_PI * (b_0 + 1.0), TWO_PI * (b_q + 1.0)
+            beta_0, beta_q = TWO_PI * (bs[0] + 1.0), TWO_PI * (bs[q] + 1.0)
             if beta_q == angles0[q]:
                 raise PerturbationLeavesDomain(
                     f"angle step {db * TWO_PI!r} is lost to rounding at vertex {q + 1}, "
                     f"beta = {angles0[q]!r}")
-            inv_0, inv_q = 1.0 / beta_0, 1.0 / beta_q
-            w_terms = kept[:]
-            for j, b_j, inv_j, log in side_0:
-                if j != q:
-                    w_terms.append(b_0 * b_j * (inv_0 + inv_j) * log)
-            for j, b_j, inv_j, log in side_q:
-                if j:
-                    w_terms.append(b_q * b_j * (inv_q + inv_j) * log)
-            w_terms.append(b_0 * b_q * (inv_0 + inv_q) * log_0q)
-            w = _w_sum(w_terms)
+            inverses[0], inverses[q] = 1.0 / beta_0, 1.0 / beta_q
+            w_terms = list(parts.w_terms)
+            for k in (0, q):
+                b_k, inv_k = bs[k], inverses[k]
+                for j, p in incident[k]:
+                    w_terms[p] = b_k * bs[j] * (inv_k + inverses[j]) * logs[p]
             terms = list(self.terms)
             terms[1], terms[1 + q] = _f_terms((beta_0, beta_q), self.m.scale)
-            terms.append(w)
+            terms.append(_w_sum(w_terms))
             out.append((_total(terms), beta_q - angles0[q]))
         return out
 
@@ -252,17 +235,6 @@ class _Steps:
                                                          _f_terms(self.parts.angles, scale))]),
                         scale - scale0))
         return out
-
-
-@lru_cache(maxsize=None)
-def _split(n: int) -> tuple:
-    """For every vertex q, 0-based, the indices in ``_pairs(n)`` of the
-    pairs that do not hold q and of those that hold neither q nor vertex
-    0: the W terms that a position step and an angle step of q keep."""
-    pairs = _pairs(n)
-    return tuple((tuple(k for k, pair in enumerate(pairs) if q not in pair),
-                  tuple(k for k, pair in enumerate(pairs) if q not in pair and 0 not in pair))
-                 for q in range(n))
 
 
 def parse_channel(text: str) -> VariationChannel:

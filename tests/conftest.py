@@ -36,6 +36,20 @@ def near_degenerate():
     ])
 
 
+@pytest.fixture(scope="session")
+def three_vertex():
+    """The fewest vertices: an angle step of vertex q touches only pairs
+    that hold vertex 1 or q."""
+    return make_metric(0.9, [(0.2 + 0.1j, -0.7), (1.3 - 0.4j, -0.6), (-0.6 + 0.9j, -0.7)])
+
+
+@pytest.fixture(scope="session")
+def eight_vertex():
+    """Eight vertices, one angle above 2 pi (b = 0.3)."""
+    return make_metric(2.1, [(0.9 + 0.2j, -0.5), (-0.4 + 1.1j, -0.3), (-1.2 - 0.3j, -0.4),
+                             (0.3 - 0.8j, -0.2), (1.7 + 1.4j, 0.3), (-0.1 + 0.05j, -0.35),
+                             (-2.2 + 0.7j, -0.25), (0.6 - 2.3j, -0.3)])
+
 
 @pytest.fixture(scope="session")
 def above_two_pi():

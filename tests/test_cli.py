@@ -108,6 +108,23 @@ _TETRA_VERTS = [{"z": [1, 0], "b": -0.5}, {"z": [-1, 0], "b": -0.5},
         {"C": 1.0, "vertices": _TETRA_VERTS[:3] + [{"z": [0, -1], "b": "q"}]})),
     (["verify", "tetra", "--points"], json.dumps({"pts": [[1, 0], [-1, 0]]})),
     (["verify", "tetra", "--points"], "not json {"),
+    # only JSON numbers and [re, im] pairs of length 2: no strings that
+    # spell a number, no bools, no extra coordinates
+    (["det", "--metric"], json.dumps(
+        {"C": 1.0, "vertices": [{"z": "10", "b": -0.5}] + _TETRA_VERTS[1:]})),
+    (["det", "--metric"], json.dumps({"C": "1.0", "vertices": _TETRA_VERTS})),
+    (["det", "--metric"], json.dumps(
+        {"C": 1.0, "vertices": _TETRA_VERTS[:3] + [{"z": [0, -1], "b": "-0.5"}]})),
+    (["det", "--metric"], json.dumps({"C": True, "vertices": _TETRA_VERTS})),
+    (["det", "--metric"], json.dumps(
+        {"C": 1.0, "vertices": [{"z": [1, True], "b": -0.5}] + _TETRA_VERTS[1:]})),
+    (["det", "--metric"], json.dumps(
+        {"C": 1.0, "vertices": _TETRA_VERTS[:3] + [{"z": [0, -1, 99], "b": -0.5}]})),
+    pytest.param(["det", "--metric"], json.dumps({"C": 10 ** 400, "vertices": _TETRA_VERTS}),
+                 id="int-past-the-float-range"),
+    (["verify", "tetra", "--points"], json.dumps({"points": [[1, 0], [-1, 0], [0, 1], "01"]})),
+    (["verify", "tetra", "--points"], json.dumps(
+        {"points": [[1, 0], [-1, 0], [0, 1], [0, -1, 99]]})),
 ])
 def test_malformed_input_file_is_validation_error(command, text, tmp_path, capsys):
     path = tmp_path / "input.json"
@@ -569,6 +586,20 @@ def test_scale_channel_at_subnormal_scale_is_validation_error(command, scale, er
     code, err = _one_error_line([*command, "--metric", path], capsys)
     assert code == 2
     assert err["error"] == error
+
+
+@pytest.mark.parametrize("command", [["grad", "--channel", "z:1"], ["grad", "--channel", "z:2"],
+                                     ["verify", "fd"]])
+def test_subnormal_gap_is_validation_error(command, tmp_path, capsys):
+    # vertices 2 and 3 sit 1e-310 on either side of vertex 1: a position
+    # gradient's sum meets terms past the float range, one JSON error line
+    # and exit 2, not a traceback
+    path = _metric_file(tmp_path, 1.0, [(0, -0.5), (1e-310, -0.5), (-1e-310, -0.5),
+                                        (1j, -0.5)])
+    code, err = _one_error_line([*command, "--metric", path], capsys)
+    assert code == 2
+    assert err["error"] == "PolydetError"
+    assert "not a finite float" in err["message"]
 
 
 @pytest.mark.parametrize("command", [["det"], ["compare", "--m2"]])

@@ -133,8 +133,8 @@ def test_record_stays_private(corpus5, tmp_path, capsys):
     fresh = make_metric(corpus5.scale, verts)
     filled = make_metric(corpus5.scale, verts)
     detlap.grad_angle(filled, 2)
-    assert {"_parts", "_b_sums", "_gradients"} <= set(vars(filled))
-    assert not {"_parts", "_b_sums", "_gradients"} & set(vars(fresh))
+    assert {"_parts", "_gradients"} <= set(vars(filled))
+    assert not {"_parts", "_gradients"} & set(vars(fresh))
     assert filled == fresh and hash(filled) == hash(fresh)
     assert repr(filled) == repr(fresh)
     assert dataclasses.asdict(filled) == dataclasses.asdict(fresh)
@@ -147,8 +147,8 @@ def test_record_stays_private(corpus5, tmp_path, capsys):
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
     # computing the record again gives an equal record
-    parts, sums = vars(filled).pop("_parts"), vars(filled).pop("_b_sums")
-    assert filled._parts == parts and filled._b_sums == sums
+    parts = vars(filled).pop("_parts")
+    assert filled._parts == parts
 
 
 def test_derived_metrics_carry_no_record(corpus5):
@@ -163,7 +163,7 @@ def test_derived_metrics_carry_no_record(corpus5):
     for child, scratch in ((corpus5.with_position(3, moved[2][0]),
                             make_metric(corpus5.scale, moved)),
                            (corpus5.with_scale(2.5), make_metric(2.5, verts))):
-        assert not {"_parts", "_b_sums", "_gradients"} & set(vars(child))
+        assert not {"_parts", "_gradients"} & set(vars(child))
         n = child.num_vertices
         got = ([detlap.grad_position(child, i) for i in range(1, n + 1)]
                + [detlap.grad_angle(child, i) for i in range(2, n + 1)]

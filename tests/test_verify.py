@@ -189,7 +189,7 @@ def _parent_rows(m, channel, richardson):
 
 @pytest.mark.parametrize("richardson", [False, True])
 @pytest.mark.parametrize("name", ["tetra", "corpus5", "near_degenerate", "above_two_pi",
-                                  "near_minus_one"])
+                                  "near_minus_one", "three_vertex", "eight_vertex"])
 def test_steps_match_whole_metrics(name, richardson, request):
     # every step, evaluated from the base metric's parts, has the bits of
     # log_det_over_area of the perturbed metric built whole, and its offset
@@ -419,18 +419,20 @@ def test_gradient_index_and_gauge_errors(corpus5):
 
 
 def test_gradient_call_forms_only_its_own_vertices():
-    # vertices 2 and 3 sit 1e-310 on either side of vertex 1: its
-    # position sum meets +inf and -inf and raises, as it did when every
-    # call formed its own sum, while the others still return theirs,
-    # whether or not vertex 1 was asked for first
+    # vertices 2 and 3 sit 1e-310 on either side of vertex 1: the position
+    # sums of vertices 1-3 meet terms past the float range and raise a
+    # typed error, while vertex 4 still returns its own, whichever vertex
+    # is asked for first
     verts = [(0, -0.5), (1e-310, -0.5), (-1e-310, -0.5), (1j, -0.5)]
     expect = {}
-    for first in (1, 2, 4):
+    for first in (1, 2, 3, 4):
         m = make_metric(1.0, verts)
-        try:
-            grad_position(m, first)
-        except ValueError:
-            assert first == 1
-        bits = {i: repr(grad_position(m, i)) for i in (2, 3, 4)}
-        assert bits == expect.setdefault("bits", bits)
-    assert complex(expect["bits"][4]) == pytest.approx(-0.25j, abs=1e-15)
+        for i in [first] + [i for i in (1, 2, 3, 4) if i != first]:
+            if i < 4:
+                with pytest.raises(PolydetError, match="not a finite float") as info:
+                    grad_position(m, i)
+                assert type(info.value) is PolydetError
+            else:
+                bits = repr(grad_position(m, 4))
+                assert bits == expect.setdefault("bits", bits)
+    assert complex(expect["bits"]) == pytest.approx(-0.25j, abs=1e-15)
