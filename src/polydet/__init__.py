@@ -5,7 +5,15 @@ sphere, their gradients in vertex positions, cone angles and overall
 scale, and the numerical oracles (cone heat kernels, Hadamard finite
 parts, elliptic-curve identities, finite differences) that cross-validate
 every formula.
+
+``import polydet`` loads the core: ``errors``, ``metric``, ``quad``,
+``detlap``, and ``regint`` and ``cone``, whose QUADPACK names the
+benchmark's tracer wraps at install.  The oracles ``elliptic`` and
+``verify``, and the names this package re-exports from them, are
+imported on first access (``__getattr__``).
 """
+
+import importlib
 
 from .cone import (
     ConePoint,
@@ -26,17 +34,6 @@ from .detlap import (
     log_det_as,
     log_det_over_area,
     w_function,
-)
-from .elliptic import (
-    EllipticData,
-    dedekind_eta,
-    det_tetrahedron,
-    det_torus,
-    eta_distance_identity,
-    jacobi_residual,
-    periods,
-    theta_constants,
-    thomae_check,
 )
 from .errors import PolydetError
 from .metric import (
@@ -60,6 +57,23 @@ from .regint import (
     q_of_beta,
     q_of_beta_contour,
 )
-from .verify import FDConfig, GradientReport, fd_gradient, gradient_reports, run_suite
 
 __version__ = "0.1.0"
+
+# name -> the module that defines it, imported on first access
+_LAZY = {
+    **dict.fromkeys(("elliptic", "EllipticData", "dedekind_eta", "det_tetrahedron",
+                     "det_torus", "eta_distance_identity", "jacobi_residual", "periods",
+                     "theta_constants", "thomae_check"), "elliptic"),
+    **dict.fromkeys(("verify", "FDConfig", "GradientReport", "fd_gradient",
+                     "gradient_reports", "run_suite"), "verify"),
+}
+
+
+def __getattr__(name: str):
+    """A lazy name, looked up in its module on every access: nothing is
+    bound here, so no wrapper set on the module's function stays behind."""
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__name__}.{_LAZY[name]}")
+    return module if name == _LAZY[name] else getattr(module, name)

@@ -21,13 +21,14 @@ stderr), 3 an error estimate above its fixed accuracy contract.
 and exits 1 otherwise.
 Floats are serialized as shortest round-trip decimals (17 significant
 digits in human output).
+The modules only some commands use, ``verify``, ``elliptic`` and
+``csv``, are imported inside those commands, so that a process running
+``det``, ``area``, ``compare`` or ``verify hadamard`` never loads them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import io
 import json
 import math
@@ -35,7 +36,7 @@ import sys
 
 import numpy as np
 
-from . import detlap, elliptic, verify
+from . import detlap
 from .cone import ConePoint, heat_kernel_cone, heat_kernel_images, resolvent_cone, resolvent_images
 from .errors import InvalidMetricJSON, PolydetError, ToleranceNotReached
 from .metric import _json_point, load_metric, make_metric
@@ -51,8 +52,8 @@ from .regint import (SPLIT_RADIUS, hadamard_coth_coth_over_theta, hadamard_coth_
 def _jsonable(x):
     if isinstance(x, complex):
         return {"re": x.real, "im": x.imag}
-    if dataclasses.is_dataclass(x):
-        return {k: _jsonable(v) for k, v in dataclasses.asdict(x).items()}
+    if hasattr(x, "_asdict"):      # a result record (typing.NamedTuple)
+        return {k: _jsonable(v) for k, v in x._asdict().items()}
     if isinstance(x, (list, tuple)):
         return [_jsonable(v) for v in x]
     if isinstance(x, dict):
@@ -82,6 +83,8 @@ def _flatten(prefix, x, out):
 
 
 def _emit_csv(obj) -> None:
+    import csv
+
     rows = obj if isinstance(obj, list) else [obj]
     flat_rows = []
     for row in rows:
@@ -130,6 +133,8 @@ def _cmd_area(args) -> int:
 
 
 def _cmd_grad(args) -> int:
+    from . import verify
+
     m = load_metric(args.metric)
     fdcfg = verify.FDConfig(richardson=args.richardson)
     _emit(verify.gradient_reports(m, [verify.parse_channel(args.channel)], fdcfg)[0], args)
@@ -153,6 +158,8 @@ def _load_points(path: str):
 
 
 def _cmd_verify_tetra(args) -> int:
+    from . import elliptic
+
     pts = _load_points(args.points)
     data = elliptic.periods(pts)
     report = detlap.log_det_as(make_metric(1.0, [(z, -0.5) for z in pts]))
@@ -217,6 +224,8 @@ def _cmd_verify_cone(args) -> int:
 
 
 def _cmd_verify_fd(args) -> int:
+    from . import verify
+
     m = load_metric(args.metric)
     fdcfg = verify.FDConfig(richardson=args.richardson)
     reports = verify.run_suite(m, fdcfg=fdcfg)

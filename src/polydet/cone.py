@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,8 +43,7 @@ TWO_PI = 2.0 * math.pi
 __getattr__ = _quadpack_binding("quad", __name__)
 
 
-@dataclass(frozen=True)
-class ConePoint:
+class ConePoint(NamedTuple):
     """Point on the cone: radius r >= 0 and angle phi in [0, beta).
 
     The angular range depends on the cone opening, so it is validated by

@@ -73,38 +73,20 @@ The mode series
 ---------------
 S(s) and S'(s) are smooth in u = 1/s on [0, 1].  The mode table holds
 each as a Chebyshev series in u on the panels [0, 1/8], [1/8, 1/4],
-[1/4, 1/2] and [1/2, 1] (``TABLE_EDGES``), interpolated at 16 first-kind
-points on each (``TABLE_NODES``).  Its 64 nodes take one pass of
-``_mode_sums``, about 1 ms, which the first angle-term miss makes, not
-the import (``_mode_table``).  ``_table_sums`` evaluates both series at
-an angle's u by Clenshaw's recurrence in plain floats, about 3 us an
-angle, and ``_angle_terms`` assembles F and dF/dbeta from them, one
-angle a call, keeping the last ANGLE_CACHE_SIZE angles in a
-``functools.lru_cache``; S(1) comes from the same evaluation, so
-F(2 pi, 1) is 0.0.  Against ``_mode_sums`` at the nodes, on 4001 s
-geometric from 1 to 1e6, on both sides of the inner panel edges and at
-s = 1 and 1e100, the table errs by at most 4.8e-18 on S and 7.9e-18 on
-S'; its coefficients of degree 15 are below 1e-18 on every panel.
-
-``_mode_sums``, the table's source and its test oracle, takes S(s) and
-S'(s) at an array of s >= 1 in one numpy pass.  A mode
-nu = s k >= NU0 = 12 takes Stirling's remainder
-
-    Z'(nu) = sum_{n=2..8} B_2n/(2n (2n - 1)) nu^(1 - 2n),
-
-truncated before a term below 1e-19 at nu = 12; summed over k >= k0 it is
-sum_n B_2n/(2n (2n - 1)) s^(1 - 2n) zeta(2n - 1, k0), the Hurwitz zeta
-values from zeta(3), ..., zeta(15) less their partial sums.  A mode
-below NU0 is not taken as log Gamma(nu + 1) - nu log nu, which cancels
-digits (errors up to 2.5e-14 from 0.1 pi to 10 pi), but shifted up to NU0,
-
-    Z'(nu) = sum_{j < J} delta(nu + j) + Z'(nu + J),   J = ceil(NU0 - nu),
-    delta(mu) = Z'(mu) - Z'(mu + 1)
-              = sum_{i>=2} (1/(2i + 1) - 1/3) y^(2i),   y = 1/(2 mu + 1) <= 1/3,
-
-summed to i = 21, past which the terms are below 1e-18 of the sum.  Z''
-follows from the derivatives of the same series: delta'(mu) = sum_i
-4i (1/3 - 1/(2i + 1)) y^(2i+1).  Every term of S and of S' has one sign,
+[1/4, 1/2] and [1/2, 1], interpolated at 16 first-kind points on each.
+It is a literal (``_PANELS``, with S(1) as ``_S_ONE``), so no call and no
+import builds it; ``tests/mode_series.py`` sums the modes at the 64
+nodes in one numpy pass (Stirling's remainder for modes at or above 12,
+shifted up to 12 below that) and prints it, and the tests rebuild it bit
+for bit.  ``_table_sums`` evaluates both series at an angle's u by
+Clenshaw's recurrence in plain floats, about 3 us an angle, and
+``_angle_terms`` assembles F and dF/dbeta from them, one angle a call,
+keeping the last ANGLE_CACHE_SIZE angles in a ``functools.lru_cache``;
+S(1) comes from the same evaluation, so F(2 pi, 1) is 0.0.  Against the
+mode sums at the nodes, on 4001 s geometric from 1 to 1e6, on both sides
+of the inner panel edges and at s = 1 and 1e100, the table errs by at
+most 4.8e-18 on S and 7.9e-18 on S'; its coefficients of degree 15 are
+below 1e-18 on every panel.  Every term of S and of S' has one sign,
 so no digits are lost.  Against a 40-digit mpmath mode sum, on 81 angles
 geometric from 0.01 pi to 100 pi, F and dF/dbeta from the table err by
 at most 3.4e-16 max(1, |value|), and by at most 4 units in the last
@@ -138,11 +120,8 @@ anew by each call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Tuple
-
-import numpy as np
+from typing import NamedTuple, Tuple
 
 from .errors import GaugeVertexVariation, PolydetError
 from .metric import PolyhedralMetric, _check_angle, _check_scale, _incident
@@ -152,8 +131,7 @@ PI = math.pi
 TWO_PI = 2.0 * math.pi
 
 
-@dataclass(frozen=True)
-class DetReport:
+class DetReport(NamedTuple):
     """Assembled determinant with every ingredient retained.
 
     The exact floating-point identity (fixed summation order, math.fsum)
@@ -231,35 +209,6 @@ def _f_dc(beta: float, scale: float) -> float:
 # F(beta, 1) and dF/dbeta(beta, 1): the mode series (module docstring)
 # --------------------------------------------------------------------------
 
-NU0 = 12.0                         # modes below it are shifted up to it
-_NEAR_K = np.arange(1.0, NU0)      # the k of modes s k < NU0, as s >= 1
-_CHAIN = _NEAR_K - 1.0             # the j of a chain nu + j, below NU0
-# delta/y^4 and delta'/y^5 in powers of t = y^2, i = 2..21: the coefficient
-# of t^(4q + r) at (q, value or slope, r), for Horner's rule in t^4 over q
-# (Estrin's scheme)
-_I = np.arange(2.0, 22.0)
-_DELTA = np.array([1.0 / (2.0 * _I + 1.0) - 1.0 / 3.0,
-                   4.0 * _I * (1.0 / 3.0 - 1.0 / (2.0 * _I + 1.0))]
-                  ).reshape(2, 5, 4).transpose(1, 0, 2)[..., None].copy()
-# Stirling's remainder at nu = 1/w in powers of x = w^2: Z' = w sum_n c_n x^(n-1)
-# and Z'' = -sum_n (2n - 1) c_n x^n, c_n = B_2n/(2n (2n - 1)), n = 2..8 (rows
-# value and slope, columns x..x^8); row 0 at a chain end, and row k0 = 1..NU0
-# the tail from k0 on, which is that at w = 1/s with each term times
-# zeta(2n - 1, k0)
-_STIRLING = np.array([-1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156,
-                      -3617 / 122400])
-_ZETA_ODD = (1.2020569031595942, 1.03692775514337, 1.008349277381923, 1.0020083928260821,
-             1.0004941886041194, 1.0001227133475785, 1.000030588236307)
-_HURWITZ = np.array([[math.fsum([z, *(-(k ** -n) for k in range(1, k0))])
-                      for z, n in zip(_ZETA_ODD, range(3, 16, 2))]
-                     for k0 in range(1, int(NU0) + 1)])
-_ENDS = np.zeros((int(NU0) + 1, 2, 8))
-_ENDS[0, 0, :7] = _STIRLING
-_ENDS[0, 1, 1:] = -np.arange(3.0, 16.0, 2.0) * _STIRLING
-_ENDS[1:, 0, :7] = _HURWITZ
-_ENDS[1:, 1, 1:] = _HURWITZ
-_ENDS[1:] *= _ENDS[0]
-_TAILS = _ENDS[1:]
 # F and dF/dbeta from S(s) and S'(s) (module docstring), to 17 digits
 _A = -0.3819844239742443           # 2 zeta_R'(-1) - (1 - log 2)/6
 _L = 0.3063128444015576            # log(2 pi)/6
@@ -269,79 +218,85 @@ _A_MIRROR = -0.0949934988490888    # 2 zeta_R'(-1) + (log 2 pi + gamma - 1)/6
 _B_MIRROR = 0.019321919276402075   # (log 2 - gamma)/6
 _DA_MIRROR = 0.07167316781757786   # a+ + 1/6
 _DB_MIRROR = 0.1473447473902646    # 1/6 - b+
-# S(s) and S'(s) as Chebyshev series in u = 1/s on the panels between
-# these edges, each through TABLE_NODES first-kind points: one pass of
-# 64 nodes builds the table
-TABLE_EDGES = (0.0, 0.125, 0.25, 0.5, 1.0)
-TABLE_NODES = 16
-
-
-def _mode_sums(s):
-    """S(s) = sum_k Z'(s k) and S'(s) = sum_k k Z''(s k) at every s >= 1 of
-    the array ``s`` (module docstring, "The mode series"), each summed in
-    one order: the shifts of each chain, the chain ends, the tail."""
-    n = len(s)
-    # the near modes nu = s k < NU0, in the order (angle, k), and their
-    # chains nu + j < NU0, in the order (mode, j)
-    rows, cols = (s[:, None] * _NEAR_K < NU0).nonzero()
-    k = cols + 1.0
-    nu = s[rows] * k
-    m = len(nu)
-    mu = nu[:, None] + _CHAIN
-    chain = mu < NU0
-    mode = chain.nonzero()[0]
-    # delta and delta' on every chain nu, nu + 1, ..., nu + J - 1
-    y = 0.5 / (mu[chain] + 0.5)
-    t = y * y
-    t4 = t * t
-    t4 *= t4
-    acc = _DELTA[-1] * t4
-    for c in _DELTA[-2:0:-1]:
-        acc += c
-        acc *= t4
-    acc += _DELTA[0]
-    shifts = ((acc[:, 3] * t + acc[:, 2]) * t + acc[:, 1]) * t + acc[:, 0]
-    shifts *= t * t
-    shifts[1] *= y
-    # Stirling's Z' and Z'' at the chain ends nu + J >= NU0, and the tails
-    # from k0 = 1 + the number of an angle's near modes
-    w = 1.0 / np.concatenate([nu + np.bincount(mode, minlength=m), s])
-    powers = (w * w)[:, None].repeat(8, axis=1).cumprod(axis=1)[:, None, :]
-    stirling = np.add.reduce(np.concatenate([powers[:m] * _ENDS[0],
-                                             powers[m:] * _TAILS[np.bincount(rows, minlength=n)]]),
-                             axis=2)
-    stirling[:, 0] *= w
-    owner = np.concatenate([rows[mode], rows, np.arange(n)])
-    return (np.bincount(owner, np.concatenate([shifts[0], stirling[:, 0]]), n),
-            np.bincount(owner, np.concatenate([shifts[1] * k[mode], stirling[:m, 1] * k,
-                                               stirling[m:, 1]]), n))
-
-
-def _table_nodes() -> np.ndarray:
-    """The u of the table's nodes, (panel, node): the first-kind points
-    x_j = cos(pi (j + 1/2)/TABLE_NODES) mapped onto each panel."""
-    x = np.cos(np.pi * (np.arange(TABLE_NODES) + 0.5) / TABLE_NODES)
-    lo, hi = np.array(TABLE_EDGES[:-1]), np.array(TABLE_EDGES[1:])
-    return ((hi + lo) / 2.0)[:, None] + ((hi - lo) / 2.0)[:, None] * x
-
-
-@lru_cache(maxsize=None)
-def _mode_table() -> Tuple[tuple, float]:
-    """The panels of the mode table, each (top edge, a, b, coefficients)
-    with x = a u - b on it and the (S, S') coefficient pairs from the
-    highest degree down, and S(1) from the table, so that F(2 pi, 1) is
-    0.0.  Built by one ``_mode_sums`` pass on the first call."""
-    u = _table_nodes()
-    n_panels, n = u.shape
-    values = np.stack(_mode_sums(1.0 / u.ravel())).reshape(2, n_panels, n)
-    # c_k = (2/n) sum_j f(x_j) cos(pi k (j + 1/2)/n), c_0 halved
-    basis = np.cos(np.pi * np.outer(np.arange(n), np.arange(n) + 0.5) / n) * (2.0 / n)
-    basis[0] /= 2.0
-    coefficients = (values[..., None, :] * basis).sum(axis=-1)
-    panels = tuple((hi, 2.0 / (hi - lo), (hi + lo) / (hi - lo),
-                    tuple(map(tuple, coefficients[:, p, ::-1].T.tolist())))
-                   for p, (lo, hi) in enumerate(zip(TABLE_EDGES, TABLE_EDGES[1:])))
-    return panels, _table_sums(panels, 1.0)[0]
+# S(s) and S'(s) as Chebyshev series in u = 1/s on four panels (module
+# docstring): per panel its top edge, a and b of x = a u - b on it, and
+# the (S, S') coefficient pairs from degree 15 down; then S(1) from the
+# table, so that F(2 pi, 1) is 0.0.  Printed by tests/mode_series.py.
+_PANELS = (
+    (0.125, 16.0, 1.0, (
+        (-1.5881867761018131e-22, -1.1911400820763599e-22),
+        (3.705769144237564e-21, -5.492479267352104e-21),
+        (7.623296525288703e-21, -1.2890782666026383e-20),
+        (1.087907941629742e-20, -6.20716331659792e-21),
+        (-2.8852059765849605e-20, 5.34438085048061e-19),
+        (-1.6302207861093078e-18, -5.715778328072019e-18),
+        (2.7744352429077794e-17, -2.0737410015770523e-16),
+        (7.190803222956331e-16, 5.4228518753034896e-15),
+        (-2.8308359587281555e-14, 1.0831321607618634e-13),
+        (-4.5258731850926465e-13, -6.808111168653547e-12),
+        (4.6012175006578774e-11, -8.789031845378103e-11),
+        (4.781981845593633e-10, 1.86137413571426e-08),
+        (-2.0162601964506509e-07, 1.5119565346761135e-07),
+        (-1.2169777249095872e-06, 5.312387300988305e-07),
+        (-3.046790718673669e-06, 1.0639611227367818e-06),
+        (-2.0318707758294815e-06, 6.652233252303729e-07),
+    )),
+    (0.25, 16.0, 3.0, (
+        (-9.740878893424454e-21, 1.1011428314305904e-20),
+        (1.2281977735187355e-20, -2.3928680759933985e-20),
+        (-6.776263578034403e-21, 5.505714157152952e-21),
+        (-9.317362419797304e-21, 2.498747194400186e-20),
+        (3.3881317890172014e-20, -4.1504614415460717e-20),
+        (-2.583450489125616e-19, 5.634039648661979e-18),
+        (-1.829845275953465e-17, -1.1018204577883939e-16),
+        (6.992731318034712e-16, -1.6570107441650668e-15),
+        (-1.091005541117851e-15, 1.5739233045469606e-13),
+        (-8.598397567680018e-13, -2.547182654212489e-12),
+        (2.871770469063434e-11, -2.0272663456611832e-10),
+        (1.2413390239890483e-09, 1.553734255604265e-08),
+        (-1.87418397527072e-07, 4.2736377204659847e-07),
+        (-3.562733540857026e-06, 4.0491992909122535e-06),
+        (-2.226560791042309e-05, 1.7449149427830673e-05),
+        (-2.5388246039229624e-05, 1.624171453387507e-05),
+    )),
+    (0.5, 8.0, 3.0, (
+        (-7.453889935837843e-20, 1.4568966692773966e-19),
+        (1.0164395367051604e-20, 6.437450399132683e-20),
+        (4.0657581468206416e-20, -2.236166980751353e-19),
+        (-4.404571325722362e-20, 5.942783157936171e-18),
+        (-9.615518017230817e-18, -7.124563525945371e-17),
+        (2.4327125058322407e-16, 7.746624522408929e-17),
+        (-2.9258618639872724e-15, 1.9167196855292973e-14),
+        (-1.0379822950592685e-14, -4.980629657888678e-13),
+        (1.4197441779075642e-12, 5.261794885707497e-12),
+        (-3.327859390034088e-11, 9.892776982529158e-11),
+        (8.572325552717473e-11, -6.51679624849512e-09),
+        (2.66694693265763e-08, 1.454256929583474e-07),
+        (-1.2064213562316728e-06, 5.75528022304857e-06),
+        (-2.640814327291317e-05, 5.8943170003637085e-05),
+        (-0.00017071699895449498, 0.00026193949066944706),
+        (-0.0001969445627699031, 0.0002467823244997855),
+    )),
+    (1.0, 4.0, 3.0, (
+        (-4.87890977618477e-19, 7.589415207398531e-19),
+        (1.395910297075087e-18, 2.656295322589486e-18),
+        (-1.2793585635328952e-17, 2.0816681711721685e-17),
+        (1.0251131540850444e-16, -6.728016581358798e-16),
+        (-2.9644797901184905e-16, 1.0773716987988458e-14),
+        (-9.164327283150975e-15, -1.220099325391355e-13),
+        (2.421661504138639e-13, 8.518137367338752e-13),
+        (-3.670297247550247e-12, 3.0597440271555587e-12),
+        (3.502515904260997e-11, -2.4615906155881634e-10),
+        (2.061355760022386e-11, 5.465487605896269e-09),
+        (-1.083002448295069e-08, -7.852101597280534e-08),
+        (3.170969205481427e-07, 2.506573046512795e-07),
+        (-5.042070474397826e-06, 5.9061828821604673e-05),
+        (-0.00016957865787901524, 0.0007290843478728335),
+        (-0.0012011522034316407, 0.0034943181524942353),
+        (-0.0014321929276721191, 0.003397520019404564),
+    )),
+)
+_S_ONE = -0.0028076595403598924
 
 
 def _table_sums(panels, u: float) -> Tuple[float, float]:
@@ -370,10 +325,9 @@ def _angle_terms(beta: float) -> Tuple[float, float]:
     angle gradients and finite differences.  An angle that fails
     ``metric._check_angle`` raises and is not cached."""
     _check_angle(beta)
-    panels, s_one = _mode_table()
     mirror = beta > TWO_PI
     s = beta / TWO_PI if mirror else TWO_PI / beta
-    sums, slopes = _table_sums(panels, 1.0 / s)
+    sums, slopes = _table_sums(_PANELS, 1.0 / s)
     log_s, r = math.log(s), 1.0 / s
     if mirror:
         f = _A_MIRROR * (s - 1.0) + _B_MIRROR * (r - 1.0) + (s + r) * log_s / 6.0
@@ -382,7 +336,7 @@ def _angle_terms(beta: float) -> Tuple[float, float]:
     else:
         f = _A * (s - 1.0) + _L * (r - 1.0) + 0.5 * log_s
         dfdb = (2.0 * slopes + _C + _L * (r - _R0) ** 2) * (s * s) / TWO_PI
-    return f - 2.0 * (sums - s_one), dfdb
+    return f - 2.0 * (sums - _S_ONE), dfdb
 
 
 # --------------------------------------------------------------------------

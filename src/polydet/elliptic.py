@@ -36,9 +36,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence, Tuple
+from typing import NamedTuple, Optional, Sequence, Tuple
 
 from .errors import DegenerateQuartic, PolydetError, ToleranceNotReached
 from .metric import make_metric
@@ -53,8 +52,7 @@ PERIOD_REL_TOL = 1e-12      # relative error estimate demanded of a period
 BRANCH_EXPONENTS = (-0.5, -0.5, -0.5, -0.5)
 
 
-@dataclass(frozen=True)
-class EllipticData:
+class EllipticData(NamedTuple):
     period_a: complex
     period_b: complex
     tau: complex

@@ -57,8 +57,7 @@ GAUSS_BONNET_TOL = 1e-12
 # data model
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConicalVertex:
+class ConicalVertex(NamedTuple):
     """One conical singularity: position z_k and exponent b_k.
 
     The cone angle is derived, never stored independently, so
@@ -126,9 +125,6 @@ class PolyhedralMetric:
         if not 1 <= i <= len(self.vertices):
             raise PolydetError(
                 f"vertex index {i} out of range 1..{len(self.vertices)}")
-
-    def min_pairwise_distance(self) -> float:
-        return min(self._pair_distances)
 
     def with_scale(self, scale: float) -> "PolyhedralMetric":
         return make_metric(scale, [(v.position, v.exponent) for v in self.vertices])

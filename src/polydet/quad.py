@@ -58,7 +58,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import List, NamedTuple, Optional, Tuple, Union
 
@@ -84,8 +83,7 @@ REL_TOL = 1e-9
 NEAR_TIE = 1.0 + 8.0 * float(np.finfo(float).eps)
 
 
-@dataclass(frozen=True)
-class QuadResult:
+class QuadResult(NamedTuple):
     value: Union[float, complex]    # complex for a chord (``segment_integral``)
     error_estimate: float
     # panels evaluated: on the first runs of the tour's edges (about half the

@@ -114,7 +114,6 @@ finite part is two, its near and its far panels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Tuple
 
@@ -329,8 +328,7 @@ def q_of_beta_contour(beta: float) -> float:
 # Hadamard finite parts
 # --------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HadamardResult:
+class HadamardResult(NamedTuple):
     """Finite part plus the counterterm coefficients actually subtracted.
 
     The subtraction was D(eps) = subtracted_quadratic/eps^2

@@ -18,8 +18,9 @@ absolute error rules, and a channel passes at a relative error of at
 most FD_PASS_TOL (``verify fd`` exits 1 otherwise).
 
 The relative step is fixed, STEP = 1e-4, and scaled to the perturbed
-quantity: h = STEP * min-vertex-gap for positions (so near-degenerate
-pairs stay inside the quadratic accuracy regime), h = STEP * min(beta_i,
+quantity: h = STEP times vertex i's own nearest gap for z:i (so a
+near-degenerate pair stays inside the quadratic accuracy regime, and the
+other vertices keep steps on their own scale), h = STEP * min(beta_i,
 beta_1) for angles, h = STEP * C for the scale (which therefore stays
 positive).  A difference is divided by the steps actually taken, the
 perturbed quantity less its base value, which rounding may make other
@@ -62,9 +63,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Union
+from typing import List, NamedTuple, Union
 
 from .detlap import (
     _assembly_terms,
@@ -98,8 +98,7 @@ REL_ERR_FLOOR = 1.0   # the scale below which the absolute error rules
 FD_PASS_TOL = 1e-5    # the largest relative error of a passing channel
 
 
-@dataclass(frozen=True)
-class GradientReport:
+class GradientReport(NamedTuple):
     """One channel's analytic gradient, its finite difference and their
     errors (module docstring)."""
 
@@ -110,8 +109,7 @@ class GradientReport:
     rel_err: float
 
 
-@dataclass(frozen=True)
-class FDConfig:
+class FDConfig(NamedTuple):
     richardson: bool = False
 
 
@@ -153,7 +151,6 @@ class _Steps:
         # [pre, *F, -ref]: the F term of vertex q is at 1 + q
         self.terms = _assembly_terms(_prefactor(m.scale), _f_terms(parts.angles, m.scale))
         _total([self.w, *self.terms])
-        self.h_position = STEP * m.min_pairwise_distance()
 
     def position_steps(self, p: int, offsets) -> list:
         """Vertex p (0-based) moved by each offset along x, then along y:
@@ -257,8 +254,12 @@ def _channel(steps: _Steps, channel: VariationChannel, richardson: bool):
     m = steps.m
     if isinstance(channel, Position):
         i = channel.i
-        return (f"z:{i}", grad_position(m, i),
-                steps.position_steps(i - 1, _steps(steps.h_position, richardson)))
+        analytic = grad_position(m, i)
+        # the vertex's own nearest gap sets its step scale, so a close pair
+        # elsewhere leaves it alone
+        distances = m._pair_distances
+        h = STEP * min([distances[p] for _, p in _incident(m.num_vertices)[i - 1]])
+        return f"z:{i}", analytic, steps.position_steps(i - 1, _steps(h, richardson))
 
     if isinstance(channel, Angle):
         i = channel.i

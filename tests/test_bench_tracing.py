@@ -4,7 +4,11 @@ for the determinant and the contour oracles, and no QUADPACK call may
 appear among them."""
 
 import importlib.util
+import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import polydet
@@ -39,3 +43,28 @@ def test_tracer_installs_and_records_spans():
     assert all(end >= start for _, start, end, _, _ in tracer.spans)
     assert (polydet.log_det_as, polydet.heat_kernel_cone,
             polydet.q_of_beta_contour, polydet.regint.quad) == originals
+
+
+def test_tracer_installs_over_a_bare_import():
+    # the state of a traced det_corpus run: only ``import polydet`` has
+    # run, so the tracer finds every layer it indexes among the modules
+    # that import loads (the imports above cannot show one it stopped
+    # loading)
+    code = ("import importlib.util, json, sys\n"
+            "import polydet\n"
+            "spec = importlib.util.spec_from_file_location('bench_tracing', sys.argv[1])\n"
+            "tracing = importlib.util.module_from_spec(spec)\n"
+            "spec.loader.exec_module(tracing)\n"
+            "tracer = tracing.Tracer()\n"
+            "original = polydet.log_det_as\n"
+            "with tracing.installed(tracer, polydet):\n"
+            "    polydet.log_det_as(polydet.tetrahedron_metric())\n"
+            "print(json.dumps([sorted({s[0] for s in tracer.spans}),\n"
+            "                  polydet.log_det_as is original]))")
+    env = dict(os.environ, PYTHONPATH=str(Path(polydet.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code, str(TRACING)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    names, restored = json.loads(proc.stdout.splitlines()[-1])
+    assert {"detlap.log_det_as", "quad.area"} <= set(names)
+    assert restored

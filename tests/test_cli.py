@@ -83,6 +83,25 @@ def test_det_report_json_round_trip(tetra_path, capsys):
     assert json.loads(json.dumps(rep)) == rep  # floats survive bit-exactly
 
 
+@pytest.mark.parametrize("argv, record", [
+    (["det"], detlap.DetReport),
+    (["area"], quad.QuadResult),
+    (["grad", "--channel", "beta:2"], verify.GradientReport),
+])
+def test_json_records_are_objects_of_their_fields(argv, record, tetra_path, capsys):
+    # a result record is a JSON object keyed by its fields, in order, not
+    # the list of its values
+    assert main([*argv, "--metric", tetra_path, "--json"]) == 0
+    assert list(json.loads(capsys.readouterr().out)) == list(record._fields)
+
+
+def test_verify_hadamard_finite_parts_are_objects_of_their_fields(capsys):
+    assert main(["verify", "hadamard", "--beta", "3.0"]) == 0
+    (row,) = json.loads(capsys.readouterr().out)
+    for name in ("coth_over_sinh_sq", "coth_coth_over_theta"):
+        assert list(row[name]) == list(regint.HadamardResult._fields)
+
+
 def test_det_gauss_bonnet_error(bad_path, capsys):
     code = main(["det", "--metric", bad_path])
     captured = capsys.readouterr()

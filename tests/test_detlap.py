@@ -1,10 +1,6 @@
 import cmath
 import itertools
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -30,6 +26,8 @@ from polydet.errors import GaugeVertexVariation, NonpositiveAngle, NonpositiveSc
 from polydet.metric import Angle
 from polydet.regint import hadamard_coth_coth_over_theta, hadamard_coth_over_sinh_sq
 from polydet.verify import fd_gradient, run_suite
+
+import mode_series
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -256,15 +254,13 @@ def test_angle_terms_bit_identical_alone_and_in_any_batch_position():
 
 
 def test_hot_paths_call_no_finite_part(corpus5, monkeypatch):
-    # once the mode table exists, no hot path integrates a finite part or
-    # runs a pass of the mode series, however cold the angle-term cache
+    # no hot path integrates a finite part, however cold the angle-term
+    # cache
     def refuse(*args, **kwargs):
-        raise AssertionError("a finite part or a mode-series pass was computed")
+        raise AssertionError("a finite part was computed")
 
-    detlap._mode_table()
     monkeypatch.setattr(regint, "_finite_part", refuse)
     monkeypatch.setattr(regint, "_panel_integral", refuse)
-    monkeypatch.setattr(detlap, "_mode_sums", refuse)
     detlap._angle_terms.cache_clear()
     fresh = make_metric(1.7, [(0, -0.4321), (1, -0.1234), (0.3 + 0.8j, -0.8765),
                               (-0.6 - 0.2j, -0.568)])
@@ -281,28 +277,30 @@ def test_hot_paths_call_no_finite_part(corpus5, monkeypatch):
 def test_mode_table_matches_mode_sums():
     # the table against its source at its nodes, on a dense geometric grid,
     # on both sides of each inner panel edge, at s = 1 and at s = 1e100
-    panels, s_one = detlap._mode_table()
-    edges = [math.nextafter(e, side) for e in detlap.TABLE_EDGES[1:-1] for side in (0.0, 1.0)]
-    u = np.array([*detlap._table_nodes().ravel(), *(1.0 / np.geomspace(1.0, 1e6, 4001)),
+    edges = [math.nextafter(e, side) for e in mode_series.TABLE_EDGES[1:-1]
+             for side in (0.0, 1.0)]
+    u = np.array([*mode_series.table_nodes().ravel(), *(1.0 / np.geomspace(1.0, 1e6, 4001)),
                   *edges, 1.0, 1e-100])
-    sums, slopes = detlap._mode_sums(1.0 / u)
-    table = np.array([detlap._table_sums(panels, x) for x in u.tolist()])
+    sums, slopes = mode_series.mode_sums(1.0 / u)
+    table = np.array([detlap._table_sums(detlap._PANELS, x) for x in u.tolist()])
     assert np.abs(table[:, 0] - sums).max() <= 3e-17
     assert np.abs(table[:, 1] - slopes).max() <= 3e-17
-    assert s_one == detlap._table_sums(panels, 1.0)[0]
+    assert detlap._S_ONE == detlap._table_sums(detlap._PANELS, 1.0)[0]
 
 
-def test_mode_table_built_on_first_miss_not_at_import():
-    code = ("import polydet\n"
-            "from polydet import detlap\n"
-            "print(detlap._mode_table.cache_info().currsize)\n"
-            "polydet.f_function(1.0, 2.0)\n"
-            "print(detlap._mode_table.cache_info().currsize)")
-    env = dict(os.environ, PYTHONPATH=str(Path(detlap.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0", "1"]
+def test_mode_table_literal_is_its_generator_bit_for_bit():
+    # the literal in detlap is what the mode sums build, to the last bit of
+    # every edge, panel map, coefficient and S(1)
+    def bits(panels, s_one):
+        return [x.hex() for top, a, b, pairs in panels
+                for x in (top, a, b, *(c for pair in pairs for c in pair))] + [s_one.hex()]
+
+    panels, s_one = mode_series.mode_table()
+    assert [len(p[3]) for p in detlap._PANELS] == [mode_series.TABLE_NODES] * 4
+    assert bits(detlap._PANELS, detlap._S_ONE) == bits(panels, s_one)
+    # and the source holds the text the generator prints
+    with open(detlap.__file__, encoding="utf-8") as fh:
+        assert mode_series.literal() in fh.read()
 
 
 @pytest.mark.parametrize("fn", [f_function, f_function_dbeta])

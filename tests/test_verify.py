@@ -1,3 +1,4 @@
+import json
 import math
 import sys
 
@@ -10,6 +11,7 @@ from polydet import (
     Scale,
     area,
     detlap,
+    dump_metric,
     fd_gradient,
     grad_angle,
     grad_position,
@@ -19,6 +21,7 @@ from polydet import (
     tetrahedron_metric,
     verify,
 )
+from polydet.cli import main
 from polydet.errors import GaugeVertexVariation, PerturbationLeavesDomain, PolydetError
 from polydet.metric import make_metric
 
@@ -97,6 +100,24 @@ def test_suite_near_degenerate(near_degenerate):
     assert all(r.rel_err <= 1e-7 for r in rich)
 
 
+@pytest.mark.parametrize("gap", [1e-8, 1e-12])
+def test_close_pair_leaves_the_other_steps_alone(gap, tmp_path, capsys):
+    # vertices 1 and 2 sit ``gap`` apart, vertices 3 and 4 about 1 away:
+    # each position steps on its own nearest gap, so z:3 and z:4 are not
+    # stepped by 1e-4 * gap, which missed FD_PASS_TOL at 1e-8 and was lost
+    # to rounding at 1e-12
+    m = make_metric(1.0, [(0, -0.5), (gap, -0.5), (-1 + 0.3j, -0.5), (1j, -0.5)])
+    for fdcfg in (FDConfig(), FDConfig(richardson=True)):
+        reports = run_suite(m, fdcfg)
+        assert [r.channel for r in reports] == ["z:1", "z:2", "z:3", "z:4",
+                                                "beta:2", "beta:3", "beta:4", "C"]
+        assert all(r.rel_err <= verify.FD_PASS_TOL for r in reports), reports
+    path = tmp_path / "close.json"
+    dump_metric(m, str(path))
+    assert main(["verify", "fd", "--metric", str(path)]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 8
+
+
 def test_fd_log_area_matches_triangle_derivative():
     # independent check isolating quadrature error from formula error: for
     # three vertices log Area = -sum_{pairs} 2 (1 + b_k) log|z_i - z_j| +
@@ -167,9 +188,10 @@ def _parent_rows(m, channel, richardson):
         return [(lambda mm: mm.scale,
                  [m.with_scale(m.scale + e) for e in verify._steps(h, richardson)])]
     if isinstance(channel, Position):
-        h = verify.STEP * m.min_pairwise_distance()
         i = channel.i
         z0 = m.vertices[i - 1].position
+        h = verify.STEP * min(abs(z0 - v.position) for k, v in enumerate(m.vertices)
+                              if k != i - 1)
         offsets = verify._steps(h, richardson)
         return [(lambda mm: mm.vertices[i - 1].position.real,
                  [m.with_position(i, z0 + e) for e in offsets]),
