@@ -26,20 +26,25 @@ the tour.
   follows a loop around the subtree T_v beyond it, which turns the branch
   of every arg(z - z_k) of k in T_v by -2 pi: the holonomy of the
   developing map.  Its chord is the first run's times
-  -exp(-2 pi i sum_(k in T_v) b_k) and is not integrated again.
+  -exp(-2 pi i sum_(k in T_v) b_k) and is not integrated again.  The
+  walk is Python floats and lists throughout.
 * chords -- ``segment_integral``: the straight segment is split in
   halves, each integrated from its own endpoint in dyadic panels; a panel
   is split again while another vertex lies closer to it than its length.
   Only differences z - z_k enter, so a metric and its translate give the
   same digits.  The scale enters only as one power of the length of the
   segment, so no factor leaves the float range before the chord does.
+  The first runs of all edges are evaluated together (``_chords``): the
+  per-half set-up and the panel bookkeeping in Python, the (half, vertex)
+  grid and the nodes of all panels in a few numpy operations, and a
+  chord has the same bits whatever is evaluated with it.
 * panels -- every panel, end or interior, takes its integrand at the same
   NODES Chebyshev points, both ends included (``_chebyshev``), and
   integrates their interpolant against a weight (1 + x)^b by modified
-  moments (``_rule``): on the end panel b is the vertex's exponent, so
-  the weight s^b holds the vertex singularity exactly, and elsewhere
-  b = 0.  Only the weights depend on b, and building them solves no
-  eigenproblem.
+  moments (``_rule``, a recurrence in Python floats): on the end panel b
+  is the vertex's exponent, so the weight s^b holds the vertex
+  singularity exactly, and elsewhere b = 0.  Only the weights depend on
+  b, and building them solves no eigenproblem.
 
 Every panel is evaluated once, on the first run of its edge.  Its error
 estimate is the size of the last two Chebyshev coefficients of its
@@ -56,10 +61,11 @@ in a fixed order, so results are bit-identical between runs.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import sys
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -75,7 +81,7 @@ BATCH = 8192
 MAX_SPLITS = 60
 # rounding floor of the area estimate, per unit of sum |corner| |side| of
 # the chord polygon (true errors reach about 3 eps per unit for b -> -1)
-ROUNDING = 16.0 * np.finfo(float).eps
+ROUNDING = 16.0 * sys.float_info.epsilon
 # the area's accuracy contract: error_estimate <= REL_TOL * area
 REL_TOL = 1e-9
 # distances within this factor of each other may be in either order once
@@ -146,19 +152,18 @@ def _rule(n: int, b: float) -> Tuple[np.ndarray, float]:
     m0 = 2^(b+1)/(b + 1), c_k the Chebyshev coefficients of g at the
     points and mu_k = int (1 + x)^b (T_k(x) - T_k(-1)) dx, which hold no
     1/(b + 1) however close b is to -1.  They follow DQMOMO's forward
-    recurrence for the moments of T_k, shifted by T_k(-1) m0.
+    recurrence for the moments of T_k, shifted by T_k(-1) m0, in Python
+    floats.
 
     Returns the rows (the weights of g at the points, for the sum over
     k >= 1; then the last two coefficients times max(|mu_1|, 2), the size
     of what the interpolant leaves out and of the moments it meets) and
     m0, which ``_panel_sums`` adds after the sum so that it rounds alone."""
     top = 2.0 ** (b + 1.0)
-    k, k_1, odd = _recurrence(n)
     mu_k = 2.0 * top / (b + 2.0)
     mu = [mu_k]                                 # mu_1, mu_2, ...
-    for a, c, e in zip((k * (k - b - 2.0)).tolist(), (top * odd).tolist(),
-                       (k_1 * (k + b + 1.0)).tolist()):
-        mu_k = -(top + a * mu_k + c) / e
+    for k, k_1, odd in _recurrence(n):
+        mu_k = -(top + k * (k - b - 2.0) * mu_k + top * odd) / (k_1 * (k + b + 1.0))
         mu.append(mu_k)
     coef = _chebyshev(n)[1]
     rows = np.empty((3, n))
@@ -169,16 +174,11 @@ def _rule(n: int, b: float) -> Tuple[np.ndarray, float]:
 
 
 @lru_cache(maxsize=None)
-def _recurrence(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """k, k - 1 and (-1)^k (2k - 1) for k = 2 ... n - 1, all exact: with
+def _recurrence(n: int) -> Tuple[Tuple[float, float, float], ...]:
+    """(k, k - 1, (-1)^k (2k - 1)) for k = 2 ... n - 1, all exact: from
     them ``_rule`` forms the factors of each step of its recurrence,
-    k (k - b - 2), (-1)^k 2^(b+1) (2k - 1) and (k - 1)(k + b + 1), in one
-    array operation each, with the bits of the step's own arithmetic."""
-    k = np.arange(2.0, n)
-    factors = k, k - 1.0, (-1.0) ** k * (2.0 * k - 1.0)
-    for f in factors:
-        f.flags.writeable = False       # cached, shared by callers
-    return factors
+    k (k - b - 2), (-1)^k 2^(b+1) (2k - 1) and (k - 1)(k + b + 1)."""
+    return tuple((float(k), k - 1.0, (-1.0) ** k * (2.0 * k - 1.0)) for k in range(2, n))
 
 
 def _panel_sums(rows, m0, half, vals) -> np.ndarray:
@@ -201,12 +201,11 @@ def _panels(rho: np.ndarray) -> Tuple[List[int], List[float], List[float]]:
     closer to [0, 1/2] than 1/2, found in one array test, can split a
     panel.  Returns the half, a and l of every panel, in increasing a
     within each half."""
-    x, y = rho.real, rho.imag
-    near = np.hypot(np.clip(x, 0.0, 0.5) - x, y) < 0.5
+    x = rho.real
+    near = np.hypot(np.minimum(np.maximum(x, 0.0), 0.5) - x, rho.imag) < 0.5
     points: dict = {}
-    for half, xk, yk in zip(np.nonzero(near)[0].tolist(), x[near].tolist(),
-                            y[near].tolist()):
-        points.setdefault(half, []).append((xk, yk))
+    for half, rho_k in zip(np.nonzero(near)[0].tolist(), rho[near].tolist()):
+        points.setdefault(half, []).append((rho_k.real, rho_k.imag))
     owner, starts, lengths = [], [], []
     for half in range(len(rho)):
         todo = [(0.0, 0.5, 0, points.get(half, []))]   # a, l, halvings, vertices
@@ -234,10 +233,11 @@ def _vertex_order(m: int) -> np.ndarray:
     return order
 
 
-def _chords(zs, bs, u, v, theta_u, theta_v) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _chords(z, bs, u, v, theta_u, theta_v) -> Tuple[np.ndarray, np.ndarray, List[int]]:
     """Values, error estimates and panel counts of the chords int
-    prod_k (z - z_k)^(b_k) dz from z_u to z_v, for arrays of steps u, v
-    with the rows theta_u, theta_v of branches at either end.
+    prod_k (z - z_k)^(b_k) dz from z_u to z_v, for lists of steps u, v
+    with the rows theta_u, theta_v of branches at either end (z a sequence
+    of complex, bs one of float, the rows lists of float).
 
     A chord is two halves, each from its own end z_p to the midpoint, on
     panels of NODES Chebyshev points.  theta[p] at z_p is the branch of
@@ -250,64 +250,85 @@ def _chords(zs, bs, u, v, theta_u, theta_v) -> Tuple[np.ndarray, np.ndarray, np.
 
     with every w_k on its principal branch.  Only the lead depends on the
     scale, as one power of |d|; the rest is the exponential of a sum of
-    logs at every node.  The stages run over all panels at once, the logs
-    in groups of about BATCH values, and every sum is a panel's own
-    (``_panel_sums``) before the sum over the panels of a half, so a chord
-    has the same bits whatever else is evaluated with it.  The end panel of
-    a half takes the rule of the weight (1 + x)^b_p, every other panel that
-    of weight 1 (``_rule``).
+    logs at every node.
+
+    The numpy calls go where there are many values.  In Python floats: the
+    steps, d = z_q - z_p, the phase of each lead and the row of the other
+    branches, the check for a vertex nearer than the float range allows,
+    the panels (``_panels``) and which rule each takes.  In numpy, one
+    array operation each for all halves: the (half, vertex) grid of
+    z_k - z_p, rho_k, d/(z_k - z_p), |z_k - z_p|, log |rho_k| and the sum
+    log_c over it of b_k (log |rho_k| + i theta_k); the nodes of all panels
+    at once, their logs in groups of about BATCH values; and the few
+    per-half values that numpy and Python round apart: |d|, its powers and
+    the complex products with the lead (numpy's may fuse a multiply and an
+    add).  Every sum is a panel's own (``_panel_sums``) before the sum over
+    the panels of a half, so a chord has the same bits whatever else is
+    evaluated with it.  The end panel of a half takes the rule of the
+    weight (1 + x)^b_p, every other panel that of weight 1 (``_rule``).
+
+    Returns the values and estimates as arrays, the panel counts as a
+    list, one entry per step.
     """
-    p, q = np.concatenate((u, v)), np.concatenate((v, u))
-    theta = np.concatenate((theta_u, theta_v))
-    halves, m = theta.shape
-    order = _vertex_order(m)[p]                 # the others, then p
-    weights = bs[order]
-    bp = weights[:, -1]
-    rel = zs[order[:, :-1]] - zs[p, None]       # z_k - z_p
-    d = zs[q] - zs[p]
+    p, q, theta = u + v, v + u, theta_u + theta_v
+    m = len(z)
+    # per half, d, |d| and the lead, whose |d|^(1 + sum_j b_j) is |d|^n |d|^f,
+    # n the integer nearest to the exponent and f the rest, each to within an
+    # ulp
+    d = np.array([z[j] - z[i] for i, j in zip(p, q)])
     length = np.abs(d)
-    rho = rel / d[:, None]
+    n = round(math.fsum([1.0, *bs]))
+    f = math.fsum([1.0 - n, *bs])
+    lead = length ** n * length ** f if f else length ** n    # |d|^0 is 1
+    lead = lead * np.array([cmath.rect(1.0, (1.0 + bs[i]) * row[i]) for i, row in zip(p, theta)])
+
+    # the (half, vertex) grid, the vertices k != p in increasing order
+    order = _vertex_order(m).take(p, 0)         # the others, then p
+    at = np.array(z)[order]
+    rel = at[:, :-1] - at[:, -1:]               # z_k - z_p
+    col = d[:, None]
+    rho = rel / col
+    dist = np.abs(rel)
     # the nodes take 1/rho_k, whose size leaves the float range for a vertex
     # 1e308 times nearer to z_p than the segment is long (0 inf = nan at s = 0)
-    dist = np.abs(rel)
-    near = np.isinf(length[:, None] / dist)
-    if near.any():
-        half, col = np.argwhere(near)[0]
-        pair = sorted((int(p[half]) + 1, int(order[half, col]) + 1))
-        raise PolydetError(
-            f"vertices {pair[0]} and {pair[1]} are {dist[half, col]:.3g} apart, closer than "
-            f"the float range allows beside the chord from vertex {p[half] + 1} to vertex "
-            f"{q[half] + 1}, {length[half]:.3g} long")
+    for half, (span, gap) in enumerate(zip(length.tolist(),
+                                            np.minimum.reduce(dist, axis=1).tolist())):
+        if gap == 0.0 or span / gap == math.inf:
+            k = np.flatnonzero(np.isinf(span / dist[half]))[0]
+            pair = sorted((p[half] + 1, int(order[half, k]) + 1))
+            raise PolydetError(
+                f"vertices {pair[0]} and {pair[1]} are {dist[half, k]:.3g} apart, closer "
+                f"than the float range allows beside the chord from vertex {p[half] + 1} "
+                f"to vertex {q[half] + 1}, {span:.3g} long")
     # log |rho_k|; where the quotient leaves the normal float range (a vertex
     # 1e308 times nearer or farther than the segment is long) from its parts
     size = np.abs(rho)
-    log_rho = np.log(dist) - np.log(length)[:, None]
-    np.log(size, out=log_rho, where=(size >= np.finfo(float).tiny) & (size < math.inf))
-    owner, a, l = _panels(rho)
-    # the end panel opens every half: there s^b_p = h^b_p (1 + x)^b_p, and
-    # its rule's weight holds (1 + x)^b_p, so its s^b_p column takes h
-    pl = p.tolist()
-    rule = [pl[o] + 1 if ao == 0.0 else 0 for o, ao in zip(owner, a)]
-    start = np.flatnonzero(np.array(rule))
-    owner, h = np.array(owner), 0.5 * np.array(l)
-    s = np.array(a)[:, None] + h[:, None] * (1.0 + _chebyshev(NODES)[0])
-    power = s.copy()
-    power[start] = h[start, None]
-    # the rule of weight 1, then that of each vertex's (1 + x)^b
-    rows, m0 = (np.array(c) for c in zip(*[_rule(NODES, b) for b in [0.0] + bs.tolist()]))
+    terms = np.empty(rho.shape, dtype=complex)  # log |rho_k| + i theta_k
+    log_rho = np.log(size, out=terms.real)
+    if not (np.minimum.reduce(size, axis=None) >= sys.float_info.min
+            and np.maximum.reduce(size, axis=None) < math.inf):
+        normal = (size >= sys.float_info.min) & (size < math.inf)
+        np.copyto(log_rho, np.log(dist) - np.log(length)[:, None], where=~normal)
+    terms.imag = [row[:i] + row[i + 1:] for row, i in zip(theta, p)]
+    weights = np.array(bs)[order]
+    log_c = np.add.reduce(np.multiply(terms, weights[:, :-1], out=terms), axis=1)
 
-    # per half, sum_k b_k (log |rho_k| + i theta_k) and the lead, whose
-    # |d|^(1 + sum_j b_j) is |d|^n |d|^f, n the integer nearest to the
-    # exponent and f the rest, each to within an ulp
-    branch = theta[np.arange(halves)[:, None], order]
-    log_c = ((log_rho + 1j * branch[:, :-1]) * weights[:, :-1]).sum(axis=1)
-    n = round(math.fsum([1.0, *bs.tolist()]))
-    f = math.fsum([1.0 - n, *bs.tolist()])
-    lead = length ** n * length ** f * np.exp(1j * (1.0 + bp) * branch[:, -1])
+    # the panels, each half's in increasing s; the end panel opens every
+    # half: there s^b_p = h^b_p (1 + x)^b_p, and its rule's weight holds
+    # (1 + x)^b_p, so its s^b_p column takes h
+    owner, a, l = _panels(rho)
+    start = [i for i, ai in enumerate(a) if ai == 0.0]
+    flat, ends = _rule(NODES, 0.0), [_rule(NODES, b) for b in bs]
+    rules = [ends[p[o]] if ai == 0.0 else flat for o, ai in zip(owner, a)]
+    h = 0.5 * np.array(l)
+    corner = np.array(a)[:, None]
+    s = corner + h[:, None] * (1.0 + _chebyshev(NODES)[0])
+    power = np.where(corner == 0.0, h[:, None], s)
+
     # per node, about BATCH logs at a time, which bounds the working
     # memory: b_p log s + sum_k b_k log w_k, then that of the half
-    ratio = (d[:, None] / rel)[owner, :, None]
-    weights = weights[owner, None, :]
+    ratio = (col / rel).take(owner, 0)[:, :, None]
+    weights = weights.take(owner, 0)[:, None, :]
     sc = s.astype(complex)[:, None, :]          # a real-complex product is slower
     g = np.empty(s.shape, dtype=complex)
     step = max(1, BATCH // (NODES * m))
@@ -320,25 +341,25 @@ def _chords(zs, bs, u, v, theta_u, theta_v) -> Tuple[np.ndarray, np.ndarray, np.
         logs[:, -1] = power[j]
         np.log(logs, out=logs)
         np.matmul(weights[j], logs, out=g.real[j, None, :])
-        np.matmul(weights[j, :, :-1], np.angle(w), out=g.imag[j, None, :])
-    g += log_c[owner, None]
+        np.matmul(weights[j, :, :-1], np.arctan2(w.imag, w.real), out=g.imag[j, None, :])
+    g += log_c.take(owner)[:, None]
     np.exp(g, out=g)
-    sums = _panel_sums(rows[rule], m0[rule], h, g)
+    sums = _panel_sums(np.array([r for r, _ in rules]), np.array([c for _, c in rules]), h, g)
     values = lead * np.add.reduceat(sums[:, 0], start)
-    errors = np.abs(lead) * np.add.reduceat(np.abs(sums[:, 1:]).sum(axis=1), start)
-    count = np.bincount(owner, minlength=halves)
+    errors = np.abs(lead) * np.add.reduceat(np.add.reduce(np.abs(sums[:, 1:]), axis=1), start)
+    count = [j - i for i, j in zip(start, start[1:] + [len(owner)])]
     k = len(u)
-    return values[:k] - values[k:], errors[:k] + errors[k:], count[:k] + count[k:]
+    return values[:k] - values[k:], errors[:k] + errors[k:], [i + j for i, j in zip(count, count[k:])]
 
 
-def _subtended(z, u: int, v: int) -> List[float]:
-    """For the step from z_u to z_v (z a sequence of complex): per vertex k
-    the angle arg((z_v - z_k)/(z_u - z_k)) the step subtends at it, by
-    which the branch of arg(z - z_k) moves along it (below pi in size, as
-    no vertex lies on a step), and 0 at u and v."""
+def _carried(z, u: int, v: int, theta: List[float]) -> List[float]:
+    """The row of branches ``theta`` at z_u carried along the step to z_v
+    (z a sequence of complex): per vertex k it moves by the angle
+    arg((z_v - z_k)/(z_u - z_k)) that the step subtends at it (below pi in
+    size, as no vertex lies on a step), and by 0 at u and v."""
     zu, zv = z[u], z[v]
-    return [0.0 if k == u or k == v else cmath.phase((zv - zk) / (zu - zk))
-            for k, zk in enumerate(z)]
+    return [t + (0.0 if k == u or k == v else cmath.phase((zv - zk) / (zu - zk)))
+            for k, (t, zk) in enumerate(zip(theta, z))]
 
 
 def _principal(z, u: int, v: int) -> List[float]:
@@ -348,25 +369,24 @@ def _principal(z, u: int, v: int) -> List[float]:
 
 
 def segment_integral(zs, bs, u: int, v: int,
-                     theta: Optional[np.ndarray] = None) -> QuadResult:
+                     theta: Optional[Sequence[float]] = None) -> QuadResult:
     """int prod_k (z - z_k)^(b_k) dz along the straight segment from z_u to
-    z_v (0-based indices into the arrays ``zs``, ``bs``).
+    z_v (0-based indices into the sequences ``zs``, ``bs``).
 
     ``theta[k]`` is the branch of arg(z_u - z_k) for k != u and
     ``theta[u]`` that of arg(z_v - z_u), from which every factor is
     continued along the segment; None takes principal values.
     """
     z = [complex(c) for c in zs]
-    if theta is None:
-        theta = _principal(z, u, v)
-    theta = np.asarray(theta, dtype=float)
+    u, v = int(u), int(v)
+    theta = _principal(z, u, v) if theta is None else [float(t) for t in theta]
     # a chord outside the float range, or through another vertex (a log of
     # 0 at a node), comes out inf or nan; callers check
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         values, errors, panels = _chords(
-            np.array(z), np.asarray(bs, dtype=float), np.array([u]), np.array([v]),
-            theta[None], (theta + np.array(_subtended(z, u, v)))[None])
-    return QuadResult(complex(values[0]), float(errors[0]), int(panels[0]))
+            z, [float(b) for b in bs], [u], [v], [theta],
+            [_carried(z, u, v, theta)])
+    return QuadResult(complex(values[0]), float(errors[0]), panels[0])
 
 
 # --------------------------------------------------------------------------
@@ -414,17 +434,8 @@ def _in_line(z, j: int, p: int, x: int, q: int) -> bool:
     return product.real < 0.0 and abs(product.imag) <= (NEAR_TIE - 1.0) * abs(lhs) * abs(rhs)
 
 
-class Tour(NamedTuple):
-    u: np.ndarray               # step t runs from z_u[t]
-    v: np.ndarray               # to z_v[t]
-    at_u: np.ndarray            # the row of theta at z_u (``segment_integral``)
-    at_v: np.ndarray            # and the one carried along the step to z_v
-    first: np.ndarray           # whether the step is its edge's first run
-    edge: np.ndarray            # the edge's number, in order of first runs
-    factor: np.ndarray          # the chord is factor times the first run's
-
-
-def _tour(z, bs, adj) -> Tour:
+def _tour(z, bs, adj) -> Tuple[List[int], List[int], List[List[float]], List[List[float]],
+                              List[int], List[complex]]:
     """The Euler tour with every vertex on the right, starting along the
     first edge of vertex 0: at a vertex the walk turns clockwise to the
     next edge, by a full 2 pi at a leaf, and theta at z_v is carried along
@@ -441,68 +452,81 @@ def _tour(z, bs, adj) -> Tour:
         -exp(-2 pi i sum_(k in T_v) (b_k - round(b_k))),
 
     which takes only the fraction of each b_k, as whole turns leave the
-    factor as it is, and the fraction of their sum."""
-    heading = {(i, j): cmath.phase(z[j] - z[i]) for i, nb in enumerate(adj) for j in nb}
-    us, vs, at_u, at_v, first, edge, factor = [], [], [], [], [], [], []
+    factor as it is, and the fraction of their sum.
+
+    Returns plain lists, the walk being Python floats throughout: per
+    edge, in order of first runs, u, v and the rows of theta at z_u
+    (``segment_integral``) and carried along the step to z_v; per step,
+    its edge and the factor of its chord over the first run's."""
+    heading = [[cmath.phase(z[j] - z[i]) for j in nb] for i, nb in enumerate(adj)]
+    us, vs, at_u, at_v, edge, factor = [], [], [], [], [], []
     open_runs = []              # [u, v, edge, sum over T_v] of edges run once
     u, v = 0, adj[0][0]
     theta = _principal(z, u, v)
-    for _ in heading:
-        turn = [(heading[v, u] - heading[v, w]) % TWO_PI or TWO_PI for w in adj[v]]
-        j = turn.index(min(turn))
-        us.append(u)
-        vs.append(v)
-        at_u.append(theta)
-        theta = [t + a for t, a in zip(theta, _subtended(z, u, v))]
-        at_v.append(theta)
-        theta = theta.copy()
-        theta[v] -= turn[j]
-        if open_runs and open_runs[-1][:2] == [v, u]:
+    for _ in range(2 * len(z) - 2):
+        back = heading[v][adj[v].index(u)]
+        turns = [(back - h) % TWO_PI or TWO_PI for h in heading[v]]
+        turn = min(turns)
+        j = turns.index(turn)
+        moved = _carried(z, u, v, theta)
+        if open_runs and open_runs[-1][0] == v and open_runs[-1][1] == u:
             _, _, e, total = open_runs.pop()
             if open_runs:
                 open_runs[-1][3] += total
-            first.append(False)
             edge.append(e)
             factor.append(cmath.rect(-1.0, -TWO_PI * (total - round(total))))
+            theta = moved
         else:
-            open_runs.append([u, v, sum(first), bs[v] - round(bs[v])])
-            edge.append(open_runs[-1][2])
-            first.append(True)
+            open_runs.append([u, v, len(us), bs[v] - round(bs[v])])
+            edge.append(len(us))
             factor.append(1.0)
+            us.append(u)
+            vs.append(v)
+            at_u.append(theta)
+            at_v.append(moved)
+            theta = moved.copy()
+        theta[v] -= turn
         u, v = v, adj[v][j]
-    return Tour(np.array(us), np.array(vs), np.array(at_u), np.array(at_v), np.array(first),
-                np.array(edge), np.array(factor, dtype=complex))
+    return us, vs, at_u, at_v, edge, factor
 
 
 def _tour_chords(z, bs) -> Tuple[np.ndarray, np.ndarray, int]:
     """The chord of every step of the tour and its error estimate, and the
-    panels evaluated: the first run of an edge is integrated (``_chords``)
-    and the second is the first times its factor, with the same estimate."""
-    tour = _tour(z, bs, _spanning_tree(z))
-    once = tour.first
-    values, errors, panels = _chords(np.array(z, dtype=complex), np.array(bs, dtype=float),
-                                     tour.u[once], tour.v[once], tour.at_u[once],
-                                     tour.at_v[once])
-    return tour.factor * values[tour.edge], errors[tour.edge], int(panels.sum())
+    panels evaluated (z and bs sequences of complex and float): the first
+    run of an edge is integrated (``_chords``) and the second is the first
+    times its factor, with the same estimate."""
+    u, v, at_u, at_v, edge, factor = _tour(z, bs, _spanning_tree(z))
+    values, errors, panels = _chords(z, bs, u, v, at_u, at_v)
+    return np.array(factor) * values[edge], errors[edge], sum(panels)
 
 
 def _shoelace(chords, errors) -> Tuple[float, float]:
-    """Signed area of the polygon with these sides from the origin, and a
-    bound on its error: each side's error times the size of the area's
-    derivative in that side, half the distance from the side's start to
-    the first corner plus half that from its end to the last, and
-    ROUNDING times sum |corner| |side| for the rounding."""
-    ends = np.cumsum(chords)
-    corners = np.concatenate(([0.0], ends[:-1]))
-    lever = 0.5 * (np.abs(corners) + np.abs(ends[-1] - ends))
-    terms = 0.5 * (np.conj(corners) * chords).imag
+    """Signed area of the polygon with these sides (an array) from the
+    origin, and a bound on its error: each side's error times the size of
+    the area's derivative in that side, half the distance from the side's
+    start to the first corner plus half that from its end to the last, and
+    ROUNDING times sum |corner| |side| for the rounding.
+
+    The corners, the sums and the bound are Python floats; the cross
+    products conj(corner) side are numpy's, one array operation, because
+    its complex product may fuse a multiply and an add and so round apart
+    from Python's."""
+    sides = chords.tolist()
+    ends = list(itertools.accumulate(sides))
+    corners = [0j, *ends[:-1]]
+    last = ends[-1]
+    terms = (np.conj(corners) * chords).imag.tolist()
     # ROUNDING is a power of two, so scaling the terms first is exact and keeps
-    # the sum in range; fsum refuses inf - inf and a sum past the float range
+    # the sum in range; fsum refuses inf - inf and a sum past the float range,
+    # and abs a size past it
     try:
-        return (math.fsum(terms), math.fsum(lever * errors)
-                + math.fsum(ROUNDING * np.abs(corners) * np.abs(chords)))
+        value = math.fsum([0.5 * t for t in terms])
+        error = (math.fsum([0.5 * (abs(c) + abs(last - e)) * r
+                            for c, e, r in zip(corners, ends, errors.tolist())])
+                 + math.fsum([ROUNDING * abs(c) * abs(s) for c, s in zip(corners, sides)]))
     except (OverflowError, ValueError):     # the polygon is past the float range
         return math.inf, math.inf
+    return value, error
 
 
 def area(m: PolyhedralMetric) -> QuadResult:

@@ -403,11 +403,9 @@ def test_chords_same_bits_alone_or_together(monkeypatch):
     # segment_integral alone, value and estimate
     verts = [(0.3 + 0.2j, -0.6), (0.3 + 0.2j + 1e-3 * cmath.exp(0.7j), -0.8),
              (-0.5 + 0.6j, -0.3), (1.1 - 0.4j, 0.2), (-0.9 - 0.8j, -0.5)]
-    zs = np.array([z for z, _ in verts])
-    bs = np.array([b for _, b in verts])
-    tour = quad._tour(zs, bs, quad._spanning_tree(zs))
-    once = tour.first
-    steps = tour.u[once], tour.v[once], tour.at_u[once], tour.at_v[once]
+    zs = [z for z, _ in verts]
+    bs = [b for _, b in verts]
+    steps = quad._tour(zs, bs, quad._spanning_tree(zs))[:4]     # the first runs
     for batch in (1, 10**9):
         monkeypatch.setattr(quad, "BATCH", batch)
         values, errors, panels = quad._chords(zs, bs, *steps)
@@ -450,12 +448,30 @@ def test_derived_chords_match_their_own_branches(zs, bs):
     # run's times the holonomy factor of the subtree beyond it, and must be
     # what segment_integral gives along the second run's own branches
     chords, errors, _ = quad._tour_chords(zs, bs)
-    tour = quad._tour(zs, bs, quad._spanning_tree(zs))
-    assert (~tour.first).sum() == len(zs) - 1
-    for t in np.flatnonzero(~tour.first):
-        own = segment_integral(zs, bs, tour.u[t], tour.v[t], tour.at_u[t])
+    adj = quad._spanning_tree(zs)
+    u, v, _, at_v, edge, _ = quad._tour(zs, bs, adj)
+    second = [t for t, e in enumerate(edge) if e in edge[:t]]
+    assert len(second) == len(zs) - 1
+    for t in second:
+        # run back from z_v after the loop around T_v, which turned the
+        # branch at every vertex of T_v by -2 pi
+        e = edge[t]
+        beyond = _subtree(adj, u[e], v[e])
+        theta = [a - 2 * PI if k in beyond else a for k, a in enumerate(at_v[e])]
+        own = segment_integral(zs, bs, v[e], u[e], theta)
         assert abs(chords[t] - own.value) <= 1e-14 * abs(own.value)
-        assert errors[t] == errors[np.flatnonzero(tour.first)[tour.edge[t]]]
+        assert errors[t] == errors[edge.index(e)]
+
+
+def _subtree(adj, u, v):
+    """The vertices of the tree ``adj`` on v's side of the edge from u to v."""
+    side, todo = {v}, [v]
+    while todo:
+        for w in adj[todo.pop()]:
+            if w != u and w not in side:
+                side.add(w)
+                todo.append(w)
+    return side
 
 
 @pytest.mark.parametrize("points, adjacency", [
@@ -629,3 +645,27 @@ def test_area_at_subnormal_scale_keeps_its_contract(scale):
     if scale == 1e-300:     # a normal product: the estimate is C times that at C = 1
         assert (result.value, result.error_estimate) == (scale * unit.value,
                                                         scale * unit.error_estimate)
+
+
+# a generic metric: exponents of sum -2, no three vertices in line
+_GENERIC = [(0.31 + 0.22j, -0.55), (-0.74 + 0.61j, -0.35), (-0.52 - 0.83j, -0.6),
+            (0.93 - 0.41j, -0.5)]
+
+
+@given(position=st.floats(-300.0, 300.0), scale=st.floats(-300.0, 300.0))
+@settings(max_examples=40, deadline=None)
+def test_scaled_metric_keeps_the_float_range_contract(position, scale):
+    # positions times 10^position and C times 10^scale, whose chords and
+    # area leave the float range at either end: a chord comes out as a
+    # value, inf or nan if need be, and the area is a positive float or a
+    # typed refusal; Python's ** and cmath raise OverflowError and complex
+    # division by zero ZeroDivisionError where numpy gives inf or nan
+    zs = [10.0**position * z for z, _ in _GENERIC]
+    bs = [b for _, b in _GENERIC]
+    for u, v in itertools.permutations(range(len(zs)), 2):
+        assert isinstance(segment_integral(zs, bs, u, v), quad.QuadResult)
+    try:
+        result = area(make_metric(10.0**scale, list(zip(zs, bs))))
+    except PolydetError:
+        return
+    assert 0.0 < result.value < math.inf

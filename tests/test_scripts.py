@@ -21,3 +21,21 @@ def test_area_digest_one_seed():
                         lines[3]), lines[3]
     assert re.fullmatch(r"[0-9a-f]{64}  kernels, 63 angles, 17 cone kernels", lines[4]), lines[4]
     assert re.fullmatch(r"[0-9a-f]{64}  angle_terms, 65 angles, C = 1 and 3", lines[5]), lines[5]
+
+
+def test_area_timing_one_seed():
+    # this checkout against itself: the header, then one row per vertex
+    # count, det_corpus's 3-10 and the seeded 16, 24 and 40
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "area_timing.py"), "--seeds", "1",
+         "--repeats", "1"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "area time per metric, fastest of 1; median over the metrics of each M"
+    assert lines[1] == f"this: {ROOT}" and lines[2] == f"other: {ROOT}"
+    assert lines[3].split() == ["M", "metrics", "this_us", "other_us", "ratio"]
+    rows = [line.split() for line in lines[4:]]
+    for row in rows:
+        assert re.fullmatch(r"\d+ \d+ \d+\.\d \d+\.\d \d+\.\d{3}", " ".join(row)), row
+    assert [int(row[0]) for row in rows] == [3, 4, 5, 6, 7, 8, 9, 10, 16, 24, 40]
+    assert [int(row[1]) for row in rows[-3:]] == [1, 1, 1]
