@@ -33,7 +33,11 @@ inputs come from ``bench/corpus.py`` of the checkout named by ``--root``,
 loaded by path and only read; the program is imported from that
 checkout's ``src/``.
 
-Usage: python scripts/area_digest.py [--seeds 1-30] [--root DIR]
+``--against DIR`` runs the six digests for ``--root`` and for DIR, each
+in its own process, and prints each digest line of ``--root`` followed by
+``same`` or ``moved`` (with DIR's digest); it exits 1 if any moved.
+
+Usage: python scripts/area_digest.py [--seeds 1-30] [--root DIR] [--against DIR]
 """
 
 import argparse
@@ -41,6 +45,7 @@ import hashlib
 import importlib.util
 import math
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,7 +64,11 @@ def main():
     ap.add_argument("--seeds", type=seed_range, default=seed_range("1-30"))
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
                     help="checkout whose src/ and bench/corpus.py are used")
+    ap.add_argument("--against", type=Path,
+                    help="another checkout whose digests to compare with")
     args = ap.parse_args()
+    if args.against:
+        sys.exit(compare(args))
 
     spec = importlib.util.spec_from_file_location(
         "corpus", args.root / "bench" / "corpus.py")
@@ -145,6 +154,21 @@ def main():
                 line = type(exc).__name__
             digest.update(f"{scale.hex()} {beta.hex()} {line}\n".encode())
     print(f"{digest.hexdigest()}  angle_terms, {len(angles)} angles, C = 1 and 3")
+
+
+def compare(args) -> int:
+    """Print the digests of ``args.root``, each marked against those of
+    ``args.against``, both run in processes of their own; 1 if any moved."""
+    seeds = f"{args.seeds.start}-{args.seeds.stop - 1}"
+    runs = [subprocess.Popen([sys.executable, __file__, "--seeds", seeds, "--root", str(root)],
+                             stdout=subprocess.PIPE, text=True)
+            for root in (args.root, args.against)]
+    this, other = [run.communicate()[0].splitlines() for run in runs]
+    if any(run.returncode for run in runs):
+        raise SystemExit(f"a digest run failed: exit codes {[run.returncode for run in runs]}")
+    for mine, theirs in zip(this, other):
+        print(f"{mine}  same" if mine == theirs else f"{mine}  moved from {theirs.split()[0]}")
+    return int(this != other)
 
 
 # (name, kernel, arguments), a point as (r, phi); those marked take a

@@ -37,11 +37,8 @@ from .detlap import (
 )
 from .errors import PolydetError
 from .metric import (
-    Angle,
     ConicalVertex,
     PolyhedralMetric,
-    Position,
-    Scale,
     dump_metric,
     load_metric,
     make_metric,

@@ -137,7 +137,7 @@ def _cmd_grad(args) -> int:
 
     m = load_metric(args.metric)
     fdcfg = verify.FDConfig(richardson=args.richardson)
-    _emit(verify.gradient_reports(m, [verify.parse_channel(args.channel)], fdcfg)[0], args)
+    _emit(verify.gradient_reports(m, [args.channel], fdcfg)[0], args)
     return 0
 
 

@@ -94,9 +94,14 @@ def periods(points: Sequence[complex]) -> EllipticData:
         raise DegenerateQuartic(f"need exactly 4 branch points, got {len(pts)}")
     if not all(map(cmath.isfinite, pts)):
         raise PolydetError(f"branch points must be finite, got {pts}")
-    scale = max(abs(p - q) for p in pts for q in pts)
+    try:
+        scale = max(abs(p - q) for p in pts for q in pts)
+    except OverflowError:       # a gap past the float range, its parts finite
+        scale = math.inf
+    if scale == math.inf:
+        raise PolydetError(f"a gap between the branch points {pts} is not a finite float")
     for i, j in combinations(range(4), 2):
-        if abs(pts[i] - pts[j]) < DEGENERATE_TOL * scale:
+        if abs(pts[i] - pts[j]) < DEGENERATE_TOL * scale or scale == 0.0:
             raise DegenerateQuartic(
                 f"branch points {i} and {j} closer than {DEGENERATE_TOL} relative")
     cen = sum(pts) / 4.0

@@ -6,20 +6,20 @@ A genus-zero polyhedral surface is the plane carrying the metric
 
 with cone angle beta_k = 2*pi*(b_k + 1) at the vertex z_k and the
 Gauss-Bonnet constraint sum_k b_k = -2 (no cone point at infinity).
-This module owns the data model and the three variation channels along
-which the gradients are taken.  A metric also keeps the record of its
+This module owns the data model.  A metric also keeps the record of its
 parts that the determinant, its gradients and their finite differences
 read, each computed once, on first use.
 
 Conventions
 -----------
-The variation channels are:
+The gradients are taken along three kinds of variation channel, each
+known by its name alone, which ``verify.parse_channel`` reads:
 
-    Position(i)      the position z_i of vertex i (complex)
-    Angle(i), i > 1  the cone angle beta_i, growing at unit rate while
+    z:i              the position z_i of vertex i (complex)
+    beta:i, i > 1    the cone angle beta_i, growing at unit rate while
                      beta_1 compensates, so the constraint sum_k b_k = -2
                      is preserved
-    Scale()          the overall scale C
+    C                the overall scale C
 
 Vertex indices are 1-based throughout the public API; vertex 1 is the
 fixed gauge vertex for angle variations.
@@ -32,7 +32,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import NamedTuple, Sequence, Tuple, Union
+from typing import NamedTuple, Sequence, Tuple
 
 from .errors import (
     DuplicateVertex,
@@ -157,33 +157,6 @@ class PolyhedralMetric:
         the vertex's value, once, on the first call that reads it."""
         n = len(self.vertices)
         return [None] * n, [None] * n
-
-
-# --------------------------------------------------------------------------
-# variation channels
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Position:
-    """Vary the position of vertex ``i`` (1-based)."""
-
-    i: int
-
-
-@dataclass(frozen=True)
-class Angle:
-    """Vary the cone angle of vertex ``i`` (1-based, i != 1); vertex 1
-    compensates so the exponent sum stays at -2."""
-
-    i: int
-
-
-@dataclass(frozen=True)
-class Scale:
-    """Vary the overall scale factor C."""
-
-
-VariationChannel = Union[Position, Angle, Scale]
 
 
 # --------------------------------------------------------------------------

@@ -69,7 +69,7 @@ from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import PolydetError, ToleranceNotReached
+from .errors import DuplicateVertex, PolydetError, ToleranceNotReached
 from .metric import PolyhedralMetric
 
 TWO_PI = 2.0 * math.pi
@@ -376,9 +376,15 @@ def segment_integral(zs, bs, u: int, v: int,
     ``theta[k]`` is the branch of arg(z_u - z_k) for k != u and
     ``theta[u]`` that of arg(z_v - z_u), from which every factor is
     continued along the segment; None takes principal values.
+    DuplicateVertex if another point sits on z_u or z_v.
     """
     z = [complex(c) for c in zs]
     u, v = int(u), int(v)
+    for end in (u, v):
+        for k, zk in enumerate(z):
+            if k != end and zk - z[end] == 0:
+                i, j = sorted((k, end))
+                raise DuplicateVertex(f"points {i} and {j} (0-based) share position {zk}")
     theta = _principal(z, u, v) if theta is None else [float(t) for t in theta]
     # a chord outside the float range, or through another vertex (a log of
     # 0 at a node), comes out inf or nan; callers check

@@ -1,18 +1,19 @@
 """Finite-difference harness for the analytic gradient formulas.
 
 Differentiates log(det/Area) -- assembled without any 2D quadrature --
-along the three variation channels and pairs each result with its
-closed-form counterpart in a report named as ``parse_channel`` reads it:
+along the three kinds of variation channel and pairs each result with
+its closed-form counterpart in a report under the channel's name:
 
-    z:i     Position(i)   grad_position   (Wirtinger derivative from two
-                                           real central differences)
-    beta:i  Angle(i!=1)   grad_angle      (b_i and b_1 perturbed by -+h/2pi)
-    C       Scale         grad_scale
+    z:i          grad_position   (Wirtinger derivative from two real
+                                  central differences)
+    beta:i, i>1  grad_angle      (b_i and b_1 perturbed by -+h/2pi)
+    C            grad_scale
 
-``gradient_reports`` is the one path from channels to reports, which
-``fd_gradient``, ``run_suite`` and the CLI's ``grad`` and ``verify fd``
-take.  This module also decides what counts as agreement: a report's
-relative error is its absolute error over max(|analytic|, |fd|,
+A channel is its name, which ``parse_channel`` alone reads (``z:01`` is
+reported as ``z:1``).  ``gradient_reports`` is the one path from names to
+reports, which ``fd_gradient``, ``run_suite`` and the CLI's ``grad`` and
+``verify fd`` take.  This module also decides what counts as agreement: a
+report's relative error is its absolute error over max(|analytic|, |fd|,
 REL_ERR_FLOOR), since gradients are O(1) and below that scale the
 absolute error rules, and a channel passes at a relative error of at
 most FD_PASS_TOL (``verify fd`` exits 1 otherwise).
@@ -64,7 +65,7 @@ from __future__ import annotations
 import cmath
 import math
 from functools import lru_cache
-from typing import List, NamedTuple, Union
+from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .detlap import (
     _assembly_terms,
@@ -78,11 +79,7 @@ from .detlap import (
 )
 from .errors import PerturbationLeavesDomain, PolydetError
 from .metric import (
-    Angle,
     PolyhedralMetric,
-    Position,
-    Scale,
-    VariationChannel,
     _check_gauss_bonnet,
     _check_position,
     _check_scale,
@@ -234,26 +231,24 @@ class _Steps:
         return out
 
 
-def parse_channel(text: str) -> VariationChannel:
-    """The channel named ``z:i``, ``beta:i`` or ``C``, as ``_channel`` names it."""
+def parse_channel(text: str) -> Tuple[str, Optional[int]]:
+    """The kind (``z``, ``beta`` or ``C``) and vertex index (None for C)
+    of the channel named ``z:i``, ``beta:i`` or ``C``."""
     if text == "C":
-        return Scale()
+        return "C", None
     kind, _, idx = text.partition(":")
-    if kind == "z" and idx.isdecimal():
-        return Position(int(idx))
-    if kind == "beta" and idx.isdecimal():
-        return Angle(int(idx))
+    if kind in ("z", "beta") and idx.isdecimal():
+        return kind, int(idx)
     raise PolydetError(f"bad channel {text!r}; use z:i, beta:i or C")
 
 
-def _channel(steps: _Steps, channel: VariationChannel, richardson: bool):
+def _channel(steps: _Steps, kind: str, i: Optional[int], richardson: bool):
     """The channel's name, its analytic gradient, which checks the vertex
     index and the gauge vertex of an angle, and the rows of steps whose
     derivatives at 0 make up its finite difference: one for the scale and
     an angle, x and y for a position."""
     m = steps.m
-    if isinstance(channel, Position):
-        i = channel.i
+    if kind == "z":
         analytic = grad_position(m, i)
         # the vertex's own nearest gap sets its step scale, so a close pair
         # elsewhere leaves it alone
@@ -261,8 +256,7 @@ def _channel(steps: _Steps, channel: VariationChannel, richardson: bool):
         h = STEP * min([distances[p] for _, p in _incident(m.num_vertices)[i - 1]])
         return f"z:{i}", analytic, steps.position_steps(i - 1, _steps(h, richardson))
 
-    if isinstance(channel, Angle):
-        i = channel.i
+    if kind == "beta":
         analytic = grad_angle(m, i)
         angles, bs = steps.parts.angles, steps.parts.exponents
         # the compensating vertex moves too, so the stiffer (smaller) of
@@ -273,26 +267,25 @@ def _channel(steps: _Steps, channel: VariationChannel, richardson: bool):
         return (f"beta:{i}", analytic,
                 [steps.angle_steps(i - 1, [e / TWO_PI for e in _steps(h, richardson)])])
 
-    if isinstance(channel, Scale):
-        # the steps first, so a step lost to rounding is named as such: at
-        # that C the analytic gradient is past the float range too
-        rows = [steps.scale_steps(_steps(STEP * m.scale, richardson))]
-        return "C", grad_scale(m), rows
-
-    raise TypeError(f"unknown variation channel {channel!r}")
+    # the steps first, so a step lost to rounding is named as such: at
+    # that C the analytic gradient is past the float range too
+    rows = [steps.scale_steps(_steps(STEP * m.scale, richardson))]
+    return "C", grad_scale(m), rows
 
 
 def gradient_reports(m: PolyhedralMetric, channels,
                      fdcfg: FDConfig = FDConfig()) -> List[GradientReport]:
-    """The analytic gradient of log(det/Area) along every channel of
-    ``channels``, each paired with its central finite difference (for a
-    position, from its x and y rows, the Wirtinger derivative
+    """The analytic gradient of log(det/Area) along the channel of every
+    name of ``channels``, each paired with its central finite difference
+    (for a position, from its x and y rows, the Wirtinger derivative
     (d/dx - i d/dy)/2) and their errors (module docstring).  PolydetError
-    if a gradient or its difference is not a finite float."""
+    for a malformed name, before anything is computed, and if a gradient
+    or its difference is not a finite float."""
+    parsed = [parse_channel(name) for name in channels]
     steps = _Steps(m)
     reports = []
-    for channel in channels:
-        name, analytic, rows = _channel(steps, channel, fdcfg.richardson)
+    for kind, i in parsed:
+        name, analytic, rows = _channel(steps, kind, i, fdcfg.richardson)
         d = list(map(_derivative, rows))
         fd = 0.5 * complex(d[0], -d[1]) if len(d) == 2 else d[0]
         if not (cmath.isfinite(analytic) and cmath.isfinite(fd)):
@@ -305,19 +298,20 @@ def gradient_reports(m: PolyhedralMetric, channels,
     return reports
 
 
-def fd_gradient(m: PolyhedralMetric, channel: VariationChannel,
+def fd_gradient(m: PolyhedralMetric, channel: str,
                 fdcfg: FDConfig = FDConfig()) -> Union[float, complex]:
-    """Central finite difference of log(det/Area) along ``channel``."""
+    """Central finite difference of log(det/Area) along the channel named
+    ``channel``."""
     return gradient_reports(m, [channel], fdcfg)[0].finite_difference
 
 
 def run_suite(m: PolyhedralMetric, fdcfg: FDConfig = FDConfig()) -> List[GradientReport]:
-    """One report per channel: Position(1..M), Angle(2..M), Scale."""
+    """One report per channel: z:1..M, beta:2..M, C."""
     return gradient_reports(m, _suite_channels(m.num_vertices), fdcfg)
 
 
 @lru_cache(maxsize=None)
 def _suite_channels(n: int) -> tuple:
-    """Position(1..n), Angle(2..n), Scale()."""
-    return tuple([Position(i) for i in range(1, n + 1)]
-                 + [Angle(i) for i in range(2, n + 1)] + [Scale()])
+    """The names z:1..n, beta:2..n, C."""
+    return tuple([f"z:{i}" for i in range(1, n + 1)]
+                 + [f"beta:{i}" for i in range(2, n + 1)] + ["C"])

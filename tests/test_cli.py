@@ -218,6 +218,20 @@ def test_area_outside_float_range_is_validation_error(command, size, message,
     assert message in err["message"]
 
 
+@pytest.mark.parametrize("points, error", [
+    ([[1, 1]] * 4, "DegenerateQuartic"),
+    ([[1e308, 0], [-1e308, 0], [0, 1e308], [0, -1.7e308]], "PolydetError")],
+    ids=["coincident", "gap-past-float-range"])
+def test_verify_tetra_refuses_degenerate_branch_points(points, error, tmp_path, capsys):
+    # four coincident points (every gap 0, so the relative test had no
+    # scale) and a gap whose modulus is past the float range
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": points}))
+    code, err = _one_error_line(["verify", "tetra", "--points", str(path)], capsys)
+    assert code == 2
+    assert err["error"] == error
+
+
 def _verify_far_tetra(size, tmp_path, capsys):
     """verify tetra on the tetrahedron at +-size passes every identity,
     with det' = det'(size 1)/size to 1e-12."""

@@ -23,7 +23,6 @@ from polydet import (
 from polydet import detlap, regint
 from polydet.detlap import _f_dc, f_function_dbeta
 from polydet.errors import GaugeVertexVariation, NonpositiveAngle, NonpositiveScale
-from polydet.metric import Angle
 from polydet.regint import hadamard_coth_coth_over_theta, hadamard_coth_over_sinh_sq
 from polydet.verify import fd_gradient, run_suite
 
@@ -269,7 +268,7 @@ def test_hot_paths_call_no_finite_part(corpus5, monkeypatch):
         log_det_over_area(m.with_scale(2.0))
         grad_angle(m, 2)
         run_suite(m)
-        fd_gradient(m, Angle(3))
+        fd_gradient(m, "beta:3")
     f_function_dbeta(2.5, 3.0)
     assert detlap._angle_terms.cache_info().misses >= 2 * corpus5.num_vertices
 

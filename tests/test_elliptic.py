@@ -16,7 +16,7 @@ from polydet import (
     theta_constants,
     thomae_check,
 )
-from polydet.errors import DegenerateQuartic
+from polydet.errors import DegenerateQuartic, PolydetError
 from polydet.quad import area, segment_integral
 
 PI = math.pi
@@ -73,6 +73,16 @@ def test_degenerate_quartic_rejected():
         periods([0, 1e-10, 1, 1j])
     with pytest.raises(DegenerateQuartic):
         periods([0, 1, 1j])
+
+
+def test_branch_point_gap_past_float_range():
+    # a gap of inf, and one whose modulus is past the float range with
+    # finite parts: a typed error, not an OverflowError or a degenerate
+    # quartic by a relative test against an infinite scale
+    for pts in ([1e308, -1e308, 1e308j, -1e308j], [1e308, -1e308, 1e308j, -1.7e308j]):
+        with pytest.raises(PolydetError, match="not a finite float") as info:
+            periods(pts)
+        assert type(info.value) is PolydetError
 
 
 # ---- eta ----

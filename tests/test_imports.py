@@ -21,9 +21,9 @@ EXPORTS = {
                  "eta_distance_identity", "jacobi_residual", "periods", "theta_constants",
                  "thomae_check"],
     "errors": ["PolydetError"],
-    "metric": ["Angle", "ConicalVertex", "PolyhedralMetric", "Position", "Scale",
-               "dump_metric", "load_metric", "make_metric", "metric_from_json_dict",
-               "metric_to_json_dict", "tetrahedron_metric"],
+    "metric": ["ConicalVertex", "PolyhedralMetric", "dump_metric", "load_metric",
+               "make_metric", "metric_from_json_dict", "metric_to_json_dict",
+               "tetrahedron_metric"],
     "quad": ["QuadResult", "area", "segment_integral"],
     "regint": ["HadamardResult", "hadamard_coth_coth_over_theta",
                "hadamard_coth_over_sinh_sq", "q_of_beta", "q_of_beta_contour"],

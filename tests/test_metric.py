@@ -121,16 +121,6 @@ def test_with_position_checks_its_index(corpus5, i):
     assert type(info.value) is PolydetError
 
 
-def test_channels_of_one_index_differ():
-    # the channels are frozen dataclasses, not tuples: a position and an
-    # angle of the same vertex are different channels
-    from polydet import Angle, Position, Scale
-
-    assert Position(2) != Angle(2)
-    assert len({Position(2), Angle(2), Scale()}) == 3
-    assert Position(2) == Position(2) and Scale() == Scale()
-
-
 def test_record_stays_private(corpus5, tmp_path, capsys):
     # the record of parts a metric keeps is not a field: equality, hash,
     # repr and the JSON see only C and the vertices

@@ -29,7 +29,7 @@ from polydet import (
     tetrahedron_metric,
 )
 from polydet.cli import main
-from polydet.errors import PolydetError, ToleranceNotReached
+from polydet.errors import DuplicateVertex, PolydetError, ToleranceNotReached
 
 PI = math.pi
 
@@ -618,6 +618,15 @@ def test_segment_through_a_vertex_is_not_finite():
     # caller's finiteness check, and no numpy warning (an error here)
     chord = segment_integral([0, 1, 2, 3], [-0.5] * 4, 0, 2)
     assert not cmath.isfinite(chord.value)
+
+
+@pytest.mark.parametrize("zs, pair", [([0, 0, 1], "0 and 1"), ([0, 1, 0], "0 and 2"),
+                                      ([0, 1, 1], "1 and 2")])
+def test_segment_integral_refuses_a_point_on_an_end(zs, pair):
+    # a point on z_u or z_v, the other end included, is a duplicate named
+    # by its pair, not an IndexError, ZeroDivisionError or bare PolydetError
+    with pytest.raises(DuplicateVertex, match=f"^points {pair} \\(0-based\\) share position"):
+        segment_integral(zs, [-0.5, -0.5, -1.0], 0, 1)
 
 
 _SQUARE = [(0, -0.5), (1, -0.5), (1 + 1j, -0.5), (1j, -0.5)]

@@ -23,6 +23,17 @@ def test_area_digest_one_seed():
     assert re.fullmatch(r"[0-9a-f]{64}  angle_terms, 65 angles, C = 1 and 3", lines[5]), lines[5]
 
 
+def test_area_digest_against_itself():
+    # this checkout against itself: every digest the same, exit 0
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "area_digest.py"), "--seeds", "1",
+         "--against", str(ROOT)], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 6
+    assert all(re.fullmatch(r"[0-9a-f]{64}  .+  same", line) for line in lines), lines
+
+
 def test_area_timing_one_seed():
     # this checkout against itself: the header, then one row per vertex
     # count, det_corpus's 3-10 and the seeded 16, 24 and 40

@@ -5,10 +5,7 @@ import sys
 import pytest
 
 from polydet import (
-    Angle,
     FDConfig,
-    Position,
-    Scale,
     area,
     detlap,
     dump_metric,
@@ -29,29 +26,29 @@ PI = math.pi
 
 
 def test_fd_position_tetrahedron(tetra):
-    fd = fd_gradient(tetra, Position(1))
+    fd = fd_gradient(tetra, "z:1")
     assert abs(fd - 0.125) < 1e-6
 
 
 def test_fd_scale_tetrahedron(tetra):
-    fd = fd_gradient(tetra, Scale())
+    fd = fd_gradient(tetra, "C")
     assert abs(fd - (-0.5)) < 1e-7
 
 
 def test_richardson_changes_little_on_smooth_channels(tetra):
-    plain = fd_gradient(tetra, Position(1))
-    rich = fd_gradient(tetra, Position(1), fdcfg=FDConfig(richardson=True))
+    plain = fd_gradient(tetra, "z:1")
+    rich = fd_gradient(tetra, "z:1", fdcfg=FDConfig(richardson=True))
     assert abs(plain - rich) < 1e-9
     assert abs(rich - 0.125) < 1e-12
-    plain = fd_gradient(tetra, Scale())
-    rich = fd_gradient(tetra, Scale(), fdcfg=FDConfig(richardson=True))
+    plain = fd_gradient(tetra, "C")
+    rich = fd_gradient(tetra, "C", fdcfg=FDConfig(richardson=True))
     assert abs(plain - rich) < 1e-8  # h^2 truncation of the plain stencil
     assert abs(rich - (-0.5)) < 1e-10
 
 
 def test_fd_angle_gauge_rejected(tetra):
     with pytest.raises(GaugeVertexVariation):
-        fd_gradient(tetra, Angle(1))
+        fd_gradient(tetra, "beta:1")
 
 
 def test_fd_rejects_domain_exit():
@@ -60,18 +57,52 @@ def test_fd_rejects_domain_exit():
     # domain: 5e-13 above -1 it does
     m = make_metric(1.0, [(0, -1.0 + 5e-13), (1, -0.5), (-1, -0.5 - 5e-13)])
     with pytest.raises(PerturbationLeavesDomain):
-        fd_gradient(m, Angle(3))
+        fd_gradient(m, "beta:3")
 
 
-@pytest.mark.parametrize("channel", [Position(0), Position(5), Angle(0), Angle(5)],
-                         ids=["z:0", "z:5", "beta:0", "beta:5"])
+@pytest.mark.parametrize("channel", ["z:0", "z:5", "beta:0", "beta:5"])
 def test_vertex_index_out_of_range(tetra, channel):
     # vertex indices are 1-based: 0 must not wrap round to the last vertex
     with pytest.raises(PolydetError, match="out of range"):
         fd_gradient(tetra, channel)
-    grad = grad_position if isinstance(channel, Position) else grad_angle
+    kind, i = verify.parse_channel(channel)
+    grad = grad_position if kind == "z" else grad_angle
     with pytest.raises(PolydetError, match="out of range"):
-        grad(tetra, channel.i)
+        grad(tetra, i)
+
+
+# ---- a channel is its name ----
+
+@pytest.mark.parametrize("richardson", [False, True])
+@pytest.mark.parametrize("name", ["tetra", "corpus5", "eight_vertex"])
+def test_suite_names_give_back_the_suite(name, richardson, request):
+    # the names a suite reports are the channels it takes: fed back to
+    # gradient_reports they give the same reports, bit for bit
+    m = request.getfixturevalue(name)
+    cfg = FDConfig(richardson=richardson)
+    suite = run_suite(m, cfg)
+    again = verify.gradient_reports(m, [r.channel for r in suite], cfg)
+    assert repr(again) == repr(suite)
+
+
+def test_fd_gradient_of_a_name_is_its_suite_row(corpus5):
+    row = run_suite(corpus5)[0]
+    assert row.channel == "z:1"
+    assert repr(fd_gradient(corpus5, "z:1")) == repr(row.finite_difference)
+
+
+@pytest.mark.parametrize("channel", ["w:9", "z:", "z:-1", "beta:1.5", " C", "z:\u00b2"])
+def test_malformed_name_is_refused_first(tetra, channel, monkeypatch):
+    # a malformed name is a PolydetError, never a TypeError or ValueError,
+    # and it is refused before any step is built
+    for call in (lambda: fd_gradient(tetra, channel),
+                 lambda: verify.gradient_reports(tetra, [channel]),
+                 lambda: verify.gradient_reports(tetra, ["z:1", channel])):
+        with monkeypatch.context() as patch:
+            patch.setattr(verify, "_Steps", None)
+            with pytest.raises(PolydetError, match="bad channel") as info:
+                call()
+        assert type(info.value) is PolydetError
 
 
 def test_suite_tetrahedron(tetra):
@@ -183,12 +214,12 @@ def test_run_suite_cold_and_warm_caches_agree(corpus5, richardson):
 def _parent_rows(m, channel, richardson):
     """The perturbed metrics, built whole, whose log(det/Area) the finite
     differences take, each row with the coordinate it steps."""
-    if isinstance(channel, Scale):
+    kind, i = verify.parse_channel(channel)
+    if kind == "C":
         h = verify.STEP * m.scale
         return [(lambda mm: mm.scale,
                  [m.with_scale(m.scale + e) for e in verify._steps(h, richardson)])]
-    if isinstance(channel, Position):
-        i = channel.i
+    if kind == "z":
         z0 = m.vertices[i - 1].position
         h = verify.STEP * min(abs(z0 - v.position) for k, v in enumerate(m.vertices)
                               if k != i - 1)
@@ -197,7 +228,6 @@ def _parent_rows(m, channel, richardson):
                  [m.with_position(i, z0 + e) for e in offsets]),
                 (lambda mm: mm.vertices[i - 1].position.imag,
                  [m.with_position(i, z0 + 1j * e) for e in offsets])]
-    i = channel.i
     h = verify.STEP * min(m.vertices[i - 1].angle, m.vertices[0].angle)
     row = []
     for e in verify._steps(h, richardson):
@@ -218,11 +248,11 @@ def test_steps_match_whole_metrics(name, richardson, request):
     # is the one it takes in that metric
     m = request.getfixturevalue(name)
     n = m.num_vertices
-    channels = ([Position(i) for i in range(1, n + 1)]
-                + [Angle(i) for i in range(2, n + 1)] + [Scale()])
+    channels = ([f"z:{i}" for i in range(1, n + 1)]
+                + [f"beta:{i}" for i in range(2, n + 1)] + ["C"])
     steps = verify._Steps(m)
     for channel in channels:
-        _, _, rows = verify._channel(steps, channel, richardson)
+        _, _, rows = verify._channel(steps, *verify.parse_channel(channel), richardson)
         ref_rows = _parent_rows(m, channel, richardson)
         assert len(rows) == len(ref_rows)
         for row, (coordinate, ref_row) in zip(rows, ref_rows):
@@ -264,10 +294,10 @@ def test_nonfinite_step_is_refused():
         m = make_metric(1.0, [(-a, -0.6), (0, -0.7), (a, -0.7)])
         assert math.isfinite(log_det_over_area(m))
         with pytest.raises(PolydetError, match="not a finite float") as info:
-            fd_gradient(m, Position(3))
+            fd_gradient(m, "z:3")
         assert type(info.value) is PolydetError
-        assert abs(fd_gradient(m, Scale()) - grad_scale(m)) < 1e-6
-        assert fd_gradient(m, Angle(2)) == pytest.approx(grad_angle(m, 2), rel=1e-6)
+        assert abs(fd_gradient(m, "C") - grad_scale(m)) < 1e-6
+        assert fd_gradient(m, "beta:2") == pytest.approx(grad_angle(m, 2), rel=1e-6)
 
 
 def test_nonfinite_base_is_refused():
@@ -292,7 +322,7 @@ def test_assemble_refuses_nonfinite_sum(pre, ref, monkeypatch):
     with pytest.raises(PolydetError, match="not a finite float"):
         log_det_over_area(m)
     with pytest.raises(PolydetError, match="not a finite float"):
-        fd_gradient(m, Position(1))
+        fd_gradient(m, "z:1")
 
 
 def test_position_step_lost_to_rounding():
@@ -301,10 +331,10 @@ def test_position_step_lost_to_rounding():
     m = make_metric(1.0, [(2e12, -0.5), (2e12 + 1j, -0.5), (2e12 + 1, -0.5),
                           (2e12 + 1 + 1j, -0.5)])
     with pytest.raises(PerturbationLeavesDomain, match="lost to rounding"):
-        fd_gradient(m, Position(1))
+        fd_gradient(m, "z:1")
     with pytest.raises(PerturbationLeavesDomain, match="lost to rounding"):
         run_suite(m)
-    assert abs(fd_gradient(m, Scale()) - grad_scale(m)) < 1e-6
+    assert abs(fd_gradient(m, "C") - grad_scale(m)) < 1e-6
 
 
 def test_angle_step_lost_to_rounding():
@@ -315,8 +345,8 @@ def test_angle_step_lost_to_rounding():
     m = make_metric(1.0, [(0, -1.0 + 2e-12), (1, 3.0)]
                     + [(complex(2 + k, 1), rest) for k in range(5)])
     with pytest.raises(PerturbationLeavesDomain, match="lost to rounding at vertex 2"):
-        fd_gradient(m, Angle(2))
-    assert fd_gradient(m, Position(2)) == pytest.approx(grad_position(m, 2), rel=1e-6)
+        fd_gradient(m, "beta:2")
+    assert fd_gradient(m, "z:2") == pytest.approx(grad_position(m, 2), rel=1e-6)
 
 
 # ---- the scale channel past the float range ----
@@ -335,19 +365,19 @@ def test_scale_channel_at_subnormal_scale(scale):
     assert type(info.value) is PolydetError
     if scale == 1e-320:
         with pytest.raises(PerturbationLeavesDomain, match="scale step 0.0 is lost to rounding"):
-            fd_gradient(m, Scale())
+            fd_gradient(m, "C")
     else:
         with pytest.raises(PolydetError, match="past the float range") as info:
-            fd_gradient(m, Scale())
+            fd_gradient(m, "C")
         assert type(info.value) is PolydetError
     # the other channels leave C alone
-    assert all(r.rel_err <= 1e-5 for r in verify.gradient_reports(m, [Position(2), Angle(3)]))
+    assert all(r.rel_err <= 1e-5 for r in verify.gradient_reports(m, ["z:2", "beta:3"]))
 
 
 def test_scale_channel_at_smallest_normal_scales():
     for scale in (1e-300, 1e-308):
         m = make_metric(scale, SUBNORMAL_VERTS)
-        assert fd_gradient(m, Scale()) == pytest.approx(grad_scale(m), rel=1e-7)
+        assert fd_gradient(m, "C") == pytest.approx(grad_scale(m), rel=1e-7)
 
 
 def test_nonfinite_gradient_is_refused(tetra, monkeypatch):
@@ -355,7 +385,7 @@ def test_nonfinite_gradient_is_refused(tetra, monkeypatch):
     for bad in (math.inf, math.nan):
         monkeypatch.setattr(verify, "grad_scale", lambda m: bad)
         with pytest.raises(PolydetError, match="not both finite floats") as info:
-            fd_gradient(tetra, Scale())
+            fd_gradient(tetra, "C")
         assert type(info.value) is PolydetError
 
 
@@ -417,8 +447,8 @@ def test_each_gradient_formed_once_per_metric(corpus5, monkeypatch):
             _gradient_bits(m)
             run_suite(m)
             run_suite(m, FDConfig(richardson=True))
-            fd_gradient(m, Position(3))
-            fd_gradient(m, Angle(4))
+            fd_gradient(m, "z:3")
+            fd_gradient(m, "beta:4")
     assert sorted(formed) == sorted((id(m), name, q) for m in metrics
                                     for name in ("_position_gradient", "_angle_block")
                                     for q in range(n))
