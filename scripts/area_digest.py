@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Six SHA-256 digests: det_corpus results of a range of seeds, regint, the
-finite-difference suite, the finite-part and cone kernels and the angle
-terms.
+"""Seven SHA-256 digests: det_corpus results of a range of seeds, regint,
+the finite-difference suite, the finite-part and cone kernels, the angle
+terms and the areas of edge inputs.
 
 For every item of ``bench/corpus.det_corpus(seed)`` it runs
 ``detlap.log_det_as`` and feeds ``float.hex()`` of ``area`` into one
@@ -20,20 +20,28 @@ kernel, resolvent (real and complex mu), ``a_mu`` and
 bisected.  The sixth, ``angle_terms``, takes
 ``float.hex()`` of F(beta, C) and dF/dbeta (``detlap.f_function`` and
 ``f_function_dbeta``) at 1e-100, 1e-50, 1e50, 1e100 and 61 angles
-geometric from 1e-3 to 1e3, at C = 1 and C = 3.
+geometric from 1e-3 to 1e3, at C = 1 and C = 3.  The seventh, ``edges``,
+takes ``float.hex()`` of the value and error estimate and the panel count
+of ``quad.area`` (or the exception's type name) on inputs at the edges,
+whatever the seeds: C = 1 with a pair g apart (b = 0.5 and -0.6) among
+vertices R, iR and -R (b = -0.3, -0.8, -0.8), for g = 1e-30, 1e-50,
+1e-100, 1e-298 and R = 1, 1e3, 1e10, and a cluster of three vertices
+within 1e-150 among three 1e10 away, each with the close vertices listed
+first and last.
 Two checkouts that print the same area digest give bit-identical areas
 on every item, the same log-det digest bit-identical determinants, the
 same regint digest bit-identical finite parts and contours, the same
 fd_suite digest bit-identical gradients and finite differences and the
 same kernels digest bit-identical finite parts and cone kernels and
-the same angle_terms digest bit-identical F and dF/dbeta, so a change that
+the same angle_terms digest bit-identical F and dF/dbeta and the same
+edges digest bit-identical edge areas and panel counts, so a change that
 moves only the angle terms can show that its areas did not move, and one
 that moves regint shows it on a line of its own.  The
 inputs come from ``bench/corpus.py`` of the checkout named by ``--root``,
 loaded by path and only read; the program is imported from that
 checkout's ``src/``.
 
-``--against DIR`` runs the six digests for ``--root`` and for DIR, each
+``--against DIR`` runs the seven digests for ``--root`` and for DIR, each
 in its own process, and prints each digest line of ``--root`` followed by
 ``same`` or ``moved`` (with DIR's digest); it exits 1 if any moved.
 
@@ -41,6 +49,7 @@ Usage: python scripts/area_digest.py [--seeds 1-30] [--root DIR] [--against DIR]
 """
 
 import argparse
+import cmath
 import hashlib
 import importlib.util
 import math
@@ -76,7 +85,7 @@ def main():
     spec.loader.exec_module(corpus)
     sys.path.insert(0, str(args.root / "src"))
     import numpy as np
-    from polydet import cone, detlap, make_metric, regint, verify
+    from polydet import cone, detlap, make_metric, quad, regint, verify
 
     digests = {"area": hashlib.sha256(), "log_det": hashlib.sha256()}
     count = 0
@@ -155,6 +164,18 @@ def main():
             digest.update(f"{scale.hex()} {beta.hex()} {line}\n".encode())
     print(f"{digest.hexdigest()}  angle_terms, {len(angles)} angles, C = 1 and 3")
 
+    digest = hashlib.sha256()
+    for name, (close, far) in _EDGE_CASES:
+        for last in (False, True):
+            try:
+                res = quad.area(make_metric(1.0, far + close if last else close + far))
+                line = f"{res.value.hex()} {res.error_estimate.hex()} {res.cell_count}"
+            except Exception as exc:     # a raising input is part of the digest too
+                line = type(exc).__name__
+            digest.update(f"{name} {last} {line}\n".encode())
+    print(f"{digest.hexdigest()}  edges, {2 * len(_EDGE_CASES)} areas, "
+          "close vertices among far ones, listed first and last")
+
 
 def compare(args) -> int:
     """Print the digests of ``args.root``, each marked against those of
@@ -198,6 +219,16 @@ _KERNEL_CASES = [
 ] + [
     ("a_mu_disk", lambda c, *a: c.a_mu_disk_integral(*a), args) for args in (
         (math.pi, -100.0), (0.5, -400.0, 0.5), (15.0, -10.0, 2.0))
+]
+
+
+# (name, (close vertices, far vertices)) of the edges digest
+_EDGE_CASES = [
+    (f"pair g={g!r} R={R!r}", ([(0.0, 0.5), (g, -0.6)], [(R, -0.3), (1j * R, -0.8), (-R, -0.8)]))
+    for g in (1e-30, 1e-50, 1e-100, 1e-298) for R in (1.0, 1e3, 1e10)
+] + [
+    ("cluster", ([(1e-150 * cmath.exp(1.9j), -0.2), (0.0, 0.5), (1e-200 * cmath.exp(0.4j), -0.6)],
+                 [(1e10 * cmath.exp(1j * t), -17 / 30) for t in (0.0, 2.1, -2.3)])),
 ]
 
 

@@ -370,20 +370,11 @@ def log_det_as(m: PolyhedralMetric) -> DetReport:
 
 
 def _assemble(pre: float, w: float, f_terms, log_area: float = 0.0) -> float:
-    """log(det/Area) = fsum([pre, W, *F, -ref]) from its parts, or log det
-    given log Area; PolydetError unless the sum is a finite float."""
-    return _total([log_area, w, *_assembly_terms(pre, f_terms)])
-
-
-def _assembly_terms(pre: float, f_terms) -> list:
-    """The terms of log(det/Area) other than W: [pre, *F, -ref]."""
-    return [pre, *f_terms, -_reference_term()]
-
-
-def _total(terms) -> float:
-    """The sum of the terms of log det' (``math.fsum``, exactly rounded, so
-    in any order); PolydetError unless it is a finite float."""
-    return _finite_sum(terms, "the terms of log det' sum to {!r}, not a finite float")
+    """log(det/Area) = fsum([pre, W, *F, -ref]), or log det given log Area:
+    the one sum of log det' (``math.fsum``, exactly rounded, so in any
+    order); PolydetError unless it is a finite float."""
+    return _finite_sum([log_area, w, pre, *f_terms, -_reference_term()],
+                       "the terms of log det' sum to {!r}, not a finite float")
 
 
 def _finite_sum(terms, message: str, *args) -> float:

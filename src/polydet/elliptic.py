@@ -116,15 +116,7 @@ def periods(points: Sequence[complex]) -> EllipticData:
         B = -B
         tau = -tau
     eta = dedekind_eta(tau)
-    thetas = theta_constants(tau)
-    return EllipticData(
-        period_a=A,
-        period_b=B,
-        tau=tau,
-        theta_constants=thetas,
-        eta=eta,
-        sorted_points=tuple(pts),
-    )
+    return EllipticData(A, B, tau, theta_constants(tau), eta, tuple(pts))
 
 
 # --------------------------------------------------------------------------
@@ -134,10 +126,11 @@ def periods(points: Sequence[complex]) -> EllipticData:
 def dedekind_eta(tau: complex) -> complex:
     """eta(tau) = q^(1/24) prod (1 - q^n), q = e^(2 pi i tau), after
     reducing tau into the fundamental domain with the multiplier system
-    eta(tau+1) = e^(i pi/12) eta(tau), eta(-1/tau) = sqrt(-i tau) eta(tau)."""
+    eta(tau+1) = e^(i pi/12) eta(tau), eta(-1/tau) = sqrt(-i tau) eta(tau).
+    PolydetError unless Im tau > 0 and the product converges."""
     tau = complex(tau)
     if tau.imag <= 0.0:
-        raise ValueError(f"need Im tau > 0, got {tau}")
+        raise PolydetError(f"need Im tau > 0, got {tau}")
     mult = 1.0 + 0.0j
     for _ in range(200):
         n = round(tau.real)
@@ -158,15 +151,18 @@ def dedekind_eta(tau: complex) -> complex:
         prod *= 1.0 - qn
         if abs(qn) < SERIES_TOL:
             break
+    else:
+        raise PolydetError(f"eta product has not converged in 400 factors at reduced tau = {tau}")
     return mult * cmath.exp(1j * PI * tau / 12.0) * prod
 
 
 def theta_constants(tau: complex) -> Tuple[complex, complex, complex]:
     """(theta_2, theta_3, theta_4)(0 | tau) by q-series in the nome
-    q = e^(i pi tau); terms below 1e-18 are dropped."""
+    q = e^(i pi tau); terms below SERIES_TOL are dropped.  PolydetError
+    unless Im tau > 0 and both series fall below SERIES_TOL in 400 terms."""
     tau = complex(tau)
     if tau.imag <= 0.0:
-        raise ValueError(f"need Im tau > 0, got {tau}")
+        raise PolydetError(f"need Im tau > 0, got {tau}")
     q = cmath.exp(1j * PI * tau)
     th3 = 1.0 + 0.0j
     th4 = 1.0 + 0.0j
@@ -176,7 +172,9 @@ def theta_constants(tau: complex) -> Tuple[complex, complex, complex]:
         th4 += 2.0 * ((-1) ** n) * qn2
         if abs(qn2) < SERIES_TOL and n > 2:
             break
-    th2 = 0.0 + 0.0j
+    else:
+        raise PolydetError(f"theta series have not converged in 400 terms at tau = {tau}")
+    th2 = 0.0 + 0.0j     # its terms are below theta_3's: it ends by the same n
     for n in range(0, 400):
         t = q ** ((n + 0.5) ** 2)
         th2 += 2.0 * t

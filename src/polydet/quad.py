@@ -30,10 +30,11 @@ the tour.
   walk is Python floats and lists throughout.
 * chords -- ``segment_integral``: the straight segment is split in
   halves, each integrated from its own endpoint in dyadic panels; a panel
-  is split again while another vertex lies closer to it than its length.
-  Only differences z - z_k enter, so a metric and its translate give the
-  same digits.  The scale enters only as one power of the length of the
-  segment, so no factor leaves the float range before the chord does.
+  is split again while another vertex lies closer to it than its length
+  and its halves are distinct floats.  Only differences z - z_k enter,
+  so a metric and its translate give the same digits.  The scale enters
+  only as one power of the length of the segment, so no factor leaves
+  the float range before the chord does.
   The first runs of all edges are evaluated together (``_chords``): the
   per-half set-up and the panel bookkeeping in Python, the (half, vertex)
   grid and the nodes of all panels in a few numpy operations, and a
@@ -77,8 +78,6 @@ TWO_PI = 2.0 * math.pi
 NODES = 64          # Chebyshev points per panel, both ends included
 # logs evaluated at once (nodes times vertices)
 BATCH = 8192
-# panel halvings after which a vertex on the segment is left to the estimate
-MAX_SPLITS = 60
 # rounding floor of the area estimate, per unit of sum |corner| |side| of
 # the chord polygon (true errors reach about 3 eps per unit for b -> -1)
 ROUNDING = 16.0 * sys.float_info.epsilon
@@ -197,10 +196,11 @@ def _panels(rho: np.ndarray) -> Tuple[List[int], List[float], List[float]]:
     """Dyadic panels [a, a + l] of s in [0, 1/2] on z = z_p + s d for every
     half, a row of ``rho`` ((z_k - z_p)/d for the other vertices, so that
     |z - z_k| = |d| |s - rho_k|): a panel is halved while one of them lies
-    closer to it than its length, at most MAX_SPLITS times.  Only vertices
-    closer to [0, 1/2] than 1/2, found in one array test, can split a
-    panel.  Returns the half, a and l of every panel, in increasing a
-    within each half."""
+    closer to it than its length and its halves are distinct floats, so a
+    vertex on the segment stops the halving at the float spacing, at
+    most about 1075 halvings at s = 0.  Only vertices closer to [0, 1/2]
+    than 1/2, found in one array test, can split a panel.  Returns the
+    half, a and l of every panel, in increasing a within each half."""
     x = rho.real
     near = np.hypot(np.minimum(np.maximum(x, 0.0), 0.5) - x, rho.imag) < 0.5
     points: dict = {}
@@ -208,15 +208,15 @@ def _panels(rho: np.ndarray) -> Tuple[List[int], List[float], List[float]]:
         points.setdefault(half, []).append((rho_k.real, rho_k.imag))
     owner, starts, lengths = [], [], []
     for half in range(len(rho)):
-        todo = [(0.0, 0.5, 0, points.get(half, []))]   # a, l, halvings, vertices
+        todo = [(0.0, 0.5, points.get(half, []))]   # a, l, vertices
         while todo:
-            a, l, depth, close = todo.pop()
+            a, l, close = todo.pop()
             b = a + l
             close = [(xk, yk) for xk, yk in close
                      if math.hypot(min(max(xk, a), b) - xk, yk) < l]
-            if close and depth < MAX_SPLITS:
+            if close and a < a + 0.5 * l < b:
                 l *= 0.5
-                todo += (a + l, l, depth + 1, close), (a, l, depth + 1, close)
+                todo += (a + l, l, close), (a, l, close)
             else:
                 owner.append(half)
                 starts.append(a)
@@ -376,15 +376,24 @@ def segment_integral(zs, bs, u: int, v: int,
     ``theta[k]`` is the branch of arg(z_u - z_k) for k != u and
     ``theta[u]`` that of arg(z_v - z_u), from which every factor is
     continued along the segment; None takes principal values.
-    DuplicateVertex if another point sits on z_u or z_v.
+    DuplicateVertex if another point sits on z_u or z_v, and PolydetError
+    if one is nearer to it than the float range allows beside the segment
+    (``_chords``); both name the points 0-based.
     """
     z = [complex(c) for c in zs]
     u, v = int(u), int(v)
+    span = math.hypot((z[v] - z[u]).real, (z[v] - z[u]).imag)     # inf past the range
     for end in (u, v):
         for k, zk in enumerate(z):
-            if k != end and zk - z[end] == 0:
+            gap = math.hypot((zk - z[end]).real, (zk - z[end]).imag)
+            if k != end and (gap == 0.0 or span / gap == math.inf):
                 i, j = sorted((k, end))
-                raise DuplicateVertex(f"points {i} and {j} (0-based) share position {zk}")
+                if gap == 0.0:
+                    raise DuplicateVertex(f"points {i} and {j} (0-based) share position {zk}")
+                raise PolydetError(
+                    f"points {i} and {j} (0-based) are {gap:.3g} apart, closer than the float "
+                    f"range allows beside the segment from point {u} to point {v}, "
+                    f"{span:.3g} long")
     theta = _principal(z, u, v) if theta is None else [float(t) for t in theta]
     # a chord outside the float range, or through another vertex (a log of
     # 0 at a node), comes out inf or nan; callers check

@@ -101,14 +101,15 @@ Panels
 list of panel edges and integrates every panel by the Chebyshev rule of
 the area (``quad._rule`` with weight 1) on PANEL_NODES = 33 points, its
 error estimate the size of the last two Chebyshev coefficients of each
-panel (``quad._panel_sums``).  A pass evaluates all panels in one
-integrand call; while the estimate is too large the next pass has the
-worst panels bisected, and one past MAX_PANEL_SPLITS bisections raises
-ToleranceNotReached with its partial result, so no integral fails to
-converge silently.  For integrands analytic on the panel, as all of
-these are, the rule is about as accurate per node as Gauss-Legendre
-(Trefethen, SIAM Rev. 50, 2008).  The contour's line is one call; a
-finite part is two, its near and its far panels.
+panel (``quad._panel_sums``), held to one tolerance pair for every
+call, PANEL_ABS_TOL = 1e-14 and PANEL_REL_TOL = 1e-13.  A pass evaluates
+all panels in one integrand call; while the estimate is too large the
+next pass has the worst panels bisected, and one past MAX_PANEL_SPLITS
+bisections raises ToleranceNotReached with its partial result, so no
+integral fails to converge silently.  For integrands analytic on the
+panel, as all of these are, the rule is about as accurate per node as
+Gauss-Legendre (Trefethen, SIAM Rev. 50, 2008).  The contour's line is
+one call; a finite part is two, its near and its far panels.
 """
 
 from __future__ import annotations
@@ -148,6 +149,8 @@ def _csch2(x):
 
 PANEL_NODES = 33        # Chebyshev points per panel, both ends included
 MAX_PANEL_SPLITS = 64   # panel bisections per integral
+PANEL_ABS_TOL = 1e-14   # an integral is settled at an estimate of at most
+PANEL_REL_TOL = 1e-13   # max(PANEL_ABS_TOL, PANEL_REL_TOL |I|, rounding floor)
 ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
@@ -163,7 +166,7 @@ def _panel_rule(n: int):
     return _chebyshev(n)[0], rows, m0, weights
 
 
-def _panel_integral(f, edges, cancel: float, abs_tol: float, rel_tol: float) -> QuadResult:
+def _panel_integral(f, edges, cancel: float) -> QuadResult:
     """int f on the panels between consecutive ``edges``, ``cancel`` the
     integral of terms that cancel inside f there.  ``f`` maps the nodes of
     some panels (panel, node) to the values, real or complex, there.
@@ -173,8 +176,8 @@ def _panel_integral(f, edges, cancel: float, abs_tol: float, rel_tol: float) -> 
     (``quad._panel_sums``) plus a rounding floor, ROUNDING times the size
     of the terms summed: the integral of |f| by the rule's weights, which
     are positive, plus ``cancel``.  While the coefficient part exceeds
-    max(abs_tol, rel_tol |I|, floor), the next pass has every panel
-    holding more than its share of that bound bisected; past
+    max(PANEL_ABS_TOL, PANEL_REL_TOL |I|, floor), the next pass has every
+    panel holding more than its share of that bound bisected; past
     MAX_PANEL_SPLITS bisections ToleranceNotReached carries the partial
     result.
     """
@@ -190,7 +193,7 @@ def _panel_integral(f, edges, cancel: float, abs_tol: float, rel_tol: float) -> 
         size = (half * (np.abs(vals) @ weights)).sum().item()
         value, err = sums[:, 0].sum().item(), coef.sum().item()
         floor = ROUNDING * (size + cancel)
-        bound = max(abs_tol, rel_tol * abs(value), floor)
+        bound = max(PANEL_ABS_TOL, PANEL_REL_TOL * abs(value), floor)
         result = QuadResult(value, err + floor, len(half))
         if err <= bound:
             return result
@@ -209,8 +212,6 @@ def _panel_integral(f, edges, cancel: float, abs_tol: float, rel_tol: float) -> 
 # --------------------------------------------------------------------------
 
 CONTOUR_TRUNCATION = 40.0  # s cut on the lines; every kernel decays like e^-s
-CONTOUR_ABS_TOL = 1e-13
-CONTOUR_REL_TOL = 1e-12
 POLE_TOL = 1e-12           # a pole this close to a line counts as on it
 # poles a contour may hold, about (2 pi + 2)/beta: reached at beta ~ 1.26e-4,
 # where a contour peaks near 110 MB (about 1.6 kB a pole)
@@ -301,8 +302,7 @@ def _cot_contour(beta: float, dphi: float, g, tip: bool = False):
         total = np.dot(w, g(np.abs(np.sin(0.5 * th))))
     weight = _line_weight(beta, dphi, [math.copysign(PI, th) for _, th, on in poles if on])
     gaps = [abs(th - foot) for _, th, _ in poles for foot in (PI, -PI)]
-    line = _panel_integral(lambda s: g(np.cosh(0.5 * s)) * weight(s), _line_edges(gaps), 0.0,
-                           CONTOUR_ABS_TOL, CONTOUR_REL_TOL)
+    line = _panel_integral(lambda s: g(np.cosh(0.5 * s)) * weight(s), _line_edges(gaps), 0.0)
     return (total + line.value / beta).item()
 
 
@@ -344,8 +344,6 @@ class HadamardResult(NamedTuple):
 
 SPLIT_RADIUS = 0.25   # the circle sum covers [0, SPLIT_RADIUS * R]
 CIRCLE_NODES = 64     # trapezoid nodes on the circle; half are evaluated
-FP_ABS_TOL = 1e-14
-FP_REL_TOL = 1e-13
 
 
 def _coeffs_coth_csch2(b: float) -> Tuple[float, float]:
@@ -445,10 +443,8 @@ def _finite_part(integrand: _Integrand, beta: float, split: float) -> HadamardRe
     # the regular part inherits the rounding of the subtracted
     # counterterms, whose integral is its ``cancel``
     near = _panel_integral(regular, _near_edges(rho),
-                           0.5 * a3 * (rho ** -2 - 1.0) - abs(a1) * math.log(rho),
-                           FP_ABS_TOL, FP_REL_TOL)
-    far = _panel_integral(tail, _far_edges(*integrand.tail_panels(beta)), 0.0,
-                          FP_ABS_TOL, FP_REL_TOL)
+                           0.5 * a3 * (rho ** -2 - 1.0) - abs(a1) * math.log(rho))
+    far = _panel_integral(tail, _far_edges(*integrand.tail_panels(beta)), 0.0)
 
     # the circle sum, the lower half circle holding the conjugate terms
     u, w = _circle_rule(split)

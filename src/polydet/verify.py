@@ -32,15 +32,13 @@ The analytic side of a report is the metric's recorded gradient
 (``detlap``): formed once per metric by whichever call asks first, a
 suite after direct gradient calls forms none anew.
 
-No metric is built per step.  ``_Steps`` makes, once per suite, W's sum
-and the terms of the assembly other than W (the prefactor, the F terms
-and -ref).  A position or angle step copies W's pair terms from the
-metric's record (``metric._Parts``) and overwrites those of the pairs it
-moves (``metric._incident``); every step then sums its terms in one
-``math.fsum`` for W and one for log(det/Area), the sums of
-``detlap.log_det_over_area``, whose value it equals bit for bit
-(``math.fsum`` is exactly rounded, so the order of the terms does not
-matter):
+No metric is built per step.  ``_Steps`` keeps, once per suite, the
+prefactor, W's sum and the F terms, one per vertex.  A position or angle
+step copies W's pair terms from the metric's record (``metric._Parts``)
+and overwrites those of the pairs it moves (``metric._incident``); every
+step then hands its prefactor, W and F terms to ``detlap._assemble``,
+the one sum of log det', which ``detlap.log_det_over_area`` takes too,
+so a step equals that value bit for bit:
 
     position step  the M - 1 pairs of the moved vertex: the pair's
                    coefficient times its new log distance
@@ -68,10 +66,9 @@ from functools import lru_cache
 from typing import List, NamedTuple, Optional, Tuple, Union
 
 from .detlap import (
-    _assembly_terms,
+    _assemble,
     _f_terms,
     _prefactor,
-    _total,
     _w_sum,
     grad_angle,
     grad_position,
@@ -133,9 +130,9 @@ class _Steps:
     each assembled from m's own parts with only what the step changes
     formed anew (module docstring).
 
-    ``__init__`` makes W's sum and the assembly terms other than W, once
-    for every channel of a suite, and checks that log(det/Area) at m is
-    finite.  Building steps (``position_steps``, ``angle_steps``,
+    ``__init__`` keeps the prefactor, W's sum and the F terms (vertex q's
+    at q) for every channel of a suite and checks that log(det/Area) at m
+    is finite.  Building steps (``position_steps``, ``angle_steps``,
     ``scale_steps``) runs the checks of ``make_metric`` on what each
     changes and returns per step its value and the offset it actually
     takes.
@@ -144,17 +141,16 @@ class _Steps:
     def __init__(self, m: PolyhedralMetric):
         self.m = m
         parts = self.parts = m._parts
+        self.pre = _prefactor(m.scale)
         self.w = _w_sum(parts.w_terms)
-        # [pre, *F, -ref]: the F term of vertex q is at 1 + q
-        self.terms = _assembly_terms(_prefactor(m.scale), _f_terms(parts.angles, m.scale))
-        _total([self.w, *self.terms])
+        self.f = _f_terms(parts.angles, m.scale)
+        _assemble(self.pre, self.w, self.f)
 
     def position_steps(self, p: int, offsets) -> list:
         """Vertex p (0-based) moved by each offset along x, then along y:
         one row per axis.  The W terms of its M - 1 pairs are formed anew
         from its distances, checked as ``make_metric`` checks them."""
-        parts, terms = self.parts, self.terms
-        zs, coefficients = parts.positions, parts.coefficients
+        zs, coefficients = self.parts.positions, self.parts.coefficients
         z0, incident = zs[p], _incident(len(zs))[p]
         rows = []
         for axis in (1, 1j):
@@ -165,7 +161,7 @@ class _Steps:
                     raise PerturbationLeavesDomain(
                         f"position step {e!r} is lost to rounding at vertex {p + 1}, {z0}")
                 _check_position(z)
-                w_terms = list(parts.w_terms)
+                w_terms = list(self.parts.w_terms)
                 try:
                     for j, k in incident:
                         w_terms[k] = coefficients[k] * math.log(abs(z - zs[j]))
@@ -176,8 +172,8 @@ class _Steps:
                     stepped = list(zs)
                     stepped[p] = z
                     _distances(stepped, _pairs(len(zs)))    # raises, naming the fault
-                taken = z - z0
-                row.append((_total([w, *terms]), taken.real if axis == 1 else taken.imag))
+                taken = (z - z0).real if axis == 1 else (z - z0).imag
+                row.append((_assemble(self.pre, w, self.f), taken))
             rows.append(row)
         return rows
 
@@ -208,10 +204,9 @@ class _Steps:
                 b_k, inv_k = bs[k], inverses[k]
                 for j, p in incident[k]:
                     w_terms[p] = b_k * bs[j] * (inv_k + inverses[j]) * logs[p]
-            terms = list(self.terms)
-            terms[1], terms[1 + q] = _f_terms((beta_0, beta_q), self.m.scale)
-            terms.append(_w_sum(w_terms))
-            out.append((_total(terms), beta_q - angles0[q]))
+            f = list(self.f)
+            f[0], f[q] = _f_terms((beta_0, beta_q), self.m.scale)
+            out.append((_assemble(self.pre, _w_sum(w_terms), f), beta_q - angles0[q]))
         return out
 
     def scale_steps(self, offsets) -> list:
@@ -225,8 +220,7 @@ class _Steps:
                 raise PerturbationLeavesDomain(
                     f"scale step {e!r} is lost to rounding at C = {scale0!r}")
             _check_scale(scale)
-            out.append((_total([self.w, *_assembly_terms(_prefactor(scale),
-                                                         _f_terms(self.parts.angles, scale))]),
+            out.append((_assemble(_prefactor(scale), self.w, _f_terms(self.parts.angles, scale)),
                         scale - scale0))
         return out
 

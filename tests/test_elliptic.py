@@ -107,6 +107,28 @@ def test_eta_inversion_identity():
         assert abs(lhs - rhs) < 1e-12
 
 
+@pytest.mark.parametrize("series", [dedekind_eta, theta_constants])
+def test_lower_half_plane_is_a_polydet_error(series):
+    with pytest.raises(PolydetError, match="need Im tau > 0"):
+        series(-1j)
+
+
+def test_theta_series_does_not_truncate_silently():
+    # at tau = 1e-5 i the terms fall like exp(-pi 1e-5 n^2): after 400 terms
+    # theta_4 would read -0.0066 for a positive number below 1e-300
+    why = "^theta series have not converged in 400 terms at tau = 1e-05j$"
+    with pytest.raises(PolydetError, match=why):
+        theta_constants(1e-5j)
+
+
+def test_eta_product_does_not_truncate_silently():
+    # 1e-300 above the golden ratio, 200 reductions leave Im tau at 2.5e-10,
+    # where 400 factors of the product are far from converged
+    why = "^eta product has not converged in 400 factors at reduced tau"
+    with pytest.raises(PolydetError, match=why):
+        dedekind_eta(complex((math.sqrt(5.0) - 1.0) / 2.0, 1e-300))
+
+
 # ---- identity chain ----
 
 def test_jacobi_identity_everywhere():
@@ -150,6 +172,18 @@ def test_eta_distance_scale_covariance():
 
 
 # ---- the determinant ----
+
+def test_det_tetrahedron_needs_four_points():
+    with pytest.raises(DegenerateQuartic, match="^need exactly 4 points, got 3$"):
+        det_tetrahedron([1, -1, 1j])
+
+
+@pytest.mark.parametrize("size, area_x", [(10.0, 1e308), (1e-10, 5e-324)])
+def test_det_tetrahedron_past_float_range_refused(size, area_x):
+    # det' = Area(X) prod |z_i - z_j|^(1/6)/(2^(2/3) pi) is inf or 0.0 here
+    with pytest.raises(PolydetError, match="is not a positive finite float"):
+        det_tetrahedron([size * z for z in LEMNISCATIC], area_x)
+
 
 def test_det_tetrahedron_squared_relation():
     # Area(E) Im tau |eta|^4 = det'^2 with Area(E) = 2 Area(X)

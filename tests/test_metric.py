@@ -38,6 +38,13 @@ def test_gauss_bonnet_violation():
         make_metric(1.0, [(0, -0.5), (1, -0.5), (2, -0.5)])
 
 
+def test_two_vertices_refused_by_count():
+    # named by the count, before the exponent sum (which two exponents
+    # above -1 cannot reach) is checked
+    with pytest.raises(GaussBonnetViolation, match="^need at least 3 vertices, got 2$"):
+        make_metric(1.0, [(0, -0.5), (1, -0.5)])
+
+
 def test_invalid_exponent_boundary():
     with pytest.raises(InvalidExponent):
         make_metric(1.0, [(0, -1.0), (1, -1.0)])

@@ -556,16 +556,41 @@ def test_close_pair_among_far_vertices_refused_by_name(gap, last, tmp_path, caps
     assert err["error"] == "PolydetError" and err["message"].startswith(why)
 
 
-def test_area_contract_is_relative():
-    # a pair 1e-200 apart beside a vertex 1e-150 away and three 1e10 away:
-    # the area, about 9e-20, has an estimate nearly as large, which no
-    # absolute tolerance may excuse
-    near = [(1e-150 * cmath.exp(1.9j), -0.2), (0.0, 0.5), (1e-200 * cmath.exp(0.4j), -0.6)]
-    far = [(1e10 * cmath.exp(1j * t), -17 / 30) for t in (0.0, 2.1, -2.3)]
+# a vertex 1e-150 away from a pair 1e-200 apart and three vertices 1e10 away
+_CLUSTER = [(1e-150 * cmath.exp(1.9j), -0.2), (0.0, 0.5), (1e-200 * cmath.exp(0.4j), -0.6)]
+_CLUSTER_FAR = [(1e10 * cmath.exp(1j * t), -17 / 30) for t in (0.0, 2.1, -2.3)]
+
+
+def _merged_cases():
+    # (cluster, far vertices, the cluster's exponent sum): pairs g apart
+    # with b = 0.5 and -0.6 among three vertices R away, and the cluster
+    for g in (1e-30, 1e-100):
+        for R in (1.0, 1e10):
+            far = [(R, -0.3), (1j * R, -0.8), (-R, -0.8)]
+            yield pytest.param([(0.0, 0.5), (g, -0.6)], far, -0.1, id=f"g{g:g}-R{R:g}")
+    yield pytest.param(_CLUSTER, _CLUSTER_FAR, -0.3, id="cluster")
+
+
+@pytest.mark.parametrize("last", [False, True])
+@pytest.mark.parametrize("cluster, far, b", list(_merged_cases()))
+def test_close_cluster_among_far_vertices_matches_its_merged_vertex(cluster, far, b, last):
+    # the cluster's own region and its difference from one vertex at 0 with
+    # its exponent sum are far below rounding, so the two areas agree within
+    # their estimates; a panel is halved down to the float spacing, so the
+    # members are resolved in either order, on chords from far vertices too
+    merged = area(make_metric(1.0, [(0.0, b)] + far))
+    result = area(make_metric(1.0, far + cluster if last else cluster + far))
+    assert abs(result.value - merged.value) <= result.error_estimate + merged.error_estimate
+
+
+def test_area_contract_is_relative(monkeypatch):
+    # with 8 nodes a panel the cluster's area, about 9e-20, has an estimate
+    # of about 2e-5 of it: 2e-24, which no absolute tolerance may excuse
+    monkeypatch.setattr(quad, "NODES", 8)
     with pytest.raises(ToleranceNotReached) as exc:
-        area(make_metric(1.0, near + far))
+        area(make_metric(1.0, _CLUSTER + _CLUSTER_FAR))
     partial = exc.value.partial
-    assert 0.0 < quad.REL_TOL * partial.value < partial.error_estimate
+    assert 0.0 < quad.REL_TOL * partial.value < partial.error_estimate < 1e-12
 
 
 @pytest.mark.parametrize("size", [1e-300, 1e-155, 1e155, 1e300])
@@ -627,6 +652,17 @@ def test_segment_integral_refuses_a_point_on_an_end(zs, pair):
     # by its pair, not an IndexError, ZeroDivisionError or bare PolydetError
     with pytest.raises(DuplicateVertex, match=f"^points {pair} \\(0-based\\) share position"):
         segment_integral(zs, [-0.5, -0.5, -1.0], 0, 1)
+
+
+@pytest.mark.parametrize("zs, pair", [([0, 1, 1e-320, 5], "0 and 2"),
+                                      ([0, 1, 1 - 1e-320j, 5], "1 and 2")])
+def test_segment_integral_names_a_too_near_point_0_based(zs, pair):
+    # the float-range refusal names points as the function's indices do
+    # (``area`` names vertices 1-based)
+    with pytest.raises(PolydetError, match=(
+            f"^points {pair} \\(0-based\\) are 1e-320 apart, closer than the float range "
+            "allows beside the segment from point 0 to point 1, 1 long$")):
+        segment_integral(zs, [-0.5] * 4, 0, 1)
 
 
 _SQUARE = [(0, -0.5), (1, -0.5), (1 + 1j, -0.5), (1j, -0.5)]

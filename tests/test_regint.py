@@ -231,7 +231,7 @@ def _integral(f, edges, passes=None):
             passes.append(len(t))
         return f(t)
 
-    return regint._panel_integral(counted, edges, 0.0, 1e-13, 1e-12)
+    return regint._panel_integral(counted, edges, 0.0)
 
 
 def test_only_the_peaked_integrand_bisects():

@@ -13,7 +13,7 @@ def test_area_digest_one_seed():
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 6
+    assert len(lines) == 7
     for line, name in zip(lines, ("area", "log_det")):
         assert re.fullmatch(rf"[0-9a-f]{{64}}  {name}, 40 items, seeds 1-1", line), line
     assert re.fullmatch(r"[0-9a-f]{64}  regint, 200 angles, 0.1pi-20pi", lines[2]), lines[2]
@@ -21,6 +21,8 @@ def test_area_digest_one_seed():
                         lines[3]), lines[3]
     assert re.fullmatch(r"[0-9a-f]{64}  kernels, 63 angles, 17 cone kernels", lines[4]), lines[4]
     assert re.fullmatch(r"[0-9a-f]{64}  angle_terms, 65 angles, C = 1 and 3", lines[5]), lines[5]
+    assert re.fullmatch(r"[0-9a-f]{64}  edges, 26 areas, close vertices among far ones, "
+                        r"listed first and last", lines[6]), lines[6]
 
 
 def test_area_digest_against_itself():
@@ -30,7 +32,7 @@ def test_area_digest_against_itself():
          "--against", str(ROOT)], capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 6
+    assert len(lines) == 7
     assert all(re.fullmatch(r"[0-9a-f]{64}  .+  same", line) for line in lines), lines
 
 
