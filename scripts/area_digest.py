@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Seven SHA-256 digests: det_corpus results of a range of seeds, regint,
+"""Eight SHA-256 digests: det_corpus results of a range of seeds, regint,
 the finite-difference suite, the finite-part and cone kernels, the angle
-terms and the areas of edge inputs.
+terms, the areas of edge inputs and the CLI's output.
 
 For every item of ``bench/corpus.det_corpus(seed)`` it runs
 ``detlap.log_det_as`` and feeds ``float.hex()`` of ``area`` into one
@@ -27,21 +27,29 @@ whatever the seeds: C = 1 with a pair g apart (b = 0.5 and -0.6) among
 vertices R, iR and -R (b = -0.3, -0.8, -0.8), for g = 1e-30, 1e-50,
 1e-100, 1e-298 and R = 1, 1e3, 1e10, and a cluster of three vertices
 within 1e-150 among three 1e10 away, each with the close vertices listed
-first and last.
+first and last.  The eighth, ``cli``, takes the exit code, stdout and
+stderr of ``polydet.cli.main``, run in this process, over a fixed list
+of argv, whatever the seeds: every command in every output form it has
+(human, ``--json``, ``--csv``), on a valid input file, a metric whose
+exponents do not sum to -2, a missing file and a file that is not JSON,
+``verify cone`` at a fixed ``--seed``, and the help of the parser and of
+every subcommand.  It runs in a temporary directory with relative file
+names, so no message carries the directory.
 Two checkouts that print the same area digest give bit-identical areas
 on every item, the same log-det digest bit-identical determinants, the
 same regint digest bit-identical finite parts and contours, the same
 fd_suite digest bit-identical gradients and finite differences and the
 same kernels digest bit-identical finite parts and cone kernels and
 the same angle_terms digest bit-identical F and dF/dbeta and the same
-edges digest bit-identical edge areas and panel counts, so a change that
+edges digest bit-identical edge areas and panel counts and the same cli
+digest byte-identical CLI output and exit codes, so a change that
 moves only the angle terms can show that its areas did not move, and one
 that moves regint shows it on a line of its own.  The
 inputs come from ``bench/corpus.py`` of the checkout named by ``--root``,
 loaded by path and only read; the program is imported from that
 checkout's ``src/``.
 
-``--against DIR`` runs the seven digests for ``--root`` and for DIR, each
+``--against DIR`` runs the eight digests for ``--root`` and for DIR, each
 in its own process, and prints each digest line of ``--root`` followed by
 ``same`` or ``moved`` (with DIR's digest); it exits 1 if any moved.
 
@@ -50,17 +58,22 @@ Usage: python scripts/area_digest.py [--seeds 1-30] [--root DIR] [--against DIR]
 
 import argparse
 import cmath
+import contextlib
 import hashlib
 import importlib.util
+import io
+import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 # one BLAS thread, as in the benchmark's workers
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
+os.environ["COLUMNS"] = "80"     # argparse wraps its help to the terminal's width
 
 
 def seed_range(text: str) -> range:
@@ -176,6 +189,27 @@ def main():
     print(f"{digest.hexdigest()}  edges, {2 * len(_EDGE_CASES)} areas, "
           "close vertices among far ones, listed first and last")
 
+    from polydet import cli
+    digest = hashlib.sha256()
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)          # relative file names: no message carries the directory
+        try:
+            for name, text in _CLI_FILES.items():
+                Path(name).write_text(text)
+            for argv in _CLI_CASES:
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    try:
+                        code = cli.main(argv)
+                    except SystemExit as exc:     # argparse's help
+                        code = exc.code
+                digest.update(f"{argv} {code} {out.getvalue()!r} {err.getvalue()!r}\n".encode())
+        finally:
+            os.chdir(cwd)
+    print(f"{digest.hexdigest()}  cli, {len(_CLI_CASES)} calls of polydet.cli.main, "
+          "exit code, stdout and stderr")
+
 
 def compare(args) -> int:
     """Print the digests of ``args.root``, each marked against those of
@@ -229,6 +263,46 @@ _EDGE_CASES = [
 ] + [
     ("cluster", ([(1e-150 * cmath.exp(1.9j), -0.2), (0.0, 0.5), (1e-200 * cmath.exp(0.4j), -0.6)],
                  [(1e10 * cmath.exp(1j * t), -17 / 30) for t in (0.0, 2.1, -2.3)])),
+]
+
+
+# the files of the cli digest, by their relative names: a generic metric,
+# the tetrahedron's branch points, a metric whose exponents do not sum to
+# -2 and a file that is not JSON (missing.json is never written)
+_CLI_FILES = {
+    "metric.json": json.dumps({"C": 1.3, "vertices": [
+        {"z": [0, 0], "b": -0.7}, {"z": [1, 0], "b": -0.4},
+        {"z": [0.3, 0.8], "b": -0.5}, {"z": [-0.6, 0.2], "b": -0.4}]}),
+    "points.json": json.dumps({"points": [[1, 0], [-1, 0], [0, 1], [0, -1]]}),
+    "bad.json": json.dumps({"C": 1.0, "vertices": [
+        {"z": [0, 0], "b": -0.5}, {"z": [1, 0], "b": -0.5}, {"z": [2, 0], "b": -0.5}]}),
+    "text.json": "not json\n",
+}
+_CLI_INPUTS = ("bad.json", "missing.json", "text.json")
+_CLI_FORMS = ([], ["--json"], ["--csv"])
+# every command in every output form it has, on its valid input and each
+# faulty one, and the help of the parser and of every subcommand
+_CLI_CASES = [
+    [*argv, *form] for argv in [
+        *(argv for f in ("metric.json", *_CLI_INPUTS) for argv in (
+            ["det", "--metric", f], ["area", "--metric", f],
+            ["compare", "--m1", f, "--m2", "metric.json"],
+            ["grad", "--metric", f, "--channel", "z:1"],
+            ["grad", "--metric", f, "--channel", "beta:02", "--richardson"],
+            ["grad", "--metric", f, "--channel", "C"],
+            ["grad", "--metric", f, "--channel", "w:2"],
+            ["grad", "--metric", f, "--channel", "beta:1"],
+            ["verify", "fd", "--metric", f], ["verify", "fd", "--metric", f, "--richardson"])),
+        *(["verify", "tetra", "--points", f] for f in ("points.json", *_CLI_INPUTS)),
+        ["--seed", "5", "verify", "cone", "--pairs", "3"], ["verify", "cone", "--pairs", "0"]]
+    for form in _CLI_FORMS
+] + [
+    ["verify", "hadamard"], ["verify", "hadamard", "--beta", "0"],
+    ["verify", "hadamard", "--beta", "1e-300"], ["verify", "hadamard", "--beta", "2.5", "40"],
+] + [
+    [*argv, "-h"] for argv in ([], ["det"], ["area"], ["grad"], ["compare"], ["verify"],
+                               ["verify", "tetra"], ["verify", "cone"], ["verify", "fd"],
+                               ["verify", "hadamard"])
 ]
 
 

@@ -7,10 +7,10 @@ parts, elliptic-curve identities, finite differences) that cross-validate
 every formula.
 
 ``import polydet`` loads the core: ``errors``, ``metric``, ``quad``,
-``detlap``, and ``regint`` and ``cone``, whose QUADPACK names the
-benchmark's tracer wraps at install.  The oracles ``elliptic`` and
-``verify``, and the names this package re-exports from them, are
-imported on first access (``__getattr__``).
+``detlap``, and ``regint`` and ``cone``, whose placeholder QUADPACK
+names the benchmark's tracer wraps at install.  The oracles
+``elliptic`` and ``verify``, and the names this package re-exports from
+them, are imported on first access (``__getattr__``).
 """
 
 import importlib

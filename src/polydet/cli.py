@@ -15,34 +15,32 @@ the two metrics' ``detlap.log_det_as`` values, at any angles and scales.
 ``verify tetra`` compares the tetrahedron's closed form with
 ``detlap.log_det_as``.
 
+Each ``_cmd_*`` returns ``(exit_code, result)`` and prints nothing;
+``main`` writes the result as JSON, RFC-4180 CSV or aligned lines.
 Exit codes: 0 success, 2 validation error (machine-readable JSON on
 stderr), 3 an error estimate above its fixed accuracy contract.
 ``verify fd`` exits 0 only when every channel passes ``verify.FD_PASS_TOL``
 and exits 1 otherwise.
 Floats are serialized as shortest round-trip decimals (17 significant
 digits in human output).
-The modules only some commands use, ``verify``, ``elliptic`` and
-``csv``, are imported inside those commands, so that a process running
-``det``, ``area``, ``compare`` or ``verify hadamard`` never loads them.
+Only the core (``detlap``, ``errors``, ``metric``, ``quad``) is imported
+at module level; ``verify``, ``elliptic``, ``csv``, numpy, ``cone`` and
+``regint`` are imported by the commands that use them, so ``det``,
+``area``, ``compare`` and ``verify hadamard`` never load ``verify`` or
+``elliptic``.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
 
-import numpy as np
-
 from . import detlap
-from .cone import ConePoint, heat_kernel_cone, heat_kernel_images, resolvent_cone, resolvent_images
 from .errors import InvalidMetricJSON, PolydetError, ToleranceNotReached
 from .metric import _json_point, load_metric, make_metric
 from .quad import area
-from .regint import (SPLIT_RADIUS, hadamard_coth_coth_over_theta, hadamard_coth_over_sinh_sq,
-                     q_of_beta, q_of_beta_contour)
 
 
 # --------------------------------------------------------------------------
@@ -61,17 +59,8 @@ def _jsonable(x):
     return x
 
 
-def _emit(obj, args) -> None:
-    if getattr(args, "csv", False):
-        _emit_csv(obj)
-    elif getattr(args, "json", False):
-        print(json.dumps(_jsonable(obj)))
-    else:
-        _emit_human(obj)
-
-
 def _flatten(prefix, x, out):
-    x = _jsonable(x)
+    """``out`` with the leaves of ``x`` added under keys like a.b[0]."""
     if isinstance(x, dict):
         for k, v in x.items():
             _flatten(f"{prefix}{'.' if prefix else ''}{k}", v, out)
@@ -80,24 +69,7 @@ def _flatten(prefix, x, out):
             _flatten(f"{prefix}[{i}]", v, out)
     else:
         out[prefix] = x
-
-
-def _emit_csv(obj) -> None:
-    import csv
-
-    rows = obj if isinstance(obj, list) else [obj]
-    flat_rows = []
-    for row in rows:
-        out = {}
-        _flatten("", row, out)
-        flat_rows.append(out)
-    fields = sorted({k for row in flat_rows for k in row})
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\r\n")
-    writer.writeheader()
-    for row in flat_rows:
-        writer.writerow({k: _fmt(row.get(k)) for k in fields})
-    sys.stdout.write(buf.getvalue())
+    return out
 
 
 def _fmt(x):
@@ -106,45 +78,50 @@ def _fmt(x):
     return x
 
 
-def _emit_human(obj) -> None:
-    flat = {}
-    _flatten("", obj, flat)
-    width = max((len(k) for k in flat), default=0)
-    for k, v in flat.items():
-        print(f"{k:<{width}}  {_fmt(v)}")
+def _emit(result, args) -> None:
+    """Write a command's result as CSV (one row per list entry), JSON, or
+    one ``key  value`` line per leaf."""
+    data = _jsonable(result)
+    if getattr(args, "csv", False):
+        import csv
+
+        rows = [_flatten("", row, {}) for row in (data if isinstance(data, list) else [data])]
+        fields = sorted({k for row in rows for k in row})
+        writer = csv.DictWriter(sys.stdout, fieldnames=fields, lineterminator="\r\n")
+        writer.writeheader()
+        writer.writerows({k: _fmt(row.get(k)) for k in fields} for row in rows)
+    elif getattr(args, "json", False):
+        print(json.dumps(data))
+    else:
+        flat = _flatten("", data, {})
+        width = max((len(k) for k in flat), default=0)
+        for k, v in flat.items():
+            print(f"{k:<{width}}  {_fmt(v)}")
 
 
 # --------------------------------------------------------------------------
 # subcommands
 # --------------------------------------------------------------------------
 
-def _cmd_det(args) -> int:
-    m = load_metric(args.metric)
-    report = detlap.log_det_as(m)
-    _emit(report, args)
-    return 0
+def _cmd_det(args):
+    return 0, detlap.log_det_as(load_metric(args.metric))
 
 
-def _cmd_area(args) -> int:
-    m = load_metric(args.metric)
-    res = area(m)
-    _emit(res, args)
-    return 0
+def _cmd_area(args):
+    return 0, area(load_metric(args.metric))
 
 
-def _cmd_grad(args) -> int:
+def _cmd_grad(args):
     from . import verify
 
     m = load_metric(args.metric)
     fdcfg = verify.FDConfig(richardson=args.richardson)
-    _emit(verify.gradient_reports(m, [args.channel], fdcfg)[0], args)
-    return 0
+    return 0, verify.gradient_reports(m, [args.channel], fdcfg)[0]
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args):
     m1, m2 = load_metric(args.m1), load_metric(args.m2)
-    _emit({"log_det_ratio": detlap.log_det_as(m1).log_det - detlap.log_det_as(m2).log_det}, args)
-    return 0
+    return 0, {"log_det_ratio": detlap.log_det_as(m1).log_det - detlap.log_det_as(m2).log_det}
 
 
 def _load_points(path: str):
@@ -157,7 +134,7 @@ def _load_points(path: str):
             ) from exc
 
 
-def _cmd_verify_tetra(args) -> int:
+def _cmd_verify_tetra(args):
     from . import elliptic
 
     pts = _load_points(args.points)
@@ -166,7 +143,7 @@ def _cmd_verify_tetra(args) -> int:
     ar = report.area
     det_x = elliptic.det_tetrahedron(pts, area_x=ar)
     torus = elliptic.det_torus(data, ar)
-    out = {
+    return 0, {
         "tau": data.tau,
         "jacobi_residual": elliptic.jacobi_residual(data),
         "thomae_residual": elliptic.thomae_check(pts, data),
@@ -178,11 +155,14 @@ def _cmd_verify_tetra(args) -> int:
         "area_consistency": abs(
             abs((0.5 * data.period_a * data.period_b.conjugate()).imag) - ar) / ar,
     }
-    _emit(out, args)
-    return 0
 
 
-def _cmd_verify_cone(args) -> int:
+def _cmd_verify_cone(args):
+    import numpy as np
+
+    from .cone import (ConePoint, heat_kernel_cone, heat_kernel_images, resolvent_cone,
+                       resolvent_images)
+
     if args.pairs < 1:
         raise PolydetError(f"--pairs must be at least 1, got {args.pairs}")
     if args.seed < 0:
@@ -212,28 +192,28 @@ def _cmd_verify_cone(args) -> int:
             worst_resolvent,
             abs(resolvent_cone(math.pi, -4.0, p, q) - resolvent_images(2, -4.0, p, q)),
         )
-    out = {
+    return 0, {
         "pairs": args.pairs,
         "seed": args.seed,
         "max_plane_deviation": worst_plane,
         "max_image_sum_deviation": worst_images,
         "max_resolvent_deviation": worst_resolvent,
     }
-    _emit(out, args)
-    return 0
 
 
-def _cmd_verify_fd(args) -> int:
+def _cmd_verify_fd(args):
     from . import verify
 
     m = load_metric(args.metric)
     fdcfg = verify.FDConfig(richardson=args.richardson)
     reports = verify.run_suite(m, fdcfg=fdcfg)
-    _emit(reports, args)
-    return 0 if all(r.rel_err <= verify.FD_PASS_TOL for r in reports) else 1
+    return (0 if all(r.rel_err <= verify.FD_PASS_TOL for r in reports) else 1), reports
 
 
-def _cmd_verify_hadamard(args) -> int:
+def _cmd_verify_hadamard(args):
+    from .regint import (SPLIT_RADIUS, hadamard_coth_coth_over_theta,
+                         hadamard_coth_over_sinh_sq, q_of_beta, q_of_beta_contour)
+
     half = SPLIT_RADIUS / 2.0
     out = []
     for beta in args.beta:
@@ -243,8 +223,8 @@ def _cmd_verify_hadamard(args) -> int:
                         for split in (SPLIT_RADIUS, half))
         out.append({
             "beta": beta,
-            "coth_over_sinh_sq": _jsonable(a),
-            "coth_coth_over_theta": _jsonable(b),
+            "coth_over_sinh_sq": a,
+            "coth_coth_over_theta": b,
             "cutoff_halving_shift": {
                 "coth_over_sinh_sq": abs(a.finite_part - ah.finite_part),
                 "coth_coth_over_theta": abs(b.finite_part - bh.finite_part),
@@ -257,8 +237,7 @@ def _cmd_verify_hadamard(args) -> int:
             "q_of_beta": q_of_beta(beta),
             "q_contour_deviation": abs(q_of_beta_contour(beta) - q_of_beta(beta)),
         })
-    _emit(out, args)
-    return 0
+    return 0, out
 
 
 # --------------------------------------------------------------------------
@@ -333,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, result = args.func(args)
+        _emit(result, args)
+        return code
     except PolydetError as exc:
         sys.stderr.write(json.dumps({"error": exc.code, "message": str(exc)}) + "\n")
         return 3 if isinstance(exc, ToleranceNotReached) else 2

@@ -127,8 +127,9 @@ def dedekind_eta(tau: complex) -> complex:
     """eta(tau) = q^(1/24) prod (1 - q^n), q = e^(2 pi i tau), after
     reducing tau into the fundamental domain with the multiplier system
     eta(tau+1) = e^(i pi/12) eta(tau), eta(-1/tau) = sqrt(-i tau) eta(tau).
-    PolydetError unless Im tau > 0 and the product converges."""
-    tau = complex(tau)
+    PolydetError unless Im tau > 0 and the product converges, and where
+    eta, which has no zeros, underflows to 0."""
+    tau = given = complex(tau)
     if tau.imag <= 0.0:
         raise PolydetError(f"need Im tau > 0, got {tau}")
     mult = 1.0 + 0.0j
@@ -153,13 +154,18 @@ def dedekind_eta(tau: complex) -> complex:
             break
     else:
         raise PolydetError(f"eta product has not converged in 400 factors at reduced tau = {tau}")
-    return mult * cmath.exp(1j * PI * tau / 12.0) * prod
+    eta = mult * cmath.exp(1j * PI * tau / 12.0) * prod
+    if eta == 0:
+        raise PolydetError(f"dedekind_eta underflows to 0 at tau = {given}")
+    return eta
 
 
 def theta_constants(tau: complex) -> Tuple[complex, complex, complex]:
     """(theta_2, theta_3, theta_4)(0 | tau) by q-series in the nome
     q = e^(i pi tau); terms below SERIES_TOL are dropped.  PolydetError
-    unless Im tau > 0 and both series fall below SERIES_TOL in 400 terms."""
+    unless Im tau > 0 and both series fall below SERIES_TOL in 400 terms,
+    and where a theta constant, none of which has zeros, underflows to 0
+    (theta_2 once q does, above Im tau of about 237)."""
     tau = complex(tau)
     if tau.imag <= 0.0:
         raise PolydetError(f"need Im tau > 0, got {tau}")
@@ -180,6 +186,8 @@ def theta_constants(tau: complex) -> Tuple[complex, complex, complex]:
         th2 += 2.0 * t
         if abs(t) < SERIES_TOL and n > 2:
             break
+    if 0 in (th2, th3, th4):
+        raise PolydetError(f"theta_constants underflows to 0 at tau = {tau}")
     return th2, th3, th4
 
 

@@ -96,22 +96,7 @@ class QuadResult(NamedTuple):
     cell_count: int
 
 
-def _quadpack_binding(attr: str, module: str):
-    """A module ``__getattr__`` that resolves ``attr`` to scipy's QUADPACK
-    routine on first access, so importing polydet loads no scipy.  No
-    polydet code calls it, and scipy is not a runtime dependency: the
-    benchmark's tracer (bench/tracing.py) wraps these names to count
-    QUADPACK calls and needs them to exist, so they go in the benchmark
-    change that drops that tracer's ``*.quadpack_*`` counters."""
-    def __getattr__(name: str):
-        if name == attr:
-            from scipy.integrate import quad
-            return quad
-        raise AttributeError(f"module {module!r} has no attribute {name!r}")
-    return __getattr__
-
-
-__getattr__ = _quadpack_binding("quad1d", __name__)
+quad1d = None   # a placeholder: bench/tracing.py wraps this name, and nothing calls it
 
 
 # --------------------------------------------------------------------------

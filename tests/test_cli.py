@@ -482,6 +482,33 @@ def test_grad_names_the_channel_as_verify_fd_does(tetra_path, capsys):
     assert json.loads(capsys.readouterr().out)["channel"] == "z:1"
 
 
+def test_human_output_format(tetra_path, tmp_path, capsys):
+    # one "key  value" line per leaf: keys left-aligned to the longest plus
+    # two spaces, floats as .17g, list entries as f_terms[0] and complex
+    # fields as .re and .im
+    assert main(["det", "--metric", tetra_path]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "log_det            0.78318878541367476",
+        "log_det_over_area  -1.1447298858494002",
+        "area               6.8751858180203804",
+        "w_term             0.46209812037329684",
+        *(f"f_terms[{i}]         -0.1933920761697045" for i in range(4)),
+        "reference_term     -0.77356830467881799",
+        "prefactor          -1.6068280062226969",
+    ]
+    path = _metric_file(tmp_path, 1.3, GENERIC_VERTS)
+    assert main(["grad", "--metric", path, "--channel", "z:2"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "channel               z:2",
+        "analytic.re           0.13792540792540792",
+        "analytic.im           0.024042346542346545",
+        "finite_difference.re  0.13792540783569046",
+        "finite_difference.im  0.024042346282521401",
+        "abs_err               2.7487875023317322e-10",
+        "rel_err               2.7487875023317322e-10",
+    ]
+
+
 def test_verify_cone_csv(capsys):
     assert main(["--seed", "7", "verify", "cone", "--pairs", "2", "--csv"]) == 0
     rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))

@@ -121,6 +121,20 @@ def test_theta_series_does_not_truncate_silently():
         theta_constants(1e-5j)
 
 
+@pytest.mark.parametrize("series, tau, name", [
+    # the reduced tau = 1e5 i: q^(1/24) = e^(-pi 1e5/12) underflows
+    (dedekind_eta, 1e-5j, "dedekind_eta"),
+    (dedekind_eta, 1e4j, "dedekind_eta"),
+    # the nome e^(-300 pi) underflows, though theta_2 = 2 e^(-75 pi) is a
+    # normal float
+    (theta_constants, 300j, "theta_constants"),
+])
+def test_underflow_to_zero_is_a_polydet_error(series, tau, name):
+    # eta and the theta constants have no zeros in the upper half plane
+    with pytest.raises(PolydetError, match=rf"^{name} underflows to 0 at tau = {tau}$"):
+        series(tau)
+
+
 def test_eta_product_does_not_truncate_silently():
     # 1e-300 above the golden ratio, 200 reductions leave Im tau at 2.5e-10,
     # where 400 factors of the product are far from converged

@@ -2,6 +2,7 @@
 eagerly, ``elliptic`` and ``verify`` only on first use, and every name
 the package exports resolving to its own module's object."""
 
+import ast
 import json
 import os
 import subprocess
@@ -109,3 +110,18 @@ def test_lazy_names_are_not_bound_in_the_package():
             "print(json.dumps([served, polydet.run_suite is first,\n"
             "                  'run_suite' in vars(polydet), 'periods' in vars(polydet)]))")
     assert _fresh(code) == [True, True, False, False]
+
+
+def test_cli_imports_only_the_core_at_module_level():
+    # the commands that need numpy, cone, regint, verify, elliptic or csv
+    # import them themselves: cli.py's own top-level imports are the core
+    tree = ast.parse(Path(polydet.__file__).with_name("cli.py").read_text())
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported |= ({alias.name for alias in node.names} if node.module is None
+                         else {"." * node.level + node.module})
+    assert imported == {"__future__", "argparse", "json", "math", "sys",
+                        "detlap", ".errors", ".metric", ".quad"}

@@ -106,7 +106,7 @@ def test_split_outside_its_range_raises(split):
     # truncation; at 0 and below there is no circle (SPLIT_RADIUS / 2, the
     # value of ``verify hadamard``, is taken by the cutoff-halving test)
     for fp in (hadamard_coth_over_sinh_sq, hadamard_coth_coth_over_theta):
-        with pytest.raises(ValueError, match="split"):
+        with pytest.raises(PolydetError, match="split"):
             fp(PI, split=split)
 
 
