@@ -6,7 +6,7 @@ Subcommands
     area     --metric m.json [--json|--csv]      metric area
     grad     --metric m.json --channel z:i|beta:i|C [--richardson]
     compare  --m1 a.json --m2 b.json             log(det' m1/det' m2)
-    verify   tetra --points p.json | cone | fd --metric m.json | hadamard
+    verify   tetra --points p.json | fd --metric m.json | hadamard
 
 ``grad`` reports one channel and ``verify fd`` every one, each as the
 same report of ``verify.gradient_reports``, under the channel's own name
@@ -24,10 +24,10 @@ and exits 1 otherwise.
 Floats are serialized as shortest round-trip decimals (17 significant
 digits in human output).
 Only the core (``detlap``, ``errors``, ``metric``, ``quad``) is imported
-at module level; ``verify``, ``elliptic``, ``csv``, numpy, ``cone`` and
-``regint`` are imported by the commands that use them, so ``det``,
-``area``, ``compare`` and ``verify hadamard`` never load ``verify`` or
-``elliptic``.
+at module level; ``verify``, ``elliptic``, ``csv`` and ``regint`` are
+imported by the commands that use them, so ``det``, ``area``,
+``compare`` and ``verify hadamard`` never load ``verify`` or
+``elliptic``.  ``cli`` imports no numpy itself.
 """
 
 from __future__ import annotations
@@ -157,50 +157,6 @@ def _cmd_verify_tetra(args):
     }
 
 
-def _cmd_verify_cone(args):
-    import numpy as np
-
-    from .cone import (ConePoint, heat_kernel_cone, heat_kernel_images, resolvent_cone,
-                       resolvent_images)
-
-    if args.pairs < 1:
-        raise PolydetError(f"--pairs must be at least 1, got {args.pairs}")
-    if args.seed < 0:
-        raise PolydetError(f"--seed must be at least 0, got {args.seed}")
-    rng = np.random.default_rng(args.seed)
-    worst_plane = 0.0
-    worst_images = 0.0
-    worst_resolvent = 0.0
-    for _ in range(args.pairs):
-        r, rp = rng.uniform(0.2, 2.0, 2)
-        for t in (0.1, 1.0):
-            phi, phip = rng.uniform(0.0, 2.0 * math.pi, 2)
-            h = heat_kernel_cone(2.0 * math.pi, t, ConePoint(r, phi), ConePoint(rp, phip))
-            d2 = r * r + rp * rp - 2.0 * r * rp * math.cos(phi - phip)
-            plane = math.exp(-d2 / (4.0 * t)) / (4.0 * math.pi * t)
-            worst_plane = max(worst_plane, abs(h - plane))
-            for n in (2, 3):
-                beta = 2.0 * math.pi / n
-                p = ConePoint(r, phi * beta / (2.0 * math.pi))
-                q = ConePoint(rp, phip * beta / (2.0 * math.pi))
-                h = heat_kernel_cone(beta, t, p, q)
-                worst_images = max(worst_images, abs(h - heat_kernel_images(n, t, p, q)))
-        phi = rng.uniform(0.0, math.pi / 2.0)
-        p = ConePoint(r, 0.1)
-        q = ConePoint(rp if abs(rp - r) > 1e-6 else rp + 0.1, 0.1 + phi)
-        worst_resolvent = max(
-            worst_resolvent,
-            abs(resolvent_cone(math.pi, -4.0, p, q) - resolvent_images(2, -4.0, p, q)),
-        )
-    return 0, {
-        "pairs": args.pairs,
-        "seed": args.seed,
-        "max_plane_deviation": worst_plane,
-        "max_image_sum_deviation": worst_images,
-        "max_resolvent_deviation": worst_resolvent,
-    }
-
-
 def _cmd_verify_fd(args):
     from . import verify
 
@@ -254,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="polydet",
         description="Determinants of Laplacians on genus-zero polyhedral surfaces",
     )
-    ap.add_argument("--seed", type=int, default=2024,
-                    help="seed for randomized verification suites")
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("det", help="determinant report for a metric")
@@ -289,11 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help='JSON file {"points": [[re, im], ...]} with 4 points')
     _add_output_flags(p)
     p.set_defaults(func=_cmd_verify_tetra, json=True)
-
-    p = vsub.add_parser("cone", help="heat-kernel and resolvent oracles")
-    p.add_argument("--pairs", type=int, default=20)
-    _add_output_flags(p)
-    p.set_defaults(func=_cmd_verify_cone, json=True)
 
     p = vsub.add_parser("fd", help="finite-difference gradient suite")
     p.add_argument("--metric", required=True)

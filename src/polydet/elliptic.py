@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from itertools import combinations
 from typing import NamedTuple, Optional, Sequence, Tuple
 
@@ -164,30 +165,43 @@ def theta_constants(tau: complex) -> Tuple[complex, complex, complex]:
     """(theta_2, theta_3, theta_4)(0 | tau) by q-series in the nome
     q = e^(i pi tau); terms below SERIES_TOL are dropped.  PolydetError
     unless Im tau > 0 and both series fall below SERIES_TOL in 400 terms,
-    and where a theta constant, none of which has zeros, underflows to 0
-    (theta_2 once q does, above Im tau of about 237)."""
+    where a theta constant, none of which has zeros, underflows to 0
+    (theta_2 once q does, above Im tau of about 237), and where its series
+    cancels: where the rounding of its sum, epsilon times the sum of its
+    terms' sizes, exceeds PERIOD_REL_TOL * |theta| (theta_4 towards the
+    real axis, below Im tau of about 0.1)."""
     tau = complex(tau)
     if tau.imag <= 0.0:
         raise PolydetError(f"need Im tau > 0, got {tau}")
     q = cmath.exp(1j * PI * tau)
     th3 = 1.0 + 0.0j
     th4 = 1.0 + 0.0j
+    size34 = 1.0         # 1 + 2 sum |q^(n^2)|, for theta_3 and theta_4 alike
     for n in range(1, 400):
         qn2 = q ** (n * n)
         th3 += 2.0 * qn2
         th4 += 2.0 * ((-1) ** n) * qn2
+        size34 += 2.0 * abs(qn2)
         if abs(qn2) < SERIES_TOL and n > 2:
             break
     else:
         raise PolydetError(f"theta series have not converged in 400 terms at tau = {tau}")
     th2 = 0.0 + 0.0j     # its terms are below theta_3's: it ends by the same n
+    size2 = 0.0
     for n in range(0, 400):
         t = q ** ((n + 0.5) ** 2)
         th2 += 2.0 * t
+        size2 += 2.0 * abs(t)
         if abs(t) < SERIES_TOL and n > 2:
             break
     if 0 in (th2, th3, th4):
         raise PolydetError(f"theta_constants underflows to 0 at tau = {tau}")
+    for name, th, size in (("theta_2", th2, size2), ("theta_3", th3, size34),
+                           ("theta_4", th4, size34)):
+        if sys.float_info.epsilon * size > PERIOD_REL_TOL * abs(th):
+            raise PolydetError(
+                f"{name} cancels at tau = {tau}: its terms sum to {size:.3e} in size "
+                f"for a value of {abs(th):.3e}")
     return th2, th3, th4
 
 

@@ -54,7 +54,6 @@ def test_every_command_runs_without_scipy(tetra_path, tmp_path):
         "grad": ["grad", "--metric", tetra_path, "--channel", "C"],
         "compare": ["compare", "--m1", tetra_path, "--m2", tetra_path],
         "verify tetra": ["verify", "tetra", "--points", str(points)],
-        "verify cone": ["verify", "cone", "--pairs", "2"],
         "verify fd": ["verify", "fd", "--metric", tetra_path],
         "verify hadamard": ["verify", "hadamard", "--beta", "3.0"],
     }
@@ -74,6 +73,30 @@ def test_every_command_runs_without_scipy(tetra_path, tmp_path):
     assert proc.returncode == 0, proc.stderr
     codes = json.loads(proc.stdout.splitlines()[-1])
     assert dict(zip(commands, codes)) == dict.fromkeys(commands, 0)
+
+
+@pytest.mark.parametrize("argv, commands", [
+    (["-h"], "{det,area,grad,compare,verify}"),
+    (["verify", "-h"], "{tetra,fd,hadamard}"),
+], ids=["polydet", "verify"])
+def test_help_lists_the_commands(argv, commands, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert commands in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "cone"],
+    ["--seed", "7", "verify", "hadamard"],
+], ids=["verify cone", "--seed"])
+def test_retired_command_and_option_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: polydet")
 
 
 def test_det_report_json_round_trip(tetra_path, capsys):
@@ -509,14 +532,6 @@ def test_human_output_format(tetra_path, tmp_path, capsys):
     ]
 
 
-def test_verify_cone_csv(capsys):
-    assert main(["--seed", "7", "verify", "cone", "--pairs", "2", "--csv"]) == 0
-    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
-    assert len(rows) == 1
-    assert int(rows[0]["pairs"]) == 2
-    assert float(rows[0]["max_plane_deviation"]) < 1e-10
-
-
 def test_verify_hadamard_command(capsys):
     code = main(["verify", "hadamard", "--beta", str(math.pi)])
     out = capsys.readouterr().out
@@ -539,33 +554,6 @@ def test_verify_hadamard_shift_within_estimate(capsys):
         assert row["q_contour_deviation"] < 1e-12 * abs(row["q_of_beta"])
         for name, shift in row["cutoff_halving_shift"].items():
             assert shift <= row["cutoff_halving_estimate"][name], (row["beta"], name)
-
-
-@pytest.mark.parametrize("pairs", ["0", "-3"])
-def test_verify_cone_needs_a_pair(pairs, capsys):
-    code = main(["verify", "cone", "--pairs", pairs])
-    captured = capsys.readouterr()
-    assert code == 2
-    assert captured.out == ""
-    assert json.loads(captured.err)["error"] == "PolydetError"
-
-
-def test_verify_cone_refuses_a_negative_seed(capsys):
-    code, err = _one_error_line(["--seed", "-1", "verify", "cone", "--pairs", "1"], capsys)
-    assert code == 2
-    assert err["error"] == "PolydetError"
-    assert "--seed" in err["message"]
-
-
-def test_verify_cone_seeded_reproducible(capsys):
-    assert main(["--seed", "7", "verify", "cone", "--pairs", "3", "--json"]) == 0
-    first = capsys.readouterr().out
-    assert main(["--seed", "7", "verify", "cone", "--pairs", "3", "--json"]) == 0
-    second = capsys.readouterr().out
-    assert first == second
-    rep = json.loads(first)
-    assert rep["max_plane_deviation"] < 1e-10
-    assert rep["max_image_sum_deviation"] < 1e-8
 
 
 def test_verify_tetra_command(tmp_path, capsys):

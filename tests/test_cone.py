@@ -124,9 +124,16 @@ def test_flat_resolvent_is_free_resolvent():
 
 
 def test_resolvent_matches_images_beta_pi():
-    p, q = ConePoint(1.0, 0.2), ConePoint(1.0, 1.1)
-    assert abs(resolvent_cone(PI, -4.0, p, q)
-               - resolvent_images(2, -4.0, p, q)) < 1e-10
+    # one fixed pair and five seeded ones: radii in [0.2, 2], angular gap
+    # in [0, pi/2]
+    rng = np.random.default_rng(2024)
+    pairs = [(ConePoint(1.0, 0.2), ConePoint(1.0, 1.1))]
+    for _ in range(5):
+        r, rp = rng.uniform(0.2, 2.0, 2)
+        pairs.append((ConePoint(r, 0.1), ConePoint(rp, 0.1 + rng.uniform(0.0, PI / 2))))
+    for p, q in pairs:
+        assert abs(resolvent_cone(PI, -4.0, p, q)
+                   - resolvent_images(2, -4.0, p, q)) < 1e-10, (p, q)
 
 
 def test_resolvent_decay_superpolynomial():

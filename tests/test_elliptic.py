@@ -121,6 +121,22 @@ def test_theta_series_does_not_truncate_silently():
         theta_constants(1e-5j)
 
 
+@pytest.mark.parametrize("tau", [0.08j, 0.05j, 0.01j, 1e-3j])
+def test_cancelled_theta_4_is_a_polydet_error(tau):
+    # theta_4 = sum (-1)^n q^(n^2) is far below the sizes of its terms
+    # towards the real axis: at 0.01 i it reads 1.7e-16 for 1.6e-33, at
+    # 1e-3 i below zero
+    with pytest.raises(PolydetError, match=rf"^theta_4 cancels at tau = {tau}: "):
+        theta_constants(tau)
+
+
+def test_theta_4_is_returned_where_its_rounding_is_small():
+    # at 0.1 i the terms sum to 1.3e3 times theta_4, 1e-12 / epsilon is 4.5e3;
+    # theta_4(i/10) = sqrt(10) theta_2(10 i) by the modular transform
+    th2, th3, th4 = theta_constants(0.1j)
+    assert th4.real == pytest.approx(10 ** 0.5 * theta_constants(10j)[0].real, rel=1e-12)
+
+
 @pytest.mark.parametrize("series, tau, name", [
     # the reduced tau = 1e5 i: q^(1/24) = e^(-pi 1e5/12) underflows
     (dedekind_eta, 1e-5j, "dedekind_eta"),

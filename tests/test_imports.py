@@ -112,16 +112,35 @@ def test_lazy_names_are_not_bound_in_the_package():
     assert _fresh(code) == [True, True, False, False]
 
 
-def test_cli_imports_only_the_core_at_module_level():
-    # the commands that need numpy, cone, regint, verify, elliptic or csv
-    # import them themselves: cli.py's own top-level imports are the core
-    tree = ast.parse(Path(polydet.__file__).with_name("cli.py").read_text())
+def _imported(nodes):
+    """The modules an import among ``nodes`` names: ``from . import x``
+    gives ``x``, ``from .m import x`` gives ``.m``."""
     imported = set()
-    for node in tree.body:
+    for node in nodes:
         if isinstance(node, ast.Import):
             imported |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
             imported |= ({alias.name for alias in node.names} if node.module is None
                          else {"." * node.level + node.module})
-    assert imported == {"__future__", "argparse", "json", "math", "sys",
-                        "detlap", ".errors", ".metric", ".quad"}
+    return imported
+
+
+CLI_TREE = ast.parse(Path(polydet.__file__).with_name("cli.py").read_text())
+
+
+def test_cli_imports_only_the_core_at_module_level():
+    # the commands that need regint, verify, elliptic or csv import them
+    # themselves: cli.py's own top-level imports are the core
+    assert _imported(CLI_TREE.body) == {"__future__", "argparse", "json", "math", "sys",
+                                        "detlap", ".errors", ".metric", ".quad"}
+
+
+def test_cli_imports_neither_numpy_nor_cone_anywhere():
+    # inside the commands too: no command draws numpy random points or runs
+    # the cone kernels
+    imported = _imported(ast.walk(CLI_TREE))
+    assert imported == {"__future__", "argparse", "json", "math", "sys", "csv",
+                        "detlap", ".errors", ".metric", ".quad",
+                        "verify", "elliptic", ".regint"}
+    assert not {name for name in imported
+                if name.split(".")[0] == "numpy" or name.lstrip(".") == "cone"}

@@ -23,7 +23,7 @@ def test_area_digest_one_seed():
     assert re.fullmatch(r"[0-9a-f]{64}  angle_terms, 65 angles, C = 1 and 3", lines[5]), lines[5]
     assert re.fullmatch(r"[0-9a-f]{64}  edges, 26 areas, close vertices among far ones, "
                         r"listed first and last", lines[6]), lines[6]
-    assert re.fullmatch(r"[0-9a-f]{64}  cli, 152 calls of polydet.cli.main, "
+    assert re.fullmatch(r"[0-9a-f]{64}  cli, 145 calls of polydet.cli.main, "
                         r"exit code, stdout and stderr", lines[7]), lines[7]
 
 
