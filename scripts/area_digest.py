@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Eight SHA-256 digests: det_corpus results of a range of seeds, regint,
+"""Nine SHA-256 digests: det_corpus results of a range of seeds, regint,
 the finite-difference suite, the finite-part and cone kernels, the angle
-terms, the areas of edge inputs and the CLI's output.
+terms, the areas of edge inputs, the CLI's output and the periods.
 
 For every item of ``bench/corpus.det_corpus(seed)`` it runs
 ``detlap.log_det_as`` and feeds ``float.hex()`` of ``area`` into one
@@ -34,7 +34,10 @@ of argv, whatever the seeds: every command in every output form it has
 exponents do not sum to -2, a missing file and a file that is not JSON,
 and the help of the parser and of every subcommand.  It runs in a
 temporary directory with relative file names, so no message carries the
-directory.
+directory.  The ninth, ``periods``, takes ``float.hex()`` of A, B, tau,
+eta and the three theta constants (real and imaginary parts) of
+``elliptic.periods`` on every periods item of
+``bench/corpus.analytic_round(seed, r)``, r = 0, 1, 2, over the seeds.
 Two checkouts that print the same area digest give bit-identical areas
 on every item, the same log-det digest bit-identical determinants, the
 same regint digest bit-identical finite parts and contours, the same
@@ -42,14 +45,15 @@ fd_suite digest bit-identical gradients and finite differences and the
 same kernels digest bit-identical finite parts and cone kernels and
 the same angle_terms digest bit-identical F and dF/dbeta and the same
 edges digest bit-identical edge areas and panel counts and the same cli
-digest byte-identical CLI output and exit codes, so a change that
+digest byte-identical CLI output and exit codes and the same periods
+digest bit-identical periods, tau, eta and theta constants, so a change that
 moves only the angle terms can show that its areas did not move, and one
 that moves regint shows it on a line of its own.  The
 inputs come from ``bench/corpus.py`` of the checkout named by ``--root``,
 loaded by path and only read; the program is imported from that
 checkout's ``src/``.
 
-``--against DIR`` runs the eight digests for ``--root`` and for DIR, each
+``--against DIR`` runs the nine digests for ``--root`` and for DIR, each
 in its own process, and prints each digest line of ``--root`` followed by
 ``same`` or ``moved`` (with DIR's digest); it exits 1 if any moved.
 
@@ -98,7 +102,7 @@ def main():
     spec.loader.exec_module(corpus)
     sys.path.insert(0, str(args.root / "src"))
     import numpy as np
-    from polydet import cone, detlap, make_metric, quad, regint, verify
+    from polydet import cone, detlap, elliptic, make_metric, quad, regint, verify
 
     digests = {"area": hashlib.sha256(), "log_det": hashlib.sha256()}
     count = 0
@@ -156,13 +160,13 @@ def main():
                 except Exception as exc:     # a raising angle is part of the digest too
                     line = type(exc).__name__
                 digest.update(f"{fp.__name__} {split.hex()} {beta.hex()} {line}\n".encode())
-    for name, call, args in _KERNEL_CASES:
-        args = [cone.ConePoint(*a) if isinstance(a, tuple) else a for a in args]
+    for name, call, inputs in _KERNEL_CASES:
+        inputs = [cone.ConePoint(*a) if isinstance(a, tuple) else a for a in inputs]
         try:
-            line = _hex(call(cone, *args))
+            line = _hex(call(cone, *inputs))
         except Exception as exc:     # a raising kernel is part of the digest too
             line = type(exc).__name__
-        digest.update(f"{name} {args} {line}\n".encode())
+        digest.update(f"{name} {inputs} {line}\n".encode())
     print(f"{digest.hexdigest()}  kernels, {len(angles)} angles, {len(_KERNEL_CASES)} cone kernels")
 
     digest = hashlib.sha256()
@@ -209,6 +213,23 @@ def main():
             os.chdir(cwd)
     print(f"{digest.hexdigest()}  cli, {len(_CLI_CASES)} calls of polydet.cli.main, "
           "exit code, stdout and stderr")
+
+    digest = hashlib.sha256()
+    count = 0
+    for seed in args.seeds:
+        for r in range(3):
+            for k, item in enumerate(corpus.analytic_round(seed, r)):
+                if item["kind"] != "periods":
+                    continue
+                try:
+                    data = elliptic.periods(item["points"])
+                    line = " ".join(_hex(x) for x in (data.period_a, data.period_b, data.tau,
+                                                      data.eta, *data.theta_constants))
+                except Exception as exc:     # a raising item is part of the digest too
+                    line = type(exc).__name__
+                digest.update(f"{seed} {r} {k} {line}\n".encode())
+                count += 1
+    print(f"{digest.hexdigest()}  periods, {count} items, rounds 0-2, {seeds}")
 
 
 def compare(args) -> int:

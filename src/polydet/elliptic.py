@@ -27,9 +27,12 @@ equals det'^2 with Area(E) = |Im(A conj B)| = 2 Area(X).
 
 Basis conventions: the a-cycle encircles the first two and the b-cycle
 the middle two of the four branch points sorted by angle around their
-centroid.  Any such pair is a symplectic basis; every identity above is
-covariant under changing it, and the Thomae pairing of theta indices to
-branch-point splittings is resolved by residual matching.
+centroid, or along their line when all four lie within DEGENERATE_TOL
+(relative) of the line through the farthest pair: sorted by angle,
+collinear points leave a chord through a third point.  Any such pair is
+a symplectic basis; every identity above is covariant under changing
+it, and the Thomae pairing of theta indices to branch-point splittings
+is resolved by residual matching.
 """
 
 from __future__ import annotations
@@ -105,8 +108,14 @@ def periods(points: Sequence[complex]) -> EllipticData:
         if abs(pts[i] - pts[j]) < DEGENERATE_TOL * scale or scale == 0.0:
             raise DegenerateQuartic(
                 f"branch points {i} and {j} closer than {DEGENERATE_TOL} relative")
-    cen = sum(pts) / 4.0
-    pts.sort(key=lambda z: math.atan2((z - cen).imag, (z - cen).real))
+    p, q = max(combinations(pts, 2), key=lambda pq: abs(pq[0] - pq[1]))
+    unit = ((q - p) / scale).conjugate()
+    if all(abs(((z - p) * unit).imag) <= DEGENERATE_TOL * scale for z in pts):
+        # on one line: sorted by angle, a chord could run through a third point
+        pts.sort(key=lambda z: ((z - p) * unit).real)
+    else:
+        cen = sum(pts) / 4.0
+        pts.sort(key=lambda z: math.atan2((z - cen).imag, (z - cen).real))
 
     A = 2.0 * _half_period(pts, 0, 1)
     B = 2.0 * _half_period(pts, 1, 2)

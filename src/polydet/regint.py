@@ -92,14 +92,18 @@ its fastest exponential: no bisection from 0.05 pi to 300 pi.  Halving
 ``verify hadamard`` reports.
 
 ``hadamard_coth_over_sinh_sq`` and ``hadamard_coth_coth_over_theta``
-each take one angle, and check it and the split before anything is
-computed.
+each take one angle and check it; each defines its integrand f, its
+tail on [1, inf) and the upper end and rate of its far panels, and hands
+them with its Laurent coefficients to ``_finite_part``, which checks the
+split and sums the near panels, the far panels and the circle.  Both
+checks come before f is evaluated, the angle's first.
 
 Panels
 ------
 ``_panel_integral`` is the one quadrature of this module.  It takes a
 list of panel edges and integrates every panel by the Chebyshev rule of
-the area (``quad._rule`` with weight 1) on PANEL_NODES = 33 points, its
+the area (the points of ``quad._chebyshev`` and the rows of
+``quad._rule`` with weight 1) on PANEL_NODES = 33 points, its
 error estimate the size of the last two Chebyshev coefficients of each
 panel (``quad._panel_sums``), held to one tolerance pair for every
 call, PANEL_ABS_TOL = 1e-14 and PANEL_REL_TOL = 1e-13.  A pass evaluates
@@ -116,7 +120,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Callable, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 import numpy as np
 
@@ -154,18 +158,6 @@ PANEL_REL_TOL = 1e-13   # max(PANEL_ABS_TOL, PANEL_REL_TOL |I|, rounding floor)
 ROUNDING = 4.0 * float(np.finfo(float).eps)
 
 
-@lru_cache(maxsize=4)
-def _panel_rule(n: int):
-    """The n points, the rows and m0 of their rule, and its full weights
-    (rows[0] with the vertex term m0 at the first point), which are
-    positive."""
-    rows, m0 = _rule(n, 0.0)
-    weights = rows[0].copy()
-    weights[0] += m0
-    weights.flags.writeable = False     # cached, shared by callers
-    return _chebyshev(n)[0], rows, m0, weights
-
-
 def _panel_integral(f, edges, cancel: float) -> QuadResult:
     """int f on the panels between consecutive ``edges``, ``cancel`` the
     integral of terms that cancel inside f there.  ``f`` maps the nodes of
@@ -181,7 +173,10 @@ def _panel_integral(f, edges, cancel: float) -> QuadResult:
     MAX_PANEL_SPLITS bisections ToleranceNotReached carries the partial
     result.
     """
-    x, rows, m0, weights = _panel_rule(PANEL_NODES)
+    x = _chebyshev(PANEL_NODES)[0]
+    rows, m0 = _rule(PANEL_NODES, 0.0)
+    weights = rows[0].copy()      # the full weights, m0 at the first point
+    weights[0] += m0
     splits = 0
     while True:
         lo, hi = np.array([edges[:-1], edges[1:]])
@@ -366,33 +361,6 @@ def _circle_rule(split: float):
     return u, u * -np.log1p(-math.sqrt(split) * u.conj()) / half
 
 
-class _Integrand(NamedTuple):
-    """One finite part of the module docstring: the Laurent coefficients
-    (a3, a1) of its integrand f at 0; g(th, beta) for real or complex th,
-    with f = g/th and the tail (g - 1)/th if ``over_theta``, and f = g on
-    all of [0, inf) if not; and the (upper, rate) of the tail panels, rate
-    the tail's fastest decay."""
-
-    coeffs: Callable
-    g: Callable
-    over_theta: bool
-    tail_panels: Callable
-
-
-def _coth_csch2(t, beta):
-    return _coth(PI * t) * _csch2(0.5 * beta * t)
-
-
-def _coth_coth(t, beta):
-    return _coth(PI * t) * _coth(0.5 * beta * t)
-
-
-_COTH_CSCH2 = _Integrand(_coeffs_coth_csch2, _coth_csch2, False,
-                         lambda beta: (max(3.0, 100.0 / beta), beta + TWO_PI))
-_COTH_COTH = _Integrand(_coeffs_coth_coth, _coth_coth, True,
-                        lambda beta: (max(3.0, 90.0 / min(beta, TWO_PI)), max(beta, TWO_PI)))
-
-
 def _near_edges(rho: float):
     """Geometric panels on [rho, 1], each ending at most 4 times as far
     from 0 as it starts; rho^(k/n) as sqrt(rho^(2k/n)), so that n = 2
@@ -412,48 +380,28 @@ def _far_edges(upper: float, rate: float):
     return edges
 
 
-def _finite_part(integrand: _Integrand, beta: float, split: float) -> HadamardResult:
-    """The finite part of ``integrand`` at one angle (module docstring):
-    the regular part on the near panels, the tail on the far ones, then
-    the circle sum.  An invalid angle raises NonpositiveAngle or
-    PolydetError, and so does a split outside (0, SPLIT_RADIUS], before
-    anything is computed."""
-    _check_angle(beta)
+def _finite_part(beta: float, split: float, coeffs, f, tail, far) -> HadamardResult:
+    """The finite part at one angle (module docstring) of the integrand
+    ``f``, real or complex th to values, with Laurent coefficients
+    ``coeffs`` = (a3, a1) at 0: the regular part on the near panels,
+    ``tail`` on the far panels (``far`` their upper end and rate), then the
+    circle sum.  A split outside (0, SPLIT_RADIUS] raises PolydetError
+    before f is evaluated."""
     if not 0.0 < split <= SPLIT_RADIUS:
         raise PolydetError(f"need 0 < split <= {SPLIT_RADIUS}, got {split}")
-    a3, a1 = integrand.coeffs(beta)
+    a3, a1 = coeffs
     radius = min(1.0, TWO_PI / beta)
     rho = split * radius
-
-    def regular(t):
-        vals = integrand.g(t, beta)
-        if integrand.over_theta:
-            vals /= t
-        vals -= a3 / t**3
-        vals -= a1 / t
-        return vals
-
-    def tail(t):
-        vals = integrand.g(t, beta)
-        if integrand.over_theta:
-            vals -= 1.0
-            vals /= t
-        return vals
-
     # the regular part inherits the rounding of the subtracted
     # counterterms, whose integral is its ``cancel``
-    near = _panel_integral(regular, _near_edges(rho),
+    near = _panel_integral(lambda t: f(t) - a3 / t**3 - a1 / t, _near_edges(rho),
                            0.5 * a3 * (rho ** -2 - 1.0) - abs(a1) * math.log(rho))
-    far = _panel_integral(tail, _far_edges(*integrand.tail_panels(beta)), 0.0)
+    far = _panel_integral(tail, _far_edges(*far), 0.0)
 
     # the circle sum, the lower half circle holding the conjugate terms
     u, w = _circle_rule(split)
     r = math.sqrt(split) * radius
-    z = r * u
-    terms = integrand.g(z, beta)
-    if integrand.over_theta:
-        terms /= z
-    terms *= w
+    terms = f(r * u) * w
     truncation = ROUNDING + split ** (CIRCLE_NODES // 2)
     return HadamardResult(
         finite_part=math.fsum([-a3 / 2.0, r * terms.real.sum().item(), near.value, far.value]),
@@ -471,7 +419,13 @@ def hadamard_coth_over_sinh_sq(beta: float, split: float = SPLIT_RADIUS) -> Hada
     elementary antiderivative -coth^2(pi th)/(2 pi) there), which the unit
     tests pin down.  The log counterterm coefficient vanishes at beta = 2pi.
     """
-    return _finite_part(_COTH_CSCH2, beta, split)
+    _check_angle(beta)
+
+    def f(t):
+        return _coth(PI * t) * _csch2(0.5 * beta * t)
+
+    return _finite_part(beta, split, _coeffs_coth_csch2(beta), f, f,
+                        (max(3.0, 100.0 / beta), beta + TWO_PI))
 
 
 def hadamard_coth_coth_over_theta(beta: float, split: float = SPLIT_RADIUS) -> HadamardResult:
@@ -482,4 +436,13 @@ def hadamard_coth_coth_over_theta(beta: float, split: float = SPLIT_RADIUS) -> H
     integral of f - 1/th on [1, inf) with the bound placed where the
     exponential corrections are below 1e-18).
     """
-    return _finite_part(_COTH_COTH, beta, split)
+    _check_angle(beta)
+
+    def f(t):
+        return _coth(PI * t) * _coth(0.5 * beta * t) / t
+
+    def tail(t):
+        return (_coth(PI * t) * _coth(0.5 * beta * t) - 1.0) / t
+
+    return _finite_part(beta, split, _coeffs_coth_coth(beta), f, tail,
+                        (max(3.0, 90.0 / min(beta, TWO_PI)), max(beta, TWO_PI)))

@@ -662,20 +662,25 @@ def test_subnormal_area_is_tolerance_not_reached(command, tmp_path, capsys):
     assert err["error"] == "ToleranceNotReached"
 
 
-def test_verify_tetra_collinear_points_is_validation_error(tmp_path, capsys):
-    # a period chord runs through another of the points: a log of 0 at a
-    # node, reported by the period's finiteness check with no numpy
-    # warning on the way, also under -W error
+def test_verify_tetra_collinear_points_pass(tmp_path, capsys):
+    # four branch points on one line, the pillowcase: sorted along the
+    # line no period chord runs through another point, tau is imaginary
+    # and every check passes, with no numpy warning on the way, also
+    # under -W error
     path = tmp_path / "points.json"
-    path.write_text(json.dumps({"points": [[0, 0], [1, 0], [2, 0], [3, 0]]}))
-    argv = ["verify", "tetra", "--points", str(path)]
-    code, err = _one_error_line(argv, capsys)
-    assert code == 2
-    assert err["error"] == "PolydetError"
-    assert "is not a finite float" in err["message"]
     env = dict(os.environ, PYTHONPATH=str(Path(polydet.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "polydet.cli", *argv], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 2, proc.stderr
-    assert proc.stdout == ""
-    assert json.loads(proc.stderr) == err
+    for points in ([[0, 0], [1, 0], [2, 0], [3, 0]], [[-1, 0], [0, 0], [1, 0], [3, 0]]):
+        path.write_text(json.dumps({"points": points}))
+        argv = ["verify", "tetra", "--points", str(path), "--json"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rep = json.loads(captured.out)
+        assert abs(rep["tau"]["re"]) <= 1e-12 * rep["tau"]["im"]
+        proc = subprocess.run([sys.executable, "-W", "error", "-m", "polydet.cli", *argv],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout) == rep

@@ -85,6 +85,53 @@ def test_branch_point_gap_past_float_range():
         assert type(info.value) is PolydetError
 
 
+def _collinear_quartics(n, offset=0.0, seed=20261020):
+    """n quartics on a random line through a point of [-2, 2]^2, at
+    positions uniform in [-3, 3]; with ``offset``, one point of each moved
+    that far off the line."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        centre = complex(*rng.uniform(-2, 2, 2))
+        direction = cmath.exp(1j * rng.uniform(0, PI))
+        pts = [centre + s * direction for s in rng.uniform(-3, 3, 4)]
+        pts[rng.integers(4)] += offset * rng.choice([-1, 1]) * 1j * direction
+        out.append(pts)
+    return out
+
+
+def _assert_identities(pts, data):
+    # the bounds of ``verify tetra``
+    assert jacobi_residual(data) <= 1e-10, pts
+    assert thomae_check(pts, data) <= 1e-7, pts
+    assert eta_distance_identity(pts, data) <= 1e-7, pts
+
+
+@pytest.mark.parametrize("pts", [[-1, 0, 1, 3]] + [[-1, -1 + g, 1, 1 + g]
+                                                   for g in (1e-6, 1e-4, 1e-2, 0.1, 0.3)])
+def test_collinear_branch_points(pts):
+    # sorted by angle around the centroid, a chord between consecutive
+    # collinear points runs through a third; sorted along the line, tau
+    # is imaginary
+    data = periods(pts)
+    assert abs(data.tau.real) <= 1e-12 * abs(data.tau)
+    _assert_identities(pts, data)
+
+
+def test_seeded_collinear_quartics():
+    for pts in _collinear_quartics(300):
+        data = periods(pts)
+        assert abs(data.tau.real) <= 1e-12 * abs(data.tau), pts
+        _assert_identities(pts, data)
+
+
+@pytest.mark.parametrize("offset", [3e-3, 3e-6, 3e-9, 3e-12, 3e-13, 3e-14, 3e-16])
+def test_seeded_near_collinear_quartics(offset):
+    # off the line tau has a real part of its own; the identities hold
+    for pts in _collinear_quartics(200, offset):
+        _assert_identities(pts, periods(pts))
+
+
 # ---- eta ----
 
 def test_eta_at_i():

@@ -110,6 +110,28 @@ def test_split_outside_its_range_raises(split):
             fp(PI, split=split)
 
 
+def _richardson_derivative(f, beta):
+    """Richardson-extrapolated central difference of f at beta, h = 1e-4 beta."""
+    h = 1e-4 * beta
+
+    def central(h):
+        return (f(beta + h) - f(beta - h)) / (2.0 * h)
+
+    return (4.0 * central(h / 2.0) - central(h)) / 3.0
+
+
+@pytest.mark.parametrize("beta", [0.3 * PI, PI, 2.2 * PI, 7 * PI, 40 * PI])
+def test_coth_coth_derivative_is_minus_half_coth_csch2(beta):
+    # d/dbeta coth(beta th/2)/th = -csch^2(beta th/2)/2, so the finite
+    # parts, each from its own integrand, obey d H_cc/dbeta = -H_cs/2, and
+    # so do their counterterms
+    cs = hadamard_coth_over_sinh_sq(beta)
+    for field in ("finite_part", "subtracted_quadratic", "subtracted_log"):
+        slope = _richardson_derivative(
+            lambda b: getattr(hadamard_coth_coth_over_theta(b), field), beta)
+        assert abs(slope + 0.5 * getattr(cs, field)) <= 1e-10, (field, slope)
+
+
 def test_finite_part_continuity_in_beta():
     beta = PI
     a = hadamard_coth_over_sinh_sq(beta).finite_part
@@ -182,6 +204,19 @@ def test_angle_outside_range_raises(beta):
         with pytest.raises(PolydetError, match="outside") as info:
             f(beta)
         assert type(info.value) is PolydetError
+
+
+@pytest.mark.parametrize("bad, error, match", [(0.0, NonpositiveAngle, None),
+                                               (float("nan"), NonpositiveAngle, None),
+                                               (1e101, PolydetError, "cone angle")])
+@pytest.mark.parametrize("split", [0.0, 0.3])
+def test_angle_is_checked_before_split(bad, error, match, split):
+    # an invalid angle with an invalid split raises the angle's error
+    for fp in (hadamard_coth_over_sinh_sq, hadamard_coth_coth_over_theta):
+        with pytest.raises(error, match=match) as info:
+            fp(bad, split=split)
+        assert type(info.value) is error
+        assert "split" not in str(info.value)
 
 
 def test_contour_pole_bound():
