@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
-"""Nine SHA-256 digests: det_corpus results of a range of seeds, regint,
+"""Ten SHA-256 digests: det_corpus results of a range of seeds, regint,
 the finite-difference suite, the finite-part and cone kernels, the angle
-terms, the areas of edge inputs, the CLI's output and the periods.
+terms, the areas of edge inputs, the CLI's output, the periods and the
+finite differences of edge inputs.
 
 For every item of ``bench/corpus.det_corpus(seed)`` it runs
 ``detlap.log_det_as`` and feeds ``float.hex()`` of ``area`` into one
@@ -38,6 +39,14 @@ directory.  The ninth, ``periods``, takes ``float.hex()`` of A, B, tau,
 eta and the three theta constants (real and imaginary parts) of
 ``elliptic.periods`` on every periods item of
 ``bench/corpus.analytic_round(seed, r)``, r = 0, 1, 2, over the seeds.
+The tenth, ``fd_edges``, takes ``float.hex()`` of the analytic gradient
+and the finite difference (real and imaginary part of a complex one) of
+``verify.gradient_reports``, or the exception's type name and message,
+one channel a call, plain and with Richardson extrapolation, whatever the
+seeds: on metrics whose steps leave the domain, are lost to rounding at
+a vertex far from the origin, at an angle or at a subnormal scale, or
+take a vertex distance past the float range, and on the tetrahedron with
+the gauge vertex, indices out of range and a malformed name.
 Two checkouts that print the same area digest give bit-identical areas
 on every item, the same log-det digest bit-identical determinants, the
 same regint digest bit-identical finite parts and contours, the same
@@ -46,14 +55,15 @@ same kernels digest bit-identical finite parts and cone kernels and
 the same angle_terms digest bit-identical F and dF/dbeta and the same
 edges digest bit-identical edge areas and panel counts and the same cli
 digest byte-identical CLI output and exit codes and the same periods
-digest bit-identical periods, tau, eta and theta constants, so a change that
+digest bit-identical periods, tau, eta and theta constants and the same
+fd_edges digest bit-identical gradients and the same refusals, so a change that
 moves only the angle terms can show that its areas did not move, and one
 that moves regint shows it on a line of its own.  The
 inputs come from ``bench/corpus.py`` of the checkout named by ``--root``,
 loaded by path and only read; the program is imported from that
 checkout's ``src/``.
 
-``--against DIR`` runs the nine digests for ``--root`` and for DIR, each
+``--against DIR`` runs the ten digests for ``--root`` and for DIR, each
 in its own process, and prints each digest line of ``--root`` followed by
 ``same`` or ``moved`` (with DIR's digest); it exits 1 if any moved.
 
@@ -231,6 +241,21 @@ def main():
                 count += 1
     print(f"{digest.hexdigest()}  periods, {count} items, rounds 0-2, {seeds}")
 
+    digest = hashlib.sha256()
+    count = 0
+    for name, scale, verts, channels in _FD_EDGE_CASES:
+        for channel in channels:
+            for richardson in (False, True):
+                try:
+                    (r,) = verify.gradient_reports(make_metric(scale, verts), [channel],
+                                                   verify.FDConfig(richardson=richardson))
+                    line = f"{_hex(r.analytic)} {_hex(r.finite_difference)}"
+                except Exception as exc:     # a refusal is part of the digest too
+                    line = f"{type(exc).__name__}: {exc}"
+                digest.update(f"{name} {channel} {richardson} {line}\n".encode())
+                count += 1
+    print(f"{digest.hexdigest()}  fd_edges, {count} calls, plain and richardson")
+
 
 def compare(args) -> int:
     """Print the digests of ``args.root``, each marked against those of
@@ -284,6 +309,25 @@ _EDGE_CASES = [
 ] + [
     ("cluster", ([(1e-150 * cmath.exp(1.9j), -0.2), (0.0, 0.5), (1e-200 * cmath.exp(0.4j), -0.6)],
                  [(1e10 * cmath.exp(1j * t), -17 / 30) for t in (0.0, 2.1, -2.3)])),
+]
+
+
+# (name, C, vertices, channels) of the fd_edges digest: steps that leave
+# the domain, are lost to rounding, pass a vertex distance past the float
+# range or meet a gradient past it, and names the harness refuses
+_SUBNORMAL = [(0, -0.5), (1, -0.3), (1j, -0.7), (1 + 1j, -0.5)]
+_FD_EDGE_CASES = [
+    ("domain exit", 1.0, [(0, -1.0 + 5e-13), (1, -0.5), (-1, -0.5 - 5e-13)], ["beta:3"]),
+    ("position lost", 1.0, [(2e12, -0.5), (2e12 + 1j, -0.5), (2e12 + 1, -0.5),
+                            (2e12 + 1 + 1j, -0.5)], ["z:1", "C"]),
+    ("angle lost", 1.0, [(0, -1.0 + 2e-12), (1, 3.0)]
+     + [(complex(2 + k, 1), (-4.0 - 2e-12) / 5.0) for k in range(5)], ["beta:2", "z:2"]),
+    *((f"scale {scale!r}", scale, _SUBNORMAL, ["C", "z:2", "beta:3"])
+      for scale in (1e-309, 1e-312, 1e-320)),
+    *((f"far apart {axis!r}", 1.0, [(-a, -0.6), (0, -0.7), (a, -0.7)], ["z:3", "C", "beta:2"])
+      for axis in (1, 1 + 1j) for a in [sys.float_info.max / 2 / abs(axis) * (1 - 2e-5) * axis]),
+    ("tetrahedron", 1.0, [(1, -0.5), (-1, -0.5), (1j, -0.5), (-1j, -0.5)],
+     ["beta:1", "z:0", "z:5", "w:9"]),
 ]
 
 

@@ -203,6 +203,11 @@ def theta_constants(tau: complex) -> Tuple[complex, complex, complex]:
         size2 += 2.0 * abs(t)
         if abs(t) < SERIES_TOL and n > 2:
             break
+    # q^((n + 1/2)^2) takes the principal log of q, i pi tau - 2 pi i k, so
+    # each term is e^(i pi tau (n + 1/2)^2) times i^(-k)
+    k = round((PI * tau.real - cmath.phase(q)) / TWO_PI) % 4
+    if k:
+        th2 *= (1j, -1.0, -1j)[k - 1]
     if 0 in (th2, th3, th4):
         raise PolydetError(f"theta_constants underflows to 0 at tau = {tau}")
     for name, th, size in (("theta_2", th2, size2), ("theta_3", th3, size34),

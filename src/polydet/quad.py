@@ -64,6 +64,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import operator
 import sys
 from functools import lru_cache
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -303,7 +304,7 @@ def _chords(z, bs, u, v, theta_u, theta_v) -> Tuple[np.ndarray, np.ndarray, List
     # (1 + x)^b_p, so its s^b_p column takes h
     owner, a, l = _panels(rho)
     start = [i for i, ai in enumerate(a) if ai == 0.0]
-    flat, ends = _rule(NODES, 0.0), [_rule(NODES, b) for b in bs]
+    flat, ends = _rule(NODES, 0.0), {i: _rule(NODES, bs[i]) for i in set(p)}
     rules = [ends[p[o]] if ai == 0.0 else flat for o, ai in zip(owner, a)]
     h = 0.5 * np.array(l)
     corner = np.array(a)[:, None]
@@ -361,12 +362,27 @@ def segment_integral(zs, bs, u: int, v: int,
     ``theta[k]`` is the branch of arg(z_u - z_k) for k != u and
     ``theta[u]`` that of arg(z_v - z_u), from which every factor is
     continued along the segment; None takes principal values.
-    DuplicateVertex if another point sits on z_u or z_v, and PolydetError
-    if one is nearer to it than the float range allows beside the segment
-    (``_chords``); both name the points 0-based.
+    PolydetError unless u and v are two distinct integer indices, there is
+    one exponent (and branch, if given) per point and both end exponents
+    are above -1, where the integral converges.  DuplicateVertex if
+    another point sits on z_u or z_v, and PolydetError if one is nearer to
+    it than the float range allows beside the segment (``_chords``); both
+    name the points 0-based.
     """
-    z = [complex(c) for c in zs]
-    u, v = int(u), int(v)
+    z, bs = [complex(c) for c in zs], [float(b) for b in bs]
+    try:
+        u, v = operator.index(u), operator.index(v)
+    except TypeError:
+        raise PolydetError(f"point indices must be integers, got {u!r} and {v!r}") from None
+    if not (0 <= u < len(z) and 0 <= v < len(z) and u != v):
+        raise PolydetError(f"need two distinct points of 0..{len(z) - 1}, got {u} and {v}")
+    if len(bs) != len(z) or theta is not None and len(theta) != len(z):
+        raise PolydetError(f"need one exponent (and branch, if given) per point: {len(z)} "
+                           f"points, {len(bs)} exponents")
+    for end in (u, v):
+        if not bs[end] > -1.0:
+            raise PolydetError(f"the integral diverges at point {end}, whose exponent "
+                               f"{bs[end]!r} is not above -1")
     span = math.hypot((z[v] - z[u]).real, (z[v] - z[u]).imag)     # inf past the range
     for end in (u, v):
         for k, zk in enumerate(z):
@@ -384,7 +400,7 @@ def segment_integral(zs, bs, u: int, v: int,
     # 0 at a node), comes out inf or nan; callers check
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         values, errors, panels = _chords(
-            z, [float(b) for b in bs], [u], [v], [theta],
+            z, bs, [u], [v], [theta],
             [_carried(z, u, v, theta)])
     return QuadResult(complex(values[0]), float(errors[0]), panels[0])
 

@@ -32,20 +32,14 @@ The analytic side of a report is the metric's recorded gradient
 (``detlap``): formed once per metric by whichever call asks first, a
 suite after direct gradient calls forms none anew.
 
-No metric is built per step.  ``_Steps`` keeps, once per suite, the
-prefactor, W's sum and the F terms, one per vertex.  A position or angle
-step copies W's pair terms from the metric's record (``metric._Parts``)
-and overwrites those of the pairs it moves (``metric._incident``); every
-step then hands its prefactor, W and F terms to ``detlap._assemble``,
-the one sum of log det', which ``detlap.log_det_over_area`` takes too,
-so a step equals that value bit for bit:
-
-    position step  the M - 1 pairs of the moved vertex: the pair's
-                   coefficient times its new log distance
-    angle step     the 2M - 3 pairs that hold vertex i or 1: the pair's
-                   coefficient from the step's exponents and angles times
-                   its log, and F at the two new angles
-    scale step     the prefactor and every F term
+No metric is built per step.  ``gradient_reports`` forms the prefactor,
+W's sum and the F terms, one per vertex, once and hands them to the
+function of each channel's kind (``_position``, ``_angle``, ``_scale``),
+which forms its analytic gradient, step size and rows of steps; its
+docstring says what a step forms anew.  A step copies the rest from the metric's record (``metric._Parts``) and
+hands its prefactor, W and F terms to ``detlap._assemble``, the one sum
+of log det', which ``detlap.log_det_over_area`` takes too, so a step
+equals that value bit for bit.
 
 Each step first runs the checks ``make_metric`` would run on what it
 changes, from the same helpers: a finite positive scale; a finite moved
@@ -125,146 +119,121 @@ def _derivative(row) -> float:
     return (4.0 * ((f2 - f3) / (t2 - t3)) - d1) / 3.0
 
 
-class _Steps:
-    """log(det/Area) at the finite-difference steps from a metric ``m``,
-    each assembled from m's own parts with only what the step changes
-    formed anew (module docstring).
-
-    ``__init__`` keeps the prefactor, W's sum and the F terms (vertex q's
-    at q) for every channel of a suite and checks that log(det/Area) at m
-    is finite.  Building steps (``position_steps``, ``angle_steps``,
-    ``scale_steps``) runs the checks of ``make_metric`` on what each
-    changes and returns per step its value and the offset it actually
-    takes.
-    """
-
-    def __init__(self, m: PolyhedralMetric):
-        self.m = m
-        parts = self.parts = m._parts
-        self.pre = _prefactor(m.scale)
-        self.w = _w_sum(parts.w_terms)
-        self.f = _f_terms(parts.angles, m.scale)
-        _assemble(self.pre, self.w, self.f)
-
-    def position_steps(self, p: int, offsets) -> list:
-        """Vertex p (0-based) moved by each offset along x, then along y:
-        one row per axis.  The W terms of its M - 1 pairs are formed anew
-        from its distances, checked as ``make_metric`` checks them."""
-        zs, coefficients = self.parts.positions, self.parts.coefficients
-        z0, incident = zs[p], _incident(len(zs))[p]
-        rows = []
-        for axis in (1, 1j):
-            row = []
-            for e in offsets:
-                z = z0 + axis * e
-                if z == z0:
-                    raise PerturbationLeavesDomain(
-                        f"position step {e!r} is lost to rounding at vertex {p + 1}, {z0}")
-                _check_position(z)
-                w_terms = list(self.parts.w_terms)
-                try:
-                    for j, k in incident:
-                        w_terms[k] = coefficients[k] * math.log(abs(z - zs[j]))
-                    w = _w_sum(w_terms)
-                except (OverflowError, ValueError):     # abs past the float range, log(0)
-                    w = math.nan
-                if not math.isfinite(w):    # only a distance 0 or past the float range
-                    stepped = list(zs)
-                    stepped[p] = z
-                    _distances(stepped, _pairs(len(zs)))    # raises, naming the fault
-                taken = (z - z0).real if axis == 1 else (z - z0).imag
-                row.append((_assemble(self.pre, w, self.f), taken))
-            rows.append(row)
-        return rows
-
-    def angle_steps(self, q: int, shifts) -> list:
-        """b_q (0-based q != 0) shifted by each shift and b_1 by minus it:
-        the W terms of the 2M - 3 pairs that hold vertex 1 or q and the two
-        F terms are formed anew.  A pair's coefficient b_k b_l (1/beta_k +
-        1/beta_l) is that of ``metric._coefficients`` to the bit, as * and
-        + commute."""
-        parts = self.parts
-        angles0, logs = parts.angles, parts.logs
-        incident = _incident(len(angles0))
-        inverses = [1.0 / beta for beta in angles0]     # entries 0 and q set per step
-        out = []
-        for db in shifts:
-            bs = list(parts.exponents)
-            bs[q] += db
-            bs[0] -= db
-            _check_gauss_bonnet(bs)
-            beta_0, beta_q = TWO_PI * (bs[0] + 1.0), TWO_PI * (bs[q] + 1.0)
-            if beta_q == angles0[q]:
-                raise PerturbationLeavesDomain(
-                    f"angle step {db * TWO_PI!r} is lost to rounding at vertex {q + 1}, "
-                    f"beta = {angles0[q]!r}")
-            inverses[0], inverses[q] = 1.0 / beta_0, 1.0 / beta_q
-            w_terms = list(parts.w_terms)
-            for k in (0, q):
-                b_k, inv_k = bs[k], inverses[k]
-                for j, p in incident[k]:
-                    w_terms[p] = b_k * bs[j] * (inv_k + inverses[j]) * logs[p]
-            f = list(self.f)
-            f[0], f[q] = _f_terms((beta_0, beta_q), self.m.scale)
-            out.append((_assemble(self.pre, _w_sum(w_terms), f), beta_q - angles0[q]))
-        return out
-
-    def scale_steps(self, offsets) -> list:
-        """C moved by each offset: the prefactor and every F term are formed
-        anew."""
-        scale0 = self.m.scale
-        out = []
-        for e in offsets:
-            scale = scale0 + e
-            if scale == scale0:
-                raise PerturbationLeavesDomain(
-                    f"scale step {e!r} is lost to rounding at C = {scale0!r}")
-            _check_scale(scale)
-            out.append((_assemble(_prefactor(scale), self.w, _f_terms(self.parts.angles, scale)),
-                        scale - scale0))
-        return out
-
-
 def parse_channel(text: str) -> Tuple[str, Optional[int]]:
     """The kind (``z``, ``beta`` or ``C``) and vertex index (None for C)
-    of the channel named ``z:i``, ``beta:i`` or ``C``."""
+    of the channel named ``z:i``, ``beta:i`` or ``C``, i in ASCII digits."""
     if text == "C":
         return "C", None
     kind, _, idx = text.partition(":")
-    if kind in ("z", "beta") and idx.isdecimal():
+    if kind in ("z", "beta") and idx.isascii() and idx.isdecimal():
         return kind, int(idx)
     raise PolydetError(f"bad channel {text!r}; use z:i, beta:i or C")
 
 
-def _channel(steps: _Steps, kind: str, i: Optional[int], richardson: bool):
-    """The channel's name, its analytic gradient, which checks the vertex
-    index and the gauge vertex of an angle, and the rows of steps whose
-    derivatives at 0 make up its finite difference: one for the scale and
-    an angle, x and y for a position."""
-    m = steps.m
-    if kind == "z":
-        analytic = grad_position(m, i)
-        # the vertex's own nearest gap sets its step scale, so a close pair
-        # elsewhere leaves it alone
-        distances = m._pair_distances
-        h = STEP * min([distances[p] for _, p in _incident(m.num_vertices)[i - 1]])
-        return f"z:{i}", analytic, steps.position_steps(i - 1, _steps(h, richardson))
+def _position(m: PolyhedralMetric, base, i: int, richardson: bool):
+    """z:i: ``grad_position``, which checks the index, and two rows of
+    steps, vertex i moved by each offset of ``_steps`` along x, then
+    along y.  Vertex i's own nearest gap sets the step scale, so a close
+    pair elsewhere leaves it alone.  A step forms anew the W terms of the
+    M - 1 pairs of vertex i, the pair's coefficient times its new log
+    distance, checked as ``make_metric`` checks them."""
+    analytic = grad_position(m, i)
+    pre, _, f = base
+    parts, p = m._parts, i - 1
+    zs, coefficients = parts.positions, parts.coefficients
+    z0, incident = zs[p], _incident(len(zs))[p]
+    distances = m._pair_distances
+    offsets = _steps(STEP * min([distances[k] for _, k in incident]), richardson)
+    rows = []
+    for axis in (1, 1j):
+        row = []
+        for e in offsets:
+            z = z0 + axis * e
+            if z == z0:
+                raise PerturbationLeavesDomain(
+                    f"position step {e!r} is lost to rounding at vertex {i}, {z0}")
+            _check_position(z)
+            w_terms = list(parts.w_terms)
+            try:
+                for j, k in incident:
+                    w_terms[k] = coefficients[k] * math.log(abs(z - zs[j]))
+                w = _w_sum(w_terms)
+            except (OverflowError, ValueError):     # abs past the float range, log(0)
+                w = math.nan
+            if not math.isfinite(w):    # only a distance 0 or past the float range
+                stepped = list(zs)
+                stepped[p] = z
+                _distances(stepped, _pairs(len(zs)))    # raises, naming the fault
+            taken = (z - z0).real if axis == 1 else (z - z0).imag
+            row.append((_assemble(pre, w, f), taken))
+        rows.append(row)
+    return analytic, rows
 
-    if kind == "beta":
-        analytic = grad_angle(m, i)
-        angles, bs = steps.parts.angles, steps.parts.exponents
-        # the compensating vertex moves too, so the stiffer (smaller) of
-        # the two angles sets the step scale
-        h = STEP * min(angles[i - 1], angles[0])
-        if min(bs[i - 1], bs[0]) - h / TWO_PI <= -1.0 + 1e-12:
-            raise PerturbationLeavesDomain("angle step pushes an exponent to the b = -1 boundary")
-        return (f"beta:{i}", analytic,
-                [steps.angle_steps(i - 1, [e / TWO_PI for e in _steps(h, richardson)])])
 
-    # the steps first, so a step lost to rounding is named as such: at
-    # that C the analytic gradient is past the float range too
-    rows = [steps.scale_steps(_steps(STEP * m.scale, richardson))]
-    return "C", grad_scale(m), rows
+def _angle(m: PolyhedralMetric, base, i: int, richardson: bool):
+    """beta:i: ``grad_angle``, which checks the index and the gauge vertex,
+    and one row of steps, b_i shifted by each offset of ``_steps`` over
+    2 pi and b_1 by minus that.  The compensating vertex moves too, so
+    the stiffer (smaller) of the two angles sets the step scale.  A step
+    forms anew the W terms of the 2M - 3 pairs that hold vertex i or 1,
+    the pair's coefficient b_k b_l (1/beta_k + 1/beta_l) from the step's
+    exponents and angles (that of ``metric._coefficients`` to the bit, as
+    * and + commute) times its log, and F at the two new angles."""
+    analytic = grad_angle(m, i)
+    pre, _, f0 = base
+    parts, q = m._parts, i - 1
+    angles0, bs0, logs = parts.angles, parts.exponents, parts.logs
+    h = STEP * min(angles0[q], angles0[0])
+    if min(bs0[q], bs0[0]) - h / TWO_PI <= -1.0 + 1e-12:
+        raise PerturbationLeavesDomain("angle step pushes an exponent to the b = -1 boundary")
+    incident = _incident(len(angles0))
+    inverses = [1.0 / beta for beta in angles0]     # entries 0 and q set per step
+    row = []
+    for e in _steps(h, richardson):
+        db = e / TWO_PI
+        bs = list(bs0)
+        bs[q] += db
+        bs[0] -= db
+        _check_gauss_bonnet(bs)
+        beta_0, beta_q = TWO_PI * (bs[0] + 1.0), TWO_PI * (bs[q] + 1.0)
+        if beta_q == angles0[q]:
+            raise PerturbationLeavesDomain(
+                f"angle step {db * TWO_PI!r} is lost to rounding at vertex {i}, "
+                f"beta = {angles0[q]!r}")
+        inverses[0], inverses[q] = 1.0 / beta_0, 1.0 / beta_q
+        w_terms = list(parts.w_terms)
+        for k in (0, q):
+            b_k, inv_k = bs[k], inverses[k]
+            for j, p in incident[k]:
+                w_terms[p] = b_k * bs[j] * (inv_k + inverses[j]) * logs[p]
+        f = list(f0)
+        f[0], f[q] = _f_terms((beta_0, beta_q), m.scale)
+        row.append((_assemble(pre, _w_sum(w_terms), f), beta_q - angles0[q]))
+    return analytic, [row]
+
+
+def _scale(m: PolyhedralMetric, base, i: None, richardson: bool):
+    """C: one row of steps, C moved by each offset of ``_steps`` (h =
+    STEP * C), then ``grad_scale``.  The steps come first, so a step lost
+    to rounding is named as such: at that C the analytic gradient is past
+    the float range too.  A step forms anew the prefactor and every F
+    term."""
+    _, w, _ = base
+    scale0, angles = m.scale, m._parts.angles
+    row = []
+    for e in _steps(STEP * scale0, richardson):
+        scale = scale0 + e
+        if scale == scale0:
+            raise PerturbationLeavesDomain(
+                f"scale step {e!r} is lost to rounding at C = {scale0!r}")
+        _check_scale(scale)
+        row.append((_assemble(_prefactor(scale), w, _f_terms(angles, scale)), scale - scale0))
+    return grad_scale(m), [row]
+
+
+# a channel kind's function: (m, base terms, i, richardson) -> (analytic
+# gradient, rows of (log(det/Area) at a step, offset taken))
+_CHANNELS = {"z": _position, "beta": _angle, "C": _scale}
 
 
 def gradient_reports(m: PolyhedralMetric, channels,
@@ -276,10 +245,13 @@ def gradient_reports(m: PolyhedralMetric, channels,
     for a malformed name, before anything is computed, and if a gradient
     or its difference is not a finite float."""
     parsed = [parse_channel(name) for name in channels]
-    steps = _Steps(m)
+    parts = m._parts
+    base = (_prefactor(m.scale), _w_sum(parts.w_terms), _f_terms(parts.angles, m.scale))
+    _assemble(*base)
     reports = []
     for kind, i in parsed:
-        name, analytic, rows = _channel(steps, kind, i, fdcfg.richardson)
+        name = kind if i is None else f"{kind}:{i}"
+        analytic, rows = _CHANNELS[kind](m, base, i, fdcfg.richardson)
         d = list(map(_derivative, rows))
         fd = 0.5 * complex(d[0], -d[1]) if len(d) == 2 else d[0]
         if not (cmath.isfinite(analytic) and cmath.isfinite(fd)):

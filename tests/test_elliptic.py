@@ -184,6 +184,17 @@ def test_theta_4_is_returned_where_its_rounding_is_small():
     assert th4.real == pytest.approx(10 ** 0.5 * theta_constants(10j)[0].real, rel=1e-12)
 
 
+@pytest.mark.parametrize("tau", [1.2 + 0.5j, 2 + 0.3j, -1.5 + 0.8j, 3.7 + 0.9j, 0.3 + 0.8j])
+def test_theta_2_past_the_central_strip(tau):
+    # q^((n + 1/2)^2) takes the principal log of q, which drops k whole
+    # turns of i pi tau past |Re tau| = 1: unmended, every term of theta_2
+    # is off by i^(-k), and the Jacobi residual reads sqrt 2 or 2
+    th2, th3, th4 = theta_constants(tau)
+    two_eta3 = 2 * dedekind_eta(tau) ** 3
+    assert abs(th2 * th3 * th4 - two_eta3) <= 1e-14 * abs(two_eta3)
+    assert abs(theta_constants(tau + 2)[0] - 1j * th2) <= 1e-14 * abs(th2)
+
+
 @pytest.mark.parametrize("series, tau, name", [
     # the reduced tau = 1e5 i: q^(1/24) = e^(-pi 1e5/12) underflows
     (dedekind_eta, 1e-5j, "dedekind_eta"),

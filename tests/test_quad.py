@@ -417,13 +417,15 @@ def test_chords_same_bits_alone_or_together(monkeypatch):
 
 
 def _seeded_metrics(seed):
-    """One metric of each size M = 3 ... 10: exponents of sum -2, vertices
-    in [-1.5, 1.5]^2 at least 0.2 apart."""
+    """One metric of each size M = 3 ... 10: exponents above -1 of sum -2,
+    vertices in [-1.5, 1.5]^2 at least 0.2 apart."""
     rng = np.random.default_rng(seed)
     for m in range(3, 11):
-        weights = rng.uniform(0.3, 1.0, m)
-        bs = [-2.0 * w / weights.sum() for w in weights[:-1]]
-        bs.append(-2.0 - math.fsum(bs))
+        bs = [-1.0]
+        while min(bs) <= -1.0:      # a weight above the others' sum gives b < -1
+            weights = rng.uniform(0.3, 1.0, m)
+            bs = [-2.0 * w / weights.sum() for w in weights[:-1]]
+            bs.append(-2.0 - math.fsum(bs))
         zs = []
         while len(zs) < m:
             z = complex(*rng.uniform(-1.5, 1.5, 2))
@@ -663,6 +665,40 @@ def test_segment_integral_names_a_too_near_point_0_based(zs, pair):
             f"^points {pair} \\(0-based\\) are 1e-320 apart, closer than the float range "
             "allows beside the segment from point 0 to point 1, 1 long$")):
         segment_integral(zs, [-0.5] * 4, 0, 1)
+
+
+@pytest.mark.parametrize("bs, u, v, theta, why", [
+    ([-0.5] * 3, 0, 0, None, "^need two distinct points of 0..2, got 0 and 0$"),
+    ([-0.5] * 3, 0.9, 1.7, None, "^point indices must be integers, got 0.9 and 1.7$"),
+    ([-0.5] * 3, 0, 3, None, "^need two distinct points of 0..2, got 0 and 3$"),
+    ([-0.5] * 3, -1, 2, None, "^need two distinct points of 0..2, got -1 and 2$"),
+    ([-0.5] * 2, 0, 2, None, "^need one exponent .* per point: 3 points, 2 exponents$"),
+    ([-0.5] * 3, 0, 1, [0.0, 0.0], "^need one exponent .* per point: 3 points, 3 exponents$"),
+    ([-1.0, -0.5, -0.5], 0, 1, None, "^the integral diverges at point 0, whose exponent -1.0 "),
+    ([-0.5, -1.0, -0.5], 0, 1, None, "^the integral diverges at point 1, whose exponent -1.0 "),
+    ([-1.5, -0.5, 0.0], 0, 1, None, "^the integral diverges at point 0, whose exponent -1.5 "),
+], ids=["same-ends", "fractional", "past-the-end", "negative", "few-exponents", "few-branches",
+        "pole-at-u", "pole-at-v", "below-minus-one"])
+def test_segment_integral_refuses_what_it_cannot_integrate(bs, u, v, theta, why):
+    # the same ends, a fractional or out-of-range index, too few exponents
+    # or branches and an end exponent at or below -1 (a divergent
+    # integral) are refused by name: not a nan, a truncated or wrapped
+    # index, an IndexError, a ZeroDivisionError or a finite wrong value
+    with pytest.raises(PolydetError, match=why) as info:
+        segment_integral([0, 1, 2j], bs, u, v, theta)
+    assert type(info.value) is PolydetError
+
+
+def test_segment_integral_takes_a_pole_off_the_segment():
+    # only a point that ends the segment takes a product-integration rule,
+    # so b = -1 at a point off it is integrated: z^(-1/2) (z - 1)^(-1/2) /
+    # (z - 2i) from 0 to 1, arg(z - 1) = pi along the segment
+    chord = segment_integral([0, 1, 2j], [-0.5, -0.5, -1.0], 0, 1)
+    with mpmath.workdps(30):
+        exact = complex(mpmath.quad(lambda t: t ** -0.5 * (1 - t) ** -0.5 * -1j / (t - 2j),
+                                    [0, 1]))
+    assert abs(chord.value - exact) <= 2e-15 * abs(exact)
+    assert chord.error_estimate <= 1e-15 * abs(exact)
 
 
 _SQUARE = [(0, -0.5), (1, -0.5), (1 + 1j, -0.5), (1j, -0.5)]

@@ -13,7 +13,7 @@ def test_area_digest_one_seed():
         capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 9
+    assert len(lines) == 10
     for line, name in zip(lines, ("area", "log_det")):
         assert re.fullmatch(rf"[0-9a-f]{{64}}  {name}, 40 items, seeds 1-1", line), line
     assert re.fullmatch(r"[0-9a-f]{64}  regint, 200 angles, 0.1pi-20pi", lines[2]), lines[2]
@@ -27,6 +27,8 @@ def test_area_digest_one_seed():
                         r"exit code, stdout and stderr", lines[7]), lines[7]
     assert re.fullmatch(r"[0-9a-f]{64}  periods, 6 items, rounds 0-2, seeds 1-1",
                         lines[8]), lines[8]
+    assert re.fullmatch(r"[0-9a-f]{64}  fd_edges, 48 calls, plain and richardson",
+                        lines[9]), lines[9]
 
 
 def test_area_digest_against_itself():
@@ -36,7 +38,7 @@ def test_area_digest_against_itself():
          "--against", str(ROOT)], capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert len(lines) == 9
+    assert len(lines) == 10
     assert all(re.fullmatch(r"[0-9a-f]{64}  .+  same", line) for line in lines), lines
 
 

@@ -91,7 +91,8 @@ def test_fd_gradient_of_a_name_is_its_suite_row(corpus5):
     assert repr(fd_gradient(corpus5, "z:1")) == repr(row.finite_difference)
 
 
-@pytest.mark.parametrize("channel", ["w:9", "z:", "z:-1", "beta:1.5", " C", "z:\u00b2"])
+@pytest.mark.parametrize("channel", ["w:9", "z:", "z:-1", "beta:1.5", " C", "z:\u00b2",
+                                     "z:\u0663", "z:\uff13", "beta:\u0661"])
 def test_malformed_name_is_refused_first(tetra, channel, monkeypatch):
     # a malformed name is a PolydetError, never a TypeError or ValueError,
     # and it is refused before any step is built
@@ -99,7 +100,8 @@ def test_malformed_name_is_refused_first(tetra, channel, monkeypatch):
                  lambda: verify.gradient_reports(tetra, [channel]),
                  lambda: verify.gradient_reports(tetra, ["z:1", channel])):
         with monkeypatch.context() as patch:
-            patch.setattr(verify, "_Steps", None)
+            patch.setattr(verify, "_assemble", None)
+            patch.setattr(verify, "_CHANNELS", None)
             with pytest.raises(PolydetError, match="bad channel") as info:
                 call()
         assert type(info.value) is PolydetError
@@ -250,9 +252,12 @@ def test_steps_match_whole_metrics(name, richardson, request):
     n = m.num_vertices
     channels = ([f"z:{i}" for i in range(1, n + 1)]
                 + [f"beta:{i}" for i in range(2, n + 1)] + ["C"])
-    steps = verify._Steps(m)
+    parts = m._parts
+    base = (detlap._prefactor(m.scale), detlap._w_sum(parts.w_terms),
+            detlap._f_terms(parts.angles, m.scale))
     for channel in channels:
-        _, _, rows = verify._channel(steps, *verify.parse_channel(channel), richardson)
+        kind, i = verify.parse_channel(channel)
+        _, rows = verify._CHANNELS[kind](m, base, i, richardson)
         ref_rows = _parent_rows(m, channel, richardson)
         assert len(rows) == len(ref_rows)
         for row, (coordinate, ref_row) in zip(rows, ref_rows):
