@@ -1,70 +1,22 @@
 #!/usr/bin/env python3
-"""Ten SHA-256 digests: det_corpus results of a range of seeds, regint,
-the finite-difference suite, the finite-part and cone kernels, the angle
-terms, the areas of edge inputs, the CLI's output, the periods and the
-finite differences of edge inputs.
+"""SHA-256 digests of this checkout's results, for bit-identity checks
+between two checkouts.
 
-For every item of ``bench/corpus.det_corpus(seed)`` it runs
-``detlap.log_det_as`` and feeds ``float.hex()`` of ``area`` into one
-digest and of ``log_det`` into the other (a raising item feeds the
-exception's type name into both).  The third digest takes ``float.hex()``
-of both Hadamard finite parts and of ``q_of_beta_contour`` at the angles
-0.1 pi, 0.2 pi, ..., 20 pi, whatever the seeds.  The fourth, ``fd_suite``,
-takes ``float.hex()`` of every analytic and finite-difference value (real
-and imaginary part of a complex one) of ``verify.run_suite`` on the
-metric of every det_corpus item, plain and with Richardson extrapolation.
-The fifth, ``kernels``, takes ``float.hex()`` of the value and error
-estimate of both finite parts at 1e-50, 1e50 and 61 angles geometric from
-1e-3 to 1e3, at the default split and half of it, and of the cone heat
-kernel, resolvent (real and complex mu), ``a_mu`` and
-``a_mu_disk_integral`` at fixed inputs, some of whose contour panels are
-bisected.  The sixth, ``angle_terms``, takes
-``float.hex()`` of F(beta, C) and dF/dbeta (``detlap.f_function`` and
-``f_function_dbeta``) at 1e-100, 1e-50, 1e50, 1e100 and 61 angles
-geometric from 1e-3 to 1e3, at C = 1 and C = 3.  The seventh, ``edges``,
-takes ``float.hex()`` of the value and error estimate and the panel count
-of ``quad.area`` (or the exception's type name) on inputs at the edges,
-whatever the seeds: C = 1 with a pair g apart (b = 0.5 and -0.6) among
-vertices R, iR and -R (b = -0.3, -0.8, -0.8), for g = 1e-30, 1e-50,
-1e-100, 1e-298 and R = 1, 1e3, 1e10, and a cluster of three vertices
-within 1e-150 among three 1e10 away, each with the close vertices listed
-first and last.  The eighth, ``cli``, takes the exit code, stdout and
-stderr of ``polydet.cli.main``, run in this process, over a fixed list
-of argv, whatever the seeds: every command in every output form it has
-(human, ``--json``, ``--csv``), on a valid input file, a metric whose
-exponents do not sum to -2, a missing file and a file that is not JSON,
-and the help of the parser and of every subcommand.  It runs in a
-temporary directory with relative file names, so no message carries the
-directory.  The ninth, ``periods``, takes ``float.hex()`` of A, B, tau,
-eta and the three theta constants (real and imaginary parts) of
-``elliptic.periods`` on every periods item of
-``bench/corpus.analytic_round(seed, r)``, r = 0, 1, 2, over the seeds.
-The tenth, ``fd_edges``, takes ``float.hex()`` of the analytic gradient
-and the finite difference (real and imaginary part of a complex one) of
-``verify.gradient_reports``, or the exception's type name and message,
-one channel a call, plain and with Richardson extrapolation, whatever the
-seeds: on metrics whose steps leave the domain, are lost to rounding at
-a vertex far from the origin, at an angle or at a subnormal scale, or
-take a vertex distance past the float range, and on the tetrahedron with
-the gauge vertex, indices out of range and a malformed name.
-Two checkouts that print the same area digest give bit-identical areas
-on every item, the same log-det digest bit-identical determinants, the
-same regint digest bit-identical finite parts and contours, the same
-fd_suite digest bit-identical gradients and finite differences and the
-same kernels digest bit-identical finite parts and cone kernels and
-the same angle_terms digest bit-identical F and dF/dbeta and the same
-edges digest bit-identical edge areas and panel counts and the same cli
-digest byte-identical CLI output and exit codes and the same periods
-digest bit-identical periods, tau, eta and theta constants and the same
-fd_edges digest bit-identical gradients and the same refusals, so a change that
-moves only the angle terms can show that its areas did not move, and one
-that moves regint shows it on a line of its own.  The
-inputs come from ``bench/corpus.py`` of the checkout named by ``--root``,
+``DIGESTS`` lists every digest, by name, with the function that feeds it;
+the script prints one line per name, in that order: the hex digest, the
+name and what it covers.  Each function's docstring says what it hashes:
+``float.hex()`` of every value (both parts of a complex one), and the
+type name of any exception, which is part of the digest too.  Two
+checkouts that print the same line for a digest give bit-identical
+values (byte-identical output for ``cli``) on its inputs, so a change
+that moves only the angle terms can show that its areas did not move,
+and one that moves regint shows it on a line of its own.  The inputs
+come from ``bench/corpus.py`` of the checkout named by ``--root``,
 loaded by path and only read; the program is imported from that
 checkout's ``src/``.
 
-``--against DIR`` runs the ten digests for ``--root`` and for DIR, each
-in its own process, and prints each digest line of ``--root`` followed by
+``--against DIR`` runs the digests for ``--root`` and for DIR, each in its
+own process, and prints each digest line of ``--root`` followed by
 ``same`` or ``moved`` (with DIR's digest); it exits 1 if any moved.
 
 Usage: python scripts/area_digest.py [--seeds 1-30] [--root DIR] [--against DIR]
@@ -84,11 +36,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-# one BLAS thread, as in the benchmark's workers
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
-os.environ["COLUMNS"] = "80"     # argparse wraps its help to the terminal's width
-
 
 def seed_range(text: str) -> range:
     lo, _, hi = text.partition("-")
@@ -96,6 +43,10 @@ def seed_range(text: str) -> range:
 
 
 def main():
+    # one BLAS thread, as in the benchmark's workers
+    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(var, "1")
+    os.environ["COLUMNS"] = "80"     # argparse wraps its help to the terminal's width
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=seed_range, default=seed_range("1-30"))
     ap.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1],
@@ -111,12 +62,24 @@ def main():
     corpus = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
     sys.path.insert(0, str(args.root / "src"))
-    import numpy as np
-    from polydet import cone, detlap, elliptic, make_metric, quad, regint, verify
+    for names, feed in DIGESTS:
+        for name, (digest, summary) in zip(names, feed(corpus, args.seeds)):
+            print(f"{digest.hexdigest()}  {name}, {summary}")
+
+
+def _seeds(seeds: range) -> str:
+    return f"seeds {seeds.start}-{seeds.stop - 1}"
+
+
+def det_corpus(corpus, seeds):
+    """``area`` and ``log_det``: for every item of
+    ``bench/corpus.det_corpus(seed)``, ``detlap.log_det_as`` feeds its
+    ``area`` into one digest and its ``log_det`` into the other."""
+    from polydet import detlap, make_metric
 
     digests = {"area": hashlib.sha256(), "log_det": hashlib.sha256()}
     count = 0
-    for seed in args.seeds:
+    for seed in seeds:
         for item in corpus.det_corpus(seed):
             metric = item["metric"]
             try:
@@ -127,9 +90,13 @@ def main():
             for name, digest in digests.items():
                 digest.update(f"{seed} {item['id']} {lines[name]}\n".encode())
             count += 1
-    seeds = f"seeds {args.seeds.start}-{args.seeds.stop - 1}"
-    for name, digest in digests.items():
-        print(f"{digest.hexdigest()}  {name}, {count} items, {seeds}")
+    return [(digest, f"{count} items, {_seeds(seeds)}") for digest in digests.values()]
+
+
+def regint_angles(corpus, seeds):
+    """``regint``: both Hadamard finite parts and ``q_of_beta_contour`` at
+    the angles 0.1 pi, 0.2 pi, ..., 20 pi, whatever the seeds."""
+    from polydet import regint
 
     digest = hashlib.sha256()
     angles = [k * math.pi / 10.0 for k in range(1, 201)]
@@ -142,10 +109,18 @@ def main():
         except Exception as exc:     # a raising angle is part of the digest too
             line = type(exc).__name__
         digest.update(f"{beta.hex()} {line}\n".encode())
-    print(f"{digest.hexdigest()}  regint, {len(angles)} angles, 0.1pi-20pi")
+    return [(digest, f"{len(angles)} angles, 0.1pi-20pi")]
+
+
+def fd_suite(corpus, seeds):
+    """``fd_suite``: every analytic and finite-difference value of
+    ``verify.run_suite`` on the metric of every det_corpus item, plain and
+    with Richardson extrapolation."""
+    from polydet import make_metric, verify
 
     digest = hashlib.sha256()
-    for seed in args.seeds:
+    count = 0
+    for seed in seeds:
         for item in corpus.det_corpus(seed):
             metric = item["metric"]
             for richardson in (False, True):
@@ -157,7 +132,18 @@ def main():
                 except Exception as exc:     # a raising suite is part of the digest too
                     line = type(exc).__name__
                 digest.update(f"{seed} {item['id']} {richardson} {line}\n".encode())
-    print(f"{digest.hexdigest()}  fd_suite, {count} items, plain and richardson, {seeds}")
+            count += 1
+    return [(digest, f"{count} items, plain and richardson, {_seeds(seeds)}")]
+
+
+def kernels(corpus, seeds):
+    """``kernels``: the value and error estimate of both finite parts at
+    1e-50, 1e50 and 61 angles geometric from 1e-3 to 1e3, at the default
+    split and half of it, and the cone heat kernel, resolvent (real and
+    complex mu), ``a_mu`` and ``a_mu_disk_integral`` at the fixed inputs of
+    ``_KERNEL_CASES``, some of whose contour panels are bisected."""
+    import numpy as np
+    from polydet import cone, regint
 
     digest = hashlib.sha256()
     angles = [1e-50, *np.geomspace(1e-3, 1e3, 61).tolist(), 1e50]
@@ -177,7 +163,15 @@ def main():
         except Exception as exc:     # a raising kernel is part of the digest too
             line = type(exc).__name__
         digest.update(f"{name} {inputs} {line}\n".encode())
-    print(f"{digest.hexdigest()}  kernels, {len(angles)} angles, {len(_KERNEL_CASES)} cone kernels")
+    return [(digest, f"{len(angles)} angles, {len(_KERNEL_CASES)} cone kernels")]
+
+
+def angle_terms(corpus, seeds):
+    """``angle_terms``: F(beta, C) and dF/dbeta (``detlap.f_function`` and
+    ``f_function_dbeta``) at 1e-100, 1e-50, 1e50, 1e100 and 61 angles
+    geometric from 1e-3 to 1e3, at C = 1 and C = 3."""
+    import numpy as np
+    from polydet import detlap
 
     digest = hashlib.sha256()
     angles = [1e-100, 1e-50, 1e50, 1e100, *np.geomspace(1e-3, 1e3, 61).tolist()]
@@ -189,7 +183,14 @@ def main():
             except Exception as exc:     # a raising angle is part of the digest too
                 line = type(exc).__name__
             digest.update(f"{scale.hex()} {beta.hex()} {line}\n".encode())
-    print(f"{digest.hexdigest()}  angle_terms, {len(angles)} angles, C = 1 and 3")
+    return [(digest, f"{len(angles)} angles, C = 1 and 3")]
+
+
+def edges(corpus, seeds):
+    """``edges``: the value, error estimate and panel count of ``quad.area``
+    on the inputs of ``_EDGE_CASES``, whatever the seeds, each with the
+    close vertices listed first and last."""
+    from polydet import make_metric, quad
 
     digest = hashlib.sha256()
     for name, (close, far) in _EDGE_CASES:
@@ -200,10 +201,17 @@ def main():
             except Exception as exc:     # a raising input is part of the digest too
                 line = type(exc).__name__
             digest.update(f"{name} {last} {line}\n".encode())
-    print(f"{digest.hexdigest()}  edges, {2 * len(_EDGE_CASES)} areas, "
-          "close vertices among far ones, listed first and last")
+    return [(digest, f"{2 * len(_EDGE_CASES)} areas, close vertices among far ones, "
+                     "listed first and last")]
 
+
+def cli(corpus, seeds):
+    """``cli``: the exit code, stdout and stderr of ``polydet.cli.main``,
+    run in this process, over the argv of ``_CLI_CASES``, whatever the
+    seeds.  It runs in a temporary directory with relative file names, so
+    no message carries the directory."""
     from polydet import cli
+
     digest = hashlib.sha256()
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
@@ -221,12 +229,19 @@ def main():
                 digest.update(f"{argv} {code} {out.getvalue()!r} {err.getvalue()!r}\n".encode())
         finally:
             os.chdir(cwd)
-    print(f"{digest.hexdigest()}  cli, {len(_CLI_CASES)} calls of polydet.cli.main, "
-          "exit code, stdout and stderr")
+    return [(digest, f"{len(_CLI_CASES)} calls of polydet.cli.main, "
+                     "exit code, stdout and stderr")]
+
+
+def periods(corpus, seeds):
+    """``periods``: A, B, tau, eta and the three theta constants of
+    ``elliptic.periods`` on every periods item of
+    ``bench/corpus.analytic_round(seed, r)``, r = 0, 1, 2."""
+    from polydet import elliptic
 
     digest = hashlib.sha256()
     count = 0
-    for seed in args.seeds:
+    for seed in seeds:
         for r in range(3):
             for k, item in enumerate(corpus.analytic_round(seed, r)):
                 if item["kind"] != "periods":
@@ -239,7 +254,15 @@ def main():
                     line = type(exc).__name__
                 digest.update(f"{seed} {r} {k} {line}\n".encode())
                 count += 1
-    print(f"{digest.hexdigest()}  periods, {count} items, rounds 0-2, {seeds}")
+    return [(digest, f"{count} items, rounds 0-2, {_seeds(seeds)}")]
+
+
+def fd_edges(corpus, seeds):
+    """``fd_edges``: the analytic gradient and the finite difference of
+    ``verify.gradient_reports``, or the exception's type name and message,
+    one channel a call, plain and with Richardson extrapolation, on the
+    cases of ``_FD_EDGE_CASES``, whatever the seeds."""
+    from polydet import make_metric, verify
 
     digest = hashlib.sha256()
     count = 0
@@ -254,7 +277,22 @@ def main():
                     line = f"{type(exc).__name__}: {exc}"
                 digest.update(f"{name} {channel} {richardson} {line}\n".encode())
                 count += 1
-    print(f"{digest.hexdigest()}  fd_edges, {count} calls, plain and richardson")
+    return [(digest, f"{count} calls, plain and richardson")]
+
+
+# every digest, in the order printed: its names and the function that
+# feeds them, which returns one (digest, summary) pair per name
+DIGESTS = [
+    (("area", "log_det"), det_corpus),
+    (("regint",), regint_angles),
+    (("fd_suite",), fd_suite),
+    (("kernels",), kernels),
+    (("angle_terms",), angle_terms),
+    (("edges",), edges),
+    (("cli",), cli),
+    (("periods",), periods),
+    (("fd_edges",), fd_edges),
+]
 
 
 def compare(args) -> int:

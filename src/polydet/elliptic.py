@@ -10,8 +10,9 @@ This module computes the periods A, B of omega over an (a, b) cycle pair
 (twice the integrals of omega between two branch points, from
 ``quad.segment_integral`` with all exponents -1/2: the same Chebyshev
 product-integration panels that give the area), the modulus tau = B/A,
-Dedekind eta and the theta constants by q-series, and checks the
-classical identity chain:
+Dedekind eta and the theta constants by short q-series at tau moved
+into the fundamental domain (``_reduce``), and checks the classical
+identity chain:
 
     Jacobi:        2 pi eta^3 = pi theta_2 theta_3 theta_4
     Thomae:        theta_k^8 = (2 pi)^-4 A^4 (z_j1 - z_j2)^2 (z_j3 - z_j4)^2
@@ -50,9 +51,8 @@ from .quad import area, segment_integral
 PI = math.pi
 TWO_PI = 2.0 * math.pi
 
-SERIES_TOL = 1e-18
 DEGENERATE_TOL = 1e-8       # relative branch-point gap and |Im tau| floor
-PERIOD_REL_TOL = 1e-12      # relative error estimate demanded of a period
+PERIOD_REL_TOL = 1e-12      # relative error demanded of a period and of eta, theta
 BRANCH_EXPONENTS = (-0.5, -0.5, -0.5, -0.5)
 
 
@@ -133,89 +133,75 @@ def periods(points: Sequence[complex]) -> EllipticData:
 # eta and theta constants
 # --------------------------------------------------------------------------
 
-def dedekind_eta(tau: complex) -> complex:
-    """eta(tau) = q^(1/24) prod (1 - q^n), q = e^(2 pi i tau), after
-    reducing tau into the fundamental domain with the multiplier system
-    eta(tau+1) = e^(i pi/12) eta(tau), eta(-1/tau) = sqrt(-i tau) eta(tau).
-    PolydetError unless Im tau > 0 and the product converges, and where
-    eta, which has no zeros, underflows to 0."""
+def _reduce(tau: complex):
+    """tau moved to |Re tau| <= 1/2, Im tau >= 0.86 (the fundamental domain
+    has Im tau >= sqrt(3)/2), and the moves: per step the whole shift n of
+    tau -> tau - n, exact in floats, and sqrt(-i t) of the t at which
+    t -> -1/t follows (None after the last shift).  Each inversion at t
+    multiplies the carried bound on the rounding error of tau by 1/|t|^2
+    and adds epsilon |-1/t|, its own.  PolydetError unless tau is finite
+    with Im tau > 0, and once twice that bound exceeds PERIOD_REL_TOL."""
     tau = given = complex(tau)
-    if tau.imag <= 0.0:
-        raise PolydetError(f"need Im tau > 0, got {tau}")
-    mult = 1.0 + 0.0j
-    for _ in range(200):
+    if not (cmath.isfinite(tau) and tau.imag > 0.0):
+        raise PolydetError(f"need Im tau > 0 and a finite tau, got {tau}")
+    moves, bound = [], 0.0
+    while True:
         n = round(tau.real)
-        if n != 0:
-            tau -= n
-            mult *= cmath.exp(1j * PI * n / 12.0)
-        if abs(tau) < 1.0 - 1e-15:
-            # eta(tau) = eta(-1/tau)/sqrt(-i tau)
-            mult /= cmath.sqrt(-1j * tau)
-            tau = -1.0 / tau
-        else:
-            break
-    q = cmath.exp(2j * PI * tau)
-    prod = 1.0 + 0.0j
-    qn = 1.0 + 0.0j
-    for _ in range(1, 400):
-        qn *= q
-        prod *= 1.0 - qn
-        if abs(qn) < SERIES_TOL:
-            break
-    else:
-        raise PolydetError(f"eta product has not converged in 400 factors at reduced tau = {tau}")
-    eta = mult * cmath.exp(1j * PI * tau / 12.0) * prod
-    if eta == 0:
-        raise PolydetError(f"dedekind_eta underflows to 0 at tau = {given}")
+        tau -= n
+        if tau.imag >= 0.86:      # else |tau|^2 < 0.99, and -1/tau is higher
+            return tau, moves + [(n, None)]
+        moves.append((n, cmath.sqrt(-1j * tau)))
+        bound = bound / abs(tau) / abs(tau)     # |tau|^2 underflows near 0
+        tau = -1.0 / tau
+        bound += sys.float_info.epsilon * abs(tau)
+        if not 2.0 * bound <= PERIOD_REL_TOL:
+            raise PolydetError(f"tau = {given} is too near the real axis: after "
+                               f"{len(moves)} inversions its rounding exceeds PERIOD_REL_TOL")
+
+
+def _exp_i_pi(x: float, tau: complex) -> complex:
+    """e^(i pi x tau), 0 where it underflows (Im tau up to the float maximum)."""
+    return cmath.exp(complex(-PI * x * tau.imag, PI * x * tau.real))
+
+
+def dedekind_eta(tau: complex) -> complex:
+    """eta(tau) = q^(1/24) prod (1 - q^n), q = e^(2 pi i tau): by Euler's
+    pentagonal theorem sum +-e^(i pi tau n^2/12), n = 1, 5, 7, 11, 13 (n = 17
+    is below 1e-28), at tau reduced by ``_reduce``, mapped back by
+    eta(tau + 1) = e^(i pi/12) eta(tau), eta(-1/tau) = sqrt(-i tau) eta(tau).
+    PolydetError where ``_reduce`` refuses tau and where eta, which has no
+    zeros, is subnormal or 0."""
+    reduced, moves = _reduce(tau)
+    eta = sum(sign * _exp_i_pi(n * n / 12.0, reduced)
+              for sign, n in ((1, 1), (-1, 5), (-1, 7), (1, 11), (1, 13)))
+    eta *= _exp_i_pi(sum(n for n, _ in moves) % 24 / 12.0, 1.0)
+    eta /= math.prod(root for _, root in moves[:-1])
+    if not abs(eta) >= sys.float_info.min:
+        raise PolydetError(f"dedekind_eta underflows at tau = {complex(tau)}")
     return eta
 
 
 def theta_constants(tau: complex) -> Tuple[complex, complex, complex]:
-    """(theta_2, theta_3, theta_4)(0 | tau) by q-series in the nome
-    q = e^(i pi tau); terms below SERIES_TOL are dropped.  PolydetError
-    unless Im tau > 0 and both series fall below SERIES_TOL in 400 terms,
-    where a theta constant, none of which has zeros, underflows to 0
-    (theta_2 once q does, above Im tau of about 237), and where its series
-    cancels: where the rounding of its sum, epsilon times the sum of its
-    terms' sizes, exceeds PERIOD_REL_TOL * |theta| (theta_4 towards the
-    real axis, below Im tau of about 0.1)."""
-    tau = complex(tau)
-    if tau.imag <= 0.0:
-        raise PolydetError(f"need Im tau > 0, got {tau}")
-    q = cmath.exp(1j * PI * tau)
-    th3 = 1.0 + 0.0j
-    th4 = 1.0 + 0.0j
-    size34 = 1.0         # 1 + 2 sum |q^(n^2)|, for theta_3 and theta_4 alike
-    for n in range(1, 400):
-        qn2 = q ** (n * n)
-        th3 += 2.0 * qn2
-        th4 += 2.0 * ((-1) ** n) * qn2
-        size34 += 2.0 * abs(qn2)
-        if abs(qn2) < SERIES_TOL and n > 2:
-            break
-    else:
-        raise PolydetError(f"theta series have not converged in 400 terms at tau = {tau}")
-    th2 = 0.0 + 0.0j     # its terms are below theta_3's: it ends by the same n
-    size2 = 0.0
-    for n in range(0, 400):
-        t = q ** ((n + 0.5) ** 2)
-        th2 += 2.0 * t
-        size2 += 2.0 * abs(t)
-        if abs(t) < SERIES_TOL and n > 2:
-            break
-    # q^((n + 1/2)^2) takes the principal log of q, i pi tau - 2 pi i k, so
-    # each term is e^(i pi tau (n + 1/2)^2) times i^(-k)
-    k = round((PI * tau.real - cmath.phase(q)) / TWO_PI) % 4
-    if k:
-        th2 *= (1j, -1.0, -1j)[k - 1]
-    if 0 in (th2, th3, th4):
-        raise PolydetError(f"theta_constants underflows to 0 at tau = {tau}")
-    for name, th, size in (("theta_2", th2, size2), ("theta_3", th3, size34),
-                           ("theta_4", th4, size34)):
-        if sys.float_info.epsilon * size > PERIOD_REL_TOL * abs(th):
-            raise PolydetError(
-                f"{name} cancels at tau = {tau}: its terms sum to {size:.3e} in size "
-                f"for a value of {abs(th):.3e}")
+    """(theta_2, theta_3, theta_4)(0 | tau): 2 sum q^((n + 1/2)^2) and
+    1 + 2 sum (+-q)^(n^2), n up to 4, in the nome q = e^(i pi tau) at tau
+    reduced by ``_reduce`` (|q| <= e^(-0.86 pi): q^25 is below 1e-29),
+    mapped back by theta_3 <-> theta_4, theta_2 -> e^(i pi/4) theta_2 under
+    tau + 1 and theta_2 <-> theta_4, all over sqrt(-i tau), under -1/tau.
+    PolydetError where ``_reduce`` refuses tau and where a theta constant,
+    which has no zeros, is subnormal or 0 (theta_2 above Im tau of 903)."""
+    reduced, moves = _reduce(tau)
+    q = _exp_i_pi(1.0, reduced)
+    th2 = 2.0 * sum(_exp_i_pi((n + 0.5) ** 2, reduced) for n in range(5))
+    th3 = 1.0 + 2.0 * sum(q ** (n * n) for n in range(1, 5))
+    th4 = 1.0 + 2.0 * sum((-q) ** (n * n) for n in range(1, 5))
+    for n, root in reversed(moves):
+        if root is not None:
+            th2, th3, th4 = th4 / root, th3 / root, th2 / root
+        if n % 2:
+            th3, th4 = th4, th3
+        th2 *= _exp_i_pi(n % 8 / 4.0, 1.0)
+    if not min(abs(th2), abs(th3), abs(th4)) >= sys.float_info.min:
+        raise PolydetError(f"theta_constants underflows at tau = {complex(tau)}")
     return th2, th3, th4
 
 

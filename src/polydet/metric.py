@@ -216,7 +216,10 @@ def _check_angle(beta: float) -> None:
 
 
 def _check_gauss_bonnet(bs: Sequence[float]) -> None:
-    bsum = math.fsum(bs)
+    try:
+        bsum = math.fsum(bs)
+    except OverflowError:       # a partial sum past the float range
+        bsum = math.inf
     if abs(bsum + 2.0) > GAUSS_BONNET_TOL:
         raise GaussBonnetViolation(f"exponents must sum to -2 (Gauss-Bonnet), got {bsum!r}")
 

@@ -338,19 +338,24 @@ def _chords(z, bs, u, v, theta_u, theta_v) -> Tuple[np.ndarray, np.ndarray, List
     return values[:k] - values[k:], errors[:k] + errors[k:], [i + j for i, j in zip(count, count[k:])]
 
 
+def _phase(w: complex) -> float:
+    """arg w; cmath.phase raises OverflowError where it underflows (1000 + 1e-322 i)."""
+    return math.atan2(w.imag, w.real)
+
+
 def _carried(z, u: int, v: int, theta: List[float]) -> List[float]:
     """The row of branches ``theta`` at z_u carried along the step to z_v
     (z a sequence of complex): per vertex k it moves by the angle
     arg((z_v - z_k)/(z_u - z_k)) that the step subtends at it (below pi in
     size, as no vertex lies on a step), and by 0 at u and v."""
     zu, zv = z[u], z[v]
-    return [t + (0.0 if k == u or k == v else cmath.phase((zv - zk) / (zu - zk)))
+    return [t + (0.0 if k == u or k == v else _phase((zv - zk) / (zu - zk)))
             for k, (t, zk) in enumerate(zip(theta, z))]
 
 
 def _principal(z, u: int, v: int) -> List[float]:
-    theta = [cmath.phase(z[u] - zk) for zk in z]
-    theta[u] = cmath.phase(z[v] - z[u])
+    theta = [_phase(z[u] - zk) for zk in z]
+    theta[u] = _phase(z[v] - z[u])
     return theta
 
 
@@ -363,8 +368,9 @@ def segment_integral(zs, bs, u: int, v: int,
     ``theta[u]`` that of arg(z_v - z_u), from which every factor is
     continued along the segment; None takes principal values.
     PolydetError unless u and v are two distinct integer indices, there is
-    one exponent (and branch, if given) per point and both end exponents
-    are above -1, where the integral converges.  DuplicateVertex if
+    one exponent (and branch, if given) per point, the exponents' sizes
+    have a finite sum, and both end exponents b are above -1, where the
+    integral converges, with 2^(b + 1) a finite float.  DuplicateVertex if
     another point sits on z_u or z_v, and PolydetError if one is nearer to
     it than the float range allows beside the segment (``_chords``); both
     name the points 0-based.
@@ -379,10 +385,15 @@ def segment_integral(zs, bs, u: int, v: int,
     if len(bs) != len(z) or theta is not None and len(theta) != len(z):
         raise PolydetError(f"need one exponent (and branch, if given) per point: {len(z)} "
                            f"points, {len(bs)} exponents")
+    if not math.isfinite(sum(map(abs, bs))):      # inf, nan, or past the float range
+        raise PolydetError(f"need exponents whose sizes have a finite sum, got {bs}")
     for end in (u, v):
         if not bs[end] > -1.0:
             raise PolydetError(f"the integral diverges at point {end}, whose exponent "
                                f"{bs[end]!r} is not above -1")
+        if not bs[end] + 1.0 < sys.float_info.max_exp:
+            raise PolydetError(f"the weight 2^(b + 1) of point {end}'s exponent "
+                               f"{bs[end]!r} is past the float range")
     span = math.hypot((z[v] - z[u]).real, (z[v] - z[u]).imag)     # inf past the range
     for end in (u, v):
         for k, zk in enumerate(z):
@@ -474,7 +485,7 @@ def _tour(z, bs, adj) -> Tuple[List[int], List[int], List[List[float]], List[Lis
     edge, in order of first runs, u, v and the rows of theta at z_u
     (``segment_integral``) and carried along the step to z_v; per step,
     its edge and the factor of its chord over the first run's."""
-    heading = [[cmath.phase(z[j] - z[i]) for j in nb] for i, nb in enumerate(adj)]
+    heading = [[_phase(z[j] - z[i]) for j in nb] for i, nb in enumerate(adj)]
     us, vs, at_u, at_v, edge, factor = [], [], [], [], [], []
     open_runs = []              # [u, v, edge, sum over T_v] of edges run once
     u, v = 0, adj[0][0]

@@ -83,7 +83,8 @@ conjugates of the upper, so 32 points are evaluated.  Its error estimate
 is that truncation times the size of the terms summed, plus a rounding
 floor; up to the default split the truncation lies below the floor.
 Above it the truncation outgrows that estimate (105-fold at split =
-0.4), so a split outside (0, SPLIT_RADIUS] raises PolydetError.
+0.4), so a split outside (0, SPLIT_RADIUS] raises PolydetError, as
+does one whose counterterms a3/rho^3 + |a1|/rho are past the float range.
 [rho, 1] takes the pointwise difference on max(2, ceil(log4(1/rho)))
 geometric panels ([rho, sqrt(rho), 1] up to beta = 8 pi), and the tail
 dyadic panels of width 1/rate, 2/rate, ... from 1, e^(-rate th) being
@@ -119,6 +120,7 @@ one call; a finite part is two, its near and its far panels.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from typing import NamedTuple, Tuple
 
@@ -385,13 +387,17 @@ def _finite_part(beta: float, split: float, coeffs, f, tail, far) -> HadamardRes
     ``f``, real or complex th to values, with Laurent coefficients
     ``coeffs`` = (a3, a1) at 0: the regular part on the near panels,
     ``tail`` on the far panels (``far`` their upper end and rate), then the
-    circle sum.  A split outside (0, SPLIT_RADIUS] raises PolydetError
+    circle sum.  A split outside (0, SPLIT_RADIUS], or one whose
+    counterterms at rho are past the float range, raises PolydetError
     before f is evaluated."""
     if not 0.0 < split <= SPLIT_RADIUS:
         raise PolydetError(f"need 0 < split <= {SPLIT_RADIUS}, got {split}")
     a3, a1 = coeffs
     radius = min(1.0, TWO_PI / beta)
     rho = split * radius
+    if not a3 + abs(a1) * rho * rho < sys.float_info.max * rho ** 3:    # a3/rho^3 + |a1|/rho
+        raise PolydetError(f"split {split!r} at beta = {beta!r}: the counterterms at "
+                           f"{rho!r} are past the float range")
     # the regular part inherits the rounding of the subtracted
     # counterterms, whose integral is its ``cancel``
     near = _panel_integral(lambda t: f(t) - a3 / t**3 - a1 / t, _near_edges(rho),

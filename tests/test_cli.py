@@ -133,6 +133,29 @@ def test_det_gauss_bonnet_error(bad_path, capsys):
     assert err["error"] == "GaussBonnetViolation"
 
 
+def test_det_exponent_sum_past_float_range_exits_2(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"C": 1.0, "vertices": [
+        {"z": [0, 0], "b": 1.7e308}, {"z": [1, 0], "b": 1.7e308}, {"z": [0, 1], "b": -0.5}]}))
+    code, err = _one_error_line(["det", "--metric", str(path)], capsys)
+    assert code == 2
+    assert err["error"] == "GaussBonnetViolation"
+
+
+def test_det_with_an_angle_that_underflows(tmp_path, capsys):
+    # arg(1000 + 1e-322 i - 0) = 1e-325 underflows, where cmath.phase
+    # raises OverflowError; the determinant is that of the vertex at 1000
+    verts = [[[0, 0], -0.5], [[1, 0], -0.5], [[0.5, 1], -0.5], [[1000, 1e-322], -0.5]]
+    logs = []
+    for tail in (1e-322, 0.0):
+        verts[3][0][1] = tail
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({"C": 1.0, "vertices": [{"z": z, "b": b} for z, b in verts]}))
+        assert main(["det", "--metric", str(path), "--json"]) == 0
+        logs.append(json.loads(capsys.readouterr().out)["log_det"])
+    assert logs[0] == pytest.approx(logs[1], abs=1e-12)
+
+
 def test_missing_file_is_validation_error(capsys):
     code = main(["det", "--metric", "/nonexistent/m.json"])
     assert code == 2
@@ -660,6 +683,26 @@ def test_subnormal_area_is_tolerance_not_reached(command, tmp_path, capsys):
     code, err = _one_error_line(argv, capsys)
     assert code == 3
     assert err["error"] == "ToleranceNotReached"
+
+
+@pytest.mark.parametrize("g", [1e-6, 1e-7, 3e-8, 2.001e-8, 2e-8])
+def test_verify_tetra_two_close_pairs_pass(g, tmp_path, capsys):
+    # branch points -1, -1 + g i, 1, 1 + g i down to the DegenerateQuartic
+    # floor: Im tau near 0.08 down to g = 2.001e-8, 12.6 at 2e-8
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": [[-1, 0], [-1, g], [1, 0], [1, g]]}))
+    assert main(["verify", "tetra", "--points", str(path), "--json"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_verify_tetra_far_quartic_is_refused_by_its_area(tmp_path, capsys):
+    # periods and tau = i work; the area underflows: exit 2, no traceback
+    path = tmp_path / "points.json"
+    path.write_text(json.dumps({"points": [[0, 0], [0, 1e300], [1e300, 2.2e-308],
+                                           [1e300, 1e300]]}))
+    code, err = _one_error_line(["verify", "tetra", "--points", str(path)], capsys)
+    assert code == 2
+    assert err["error"] == "PolydetError" and "area" in err["message"]
 
 
 def test_verify_tetra_collinear_points_pass(tmp_path, capsys):

@@ -1,8 +1,11 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polydet import (
     dedekind_eta,
@@ -75,6 +78,13 @@ def test_degenerate_quartic_rejected():
         periods([0, 1, 1j])
 
 
+def test_far_quartic_with_an_angle_that_underflows():
+    # arg(1e300 + 2.2e-308 i) underflows on the way to the periods, where
+    # cmath.phase raises OverflowError; the quartic is a square
+    data = periods([0, 1e300j, 1e300 + 2.2e-308j, 1e300 + 1e300j])
+    assert abs(data.tau - 1j) < 1e-12
+
+
 def test_branch_point_gap_past_float_range():
     # a gap of inf, and one whose modulus is past the float range with
     # finite parts: a typed error, not an OverflowError or a degenerate
@@ -132,7 +142,46 @@ def test_seeded_near_collinear_quartics(offset):
         _assert_identities(pts, periods(pts))
 
 
-# ---- eta ----
+@pytest.mark.parametrize("g", [1e-7, 5e-8, 3e-8, 2.2e-8, 2.001e-8, 2e-8])
+def test_two_close_pairs_down_to_the_degenerate_floor(g):
+    # Im tau is near 0.08, where theta_4's series at the unreduced tau
+    # cancels, down to g = 2.001e-8; at 2e-8 the collinear sort gives
+    # tau = 1 + 12.6 i, and below it DegenerateQuartic
+    pts = [-1, -1 + g * 1j, 1, 1 + g * 1j]
+    _assert_identities(pts, periods(pts))
+    with pytest.raises(DegenerateQuartic):
+        periods([-1, -1 + 1.99e-8j, 1, 1 + 1.99e-8j])
+
+
+# ---- eta and theta constants ----
+
+def _mpmath_eta_theta(tau):
+    """eta, theta_2, theta_3, theta_4 at tau by mpmath at 80 digits.
+    mpmath's theta_2 carries the principal q^(1/4); the true factor is
+    e^(i pi tau/4)."""
+    with mpmath.workdps(80):
+        t = mpmath.mpc(tau.real, tau.imag)
+        q = mpmath.exp(1j * mpmath.pi * t)
+        th2 = mpmath.jtheta(2, 0, q) * mpmath.exp(1j * mpmath.pi * t / 4) / mpmath.root(q, 4)
+        return [complex(x) for x in (mpmath.exp(1j * mpmath.pi * t / 12) * mpmath.qp(q**2),
+                                     th2, mpmath.jtheta(3, 0, q), mpmath.jtheta(4, 0, q))]
+
+
+def _rel_errors(tau):
+    got = [dedekind_eta(tau), *theta_constants(tau)]
+    return [abs(g - r) / abs(r) for g, r in zip(got, _mpmath_eta_theta(tau))]
+
+
+@pytest.mark.parametrize("im", np.geomspace(0.05, 300, 13).tolist())
+def test_eta_and_theta_against_mpmath(im):
+    # reduced into the fundamental domain, every value is good to the
+    # rounding of pi Im tau in the exponent; |Re tau| up to 1e15 loses
+    # no digit, as the shift n = round(Re tau) is exact
+    for re in (0.0, 0.25, -0.5, 0.5, 0.3, -0.1, 1.75, -13.375, 1e3 + 0.625, -1e6 - 0.125,
+               1e15, -1e15 + 0.5):
+        tau = complex(re, im)
+        assert max(_rel_errors(tau)) <= max(1e-14, 1e-16 * im), tau
+
 
 def test_eta_at_i():
     assert dedekind_eta(1j) == pytest.approx(ETA_AT_I, abs=1e-14)
@@ -154,6 +203,41 @@ def test_eta_inversion_identity():
         assert abs(lhs - rhs) < 1e-12
 
 
+# Re tau a multiple of 2^-10, so that tau + 1 and tau + 2 are exact
+_TAUS = st.builds(lambda k, im: complex(k / 1024, im), st.integers(-2**30, 2**30),
+                  st.floats(0.05, 300))
+_NEAR_I = st.builds(complex, st.floats(-2, 2), st.floats(0.2, 4))
+
+
+@given(tau=_TAUS)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_shift_identities_property(tau):
+    # eta(tau + 1) = e^(i pi/12) eta(tau), theta_3(tau + 1) = theta_4(tau),
+    # theta_2(tau + 2) = i theta_2(tau)
+    eta, (th2, _, th4) = dedekind_eta(tau), theta_constants(tau)
+    assert abs(dedekind_eta(tau + 1) - cmath.exp(1j * PI / 12) * eta) <= 1e-14 * abs(eta)
+    assert abs(theta_constants(tau + 1)[1] - th4) <= 1e-14 * abs(th4)
+    assert abs(theta_constants(tau + 2)[0] - 1j * th2) <= 1e-14 * abs(th2)
+
+
+@given(tau=_NEAR_I)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_eta_inversion_property(tau):
+    # eta(-1/tau) = sqrt(-i tau) eta(tau), -1/tau rounded once
+    lhs = dedekind_eta(-1 / tau)
+    assert abs(lhs - cmath.sqrt(-1j * tau) * dedekind_eta(tau)) <= 1e-13 * abs(lhs)
+
+
+@given(tau=_TAUS)
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_jacobi_identity_property(tau):
+    # 2 eta^3 = theta_2 theta_3 theta_4, within PERIOD_REL_TOL, which the
+    # reduction's rounding bound keeps
+    th2, th3, th4 = theta_constants(tau)
+    two_eta3 = 2 * dedekind_eta(tau) ** 3
+    assert abs(th2 * th3 * th4 - two_eta3) <= 1e-12 * abs(two_eta3)
+
+
 @pytest.mark.parametrize("series", [dedekind_eta, theta_constants])
 def test_lower_half_plane_is_a_polydet_error(series):
     with pytest.raises(PolydetError, match="need Im tau > 0"):
@@ -161,24 +245,22 @@ def test_lower_half_plane_is_a_polydet_error(series):
 
 
 def test_theta_series_does_not_truncate_silently():
-    # at tau = 1e-5 i the terms fall like exp(-pi 1e-5 n^2): after 400 terms
-    # theta_4 would read -0.0066 for a positive number below 1e-300
-    why = "^theta series have not converged in 400 terms at tau = 1e-05j$"
+    # at tau = 1e-5 i the inversion's rounding, epsilon 1e5 in -1/tau,
+    # exceeds PERIOD_REL_TOL; the true theta_4 is below 1e-300
+    why = "^tau = 1e-05j is too near the real axis: after 1 inversions "
     with pytest.raises(PolydetError, match=why):
         theta_constants(1e-5j)
 
 
-@pytest.mark.parametrize("tau", [0.08j, 0.05j, 0.01j, 1e-3j])
-def test_cancelled_theta_4_is_a_polydet_error(tau):
+@pytest.mark.parametrize("tau", [0.08j, 0.05j, 0.01j])
+def test_theta_4_towards_the_real_axis(tau):
     # theta_4 = sum (-1)^n q^(n^2) is far below the sizes of its terms
-    # towards the real axis: at 0.01 i it reads 1.7e-16 for 1.6e-33, at
-    # 1e-3 i below zero
-    with pytest.raises(PolydetError, match=rf"^theta_4 cancels at tau = {tau}: "):
-        theta_constants(tau)
+    # here (1.6e-33 at 0.01 i); reduced to -1/tau it sums without
+    # cancellation
+    assert max(_rel_errors(tau)) <= 1e-14
 
 
 def test_theta_4_is_returned_where_its_rounding_is_small():
-    # at 0.1 i the terms sum to 1.3e3 times theta_4, 1e-12 / epsilon is 4.5e3;
     # theta_4(i/10) = sqrt(10) theta_2(10 i) by the modular transform
     th2, th3, th4 = theta_constants(0.1j)
     assert th4.real == pytest.approx(10 ** 0.5 * theta_constants(10j)[0].real, rel=1e-12)
@@ -186,35 +268,64 @@ def test_theta_4_is_returned_where_its_rounding_is_small():
 
 @pytest.mark.parametrize("tau", [1.2 + 0.5j, 2 + 0.3j, -1.5 + 0.8j, 3.7 + 0.9j, 0.3 + 0.8j])
 def test_theta_2_past_the_central_strip(tau):
-    # q^((n + 1/2)^2) takes the principal log of q, which drops k whole
-    # turns of i pi tau past |Re tau| = 1: unmended, every term of theta_2
-    # is off by i^(-k), and the Jacobi residual reads sqrt 2 or 2
+    # a sum of q^((n + 1/2)^2) with the principal log of q would drop k
+    # whole turns of i pi tau past |Re tau| = 1, every term off by i^(-k),
+    # and the Jacobi residual would read sqrt 2 or 2
     th2, th3, th4 = theta_constants(tau)
     two_eta3 = 2 * dedekind_eta(tau) ** 3
     assert abs(th2 * th3 * th4 - two_eta3) <= 1e-14 * abs(two_eta3)
     assert abs(theta_constants(tau + 2)[0] - 1j * th2) <= 1e-14 * abs(th2)
 
 
+def test_theta_2_where_the_nome_underflows():
+    # the nome e^(-300 pi) underflows; theta_2 = 2 e^(-75 pi)(1 + q^2 + ...)
+    # is a normal float, theta_3 and theta_4 are 1 to the last bit
+    th2, th3, th4 = theta_constants(300j)
+    assert th2 == pytest.approx(2 * math.exp(-75 * PI), rel=1e-13)
+    assert th3 == th4 == 1.0
+
+
 @pytest.mark.parametrize("series, tau, name", [
-    # the reduced tau = 1e5 i: q^(1/24) = e^(-pi 1e5/12) underflows
-    (dedekind_eta, 1e-5j, "dedekind_eta"),
+    # the reduced tau = 1e4 i: q^(1/24) = e^(-pi 1e4/12) underflows
     (dedekind_eta, 1e4j, "dedekind_eta"),
-    # the nome e^(-300 pi) underflows, though theta_2 = 2 e^(-75 pi) is a
-    # normal float
-    (theta_constants, 300j, "theta_constants"),
+    # theta_2 = 2 e^(-250 pi) at -1/tau = 1000 i, so theta_4(i/1000)
+    (theta_constants, 1e-3j, "theta_constants"),
+    (theta_constants, 1e3j, "theta_constants"),
+    # subnormal, with digits lost: eta(2800 i) = 4.4e-319 (eta(2700 i) =
+    # 1.04e-307 is normal) and theta_2 past 903 i
+    (dedekind_eta, 2800j, "dedekind_eta"),
+    (theta_constants, 905j, "theta_constants"),
 ])
 def test_underflow_to_zero_is_a_polydet_error(series, tau, name):
-    # eta and the theta constants have no zeros in the upper half plane
-    with pytest.raises(PolydetError, match=rf"^{name} underflows to 0 at tau = {tau}$"):
+    # eta and the theta constants have no zeros in the upper half plane;
+    # a subnormal value has lost digits
+    with pytest.raises(PolydetError, match=rf"^{name} underflows at tau = {tau}$"):
         series(tau)
 
 
 def test_eta_product_does_not_truncate_silently():
-    # 1e-300 above the golden ratio, 200 reductions leave Im tau at 2.5e-10,
-    # where 400 factors of the product are far from converged
-    why = "^eta product has not converged in 400 factors at reduced tau"
+    # 1e-300 above the golden ratio each inversion, at |t| = 0.38,
+    # multiplies the rounding of tau by about 6.9: a reduction that does
+    # not carry it ran 208 moves and returned eta = 2e74
+    why = (r"^tau = \(0.6180339887498949\+1e-300j\) is too near the real axis: "
+           r"after 5 inversions")
     with pytest.raises(PolydetError, match=why):
         dedekind_eta(complex((math.sqrt(5.0) - 1.0) / 2.0, 1e-300))
+
+
+@pytest.mark.parametrize("series, tau", [
+    (dedekind_eta, complex(5e-324, 5e-324)),    # |tau|^2 underflows
+    (dedekind_eta, complex(math.nan, 5e-324)),
+    (theta_constants, complex(1.7e308, 5e-324)),
+    (theta_constants, complex(1.7e308, 1.7e308)),
+    (dedekind_eta, 1e-5j),                      # the true eta is below 1e-300
+])
+def test_edge_taus_are_polydet_errors(series, tau):
+    # a typed refusal, not an OverflowError or ValueError from round() of
+    # an infinite or nan part, nor a division by |tau|^2 = 0
+    with pytest.raises(PolydetError) as info:
+        series(tau)
+    assert type(info.value) is PolydetError
 
 
 # ---- identity chain ----

@@ -38,6 +38,12 @@ def test_gauss_bonnet_violation():
         make_metric(1.0, [(0, -0.5), (1, -0.5), (2, -0.5)])
 
 
+def test_exponent_sum_past_float_range_is_gauss_bonnet_violation():
+    # fsum of 1.7e308 twice overflows; the sum is not -2
+    with pytest.raises(GaussBonnetViolation, match="got inf$"):
+        make_metric(1.0, [(0, 1.7e308), (1, 1.7e308), (2j, -0.5)])
+
+
 def test_two_vertices_refused_by_count():
     # named by the count, before the exponent sum (which two exponents
     # above -1 cannot reach) is checked

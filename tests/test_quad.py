@@ -677,13 +677,22 @@ def test_segment_integral_names_a_too_near_point_0_based(zs, pair):
     ([-1.0, -0.5, -0.5], 0, 1, None, "^the integral diverges at point 0, whose exponent -1.0 "),
     ([-0.5, -1.0, -0.5], 0, 1, None, "^the integral diverges at point 1, whose exponent -1.0 "),
     ([-1.5, -0.5, 0.0], 0, 1, None, "^the integral diverges at point 0, whose exponent -1.5 "),
+    ([math.inf, -0.5, -0.5], 0, 1, None, "^need exponents whose sizes have a finite sum"),
+    ([-0.5, -0.5, math.nan], 0, 1, None, "^need exponents whose sizes have a finite sum"),
+    ([-0.5, 1.7e308, 1.7e308], 0, 1, None, "^need exponents whose sizes have a finite sum"),
+    ([1e300, -0.5, -0.5], 0, 1, None, r"^the weight 2\^\(b \+ 1\) of point 0's exponent 1e\+300 "),
+    ([-0.5, 1023.0, -0.5], 0, 1, None, r"^the weight 2\^\(b \+ 1\) of point 1's exponent 1023.0 "),
 ], ids=["same-ends", "fractional", "past-the-end", "negative", "few-exponents", "few-branches",
-        "pole-at-u", "pole-at-v", "below-minus-one"])
+        "pole-at-u", "pole-at-v", "below-minus-one", "inf-exponent", "nan-exponent",
+        "sum-past-range", "end-weight-past-range", "end-weight-at-2^1024"])
 def test_segment_integral_refuses_what_it_cannot_integrate(bs, u, v, theta, why):
     # the same ends, a fractional or out-of-range index, too few exponents
-    # or branches and an end exponent at or below -1 (a divergent
-    # integral) are refused by name: not a nan, a truncated or wrapped
-    # index, an IndexError, a ZeroDivisionError or a finite wrong value
+    # or branches, an end exponent at or below -1 (a divergent integral),
+    # exponents that are not finite or whose sizes sum past the float
+    # range and an end exponent whose weight 2^(b + 1) overflows are
+    # refused by name: not a nan, a truncated or wrapped index, an
+    # IndexError, a ZeroDivisionError, an OverflowError or a finite wrong
+    # value
     with pytest.raises(PolydetError, match=why) as info:
         segment_integral([0, 1, 2j], bs, u, v, theta)
     assert type(info.value) is PolydetError

@@ -110,6 +110,18 @@ def test_split_outside_its_range_raises(split):
             fp(PI, split=split)
 
 
+@pytest.mark.parametrize("beta, split", [(1.0, 1.27e-188), (1.0, 1e-120), (1e100, 1e-20)])
+def test_split_whose_counterterms_overflow_raises(beta, split, monkeypatch):
+    # a3/rho^3 is past the float range at rho = split min(1, 2 pi/beta):
+    # refused before the integrand is evaluated, not an OverflowError from
+    # rho^-2 or an overflow in numpy
+    monkeypatch.setattr(regint, "_coth", None)
+    for fp in (hadamard_coth_over_sinh_sq, hadamard_coth_coth_over_theta):
+        with pytest.raises(PolydetError, match="^split .* are past the float range$") as info:
+            fp(beta, split=split)
+        assert type(info.value) is PolydetError
+
+
 def _richardson_derivative(f, beta):
     """Richardson-extrapolated central difference of f at beta, h = 1e-4 beta."""
     h = 1e-4 * beta
