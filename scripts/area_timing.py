@@ -10,12 +10,18 @@ exponents from the same module), all from this checkout's
 ``bench/corpus.py``, loaded by path and only read.  A metric whose area
 raises on either side is left out.
 
-For every metric the two sides are timed alternately, ``--repeats`` times
-each, after one untimed call each; a metric's time on a side is its
-fastest call.  Per vertex count M the script prints the number of metrics,
-the median time on this side and on the other (microseconds, wall clock)
-and their ratio, this over other.  Without ``--root`` the other side is
-this checkout again, which shows the noise of the measurement alone.
+For every metric the two sides are timed alternately, one first call
+each and then ``--repeats`` calls each, each side first on every other
+metric (the side called second ran up to 14% faster on its first call
+when this checkout was timed against itself).  The first call is timed
+apart: it builds the rules of the metric's fresh exponents, as every
+item of a det_corpus round does, and the repeats find them cached.  Per
+vertex count M the script prints the number of metrics, then the median
+over them of the first call on this side and on the other
+(microseconds, wall clock) and their ratio, this over other, then the
+same of each metric's fastest repeat.  Without ``--root`` the other
+side is this checkout again, which shows the noise of the measurement
+alone.
 
 Usage: python scripts/area_timing.py [--root DIR] [--seeds 21-30] [--repeats 5]
 """
@@ -67,13 +73,11 @@ def metrics(corpus, seeds):
 
 
 def built(package, metric):
-    """The metric built by ``package``, or None if it or its area raises."""
+    """The metric built by ``package``, or None if that raises."""
     try:
-        m = package.make_metric(metric["C"], metric["verts"])
-        package.area(m)
+        return package.make_metric(metric["C"], metric["verts"])
     except Exception:       # timed only where both sides give an area
         return None
-    return m
 
 
 def main():
@@ -95,23 +99,31 @@ def main():
 
     clock = time.perf_counter
     times = {}
-    for pair in cases:
-        best = [float("inf")] * 2
-        for _ in range(args.repeats):
-            for side, (package, m) in enumerate(zip(sides, pair)):
-                area = package.area
-                start = clock()
-                area(m)
-                best[side] = min(best[side], clock() - start)
-        times.setdefault(len(pair[0].vertices), []).append(best)
+    for k, pair in enumerate(cases):
+        calls = ([], [])        # per side, the first call, then the repeats
+        try:
+            for _ in range(1 + args.repeats):
+                for side in (k % 2, 1 - k % 2):
+                    area, m = sides[side].area, pair[side]
+                    start = clock()
+                    area(m)
+                    calls[side].append(clock() - start)
+        except Exception:       # timed only where both sides give an area
+            continue
+        times.setdefault(len(pair[0].vertices), []).append(
+            [c[0] for c in calls] + [min(c[1:]) for c in calls])
 
-    print(f"area time per metric, fastest of {args.repeats}; median over the metrics of each M")
+    print(f"area time per metric, first call and fastest of {args.repeats} repeats; "
+          f"median over the metrics of each M")
     print(f"this: {ROOT}")
     print(f"other: {args.root.resolve()}")
-    print(f"{'M':>3} {'metrics':>7} {'this_us':>9} {'other_us':>9} {'ratio':>6}")
+    print(f"{'M':>3} {'metrics':>7} {'first_this':>10} {'first_other':>11} {'ratio':>6} "
+          f"{'this_us':>9} {'other_us':>9} {'ratio':>6}")
     for m in sorted(times):
-        this, other = (statistics.median(t[side] for t in times[m]) * 1e6 for side in (0, 1))
-        print(f"{m:>3} {len(times[m]):>7} {this:>9.1f} {other:>9.1f} {this / other:>6.3f}")
+        first, first_other, this, other = (
+            statistics.median(t[i] for t in times[m]) * 1e6 for i in range(4))
+        print(f"{m:>3} {len(times[m]):>7} {first:>10.1f} {first_other:>11.1f} "
+              f"{first / first_other:>6.3f} {this:>9.1f} {other:>9.1f} {this / other:>6.3f}")
 
 
 if __name__ == "__main__":

@@ -26,8 +26,7 @@ the tour.
   follows a loop around the subtree T_v beyond it, which turns the branch
   of every arg(z - z_k) of k in T_v by -2 pi: the holonomy of the
   developing map.  Its chord is the first run's times
-  -exp(-2 pi i sum_(k in T_v) b_k) and is not integrated again.  The
-  walk is Python floats and lists throughout.
+  -exp(-2 pi i sum_(k in T_v) b_k) and is not integrated again.
 * chords -- ``segment_integral``: the straight segment is split in
   halves, each integrated from its own endpoint in dyadic panels; a panel
   is split again while another vertex lies closer to it than its length
@@ -40,12 +39,16 @@ the tour.
   grid and the nodes of all panels in a few numpy operations, and a
   chord has the same bits whatever is evaluated with it.
 * panels -- every panel, end or interior, takes its integrand at the same
-  NODES Chebyshev points, both ends included (``_chebyshev``), and
+  NODES = 33 Chebyshev points, both ends included (``_chebyshev``), and
   integrates their interpolant against a weight (1 + x)^b by modified
   moments (``_rule``, a recurrence in Python floats): on the end panel b
   is the vertex's exponent, so the weight s^b holds the vertex
   singularity exactly, and elsewhere b = 0.  Only the weights depend on
-  b, and building them solves no eigenproblem.
+  b, and building them solves no eigenproblem.  Mapped to [-1, 1], a
+  panel has no vertex nearer than its length 2 (short of the float
+  spacing), so the rest of the integrand is analytic inside the Bernstein
+  ellipse rho = 2 + sqrt(5), of minor semi-axis 2: NODES points reach
+  rho^-(NODES - 1), about 1e-20.  ``regint`` takes the same rule.
 
 Every panel is evaluated once, on the first run of its edge.  Its error
 estimate is the size of the last two Chebyshev coefficients of its
@@ -76,14 +79,12 @@ from .metric import PolyhedralMetric
 
 TWO_PI = 2.0 * math.pi
 
-NODES = 64          # Chebyshev points per panel, both ends included
-# logs evaluated at once (nodes times vertices)
-BATCH = 8192
+NODES = 33          # Chebyshev points per panel, both ends included
+BATCH = 8192        # logs evaluated at once (nodes times vertices)
 # rounding floor of the area estimate, per unit of sum |corner| |side| of
 # the chord polygon (true errors reach about 3 eps per unit for b -> -1)
 ROUNDING = 16.0 * sys.float_info.epsilon
-# the area's accuracy contract: error_estimate <= REL_TOL * area
-REL_TOL = 1e-9
+REL_TOL = 1e-9      # the area's accuracy contract: error_estimate <= REL_TOL * area
 # distances within this factor of each other may be in either order once
 # rounded: abs and the difference it takes round each by about 2 eps
 NEAR_TIE = 1.0 + 8.0 * float(np.finfo(float).eps)
@@ -136,9 +137,8 @@ def _rule(n: int, b: float) -> Tuple[np.ndarray, float]:
 
     m0 = 2^(b+1)/(b + 1), c_k the Chebyshev coefficients of g at the
     points and mu_k = int (1 + x)^b (T_k(x) - T_k(-1)) dx, which hold no
-    1/(b + 1) however close b is to -1.  They follow DQMOMO's forward
-    recurrence for the moments of T_k, shifted by T_k(-1) m0, in Python
-    floats.
+    1/(b + 1) however close b is to -1: DQMOMO's forward recurrence for
+    the moments of T_k, shifted by T_k(-1) m0, in Python floats.
 
     Returns the rows (the weights of g at the points, for the sum over
     k >= 1; then the last two coefficients times max(|mu_1|, 2), the size
@@ -171,8 +171,7 @@ def _panel_sums(rows, m0, half, vals) -> np.ndarray:
     applied to its node values ``vals`` (panel, node): the weights give the
     panel's integral, with the vertex term m0 g(-1) added after the sum of
     the others, and the next rows the coefficients whose size is its error
-    estimate.  ``rows`` and ``m0`` are one set for all panels or one per
-    panel."""
+    estimate; one set of ``rows`` and ``m0`` for all panels or one each."""
     sums = half[:, None] * (rows @ vals[..., None])[..., 0]
     sums[:, 0] += half * m0 * vals[:, 0]
     return sums
@@ -212,8 +211,7 @@ def _panels(rho: np.ndarray) -> Tuple[List[int], List[float], List[float]]:
 
 @lru_cache(maxsize=None)
 def _vertex_order(m: int) -> np.ndarray:
-    """Row p: the vertices 0 ... m - 1 other than p in increasing order,
-    then p."""
+    """Row p: the vertices 0 ... m - 1 other than p in increasing order, then p."""
     order = np.array([[k for k in range(m) if k != p] + [p] for p in range(m)])
     order.flags.writeable = False       # cached, shared by callers
     return order
@@ -253,8 +251,7 @@ def _chords(z, bs, u, v, theta_u, theta_v) -> Tuple[np.ndarray, np.ndarray, List
     evaluated with it.  The end panel of a half takes the rule of the
     weight (1 + x)^b_p, every other panel that of weight 1 (``_rule``).
 
-    Returns the values and estimates as arrays, the panel counts as a
-    list, one entry per step.
+    Returns the values and estimates as arrays, the panel counts as a list.
     """
     p, q, theta = u + v, v + u, theta_u + theta_v
     m = len(z)
@@ -370,10 +367,10 @@ def segment_integral(zs, bs, u: int, v: int,
     PolydetError unless u and v are two distinct integer indices, there is
     one exponent (and branch, if given) per point, the exponents' sizes
     have a finite sum, and both end exponents b are above -1, where the
-    integral converges, with 2^(b + 1) a finite float.  DuplicateVertex if
-    another point sits on z_u or z_v, and PolydetError if one is nearer to
-    it than the float range allows beside the segment (``_chords``); both
-    name the points 0-based.
+    integral converges, with 2^(b + 1) and the moments of its rule
+    finite floats.  DuplicateVertex if another point sits on z_u or z_v,
+    and PolydetError if one is nearer to it than the float range allows
+    beside the segment (``_chords``); both name the points 0-based.
     """
     z, bs = [complex(c) for c in zs], [float(b) for b in bs]
     try:
@@ -391,9 +388,12 @@ def segment_integral(zs, bs, u: int, v: int,
         if not bs[end] > -1.0:
             raise PolydetError(f"the integral diverges at point {end}, whose exponent "
                                f"{bs[end]!r} is not above -1")
-        if not bs[end] + 1.0 < sys.float_info.max_exp:
+        with np.errstate(over="ignore", invalid="ignore"):     # moments past 2^(b + 2)
+            finite = (bs[end] + 1.0 < sys.float_info.max_exp
+                      and np.isfinite(_rule(NODES, bs[end])[0]).all())
+        if not finite:
             raise PolydetError(f"the weight 2^(b + 1) of point {end}'s exponent "
-                               f"{bs[end]!r} is past the float range")
+                               f"{bs[end]!r} or a moment of its rule is past the float range")
     span = math.hypot((z[v] - z[u]).real, (z[v] - z[u]).imag)     # inf past the range
     for end in (u, v):
         for k, zk in enumerate(z):

@@ -103,8 +103,8 @@ Panels
 ------
 ``_panel_integral`` is the one quadrature of this module.  It takes a
 list of panel edges and integrates every panel by the Chebyshev rule of
-the area (the points of ``quad._chebyshev`` and the rows of
-``quad._rule`` with weight 1) on PANEL_NODES = 33 points, its
+the area (the quad.NODES points of ``quad._chebyshev`` and the rows of
+``quad._rule`` with weight 1; module ``quad`` says why that many), its
 error estimate the size of the last two Chebyshev coefficients of each
 panel (``quad._panel_sums``), held to one tolerance pair for every
 call, PANEL_ABS_TOL = 1e-14 and PANEL_REL_TOL = 1e-13.  A pass evaluates
@@ -128,6 +128,7 @@ import numpy as np
 
 from .errors import PolydetError, ToleranceNotReached
 from .metric import _check_angle
+from . import quad as area_quad       # its NODES, read at each call
 from .quad import QuadResult, _chebyshev, _panel_sums, _rule
 
 PI = math.pi
@@ -153,7 +154,6 @@ def _csch2(x):
 # panels
 # --------------------------------------------------------------------------
 
-PANEL_NODES = 33        # Chebyshev points per panel, both ends included
 MAX_PANEL_SPLITS = 64   # panel bisections per integral
 PANEL_ABS_TOL = 1e-14   # an integral is settled at an estimate of at most
 PANEL_REL_TOL = 1e-13   # max(PANEL_ABS_TOL, PANEL_REL_TOL |I|, rounding floor)
@@ -175,8 +175,8 @@ def _panel_integral(f, edges, cancel: float) -> QuadResult:
     MAX_PANEL_SPLITS bisections ToleranceNotReached carries the partial
     result.
     """
-    x = _chebyshev(PANEL_NODES)[0]
-    rows, m0 = _rule(PANEL_NODES, 0.0)
+    x = _chebyshev(area_quad.NODES)[0]
+    rows, m0 = _rule(area_quad.NODES, 0.0)
     weights = rows[0].copy()      # the full weights, m0 at the first point
     weights[0] += m0
     splits = 0

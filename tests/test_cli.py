@@ -386,7 +386,7 @@ def test_tolerance_not_reached_exit_code(tetra_path, monkeypatch, capsys):
 
 def test_finite_part_split_budget_exit_code(monkeypatch, capsys):
     # a 2-node panel rule exhausts the finite parts' split budget
-    monkeypatch.setattr(regint, "PANEL_NODES", 2)
+    monkeypatch.setattr(quad, "NODES", 2)
     code = main(["verify", "hadamard", "--beta", "3.0"])
     captured = capsys.readouterr()
     assert code == 3
@@ -534,9 +534,9 @@ def test_human_output_format(tetra_path, tmp_path, capsys):
     # fields as .re and .im
     assert main(["det", "--metric", tetra_path]) == 0
     assert capsys.readouterr().out.splitlines() == [
-        "log_det            0.78318878541367476",
+        "log_det            0.78318878541367409",
         "log_det_over_area  -1.1447298858494002",
-        "area               6.8751858180203804",
+        "area               6.875185818020376",
         "w_term             0.46209812037329684",
         *(f"f_terms[{i}]         -0.1933920761697045" for i in range(4)),
         "reference_term     -0.77356830467881799",

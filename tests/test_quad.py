@@ -190,6 +190,43 @@ def test_error_estimate_covers_truncation(monkeypatch):
         assert abs(res.value - triangle_area(C, zs, bs)) <= res.error_estimate
 
 
+def _mp_triangle_area(C, zs, bs):
+    """``triangle_area`` at 30 digits, of the floats as given."""
+    with mpmath.workdps(30):
+        (z1, z2, z3), (b1, b2, b3) = map(mpmath.mpc, zs), map(mpmath.mpf, bs)
+        dist = (abs(z1 - z2) ** (-2 * (1 + b3)) * abs(z1 - z3) ** (-2 * (1 + b2))
+                * abs(z2 - z3) ** (-2 * (1 + b1)))
+        return float(C * dist * mpmath.beta(1 + b1, 1 + b2) ** 2 * mpmath.sinpi(1 + b1)
+                     * mpmath.sinpi(1 + b2) / mpmath.sinpi(1 + b3))
+
+
+def test_area_error_statistics(tetra):
+    # the area's accuracy as statistics over 300 triangles against a
+    # 30-digit closed form: the median and largest relative error, and
+    # every error inside its own estimate, as in the exponents near -1 and
+    # the tetrahedron (at 16 nodes a panel the median is 1.8e-15 and the
+    # largest 9.5e-13)
+    errors = []
+    for C, zs, bs in _random_triangles(300):
+        res = area(make_metric(C, list(zip(zs, bs))))
+        exact = _mp_triangle_area(C, zs, bs)
+        assert abs(res.value - exact) <= res.error_estimate
+        errors.append(abs(res.value - exact) / exact)
+    assert np.median(errors) <= 1e-15
+    assert max(errors) <= 5e-14
+    zs = [0.3 + 0.1j, -1.1 + 0.5j, 0.6 - 0.9j]
+    for b1 in (-0.99, -0.999, -0.9999):
+        bs = [b1, -0.5, -1.5 - b1]
+        for order in itertools.permutations(range(3)):
+            z, b = [zs[i] for i in order], [bs[i] for i in order]
+            res = area(make_metric(1.0, list(zip(z, b))))
+            assert abs(res.value - _mp_triangle_area(1.0, z, b)) <= res.error_estimate
+    with mpmath.workdps(30):
+        exact = float(mpmath.gamma(0.25) ** 4 / (8 * mpmath.pi))
+    res = area(tetra)
+    assert abs(res.value - exact) <= res.error_estimate
+
+
 @st.composite
 def generic_metrics(draw):
     n = draw(st.integers(min_value=3, max_value=8))
@@ -333,14 +370,17 @@ def _weighted_exponential(b, lam):
     *itertools.product((-0.999999, -0.9999, -0.99, -0.5, 0.0, 0.7), (1.0, 3.0, 10.0, -20.0)),
     *itertools.product((2.0, 5.0), (1.0, 3.0, 10.0))])
 def test_rule_weighted_exponential(b, lam):
-    """The panel rule alone on one panel of half length 1, with the vertex
-    term added after the other weights (``_panel_sums``).  e^(-20 x) is
-    left out from b = 2 up, where product integration is ill-conditioned:
-    its Chebyshev coefficients 2 I_k(20) reach 8.5e7, 700 times the
-    integral at b = 2 and 9e4 times at b = 5, and their rounding meets the
-    moments mu_k, so the rule errs by 2e-12 and 2e-9 relative there."""
-    x, _ = quad._chebyshev(quad.NODES)
-    rows, m0 = quad._rule(quad.NODES, b)
+    """The moment weights alone on one panel of half length 1, with the
+    vertex term added after the other weights (``_panel_sums``), at 64
+    points: one panel of quad.NODES = 33 does not resolve e^(-20 x) (at
+    b = 0.7 it errs by 1.4e-13 relative), and test_area_error_statistics
+    gates the area's own accuracy.  e^(-20 x) is left out from b = 2 up,
+    where product integration is ill-conditioned: its Chebyshev
+    coefficients 2 I_k(20) reach 8.5e7, 700 times the integral at b = 2
+    and 9e4 times at b = 5, and their rounding meets the moments mu_k, so
+    the rule errs by 2e-12 and 2e-9 relative there."""
+    x, _ = quad._chebyshev(64)
+    rows, m0 = quad._rule(64, b)
     g = np.exp(lam * x)
     value = quad._panel_sums(rows[:1], m0, np.ones(1), g[None])[0, 0]
     assert value == pytest.approx(_weighted_exponential(b, lam), rel=1e-13)
@@ -682,15 +722,19 @@ def test_segment_integral_names_a_too_near_point_0_based(zs, pair):
     ([-0.5, 1.7e308, 1.7e308], 0, 1, None, "^need exponents whose sizes have a finite sum"),
     ([1e300, -0.5, -0.5], 0, 1, None, r"^the weight 2\^\(b \+ 1\) of point 0's exponent 1e\+300 "),
     ([-0.5, 1023.0, -0.5], 0, 1, None, r"^the weight 2\^\(b \+ 1\) of point 1's exponent 1023.0 "),
+    ([1022.9, -0.5, -0.5], 0, 1, None, r"^the weight 2\^\(b \+ 1\) of point 0's exponent 1022.9 "),
+    ([1020.0, -0.5, -0.5], 0, 1, None, r"^the weight 2\^\(b \+ 1\) of point 0's exponent 1020.0 "),
 ], ids=["same-ends", "fractional", "past-the-end", "negative", "few-exponents", "few-branches",
         "pole-at-u", "pole-at-v", "below-minus-one", "inf-exponent", "nan-exponent",
-        "sum-past-range", "end-weight-past-range", "end-weight-at-2^1024"])
+        "sum-past-range", "end-weight-past-range", "end-weight-at-2^1024", "end-moment-past-range",
+        "end-moment-in-recurrence"])
 def test_segment_integral_refuses_what_it_cannot_integrate(bs, u, v, theta, why):
     # the same ends, a fractional or out-of-range index, too few exponents
     # or branches, an end exponent at or below -1 (a divergent integral),
     # exponents that are not finite or whose sizes sum past the float
-    # range and an end exponent whose weight 2^(b + 1) overflows are
-    # refused by name: not a nan, a truncated or wrapped index, an
+    # range and an end exponent whose weight 2^(b + 1), or a moment of its
+    # rule (2 2^(b + 1) at b = 1022.9, a recurrence term at 1020), overflows
+    # are refused by name: not a nan, a truncated or wrapped index, an
     # IndexError, a ZeroDivisionError, an OverflowError or a finite wrong
     # value
     with pytest.raises(PolydetError, match=why) as info:

@@ -10,7 +10,7 @@ from polydet import (
     q_of_beta,
     q_of_beta_contour,
 )
-from polydet import cone, detlap, regint
+from polydet import cone, detlap, quad, regint
 from polydet.errors import NonpositiveAngle, PolydetError, ToleranceNotReached
 from polydet.regint import (
     SPLIT_RADIUS,
@@ -243,7 +243,7 @@ def test_contour_pole_bound():
 def test_split_budget_exhausted_raises(monkeypatch):
     # a 2-node rule cannot reach the finite parts' tolerance within the
     # budget of panel bisections
-    monkeypatch.setattr(regint, "PANEL_NODES", 2)
+    monkeypatch.setattr(quad, "NODES", 2)
     with pytest.raises(ToleranceNotReached) as info:
         hadamard_coth_over_sinh_sq(PI)
     assert info.value.partial.cell_count > 3

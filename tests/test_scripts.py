@@ -50,11 +50,13 @@ def test_area_timing_one_seed():
          "--repeats", "1"], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
-    assert lines[0] == "area time per metric, fastest of 1; median over the metrics of each M"
+    assert lines[0] == ("area time per metric, first call and fastest of 1 repeats; "
+                        "median over the metrics of each M")
     assert lines[1] == f"this: {ROOT}" and lines[2] == f"other: {ROOT}"
-    assert lines[3].split() == ["M", "metrics", "this_us", "other_us", "ratio"]
+    assert lines[3].split() == ["M", "metrics", "first_this", "first_other", "ratio",
+                                "this_us", "other_us", "ratio"]
     rows = [line.split() for line in lines[4:]]
     for row in rows:
-        assert re.fullmatch(r"\d+ \d+ \d+\.\d \d+\.\d \d+\.\d{3}", " ".join(row)), row
+        assert re.fullmatch(r"\d+ \d+( \d+\.\d \d+\.\d \d+\.\d{3}){2}", " ".join(row)), row
     assert [int(row[0]) for row in rows] == [3, 4, 5, 6, 7, 8, 9, 10, 16, 24, 40]
     assert [int(row[1]) for row in rows[-3:]] == [1, 1, 1]
