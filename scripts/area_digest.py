@@ -138,20 +138,22 @@ def fd_suite(corpus, seeds):
 
 def kernels(corpus, seeds):
     """``kernels``: the value and error estimate of both finite parts at
-    1e-50, 1e50 and 61 angles geometric from 1e-3 to 1e3, at the default
-    split and half of it, and the cone heat kernel, resolvent (real and
-    complex mu), ``a_mu`` and ``a_mu_disk_integral`` at the fixed inputs of
-    ``_KERNEL_CASES``, some of whose contour panels are bisected."""
+    1e-50, 1e50 and 61 angles geometric from 1e-3 to 1e3, at the split
+    and ``halved`` (each line names the split it took), and the cone heat
+    kernel, resolvent (real and complex mu), ``a_mu`` and
+    ``a_mu_disk_integral`` at the fixed inputs of ``_KERNEL_CASES``, some
+    of whose contour panels are bisected."""
     import numpy as np
     from polydet import cone, regint
 
     digest = hashlib.sha256()
     angles = [1e-50, *np.geomspace(1e-3, 1e3, 61).tolist(), 1e50]
     for fp in (regint.hadamard_coth_over_sinh_sq, regint.hadamard_coth_coth_over_theta):
-        for split in (regint.SPLIT_RADIUS, regint.SPLIT_RADIUS / 2):
+        for halved in (False, True):
+            split = regint.SPLIT_RADIUS / 2 if halved else regint.SPLIT_RADIUS
             for beta in angles:
                 try:
-                    res = fp(beta, split)
+                    res = fp(beta, halved)
                     line = f"{res.finite_part.hex()},{res.error_estimate.hex()}"
                 except Exception as exc:     # a raising angle is part of the digest too
                     line = type(exc).__name__

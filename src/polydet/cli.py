@@ -128,7 +128,7 @@ def _load_points(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return [_json_point(p) for p in json.load(fh)["points"]]
-        except (ValueError, KeyError, TypeError, OverflowError) as exc:
+        except (ValueError, RecursionError, KeyError, TypeError, OverflowError) as exc:
             raise InvalidMetricJSON(
                 f'malformed points JSON, want {{"points": [[re, im], ...]}}: {exc}'
             ) from exc
@@ -141,7 +141,7 @@ def _cmd_verify_tetra(args):
     data = elliptic.periods(pts)
     report = detlap.log_det_as(make_metric(1.0, [(z, -0.5) for z in pts]))
     ar = report.area
-    det_x = elliptic.det_tetrahedron(pts, area_x=ar)
+    det_x = elliptic.det_tetrahedron(pts, ar)
     torus = elliptic.det_torus(data, ar)
     return 0, {
         "tau": data.tau,
@@ -167,16 +167,15 @@ def _cmd_verify_fd(args):
 
 
 def _cmd_verify_hadamard(args):
-    from .regint import (SPLIT_RADIUS, hadamard_coth_coth_over_theta,
-                         hadamard_coth_over_sinh_sq, q_of_beta, q_of_beta_contour)
+    from .regint import (hadamard_coth_coth_over_theta, hadamard_coth_over_sinh_sq,
+                         q_of_beta, q_of_beta_contour)
 
-    half = SPLIT_RADIUS / 2.0
     out = []
     for beta in args.beta:
         # both finite parts, at both splits
-        a, ah, b, bh = (fp(beta, split)
+        a, ah, b, bh = (fp(beta, halved)
                         for fp in (hadamard_coth_over_sinh_sq, hadamard_coth_coth_over_theta)
-                        for split in (SPLIT_RADIUS, half))
+                        for halved in (False, True))
         out.append({
             "beta": beta,
             "coth_over_sinh_sq": a,

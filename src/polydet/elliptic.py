@@ -42,11 +42,10 @@ import cmath
 import math
 import sys
 from itertools import combinations
-from typing import NamedTuple, Optional, Sequence, Tuple
+from typing import NamedTuple, Sequence, Tuple
 
 from .errors import DegenerateQuartic, PolydetError, ToleranceNotReached
-from .metric import make_metric
-from .quad import area, segment_integral
+from .quad import segment_integral
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -220,8 +219,11 @@ def jacobi_residual(data: EllipticData) -> float:
 def _distance_root(pts) -> float:
     """prod_{i<j} |z_i - z_j|^(1/6), a product of sixth roots: the product
     of the distances themselves leaves the float range for points of size
-    below about 1e-52 or above 1e52."""
-    return math.prod(abs(p - q) ** (1.0 / 6.0) for p, q in combinations(pts, 2))
+    below about 1e-52 or above 1e52.  inf where a distance is past it."""
+    try:
+        return math.prod(abs(p - q) ** (1.0 / 6.0) for p, q in combinations(pts, 2))
+    except OverflowError:       # abs of a difference whose parts are finite
+        return math.inf
 
 
 def thomae_check(points: Sequence[complex], data: EllipticData) -> float:
@@ -261,19 +263,15 @@ def eta_distance_identity(points: Sequence[complex], data: EllipticData) -> floa
 # the determinant itself
 # --------------------------------------------------------------------------
 
-def det_tetrahedron(points: Sequence[complex],
-                    area_x: Optional[float] = None) -> float:
+def det_tetrahedron(points: Sequence[complex], area_x: float) -> float:
     """det' of the Laplacian for the metric prod |z - z_k|^-1 |dz|^2:
 
         (2^(2/3) pi)^-1 * Area(X) * prod_{i<j} |z_i - z_j|^(1/6),
 
-    with Area(X) = ``area_x`` when the caller has it, else from module
-    ``quad``."""
+    with Area(X) = ``area_x``, the metric's area (``quad.area``)."""
     pts = [complex(z) for z in points]
     if len(pts) != 4:
         raise DegenerateQuartic(f"need exactly 4 points, got {len(pts)}")
-    if area_x is None:
-        area_x = area(make_metric(1.0, [(z, -0.5) for z in pts])).value
     det = area_x * _distance_root(pts) / (2.0 ** (2.0 / 3.0) * PI)
     if not 0.0 < det < math.inf:
         raise PolydetError(f"det' {det!r} is not a positive finite float")
@@ -284,5 +282,8 @@ def det_torus(data: EllipticData, area_x: float) -> float:
     """det' on the covering torus: Area(E) Im(tau) |eta(tau)|^4 with
     Area(E) = 2 Area(X).  Equals det_tetrahedron(...)^2.  Area(X) comes
     last, so an area near the top of the float range is not doubled past
-    it."""
-    return area_x * (2.0 * data.tau.imag * abs(data.eta) ** 4)
+    it.  PolydetError unless it is a positive finite float."""
+    det = area_x * (2.0 * data.tau.imag * abs(data.eta) ** 4)
+    if not 0.0 < det < math.inf:
+        raise PolydetError(f"det' {det!r} on the torus is not a positive finite float")
+    return det

@@ -261,10 +261,10 @@ def _coefficients(bs: Sequence[float], angles: Sequence[float], pairs) -> tuple:
     return tuple([bs[k] * bs[l] * (1.0 / angles[k] + 1.0 / angles[l]) for k, l in pairs])
 
 
-def tetrahedron_metric(scale: float = 1.0) -> PolyhedralMetric:
+def tetrahedron_metric() -> PolyhedralMetric:
     """The equilateral-square tetrahedron: vertices {1, -1, i, -i}, all
-    cone angles pi (b_k = -1/2)."""
-    return make_metric(scale, [(1, -0.5), (-1, -0.5), (1j, -0.5), (-1j, -0.5)])
+    cone angles pi (b_k = -1/2), at C = 1."""
+    return make_metric(1.0, [(1, -0.5), (-1, -0.5), (1j, -0.5), (-1j, -0.5)])
 
 
 # --------------------------------------------------------------------------
@@ -312,7 +312,7 @@ def load_metric(path: str) -> PolyhedralMetric:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             obj = json.load(fh)
-        except ValueError as exc:   # not JSON, or not UTF-8
+        except (ValueError, RecursionError) as exc:   # not JSON, not UTF-8, or too deep
             raise InvalidMetricJSON(f"{path} is not JSON: {exc}") from exc
     return metric_from_json_dict(obj)
 

@@ -70,7 +70,7 @@ import math
 import operator
 import sys
 from functools import lru_cache
-from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Tuple, Union
 
 import numpy as np
 
@@ -356,21 +356,18 @@ def _principal(z, u: int, v: int) -> List[float]:
     return theta
 
 
-def segment_integral(zs, bs, u: int, v: int,
-                     theta: Optional[Sequence[float]] = None) -> QuadResult:
+def segment_integral(zs, bs, u: int, v: int) -> QuadResult:
     """int prod_k (z - z_k)^(b_k) dz along the straight segment from z_u to
-    z_v (0-based indices into the sequences ``zs``, ``bs``).
-
-    ``theta[k]`` is the branch of arg(z_u - z_k) for k != u and
-    ``theta[u]`` that of arg(z_v - z_u), from which every factor is
-    continued along the segment; None takes principal values.
+    z_v (0-based indices into the sequences ``zs``, ``bs``), every factor
+    continued along the segment from its principal value at z_u: the
+    branch of arg(z_u - z_k) for k != u, and of arg(z_v - z_u) for u.
     PolydetError unless u and v are two distinct integer indices, there is
-    one exponent (and branch, if given) per point, the exponents' sizes
-    have a finite sum, and both end exponents b are above -1, where the
-    integral converges, with 2^(b + 1) and the moments of its rule
-    finite floats.  DuplicateVertex if another point sits on z_u or z_v,
-    and PolydetError if one is nearer to it than the float range allows
-    beside the segment (``_chords``); both name the points 0-based.
+    one exponent per point, the exponents' sizes have a finite sum, and
+    both end exponents b are above -1, where the integral converges, with
+    2^(b + 1) and the moments of its rule finite floats.  DuplicateVertex
+    if another point sits on z_u or z_v, and PolydetError if one is nearer
+    to it than the float range allows beside the segment (``_chords``);
+    both name the points 0-based.
     """
     z, bs = [complex(c) for c in zs], [float(b) for b in bs]
     try:
@@ -379,9 +376,9 @@ def segment_integral(zs, bs, u: int, v: int,
         raise PolydetError(f"point indices must be integers, got {u!r} and {v!r}") from None
     if not (0 <= u < len(z) and 0 <= v < len(z) and u != v):
         raise PolydetError(f"need two distinct points of 0..{len(z) - 1}, got {u} and {v}")
-    if len(bs) != len(z) or theta is not None and len(theta) != len(z):
-        raise PolydetError(f"need one exponent (and branch, if given) per point: {len(z)} "
-                           f"points, {len(bs)} exponents")
+    if len(bs) != len(z):
+        raise PolydetError(f"need one exponent per point: {len(z)} points, "
+                           f"{len(bs)} exponents")
     if not math.isfinite(sum(map(abs, bs))):      # inf, nan, or past the float range
         raise PolydetError(f"need exponents whose sizes have a finite sum, got {bs}")
     for end in (u, v):
@@ -406,7 +403,7 @@ def segment_integral(zs, bs, u: int, v: int,
                     f"points {i} and {j} (0-based) are {gap:.3g} apart, closer than the float "
                     f"range allows beside the segment from point {u} to point {v}, "
                     f"{span:.3g} long")
-    theta = _principal(z, u, v) if theta is None else [float(t) for t in theta]
+    theta = _principal(z, u, v)
     # a chord outside the float range, or through another vertex (a log of
     # 0 at a node), comes out inf or nan; callers check
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

@@ -75,29 +75,26 @@ would cancel catastrophically, the regular part is Cauchy's integral
     (1/(2 pi i)) oint_{|z| = r} f(z) (-log(1 - rho/z)) dz,   rho < r < R:
 
 the kernel has only negative powers of z, so the principal part
-a3/z^3 + a1/z adds no residue and f enters unsubtracted.  rho = ``split``
-R (default SPLIT_RADIUS = 1/4), r = sqrt(rho R), and the trapezoid sum on
-CIRCLE_NODES = 64 points converges like (rho/R)^32 = 2^-64 (Trefethen
-and Weideman, SIAM Rev. 56, 2014); the lower half circle holds the
-conjugates of the upper, so 32 points are evaluated.  Its error estimate
-is that truncation times the size of the terms summed, plus a rounding
-floor; up to the default split the truncation lies below the floor.
-Above it the truncation outgrows that estimate (105-fold at split =
-0.4), so a split outside (0, SPLIT_RADIUS] raises PolydetError, as
-does one whose counterterms a3/rho^3 + |a1|/rho are past the float range.
-[rho, 1] takes the pointwise difference on max(2, ceil(log4(1/rho)))
-geometric panels ([rho, sqrt(rho), 1] up to beta = 8 pi), and the tail
-dyadic panels of width 1/rate, 2/rate, ... from 1, e^(-rate th) being
-its fastest exponential: no bisection from 0.05 pi to 300 pi.  Halving
-``split`` moves the result within the two runs' error estimates, which
-``verify hadamard`` reports.
+a3/z^3 + a1/z adds no residue and f enters unsubtracted.  rho = split R
+with split = SPLIT_RADIUS = 1/4, or half of it with ``halved``, r =
+sqrt(rho R), and the trapezoid sum on CIRCLE_NODES = 64 points converges
+like (rho/R)^32 <= 2^-64 (Trefethen and Weideman, SIAM Rev. 56, 2014);
+the lower half circle holds the conjugates of the upper, so 32 points
+are evaluated.  Its error estimate is that truncation times the size of
+the terms summed, plus a rounding floor; at both splits the truncation
+lies below the floor.  [rho, 1] takes the pointwise difference on
+max(2, ceil(log4(1/rho))) geometric panels ([rho, sqrt(rho), 1] up to
+beta = 8 pi at the full split), and the tail dyadic panels of width
+1/rate, 2/rate, ... from 1, e^(-rate th) being its fastest exponential:
+no bisection from 0.05 pi to 300 pi.  Halving the split moves the result
+within the two runs' error estimates, which ``verify hadamard`` reports.
 
 ``hadamard_coth_over_sinh_sq`` and ``hadamard_coth_coth_over_theta``
-each take one angle and check it; each defines its integrand f, its
-tail on [1, inf) and the upper end and rate of its far panels, and hands
-them with its Laurent coefficients to ``_finite_part``, which checks the
-split and sums the near panels, the far panels and the circle.  Both
-checks come before f is evaluated, the angle's first.
+each take one angle and check it before f is evaluated; each defines its
+integrand f, its tail on [1, inf) and the upper end and rate of its far
+panels, and hands them with its Laurent coefficients to
+``_finite_part``, which sums the near panels, the far panels and the
+circle.
 
 Panels
 ------
@@ -120,7 +117,6 @@ one call; a finite part is two, its near and its far panels.
 from __future__ import annotations
 
 import math
-import sys
 from functools import lru_cache
 from typing import NamedTuple, Tuple
 
@@ -382,22 +378,16 @@ def _far_edges(upper: float, rate: float):
     return edges
 
 
-def _finite_part(beta: float, split: float, coeffs, f, tail, far) -> HadamardResult:
+def _finite_part(beta: float, halved: bool, coeffs, f, tail, far) -> HadamardResult:
     """The finite part at one angle (module docstring) of the integrand
     ``f``, real or complex th to values, with Laurent coefficients
     ``coeffs`` = (a3, a1) at 0: the regular part on the near panels,
     ``tail`` on the far panels (``far`` their upper end and rate), then the
-    circle sum.  A split outside (0, SPLIT_RADIUS], or one whose
-    counterterms at rho are past the float range, raises PolydetError
-    before f is evaluated."""
-    if not 0.0 < split <= SPLIT_RADIUS:
-        raise PolydetError(f"need 0 < split <= {SPLIT_RADIUS}, got {split}")
+    circle sum, at the split SPLIT_RADIUS or, ``halved``, half of it."""
+    split = SPLIT_RADIUS / 2.0 if halved else SPLIT_RADIUS
     a3, a1 = coeffs
     radius = min(1.0, TWO_PI / beta)
     rho = split * radius
-    if not a3 + abs(a1) * rho * rho < sys.float_info.max * rho ** 3:    # a3/rho^3 + |a1|/rho
-        raise PolydetError(f"split {split!r} at beta = {beta!r}: the counterterms at "
-                           f"{rho!r} are past the float range")
     # the regular part inherits the rounding of the subtracted
     # counterterms, whose integral is its ``cancel``
     near = _panel_integral(lambda t: f(t) - a3 / t**3 - a1 / t, _near_edges(rho),
@@ -418,7 +408,7 @@ def _finite_part(beta: float, split: float, coeffs, f, tail, far) -> HadamardRes
     )
 
 
-def hadamard_coth_over_sinh_sq(beta: float, split: float = SPLIT_RADIUS) -> HadamardResult:
+def hadamard_coth_over_sinh_sq(beta: float, halved: bool = False) -> HadamardResult:
     """Finite part of int_0^inf coth(pi th)/sinh^2(beta th/2) dth.
 
     At beta = 2pi the value is exactly -1/(6 pi) (the integrand has the
@@ -430,11 +420,11 @@ def hadamard_coth_over_sinh_sq(beta: float, split: float = SPLIT_RADIUS) -> Hada
     def f(t):
         return _coth(PI * t) * _csch2(0.5 * beta * t)
 
-    return _finite_part(beta, split, _coeffs_coth_csch2(beta), f, f,
+    return _finite_part(beta, halved, _coeffs_coth_csch2(beta), f, f,
                         (max(3.0, 100.0 / beta), beta + TWO_PI))
 
 
-def hadamard_coth_coth_over_theta(beta: float, split: float = SPLIT_RADIUS) -> HadamardResult:
+def hadamard_coth_coth_over_theta(beta: float, halved: bool = False) -> HadamardResult:
     """Finite part of int_0^inf coth(pi th) coth(beta th/2) dth/th.
 
     Divergent at both ends; besides the theta -> 0 counterterms the 1/th
@@ -450,5 +440,5 @@ def hadamard_coth_coth_over_theta(beta: float, split: float = SPLIT_RADIUS) -> H
     def tail(t):
         return (_coth(PI * t) * _coth(0.5 * beta * t) - 1.0) / t
 
-    return _finite_part(beta, split, _coeffs_coth_coth(beta), f, tail,
+    return _finite_part(beta, halved, _coeffs_coth_coth(beta), f, tail,
                         (max(3.0, 90.0 / min(beta, TWO_PI)), max(beta, TWO_PI)))

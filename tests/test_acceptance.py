@@ -32,11 +32,7 @@ from polydet import (
 from polydet.cli import main
 from polydet.cone import a_mu_disk_integral
 from polydet.detlap import f_function, f_function_dbeta
-from polydet.regint import (
-    SPLIT_RADIUS,
-    hadamard_coth_coth_over_theta,
-    hadamard_coth_over_sinh_sq,
-)
+from polydet.regint import hadamard_coth_coth_over_theta, hadamard_coth_over_sinh_sq
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -107,7 +103,7 @@ def test_acceptance_4_tetrahedron_end_to_end():
     for pts in [[1, -1, 1j, -1j]] + GENERIC_QUARTICS:
         m = make_metric(1.0, [(z, -0.5) for z in pts])
         rep = log_det_as(m)
-        dt = det_tetrahedron(pts)
+        dt = det_tetrahedron(pts, rep.area)
         worst_as = max(worst_as, abs(math.exp(rep.log_det) - dt) / dt)
         torus = det_torus(periods(pts), rep.area)
         worst_sq = max(worst_sq, abs(torus - dt * dt) / (dt * dt))
@@ -132,12 +128,11 @@ def test_acceptance_5_gradient_suite(corpus5):
 
 def test_acceptance_6_hadamard_stability():
     t0 = time.monotonic()
-    half = SPLIT_RADIUS / 2
     worst_shift = 0.0
     for beta in (PI / 2, PI, 1.5 * PI, TWO_PI, 3 * PI):
         for fp in (hadamard_coth_over_sinh_sq, hadamard_coth_coth_over_theta):
             worst_shift = max(worst_shift, abs(
-                fp(beta).finite_part - fp(beta, split=half).finite_part))
+                fp(beta).finite_part - fp(beta, halved=True).finite_part))
     worst_fd = 0.0
     for beta in (PI / 2, PI, 1.5 * PI, TWO_PI, 3 * PI):
         h = 1e-4 * beta
@@ -170,8 +165,9 @@ def test_acceptance_7_chs_cross_check(tmp_path, capsys):
     for p1, p2 in (quartics[:2], quartics[2:]):
         got = compare(make_metric(1.0, [(z, -0.5) for z in p1]),
                       make_metric(1.0, [(z, -0.5) for z in p2]))
-        worst_tetra = max(worst_tetra,
-                          abs(got - math.log(det_tetrahedron(p1) / det_tetrahedron(p2))))
+        d1, d2 = (det_tetrahedron(p, area(make_metric(1.0, [(z, -0.5) for z in p])).value)
+                  for p in (p1, p2))
+        worst_tetra = max(worst_tetra, abs(got - math.log(d1 / d2)))
     worst_scale = 0.0
     for _ in range(50):
         n = int(rng.integers(3, 8))

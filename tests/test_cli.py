@@ -190,6 +190,11 @@ _TETRA_VERTS = [{"z": [1, 0], "b": -0.5}, {"z": [-1, 0], "b": -0.5},
     (["verify", "tetra", "--points"], json.dumps({"points": [[1, 0], [-1, 0], [0, 1], "01"]})),
     (["verify", "tetra", "--points"], json.dumps(
         {"points": [[1, 0], [-1, 0], [0, 1], [0, -1, 99]]})),
+    # nested past the interpreter's recursion limit: json.load raises
+    # RecursionError, not ValueError
+    pytest.param(["det", "--metric"], "[" * 100000 + "]" * 100000, id="nested-metric"),
+    pytest.param(["verify", "tetra", "--points"],
+                 '{"points": ' + "[" * 100000 + "]" * 100000 + "}", id="nested-points"),
 ])
 def test_malformed_input_file_is_validation_error(command, text, tmp_path, capsys):
     path = tmp_path / "input.json"

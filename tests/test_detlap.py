@@ -369,7 +369,7 @@ def test_orbifold_log_det(exponents, n, tau):
 def test_tetrahedron_log_det():
     pts = [1, -1, 1j, -1j]
     r = log_det_as(make_metric(1.0, [(z, -0.5) for z in pts]))
-    assert abs(r.log_det - math.log(det_tetrahedron(pts))) <= 1e-12
+    assert abs(r.log_det - math.log(det_tetrahedron(pts, r.area))) <= 1e-12
 
 
 # ---- assembly ----

@@ -374,7 +374,7 @@ def test_eta_distance_scale_covariance():
 
 def test_det_tetrahedron_needs_four_points():
     with pytest.raises(DegenerateQuartic, match="^need exactly 4 points, got 3$"):
-        det_tetrahedron([1, -1, 1j])
+        det_tetrahedron([1, -1, 1j], 1.0)
 
 
 @pytest.mark.parametrize("size, area_x", [(10.0, 1e308), (1e-10, 5e-324)])
@@ -384,12 +384,26 @@ def test_det_tetrahedron_past_float_range_refused(size, area_x):
         det_tetrahedron([size * z for z in LEMNISCATIC], area_x)
 
 
+def test_det_tetrahedron_gap_past_float_range_refused():
+    # |z_4 - z_1| is past the float range though both points are finite:
+    # refused, not an OverflowError from abs
+    with pytest.raises(PolydetError, match="^det' inf is not a positive finite float$"):
+        det_tetrahedron([0, 1, 1j, 1.7e308 + 1.7e308j], 1.0)
+
+
+@pytest.mark.parametrize("area_x", [math.nan, math.inf, 0.0, -1.0])
+def test_det_torus_refuses_an_area_that_is_not_positive_finite(area_x):
+    # an area that is nan, inf, 0 or negative gives no det', not a nan
+    with pytest.raises(PolydetError, match="on the torus is not a positive finite float$"):
+        det_torus(periods(LEMNISCATIC), area_x)
+
+
 def test_det_tetrahedron_squared_relation():
     # Area(E) Im tau |eta|^4 = det'^2 with Area(E) = 2 Area(X)
     data = periods(LEMNISCATIC)
     m = make_metric(1.0, [(z, -0.5) for z in LEMNISCATIC])
     ax = area(m).value
-    dt = det_tetrahedron(LEMNISCATIC)
+    dt = det_tetrahedron(LEMNISCATIC, ax)
     assert det_torus(data, ax) == pytest.approx(dt * dt, rel=1e-7)
 
 
@@ -409,6 +423,7 @@ def test_det_ratio_matches_chs():
     pts1 = [2, -2, 2j, -2j]
     m1 = make_metric(1.0, [(z, -0.5) for z in pts1])
     m2 = make_metric(1.0, [(z, -0.5) for z in LEMNISCATIC])
-    ratio = det_tetrahedron(pts1) / det_tetrahedron(LEMNISCATIC)
+    ratio = (det_tetrahedron(pts1, area(m1).value)
+             / det_tetrahedron(LEMNISCATIC, area(m2).value))
     diff = log_det_as(m1).log_det - log_det_as(m2).log_det
     assert diff == pytest.approx(math.log(ratio), abs=1e-12)

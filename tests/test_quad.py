@@ -437,10 +437,18 @@ def test_segment_integral_endpoint_singularities():
     assert chord.error_estimate < 1e-14
 
 
+def _chord(zs, bs, u, v, theta):
+    """The chord from z_u to z_v alone, along the row of branches ``theta``
+    at z_u (``segment_integral`` takes principal ones)."""
+    values, errors, panels = quad._chords(zs, bs, [u], [v], [theta],
+                                          [quad._carried(zs, u, v, theta)])
+    return quad.QuadResult(complex(values[0]), float(errors[0]), panels[0])
+
+
 def test_chords_same_bits_alone_or_together(monkeypatch):
     # the area evaluates the first runs of all edges of the tour together,
-    # in groups of BATCH values; every chord keeps the bits of
-    # segment_integral alone, value and estimate
+    # in groups of BATCH values; every chord keeps the bits it has alone,
+    # value and estimate
     verts = [(0.3 + 0.2j, -0.6), (0.3 + 0.2j + 1e-3 * cmath.exp(0.7j), -0.8),
              (-0.5 + 0.6j, -0.3), (1.1 - 0.4j, 0.2), (-0.9 - 0.8j, -0.5)]
     zs = [z for z, _ in verts]
@@ -450,7 +458,7 @@ def test_chords_same_bits_alone_or_together(monkeypatch):
         monkeypatch.setattr(quad, "BATCH", batch)
         values, errors, panels = quad._chords(zs, bs, *steps)
         for i, (u, v, theta) in enumerate(zip(*steps[:3])):
-            chord = segment_integral(zs, bs, u, v, theta)
+            chord = _chord(zs, bs, u, v, theta)
             assert chord.value == values[i]
             assert chord.error_estimate == errors[i]
             assert chord.cell_count == panels[i]
@@ -488,7 +496,7 @@ def _near_minus_one_triangles():
 def test_derived_chords_match_their_own_branches(zs, bs):
     # the second run of an edge is not integrated: its chord is the first
     # run's times the holonomy factor of the subtree beyond it, and must be
-    # what segment_integral gives along the second run's own branches
+    # what the second run gives alone along its own branches
     chords, errors, _ = quad._tour_chords(zs, bs)
     adj = quad._spanning_tree(zs)
     u, v, _, at_v, edge, _ = quad._tour(zs, bs, adj)
@@ -500,7 +508,7 @@ def test_derived_chords_match_their_own_branches(zs, bs):
         e = edge[t]
         beyond = _subtree(adj, u[e], v[e])
         theta = [a - 2 * PI if k in beyond else a for k, a in enumerate(at_v[e])]
-        own = segment_integral(zs, bs, v[e], u[e], theta)
+        own = _chord(zs, bs, v[e], u[e], theta)
         assert abs(chords[t] - own.value) <= 1e-14 * abs(own.value)
         assert errors[t] == errors[edge.index(e)]
 
@@ -707,30 +715,29 @@ def test_segment_integral_names_a_too_near_point_0_based(zs, pair):
         segment_integral(zs, [-0.5] * 4, 0, 1)
 
 
-@pytest.mark.parametrize("bs, u, v, theta, why", [
-    ([-0.5] * 3, 0, 0, None, "^need two distinct points of 0..2, got 0 and 0$"),
-    ([-0.5] * 3, 0.9, 1.7, None, "^point indices must be integers, got 0.9 and 1.7$"),
-    ([-0.5] * 3, 0, 3, None, "^need two distinct points of 0..2, got 0 and 3$"),
-    ([-0.5] * 3, -1, 2, None, "^need two distinct points of 0..2, got -1 and 2$"),
-    ([-0.5] * 2, 0, 2, None, "^need one exponent .* per point: 3 points, 2 exponents$"),
-    ([-0.5] * 3, 0, 1, [0.0, 0.0], "^need one exponent .* per point: 3 points, 3 exponents$"),
-    ([-1.0, -0.5, -0.5], 0, 1, None, "^the integral diverges at point 0, whose exponent -1.0 "),
-    ([-0.5, -1.0, -0.5], 0, 1, None, "^the integral diverges at point 1, whose exponent -1.0 "),
-    ([-1.5, -0.5, 0.0], 0, 1, None, "^the integral diverges at point 0, whose exponent -1.5 "),
-    ([math.inf, -0.5, -0.5], 0, 1, None, "^need exponents whose sizes have a finite sum"),
-    ([-0.5, -0.5, math.nan], 0, 1, None, "^need exponents whose sizes have a finite sum"),
-    ([-0.5, 1.7e308, 1.7e308], 0, 1, None, "^need exponents whose sizes have a finite sum"),
-    ([1e300, -0.5, -0.5], 0, 1, None, r"^the weight 2\^\(b \+ 1\) of point 0's exponent 1e\+300 "),
-    ([-0.5, 1023.0, -0.5], 0, 1, None, r"^the weight 2\^\(b \+ 1\) of point 1's exponent 1023.0 "),
-    ([1022.9, -0.5, -0.5], 0, 1, None, r"^the weight 2\^\(b \+ 1\) of point 0's exponent 1022.9 "),
-    ([1020.0, -0.5, -0.5], 0, 1, None, r"^the weight 2\^\(b \+ 1\) of point 0's exponent 1020.0 "),
-], ids=["same-ends", "fractional", "past-the-end", "negative", "few-exponents", "few-branches",
+@pytest.mark.parametrize("bs, u, v, why", [
+    ([-0.5] * 3, 0, 0, "^need two distinct points of 0..2, got 0 and 0$"),
+    ([-0.5] * 3, 0.9, 1.7, "^point indices must be integers, got 0.9 and 1.7$"),
+    ([-0.5] * 3, 0, 3, "^need two distinct points of 0..2, got 0 and 3$"),
+    ([-0.5] * 3, -1, 2, "^need two distinct points of 0..2, got -1 and 2$"),
+    ([-0.5] * 2, 0, 2, "^need one exponent per point: 3 points, 2 exponents$"),
+    ([-1.0, -0.5, -0.5], 0, 1, "^the integral diverges at point 0, whose exponent -1.0 "),
+    ([-0.5, -1.0, -0.5], 0, 1, "^the integral diverges at point 1, whose exponent -1.0 "),
+    ([-1.5, -0.5, 0.0], 0, 1, "^the integral diverges at point 0, whose exponent -1.5 "),
+    ([math.inf, -0.5, -0.5], 0, 1, "^need exponents whose sizes have a finite sum"),
+    ([-0.5, -0.5, math.nan], 0, 1, "^need exponents whose sizes have a finite sum"),
+    ([-0.5, 1.7e308, 1.7e308], 0, 1, "^need exponents whose sizes have a finite sum"),
+    ([1e300, -0.5, -0.5], 0, 1, r"^the weight 2\^\(b \+ 1\) of point 0's exponent 1e\+300 "),
+    ([-0.5, 1023.0, -0.5], 0, 1, r"^the weight 2\^\(b \+ 1\) of point 1's exponent 1023.0 "),
+    ([1022.9, -0.5, -0.5], 0, 1, r"^the weight 2\^\(b \+ 1\) of point 0's exponent 1022.9 "),
+    ([1020.0, -0.5, -0.5], 0, 1, r"^the weight 2\^\(b \+ 1\) of point 0's exponent 1020.0 "),
+], ids=["same-ends", "fractional", "past-the-end", "negative", "few-exponents",
         "pole-at-u", "pole-at-v", "below-minus-one", "inf-exponent", "nan-exponent",
         "sum-past-range", "end-weight-past-range", "end-weight-at-2^1024", "end-moment-past-range",
         "end-moment-in-recurrence"])
-def test_segment_integral_refuses_what_it_cannot_integrate(bs, u, v, theta, why):
-    # the same ends, a fractional or out-of-range index, too few exponents
-    # or branches, an end exponent at or below -1 (a divergent integral),
+def test_segment_integral_refuses_what_it_cannot_integrate(bs, u, v, why):
+    # the same ends, a fractional or out-of-range index, too few
+    # exponents, an end exponent at or below -1 (a divergent integral),
     # exponents that are not finite or whose sizes sum past the float
     # range and an end exponent whose weight 2^(b + 1), or a moment of its
     # rule (2 2^(b + 1) at b = 1022.9, a recurrence term at 1020), overflows
@@ -738,7 +745,7 @@ def test_segment_integral_refuses_what_it_cannot_integrate(bs, u, v, theta, why)
     # IndexError, a ZeroDivisionError, an OverflowError or a finite wrong
     # value
     with pytest.raises(PolydetError, match=why) as info:
-        segment_integral([0, 1, 2j], bs, u, v, theta)
+        segment_integral([0, 1, 2j], bs, u, v)
     assert type(info.value) is PolydetError
 
 
