@@ -104,17 +104,14 @@ Gradients of log(det/Area) in closed form:
     dF/dbeta(beta, C) = dF/dbeta(beta, 1) + (1/(12 beta))(2pi/beta - beta/2pi) log C,
     d/dC     = sum_j (1/12C)(2 - beta_j/2pi - 2pi/beta_j) - 1/(3C).
 
-These sums read the metric's record (``metric.PolyhedralMetric``),
-computed once per metric: the log distance and coefficient b_k b_l
-(1/beta_k + 1/beta_l) of every pair.  The gradients are kept there too:
-``grad_position`` forms vertex i's sum, and ``grad_angle`` the blocks
-B_i and B_1, each summing its M - 1 pair terms, on the first call that
-needs them, after its index and gauge checks, and every later call on
-the metric, ``verify``'s included, reads the kept value.  A vertex is
-formed only when asked for, so a call raises only where forming its own
-vertices raises, and a sum that is not a finite float raises
-PolydetError.  The scale gradient, M + 1 closed-form terms, is summed
-anew by each call.
+These sums read the metric's record (``metric.PolyhedralMetric``), and
+keep their values in its gradient slots: ``grad_position`` forms vertex
+i's sum, and ``grad_angle`` the blocks B_i and B_1, each of M - 1 pair
+terms, on the first call that needs them, after its index and gauge
+checks; every later call, ``verify``'s included, reads the slot.  So a
+call raises only where forming its own vertices raises, and a sum that
+is not a finite float raises PolydetError.  The scale gradient, M + 1
+closed-form terms, is summed anew by each call.
 """
 
 from __future__ import annotations
@@ -407,7 +404,7 @@ def _reference_term() -> float:
 def grad_position(m: PolyhedralMetric, i: int) -> complex:
     """d log(det/A) / dz_i as a Wirtinger derivative (d/dx - i d/dy)/2;
     vertex index 1-based.  Formed on the first call for the vertex and
-    kept in the metric's record (``PolyhedralMetric._gradients``)."""
+    kept in the metric's gradient slots."""
     m.check_index(i)
     slots = m._gradients[0]
     if slots[i - 1] is None:
@@ -418,7 +415,7 @@ def grad_position(m: PolyhedralMetric, i: int) -> complex:
 def grad_angle(m: PolyhedralMetric, i: int) -> float:
     """d log(det/A) / dbeta_i under the gauge beta_1-dot = -beta_i-dot:
     B_i - B_1, the angle blocks of ``_angle_block``, each formed on the
-    first call that needs it and kept in the metric's record."""
+    first call that needs it and kept in the metric's gradient slots."""
     if i == 1:
         raise GaugeVertexVariation("vertex 1 is the compensating gauge vertex")
     m.check_index(i)
@@ -458,7 +455,8 @@ def _position_gradient(m: PolyhedralMetric, q: int) -> complex:
 def _angle_block(m: PolyhedralMetric, q: int) -> float:
     """B_q: (1/6) sum_{j != q} (1/beta_j + 2pi/beta_q^2) b_j log|z_j - z_q|,
     its M - 1 terms summed with ``math.fsum``, plus dF/dbeta(beta_q, C)."""
-    _, bs, angles, logs, _, _ = m._parts
+    parts = m._parts
+    bs, angles, logs = parts.exponents, parts.angles, parts.logs
     tq = angles[q]
     terms = [(1.0 / angles[j] + TWO_PI / (tq * tq)) * bs[j] * logs[p]
              for j, p in _incident(len(angles))[q]]

@@ -72,12 +72,10 @@ def _half_period(pts, u: int, v: int) -> complex:
     """int omega from pts[u] to pts[v] along the straight segment, the
     branch of the square root continued from its principal value at the
     start; omega = prod (z - z_k)^(-1/2) dz is the metric's form with all
-    exponents -1/2 and C = 1; it must be finite, nonzero (far from the
-    origin the product of the factors underflows) and meet PERIOD_REL_TOL."""
+    exponents -1/2 and C = 1; it must be nonzero (far from the origin the
+    product of the factors underflows) and meet PERIOD_REL_TOL, and
+    ``segment_integral`` refuses it unless finite."""
     chord = segment_integral(pts, BRANCH_EXPONENTS, u, v)
-    if not cmath.isfinite(chord.value):
-        raise PolydetError(f"period integral between branch points {u} and {v}, "
-                           f"{chord.value!r}, is not a finite float")
     if chord.value == 0.0:
         raise PolydetError(f"period integral between branch points {u} and {v}, "
                            f"{chord.value!r}, is not a nonzero float: its integrand "

@@ -8,7 +8,7 @@ with cone angle beta_k = 2*pi*(b_k + 1) at the vertex z_k and the
 Gauss-Bonnet constraint sum_k b_k = -2 (no cone point at infinity).
 This module owns the data model.  A metric also keeps the record of its
 parts that the determinant, its gradients and their finite differences
-read, each computed once, on first use.
+read (``PolyhedralMetric``).
 
 Conventions
 -----------
@@ -31,7 +31,7 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple, Sequence, Tuple
 
 from .errors import (
@@ -79,6 +79,7 @@ class _Parts(NamedTuple):
     positions: Tuple[complex, ...]
     exponents: Tuple[float, ...]
     angles: Tuple[float, ...]
+    distances: Tuple[float, ...]      # |z_k - z_l|
     logs: Tuple[float, ...]           # log|z_k - z_l|
     coefficients: Tuple[float, ...]   # b_k b_l (1/beta_k + 1/beta_l)
     w_terms: Tuple[float, ...]        # W's pair terms, coefficient * log
@@ -88,24 +89,35 @@ class _Parts(NamedTuple):
 class PolyhedralMetric:
     """Validated flat conical metric: scale C plus ordered vertex list.
 
-    Immutable after construction; safe to share across threads.  Besides
-    its two fields a metric keeps a record of its parts: the distance of
-    every vertex pair, which ``make_metric`` computes; the parts of
-    ``_Parts``, its position, exponent and angle tuples, the log distance
-    and W coefficient of every pair and W's pair terms, which the
-    determinant, its gradients and the finite-difference steps of module
-    ``verify`` read in place; and its analytic gradients, every vertex's
-    Wirtinger position gradient and angle block B_q + dF/dbeta(beta_q, C),
-    which module ``detlap`` forms per vertex when a gradient call first
-    asks for it.  Each is computed on first use and kept by
-    ``functools.cached_property`` in the instance's ``__dict__``.  None is
-    a field, so ``==``, ``hash``, ``repr`` and the JSON see only C and the
-    vertices, and a part computed twice, as two threads may, has the same
-    value.
+    Build one with ``make_metric``, which validates it.  Construction also
+    records, as ``_parts`` (a ``_Parts``), the position, exponent and
+    angle tuples and every vertex pair's distance, log distance, W
+    coefficient and W term, which the determinant, its gradients and the
+    finite-difference steps of module ``verify`` read in place; it raises
+    ``DuplicateVertex`` or PolydetError for a pair distance that is 0 or
+    not a finite float.  The only thing filled later is ``_gradients``,
+    the slots of every vertex's Wirtinger position gradient and angle
+    block, which module ``detlap`` fills when a gradient call first asks;
+    a slot filled twice, as two threads may, gets the same value.  Neither
+    is a field, so ``==``, ``hash``, ``repr`` and the JSON see only C and
+    the vertices.
     """
 
     scale: float
     vertices: Tuple[ConicalVertex, ...]
+
+    def __post_init__(self) -> None:
+        zs = tuple([v.position for v in self.vertices])
+        bs = tuple([v.exponent for v in self.vertices])
+        angles = tuple([v.angle for v in self.vertices])
+        pairs = _pairs(len(zs))
+        distances = _distances(zs, pairs)
+        logs = tuple([math.log(d) for d in distances])
+        coefficients = _coefficients(bs, angles, pairs)
+        object.__setattr__(self, "_parts", _Parts(
+            zs, bs, angles, distances, logs, coefficients,
+            tuple([c * d for c, d in zip(coefficients, logs)])))
+        object.__setattr__(self, "_gradients", ([None] * len(zs), [None] * len(zs)))
 
     @property
     def num_vertices(self) -> int:
@@ -135,29 +147,6 @@ class PolyhedralMetric:
         verts[i - 1] = (z, verts[i - 1][1])
         return make_metric(self.scale, verts)
 
-    @cached_property
-    def _pair_distances(self) -> Tuple[float, ...]:
-        """|z_k - z_l| of every pair of ``_pairs``; ``make_metric`` sets it."""
-        return _distances([v.position for v in self.vertices], _pairs(len(self.vertices)))
-
-    @cached_property
-    def _parts(self) -> _Parts:
-        zs = tuple([v.position for v in self.vertices])
-        bs = tuple([v.exponent for v in self.vertices])
-        angles = tuple([v.angle for v in self.vertices])
-        logs = tuple([math.log(d) for d in self._pair_distances])
-        coefficients = _coefficients(bs, angles, _pairs(len(zs)))
-        return _Parts(zs, bs, angles, logs, coefficients,
-                      tuple([c * d for c, d in zip(coefficients, logs)]))
-
-    @cached_property
-    def _gradients(self) -> Tuple[list, list]:
-        """Every vertex's Wirtinger position gradient and angle block B_q +
-        dF/dbeta(beta_q, C), in vertex order: None until ``detlap`` forms
-        the vertex's value, once, on the first call that reads it."""
-        n = len(self.vertices)
-        return [None] * n, [None] * n
-
 
 # --------------------------------------------------------------------------
 # construction
@@ -185,14 +174,10 @@ def make_metric(scale: float, verts: Sequence[Tuple[complex, float]]) -> Polyhed
             f"need at least 3 vertices, got {len(verts)}"
         )
     _check_gauss_bonnet([b for _, b in verts])
-    zs = [z for z, _ in verts]
-    distances = _distances(zs, _pairs(len(zs)))
-    m = PolyhedralMetric(
+    return PolyhedralMetric(
         scale=float(scale),
         vertices=tuple(ConicalVertex(z, b) for z, b in verts),
     )
-    vars(m)["_pair_distances"] = distances      # cached_property's slot
-    return m
 
 
 # The checks of ``make_metric`` that a finite-difference step of ``verify``

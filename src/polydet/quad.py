@@ -82,7 +82,8 @@ TWO_PI = 2.0 * math.pi
 NODES = 33          # Chebyshev points per panel, both ends included
 BATCH = 8192        # logs evaluated at once (nodes times vertices)
 # rounding floor of the area estimate, per unit of sum |corner| |side| of
-# the chord polygon (true errors reach about 3 eps per unit for b -> -1)
+# the chord polygon (true errors reach about 3 eps per unit for b -> -1),
+# and of a chord's estimate per unit of |chord|
 ROUNDING = 16.0 * sys.float_info.epsilon
 REL_TOL = 1e-9      # the area's accuracy contract: error_estimate <= REL_TOL * area
 # distances within this factor of each other may be in either order once
@@ -367,7 +368,10 @@ def segment_integral(zs, bs, u: int, v: int) -> QuadResult:
     2^(b + 1) and the moments of its rule finite floats.  DuplicateVertex
     if another point sits on z_u or z_v, and PolydetError if one is nearer
     to it than the float range allows beside the segment (``_chords``);
-    both name the points 0-based.
+    both name the points 0-based.  PolydetError if the chord or its
+    estimate is not finite: past the float range, or through another
+    point (a log of 0 at a node).  The estimate is the panels' plus the
+    rounding floor ROUNDING |chord|.
     """
     z, bs = [complex(c) for c in zs], [float(b) for b in bs]
     try:
@@ -404,13 +408,16 @@ def segment_integral(zs, bs, u: int, v: int) -> QuadResult:
                     f"range allows beside the segment from point {u} to point {v}, "
                     f"{span:.3g} long")
     theta = _principal(z, u, v)
-    # a chord outside the float range, or through another vertex (a log of
-    # 0 at a node), comes out inf or nan; callers check
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        values, errors, panels = _chords(
-            z, bs, [u], [v], [theta],
-            [_carried(z, u, v, theta)])
-    return QuadResult(complex(values[0]), float(errors[0]), panels[0])
+        values, errors, panels = _chords(z, bs, [u], [v], [theta],
+                                         [_carried(z, u, v, theta)])
+    value = complex(values[0])
+    # ROUNDING |chord|, scaled first so that abs stays inside the float range
+    error = float(errors[0]) + abs(ROUNDING * value)
+    if not (cmath.isfinite(value) and math.isfinite(error)):
+        raise PolydetError(f"the chord from point {u} to point {v}, {value!r} with error "
+                           f"estimate {error!r}, is not a finite float")
+    return QuadResult(value, error, panels[0])
 
 
 # --------------------------------------------------------------------------

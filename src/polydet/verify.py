@@ -28,18 +28,18 @@ perturbed quantity less its base value, which rounding may make other
 than +-h far from the origin.  The optional Richardson switch combines
 D(h) and D(h/2) into the fourth-order extrapolation (4 D(h/2) - D(h))/3.
 
-The analytic side of a report is the metric's recorded gradient
-(``detlap``): formed once per metric by whichever call asks first, a
-suite after direct gradient calls forms none anew.
+The analytic side of a report is the gradient kept in the metric's
+gradient slots (``detlap``), formed by whichever call asks first.
 
 No metric is built per step.  ``gradient_reports`` forms the prefactor,
 W's sum and the F terms, one per vertex, once and hands them to the
 function of each channel's kind (``_position``, ``_angle``, ``_scale``),
 which forms its analytic gradient, step size and rows of steps; its
-docstring says what a step forms anew.  A step copies the rest from the metric's record (``metric._Parts``) and
-hands its prefactor, W and F terms to ``detlap._assemble``, the one sum
-of log det', which ``detlap.log_det_over_area`` takes too, so a step
-equals that value bit for bit.
+docstring says what a step forms anew.  A step copies the rest from the
+metric's record (``PolyhedralMetric``) and hands its prefactor, W and F
+terms to ``detlap._assemble``, the one sum of log det', which
+``detlap.log_det_over_area`` takes too, so a step equals that value bit
+for bit.
 
 Each step first runs the checks ``make_metric`` would run on what it
 changes, from the same helpers: a finite positive scale; a finite moved
@@ -142,8 +142,7 @@ def _position(m: PolyhedralMetric, base, i: int, richardson: bool):
     parts, p = m._parts, i - 1
     zs, coefficients = parts.positions, parts.coefficients
     z0, incident = zs[p], _incident(len(zs))[p]
-    distances = m._pair_distances
-    offsets = _steps(STEP * min([distances[k] for _, k in incident]), richardson)
+    offsets = _steps(STEP * min([parts.distances[k] for _, k in incident]), richardson)
     rows = []
     for axis in (1, 1j):
         row = []

@@ -253,8 +253,8 @@ _FAR_CASES = [(command, size, "not a positive finite float")
 _FAR_CASES += [("tetra", size, "area inf is not a positive finite float: "
                 "the area is outside the float range")
                for size in _FAR_SIZES[1:-1]]
-_FAR_CASES += [("tetra", 1e-315, "period integral between branch points 0 and 1, "
-                "(nan+nanj), is not a finite float")]
+_FAR_CASES += [("tetra", 1e-315, "the chord from point 0 to point 1, (nan+nanj) with "
+                "error estimate nan, is not a finite float")]
 _FAR_CASES += [("tetra", 1e300, "area 0.0 is not a positive finite float: "
                 "the area is outside the float range")]
 

@@ -484,15 +484,15 @@ def _written_out_w(m):
                                   "three_vertex", "eight_vertex"])
 def test_gradients_and_w_keep_their_bits(name, filled, request):
     # the gradients and W read the metric's record of parts; each has the
-    # bits of its formula written out from the positions, whether the
-    # record is computed by the call itself or was filled before
+    # bits of its formula written out from the positions, whether its
+    # gradient slots are filled by the call itself or were filled before
     base = request.getfixturevalue(name)
     m = make_metric(base.scale, [(v.position, v.exponent) for v in base.vertices])
-    assert "_parts" not in vars(m)
+    n = m.num_vertices
+    assert m._gradients == ([None] * n, [None] * n)
     if filled:
         grad_angle(m, 2)
-        assert "_parts" in vars(m)
-    n = m.num_vertices
+        assert m._gradients[1][1] is not None
     for i in range(2, n + 1):
         assert grad_angle(m, i).hex() == (_b_block(m, i - 1) - _b_block(m, 0)).hex(), i
     for i in range(1, n + 1):

@@ -146,8 +146,7 @@ def test_record_stays_private(corpus5, tmp_path, capsys):
     fresh = make_metric(corpus5.scale, verts)
     filled = make_metric(corpus5.scale, verts)
     detlap.grad_angle(filled, 2)
-    assert {"_parts", "_gradients"} <= set(vars(filled))
-    assert not {"_parts", "_gradients"} & set(vars(fresh))
+    assert filled._gradients != fresh._gradients == ([None] * 5, [None] * 5)
     assert filled == fresh and hash(filled) == hash(fresh)
     assert repr(filled) == repr(fresh)
     assert dataclasses.asdict(filled) == dataclasses.asdict(fresh)
@@ -159,25 +158,26 @@ def test_record_stays_private(corpus5, tmp_path, capsys):
         assert main(["det", "--metric", str(path), "--json"]) == 0
         outs.append(capsys.readouterr().out)
     assert outs[0] == outs[1]
-    # computing the record again gives an equal record
-    parts = vars(filled).pop("_parts")
-    assert filled._parts == parts
+    # building the metric again gives an equal record
+    assert PolyhedralMetric(filled.scale, filled.vertices)._parts == filled._parts
 
 
 def test_derived_metrics_carry_no_record(corpus5):
-    # with_position and with_scale build their metric anew: its gradients
-    # have the bits of a metric made from scratch, not the parent's
+    # with_position and with_scale build their metric anew: it carries
+    # none of the parent's gradients, and its record and gradients have
+    # the bits of a metric made from scratch
     from polydet import detlap
 
-    detlap.grad_angle(corpus5, 2)    # fills the parent's record
+    detlap.grad_angle(corpus5, 2)    # fills the parent's gradient slots
     verts = [(v.position, v.exponent) for v in corpus5.vertices]
     moved = list(verts)
     moved[2] = (verts[2][0] + 0.25 - 0.125j, verts[2][1])
     for child, scratch in ((corpus5.with_position(3, moved[2][0]),
                             make_metric(corpus5.scale, moved)),
                            (corpus5.with_scale(2.5), make_metric(2.5, verts))):
-        assert not {"_parts", "_gradients"} & set(vars(child))
         n = child.num_vertices
+        assert child._gradients == ([None] * n, [None] * n)
+        assert child._parts == scratch._parts
         got = ([detlap.grad_position(child, i) for i in range(1, n + 1)]
                + [detlap.grad_angle(child, i) for i in range(2, n + 1)]
                + [detlap.grad_scale(child), detlap.w_function(child),
@@ -186,4 +186,29 @@ def test_derived_metrics_carry_no_record(corpus5):
                   + [detlap.grad_angle(scratch, i) for i in range(2, n + 1)]
                   + [detlap.grad_scale(scratch), detlap.w_function(scratch),
                      detlap.log_det_over_area(scratch)])
+        assert [repr(x) for x in got] == [repr(x) for x in expect]
+
+
+def test_record_is_built_at_construction(corpus5):
+    # the constructor itself checks and records the distances, so a metric
+    # built directly with two vertices at 0 is refused there; a metric that
+    # dataclasses.replace or copy.deepcopy makes carries the record and the
+    # gradients of one that make_metric makes
+    import copy
+
+    from polydet import detlap
+    from polydet.metric import ConicalVertex, PolyhedralMetric
+
+    with pytest.raises(DuplicateVertex, match="^vertices 1 and 2 share position"):
+        PolyhedralMetric(1.0, tuple(ConicalVertex(z, -0.5) for z in (0, 0, 1, 1j)))
+    detlap.grad_angle(corpus5, 2)
+    verts = [(v.position, v.exponent) for v in corpus5.vertices]
+    n = corpus5.num_vertices
+    for made, scratch in ((dataclasses.replace(corpus5, scale=2.5), make_metric(2.5, verts)),
+                          (copy.deepcopy(corpus5), make_metric(corpus5.scale, verts))):
+        assert made == scratch and made._parts == scratch._parts
+        got = ([detlap.grad_position(made, i) for i in range(1, n + 1)]
+               + [detlap.grad_angle(made, i) for i in range(2, n + 1)])
+        expect = ([detlap.grad_position(scratch, i) for i in range(1, n + 1)]
+                  + [detlap.grad_angle(scratch, i) for i in range(2, n + 1)])
         assert [repr(x) for x in got] == [repr(x) for x in expect]

@@ -434,7 +434,7 @@ def test_segment_integral_endpoint_singularities():
     exact = cmath.exp(1j * PI * b2) * math.exp(
         math.lgamma(1 + b1) + math.lgamma(1 + b2) - math.lgamma(2 + b1 + b2))
     assert abs(chord.value - exact) < 1e-14
-    assert chord.error_estimate < 1e-14
+    assert chord.error_estimate < 1e-14 + quad.ROUNDING * abs(chord.value)
 
 
 def _chord(zs, bs, u, v, theta):
@@ -689,10 +689,13 @@ def test_area_estimate_respects_contract(tetra):
 
 def test_segment_through_a_vertex_is_not_finite():
     # the segment from vertex 0 to vertex 2 runs through vertex 1: a log of
-    # 0 at a node, which comes out as a value that is not finite, for the
-    # caller's finiteness check, and no numpy warning (an error here)
-    chord = segment_integral([0, 1, 2, 3], [-0.5] * 4, 0, 2)
-    assert not cmath.isfinite(chord.value)
+    # 0 at a node makes the chord nan, which is refused by type, with no
+    # numpy warning (an error here)
+    with pytest.raises(PolydetError, match=(
+            r"^the chord from point 0 to point 2, \(nan\+nanj\) with error estimate nan, "
+            "is not a finite float$")) as info:
+        segment_integral([0, 1, 2, 3], [-0.5] * 4, 0, 2)
+    assert type(info.value) is PolydetError
 
 
 @pytest.mark.parametrize("zs, pair", [([0, 0, 1], "0 and 1"), ([0, 1, 0], "0 and 2"),
@@ -758,7 +761,19 @@ def test_segment_integral_takes_a_pole_off_the_segment():
         exact = complex(mpmath.quad(lambda t: t ** -0.5 * (1 - t) ** -0.5 * -1j / (t - 2j),
                                     [0, 1]))
     assert abs(chord.value - exact) <= 2e-15 * abs(exact)
-    assert chord.error_estimate <= 1e-15 * abs(exact)
+    assert chord.error_estimate <= (1e-15 + quad.ROUNDING) * abs(exact)
+
+
+@pytest.mark.parametrize("b", [0, 2, 10, 20, 40])
+def test_chord_estimate_covers_its_rounding(b):
+    # a smooth chord whose panels' estimate is below its rounding error:
+    # the floor ROUNDING |chord| covers it (against 40-digit mpmath, with
+    # arg(z - 1) = pi along the segment)
+    chord = segment_integral([0, 1, 2j], [b, -0.5, -0.5], 0, 1)
+    with mpmath.workdps(40):
+        exact = mpmath.quad(lambda t: t ** b * (1 - t) ** mpmath.mpf(-0.5) * -1j
+                            * (t - 2j) ** mpmath.mpf(-0.5), [0, 1])
+        assert abs(mpmath.mpc(chord.value) - exact) <= chord.error_estimate
 
 
 _SQUARE = [(0, -0.5), (1, -0.5), (1 + 1j, -0.5), (1j, -0.5)]
@@ -797,14 +812,18 @@ _GENERIC = [(0.31 + 0.22j, -0.55), (-0.74 + 0.61j, -0.35), (-0.52 - 0.83j, -0.6)
 @settings(max_examples=40, deadline=None)
 def test_scaled_metric_keeps_the_float_range_contract(position, scale):
     # positions times 10^position and C times 10^scale, whose chords and
-    # area leave the float range at either end: a chord comes out as a
-    # value, inf or nan if need be, and the area is a positive float or a
-    # typed refusal; Python's ** and cmath raise OverflowError and complex
-    # division by zero ZeroDivisionError where numpy gives inf or nan
+    # area leave the float range at either end: a chord and the area are
+    # finite or a typed refusal; Python's ** and cmath raise OverflowError
+    # and complex division by zero ZeroDivisionError where numpy gives inf
+    # or nan
     zs = [10.0**position * z for z, _ in _GENERIC]
     bs = [b for _, b in _GENERIC]
     for u, v in itertools.permutations(range(len(zs)), 2):
-        assert isinstance(segment_integral(zs, bs, u, v), quad.QuadResult)
+        try:
+            chord = segment_integral(zs, bs, u, v)
+        except PolydetError:
+            continue
+        assert cmath.isfinite(chord.value) and math.isfinite(chord.error_estimate)
     try:
         result = area(make_metric(10.0**scale, list(zip(zs, bs))))
     except PolydetError:
