@@ -30,7 +30,8 @@ from __future__ import annotations
 import cmath
 import json
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple, Sequence, Tuple
 
@@ -89,26 +90,34 @@ class _Parts(NamedTuple):
 class PolyhedralMetric:
     """Validated flat conical metric: scale C plus ordered vertex list.
 
-    Build one with ``make_metric``, which validates it.  Construction also
-    records, as ``_parts`` (a ``_Parts``), the position, exponent and
-    angle tuples and every vertex pair's distance, log distance, W
-    coefficient and W term, which the determinant, its gradients and the
-    finite-difference steps of module ``verify`` read in place; it raises
-    ``DuplicateVertex`` or PolydetError for a pair distance that is 0 or
-    not a finite float.  The only thing filled later is ``_gradients``,
-    the slots of every vertex's Wirtinger position gradient and angle
-    block, which module ``detlap`` fills when a gradient call first asks;
-    a slot filled twice, as two threads may, gets the same value.  Neither
-    is a field, so ``==``, ``hash``, ``repr`` and the JSON see only C and
-    the vertices.
+    The constructor is the one validator: ``make_metric``,
+    ``dataclasses.replace``, ``with_scale`` and ``with_position`` all run
+    its checks, which ``make_metric`` lists.  Construction also records,
+    as ``_parts`` (a ``_Parts``), the position, exponent and angle tuples
+    and every vertex pair's distance, log distance, W coefficient and W
+    term, which the determinant, its gradients and the finite-difference
+    steps of module ``verify`` read in place.  The only thing filled later
+    is ``_gradients``, the slots of every vertex's Wirtinger position
+    gradient and angle block, which module ``detlap`` fills when a
+    gradient call first asks; a slot filled twice, as two threads may,
+    gets the same value.  Neither is a field, so ``==``, ``hash``,
+    ``repr`` and the JSON see only C and the vertices.
     """
 
     scale: float
     vertices: Tuple[ConicalVertex, ...]
 
     def __post_init__(self) -> None:
+        _check_scale(self.scale)
+        for z, b in self.vertices:
+            if not b > -1.0 or not math.isfinite(b):
+                raise InvalidExponent(f"exponent must satisfy b > -1, got {b}")
+            _check_position(z)
+        if len(self.vertices) < 3:
+            raise GaussBonnetViolation(f"need at least 3 vertices, got {len(self.vertices)}")
         zs = tuple([v.position for v in self.vertices])
         bs = tuple([v.exponent for v in self.vertices])
+        _check_gauss_bonnet(bs)
         angles = tuple([v.angle for v in self.vertices])
         pairs = _pairs(len(zs))
         distances = _distances(zs, pairs)
@@ -133,19 +142,23 @@ class PolyhedralMetric:
         return self._parts.angles
 
     def check_index(self, i: int) -> None:
-        """Raise PolydetError unless ``i`` is a 1-based vertex index."""
-        if not 1 <= i <= len(self.vertices):
+        """Raise PolydetError unless ``i`` is an integer (to ``operator.index``) in 1..M."""
+        try:
+            inside = 1 <= operator.index(i) <= len(self.vertices)
+        except TypeError:
+            inside = False
+        if not inside:
             raise PolydetError(
-                f"vertex index {i} out of range 1..{len(self.vertices)}")
+                f"vertex index {i!r} out of range 1..{len(self.vertices)}")
 
     def with_scale(self, scale: float) -> "PolyhedralMetric":
-        return make_metric(scale, [(v.position, v.exponent) for v in self.vertices])
+        return replace(self, scale=float(scale))
 
     def with_position(self, i: int, z: complex) -> "PolyhedralMetric":
         self.check_index(i)
-        verts = [(v.position, v.exponent) for v in self.vertices]
-        verts[i - 1] = (z, verts[i - 1][1])
-        return make_metric(self.scale, verts)
+        verts = list(self.vertices)
+        verts[i - 1] = verts[i - 1]._replace(position=complex(z))
+        return replace(self, vertices=tuple(verts))
 
 
 # --------------------------------------------------------------------------
@@ -153,35 +166,19 @@ class PolyhedralMetric:
 # --------------------------------------------------------------------------
 
 def make_metric(scale: float, verts: Sequence[Tuple[complex, float]]) -> PolyhedralMetric:
-    """Validate and build a PolyhedralMetric.
-
-    Parameters
-    ----------
-    scale : positive float, the overall factor C.
-    verts : sequence of (position, exponent) pairs, at least 3 entries,
-        each exponent > -1, positions finite and pairwise distinct, each
-        distance |z_k - z_l| a finite float, exponent sum within 1e-12
-        of -2.
-    """
-    _check_scale(scale)
-    verts = [(complex(z), float(b)) for z, b in verts]
-    for z, b in verts:
-        if not b > -1.0 or not math.isfinite(b):
-            raise InvalidExponent(f"exponent must satisfy b > -1, got {b}")
-        _check_position(z)
-    if len(verts) < 3:
-        raise GaussBonnetViolation(
-            f"need at least 3 vertices, got {len(verts)}"
-        )
-    _check_gauss_bonnet([b for _, b in verts])
+    """Convert C and raw (position, exponent) pairs to a PolyhedralMetric,
+    whose constructor refuses, in this order: a scale not positive and
+    finite (NonpositiveScale); an exponent not finite and above -1
+    (InvalidExponent), then its position not finite (PolydetError); fewer
+    than 3 vertices, or an exponent sum not within 1e-12 of -2
+    (GaussBonnetViolation); a distance |z_k - z_l| of 0 (DuplicateVertex)
+    or not a finite float (PolydetError)."""
     return PolyhedralMetric(
-        scale=float(scale),
-        vertices=tuple(ConicalVertex(z, b) for z, b in verts),
-    )
+        float(scale), tuple([ConicalVertex(complex(z), float(b)) for z, b in verts]))
 
 
-# The checks of ``make_metric`` that a finite-difference step of ``verify``
-# runs on the one quantity it changes.
+# The checks of the ``PolyhedralMetric`` constructor that a
+# finite-difference step of ``verify`` runs on the one quantity it changes.
 
 def _check_scale(scale: float) -> None:
     if not scale > 0.0 or not math.isfinite(scale):

@@ -41,15 +41,15 @@ terms to ``detlap._assemble``, the one sum of log det', which
 ``detlap.log_det_over_area`` takes too, so a step equals that value bit
 for bit.
 
-Each step first runs the checks ``make_metric`` would run on what it
-changes, from the same helpers: a finite positive scale; a finite moved
-position distinct from the others; the exponent sum (exponents above -1
-are checked against the margin below, and angles against
-``metric.ANGLE_RANGE`` as F takes them).  A step lost to rounding (z + e
-== z, C + e == C, or an angle that does not move) raises
-PerturbationLeavesDomain.  A log(det/Area) that is not finite, at the
-base metric or at a step, and a finite difference past the float range
-raise PolydetError.
+Each step first runs the checks that the ``PolyhedralMetric``
+constructor, the one validator, would run on what it changes, from the
+same helpers: a finite positive scale; a finite moved position distinct
+from the others; the exponent sum (exponents above -1 are checked
+against the margin below, and angles against ``metric.ANGLE_RANGE`` as F
+takes them).  A step lost to rounding (z + e == z, C + e == C, or an
+angle that does not move) raises PerturbationLeavesDomain.  A
+log(det/Area) that is not finite, at the base metric or at a step, and
+a finite difference past the float range raise PolydetError.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def _position(m: PolyhedralMetric, base, i: int, richardson: bool):
     along y.  Vertex i's own nearest gap sets the step scale, so a close
     pair elsewhere leaves it alone.  A step forms anew the W terms of the
     M - 1 pairs of vertex i, the pair's coefficient times its new log
-    distance, checked as ``make_metric`` checks them."""
+    distance, checked as the ``PolyhedralMetric`` constructor does."""
     analytic = grad_position(m, i)
     pre, _, f = base
     parts, p = m._parts, i - 1

@@ -95,6 +95,52 @@ def test_angle_sum_constraint():
             -4 * PI, abs=1e-12)
 
 
+# Inputs that the constructor used to take without make_metric's checks:
+# each broke later with a bare ZeroDivisionError, ValueError or
+# IndexError, or, for an exponent sum of -1.5, gave a finite log det'
+# for a metric that breaks Gauss-Bonnet.
+UNCHECKED_BEFORE = [
+    pytest.param(1.0, [(0, -1.0), (1, -0.5), (1j, -0.5)], InvalidExponent, id="b=-1"),
+    pytest.param(1.0, [(0, -3.0), (1, 0.5), (1j, 0.5)], InvalidExponent, id="b=-3"),
+    pytest.param(1.0, [(0, math.nan), (1, -0.5), (1j, -0.5)], InvalidExponent, id="b=nan"),
+    pytest.param(0.0, TETRA_VERTS, NonpositiveScale, id="C=0"),
+    pytest.param(1.0, [(0, -0.5), (1, -0.5)], GaussBonnetViolation, id="M=2"),
+    pytest.param(1.0, [], GaussBonnetViolation, id="M=0"),
+    pytest.param(1.0, TETRA_VERTS[:3] + [(complex(math.nan, 0.0), -0.5)], PolydetError,
+                 id="nan-position"),
+    pytest.param(1.0, [(0, -0.5), (1, -0.5), (1j, -0.5)], GaussBonnetViolation,
+                 id="sum=-1.5-was-a-silent-wrong-log-det"),
+]
+
+
+@pytest.mark.parametrize("scale, verts, error", UNCHECKED_BEFORE)
+def test_every_construction_path_refuses_alike(scale, verts, error):
+    # make_metric, the constructor and dataclasses.replace raise one
+    # exception, of one type with one message
+    from polydet.metric import ConicalVertex, PolyhedralMetric
+
+    vertices = tuple(ConicalVertex(complex(z), float(b)) for z, b in verts)
+    raised = []
+    for build in (lambda: make_metric(scale, verts),
+                  lambda: PolyhedralMetric(scale, vertices),
+                  lambda: dataclasses.replace(tetrahedron_metric(), scale=scale,
+                                              vertices=vertices)):
+        with pytest.raises(PolydetError) as info:
+            build()
+        raised.append((type(info.value), str(info.value)))
+    assert raised[0][0] is error
+    assert raised == [raised[0]] * 3
+
+
+def test_numpy_integer_is_a_vertex_index(corpus5):
+    import numpy as np
+
+    from polydet import detlap
+
+    assert detlap.grad_angle(corpus5, np.int64(2)) == detlap.grad_angle(corpus5, 2)
+    assert corpus5.with_position(np.int64(2), 0.3) == corpus5.with_position(2, 0.3)
+
+
 # ---- JSON round trip ----
 
 def test_json_round_trip():
@@ -126,9 +172,10 @@ def test_gauss_bonnet_always_holds(m):
     assert abs(math.fsum(m.exponents()) + 2.0) < 1e-11
 
 
-@pytest.mark.parametrize("i", [0, 6])
+@pytest.mark.parametrize("i", [0, 6, 2.0, math.nan, "2"])
 def test_with_position_checks_its_index(corpus5, i):
-    # 0 is not vertex M, and M + 1 is no IndexError
+    # 0 is not vertex M, M + 1 is no IndexError, and an index that is not
+    # an integer is no TypeError
     with pytest.raises(PolydetError, match="out of range") as info:
         corpus5.with_position(i, 0.3 - 0.2j)
     assert type(info.value) is PolydetError

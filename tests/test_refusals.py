@@ -2,7 +2,12 @@
 name of ``metric``, ``quad``, ``detlap``, ``regint``, ``elliptic`` and
 ``verify`` returns finite values or raises a ``PolydetError`` subclass,
 and ``cli.main`` returns 0, 1 (``verify fd`` only), 2 or 3, or leaves
-by argparse's ``SystemExit(2)`` on a malformed command line.
+by argparse's ``SystemExit(2)`` on a malformed command line.  The
+``PolyhedralMetric`` constructor, called directly or by
+``dataclasses.replace``, refuses by the same type and message as
+``make_metric`` and builds an equal metric where that does, and a vertex
+index that is not an integer (2.0, nan, "2") is refused as one out of
+range.
 
 The inputs mix moderate values, which reach the computations, with
 floats from the whole range: nan, +-inf, subnormals, 1e300 and 1.7e308.
@@ -11,6 +16,8 @@ The cone kernels are left out.
 
 import cmath
 import contextlib
+import dataclasses
+import functools
 import io
 import json
 import math
@@ -21,7 +28,7 @@ from hypothesis import strategies as st
 
 from polydet import cli, detlap, elliptic, metric, quad, regint, verify
 from polydet.errors import PolydetError
-from polydet.metric import PolyhedralMetric
+from polydet.metric import ConicalVertex, PolyhedralMetric
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -32,6 +39,11 @@ EDGES = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
 def reals(lo=-3.0, hi=3.0):
     """A float in [lo, hi], at an edge of the float range, or anywhere."""
     return st.one_of(st.floats(lo, hi), st.sampled_from(EDGES), st.floats())
+
+
+def indices(hi):
+    """A vertex index from -1 to hi, or a value that is not an integer."""
+    return st.one_of(st.integers(-1, hi), st.sampled_from([2.0, math.nan, "2"]))
 
 
 @st.composite
@@ -70,6 +82,17 @@ def _call(f, *args):
         return None
 
 
+def _outcome(f, *args):
+    """f(*args) under the contract, or the type and message of the
+    PolydetError subclass it raises."""
+    try:
+        result = f(*args)
+    except PolydetError as exc:
+        return type(exc), str(exc)
+    assert _finite(result), (f, args, result)
+    return result
+
+
 def _finite(value) -> bool:
     """Every number held in ``value`` is finite."""
     if value is None or isinstance(value, (bool, int, str)):
@@ -93,13 +116,25 @@ def _checked(f, *args):
 @given(inputs=metric_inputs(), data=st.data())
 @PROPERTY
 def test_metric_names_refuse_by_type(inputs, data):
-    m = _checked(metric.make_metric, *inputs)
-    if m is None:
-        return
+    scale, verts = inputs
+    made = _outcome(metric.make_metric, scale, verts)
+    assert _outcome(PolyhedralMetric, scale, tuple(ConicalVertex(*v) for v in verts)) == made
+    # a valid metric, with a new scale, then with one vertex moved and
+    # its exponent kept or drawn
+    m = made if isinstance(made, PolyhedralMetric) else metric.tetrahedron_metric()
     assert metric.metric_from_json_dict(metric.metric_to_json_dict(m)) == m
-    _checked(m.with_scale, data.draw(reals(0.0, 10.0)))
-    _checked(m.with_position, data.draw(st.integers(-1, 8)), complex(*data.draw(points(1))))
-    _checked(m.check_index, data.draw(st.integers(-1, 8)))
+    raw = [(v.position, v.exponent) for v in m.vertices]
+    scale = data.draw(reals(0.0, 10.0))
+    made = _outcome(metric.make_metric, scale, raw)
+    assert _outcome(functools.partial(dataclasses.replace, m, scale=scale)) == made
+    assert _outcome(m.with_scale, scale) == made
+    k = data.draw(st.integers(0, len(raw) - 1))
+    raw[k] = (data.draw(points(1))[0], data.draw(st.one_of(st.just(raw[k][1]), reals(-1.5, 2.0))))
+    vertices = m.vertices[:k] + (ConicalVertex(*raw[k]),) + m.vertices[k + 1:]
+    assert (_outcome(functools.partial(dataclasses.replace, m, vertices=vertices))
+            == _outcome(metric.make_metric, m.scale, raw))
+    _checked(m.with_position, data.draw(indices(8)), complex(*data.draw(points(1))))
+    _checked(m.check_index, data.draw(indices(8)))
 
 
 JSON = st.recursive(
@@ -132,7 +167,7 @@ def test_area_and_chords_refuse_by_type(m, n, data):
     _checked(quad.segment_integral, zs, bs, u, v)
 
 
-@given(m=metrics(), i=st.integers(-1, 7), beta=reals(0.0, 20.0), scale=reals(0.0, 10.0))
+@given(m=metrics(), i=indices(7), beta=reals(0.0, 20.0), scale=reals(0.0, 10.0))
 @PROPERTY
 def test_determinant_and_gradients_refuse_by_type(m, i, beta, scale):
     _checked(detlap.f_function, beta, scale)

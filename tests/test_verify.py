@@ -268,16 +268,19 @@ def test_steps_match_whole_metrics(name, richardson, request):
 
 
 def test_run_suite_builds_no_metric(corpus5, monkeypatch):
-    # the steps reuse the base metric's parts: no metric is built and W is
+    # the steps reuse the base metric's parts: no metric is built, by any
+    # path (make_metric, the constructor, dataclasses.replace), and W is
     # not recomputed from all pairs
     import sys
 
-    from polydet import detlap, metric
+    from polydet import detlap
+    from polydet.metric import PolyhedralMetric
 
     def refuse(*args, **kwargs):
         raise AssertionError("whole metric rebuilt")
 
-    for original in (metric.make_metric, detlap.w_function, detlap.log_det_over_area):
+    monkeypatch.setattr(PolyhedralMetric, "__post_init__", refuse)
+    for original in (detlap.w_function, detlap.log_det_over_area):
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "polydet" and getattr(
                     module, original.__name__, None) is original:
