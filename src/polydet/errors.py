@@ -47,9 +47,9 @@ class InvalidMetricJSON(PolydetError):
 class ToleranceNotReached(PolydetError):
     """A quadrature's error estimate stayed above its tolerance: the area
     (``quad.area``) above quad.REL_TOL times the area, a period
-    above elliptic.PERIOD_REL_TOL times its size, or a panel integral of
-    ``regint`` (finite parts, cotangent contour) after its
-    budget of panel bisections.  The CLI exits 3.
+    above elliptic.PERIOD_REL_TOL times its size, or a bisected panel
+    integral (``quad._panel_integral``: regint's finite parts and
+    cotangent contour) after its budget of bisections.  The CLI exits 3.
 
     ``partial`` carries the result so far, a ``quad.QuadResult``.
     """

@@ -110,7 +110,7 @@ class PolyhedralMetric:
     def __post_init__(self) -> None:
         _check_scale(self.scale)
         for z, b in self.vertices:
-            if not b > -1.0 or not math.isfinite(b):
+            if not (_numeric(math.isfinite, b, "an exponent") and b > -1.0):
                 raise InvalidExponent(f"exponent must satisfy b > -1, got {b}")
             _check_position(z)
         if len(self.vertices) < 3:
@@ -172,21 +172,37 @@ def make_metric(scale: float, verts: Sequence[Tuple[complex, float]]) -> Polyhed
     (InvalidExponent), then its position not finite (PolydetError); fewer
     than 3 vertices, or an exponent sum not within 1e-12 of -2
     (GaussBonnetViolation); a distance |z_k - z_l| of 0 (DuplicateVertex)
-    or not a finite float (PolydetError)."""
-    return PolyhedralMetric(
-        float(scale), tuple([ConicalVertex(complex(z), float(b)) for z, b in verts]))
+    or not a finite float (PolydetError).  Before any of these, PolydetError
+    names a field that is not a number, or a vertex that is not a pair."""
+    return PolyhedralMetric(_numeric(float, scale, "the scale"),
+                            tuple([_numeric(_vertex, v, "a vertex") for v in verts]))
+
+
+def _vertex(pair) -> ConicalVertex:
+    z, b = pair     # a ValueError or TypeError for what is not a pair
+    return ConicalVertex(_numeric(complex, z, "a vertex position"),
+                         _numeric(float, b, "an exponent"))
+
+
+def _numeric(f, value, field: str):
+    """f(value); PolydetError naming ``field`` where a value that is not a
+    number (a string, None, an int past the float range) makes it raise."""
+    try:
+        return f(value)
+    except (TypeError, ValueError, OverflowError):
+        raise PolydetError(f"cannot take {value!r} as {field}") from None
 
 
 # The checks of the ``PolyhedralMetric`` constructor that a
 # finite-difference step of ``verify`` runs on the one quantity it changes.
 
 def _check_scale(scale: float) -> None:
-    if not scale > 0.0 or not math.isfinite(scale):
+    if not (_numeric(math.isfinite, scale, "the scale") and scale > 0.0):
         raise NonpositiveScale(f"scale must be a positive finite real, got {scale}")
 
 
 def _check_position(z: complex) -> None:
-    if not cmath.isfinite(z):
+    if not _numeric(cmath.isfinite, z, "a vertex position"):
         raise PolydetError(f"vertex position must be finite, got {z}")
 
 

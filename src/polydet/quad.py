@@ -48,7 +48,8 @@ the tour.
   panel has no vertex nearer than its length 2 (short of the float
   spacing), so the rest of the integrand is analytic inside the Bernstein
   ellipse rho = 2 + sqrt(5), of minor semi-axis 2: NODES points reach
-  rho^-(NODES - 1), about 1e-20.  ``regint`` takes the same rule.
+  rho^-(NODES - 1), about 1e-20.  ``_rule`` refuses (PolydetError) an
+  exponent whose weight 2^(b + 1) or a moment is past the float range.
 
 Every panel is evaluated once, on the first run of its edge.  Its error
 estimate is the size of the last two Chebyshev coefficients of its
@@ -60,6 +61,13 @@ fixed, so the one accuracy contract, error_estimate <= REL_TOL * value,
 relative at every scale, decides only whether ``area`` raises
 ToleranceNotReached (with the partial result).  Everything is evaluated
 in a fixed order, so results are bit-identical between runs.
+
+``_panel_integral``, module ``regint``'s one quadrature (its finite parts
+and its contour's line), bisects panels of the rule of weight 1 until one
+tolerance pair holds or ToleranceNotReached stops it, so no integral fails
+to converge silently.  On integrands analytic on the panel, as all of
+regint's are, the rule is about as accurate per node as Gauss-Legendre
+(Trefethen, SIAM Rev. 50, 2008).
 """
 
 from __future__ import annotations
@@ -86,6 +94,10 @@ BATCH = 8192        # logs evaluated at once (nodes times vertices)
 # and of a chord's estimate per unit of |chord|
 ROUNDING = 16.0 * sys.float_info.epsilon
 REL_TOL = 1e-9      # the area's accuracy contract: error_estimate <= REL_TOL * area
+MAX_PANEL_SPLITS = 64   # bisections per ``_panel_integral``
+PANEL_ABS_TOL = 1e-14   # a bisected integral is settled at an estimate of at most
+PANEL_REL_TOL = 1e-13   # max(PANEL_ABS_TOL, PANEL_REL_TOL |I|, rounding floor)
+PANEL_ROUNDING = 4.0 * sys.float_info.epsilon   # that floor per unit of the terms summed
 # distances within this factor of each other may be in either order once
 # rounded: abs and the difference it takes round each by about 2 eps
 NEAR_TIE = 1.0 + 8.0 * float(np.finfo(float).eps)
@@ -95,7 +107,7 @@ class QuadResult(NamedTuple):
     value: Union[float, complex]    # complex for a chord (``segment_integral``)
     error_estimate: float
     # panels evaluated: on the first runs of the tour's edges (about half the
-    # panels of the whole tour), or of a chord or a regint integral
+    # panels of the whole tour), of a chord, or in the last pass of ``_panel_integral``
     cell_count: int
 
 
@@ -144,13 +156,19 @@ def _rule(n: int, b: float) -> Tuple[np.ndarray, float]:
     Returns the rows (the weights of g at the points, for the sum over
     k >= 1; then the last two coefficients times max(|mu_1|, 2), the size
     of what the interpolant leaves out and of the moments it meets) and
-    m0, which ``_panel_sums`` adds after the sum so that it rounds alone."""
-    top = 2.0 ** (b + 1.0)
+    m0, which ``_panel_sums`` adds after the sum so that it rounds alone.
+    PolydetError if 2^(b + 1) or a moment is not a finite float, checked
+    in Python floats before any numpy operation: the recurrence overflows
+    near b = 1017, long before the rows could."""
+    top = 2.0 ** (b + 1.0) if b + 1.0 < sys.float_info.max_exp else math.inf
     mu_k = 2.0 * top / (b + 2.0)
     mu = [mu_k]                                 # mu_1, mu_2, ...
     for k, k_1, odd in _recurrence(n):
         mu_k = -(top + k * (k - b - 2.0) * mu_k + top * odd) / (k_1 * (k + b + 1.0))
         mu.append(mu_k)
+    if not all(map(math.isfinite, mu)):         # mu_1 holds 2^(b + 1)
+        raise PolydetError(f"the weight 2^(b + 1) of the exponent {b!r} or a moment "
+                           f"of its rule is past the float range")
     coef = _chebyshev(n)[1]
     rows = np.empty((3, n))
     np.matmul(mu, coef[1:], out=rows[0])
@@ -176,6 +194,46 @@ def _panel_sums(rows, m0, half, vals) -> np.ndarray:
     sums = half[:, None] * (rows @ vals[..., None])[..., 0]
     sums[:, 0] += half * m0 * vals[:, 0]
     return sums
+
+
+def _panel_integral(f, edges, cancel: float) -> QuadResult:
+    """int f on the panels between consecutive ``edges`` (module
+    docstring); ``f`` maps the nodes of some panels (panel, node) to the
+    values, real or complex, there, once a pass.  The estimate is the
+    panels' (``_panel_sums``) plus a rounding floor, PANEL_ROUNDING times
+    the integral of |f| by the rule's weights, which are positive, plus
+    ``cancel``, the integral of terms that cancel inside f.  While the
+    panels' part exceeds max(PANEL_ABS_TOL, PANEL_REL_TOL |I|, floor), the
+    next pass bisects every panel holding more than its share of that
+    bound; past MAX_PANEL_SPLITS bisections ToleranceNotReached carries
+    the partial result."""
+    x = _chebyshev(NODES)[0]
+    rows, m0 = _rule(NODES, 0.0)
+    weights = rows[0].copy()      # the full weights, m0 at the first point
+    weights[0] += m0
+    splits = 0
+    while True:
+        lo, hi = np.array([edges[:-1], edges[1:]])
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        vals = f(mid[:, None] + half[:, None] * x)
+        sums = _panel_sums(rows, m0, half, vals)
+        # per panel the coefficient estimate; the integral of |f|
+        coef = np.abs(sums[:, 1:]).sum(axis=1)
+        size = (half * (np.abs(vals) @ weights)).sum().item()
+        value, err = sums[:, 0].sum().item(), coef.sum().item()
+        floor = PANEL_ROUNDING * (size + cancel)
+        bound = max(PANEL_ABS_TOL, PANEL_REL_TOL * abs(value), floor)
+        result = QuadResult(value, err + floor, len(half))
+        if err <= bound:
+            return result
+        split = np.flatnonzero(~(coef <= bound / len(half)))   # nan panels too
+        splits += len(split)
+        if splits > MAX_PANEL_SPLITS:
+            raise ToleranceNotReached(
+                f"panel error estimate {result.error_estimate:.3e} exceeds "
+                f"{bound:.3e} after {MAX_PANEL_SPLITS} bisections",
+                partial=result)
+        edges = sorted([*edges, *mid[split].tolist()])
 
 
 def _panels(rho: np.ndarray) -> Tuple[List[int], List[float], List[float]]:
@@ -365,7 +423,7 @@ def segment_integral(zs, bs, u: int, v: int) -> QuadResult:
     PolydetError unless u and v are two distinct integer indices, there is
     one exponent per point, the exponents' sizes have a finite sum, and
     both end exponents b are above -1, where the integral converges, with
-    2^(b + 1) and the moments of its rule finite floats.  DuplicateVertex
+    2^(b + 1) and the moments of its rule finite floats (``_rule``).  DuplicateVertex
     if another point sits on z_u or z_v, and PolydetError if one is nearer
     to it than the float range allows beside the segment (``_chords``);
     both name the points 0-based.  PolydetError if the chord or its
@@ -389,12 +447,7 @@ def segment_integral(zs, bs, u: int, v: int) -> QuadResult:
         if not bs[end] > -1.0:
             raise PolydetError(f"the integral diverges at point {end}, whose exponent "
                                f"{bs[end]!r} is not above -1")
-        with np.errstate(over="ignore", invalid="ignore"):     # moments past 2^(b + 2)
-            finite = (bs[end] + 1.0 < sys.float_info.max_exp
-                      and np.isfinite(_rule(NODES, bs[end])[0]).all())
-        if not finite:
-            raise PolydetError(f"the weight 2^(b + 1) of point {end}'s exponent "
-                               f"{bs[end]!r} or a moment of its rule is past the float range")
+        _rule(NODES, bs[end])
     span = math.hypot((z[v] - z[u]).real, (z[v] - z[u]).imag)     # inf past the range
     for end in (u, v):
         for k, zk in enumerate(z):

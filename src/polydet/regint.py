@@ -41,7 +41,7 @@ integral taken as a principal value.  On the lines sin(th/2) =
 +-cosh(s/2), and th -> -conj(th) folds the two lines into one real
 integral over s >= 0 with the weight
 L(s) = Re[cot(pi(dphi - pi - is)/beta) - cot(pi(dphi + pi - is)/beta)].
-The line integral runs on the panels below over [0, T],
+The line integral runs on bisected panels over [0, T],
 T = 40, with dyadic edges from 1/2 up and, for a pole a distance w off a
 line, edges graded geometrically down to 0.3 w, where its Lorentzian
 bump sits.  A pole within POLE_TOL = 1e-12 of a line counts as on it.
@@ -94,24 +94,7 @@ each take one angle and check it before f is evaluated; each defines its
 integrand f, its tail on [1, inf) and the upper end and rate of its far
 panels, and hands them with its Laurent coefficients to
 ``_finite_part``, which sums the near panels, the far panels and the
-circle.
-
-Panels
-------
-``_panel_integral`` is the one quadrature of this module.  It takes a
-list of panel edges and integrates every panel by the Chebyshev rule of
-the area (the quad.NODES points of ``quad._chebyshev`` and the rows of
-``quad._rule`` with weight 1; module ``quad`` says why that many), its
-error estimate the size of the last two Chebyshev coefficients of each
-panel (``quad._panel_sums``), held to one tolerance pair for every
-call, PANEL_ABS_TOL = 1e-14 and PANEL_REL_TOL = 1e-13.  A pass evaluates
-all panels in one integrand call; while the estimate is too large the
-next pass has the worst panels bisected, and one past MAX_PANEL_SPLITS
-bisections raises ToleranceNotReached with its partial result, so no
-integral fails to converge silently.  For integrands analytic on the
-panel, as all of these are, the rule is about as accurate per node as
-Gauss-Legendre (Trefethen, SIAM Rev. 50, 2008).  The contour's line is
-one call; a finite part is two, its near and its far panels.
+circle.  Every panel integral here is ``quad._panel_integral`` (module ``quad``).
 """
 
 from __future__ import annotations
@@ -122,10 +105,9 @@ from typing import NamedTuple, Tuple
 
 import numpy as np
 
-from .errors import PolydetError, ToleranceNotReached
+from .errors import PolydetError
 from .metric import _check_angle
-from . import quad as area_quad       # its NODES, read at each call
-from .quad import QuadResult, _chebyshev, _panel_sums, _rule
+from .quad import PANEL_ROUNDING, _panel_integral
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -144,60 +126,6 @@ def _coth(x):
 def _csch2(x):
     # 4 e^-2x/(1 - e^-2x)^2: no overflow for real x > 0; takes complex x too
     return 4.0 * np.exp(-2.0 * x) / np.expm1(-2.0 * x) ** 2
-
-
-# --------------------------------------------------------------------------
-# panels
-# --------------------------------------------------------------------------
-
-MAX_PANEL_SPLITS = 64   # panel bisections per integral
-PANEL_ABS_TOL = 1e-14   # an integral is settled at an estimate of at most
-PANEL_REL_TOL = 1e-13   # max(PANEL_ABS_TOL, PANEL_REL_TOL |I|, rounding floor)
-ROUNDING = 4.0 * float(np.finfo(float).eps)
-
-
-def _panel_integral(f, edges, cancel: float) -> QuadResult:
-    """int f on the panels between consecutive ``edges``, ``cancel`` the
-    integral of terms that cancel inside f there.  ``f`` maps the nodes of
-    some panels (panel, node) to the values, real or complex, there.
-
-    A pass calls ``f`` once on every panel.  The error estimate is the sum
-    over the panels of the size of the last two coefficients
-    (``quad._panel_sums``) plus a rounding floor, ROUNDING times the size
-    of the terms summed: the integral of |f| by the rule's weights, which
-    are positive, plus ``cancel``.  While the coefficient part exceeds
-    max(PANEL_ABS_TOL, PANEL_REL_TOL |I|, floor), the next pass has every
-    panel holding more than its share of that bound bisected; past
-    MAX_PANEL_SPLITS bisections ToleranceNotReached carries the partial
-    result.
-    """
-    x = _chebyshev(area_quad.NODES)[0]
-    rows, m0 = _rule(area_quad.NODES, 0.0)
-    weights = rows[0].copy()      # the full weights, m0 at the first point
-    weights[0] += m0
-    splits = 0
-    while True:
-        lo, hi = np.array([edges[:-1], edges[1:]])
-        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
-        vals = f(mid[:, None] + half[:, None] * x)
-        sums = _panel_sums(rows, m0, half, vals)
-        # per panel the coefficient estimate; the integral of |f|
-        coef = np.abs(sums[:, 1:]).sum(axis=1)
-        size = (half * (np.abs(vals) @ weights)).sum().item()
-        value, err = sums[:, 0].sum().item(), coef.sum().item()
-        floor = ROUNDING * (size + cancel)
-        bound = max(PANEL_ABS_TOL, PANEL_REL_TOL * abs(value), floor)
-        result = QuadResult(value, err + floor, len(half))
-        if err <= bound:
-            return result
-        split = np.flatnonzero(~(coef <= bound / len(half)))   # nan panels too
-        splits += len(split)
-        if splits > MAX_PANEL_SPLITS:
-            raise ToleranceNotReached(
-                f"panel error estimate {result.error_estimate:.3e} exceeds "
-                f"{bound:.3e} after {MAX_PANEL_SPLITS} bisections",
-                partial=result)
-        edges = sorted([*edges, *mid[split].tolist()])
 
 
 # --------------------------------------------------------------------------
@@ -398,7 +326,7 @@ def _finite_part(beta: float, halved: bool, coeffs, f, tail, far) -> HadamardRes
     u, w = _circle_rule(split)
     r = math.sqrt(split) * radius
     terms = f(r * u) * w
-    truncation = ROUNDING + split ** (CIRCLE_NODES // 2)
+    truncation = PANEL_ROUNDING + split ** (CIRCLE_NODES // 2)
     return HadamardResult(
         finite_part=math.fsum([-a3 / 2.0, r * terms.real.sum().item(), near.value, far.value]),
         subtracted_quadratic=a3 / 2.0,

@@ -144,3 +144,36 @@ def test_cli_imports_neither_numpy_nor_cone_anywhere():
                         "verify", "elliptic", ".regint"}
     assert not {name for name in imported
                 if name.split(".")[0] == "numpy" or name.lstrip(".") == "cone"}
+
+
+RULE_NAMES = {"NODES", "_chebyshev", "_rule", "_panel_sums"}
+
+
+def _rule_names_used(tree):
+    """The names of RULE_NAMES that a module imports from ``quad`` or reads
+    as an attribute of a name bound to module ``quad``."""
+    aliases, used = {"quad"}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = (node.module or "").split(".")[-1]
+            if module == "quad":
+                used |= {alias.name for alias in node.names} & RULE_NAMES
+            elif module in ("", "polydet"):
+                aliases |= {alias.asname or alias.name for alias in node.names
+                            if alias.name == "quad"}
+        elif isinstance(node, ast.Import):
+            aliases |= {alias.asname for alias in node.names
+                        if alias.name.endswith(".quad") and alias.asname}
+        elif (isinstance(node, ast.Attribute) and node.attr in RULE_NAMES
+              and isinstance(node.value, ast.Name) and node.value.id in aliases):
+            used.add(node.attr)
+    return used
+
+
+def test_only_quad_names_the_panel_rule():
+    # quad builds, refuses, sums and bisects the Chebyshev panels; every
+    # other module goes through its integrators, not the rule's parts
+    package = Path(polydet.__file__).parent
+    used = {path.name: _rule_names_used(ast.parse(path.read_text()))
+            for path in sorted(package.glob("*.py")) if path.name != "quad.py"}
+    assert used == {name: set() for name in used}

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -130,6 +131,53 @@ def test_every_construction_path_refuses_alike(scale, verts, error):
         raised.append((type(info.value), str(info.value)))
     assert raised[0][0] is error
     assert raised == [raised[0]] * 3
+
+
+def _tetra_with(scale=1.0, **fields):
+    """The tetrahedron built directly at ``scale``, its first vertex's
+    ``fields`` replaced."""
+    from polydet.metric import ConicalVertex, PolyhedralMetric
+
+    vertices = [ConicalVertex(complex(z), b) for z, b in TETRA_VERTS]
+    vertices[0] = vertices[0]._replace(**fields)
+    return PolyhedralMetric(scale, tuple(vertices))
+
+
+# Fields that are not numbers, each a bare TypeError or ValueError before:
+# refused by a PolydetError that names the field
+NOT_NUMBERS = [
+    pytest.param(lambda: _tetra_with(scale="2"), "cannot take '2' as the scale",
+                 id="direct-scale-str"),
+    pytest.param(lambda: _tetra_with(scale=None), "cannot take None as the scale",
+                 id="direct-scale-None"),
+    pytest.param(lambda: _tetra_with(exponent="-0.5"), "cannot take '-0.5' as an exponent",
+                 id="direct-exponent-str"),
+    pytest.param(lambda: _tetra_with(position="x"), "cannot take 'x' as a vertex position",
+                 id="direct-position-str"),
+    pytest.param(lambda: make_metric("x", TETRA_VERTS), "cannot take 'x' as the scale",
+                 id="make-scale-str"),
+    pytest.param(lambda: make_metric(1.0, TETRA_VERTS[:3] + [(-1j, None)]),
+                 "cannot take None as an exponent", id="make-exponent-None"),
+    pytest.param(lambda: make_metric(1.0, TETRA_VERTS[:3] + [(-1j, -0.5, 0)]),
+                 "cannot take ((-0-1j), -0.5, 0) as a vertex", id="make-vertex-triple"),
+]
+
+
+@pytest.mark.parametrize("build, message", NOT_NUMBERS)
+def test_a_field_that_is_not_a_number_is_refused_by_name(build, message):
+    with pytest.raises(PolydetError) as info:
+        build()
+    assert type(info.value) is PolydetError and str(info.value) == message
+
+
+def test_numbers_that_convert_still_build():
+    # numpy scalars in the constructor, a numeric string in make_metric
+    from polydet.metric import ConicalVertex, PolyhedralMetric
+
+    tetra = tetrahedron_metric()
+    assert make_metric("1", TETRA_VERTS) == tetra
+    assert PolyhedralMetric(np.float64(1.0), tuple(
+        ConicalVertex(np.complex128(z), np.float64(b)) for z, b in TETRA_VERTS)) == tetra
 
 
 def test_numpy_integer_is_a_vertex_index(corpus5):

@@ -730,10 +730,10 @@ def test_segment_integral_names_a_too_near_point_0_based(zs, pair):
     ([math.inf, -0.5, -0.5], 0, 1, "^need exponents whose sizes have a finite sum"),
     ([-0.5, -0.5, math.nan], 0, 1, "^need exponents whose sizes have a finite sum"),
     ([-0.5, 1.7e308, 1.7e308], 0, 1, "^need exponents whose sizes have a finite sum"),
-    ([1e300, -0.5, -0.5], 0, 1, r"^the weight 2\^\(b \+ 1\) of point 0's exponent 1e\+300 "),
-    ([-0.5, 1023.0, -0.5], 0, 1, r"^the weight 2\^\(b \+ 1\) of point 1's exponent 1023.0 "),
-    ([1022.9, -0.5, -0.5], 0, 1, r"^the weight 2\^\(b \+ 1\) of point 0's exponent 1022.9 "),
-    ([1020.0, -0.5, -0.5], 0, 1, r"^the weight 2\^\(b \+ 1\) of point 0's exponent 1020.0 "),
+    ([1e300, -0.5, -0.5], 0, 1, r"^the weight 2\^\(b \+ 1\) of the exponent 1e\+300 "),
+    ([-0.5, 1023.0, -0.5], 0, 1, r"^the weight 2\^\(b \+ 1\) of the exponent 1023.0 "),
+    ([1022.9, -0.5, -0.5], 0, 1, r"^the weight 2\^\(b \+ 1\) of the exponent 1022.9 "),
+    ([1020.0, -0.5, -0.5], 0, 1, r"^the weight 2\^\(b \+ 1\) of the exponent 1020.0 "),
 ], ids=["same-ends", "fractional", "past-the-end", "negative", "few-exponents",
         "pole-at-u", "pole-at-v", "below-minus-one", "inf-exponent", "nan-exponent",
         "sum-past-range", "end-weight-past-range", "end-weight-at-2^1024", "end-moment-past-range",
@@ -750,6 +750,46 @@ def test_segment_integral_refuses_what_it_cannot_integrate(bs, u, v, why):
     with pytest.raises(PolydetError, match=why) as info:
         segment_integral([0, 1, 2j], bs, u, v)
     assert type(info.value) is PolydetError
+
+
+RULE_PAST_RANGE = ("the weight 2^(b + 1) of the exponent {!r} or a moment of its rule is "
+                   "past the float range")
+
+
+def test_area_refuses_an_exponent_past_the_rule(tmp_path, capsys):
+    # b_1 = 1023 with 1026 equal exponents above -1 for the sum -2: the
+    # rule's weight 2^1024 overflows, which the area, log det' and the CLI
+    # raised as a bare OverflowError (the time is the O(M^2) tour)
+    m = 1027
+    rest = (-2.0 - 1023.0) / (m - 1)
+    metric = make_metric(1.0, [(cmath.exp(2j * PI * k / m), 1023.0 if k == 0 else rest)
+                               for k in range(m)])
+    why = RULE_PAST_RANGE.format(1023.0)
+    for f in (area, log_det_as):
+        with pytest.raises(PolydetError) as info:
+            f(metric)
+        assert type(info.value) is PolydetError and str(info.value) == why
+    path = tmp_path / "m.json"
+    dump_metric(metric, str(path))
+    assert main(["det", "--metric", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err) == {"error": "PolydetError", "message": why}
+
+
+@pytest.mark.parametrize("b", [1e300, 1023.0, 1022.9, 1020.0])
+def test_rule_refuses_its_own_overflow(b):
+    # 2^(b + 1) overflows at 1023 and beyond, 2 2^(b + 1)/(b + 2) at
+    # 1022.9 and a recurrence term at 1020, where an area read "area nan":
+    # refused in Python floats, with no numpy warning (an error here)
+    with pytest.raises(PolydetError) as info:
+        quad._rule(quad.NODES, b)
+    assert type(info.value) is PolydetError and str(info.value) == RULE_PAST_RANGE.format(b)
+
+
+def test_rule_below_its_overflow_is_finite():
+    # the moments overflow in the recurrence near b = 1017.02, long before
+    # the rows could
+    rows, m0 = quad._rule(quad.NODES, 1017.0)
+    assert np.isfinite(rows).all() and math.isfinite(m0)
 
 
 def test_segment_integral_takes_a_pole_off_the_segment():

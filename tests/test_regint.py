@@ -192,7 +192,7 @@ def test_finite_parts_match_mpmath(beta):
 def test_finite_parts_need_no_bisection(beta, monkeypatch):
     # the near panels, laid out geometrically from rho, meet the
     # tolerance at once at large angles too
-    monkeypatch.setattr(regint, "MAX_PANEL_SPLITS", 0)
+    monkeypatch.setattr(quad, "MAX_PANEL_SPLITS", 0)
     for fp in (hadamard_coth_over_sinh_sq, hadamard_coth_coth_over_theta):
         assert math.isfinite(fp(beta).finite_part)
 
@@ -246,14 +246,14 @@ def _qbits(res):
 
 
 def _integral(f, edges, passes=None):
-    """``regint._panel_integral`` of f on the edges; the panel count of
+    """``quad._panel_integral`` of f on the edges; the panel count of
     each pass appended to ``passes``."""
     def counted(t):
         if passes is not None:
             passes.append(len(t))
         return f(t)
 
-    return regint._panel_integral(counted, edges, 0.0)
+    return quad._panel_integral(counted, edges, 0.0)
 
 
 def test_only_the_peaked_integrand_bisects():
@@ -274,7 +274,7 @@ def test_only_the_peaked_integrand_bisects():
 def test_budget_overrun_raises_with_that_piece(monkeypatch):
     # the peaked integral runs out of bisections; the error carries its
     # partial result
-    monkeypatch.setattr(regint, "MAX_PANEL_SPLITS", 3)
+    monkeypatch.setattr(quad, "MAX_PANEL_SPLITS", 3)
     with pytest.raises(ToleranceNotReached) as info:
         _integral(_peaked, _PEAKED)
     assert _qbits(info.value.partial) == ("0x1.38292ee3d5996p+8", "0x1.500092d0b5496p+3", 4)
@@ -285,9 +285,9 @@ def test_budget_is_per_piece(monkeypatch):
     # the budget counts the bisections of one integral: the peaked one
     # converges within exactly the bisections it takes, and fails one short
     needed = _integral(_peaked, _PEAKED).cell_count - 2
-    monkeypatch.setattr(regint, "MAX_PANEL_SPLITS", needed)
+    monkeypatch.setattr(quad, "MAX_PANEL_SPLITS", needed)
     assert _integral(_peaked, _PEAKED).cell_count == needed + 2
-    monkeypatch.setattr(regint, "MAX_PANEL_SPLITS", needed - 1)
+    monkeypatch.setattr(quad, "MAX_PANEL_SPLITS", needed - 1)
     with pytest.raises(ToleranceNotReached):
         _integral(_peaked, _PEAKED)
 
@@ -301,7 +301,8 @@ def test_contour_bisection_pinned(monkeypatch):
         counts.append((len(edges) - 1, result.cell_count))
         return result
 
-    real = regint._panel_integral
+    real = quad._panel_integral
+    # patched where _cot_contour looks it up: the name regint imports
     monkeypatch.setattr(regint, "_panel_integral", counted)
     value = cone.heat_kernel_cone(
         14.061194372178415, 0.033661455089965334,
