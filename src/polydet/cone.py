@@ -22,19 +22,25 @@ arguments with |arg| < pi/4.
 
 K_0 and K_1 are evaluated here (``_bessel_k``), on real or complex arrays,
 so no kernel needs scipy.
+
+Every kernel returns a finite value or raises PolydetError, for an input
+out of its range or a value past the float range, and CoincidentPoints
+for a resolvent where q or one of its rotational images lands on p.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import numbers
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CoincidentPoints
+from .errors import CoincidentPoints, PolydetError
 from .metric import PolyhedralMetric, _check_angle
-from .regint import _cot_contour, q_of_beta
+from .regint import _cot_contour, _poles, q_of_beta
 
 PI = math.pi
 TWO_PI = 2.0 * math.pi
@@ -43,47 +49,88 @@ quad = None   # a placeholder: bench/tracing.py wraps this name, and nothing cal
 
 
 class ConePoint(NamedTuple):
-    """Point on the cone: radius r >= 0 and angle phi in [0, beta).
+    """Point on the cone: radius r >= 0 and angle phi, taken modulo the
+    cone opening beta.
 
-    The angular range depends on the cone opening, so it is validated by
-    the kernels, not the constructor.
+    The kernels, which take the opening, check the points: they refuse a
+    radius that is negative or not finite, or a phi - phi' that is not
+    finite.
     """
 
     r: float
     phi: float
 
 
+def _finite(kernel):
+    """``kernel`` with numpy's floating-point warnings off; PolydetError
+    unless its value is finite."""
+    @functools.wraps(kernel)
+    def checked(*args, **kwargs):
+        with np.errstate(all="ignore"):
+            value = kernel(*args, **kwargs)
+        if not cmath.isfinite(value):
+            raise PolydetError(f"{kernel.__name__} is {value!r}, not a finite float")
+        return value
+    return checked
+
+
+def _positive(value: float, name: str) -> None:
+    if not 0.0 < value < math.inf:
+        raise PolydetError(f"need a finite {name} > 0, got {value!r}")
+
+
+def _check_mu(mu) -> None:
+    if not (cmath.isfinite(mu) and complex(mu).real < 0.0):
+        raise PolydetError(f"need a finite mu with Re mu < 0, got {mu!r}")
+
+
+def _angle_between(p: ConePoint, q: ConePoint) -> float:
+    """phi - phi'; PolydetError unless it and both radii, r >= 0, are finite."""
+    dphi = p.phi - q.phi
+    if not (0.0 <= p.r < math.inf and 0.0 <= q.r < math.inf and math.isfinite(dphi)):
+        raise PolydetError(f"need points of finite r >= 0 and finite phi - phi', got {p} and {q}")
+    return dphi
+
+
 def _rho2(r: float, rp: float, sigma):
     """Squared chord between radii r and r' at half-chord sigma = sin(th/2)."""
-    return (r - rp) ** 2 + 4.0 * r * rp * sigma * sigma
+    return (r - rp) * (r - rp) + 4.0 * r * rp * sigma * sigma
 
 
+@_finite
 def heat_kernel_cone(beta: float, t: float, p: ConePoint, q: ConePoint) -> float:
     """Heat kernel H_t(p, q) on the infinite cone of opening beta."""
     _check_angle(beta)
-    if not t > 0.0:
-        raise ValueError(f"time must be positive, got {t}")
+    _positive(t, "time t")
+    dphi = _angle_between(p, q)
 
     def plane(sigma):
         return np.exp(-_rho2(p.r, q.r, sigma) / (4.0 * t)) / (4.0 * PI * t)
 
-    return _cot_contour(beta, p.phi - q.phi, plane)
+    return _cot_contour(beta, dphi, plane)
 
 
 def _image_rho2(n: int, p: ConePoint, q: ConePoint) -> list:
     """The squared plane distances from p to the n rotational images of q
-    on the cone of opening 2 pi / n."""
+    on the cone of opening 2 pi / n, below 0 only by rounding, which is
+    dropped; PolydetError unless n is an integer >= 1."""
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise PolydetError(f"need an integer n >= 1 of images, got {n!r}")
     beta = TWO_PI / n
-    return [p.r * p.r + q.r * q.r - 2.0 * p.r * q.r * math.cos(p.phi - q.phi - m * beta)
+    dphi = _angle_between(p, q)
+    return [max(p.r * p.r + q.r * q.r - 2.0 * p.r * q.r * math.cos(dphi - m * beta), 0.0)
             for m in range(n)]
 
 
+@_finite
 def heat_kernel_images(n: int, t: float, p: ConePoint, q: ConePoint) -> float:
     """Method-of-images oracle for the cone of opening 2 pi / n: the sum of
     plane kernels over the n rotational images of q."""
+    _positive(t, "time t")
     return sum(math.exp(-rho2 / (4.0 * t)) / (4.0 * PI * t) for rho2 in _image_rho2(n, p, q))
 
 
+@_finite
 def resolvent_cone(beta: float, mu: complex, p: ConePoint, q: ConePoint) -> float:
     """Resolvent kernel of the (nonnegative) cone Laplacian at spectral
     parameter mu with Re mu < 0, for points with |phi - phi'| < pi.
@@ -94,16 +141,15 @@ def resolvent_cone(beta: float, mu: complex, p: ConePoint, q: ConePoint) -> floa
     mu returns the complex value.
     """
     _check_angle(beta)
+    _check_mu(mu)
     mu = complex(mu)
-    if not mu.real < 0.0:
-        raise ValueError(f"need Re mu < 0, got {mu}")
-    dphi = p.phi - q.phi
-    if _rho2(p.r, q.r, math.sin(0.5 * dphi)) <= 0.0:
+    dphi = _angle_between(p, q)
+    # q or a rotational image of q on p: a pole th* = m beta - dphi at the
+    # chord 0, where the contour's circle takes K_0(0)
+    if any(_rho2(p.r, q.r, math.sin(0.5 * th)) <= 0.0 for _, th, _ in _poles(beta, dphi)):
         raise CoincidentPoints("resolvent kernel diverges on the diagonal")
     if abs(dphi) >= PI:
-        raise ValueError(
-            "resolvent split requires |phi - phi'| < pi (points close enough)"
-        )
+        raise PolydetError("resolvent split requires |phi - phi'| < pi (points close enough)")
     sq = cmath.sqrt(-mu) if mu.imag else math.sqrt(-mu.real)
 
     def free(sigma):
@@ -112,12 +158,18 @@ def resolvent_cone(beta: float, mu: complex, p: ConePoint, q: ConePoint) -> floa
     return _cot_contour(beta, dphi, free)
 
 
+@_finite
 def resolvent_images(n: int, mu: float, p: ConePoint, q: ConePoint) -> float:
     """Image-sum oracle for the resolvent on the cone of opening 2 pi / n."""
-    k0 = _bessel_k(0, np.sqrt(_image_rho2(n, p, q)) * math.sqrt(-mu))
+    _check_mu(mu)
+    rho2 = _image_rho2(n, p, q)
+    if 0.0 in rho2:
+        raise CoincidentPoints("resolvent kernel diverges where an image of q lands on p")
+    k0 = _bessel_k(0, np.sqrt(rho2) * math.sqrt(-mu))
     return (k0.sum() / TWO_PI).item()
 
 
+@_finite
 def a_mu(beta: float, mu: float, r: float) -> float:
     """Rotationally symmetric resolvent density
 
@@ -130,16 +182,15 @@ def a_mu(beta: float, mu: float, r: float) -> float:
     the tip tends to Q(beta) as mu -> -inf.
     """
     _check_angle(beta)
-    if not mu < 0.0:
-        raise ValueError(f"need mu < 0, got {mu}")
-    if not r > 0.0:
-        raise ValueError(f"need r > 0, got {r}")
+    _check_mu(mu)
+    _positive(r, "r")
     two_r_sq = 2.0 * r * math.sqrt(-mu)
     return _cot_contour(beta, 0.0,
                         lambda sigma: -mu / TWO_PI * _bessel_k(0, two_r_sq * sigma),
                         tip=True)
 
 
+@_finite
 def a_mu_disk_integral(beta: float, mu: float, eps: float = 1.0) -> float:
     """int_{K(eps)} a_mu dS = beta int_0^eps a_mu(r) r dr ; converges to
     Q(beta) superpolynomially as mu -> -inf.
@@ -150,10 +201,8 @@ def a_mu_disk_integral(beta: float, mu: float, eps: float = 1.0) -> float:
     kernel beta/(8 pi sigma^2) of ``q_of_beta_contour``.
     """
     _check_angle(beta)
-    if not mu < 0.0:
-        raise ValueError(f"need mu < 0, got {mu}")
-    if not eps > 0.0:
-        raise ValueError(f"need eps > 0, got {eps}")
+    _check_mu(mu)
+    _positive(eps, "eps")
     two_sq = 2.0 * math.sqrt(-mu)
     return _cot_contour(
         beta, 0.0,

@@ -108,6 +108,11 @@ class PolyhedralMetric:
     vertices: Tuple[ConicalVertex, ...]
 
     def __post_init__(self) -> None:
+        # kept as a tuple, so a list or a generator builds an equal metric
+        object.__setattr__(self, "vertices", _numeric(tuple, self.vertices, "the vertices"))
+        for v in self.vertices:
+            if not isinstance(v, ConicalVertex):
+                raise PolydetError(f"cannot take {v!r} as a ConicalVertex")
         _check_scale(self.scale)
         for z, b in self.vertices:
             if not (_numeric(math.isfinite, b, "an exponent") and b > -1.0):
@@ -173,9 +178,11 @@ def make_metric(scale: float, verts: Sequence[Tuple[complex, float]]) -> Polyhed
     than 3 vertices, or an exponent sum not within 1e-12 of -2
     (GaussBonnetViolation); a distance |z_k - z_l| of 0 (DuplicateVertex)
     or not a finite float (PolydetError).  Before any of these, PolydetError
-    names a field that is not a number, or a vertex that is not a pair."""
-    return PolyhedralMetric(_numeric(float, scale, "the scale"),
-                            tuple([_numeric(_vertex, v, "a vertex") for v in verts]))
+    names a field that is not a number, a vertex list that is not a
+    sequence, or a vertex that is not a pair (in the constructor, one that
+    is not a ConicalVertex)."""
+    return PolyhedralMetric(_numeric(float, scale, "the scale"), tuple(
+        [_numeric(_vertex, v, "a vertex") for v in _numeric(iter, verts, "the vertices")]))
 
 
 def _vertex(pair) -> ConicalVertex:

@@ -56,11 +56,13 @@ estimate is the size of the last two Chebyshev coefficients of its
 integrand, read off the same node values through two more rows of its
 rule and scaled by the size of the moments; a second run has the
 estimate of the first.  The chords' estimates are carried through the
-chord polygon to first order and a rounding floor is added.  The work is
-fixed, so the one accuracy contract, error_estimate <= REL_TOL * value,
-relative at every scale, decides only whether ``area`` raises
-ToleranceNotReached (with the partial result).  Everything is evaluated
-in a fixed order, so results are bit-identical between runs.
+chord polygon to first order and a rounding floor is added.  ``area``
+refuses in this order, the first two before any node is evaluated: every
+vertex's rule (``_rule``) ahead of the tree; an extreme grid (``_chords``);
+an area outside the float range (all PolydetError); then, the work being
+fixed, the one accuracy contract, error_estimate <= REL_TOL * value,
+relative at every scale (ToleranceNotReached, with the partial result).
+Everything is evaluated in a fixed order, so every run gives the same bits.
 
 ``_panel_integral``, module ``regint``'s one quadrature (its finite parts
 and its contour's line), bisects panels of the rule of weight 1 until one
@@ -297,10 +299,10 @@ def _chords(z, bs, u, v, theta_u, theta_v) -> Tuple[np.ndarray, np.ndarray, List
 
     The numpy calls go where there are many values.  In Python floats: the
     steps, d = z_q - z_p, the phase of each lead and the row of the other
-    branches, the check for a vertex nearer than the float range allows,
-    the panels (``_panels``) and which rule each takes.  In numpy, one
-    array operation each for all halves: the (half, vertex) grid of
-    z_k - z_p, rho_k, d/(z_k - z_p), |z_k - z_p|, log |rho_k| and the sum
+    branches, on an extreme grid the check for a vertex nearer than the
+    float range allows, the panels (``_panels``) and which rule each takes.
+    In numpy, one array operation each for all halves: the (half, vertex)
+    grid of z_k - z_p, rho_k, d/(z_k - z_p), |rho_k|, log |rho_k| and the sum
     log_c over it of b_k (log |rho_k| + i theta_k); the nodes of all panels
     at once, their logs in groups of about BATCH values; and the few
     per-half values that numpy and Python round apart: |d|, its powers and
@@ -330,25 +332,25 @@ def _chords(z, bs, u, v, theta_u, theta_v) -> Tuple[np.ndarray, np.ndarray, List
     rel = at[:, :-1] - at[:, -1:]               # z_k - z_p
     col = d[:, None]
     rho = rel / col
-    dist = np.abs(rel)
-    # the nodes take 1/rho_k, whose size leaves the float range for a vertex
-    # 1e308 times nearer to z_p than the segment is long (0 inf = nan at s = 0)
-    for half, (span, gap) in enumerate(zip(length.tolist(),
-                                            np.minimum.reduce(dist, axis=1).tolist())):
-        if gap == 0.0 or span / gap == math.inf:
-            k = np.flatnonzero(np.isinf(span / dist[half]))[0]
-            pair = sorted((p[half] + 1, int(order[half, k]) + 1))
-            raise PolydetError(
-                f"vertices {pair[0]} and {pair[1]} are {dist[half, k]:.3g} apart, closer "
-                f"than the float range allows beside the chord from vertex {p[half] + 1} "
-                f"to vertex {q[half] + 1}, {span:.3g} long")
-    # log |rho_k|; where the quotient leaves the normal float range (a vertex
-    # 1e308 times nearer or farther than the segment is long) from its parts
     size = np.abs(rho)
     terms = np.empty(rho.shape, dtype=complex)  # log |rho_k| + i theta_k
     log_rho = np.log(size, out=terms.real)
+    # an extreme grid: |rho_k| outside the normal float range (a vertex 1e308
+    # times nearer or farther than the segment is long), or a segment past it;
+    # a vertex that near is refused (1/rho_k at s = 0), log |rho_k| from its parts
     if not (np.minimum.reduce(size, axis=None) >= sys.float_info.min
-            and np.maximum.reduce(size, axis=None) < math.inf):
+            and np.maximum.reduce(size, axis=None) < math.inf
+            and np.maximum.reduce(length) < math.inf):
+        dist = np.abs(rel)
+        for half, (span, gap) in enumerate(zip(length.tolist(),
+                                                np.minimum.reduce(dist, axis=1).tolist())):
+            if gap == 0.0 or span / gap == math.inf:
+                k = np.flatnonzero(np.isinf(span / dist[half]))[0]
+                pair = sorted((p[half] + 1, int(order[half, k]) + 1))
+                raise PolydetError(
+                    f"vertices {pair[0]} and {pair[1]} are {dist[half, k]:.3g} apart, closer "
+                    f"than the float range allows beside the chord from vertex {p[half] + 1} "
+                    f"to vertex {q[half] + 1}, {span:.3g} long")
         normal = (size >= sys.float_info.min) & (size < math.inf)
         np.copyto(log_rho, np.log(dist) - np.log(length)[:, None], where=~normal)
     terms.imag = [row[:i] + row[i + 1:] for row, i in zip(theta, p)]
@@ -579,6 +581,8 @@ def _tour_chords(z, bs) -> Tuple[np.ndarray, np.ndarray, int]:
     panels evaluated (z and bs sequences of complex and float): the first
     run of an edge is integrated (``_chords``) and the second is the first
     times its factor, with the same estimate."""
+    for b in bs:                # an exponent past the rule is refused in O(M)
+        _rule(NODES, b)
     u, v, at_u, at_v, edge, factor = _tour(z, bs, _spanning_tree(z))
     values, errors, panels = _chords(z, bs, u, v, at_u, at_v)
     return np.array(factor) * values[edge], errors[edge], sum(panels)
@@ -616,8 +620,8 @@ def _shoelace(chords, errors) -> Tuple[float, float]:
 def area(m: PolyhedralMetric) -> QuadResult:
     """Total area of the conical sphere, int_C C prod |z-z_k|^(2 b_k) dA.
 
-    Raises PolydetError unless the area is a positive finite float, then
-    ToleranceNotReached unless it meets the accuracy contract."""
+    Refuses in the module docstring's order: a rule, an extreme grid, then
+    the float range of the area (PolydetError), then REL_TOL (ToleranceNotReached)."""
     # an area outside the float range overflows or underflows here, and a
     # chord through a vertex takes a log of 0; the range check below
     # reports either

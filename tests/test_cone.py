@@ -17,7 +17,7 @@ from polydet import (
     resolvent_images,
     tetrahedron_metric,
 )
-from polydet.errors import CoincidentPoints
+from polydet.errors import CoincidentPoints, PolydetError
 
 PI = math.pi
 TWO_PI = 2 * math.pi
@@ -153,6 +153,56 @@ def test_resolvent_monotone_in_mu():
 def test_resolvent_coincident_points_rejected():
     with pytest.raises(CoincidentPoints):
         resolvent_cone(PI, -1.0, ConePoint(1.0, 0.5), ConePoint(1.0, 0.5))
+
+
+@pytest.mark.parametrize("beta, p, q", [
+    (2.0, ConePoint(1.0, 2.1), ConePoint(1.0, 0.1)),
+    (0.5, ConePoint(1.0, 1.1), ConePoint(1.0, 0.1)),
+    (PI, ConePoint(0.0, 3.0), ConePoint(0.0, 0.1)),
+])
+def test_resolvent_coincident_image_rejected(beta, p, q):
+    # q turned by a multiple of beta lands on p (p and q at the tip, by
+    # any angle): the kernel diverges there, which was returned as inf
+    # with a numpy "divide by zero" warning (an error here)
+    with pytest.raises(CoincidentPoints):
+        resolvent_cone(beta, -1.0, p, q)
+    n = round(TWO_PI / beta)
+    if TWO_PI / n == beta:
+        with pytest.raises(CoincidentPoints):
+            resolvent_images(n, -1.0, p, q)
+
+
+@pytest.mark.parametrize("call, why", [
+    (lambda: heat_kernel_cone(PI, 0.0, ConePoint(1.0, 0.2), ConePoint(0.7, 1.9)),
+     "need a finite time t > 0, got 0.0"),
+    (lambda: heat_kernel_images(2, -1.0, ConePoint(1.0, 0.2), ConePoint(0.7, 1.9)),
+     "need a finite time t > 0, got -1.0"),
+    (lambda: heat_kernel_images(0, 1.0, ConePoint(1.0, 0.2), ConePoint(0.7, 1.9)),
+     "need an integer n >= 1 of images, got 0"),
+    (lambda: resolvent_cone(PI, 1.0, ConePoint(1.0, 0.2), ConePoint(0.7, 1.9)),
+     "need a finite mu with Re mu < 0, got 1.0"),
+    (lambda: resolvent_cone(PI, -1.0, ConePoint(1.0, 3.5), ConePoint(0.7, 0.1)),
+     "resolvent split requires |phi - phi'| < pi"),
+    (lambda: resolvent_images(2, 0.0, ConePoint(1.0, 0.2), ConePoint(0.7, 1.9)),
+     "need a finite mu with Re mu < 0, got 0.0"),
+    (lambda: a_mu(PI, -1.0, 0.0), "need a finite r > 0, got 0.0"),
+    (lambda: a_mu(PI, 0.0, 1.0), "need a finite mu with Re mu < 0, got 0.0"),
+    (lambda: a_mu_disk_integral(PI, -1.0, 0.0), "need a finite eps > 0, got 0.0"),
+    (lambda: heat_kernel_cone(PI, 0.5, ConePoint(1.0, math.nan), ConePoint(0.7, 1.9)),
+     "need points of finite r >= 0 and finite phi - phi'"),
+    (lambda: heat_kernel_cone(PI, 0.5, ConePoint(-1.0, 0.2), ConePoint(0.7, 1.9)),
+     "need points of finite r >= 0 and finite phi - phi'"),
+    (lambda: resolvent_cone(PI, -1.0, ConePoint(1.0, 1.7e308), ConePoint(0.7, -1.7e308)),
+     "need points of finite r >= 0 and finite phi - phi'"),
+    (lambda: heat_kernel_cone(PI, 5e-324, ConePoint(1.0, 0.2), ConePoint(1.0, 0.2)),
+     "heat_kernel_cone is inf, not a finite float"),
+])
+def test_cone_kernels_refuse_by_type(call, why):
+    # each was a bare ValueError, or for a nan phi int(nan) in the poles,
+    # or an inf from a time near 0
+    with pytest.raises(PolydetError) as info:
+        call()
+    assert type(info.value) is PolydetError and str(info.value).startswith(why)
 
 
 def test_bessel_laplace_branch_closed_form():
@@ -378,8 +428,9 @@ def test_a_mu_disk_integral_rejects_bad_input():
     from polydet.errors import NonpositiveAngle
 
     for mu in (0.0, 3.0):
-        with pytest.raises(ValueError):
+        with pytest.raises(PolydetError) as info:
             a_mu_disk_integral(PI, mu)
+        assert type(info.value) is PolydetError
     for beta in (0.0, -1.0):
         with pytest.raises(NonpositiveAngle):
             a_mu_disk_integral(beta, -100.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from polydet import (
+    area,
     det_tetrahedron,
     f_function,
     grad_angle,
@@ -428,6 +429,95 @@ def test_grad_position_conjugation_symmetric_configuration():
     total = sum(m.vertices[i - 1].position * grad_position(m, i)
                 for i in range(1, 5))
     assert abs(total.imag) < 1e-10
+
+
+# ---- grad_position at symmetric configurations, absolutely ----
+#
+# I = log det' + zeta(0) log A, zeta(0) = sum_k Q(beta_k) - 1 with
+# Q(beta) = (2pi/beta - beta/2pi)/12, is scale-free and so, at fixed C, a
+# Moebius-invariant function of the positions.  Where the symmetry group
+# of a configuration leaves no direction of the moduli space fixed, its
+# gradient vanishes: grad_position = d log(det/A)/dz_i equals
+# -(1 + zeta(0)) d log A/dz_i at every vertex.  The area's side is taken
+# from quad.area alone, so the check shares no code with W.
+
+GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+
+
+def _signs(v):
+    return sorted({tuple(s * x for s, x in zip(signs, v))
+                   for signs in itertools.product((1, -1), repeat=3)})
+
+
+def _cyclic(points):
+    return [(x, y, z)[k:] + (x, y, z)[:k] for x, y, z in points for k in range(3)]
+
+
+# the vertices of each solid and its cone angle: 3, 4 or 5 faces of angle
+# pi/3 (or 3 of angle pi/2, 3pi/5) at every vertex
+PLATONIC = {
+    "tetrahedron": ([(1, 1, 1), (1, -1, -1), (-1, 1, -1), (-1, -1, 1)], PI),
+    "octahedron": (_cyclic([(1, 0, 0), (-1, 0, 0)]), 4 * PI / 3),
+    "cube": (_signs((1, 1, 1)), 3 * PI / 2),
+    "icosahedron": (_cyclic(_signs((0, 1, GOLDEN))), 5 * PI / 3),
+    "dodecahedron": (_signs((1, 1, 1)) + _cyclic(_signs((0, 1 / GOLDEN, GOLDEN))), 9 * PI / 5),
+}
+
+
+def _bipyramid(n, apex):
+    """The n-gonal bipyramid with apex angle ``apex``: by Gauss-Bonnet the
+    equator angle is 2 pi - 2 apex/n."""
+    ring = [(math.cos(TWO_PI * k / n), math.sin(TWO_PI * k / n), 0.0) for k in range(n)]
+    return [(0, 0, 1), (0, 0, -1)] + ring, [apex] * 2 + [TWO_PI - 2 * apex / n] * n
+
+
+def _symmetric_metric(points, angles):
+    """The points, turned by a generic rotation (so no vertex is at the
+    pole and no symmetry is aligned with the axes) and projected
+    stereographically, with b = beta/2pi - 1."""
+    quaternion = np.array([0.83, 0.21, -0.37, 0.36])
+    w, x, y, z = quaternion / np.linalg.norm(quaternion)
+    turn = np.array([[1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
+                     [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
+                     [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)]])
+    verts = []
+    for point, beta in zip(points, angles):
+        u = turn @ (np.array(point, float) / np.linalg.norm(point))
+        verts.append((complex(u[0], u[1]) / (1.0 - u[2]), beta / TWO_PI - 1.0))
+    return make_metric(1.0, verts)
+
+
+def _symmetric_cases():
+    for name, (points, beta) in PLATONIC.items():
+        yield pytest.param(points, [beta] * len(points), id=name)
+    for n in range(3, 9):
+        apexes = (0.7, 1.3, 2.3) if n == 3 else ((0.7, 2.3) if n % 2 else (1.3, 2.3))
+        for apex in apexes:
+            yield pytest.param(*_bipyramid(n, apex * PI), id=f"bipyramid-{n}-apex-{apex}pi")
+
+
+@pytest.mark.parametrize("points, angles", list(_symmetric_cases()))
+def test_grad_position_vanishes_on_log_det_plus_zeta_log_area(points, angles):
+    # d log A/dz_i = (d/dx - i d/dy) A/(2A) by central differences of the
+    # area at a step of 1e-5 max(1, |z|), where their rounding is near 1e-11
+    # and their truncation below it; at 1e-6 the rounding alone reaches
+    # 1.4e-10 on the dodecahedron, 0.8 of its gate
+    m = _symmetric_metric(points, angles)
+    zeta0 = math.fsum(q_of_beta(beta) for beta in m.angles()) - 1.0
+    zs, bs = list(m.positions()), list(m.exponents())
+    base = area(m).value
+
+    def moved(i, dz):
+        return area(make_metric(1.0, list(zip(zs[:i] + [zs[i] + dz] + zs[i + 1:], bs)))).value
+
+    grads, residuals = [], []
+    for i, z in enumerate(zs):
+        h = 1e-5 * max(1.0, abs(z))
+        dx = (moved(i, h) - moved(i, -h)) / (2 * h)
+        dy = (moved(i, 1j * h) - moved(i, -1j * h)) / (2 * h)
+        grads.append(grad_position(m, i + 1))
+        residuals.append(abs(grads[-1] + (1.0 + zeta0) * (dx - 1j * dy) / (2 * base)))
+    assert max(residuals) <= 1e-8 * max(map(abs, grads))
 
 
 def test_grad_angle_gauge_vertex_rejected(tetra):

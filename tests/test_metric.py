@@ -163,7 +163,29 @@ NOT_NUMBERS = [
 ]
 
 
-@pytest.mark.parametrize("build, message", NOT_NUMBERS)
+
+def _direct(vertices):
+    from polydet.metric import PolyhedralMetric
+
+    return PolyhedralMetric(1.0, vertices)
+
+
+# Vertex lists that are not pairs, a bare TypeError before, or plain pairs
+# in the constructor, which passed every check and then raised a bare
+# AttributeError: refused by a PolydetError that names the field
+NOT_PAIRS = [
+    pytest.param(lambda: make_metric(1.0, None), "cannot take None as the vertices",
+                 id="make-vertices-None"),
+    pytest.param(lambda: _direct(None), "cannot take None as the vertices",
+                 id="direct-vertices-None"),
+    pytest.param(lambda: _direct((5, 6, 7)), "cannot take 5 as a ConicalVertex",
+                 id="direct-vertices-ints"),
+    pytest.param(lambda: _direct(TETRA_VERTS), "cannot take (1, -0.5) as a ConicalVertex",
+                 id="direct-plain-pairs"),
+]
+
+
+@pytest.mark.parametrize("build, message", NOT_NUMBERS + NOT_PAIRS)
 def test_a_field_that_is_not_a_number_is_refused_by_name(build, message):
     with pytest.raises(PolydetError) as info:
         build()
@@ -171,13 +193,31 @@ def test_a_field_that_is_not_a_number_is_refused_by_name(build, message):
 
 
 def test_numbers_that_convert_still_build():
-    # numpy scalars in the constructor, a numeric string in make_metric
+    # numpy scalars in the constructor, a numeric string, numpy scalars and
+    # plain pairs in make_metric
     from polydet.metric import ConicalVertex, PolyhedralMetric
 
     tetra = tetrahedron_metric()
     assert make_metric("1", TETRA_VERTS) == tetra
+    assert make_metric(np.float64(1.0), [(np.complex128(z), np.float64(b))
+                                         for z, b in TETRA_VERTS]) == tetra
+    assert make_metric(1.0, tuple(TETRA_VERTS)) == tetra
     assert PolyhedralMetric(np.float64(1.0), tuple(
         ConicalVertex(np.complex128(z), np.float64(b)) for z, b in TETRA_VERTS)) == tetra
+
+
+def test_a_list_or_generator_of_vertices_builds_an_equal_metric():
+    # the constructor keeps its vertices as a tuple: a list built a metric
+    # unequal to the tetrahedron and unhashable, and a generator raised a
+    # bare TypeError from len()
+    from polydet.metric import ConicalVertex, PolyhedralMetric
+
+    tetra = tetrahedron_metric()
+    vertices = [ConicalVertex(complex(z), float(b)) for z, b in TETRA_VERTS]
+    for built in (PolyhedralMetric(1.0, vertices), PolyhedralMetric(1.0, iter(vertices)),
+                  dataclasses.replace(tetra, vertices=vertices)):
+        assert built == tetra and hash(built) == hash(tetra)
+        assert type(built.vertices) is tuple
 
 
 def test_numpy_integer_is_a_vertex_index(corpus5):

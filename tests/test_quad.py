@@ -756,14 +756,18 @@ RULE_PAST_RANGE = ("the weight 2^(b + 1) of the exponent {!r} or a moment of its
                    "past the float range")
 
 
-def test_area_refuses_an_exponent_past_the_rule(tmp_path, capsys):
-    # b_1 = 1023 with 1026 equal exponents above -1 for the sum -2: the
-    # rule's weight 2^1024 overflows, which the area, log det' and the CLI
-    # raised as a bare OverflowError (the time is the O(M^2) tour)
+def _past_rule_metric(pair=None):
+    # b_1 = 1023 with 1026 equal exponents above -1 for the sum -2, on the
+    # unit circle or with vertices 2 and 3 moved to ``pair``
     m = 1027
     rest = (-2.0 - 1023.0) / (m - 1)
-    metric = make_metric(1.0, [(cmath.exp(2j * PI * k / m), 1023.0 if k == 0 else rest)
-                               for k in range(m)])
+    zs = [cmath.exp(2j * PI * k / m) for k in range(m)]
+    if pair:
+        zs[1:3] = pair
+    return make_metric(1.0, [(z, 1023.0 if k == 0 else rest) for k, z in enumerate(zs)])
+
+
+def _refused_by_the_rule(metric, tmp_path, capsys):
     why = RULE_PAST_RANGE.format(1023.0)
     for f in (area, log_det_as):
         with pytest.raises(PolydetError) as info:
@@ -773,6 +777,27 @@ def test_area_refuses_an_exponent_past_the_rule(tmp_path, capsys):
     dump_metric(metric, str(path))
     assert main(["det", "--metric", str(path)]) == 2
     assert json.loads(capsys.readouterr().err) == {"error": "PolydetError", "message": why}
+
+
+def _no_tree(*args):
+    raise AssertionError("the tree or the tour was built before the rules were checked")
+
+
+def test_area_refuses_an_exponent_past_the_rule(monkeypatch, tmp_path, capsys):
+    # the rule's weight 2^1024 overflows, which the area, log det' and the
+    # CLI raised as a bare OverflowError; every vertex's rule is checked
+    # ahead of the O(M^2) tree and tour, neither of which is built
+    monkeypatch.setattr(quad, "_spanning_tree", _no_tree)
+    monkeypatch.setattr(quad, "_tour", _no_tree)
+    _refused_by_the_rule(_past_rule_metric(), tmp_path, capsys)
+
+
+def test_rule_refused_ahead_of_a_too_near_pair(tmp_path, capsys):
+    # vertices 2 and 3 1e-310 apart are closer than the float range allows
+    # beside their chords, which the grid of the chords refuses by name
+    # (test_close_pair_among_far_vertices_refused_by_name); the rules come
+    # first, so the exponent past its rule is what this metric is refused for
+    _refused_by_the_rule(_past_rule_metric([0.0, 1e-310]), tmp_path, capsys)
 
 
 @pytest.mark.parametrize("b", [1e300, 1023.0, 1022.9, 1020.0])

@@ -1,17 +1,18 @@
 """The typed-refusal contract, as derandomized property tests: every public
-name of ``metric``, ``quad``, ``detlap``, ``regint``, ``elliptic`` and
-``verify`` returns finite values or raises a ``PolydetError`` subclass,
-and ``cli.main`` returns 0, 1 (``verify fd`` only), 2 or 3, or leaves
-by argparse's ``SystemExit(2)`` on a malformed command line.  The
-``PolyhedralMetric`` constructor, called directly or by
-``dataclasses.replace``, refuses by the same type and message as
+name of ``metric``, ``quad``, ``detlap``, ``regint``, ``cone``,
+``elliptic`` and ``verify`` returns finite values or raises a
+``PolydetError`` subclass, and ``cli.main`` returns 0, 1 (``verify fd``
+only), 2 or 3, or leaves by argparse's ``SystemExit(2)`` on a malformed
+command line.  The ``PolyhedralMetric`` constructor, called directly or
+by ``dataclasses.replace``, refuses by the same type and message as
 ``make_metric`` and builds an equal metric where that does, and a vertex
 index that is not an integer (2.0, nan, "2") is refused as one out of
-range.
+range.  A vertex list that is not a sequence of pairs is refused by
+both, and one of plain pairs by the constructor, which takes only
+``ConicalVertex``es.
 
 The inputs mix moderate values, which reach the computations, with
 floats from the whole range: nan, +-inf, subnormals, 1e300 and 1.7e308.
-The cone kernels are left out.
 """
 
 import cmath
@@ -26,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydet import cli, detlap, elliptic, metric, quad, regint, verify
+from polydet import cli, cone, detlap, elliptic, metric, quad, regint, verify
 from polydet.errors import PolydetError
 from polydet.metric import ConicalVertex, PolyhedralMetric
 
@@ -113,12 +114,24 @@ def _checked(f, *args):
     return result
 
 
+# vertex lists that are not sequences of pairs
+NOT_VERTICES = st.sampled_from([None, 5, math.nan, "abc", (5, 6, 7), [None] * 3,
+                                [(0.0, -0.5, 1.0)] * 3, [ConicalVertex(1.0, -0.5), 2.0]])
+
+
 @given(inputs=metric_inputs(), data=st.data())
 @PROPERTY
 def test_metric_names_refuse_by_type(inputs, data):
     scale, verts = inputs
     made = _outcome(metric.make_metric, scale, verts)
     assert _outcome(PolyhedralMetric, scale, tuple(ConicalVertex(*v) for v in verts)) == made
+    # the plain pairs, which only make_metric converts, or a list that is
+    # not pairs, which both refuse by name
+    bad = data.draw(st.one_of(st.just(verts), NOT_VERTICES))
+    refused = _outcome(PolyhedralMetric, scale, bad)
+    assert refused[0] is PolydetError and refused[1].startswith("cannot take "), refused
+    if bad is not verts:
+        assert _outcome(metric.make_metric, scale, bad)[0] is PolydetError
     # a valid metric, with a new scale, then with one vertex moved and
     # its exponent kept or drawn
     m = made if isinstance(made, PolyhedralMetric) else metric.tetrahedron_metric()
@@ -188,6 +201,24 @@ def test_finite_parts_and_q_refuse_by_type(beta, halved):
         _checked(f, beta, halved)
     _checked(regint.q_of_beta, beta)
     _checked(regint.q_of_beta_contour, beta)
+
+
+CONE_POINTS = st.builds(cone.ConePoint, reals(0.0, 3.0), reals(-1.0, 7.0))
+
+
+@given(m=metrics(), beta=reals(0.0, 20.0), n=indices(8), t=reals(0.0, 5.0),
+       mu=points(1), length=reals(0.0, 3.0), p=CONE_POINTS, q=CONE_POINTS)
+@PROPERTY
+def test_cone_names_refuse_by_type(m, beta, n, t, mu, length, p, q):
+    # a complex mu for the resolvent, its real part elsewhere
+    _checked(cone.heat_kernel_cone, beta, t, p, q)
+    _checked(cone.heat_kernel_images, n, t, p, q)
+    _checked(cone.resolvent_cone, beta, mu[0], p, q)
+    _checked(cone.resolvent_images, n, mu[0].real, p, q)
+    _checked(cone.a_mu, beta, mu[0].real, length)
+    _checked(cone.a_mu_disk_integral, beta, mu[0].real, length)
+    if m is not None:
+        _checked(cone.heat_trace_correction, m)
 
 
 @given(pts=st.integers(3, 5).flatmap(points), tau=points(1), area_x=reals(0.0, 10.0))
